@@ -149,8 +149,9 @@ def li_yorke_report(x: Word, y: Word, checkpoints: Sequence[int],
     The liminf-0/limsup-positive pattern needs late windows to keep both
     approaching and separating, so the verdict reads the last segment: its
     min must sit below prox_tol while its max stays above dist_tol.
+    Repeated checkpoints count once.
     """
-    cps = tuple(sorted(int(c) for c in checkpoints))
+    cps = tuple(sorted({int(c) for c in checkpoints}))
     if not cps or cps[0] < 1:
         raise ValueError("checkpoints must be positive")
     horizon = cps[-1]

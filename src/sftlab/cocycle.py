@@ -10,11 +10,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import recurrence_ratios as recurrence_diagnostic  # noqa: F401
 from .errors import SingularProduct
 from .ergopt import topological_entropy
 from .measures import MarkovMeasure, sample_word
-from .shift import SftSpace, Word, connector
+from .shift import SftSpace, Word, glue
 
 
 class MatrixCocycle:
@@ -225,20 +224,12 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     gap = space.primitivity_index
     family = list(space.words(N))
     target = max(1, math.ceil(math.exp(N * (topological_entropy(space) - eta)) - 1e-9))
-    anchor_syms = anchor.symbols if anchor is not None else ()
-    prefix_len = len(anchor_syms) + (gap - 1 if anchor is not None else 0) + N + (gap - 1)
+    head = [anchor] if anchor is not None else []
+    prefix_len = sum(len(a) + gap - 1 for a in head) + N + (gap - 1)
     horizon = prefix_len + tail_len
     ref = sample_word(mu, horizon, seed)
-
-    members = []
-    for w in family:
-        syms = list(anchor_syms)
-        if anchor is not None:
-            syms += connector(space, syms[-1], w[0], gap).symbols
-        syms += list(w.symbols)
-        syms += connector(space, syms[-1], ref[0], gap).symbols
-        syms += list(ref.symbols[:tail_len])
-        members.append(space.word(syms))
+    tail = ref[:tail_len]
+    members = [space.word(glue(space, [*head, w, tail], gap)) for w in family]
 
     n_eval = horizon - (c.depth - 1)
     ref_exp = exponent_along(c, ref, n_eval)

@@ -61,5 +61,9 @@ class SingularProduct(SftLabError):
     """A matrix product along a cycle is numerically singular."""
 
 
+class MalformedSchedule(SftLabError):
+    """A serialized schedule's blocks do not pair measures with tours."""
+
+
 class InfeasibleParams(SftLabError):
     """No admissible parameter choice satisfies the schedule inequalities."""

@@ -219,7 +219,7 @@ def thm1_3_cocycle_family(params: dict, seed: int) -> ExperimentResult:
 
     # recurrence-time diagnostic along one emitted member
     member = report.members[0]
-    ratios = cocycle.recurrence_diagnostic(member, Word("01"))
+    ratios = analysis.recurrence_ratios(member, Word("01"))
     late = [r for _, r in ratios[-5:]]
     recurrence_settled = all(r <= 1.5 for r in late)
 

@@ -3,8 +3,9 @@ they emit: saturated-set generic points, separated stream families,
 branching trees with counting measures, and chaotic two-orbit families.
 
 On a mixing SFT the shadowing in all of these constructions is exact word
-concatenation with fixed-length bridging words, so every tracking claim
-reduces to checkable arithmetic on segment lengths:
+concatenation with fixed-length bridging words (``shift.glue`` and its
+streaming form ``shift.iglue``), so every tracking claim reduces to
+checkable arithmetic on segment lengths:
 
 * blocks sampled from a measure are redrawn until their own cylinder
   empirical sits within the stage radius zeta of the source measure;
@@ -12,8 +13,9 @@ reduces to checkable arithmetic on segment lengths:
   window straddle at block edges) and everything else (anchors, bridges,
   tours, family slots) the full diameter;
 * tours are covering words on the block-word graph: an Eulerian circuit when
-  that graph is balanced, otherwise a concatenation of all block words with
-  bridges.
+  that graph is balanced, otherwise all block words glued together;
+* gluing and chaotic schedules state their lengths as per-stage budgets, and
+  one checker (``check_budgets``) evaluates the inequality families on them.
 """
 from __future__ import annotations
 
@@ -21,17 +23,17 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .analysis import empirical
-from .errors import (FamilyNotSeparated, InfeasibleParams, NotPrimitive,
-                     OrbitsNotDisjoint, WordsTooShort)
+from .errors import (FamilyNotSeparated, InfeasibleParams, MalformedSchedule,
+                     NotPrimitive, OrbitsNotDisjoint, WordsTooShort)
 from .measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                        ks_entropy, refine_path, sample_word,
                        typical_separated_family, weak_star_dist)
-from .shift import SftSpace, SymbolStream, Word, connector, dist
+from .shift import SftSpace, SymbolStream, Word, dist, glue, iglue
 
 # --------------------------- covering tours ---------------------------
 
@@ -86,8 +88,8 @@ def dense_tour(space: SftSpace, depth: int) -> Word:
         raise ValueError("depth must be positive")
     if space.primitivity_index is None:
         raise NotPrimitive("tours need a primitive space")
-    gap = space.primitivity_index
-    targets = [w.symbols for w in space.words(depth)]
+    words = list(space.words(depth))
+    targets = [w.symbols for w in words]
     if depth >= 2:
         nodes = {w.symbols: i for i, w in enumerate(space.words(depth - 1))}
         edges = [(nodes[t[:-1]], nodes[t[1:]], eid)
@@ -98,11 +100,7 @@ def dense_tour(space: SftSpace, depth: int) -> Word:
             for eid in circuit[1:]:
                 syms.append(targets[eid][-1])
             return space.word(syms)
-    syms = list(targets[0])
-    for t in targets[1:]:
-        syms += connector(space, syms[-1], t[0], gap).symbols
-        syms += list(t)
-    return space.word(syms)
+    return glue(space, words, space.primitivity_index)
 
 
 def contains_all_words(space: SftSpace, tour: Word, depth: int) -> bool:
@@ -265,6 +263,9 @@ class GluingSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "GluingSchedule":
+        """Load a schedule written by :meth:`to_json`; the result must pass
+        :func:`validate_schedule`, else InfeasibleParams names the first
+        failing check."""
         data = json.loads(text)
         space = SftSpace(data["space"]["transition"])
         anchor = None
@@ -274,7 +275,7 @@ class GluingSchedule:
         pending: Optional[dict] = None
         params = data["params"]
         idx = 0
-        for blk in data["blocks"]:
+        for i, blk in enumerate(data["blocks"]):
             if blk["kind"] == "anchor":
                 anchor = space.parse(blk["word"])
             elif blk["kind"] == "family":
@@ -284,7 +285,10 @@ class GluingSchedule:
             elif blk["kind"] == "measure":
                 pending = blk
             elif blk["kind"] == "tour":
-                assert pending is not None, "tour block without its measure block"
+                if pending is None:
+                    raise MalformedSchedule(
+                        f"tour block {i} (depth {blk['depth']}) has no "
+                        f"measure block before it")
                 mu = MarkovMeasure(space, pending["measure"]["stochastic"],
                                    pending["measure"]["stationary"])
                 tour = None if blk["word"] is None else space.parse(blk["word"])
@@ -294,10 +298,14 @@ class GluingSchedule:
                     depth=blk["depth"]))
                 idx += 1
                 pending = None
-        return cls(space=space, stages=stages, anchor=anchor,
-                   family_len=family_len, family_entropy=family_entropy,
-                   family_eta=family_eta, check_depth=data["check_depth"],
-                   gap=data["gap"])
+        sched = cls(space=space, stages=stages, anchor=anchor,
+                    family_len=family_len, family_entropy=family_entropy,
+                    family_eta=family_eta, check_depth=data["check_depth"],
+                    gap=data["gap"])
+        failures = validate_schedule(sched).failures()
+        if failures:
+            raise _infeasible(failures[0])
+        return sched
 
 
 # --------------------------- validation ---------------------------
@@ -334,48 +342,75 @@ class ValidationReport:
         return json.dumps([e.__dict__ for e in self.entries])
 
 
-def validate_schedule(s: GluingSchedule) -> ValidationReport:
-    """Evaluate the schedule inequality families, reporting both sides.
+class StageBudget(NamedTuple):
+    """The lengths one stage spends: reps blocks of length n, extra symbols
+    of overhead (tours, excursions), a tracking run of length run, and the
+    cumulative length end at the stage's close."""
+    n: int
+    reps: int
+    extra: int
+    zeta: float
+    eps: float
+    run: int
+    end: int
 
-    stage_ratio: tour length against block length (per-stage dilution);
-    window_slack: block-edge windows short against eps (bound soundness);
-    next_stage: the following stage's fixed overhead small against the
-    running length; prefix_domination: each stage dwarfs its whole past;
-    family_margin: the family size survives the anchor burn-in;
-    gn_blowup: mismatch density, identically zero under exact concatenation.
+
+def _prefix_domination(k: int, past: int, zeta: float, run: int,
+                       note: str = "") -> CheckEntry:
+    return CheckEntry("prefix_domination", k, float(past), zeta * run,
+                      past <= zeta * run + 1e-9, note)
+
+
+def check_budgets(budgets: Sequence[StageBudget], start: int,
+                  depth: int) -> list[CheckEntry]:
+    """The stage inequality families of a schedule, both sides reported.
+
+    stage_ratio: overhead against block length (per-stage dilution);
+    window_slack: block-edge windows of the checking depth short against
+    eps (bound soundness); prefix_domination: the run dwarfs the whole past
+    (start symbols before stage 1); next_stage: the following stage's fixed
+    overhead small against the running length; reps_increasing: repetition
+    counts strictly grow.
     """
     entries: list[CheckEntry] = []
-    if not s.stages and s.anchor is None and not s.family_len:
-        return ValidationReport(())
-    ends = s.stage_ends()
-    prologue = s.prologue_len()
-    L = s.check_depth
-    entries.append(CheckEntry(
-        "gn_blowup", None, 0.0, 1e-9, True,
-        "exact concatenation: mismatch density identically zero"))
-    for k, st in enumerate(s.stages, start=1):
-        entries.append(CheckEntry(
-            "stage_ratio", k, st.tour_len() / st.n, st.zeta,
-            st.tour_len() / st.n <= st.zeta + 1e-12))
-        entries.append(CheckEntry(
-            "window_slack", k, (L - 1) / st.n, st.eps,
-            (L - 1) / st.n <= st.eps + 1e-12))
-        m_prev = ends[k - 2] if k >= 2 else prologue
-        m_k = ends[k - 1]
-        entries.append(CheckEntry(
-            "prefix_domination", k, float(m_prev), st.zeta * m_k,
-            m_prev <= st.zeta * m_k + 1e-9))
-        if k < len(s.stages):
-            nxt = s.stages[k]
-            overhead = nxt.n + nxt.tour_len()
+    past = start
+    for k, b in enumerate(budgets, start=1):
+        entries.append(CheckEntry("stage_ratio", k, b.extra / b.n, b.zeta,
+                                  b.extra / b.n <= b.zeta + 1e-12))
+        entries.append(CheckEntry("window_slack", k, (depth - 1) / b.n, b.eps,
+                                  (depth - 1) / b.n <= b.eps + 1e-12))
+        entries.append(_prefix_domination(k, past, b.zeta, b.run))
+        if k < len(budgets):
+            overhead = budgets[k].n + budgets[k].extra
             entries.append(CheckEntry(
-                "next_stage", k, float(overhead), st.zeta * m_k,
-                overhead <= st.zeta * m_k + 1e-9))
-    if len(s.stages) >= 2:
-        reps = [st.reps for st in s.stages]
+                "next_stage", k, float(overhead), b.zeta * b.end,
+                overhead <= b.zeta * b.end + 1e-9))
+        past = b.end
+    if len(budgets) >= 2:
+        reps = [b.reps for b in budgets]
         entries.append(CheckEntry(
             "reps_increasing", None, 0.0, 1.0,
             all(a < b for a, b in zip(reps, reps[1:])), f"reps={reps}"))
+    return entries
+
+
+def _infeasible(e: CheckEntry) -> InfeasibleParams:
+    where = "" if e.stage is None else f" at stage {e.stage}"
+    return InfeasibleParams(f"{e.name}{where}: lhs={e.lhs} rhs={e.rhs}")
+
+
+def validate_schedule(s: GluingSchedule) -> ValidationReport:
+    """Evaluate the schedule inequality families, reporting both sides:
+    :func:`check_budgets` over the stages (each stage's run is everything up
+    to its end), plus family_margin: the family size survives the anchor
+    burn-in.
+    """
+    if not s.stages and s.anchor is None and not s.family_len:
+        return ValidationReport(())
+    budgets = [StageBudget(st.n, st.reps, st.tour_len(), st.zeta, st.eps,
+                           end, end)
+               for st, end in zip(s.stages, s.stage_ends())]
+    entries = check_budgets(budgets, s.prologue_len(), s.check_depth)
     if (s.family_len and s.family_entropy is not None
             and s.family_eta is not None and s.anchor is not None):
         a_len = len(s.anchor)
@@ -416,24 +451,16 @@ def _draw_block(s: GluingSchedule, st: Stage, stage_idx: int, rep: int,
         f"block length or zeta")
 
 
-def _stage_symbol_iter(s: GluingSchedule, seed: int) -> Iterator[int]:
-    """Symbols of the stage part (blocks and tours, no prologue), infinite
-    and deterministic in seed.  The first symbol carries no bridge."""
-    prev: Optional[int] = None
+def _stage_words(s: GluingSchedule, seed: int) -> Iterator[Word]:
+    """The stage part's blocks and tours in order (no prologue), infinite
+    and deterministic in seed; blocks are drawn as they are pulled."""
     k = 1
     while True:
         st = s._stage_at(k)
         for rep in range(st.reps):
-            w = _draw_block(s, st, k, rep, seed)
-            if prev is not None:
-                yield from connector(s.space, prev, w[0], s.gap).symbols
-            yield from w.symbols
-            prev = w[len(w) - 1]
-        if st.tour_len() > 0:
-            if prev is not None:
-                yield from connector(s.space, prev, st.tour[0], s.gap).symbols
-            yield from st.tour.symbols
-            prev = st.tour[st.tour_len() - 1]
+            yield _draw_block(s, st, k, rep, seed)
+        if st.tour is not None:
+            yield st.tour
         k += 1
 
 
@@ -448,20 +475,9 @@ def emit_point(s: GluingSchedule, seed: int,
             f"family word length {len(family_word)} != slot {s.family_len}")
 
     def factory() -> Iterator[int]:
-        prev: Optional[int] = None
-        for w in (s.anchor, family_word):
-            if w is None or len(w) == 0:
-                continue
-            if prev is not None:
-                yield from connector(s.space, prev, w[0], s.gap).symbols
-            yield from w.symbols
-            prev = w[len(w) - 1]
-        tail = _stage_symbol_iter(s, seed)
-        first = next(tail)
-        if prev is not None:
-            yield from connector(s.space, prev, first, s.gap).symbols
-        yield first
-        yield from tail
+        prologue = [w for w in (s.anchor, family_word) if w is not None]
+        return iglue(s.space, itertools.chain(prologue, _stage_words(s, seed)),
+                     s.gap)
 
     return SymbolStream(s.space, factory, label=f"gk-point(seed={seed})")
 
@@ -583,19 +599,15 @@ def family_tracking_report(s: GluingSchedule, family: Sequence[Word],
     cps = sorted(checkpoints) if checkpoints is not None else s.stage_ends()
     L = s.check_depth
     space = s.space
-    gap = s.gap
 
-    tail_iter = _stage_symbol_iter(s, seed)
-    tail = [next(tail_iter) for _ in range(cps[-1] + L)]
-    anchor_syms = list(s.anchor.symbols) if s.anchor is not None else []
+    tail = list(itertools.islice(iglue(space, _stage_words(s, seed), s.gap),
+                                 cps[-1] + L))
+    anchor = s.anchor if s.anchor is not None else Word(())
+    tail_head = Word(tail[:1])
 
     def member_prefix(w: Word) -> list[int]:
-        syms = list(anchor_syms)
-        if syms:
-            syms += connector(space, syms[-1], w[0], gap).symbols
-        syms += list(w.symbols)
-        syms += connector(space, syms[-1], tail[0], gap).symbols
-        return syms
+        """Anchor, family word and the bridge into the shared tail."""
+        return list(glue(space, (anchor, w, tail_head), s.gap).symbols[:-1])
 
     p = len(member_prefix(fam[0]))
     tail_counts: list[Counter] = []
@@ -725,16 +737,14 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
             # independent of repetition counts: the caller's parameters are
             # genuinely infeasible (e.g. the family margin needs a longer
             # family slot or a larger eta relative to the anchor)
-            raise InfeasibleParams(f"{worst.name}: lhs={worst.lhs} rhs={worst.rhs}")
+            raise _infeasible(worst)
         k = (worst.stage or len(sched.stages)) - 1
         st = sched.stages[k]
-        sched.stages[k] = Stage(st.alpha, st.n, st.reps + 1, st.tour,
-                                st.zeta, st.eps, st.depth)
+        sched.stages[k] = replace(st, reps=st.reps + 1)
         for j in range(k + 1, len(sched.stages)):
             prev, cur = sched.stages[j - 1], sched.stages[j]
             if cur.reps <= prev.reps:
-                sched.stages[j] = Stage(cur.alpha, cur.n, prev.reps + 1,
-                                        cur.tour, cur.zeta, cur.eps, cur.depth)
+                sched.stages[j] = replace(cur, reps=prev.reps + 1)
         report = validate_schedule(sched)
     raise InfeasibleParams(f"validator still failing: {report.failures()[:3]}")
 
@@ -793,13 +803,8 @@ class BranchTree:
     def leaves(self) -> Iterator[tuple[tuple[int, ...], Word]]:
         option_words = [st.options for st in self.stages]
         for label in itertools.product(*(range(len(o)) for o in option_words)):
-            syms: list[int] = []
-            for i, choice in enumerate(label):
-                w = option_words[i][choice]
-                if syms:
-                    syms += connector(self.space, syms[-1], w[0], self.gap).symbols
-                syms += list(w.symbols)
-            yield label, Word(syms)
+            yield label, glue(self.space, (opts[c] for opts, c in
+                                           zip(option_words, label)), self.gap)
 
     def prefix_distinct_report(self) -> list[CheckEntry]:
         """Distinct labels give distinct stage-end prefixes (set check)."""
@@ -896,14 +901,8 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
             fam = fam[:t_i]
             comps_built.append(TreeComponent(a, mu, tuple(fam)))
             option_parts.append(fam)
-        options = []
-        for combo in itertools.product(*option_parts):
-            syms: list[int] = []
-            for w in combo:
-                if syms:
-                    syms += connector(space, syms[-1], w[0], gap).symbols
-                syms += list(w.symbols)
-            options.append(Word(syms))
+        options = [glue(space, combo, gap)
+                   for combo in itertools.product(*option_parts)]
         stages.append(TreeStage(n=stage_len, zeta=zetas[s_idx],
                                 components=tuple(comps_built),
                                 options=tuple(options)))
@@ -947,6 +946,12 @@ class ChaosStage:
     tour: Word
     zeta: float
     eps: float
+
+    def budget(self, k: int, end: int) -> StageBudget:
+        """Stage k's budget: the tour and k excursions are its overhead, and
+        its mu0 blocks are the tracking run."""
+        return StageBudget(self.n, self.reps, len(self.tour) + k * self.ntilde,
+                           self.zeta, self.eps, self.n * self.reps, end)
 
 
 @dataclass(frozen=True)
@@ -1068,39 +1073,44 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
         base = lam_words[which].symbols
         return Word((base * math.ceil(ntilde / len(base)))[:ntilde])
 
+    def pieces(xi: tuple[int, ...]
+               ) -> Iterator[tuple[Optional[tuple[int, int]], Word]]:
+        """The member's words in order, excursions tagged (stage, q)."""
+        if anchor is not None:
+            yield None, anchor
+        for k_idx, st in enumerate(stages, start=1):
+            for rep in range(st.reps):
+                yield None, mu0_block(k_idx, rep)
+            for q in range(1, k_idx + 1):
+                yield (k_idx, q), excursion_word(xi[q - 1], st.ntilde)
+            yield None, st.tour
+
     members: dict = {}
-    spans: list[tuple[tuple[int, int, int], ...]] = []
     for xi in xi_list:
         if len(xi) < len(stages):
             raise ValueError(
                 f"xi prefix length {len(xi)} < stage count {len(stages)}")
-        syms: list[int] = list(anchor.symbols) if anchor is not None else []
-        spans_this: list[list[tuple[int, int, int]]] = [[] for _ in stages]
+        members[xi] = Word(itertools.islice(
+            iglue(space, (w for _, w in pieces(xi)), gap), horizon))
 
-        def append_word(w: Word):
-            nonlocal syms
-            if syms:
-                syms += connector(space, syms[-1], w[0], gap).symbols
-            syms += list(w.symbols)
+    # excursion positions follow from piece lengths, which xi does not change
+    spans: list[list[tuple[int, int, int]]] = [[] for _ in stages]
+    pos = 0
+    for tag, w in pieces((1,) * len(stages)):
+        start = pos + (conn if pos else 0)
+        pos = start + len(w)
+        if tag is not None:
+            spans[tag[0] - 1].append((tag[1], start, pos))
 
-        for k_idx, st in enumerate(stages, start=1):
-            for rep in range(st.reps):
-                append_word(mu0_block(k_idx, rep))
-            for q in range(1, k_idx + 1):
-                w = excursion_word(xi[q - 1], st.ntilde)
-                start = len(syms) + (conn if syms else 0)
-                append_word(w)
-                spans_this[k_idx - 1].append((q, start, len(syms)))
-            append_word(st.tour)
-        members[xi] = Word(syms[:horizon])
-        spans = [tuple(sp) for sp in spans_this]  # identical across members
-
-    validation = _validate_chaos(stages, anchor_len, L, ends)
+    validation = ValidationReport(tuple(check_budgets(
+        [st.budget(k, end) for k, (st, end) in enumerate(zip(stages, ends), 1)],
+        anchor_len, L)))
     return ChaoticFamily(
         space=space, members=members, eps_star=eps_star,
         stages=tuple(stages), stage_ends=tuple(ends),
         mu0_run_ends=tuple(run_ends),
-        excursion_spans=tuple(spans), horizon=horizon, validation=validation)
+        excursion_spans=tuple(tuple(sp) for sp in spans), horizon=horizon,
+        validation=validation)
 
 
 @dataclass(frozen=True)
@@ -1187,67 +1197,24 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
 
     members: dict = {}
     for xi in xi_list:
-        syms: list[int] = []
+        runs: list[Word] = []
         sel_count = 0
         for i, (n_len, kind) in enumerate(zip(lengths, kinds)):
             if kind == "shared":
-                w = shared_run(i, n_len)
+                runs.append(shared_run(i, n_len))
             else:
                 if sel_count >= len(xi):
                     raise ValueError(
                         f"xi prefix length {len(xi)} < selected runs needed")
-                w = orbit_run(xi[sel_count], n_len)
+                runs.append(orbit_run(xi[sel_count], n_len))
                 sel_count += 1
-            if syms:
-                syms += connector(space, syms[-1], w[0], gap).symbols
-            syms += list(w.symbols)
-        members[xi] = Word(syms[:horizon])
+        members[xi] = Word(itertools.islice(iglue(space, runs, gap), horizon))
 
-    entries = [CheckEntry(
-        "gn_blowup", None, 0.0, 1e-9, True,
-        "exact concatenation: mismatch density identically zero")]
-    run_start = 0
-    for i, end in enumerate(ends):
-        entries.append(CheckEntry(
-            "prefix_domination", i + 1, float(run_start), zetas[i] * end,
-            run_start <= zetas[i] * end + 1e-9, kinds[i]))
-        run_start = end
+    entries = [_prefix_domination(i + 1, past, zeta, end, kind)
+               for i, (past, zeta, end, kind)
+               in enumerate(zip([0, *ends], zetas, ends, kinds))]
     return Dc1Family(space=space, members=members, eps_star=eps_star,
                      stage_ends=tuple(ends), stage_kinds=tuple(kinds),
                      horizon=horizon,
                      validation=ValidationReport(tuple(entries)))
 
-
-def _validate_chaos(stages: Sequence[ChaosStage], anchor_len: int,
-                    L: int, ends: Sequence[int]) -> ValidationReport:
-    """Chaotic-schedule counterparts of the inequality families: excursion
-    and tour dilution per stage, next-stage overhead, and domination of the
-    past by each stage's tracking run."""
-    entries: list[CheckEntry] = []
-    entries.append(CheckEntry(
-        "gn_blowup", None, 0.0, 1e-9, True,
-        "exact concatenation: mismatch density identically zero"))
-    for k, st in enumerate(stages, start=1):
-        lhs = (len(st.tour) + k * st.ntilde) / st.n
-        entries.append(CheckEntry("stage_ratio", k, lhs, st.zeta,
-                                  lhs <= st.zeta + 1e-12))
-        entries.append(CheckEntry(
-            "window_slack", k, (L - 1) / st.n, st.eps,
-            (L - 1) / st.n <= st.eps + 1e-12))
-        m_prev = ends[k - 2] if k >= 2 else anchor_len
-        entries.append(CheckEntry(
-            "prefix_domination", k, float(m_prev),
-            st.zeta * st.n * st.reps,
-            m_prev <= st.zeta * st.n * st.reps + 1e-9))
-        if k < len(stages):
-            nxt = stages[k]
-            overhead = nxt.n + (k + 1) * nxt.ntilde + len(nxt.tour)
-            entries.append(CheckEntry(
-                "next_stage", k, float(overhead), st.zeta * ends[k - 1],
-                overhead <= st.zeta * ends[k - 1] + 1e-9))
-    reps = [st.reps for st in stages]
-    if len(reps) >= 2:
-        entries.append(CheckEntry(
-            "reps_increasing", None, 0.0, 1.0,
-            all(a < b for a, b in zip(reps, reps[1:])), f"reps={reps}"))
-    return ValidationReport(tuple(entries))

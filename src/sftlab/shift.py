@@ -1,5 +1,7 @@
 """Subshifts of finite type: words, admissibility, the shift metric,
-Bowen-ball separation predicates, and bridging words.
+Bowen-ball separation predicates, bridging words, and gluing (word
+concatenation with fixed-length bridges, the one join every construction
+uses).
 
 Conventions fixed here and used everywhere else:
 
@@ -11,6 +13,7 @@ Conventions fixed here and used everywhere else:
 """
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -101,6 +104,7 @@ class SftSpace:
         self.transition.setflags(write=False)
         self.primitivity_index = self._compute_primitivity_index(A)
         self._reach_cache: dict[int, np.ndarray] = {0: np.eye(self.m, dtype=bool)}
+        self._bridge_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._succ = [tuple(np.flatnonzero(A[i]).tolist()) for i in range(self.m)]
 
     @staticmethod
@@ -283,9 +287,37 @@ def connector(space: SftSpace, a: int, b: int, gap: int) -> Word:
                 break
         else:  # pragma: no cover - impossible when gap >= primitivity index
             raise GapTooSmall(f"no bridge of length {gap} from {a} to {b}")
-    if gap - 1 == 0 and not space.allowed(a, b):  # pragma: no cover - guarded above
-        raise GapTooSmall(f"direct transition {a}->{b} not allowed")
     return Word(out)
+
+
+def _glue_pieces(space: SftSpace, words: Iterable[Word],
+                 gap: int) -> Iterator[tuple[int, ...]]:
+    """The nonempty words' symbols with bridges between them.  Bridges are
+    memoised per space, keyed (a, b, gap); racing misses store equal values."""
+    prev: Optional[int] = None
+    for w in words:
+        if not w.symbols:
+            continue
+        if prev is not None:
+            key = (prev, w.symbols[0], gap)
+            if key not in space._bridge_cache:
+                space._bridge_cache[key] = connector(space, *key).symbols
+            yield space._bridge_cache[key]
+        yield w.symbols
+        prev = w.symbols[-1]
+
+
+def iglue(space: SftSpace, words: Iterable[Word], gap: int) -> Iterator[int]:
+    """The symbols of :func:`glue`, yielded lazily: each word is pulled from
+    ``words`` only once the symbols before it are consumed."""
+    return itertools.chain.from_iterable(_glue_pieces(space, words, gap))
+
+
+def glue(space: SftSpace, words: Iterable[Word], gap: int) -> Word:
+    """Concatenate the words, skipping empty ones, with the connector of
+    length gap-1 between consecutive words.  Raises NotPrimitive or
+    GapTooSmall as :func:`connector` does."""
+    return Word(iglue(space, words, gap))
 
 
 # --------------------------- symbol streams ---------------------------

@@ -105,3 +105,9 @@ class TestLiYorkeReport:
         x, y = Word(xs), Word(ys)
         rep = li_yorke_report(x, y, checkpoints=[225, 450, 900])
         assert rep.consistent
+
+    def test_repeated_checkpoint_counts_once(self):
+        x, y = Word("01010101"), Word("01100110")
+        rep = li_yorke_report(x, y, checkpoints=[5, 5, 8])
+        assert rep.checkpoints == (5, 8)
+        assert rep == li_yorke_report(x, y, checkpoints=[5, 8])

@@ -1,15 +1,19 @@
+import dataclasses
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from sftlab.analysis import empirical
 from sftlab.chaos import li_yorke_report, orbit_distances, phi_n
-from sftlab.errors import (FamilyNotSeparated, NotPrimitive,
-                           OrbitsNotDisjoint)
+from sftlab.errors import (FamilyNotSeparated, InfeasibleParams,
+                           MalformedSchedule, NotPrimitive, OrbitsNotDisjoint)
 from sftlab.gluing import (BranchTree, ChaoticFamily, GluingSchedule, Stage,
-                           TreeComponent, TreeStage, build_branch_tree,
-                           build_gk_schedule, contains_all_words, dense_tour,
+                           TreeComponent, TreeStage, ValidationReport,
+                           build_branch_tree, build_gk_schedule,
+                           check_budgets, contains_all_words, dense_tour,
                            emit_chaotic_family, emit_dc1_family, emit_point,
                            emit_separated_family, family_tracking_report,
                            member_prefix_len, tracking_bound,
@@ -98,6 +102,27 @@ class TestScheduleBasics:
         w1 = emit_point(sched, seed=9, family_word=Word("010101")).materialize(200)
         w2 = emit_point(again, seed=9, family_word=Word("010101")).materialize(200)
         assert w1 == w2
+
+    def test_json_orphan_tour_named(self):
+        sched = build_gk_schedule(FULL2, B05, stages=2, seed=5)
+        data = json.loads(sched.to_json())
+        assert [b["kind"] for b in data["blocks"]] == [
+            "measure", "tour", "measure", "tour"]
+        del data["blocks"][2]
+        with pytest.raises(MalformedSchedule, match="tour block 2 "):
+            GluingSchedule.from_json(json.dumps(data))
+
+    def test_json_lowered_reps_rejected_on_load(self):
+        sched = build_gk_schedule(FULL2, B05, stages=2, seed=5)
+        lowered = GluingSchedule(space=FULL2, stages=[
+            sched.stages[0], dataclasses.replace(sched.stages[1], reps=1)])
+        first = validate_schedule(lowered).failures()[0]
+        data = json.loads(sched.to_json())
+        data["blocks"][2]["reps"] = 1
+        message = (f"{first.name} at stage {first.stage}: "
+                   f"lhs={first.lhs} rhs={first.rhs}")
+        with pytest.raises(InfeasibleParams, match=re.escape(message)):
+            GluingSchedule.from_json(json.dumps(data))
 
 
 class TestValidation:
@@ -312,6 +337,23 @@ class TestChaoticFamily:
     def test_validation_passes(self):
         fam = self.make_family()
         assert fam.validation.passed, fam.validation.failures()
+
+    def test_non_increasing_reps_fail_visibly(self):
+        fam = self.make_family()
+        assert len(fam.stages) >= 2
+        stages = list(fam.stages)
+
+        def report(stages):
+            budgets = [st.budget(k, end) for k, (st, end)
+                       in enumerate(zip(stages, fam.stage_ends), start=1)]
+            return ValidationReport(tuple(check_budgets(budgets, 0, 2)))
+
+        assert report(stages) == fam.validation
+        stages[1] = dataclasses.replace(stages[1], reps=stages[0].reps)
+        entry = report(stages).entry("reps_increasing")
+        assert not entry.passed
+        assert (entry.lhs, entry.rhs) == (0.0, 1.0)
+        assert entry.note == f"reps={[st.reps for st in stages]}"
 
     def test_separation_in_every_stage_past_disagreement(self):
         fam = self.make_family()

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
 from sftlab.shift import (SftSpace, SymbolStream, Word, connector,
-                          delta_separated, dist, separated_count)
+                          delta_separated, dist, glue, iglue, separated_count)
 
 
 FULL2 = SftSpace.full_shift(2)
@@ -158,6 +162,61 @@ class TestConnector:
             connector(flip, 0, 1, 3)
         with pytest.raises(GapTooSmall):
             connector(GOLDEN, 0, 0, 1)
+
+
+def naive_glue(space, words, gap):
+    """Oracle for glue: one connector call per junction, nothing memoised."""
+    syms = []
+    for w in words:
+        if len(w) == 0:
+            continue
+        if syms:
+            syms += connector(space, syms[-1], w[0], gap).symbols
+        syms += w.symbols
+    return Word(syms)
+
+
+GLUE_SPACES = [GOLDEN, FULL2, SftSpace.full_shift(3),
+               SftSpace([[0, 1, 0], [0, 0, 1], [1, 1, 1]])]
+
+
+@st.composite
+def glue_cases(draw):
+    space = draw(st.sampled_from(GLUE_SPACES))
+    gap = space.primitivity_index + draw(st.integers(0, 2))
+    words = []
+    for _ in range(draw(st.integers(0, 5))):
+        syms = []
+        for _ in range(draw(st.integers(0, 6))):
+            options = space.successors(syms[-1]) if syms else range(space.m)
+            syms.append(draw(st.sampled_from(list(options))))
+        words.append(space.word(syms))
+    return space, words, gap
+
+
+class TestGlue:
+    @settings(max_examples=300, deadline=None)
+    @given(glue_cases())
+    def test_matches_per_piece_connectors(self, case):
+        space, words, gap = case
+        expected = naive_glue(space, words, gap)
+        assert glue(space, words, gap) == expected
+        assert list(iglue(space, iter(words), gap)) == list(expected.symbols)
+        assert space.is_admissible(expected.symbols)
+
+    def test_iglue_pulls_words_lazily(self):
+        words = (Word("10") for _ in itertools.count())
+        head = itertools.islice(iglue(GOLDEN, words, 2), 7)
+        assert list(head) == [1, 0, 0, 1, 0, 0, 1]
+
+    def test_errors_still_raise(self):
+        flip = SftSpace([[0, 1], [1, 0]])
+        assert glue(flip, [Word("01")], 3) == Word("01")  # no junction
+        with pytest.raises(NotPrimitive):
+            glue(flip, [Word("0"), Word("1")], 3)
+        for _ in range(2):  # a failed lookup is not memoised
+            with pytest.raises(GapTooSmall):
+                glue(GOLDEN, [Word("0"), Word("0")], 1)
 
 
 class TestSymbolStream:
