@@ -5,11 +5,11 @@ equilibrium states, matrix cocycles and distributional chaos."""
 from . import analysis, chaos, cocycle, ergopt, gluing, measures, shift
 from .errors import (Degenerate, DepthExceedsEmpirical, FamilyNotSeparated,
                      GapTooSmall, InfeasibleParams, MalformedSchedule,
-                     NotPrimitive, NotRecurrent, OrbitsNotDisjoint, OutsideLf,
-                     SftLabError, ShortFamily, SingularProduct, WordsTooShort,
-                     ZeroCylinder)
-from .shift import SftSpace, SymbolStream, Word, connector, delta_separated, \
-    dist, glue, iglue, separated_count
+                     MalformedTree, NotPrimitive, NotRecurrent,
+                     OrbitsNotDisjoint, OutsideLf, SftLabError, ShortFamily,
+                     SingularProduct, WordsTooShort, ZeroCylinder)
+from .shift import SftSpace, SymbolStream, Word, bridge, connector, \
+    delta_separated, dist, glue, iglue, separated_count
 from .measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                        ks_entropy, refine_path, sample_word,
                        typical_separated_family, weak_star_dist)

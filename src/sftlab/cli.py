@@ -9,6 +9,8 @@ A config is one JSON object: {"seed": int, "experiments": [name | {"name":
 verdict per experiment, per-experiment CSV tables whose bodies are
 byte-identical across reruns with the same seed, and a metadata file that
 keeps all timing and version information out of the deterministic outputs.
+An experiment that raises is recorded as a failed result with its error type
+and message; the rest of the batch still runs and the exit code is 1.
 """
 from __future__ import annotations
 
@@ -78,6 +80,13 @@ def _run_one(name: str, seed: int, params: dict) -> ExperimentResult:
     return run_experiment(name, seed, params)
 
 
+def _failed(name: str, exc: Exception) -> ExperimentResult:
+    """A FAIL result standing in for an experiment that raised."""
+    print(f"{name} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+    return ExperimentResult(name, False, {"error": type(exc).__name__,
+                                          "message": str(exc)})
+
+
 def cmd_list(_args) -> int:
     for name, target in catalog():
         print(f"{name:24s} {target}")
@@ -104,15 +113,22 @@ def cmd_run(args) -> int:
     jobs = max(1, args.jobs)
     if jobs == 1 or len(experiments) <= 1:
         for name, params in experiments:
-            results[name] = _run_one(name, _derived_seed(seed, name), params)
+            try:
+                results[name] = _run_one(name, _derived_seed(seed, name),
+                                         params)
+            except Exception as exc:  # one experiment must not lose the batch
+                results[name] = _failed(name, exc)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
                 pool.submit(_run_one, name, _derived_seed(seed, name), params):
                 name for name, params in experiments}
             for fut in concurrent.futures.as_completed(futures):
-                res = fut.result()
-                results[res.name] = res
+                name = futures[fut]
+                try:
+                    results[name] = fut.result()
+                except Exception as exc:
+                    results[name] = _failed(name, exc)
 
     summary = {
         "seed": seed,

@@ -138,11 +138,11 @@ class BlockGraph:
         return SftSpace(A)
 
 
-_BLOCK_CACHE: dict[tuple[int, int], BlockGraph] = {}
+_BLOCK_CACHE: dict[tuple[bytes, int], BlockGraph] = {}
 
 
 def block_graph(space: SftSpace, ell: int) -> BlockGraph:
-    key = (hash(space), ell)
+    key = (space.transition.tobytes(), ell)
     if key not in _BLOCK_CACHE:
         nodes = tuple(w.symbols for w in space.words(ell))
         index = {w: i for i, w in enumerate(nodes)}

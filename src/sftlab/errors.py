@@ -65,5 +65,9 @@ class MalformedSchedule(SftLabError):
     """A serialized schedule's blocks do not pair measures with tours."""
 
 
+class MalformedTree(SftLabError):
+    """A branching-tree stage has no options or options of unequal length."""
+
+
 class InfeasibleParams(SftLabError):
     """No admissible parameter choice satisfies the schedule inequalities."""

@@ -127,8 +127,8 @@ def thm1_2_packing_tree(params: dict, seed: int) -> ExperimentResult:
                                     stage_len=params.get("stage_len", 12))
     mass = tree.mass_bound_report()
     distinct = tree.prefix_distinct_report()
-    weight_total = sum((tree.leaf_weight() for _ in tree.leaves()),
-                       start=Fraction(0))
+    weight = tree.leaf_weight()
+    weight_total = sum((weight for _ in tree.leaves()), start=Fraction(0))
     passed = (all(e.passed for e in mass) and all(e.passed for e in distinct)
               and weight_total == 1)
     rows = [[e.stage, tree.prefix_ends()[e.stage - 1], e.lhs, e.rhs,

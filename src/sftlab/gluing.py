@@ -29,11 +29,12 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .analysis import empirical
 from .errors import (FamilyNotSeparated, InfeasibleParams, MalformedSchedule,
-                     NotPrimitive, OrbitsNotDisjoint, WordsTooShort)
+                     MalformedTree, NotPrimitive, OrbitsNotDisjoint,
+                     WordsTooShort)
 from .measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                        ks_entropy, refine_path, sample_word,
                        typical_separated_family, weak_star_dist)
-from .shift import SftSpace, SymbolStream, Word, dist, glue, iglue
+from .shift import SftSpace, SymbolStream, Word, bridge, dist, glue, iglue
 
 # --------------------------- covering tours ---------------------------
 
@@ -769,12 +770,25 @@ class TreeStage:
 
 @dataclass(frozen=True)
 class BranchTree:
-    """Product-family branching tree carrying its uniform counting measure."""
+    """Product-family branching tree carrying its uniform counting measure.
+
+    Options within a stage share one positive length and a bridge is fixed
+    by its two neighbouring symbols, so a leaf's stage-s prefix determines
+    and is determined by its option words at stages 1..s: both certificates
+    are closed forms over the option sets."""
     space: SftSpace
     gap: int
     eta: float
     h_star: float
     stages: tuple[TreeStage, ...]
+
+    def __post_init__(self):
+        for s_idx, st in enumerate(self.stages, start=1):
+            lengths = sorted({len(o) for o in st.options})
+            if len(lengths) != 1 or lengths[0] == 0:
+                raise MalformedTree(
+                    f"stage {s_idx} needs options of one positive length; "
+                    f"found lengths {lengths}")
 
     def option_counts(self) -> list[int]:
         return [len(st.options) for st in self.stages]
@@ -801,19 +815,36 @@ class BranchTree:
         return ends
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], Word]]:
-        option_words = [st.options for st in self.stages]
-        for label in itertools.product(*(range(len(o)) for o in option_words)):
-            yield label, glue(self.space, (opts[c] for opts, c in
-                                           zip(option_words, label)), self.gap)
+        """Every (label, leaf word) in lexicographic label order.  The walk is
+        depth first, so each stage prefix is glued once and shared by the
+        leaves below it."""
+        space, gap, stages = self.space, self.gap, self.stages
+        if not stages:
+            yield (), Word(())
+            return
+        last = len(stages) - 1
+
+        def walk(s_idx, label, prefix):
+            for c, opt in enumerate(stages[s_idx].options):
+                syms = opt.symbols
+                if prefix:
+                    syms = (prefix + bridge(space, prefix[-1], syms[0], gap)
+                            + syms)
+                if s_idx == last:
+                    yield label + (c,), Word(syms)
+                else:
+                    yield from walk(s_idx + 1, label + (c,), syms)
+
+        yield from walk(0, (), ())
 
     def prefix_distinct_report(self) -> list[CheckEntry]:
-        """Distinct labels give distinct stage-end prefixes (set check)."""
-        ends = self.prefix_ends()
-        leaves = list(self.leaves())
+        """Distinct labels give distinct stage-end prefixes: the prefixes
+        number the product of the distinct option counts so far."""
         out = []
-        for s_idx, end in enumerate(ends, start=1):
+        got = 1
+        for s_idx, st in enumerate(self.stages, start=1):
+            got *= len(set(st.options))
             expected = self.leaf_count(s_idx)
-            got = len({w.symbols[:end] for _, w in leaves})
             out.append(CheckEntry("prefix_distinct", s_idx, float(got),
                                   float(expected), got == expected))
         return out
@@ -821,17 +852,16 @@ class BranchTree:
     def mass_bound_report(self) -> list[CheckEntry]:
         """Exact-counting Bowen-ball mass bound: the counting measure of the
         leaves sharing a stage-end prefix never exceeds
-        exp(-M_s (H* - 2 eta - zeta_s))."""
+        exp(-M_s (H* - 2 eta - zeta_s)).  The heaviest ball holds the largest
+        option multiplicities so far times the option counts after."""
         ends = self.prefix_ends()
+        counts = self.option_counts()
         total = self.leaf_count()
-        leaves = list(self.leaves())
         out = []
+        head = 1
         for s_idx, (end, st) in enumerate(zip(ends, self.stages), start=1):
-            groups: dict[tuple[int, ...], int] = {}
-            for _, w in leaves:
-                key = w.symbols[:end]
-                groups[key] = groups.get(key, 0) + 1
-            max_mass = Fraction(max(groups.values()), total)
+            head *= max(Counter(st.options).values())
+            max_mass = Fraction(head * math.prod(counts[s_idx:]), total)
             lhs = math.log(max_mass.numerator) - math.log(max_mass.denominator)
             rhs = -end * (self.h_star - 2 * self.eta - st.zeta)
             out.append(CheckEntry(

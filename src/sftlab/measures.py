@@ -211,13 +211,13 @@ MeasureLike = Union[MarkovMeasure, EmpiricalMeasure]
 
 # --------------------------- the weak* metric ---------------------------
 
-_CYL_CACHE: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
+_CYL_CACHE: dict[tuple[bytes, int], list[tuple[tuple[int, ...], float]]] = {}
 
 
 def cylinder_weights(space: SftSpace, depth: int) -> list[tuple[tuple[int, ...], float]]:
     """Admissible cylinders of length 1..depth in (length, lex) order with
     their weights 2**-(j+1), j the 1-based enumeration index."""
-    key = (hash(space), depth)
+    key = (space.transition.tobytes(), depth)
     if key not in _CYL_CACHE:
         out = []
         j = 0

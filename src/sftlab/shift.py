@@ -38,7 +38,7 @@ class Word:
     __slots__ = ("symbols",)
 
     def __init__(self, symbols: Iterable[int]):
-        object.__setattr__(self, "symbols", tuple(int(s) for s in symbols))
+        object.__setattr__(self, "symbols", tuple(map(int, symbols)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -290,19 +290,25 @@ def connector(space: SftSpace, a: int, b: int, gap: int) -> Word:
     return Word(out)
 
 
+def bridge(space: SftSpace, a: int, b: int, gap: int) -> tuple[int, ...]:
+    """The symbols of ``connector(space, a, b, gap)``, memoised per space
+    keyed (a, b, gap); racing misses store equal values."""
+    key = (a, b, gap)
+    symbols = space._bridge_cache.get(key)
+    if symbols is None:
+        symbols = space._bridge_cache[key] = connector(space, a, b, gap).symbols
+    return symbols
+
+
 def _glue_pieces(space: SftSpace, words: Iterable[Word],
                  gap: int) -> Iterator[tuple[int, ...]]:
-    """The nonempty words' symbols with bridges between them.  Bridges are
-    memoised per space, keyed (a, b, gap); racing misses store equal values."""
+    """The nonempty words' symbols with bridges between them."""
     prev: Optional[int] = None
     for w in words:
         if not w.symbols:
             continue
         if prev is not None:
-            key = (prev, w.symbols[0], gap)
-            if key not in space._bridge_cache:
-                space._bridge_cache[key] = connector(space, *key).symbols
-            yield space._bridge_cache[key]
+            yield bridge(space, prev, w.symbols[0], gap)
         yield w.symbols
         prev = w.symbols[-1]
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sftlab import experiments
 from sftlab.cli import main
 from sftlab.experiments import catalog, run_experiment
 
@@ -108,3 +109,28 @@ class TestCliCommands:
             assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
         assert (json.loads((serial / "summary.json").read_text())
                 == json.loads((parallel / "summary.json").read_text()))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raising_experiment_keeps_batch(self, tmp_path, monkeypatch, jobs):
+        def boom(params, seed):
+            raise RuntimeError("injected failure")
+
+        _, target = experiments.REGISTRY["pressure_identities"]
+        monkeypatch.setitem(experiments.REGISTRY, "pressure_identities",
+                            (boom, target))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 5,
+            "experiments": ["pressure_identities",
+                            {"name": "karp_oracle", "params": {"count": 8}}],
+        }))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["all_passed"] is False
+        assert summary["experiments"]["pressure_identities"] == {
+            "passed": False, "error": "RuntimeError",
+            "message": "injected failure"}
+        assert summary["experiments"]["karp_oracle"]["passed"] is True
+        assert (out / "karp_oracle" / "oracle.csv").exists()
+        assert (out / "meta.json").exists()

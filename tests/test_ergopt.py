@@ -55,6 +55,17 @@ class TestPotential:
         assert again.table == f.table
 
 
+class TestBlockGraph:
+    def test_cache_survives_hash_collisions(self):
+        class ConstHash(SftSpace):
+            def __hash__(self):
+                return 0
+
+        for space in (ConstHash.full_shift(2), ConstHash.golden_mean()):
+            g = block_graph(space, 3)
+            assert g.nodes == tuple(w.symbols for w in space.words(3))
+
+
 class TestBeta:
     def test_symbol_indicator(self):
         f = Potential.indicator(FULL2, Word("1"))

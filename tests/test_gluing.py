@@ -1,17 +1,22 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftlab.analysis import empirical
 from sftlab.chaos import li_yorke_report, orbit_distances, phi_n
 from sftlab.errors import (FamilyNotSeparated, InfeasibleParams,
-                           MalformedSchedule, NotPrimitive, OrbitsNotDisjoint)
-from sftlab.gluing import (BranchTree, ChaoticFamily, GluingSchedule, Stage,
-                           TreeComponent, TreeStage, ValidationReport,
+                           MalformedSchedule, MalformedTree, NotPrimitive,
+                           OrbitsNotDisjoint)
+from sftlab.gluing import (BranchTree, ChaoticFamily, CheckEntry,
+                           GluingSchedule, Stage, TreeComponent, TreeStage,
+                           ValidationReport,
                            build_branch_tree, build_gk_schedule,
                            check_budgets, contains_all_words, dense_tour,
                            emit_chaotic_family, emit_dc1_family, emit_point,
@@ -20,7 +25,7 @@ from sftlab.gluing import (BranchTree, ChaoticFamily, GluingSchedule, Stage,
                            tracking_report, validate_schedule)
 from sftlab.measures import (MarkovMeasure, MeasurePath, ks_entropy,
                              typical_separated_family, weak_star_dist)
-from sftlab.shift import SftSpace, Word, separated_count
+from sftlab.shift import SftSpace, Word, glue, separated_count
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -308,6 +313,127 @@ class TestBranchTree:
         assert sum(c.weight for c in stage.components) == 1
         assert len(stage.options) == len(stage.components[0].words) * len(
             stage.components[1].words)
+
+
+def enumerated_leaves(tree):
+    """Oracle for BranchTree.leaves: every label glued from scratch."""
+    option_words = [stage.options for stage in tree.stages]
+    for label in itertools.product(*(range(len(o)) for o in option_words)):
+        yield label, glue(tree.space, (opts[c] for opts, c in
+                                       zip(option_words, label)), tree.gap)
+
+
+def enumerated_prefix_distinct_report(tree):
+    """Oracle for prefix_distinct_report: a set of stage-end prefixes over
+    every leaf."""
+    ends = tree.prefix_ends()
+    leaves = list(enumerated_leaves(tree))
+    out = []
+    for s_idx, end in enumerate(ends, start=1):
+        expected = tree.leaf_count(s_idx)
+        got = len({w.symbols[:end] for _, w in leaves})
+        out.append(CheckEntry("prefix_distinct", s_idx, float(got),
+                              float(expected), got == expected))
+    return out
+
+
+def enumerated_mass_bound_report(tree):
+    """Oracle for mass_bound_report: leaves grouped by stage-end prefix."""
+    ends = tree.prefix_ends()
+    total = tree.leaf_count()
+    leaves = list(enumerated_leaves(tree))
+    out = []
+    for s_idx, (end, stage) in enumerate(zip(ends, tree.stages), start=1):
+        groups = {}
+        for _, w in leaves:
+            key = w.symbols[:end]
+            groups[key] = groups.get(key, 0) + 1
+        max_mass = Fraction(max(groups.values()), total)
+        lhs = math.log(max_mass.numerator) - math.log(max_mass.denominator)
+        rhs = -end * (tree.h_star - 2 * tree.eta - stage.zeta)
+        out.append(CheckEntry(
+            "ac_mass", s_idx, lhs, rhs, lhs <= rhs + 1e-12,
+            f"max ball mass {max_mass} at prefix {end}"))
+    return out
+
+
+# The last space's bridges depend on both neighbouring symbols.
+TREE_SPACES = [(FULL2, 1), (GOLDEN, 2), (SftSpace.full_shift(3), 1),
+               (SftSpace([[0, 1, 0], [0, 0, 1], [1, 1, 1]]), 3)]
+
+
+@st.composite
+def hand_built_trees(draw, max_depth=2):
+    """Trees over small option pools, so option words repeat often; a stage
+    may have a single option."""
+    space, gap = draw(st.sampled_from(TREE_SPACES))
+    stages = []
+    for _ in range(draw(st.integers(1, max_depth))):
+        n = draw(st.integers(1, 4))
+        pool = list(space.words(n))
+        options = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=6))
+        stages.append(TreeStage(n=n, zeta=draw(st.floats(0, 0.3)),
+                                components=(), options=tuple(options)))
+    return BranchTree(space=space, gap=gap, eta=draw(st.floats(0.01, 0.3)),
+                      h_star=draw(st.floats(0, 1.2)), stages=tuple(stages))
+
+
+def hand_tree(*stage_options, space=FULL2, gap=1):
+    return BranchTree(space=space, gap=gap, eta=0.1, h_star=0.5, stages=tuple(
+        TreeStage(n=len(opts[0]) if opts else 0, zeta=0.05, components=(),
+                  options=tuple(Word(o) for o in opts))
+        for opts in stage_options))
+
+
+class TestClosedFormCertificates:
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_trees())
+    def test_reports_match_enumeration(self, tree):
+        assert tree.prefix_distinct_report() == \
+            enumerated_prefix_distinct_report(tree)
+        assert tree.mass_bound_report() == enumerated_mass_bound_report(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_trees(max_depth=3))
+    def test_leaves_match_enumeration(self, tree):
+        assert list(tree.leaves()) == list(enumerated_leaves(tree))
+
+    def test_bridges_follow_preceding_symbol(self):
+        space, gap = TREE_SPACES[-1]
+        tree = hand_tree(["0", "2"], ["1", "2"], space=space, gap=gap)
+        assert [w.to_text() for _, w in tree.leaves()] == [
+            "0121", "0122", "2121", "2012"]
+        assert list(tree.leaves()) == list(enumerated_leaves(tree))
+
+    def test_repeated_options_found(self):
+        tree = hand_tree(["01", "01", "10"], ["1", "0", "1", "1"])
+        distinct = tree.prefix_distinct_report()
+        assert [e.lhs for e in distinct] == [2.0, 4.0]
+        assert [e.passed for e in distinct] == [False, False]
+        mass = tree.mass_bound_report()
+        assert mass == enumerated_mass_bound_report(tree)
+        assert mass[1].note == "max ball mass 1/2 at prefix 3"  # 2*3 of 12
+
+    def test_built_depth_two_tree(self):
+        K = MeasurePath([MarkovMeasure.bernoulli(FULL2, [0.7, 0.3]),
+                         MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])])
+        tree = build_branch_tree(FULL2, K, eta=0.1, depth=2, seed=3,
+                                 stage_len=12)
+        assert tree.prefix_distinct_report() == \
+            enumerated_prefix_distinct_report(tree)
+        assert tree.mass_bound_report() == enumerated_mass_bound_report(tree)
+        assert list(tree.leaves()) == list(enumerated_leaves(tree))
+
+    def test_stage_without_options_rejected(self):
+        with pytest.raises(MalformedTree, match=r"stage 2 .*lengths \[\]"):
+            hand_tree(["01", "10"], [])
+
+    def test_unequal_option_lengths_rejected(self):
+        with pytest.raises(MalformedTree, match=r"stage 1 .*lengths \[1, 2\]"):
+            hand_tree(["01", "1"], ["0"])
+        with pytest.raises(MalformedTree, match=r"stage 1 .*lengths \[0\]"):
+            hand_tree([""])
 
 
 class TestChaoticFamily:

@@ -103,6 +103,16 @@ class TestWeakStar:
         assert [c for c, _ in cw] == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
         assert [w for _, w in cw] == [2.0 ** -(j + 1) for j in range(1, 7)]
 
+    def test_cache_survives_hash_collisions(self):
+        class ConstHash(SftSpace):
+            def __hash__(self):
+                return 0
+
+        for space in (ConstHash.full_shift(2), ConstHash.golden_mean()):
+            cyls = [c for c, _ in cylinder_weights(space, 4)]
+            assert cyls == [w.symbols for n in range(1, 5)
+                            for w in space.words(n)]
+
     def test_triangle_inequality_random(self):
         rng = np.random.default_rng(9)
         for _ in range(40):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
-from sftlab.shift import (SftSpace, SymbolStream, Word, connector,
+from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, connector,
                           delta_separated, dist, glue, iglue, separated_count)
 
 
@@ -24,6 +24,19 @@ def brute_force_connectors(space, a, b, gap):
                 and space.is_admissible(w.symbols):
             out.append(w)
     return out
+
+
+class TestWord:
+    def test_numpy_symbols_normalised(self):
+        w = Word(np.array([1, 0, 1], dtype=np.int32))
+        assert w.symbols == (1, 0, 1)
+        assert all(type(s) is int for s in w.symbols)
+
+    def test_bad_symbols_raise(self):
+        with pytest.raises(ValueError):
+            Word(["x"])
+        with pytest.raises(TypeError):
+            Word([None])
 
 
 class TestSftSpace:
@@ -203,6 +216,12 @@ class TestGlue:
         assert glue(space, words, gap) == expected
         assert list(iglue(space, iter(words), gap)) == list(expected.symbols)
         assert space.is_admissible(expected.symbols)
+
+    def test_bridge_is_memoised_connector(self):
+        space = SftSpace.golden_mean()
+        first = bridge(space, 1, 1, 3)
+        assert first == connector(space, 1, 1, 3).symbols
+        assert bridge(space, 1, 1, 3) is first
 
     def test_iglue_pulls_words_lazily(self):
         words = (Word("10") for _ in itertools.count())
