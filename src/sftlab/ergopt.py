@@ -3,9 +3,11 @@ potentials: maximum ergodic averages, maximizing periodic orbits, pressure,
 equilibrium states and level-set entropies.
 
 A depth-r potential lives on the edges of the block graph whose nodes are the
-admissible ell-words, ell = max(r-1, 1).  Maximum mean cycle runs in exact
-rational arithmetic so that the independent periodic-orbit oracle must agree
-bit for bit.
+admissible ell-words, ell = max(r-1, 1).  Maximum mean cycle (Karp) runs in
+exact rational arithmetic, and so does the independent periodic-orbit oracle,
+numpy max-plus matrix powers over integer-scaled weights, so the two must
+agree bit for bit.  Pressure and equilibrium states come from a dense
+eigendecomposition of the transfer matrix.
 """
 from __future__ import annotations
 
@@ -169,6 +171,12 @@ def _exact(v: float):
     return int(v) if float(v).is_integer() else Fraction(v)
 
 
+def _exact_weights(graph: BlockGraph, f: Potential) -> list:
+    """Edge weights of f on its block graph as ints or Fractions."""
+    wfn = _edge_weight_fn(f)
+    return [_exact(wfn(e[2])) for e in graph.edges]
+
+
 def _cycle_word(graph: BlockGraph, cycle_nodes: Sequence[int]) -> Word:
     return Word(graph.nodes[c][0] for c in cycle_nodes)
 
@@ -183,9 +191,9 @@ class BetaResult:
     value_exact: Fraction
 
 
-def _karp(graph: BlockGraph, weights: list) -> tuple[Fraction, list[int]]:
+def _karp(graph: BlockGraph, weights: list) -> Fraction:
     """Karp's maximum mean cycle with multi-source initialization, exact
-    arithmetic; returns (mean, one attaining simple cycle as node list)."""
+    arithmetic."""
     n = graph.n_nodes()
     in_edges: list[list[tuple[int, object]]] = [[] for _ in range(n)]
     for (u, v, _), w in zip(graph.edges, weights):
@@ -219,9 +227,15 @@ def _karp(graph: BlockGraph, weights: list) -> tuple[Fraction, list[int]]:
             lam = worst
     if lam is None:  # pragma: no cover - graphs here always carry cycles
         raise ValueError("graph has no cycle")
+    return lam
 
-    # Longest-walk potentials for the reweighted graph; the tight subgraph
-    # (edges with h[u] + w - lam == h[v]) contains exactly the optimal cycles.
+
+def _tight_subgraph(graph: BlockGraph, weights: list,
+                    lam: Fraction) -> list[list[int]]:
+    """Adjacency lists of the edges with h[u] + w - lam == h[v], for h the
+    longest-walk potentials of the graph reweighted by -lam.  With lam the
+    maximum cycle mean, its cycles are exactly the optimal cycles."""
+    n = graph.n_nodes()
     h = [Fraction(0)] * n
     for _ in range(n + 1):
         changed = False
@@ -238,10 +252,7 @@ def _karp(graph: BlockGraph, weights: list) -> tuple[Fraction, list[int]]:
     for (u, v, _), w in zip(graph.edges, weights):
         if h[u] + w - lam == h[v]:
             tight[u].append(v)
-    cycle = _find_cycle(tight)
-    if cycle is None:  # pragma: no cover - optimal cycle is always tight
-        raise ArithmeticError("no tight cycle found")
-    return lam, cycle
+    return tight
 
 
 def _find_cycle(adj: list[list[int]]) -> Optional[list[int]]:
@@ -288,9 +299,11 @@ def beta(space: SftSpace, f: Potential) -> BetaResult:
     if space.primitivity_index is None:
         raise NotPrimitive("beta needs a primitive space")
     graph = _graph_for(space, f)
-    wfn = _edge_weight_fn(f)
-    weights = [_exact(wfn(e[2])) for e in graph.edges]
-    lam, cycle = _karp(graph, weights)
+    weights = _exact_weights(graph, f)
+    lam = _karp(graph, weights)
+    cycle = _find_cycle(_tight_subgraph(graph, weights, lam))
+    if cycle is None:  # pragma: no cover - optimal cycle is always tight
+        raise ArithmeticError("no tight cycle found")
     return BetaResult(float(lam), _cycle_word(graph, cycle), lam)
 
 
@@ -302,40 +315,48 @@ def brute_force_beta(space: SftSpace, f: Potential, max_period: int) -> float:
     block-graph node count this equals the maximum mean cycle.
     """
     graph = _graph_for(space, f)
-    wfn = _edge_weight_fn(f)
-    n = graph.n_nodes()
-    W = [[None] * n for _ in range(n)]
-    for u, v, ew in graph.edges:
-        W[u][v] = _exact(wfn(ew))
-    cur = [row[:] for row in W]
-    best: Optional[Fraction] = None
-    for p in range(1, max_period + 1):
-        for v in range(n):
-            if cur[v][v] is not None:
-                mean = Fraction(cur[v][v], p)
-                if best is None or mean > best:
-                    best = mean
-        if p == max_period:
-            break
-        nxt = [[None] * n for _ in range(n)]
-        for u in range(n):
-            cu = cur[u]
-            out = nxt[u]
-            for k in range(n):
-                base = cu[k]
-                if base is None:
-                    continue
-                wk = W[k]
-                for v in range(n):
-                    if wk[v] is None:
-                        continue
-                    cand = base + wk[v]
-                    if out[v] is None or cand > out[v]:
-                        out[v] = cand
-        cur = nxt
+    edges = [((u, v), w) for (u, v, _), w
+             in zip(graph.edges, _exact_weights(graph, f))]
+    best = _maxplus_best_mean(graph.n_nodes(), edges, max_period)
     if best is None:
         raise ValueError("no periodic orbit of the requested period")
     return float(best)
+
+
+def _maxplus_best_mean(n: int, edges: list,
+                       max_period: int) -> Optional[Fraction]:
+    """Largest mean weight of a closed walk of length <= max_period on nodes
+    0..n-1, exact, from the diagonals of the max-plus powers W, W^2, ... of
+    the edge weights ``((u, v), w)`` (int or Fraction); None without one.
+
+    The weights are scaled by their common denominator to integers.  Walk
+    sums are then bounded by max|w| * max_period, so float64 holds them
+    exactly below 2**53 and absent entries are -inf; above it the arrays hold
+    Python ints and an absent entry is an int below every real walk sum of
+    the same length, which stays true of any sum that includes it.
+    """
+    if not edges:
+        return None
+    den = math.lcm(*(Fraction(w).denominator for _, w in edges))
+    ints = [int(w * den) for _, w in edges]
+    bound = max(map(abs, ints))
+    if bound * max_period < 2 ** 53:
+        W = np.full((n, n), -np.inf)
+    else:
+        W = np.full((n, n), -(2 * max_period * bound + 1), dtype=object)
+    for ((u, v), _), w in zip(edges, ints):
+        W[u, v] = w
+    cur = W
+    best = None
+    for p in range(1, max_period + 1):
+        if p > 1:
+            cur = (cur[:, :, None] + W[None]).max(axis=1)
+        top = cur.diagonal().max()
+        if top >= -p * bound:
+            mean = Fraction(int(top), p)
+            if best is None or mean > best:
+                best = mean
+    return None if best is None else best / den
 
 
 @dataclass(frozen=True)
@@ -351,65 +372,20 @@ def classify_smr(space: SftSpace, f: Potential) -> SmrClassification:
     cycle (with its gap to the best cycle avoiding it) or the list of tied
     optimal cycles."""
     graph = _graph_for(space, f)
-    wfn = _edge_weight_fn(f)
-    weights = [_exact(wfn(e[2])) for e in graph.edges]
-    lam, _ = _karp(graph, weights)
+    weights = _exact_weights(graph, f)
+    lam = _karp(graph, weights)
     n = graph.n_nodes()
-    h = [Fraction(0)] * n
-    for _ in range(n + 1):
-        changed = False
-        for (u, v, _), w in zip(graph.edges, weights):
-            cand = h[u] + w - lam
-            if cand > h[v]:
-                h[v] = cand
-                changed = True
-        if not changed:
-            break
-    tight_adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v, _), w in zip(graph.edges, weights):
-        if h[u] + w - lam == h[v]:
-            tight_adj[u].append(v)
-    cycles = _simple_cycles(tight_adj)
+    cycles = _simple_cycles(_tight_subgraph(graph, weights, lam))
     words = tuple(_cycle_word(graph, c) for c in cycles)
     if len(cycles) == 1:
         cyc_edges = {(c, cycles[0][(i + 1) % len(cycles[0])])
                      for i, c in enumerate(cycles[0])}
         alt_W = [((u, v), w) for (u, v, _), w in zip(graph.edges, weights)
                  if (u, v) not in cyc_edges]
-        alt_best = _max_mean_cycle_excluding(n, alt_W)
+        alt_best = _maxplus_best_mean(n, alt_W, n)
         gap = None if alt_best is None else float(lam - alt_best)
         return SmrClassification(words[0], words, gap, float(lam))
     return SmrClassification(None, words, 0.0, float(lam))
-
-
-def _max_mean_cycle_excluding(n: int, edges: list) -> Optional[Fraction]:
-    cur = [[None] * n for _ in range(n)]
-    W = [[None] * n for _ in range(n)]
-    for (u, v), w in edges:
-        W[u][v] = w
-        cur[u][v] = w
-    best = None
-    for p in range(1, n + 1):
-        for v in range(n):
-            if cur[v][v] is not None:
-                mean = Fraction(cur[v][v], p)
-                if best is None or mean > best:
-                    best = mean
-        if p == n:
-            break
-        nxt = [[None] * n for _ in range(n)]
-        for u in range(n):
-            for k in range(n):
-                if cur[u][k] is None:
-                    continue
-                for v in range(n):
-                    if W[k][v] is None:
-                        continue
-                    cand = cur[u][k] + W[k][v]
-                    if nxt[u][v] is None or cand > nxt[u][v]:
-                        nxt[u][v] = cand
-        cur = nxt
-    return best
 
 
 def _simple_cycles(adj: list[list[int]]) -> list[list[int]]:
@@ -444,33 +420,17 @@ def _transfer_matrix(space: SftSpace, f: Potential) -> tuple[BlockGraph, np.ndar
     return graph, M, shift
 
 
-def _perron(M: np.ndarray, residual: float = 1e-13,
-            max_iter: int = 500_000) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and right eigenvector by power iteration."""
-    n = M.shape[0]
-    v = np.full(n, 1.0 / n)
-    lam = 1.0
-    for _ in range(max_iter):
-        w = M @ v
-        s = w.sum()
-        if s <= 0:  # pragma: no cover - masked exp matrices are nonnegative
-            raise ArithmeticError("transfer matrix collapsed to zero")
-        w = w / s
-        if np.abs(w - v).max() <= residual:
-            v = w
-            lam = s
-            break
-        v = w
-        lam = s
-    else:
-        # deflation guard: fall back to a dense eigensolve when the gap is tiny
-        eig = np.linalg.eigvals(M)
-        lam = float(np.max(np.abs(eig)))
-        return lam, v
-    # one confirmation step
-    w = M @ v
-    lam = float(w.sum() / v.sum())
-    return lam, v / v.sum()
+def _perron(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and right eigenvector (summing to 1) of a nonnegative
+    matrix from a dense eigendecomposition.  Every other eigenvalue has
+    modulus at most the real root, so the root has the largest real part,
+    also when the matrix is close to periodic.  One multiplication by M
+    confirms the root."""
+    vals, vecs = np.linalg.eig(M)
+    v = vecs[:, np.argmax(vals.real)].real
+    v = v / v.sum()
+    lam = float((M @ v).sum())
+    return lam, v
 
 
 def spectral_radius(space: SftSpace) -> float:
@@ -493,8 +453,9 @@ def pressure(space: SftSpace, f: Potential) -> float:
 
 
 def equilibrium_state(space: SftSpace, f: Potential) -> MarkovMeasure:
-    """The Gibbs/equilibrium measure of a locally constant potential via the
-    left and right Perron eigenvectors of the transfer matrix.
+    """The Gibbs/equilibrium measure of a locally constant potential: the
+    transfer matrix conjugated by its right Perron eigenvector, with the
+    stationary vector from MarkovMeasure's direct solve.
 
     For depth r <= 2 this is a Markov measure on the original space; deeper
     potentials return the Markov measure on the (r-1)-block space.
@@ -503,29 +464,11 @@ def equilibrium_state(space: SftSpace, f: Potential) -> MarkovMeasure:
         raise NotPrimitive("equilibrium_state needs a primitive space")
     graph, M, _ = _transfer_matrix(space, f)
     lam, right = _perron(M)
-    _, left = _perron(M.T)
-    n = graph.n_nodes()
-    Q = np.zeros((n, n))
-    for u in range(n):
-        if right[u] <= 0:  # pragma: no cover - Perron vectors are positive
-            raise ArithmeticError("non-positive Perron entry")
-        Q[u] = M[u] * right / (lam * right[u])
+    if (right <= 0).any():  # pragma: no cover - Perron vectors are positive
+        raise ArithmeticError("non-positive Perron entry")
+    Q = M * right / (lam * right[:, None])
     Q = Q / Q.sum(axis=1, keepdims=True)
-    pi = left * right
-    pi = pi / pi.sum()
-    pi = _refine_stationary(Q, pi)
-    return MarkovMeasure(graph.block_space(), Q, pi)
-
-
-def _refine_stationary(Q: np.ndarray, pi: np.ndarray,
-                       rounds: int = 10_000) -> np.ndarray:
-    for _ in range(rounds):
-        nxt = pi @ Q
-        nxt = nxt / nxt.sum()
-        if np.abs(nxt - pi).max() <= 1e-15:
-            return nxt
-        pi = nxt
-    return pi
+    return MarkovMeasure(graph.block_space(), Q)
 
 
 def equilibrium_mean(space: SftSpace, f: Potential,

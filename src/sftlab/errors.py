@@ -41,6 +41,10 @@ class OrbitsNotDisjoint(SftLabError):
     """The two periodic orbits of a chaotic-family request intersect."""
 
 
+class StationaryNotUnique(SftLabError):
+    """A stochastic matrix has more than one closed class."""
+
+
 class ZeroCylinder(SftLabError):
     """A cylinder with zero measure was hit where positive mass is required."""
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -127,8 +126,7 @@ def thm1_2_packing_tree(params: dict, seed: int) -> ExperimentResult:
                                     stage_len=params.get("stage_len", 12))
     mass = tree.mass_bound_report()
     distinct = tree.prefix_distinct_report()
-    weight = tree.leaf_weight()
-    weight_total = sum((weight for _ in tree.leaves()), start=Fraction(0))
+    weight_total = tree.leaf_weight() * sum(1 for _ in tree.leaves())
     passed = (all(e.passed for e in mass) and all(e.passed for e in distinct)
               and weight_total == 1)
     rows = [[e.stage, tree.prefix_ends()[e.stage - 1], e.lhs, e.rhs,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DepthExceedsEmpirical, ShortFamily
+from .errors import DepthExceedsEmpirical, ShortFamily, StationaryNotUnique
 from .shift import SftSpace, Word
 
 # --------------------------- helpers ---------------------------
@@ -31,19 +31,18 @@ def rng_from(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(_seed_seq(*entropy))
 
 
-def _power_iteration_stationary(Q: np.ndarray, residual: float = 1e-12,
-                                max_iter: int = 200_000) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix by power iteration."""
+def _stationary_vector(Q: np.ndarray) -> np.ndarray:
+    """The stationary row vector of a stochastic matrix, spanning the null
+    space of Q^T - I (its last right singular vector).  A second singular
+    value that is zero at numpy's matrix_rank tolerance means more than one
+    closed class, and raises."""
     m = Q.shape[0]
-    v = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
-        nxt = v @ Q
-        nxt = nxt / nxt.sum()
-        if np.abs(nxt - v).max() <= residual:
-            v = nxt
-            break
-        v = nxt
-    v = np.clip(v, 0.0, None)
+    _, sing, vt = np.linalg.svd(Q.T - np.eye(m))
+    if m > 1 and sing[-2] <= m * np.finfo(float).eps * sing[0]:
+        raise StationaryNotUnique(
+            "stochastic matrix has more than one closed class, so its"
+            " stationary vector is not unique")
+    v = np.clip(vt[-1] / vt[-1].sum(), 0.0, None)
     return v / v.sum()
 
 
@@ -71,7 +70,7 @@ class MarkovMeasure:
         if ((Q > 0) & (space.transition == 0)).any():
             raise ValueError("support leaks outside the transition matrix")
         pi = (np.array(stationary, dtype=float) if stationary is not None
-              else _power_iteration_stationary(Q))
+              else _stationary_vector(Q))
         if pi.shape != (space.m,):
             raise ValueError("stationary vector shape mismatch")
         if (pi < -1e-15).any() or abs(pi.sum() - 1.0) > self.ROW_TOL:

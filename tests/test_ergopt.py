@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftlab.errors import OutsideLf
-from sftlab.ergopt import (Potential, beta, block_graph, brute_force_beta,
+from sftlab.ergopt import (Potential, _exact, _maxplus_best_mean, _perron,
+                           beta, block_graph, brute_force_beta,
                            classify_smr, coboundary_shift, equilibrium_mean,
                            equilibrium_residual, equilibrium_state,
                            level_entropy, level_entropy_detail,
@@ -17,6 +20,109 @@ from sftlab.shift import SftSpace, Word
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
 PHI = (1 + math.sqrt(5)) / 2
+# primitive, without fixed points: no periodic orbit of period 1
+NO_FIXED = SftSpace(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+
+
+def loop_brute_force_beta(space, f, max_period):
+    """The nested-loop max-plus powers brute_force_beta ran before the numpy
+    core, kept as its oracle."""
+    graph = block_graph(space, max(f.r - 1, 1))
+    n = graph.n_nodes()
+    W = [[None] * n for _ in range(n)]
+    for u, v, ew in graph.edges:
+        W[u][v] = _exact(f.value(ew[:f.r]))
+    cur = [row[:] for row in W]
+    best = None
+    for p in range(1, max_period + 1):
+        for v in range(n):
+            if cur[v][v] is not None:
+                mean = Fraction(cur[v][v], p)
+                if best is None or mean > best:
+                    best = mean
+        if p == max_period:
+            break
+        nxt = [[None] * n for _ in range(n)]
+        for u in range(n):
+            for k in range(n):
+                if cur[u][k] is None:
+                    continue
+                for v in range(n):
+                    if W[k][v] is None:
+                        continue
+                    cand = cur[u][k] + W[k][v]
+                    if nxt[u][v] is None or cand > nxt[u][v]:
+                        nxt[u][v] = cand
+        cur = nxt
+    if best is None:
+        raise ValueError("no periodic orbit of the requested period")
+    return float(best)
+
+
+def loop_max_mean_cycle_excluding(n, edges):
+    """The nested-loop maximum mean cycle classify_smr ran on the edges
+    off its optimal cycle before the numpy core, kept as its oracle."""
+    cur = [[None] * n for _ in range(n)]
+    W = [[None] * n for _ in range(n)]
+    for (u, v), w in edges:
+        W[u][v] = w
+        cur[u][v] = w
+    best = None
+    for p in range(1, n + 1):
+        for v in range(n):
+            if cur[v][v] is not None:
+                mean = Fraction(cur[v][v], p)
+                if best is None or mean > best:
+                    best = mean
+        if p == n:
+            break
+        nxt = [[None] * n for _ in range(n)]
+        for u in range(n):
+            for k in range(n):
+                if cur[u][k] is None:
+                    continue
+                for v in range(n):
+                    if W[k][v] is None:
+                        continue
+                    cand = cur[u][k] + W[k][v]
+                    if nxt[u][v] is None or cand > nxt[u][v]:
+                        nxt[u][v] = cand
+        cur = nxt
+    return best
+
+
+# Small integers keep walk sums below 2**53 (the float64 path); integers of
+# about 1e15 cross it as the period grows, and non-integer floats scale to
+# large integers (the object path).
+WEIGHT_KINDS = [
+    st.integers(-9, 9),
+    st.floats(-9, 9).filter(lambda x: not x.is_integer()),
+    st.integers(-4 * 10 ** 15, 4 * 10 ** 15),
+]
+WEIGHTS = st.sampled_from(WEIGHT_KINDS + [st.one_of(*WEIGHT_KINDS)])
+# (space, depth) pairs whose block graphs have at most 6 nodes
+MAXPLUS_CASES = [(FULL2, 1), (FULL2, 2), (FULL2, 3), (GOLDEN, 1),
+                 (GOLDEN, 2), (GOLDEN, 3), (SftSpace.full_shift(3), 1),
+                 (SftSpace.full_shift(3), 2), (NO_FIXED, 1), (NO_FIXED, 2)]
+
+
+@st.composite
+def potentials_and_periods(draw):
+    space, r = draw(st.sampled_from(MAXPLUS_CASES))
+    weights = draw(WEIGHTS)
+    table = {w.symbols: float(draw(weights)) for w in space.words(r)}
+    n = block_graph(space, max(r - 1, 1)).n_nodes()
+    return space, Potential(space, r, table), draw(st.integers(1, n + 1))
+
+
+@st.composite
+def weighted_digraphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          unique=True, max_size=n * n))
+    weights = draw(WEIGHTS)
+    return n, [((u, v), _exact(float(draw(weights)))) for u, v in pairs]
 
 
 def enumerate_cycle_means(space, f):
@@ -259,3 +365,53 @@ class TestClassifySmr:
                 # the reported optimum matches the exact maximum
                 assert out.value == brute_force_beta(GOLDEN, f, 3)
         assert unique >= 18  # float weights tie only on degenerate draws
+
+
+class TestMaxPlusCore:
+    @settings(max_examples=300, deadline=None)
+    @given(potentials_and_periods())
+    def test_brute_force_beta_matches_loop_oracle(self, case):
+        space, f, max_period = case
+        try:
+            expected = loop_brute_force_beta(space, f, max_period)
+        except ValueError:
+            with pytest.raises(ValueError):
+                brute_force_beta(space, f, max_period)
+        else:
+            assert brute_force_beta(space, f, max_period) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_digraphs())
+    def test_cycle_mean_matches_loop_oracle(self, graph):
+        n, edges = graph
+        assert (_maxplus_best_mean(n, edges, n)
+                == loop_max_mean_cycle_excluding(n, edges))
+
+    def test_exact_across_the_float64_limit(self):
+        # a loop of weight w and a 2-cycle of sum 2w + 1, which float64
+        # rounds to 2w once it passes 2**53
+        for w in (2 ** 51, 2 ** 52, 2 ** 60):
+            edges = [((0, 0), w), ((0, 1), w), ((1, 0), w + 1)]
+            assert _maxplus_best_mean(2, edges, 2) == Fraction(2 * w + 1, 2)
+            assert _maxplus_best_mean(2, edges[1:], 1) is None
+
+
+class TestPerron:
+    def test_near_periodic_two_by_two(self):
+        # eigenvalues 1 + d and d - 1: power iteration's ratio |l2 / l1| is
+        # 1 - 2d / (1 + d), so its old convergence took millions of steps
+        for d in (1e-3, 1e-6, 1e-9):
+            M = np.array([[d, 2.0], [0.5, d]])
+            lam, v = _perron(M)
+            assert lam == pytest.approx(1 + d, rel=1e-14)
+            assert v == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
+
+    def test_near_periodic_pressure_and_equilibrium(self):
+        # f is large only on the alternating words, so exp(f) is close to
+        # the period-2 matrix [[0, 1], [1, 0]]
+        f = Potential(FULL2, 2, {(0, 0): -20.0, (0, 1): 1.0,
+                                 (1, 0): 0.0, (1, 1): -25.0})
+        a, d = math.exp(-20.0), math.exp(-25.0)
+        root = (a + d) / 2 + math.sqrt(((a - d) / 2) ** 2 + math.exp(1.0))
+        assert pressure(FULL2, f) == pytest.approx(math.log(root), abs=1e-14)
+        assert equilibrium_residual(FULL2, f) <= 1e-12

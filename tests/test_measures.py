@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sftlab.analysis import empirical
-from sftlab.errors import DepthExceedsEmpirical, ShortFamily
+from sftlab.errors import (DepthExceedsEmpirical, ShortFamily, SftLabError,
+                           StationaryNotUnique)
 from sftlab.measures import (MarkovMeasure, MeasurePath, cylinder_weights,
                              interpolate, ks_entropy, refine_path,
                              sample_word, typical_separated_family,
@@ -42,6 +43,21 @@ class TestMarkovMeasure:
         with pytest.raises(ValueError):
             MarkovMeasure(FULL2, [[0.9, 0.1], [0.1, 0.9]],
                           stationary=[0.9, 0.1])
+
+    def test_period_two_chain_stationary(self):
+        mu = MarkovMeasure(SftSpace.full_shift(3),
+                           [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]])
+        assert mu.stationary == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+
+    def test_transient_state_gets_no_mass(self):
+        mu = MarkovMeasure(FULL2, [[0.5, 0.5], [0.0, 1.0]])
+        assert mu.stationary == pytest.approx([0.0, 1.0], abs=1e-15)
+
+    def test_two_closed_classes_rejected(self):
+        with pytest.raises(StationaryNotUnique, match="more than one closed"):
+            MarkovMeasure(SftSpace.full_shift(3),
+                          [[1, 0, 0], [0.5, 0, 0.5], [0, 0, 1]])
+        assert issubclass(StationaryNotUnique, SftLabError)
 
     def test_cylinder_probabilities(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.25, 0.75])
