@@ -3,8 +3,8 @@ finite type: saturated sets, separated families, optimal orbits,
 equilibrium states, matrix cocycles and distributional chaos."""
 
 from . import analysis, chaos, cocycle, ergopt, gluing, measures, shift
-from .errors import (Degenerate, DepthExceedsEmpirical, FamilyNotSeparated,
-                     GapTooSmall, InfeasibleParams, MalformedSchedule,
+from .errors import (BadCheckpoints, Degenerate, DepthExceedsEmpirical,
+                     FamilyNotSeparated, GapTooSmall, InfeasibleParams, MalformedSchedule,
                      MalformedTree, NotPrimitive, NotRecurrent,
                      OrbitsNotDisjoint, OutsideLf, SftLabError, ShortFamily,
                      SingularProduct, WordsTooShort, ZeroCylinder)

@@ -452,6 +452,21 @@ def pressure(space: SftSpace, f: Potential) -> float:
     return math.log(lam) + shift
 
 
+def _equilibrium(space: SftSpace, f: Potential
+                 ) -> tuple[MarkovMeasure, float]:
+    """The equilibrium state of f and the pressure P(f), both from one
+    Perron solve of the transfer matrix."""
+    if space.primitivity_index is None:
+        raise NotPrimitive("equilibrium_state needs a primitive space")
+    graph, M, shift = _transfer_matrix(space, f)
+    lam, right = _perron(M)
+    if (right <= 0).any():  # pragma: no cover - Perron vectors are positive
+        raise ArithmeticError("non-positive Perron entry")
+    Q = M * right / (lam * right[:, None])
+    Q = Q / Q.sum(axis=1, keepdims=True)
+    return MarkovMeasure(graph.block_space(), Q), math.log(lam) + shift
+
+
 def equilibrium_state(space: SftSpace, f: Potential) -> MarkovMeasure:
     """The Gibbs/equilibrium measure of a locally constant potential: the
     transfer matrix conjugated by its right Perron eigenvector, with the
@@ -460,15 +475,7 @@ def equilibrium_state(space: SftSpace, f: Potential) -> MarkovMeasure:
     For depth r <= 2 this is a Markov measure on the original space; deeper
     potentials return the Markov measure on the (r-1)-block space.
     """
-    if space.primitivity_index is None:
-        raise NotPrimitive("equilibrium_state needs a primitive space")
-    graph, M, _ = _transfer_matrix(space, f)
-    lam, right = _perron(M)
-    if (right <= 0).any():  # pragma: no cover - Perron vectors are positive
-        raise ArithmeticError("non-positive Perron entry")
-    Q = M * right / (lam * right[:, None])
-    Q = Q / Q.sum(axis=1, keepdims=True)
-    return MarkovMeasure(graph.block_space(), Q)
+    return _equilibrium(space, f)[0]
 
 
 def equilibrium_mean(space: SftSpace, f: Potential,
@@ -486,8 +493,8 @@ def equilibrium_mean(space: SftSpace, f: Potential,
 
 def equilibrium_residual(space: SftSpace, f: Potential) -> float:
     """|h(mu_f) + int f dmu_f - P(f)|, the variational-principle defect."""
-    mu = equilibrium_state(space, f)
-    return abs(ks_entropy(mu) + equilibrium_mean(space, f, mu) - pressure(space, f))
+    mu, p = _equilibrium(space, f)
+    return abs(ks_entropy(mu) + equilibrium_mean(space, f, mu) - p)
 
 
 # --------------------------- level sets ---------------------------

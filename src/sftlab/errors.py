@@ -73,5 +73,9 @@ class MalformedTree(SftLabError):
     """A branching-tree stage has no options or options of unequal length."""
 
 
+class BadCheckpoints(SftLabError):
+    """A tracking report got no checkpoints or a non-positive horizon."""
+
+
 class InfeasibleParams(SftLabError):
     """No admissible parameter choice satisfies the schedule inequalities."""

@@ -27,13 +27,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .analysis import empirical
-from .errors import (FamilyNotSeparated, InfeasibleParams, MalformedSchedule,
-                     MalformedTree, NotPrimitive, OrbitsNotDisjoint,
-                     WordsTooShort)
-from .measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
-                       ks_entropy, refine_path, sample_word,
-                       typical_separated_family, weak_star_dist)
+from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
+                     MalformedSchedule, MalformedTree, NotPrimitive,
+                     OrbitsNotDisjoint, WordsTooShort)
+from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
+                       sample_word, typical_separated_family, weak_star_counts,
+                       weak_star_dist, window_counts, word_columns)
 from .shift import SftSpace, SymbolStream, Word, bridge, dist, glue, iglue
 
 # --------------------------- covering tours ---------------------------
@@ -483,6 +486,15 @@ def emit_point(s: GluingSchedule, seed: int,
     return SymbolStream(s.space, factory, label=f"gk-point(seed={seed})")
 
 
+def _stage_tail(s: GluingSchedule, seed: int) -> SymbolStream:
+    """The stage part of the constructed point (blocks and tours joined by
+    bridges, no prologue) as a stream: every family member emits it after
+    its own prefix."""
+    return SymbolStream(s.space,
+                        lambda: iglue(s.space, _stage_words(s, seed), s.gap),
+                        label=f"stage-tail(seed={seed})")
+
+
 # --------------------------- tracking ---------------------------
 
 
@@ -524,12 +536,28 @@ class TrackingRow:
         return self.observed <= self.bound + 1e-12
 
 
+def _checkpoints(s: GluingSchedule,
+                 checkpoints: Optional[Sequence[int]]) -> list[int]:
+    """The sorted tracking horizons, the stage ends by default."""
+    if checkpoints is not None:
+        cps = sorted(checkpoints)
+    else:
+        cps = s.stage_ends() if s.stages else []
+    if not cps:
+        raise BadCheckpoints("no tracking checkpoints: pass at least one "
+                             "horizon or a schedule with stages")
+    if cps[0] < 1:
+        raise BadCheckpoints(
+            f"tracking checkpoints must be positive horizons; got {cps[0]}")
+    return cps
+
+
 def tracking_report(s: GluingSchedule, seed: int,
                     checkpoints: Optional[Sequence[int]] = None,
                     family_word: Optional[Word] = None) -> list[TrackingRow]:
     """Observed weak* distance of the emitted point's empirical measure to
     the stretched target, against the tracking bound, per checkpoint."""
-    cps = sorted(checkpoints) if checkpoints is not None else s.stage_ends()
+    cps = _checkpoints(s, checkpoints)
     stream = emit_point(s, seed, family_word=family_word)
     L = s.check_depth
     rows = []
@@ -546,27 +574,66 @@ def tracking_report(s: GluingSchedule, seed: int,
 
 def member_prefix_len(s: GluingSchedule) -> int:
     """Length of the member-specific prefix (anchor, bridges, family slot);
-    emitted family streams agree from this position on."""
+    emitted family streams agree from this position on, where each continues
+    with the schedule's one stage tail."""
     p = s.prologue_len(include_family=True)
     return p + (s.gap - 1 if p else 0)
 
 
+def _member_prefixes(s: GluingSchedule, family: Sequence[Word],
+                     tail_head: int) -> np.ndarray:
+    """One row per member: glue(anchor, w, tail_head) without its last
+    symbol, that is anchor, family word and the bridge into the shared
+    stage tail.  A member's stream is its row followed by the tail.
+
+    A bridge depends only on its two neighbouring symbols, so members with
+    the same first and last symbols glue to the same row apart from their
+    slot: one representative per such pair is glued, the rest copied."""
+    if len({w.symbols for w in family}) != len(family):
+        raise FamilyNotSeparated("family contains duplicate words")
+    if len({len(w) for w in family}) != 1:
+        raise ValueError("family words must share one slot length")
+    dtype = np.min_scalar_type(s.space.m - 1)  # a row per member: keep small
+    words = np.array([w.symbols for w in family], dtype=dtype)
+    ends = words[:, [0, -1]] if words.shape[1] else words
+    _, reps, group = np.unique(ends, axis=0, return_index=True,
+                               return_inverse=True)
+    anchor = s.anchor if s.anchor is not None else Word(())
+    head = Word((tail_head,))
+    glued = np.array([glue(s.space, (anchor, family[i], head), s.gap).symbols
+                      for i in reps], dtype=dtype)[group.ravel()]
+    start = len(anchor) + (s.gap - 1 if len(anchor) and words.shape[1] else 0)
+    glued[:, start:start + words.shape[1]] = words
+    allowed = s.space.transition.astype(bool)
+    bad = np.argwhere(~allowed[glued[:, :-1], glued[:, 1:]])
+    if len(bad):
+        i, t = bad[0]
+        raise ValueError(
+            f"family member {family[i].to_text()!r} has a forbidden "
+            f"transition {glued[i, t]}->{glued[i, t + 1]} at position {t + 1}")
+    return glued[:, :-1]
+
+
 def emit_separated_family(s: GluingSchedule, family: Sequence[Word],
                           horizon: int, seed: int) -> list[Word]:
-    """One stream prefix per family element, all sharing the schedule's tail
-    plan.  Distinct family words force distinct prefixes, so the output is
-    exactly (prefix-length, 1/2)-separated with full cardinality."""
+    """One stream prefix per family element: the member's prefix followed
+    by the schedule's stage tail, drawn once for the whole family.  Distinct
+    family words force distinct prefixes, so the output is exactly
+    (prefix-length, 1/2)-separated with full cardinality."""
     fam = list(family)
     if not fam:
         return []
-    if len({w.symbols for w in fam}) != len(fam):
-        raise FamilyNotSeparated("family contains duplicate words")
     if s.family_len and any(len(w) != s.family_len for w in fam):
         raise ValueError("family word length disagrees with the schedule slot")
     need = (len(s.anchor) if s.anchor else 0) + len(fam[0])
     if horizon < need:
         raise WordsTooShort(f"horizon {horizon} below prefix length {need}")
-    return [emit_point(s, seed, family_word=w).materialize(horizon) for w in fam]
+    tail = _stage_tail(s, seed)
+    pre = _member_prefixes(s, fam, tail.materialize(1)[0])
+    rest = np.array(tail.materialize(max(horizon - pre.shape[1], 0)).symbols,
+                    dtype=pre.dtype)
+    out = np.hstack([pre, np.broadcast_to(rest, (len(fam), len(rest)))])
+    return [Word(row.tolist()) for row in out[:, :horizon]]
 
 
 @dataclass(frozen=True)
@@ -588,57 +655,39 @@ def family_tracking_report(s: GluingSchedule, family: Sequence[Word],
                            ) -> FamilyTrackingReport:
     """Tracking check for every family member at every checkpoint.
 
-    Members share their tail, so the shared window counts accumulate once
-    and only each member's short prefix is rescanned; the numbers equal the
-    direct per-member empirical computation exactly.
+    A member's first n windows are its prefix windows starting before n and
+    the first n - p windows of the shared tail (p the prefix length).  So
+    one integer count matrix (members by admissible depth-words) holds the
+    prefix windows, one count vector per checkpoint holds the tail windows,
+    and the numbers equal the direct per-member computation exactly at
+    every checkpoint.
     """
     fam = list(family)
     if not fam:
         raise ValueError("empty family")
-    if len({w.symbols for w in fam}) != len(fam):
-        raise FamilyNotSeparated("family contains duplicate words")
-    cps = sorted(checkpoints) if checkpoints is not None else s.stage_ends()
+    cps = _checkpoints(s, checkpoints)
     L = s.check_depth
-    space = s.space
-
-    tail = list(itertools.islice(iglue(space, _stage_words(s, seed), s.gap),
-                                 cps[-1] + L))
-    anchor = s.anchor if s.anchor is not None else Word(())
-    tail_head = Word(tail[:1])
-
-    def member_prefix(w: Word) -> list[int]:
-        """Anchor, family word and the bridge into the shared tail."""
-        return list(glue(space, (anchor, w, tail_head), s.gap).symbols[:-1])
-
-    p = len(member_prefix(fam[0]))
-    tail_counts: list[Counter] = []
-    counter: Counter = Counter()
-    pos = 0
-    for n in cps:
-        while pos < n - p:
-            counter[tuple(tail[pos:pos + L])] += 1
-            pos += 1
-        tail_counts.append(counter.copy())
-
+    tail = _stage_tail(s, seed)
+    pre = _member_prefixes(s, fam, tail.materialize(1)[0])
+    p = pre.shape[1]
+    # the tail windows the last checkpoint reads, and at least one window
+    t = np.array(tail.materialize(max(cps[-1] - p, 1) + L - 1).symbols,
+                 dtype=pre.dtype)
+    tail_cols = word_columns(s.space, sliding_window_view(t, L))
+    head = np.hstack([pre, np.broadcast_to(t[:L - 1], (len(fam), L - 1))])
+    pre_counts = window_counts(s.space, head, L, {min(n, p) for n in cps})
+    rows = np.empty((len(fam), len(cps)))
+    for j, n in enumerate(cps):
+        pre_n = pre_counts[min(n, p)]
+        tail_n = np.bincount(tail_cols[:max(n - p, 0)],
+                             minlength=pre_n.shape[1])
+        rows[:, j] = weak_star_counts(pre_n + tail_n, n, s.stretched_alpha(n),
+                                      L)
     bounds = tuple(tracking_bound(s, n) for n in cps)
-    targets = [s.stretched_alpha(n) for n in cps]
-    rows = []
-    for w in fam:
-        pre = member_prefix(w)
-        if len(pre) != p:
-            raise ValueError("family words must share one slot length")
-        head = pre + tail[:L - 1]
-        pre_counts: Counter = Counter()
-        for i in range(p):
-            pre_counts[tuple(head[i:i + L])] += 1
-        row = []
-        for tc, target in zip(tail_counts, targets):
-            emp = EmpiricalMeasure(space, L, dict(pre_counts + tc))
-            row.append(weak_star_dist(emp, target, L))
-        rows.append(tuple(row))
-    observed_max = tuple(max(r[i] for r in rows) for i in range(len(cps)))
-    return FamilyTrackingReport(checkpoints=tuple(cps), bounds=bounds,
-                                observed_max=observed_max, rows=tuple(rows))
+    return FamilyTrackingReport(
+        checkpoints=tuple(cps), bounds=bounds,
+        observed_max=tuple(rows.max(axis=0).tolist()),
+        rows=tuple(tuple(row.tolist()) for row in rows))
 
 
 # --------------------------- schedule builder ---------------------------

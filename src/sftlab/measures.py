@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional, Sequence, Union
+from bisect import bisect_left
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -228,6 +229,71 @@ def cylinder_weights(space: SftSpace, depth: int) -> list[tuple[tuple[int, ...],
     return _CYL_CACHE[key]
 
 
+def _depth_words(space: SftSpace, depth: int) -> list[tuple[int, ...]]:
+    """The admissible depth-words in lexicographic order: the last block of
+    :func:`cylinder_weights`, and the columns of every count matrix."""
+    return [cyl for cyl, _ in cylinder_weights(space, depth)
+            if len(cyl) == depth]
+
+
+def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
+    """Column of each row of a (k, depth) symbol array: the row's index in
+    :func:`_depth_words`.  Raises ValueError for an inadmissible row, whose
+    shorter prefixes no count matrix could place."""
+    depth = words.shape[1]
+    radix = space.m ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    adm = np.array(_depth_words(space, depth), dtype=np.int64) @ radix
+    codes = np.asarray(words, dtype=np.int64) @ radix
+    cols = np.minimum(np.searchsorted(adm, codes), len(adm) - 1)
+    bad = np.flatnonzero(adm[cols] != codes)  # adm ascends: lexicographic
+    if len(bad):
+        raise ValueError(f"window {tuple(words[bad[0]].tolist())} is not an "
+                         f"admissible {depth}-word")
+    return cols
+
+
+def window_counts(space: SftSpace, rows: np.ndarray, depth: int,
+                  stops: Iterable[int]) -> dict[int, np.ndarray]:
+    """Integer count matrices of the depth-windows of each row of a 2-d
+    symbol array, by :func:`word_columns` column: for each stop k, the
+    matrix counting the windows that start before k.  Windows are added one
+    offset at a time, so the temporaries hold one value per row."""
+    counts = np.zeros((rows.shape[0], len(_depth_words(space, depth))),
+                      dtype=np.int64)
+    every_row = np.arange(rows.shape[0])
+    stops = set(stops)
+    last = max(stops)
+    out: dict[int, np.ndarray] = {}
+    for i in range(last + 1):
+        if i in stops:
+            out[i] = counts.copy()
+        if i < last:
+            counts[every_row, word_columns(space, rows[:, i:i + depth])] += 1
+    return out
+
+
+def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
+                     depth: int) -> np.ndarray:
+    """weak_star_dist to target of the empirical measure of each count row,
+    bit for bit: row i counts depth-windows per :func:`word_columns` column
+    out of total (a scalar or one total per row).
+
+    A cylinder's count is the sum of the contiguous columns it prefixes,
+    and d += weight * |count / total - target(cyl)| runs in
+    :func:`cylinder_weights` order, the float operations of weak_star_dist.
+    """
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    words = _depth_words(target.space, depth)
+    top = (target.space.m,)
+    d = np.zeros(counts.shape[0])
+    for cyl, weight in cylinder_weights(target.space, depth):
+        lo, hi = bisect_left(words, cyl), bisect_left(words, cyl + top)
+        freq = counts[:, lo:hi].sum(axis=1) / total
+        d += weight * np.abs(freq - target.cylinder_prob(cyl))
+    return d
+
+
 def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
     """Truncated weighted-L1 distance over cylinder indicators.
 
@@ -297,16 +363,9 @@ def _batch_weak_star(space: SftSpace, batch: np.ndarray, mu: MarkovMeasure,
                      depth: int) -> np.ndarray:
     """Vectorized weak* distance of each row's empirical measure to mu,
     matching weak_star_dist on the row's depth-window empirical exactly."""
-    count, n = batch.shape
-    windows = n - depth + 1
-    dists = np.zeros(count)
-    for cyl, weight in cylinder_weights(space, depth):
-        match = np.ones((count, windows), dtype=bool)
-        for off, s in enumerate(cyl):
-            match &= batch[:, off:off + windows] == s
-        freq = match.sum(axis=1) / windows
-        dists += weight * np.abs(freq - mu.cylinder_prob(cyl))
-    return dists
+    windows = batch.shape[1] - depth + 1
+    counts = window_counts(space, batch, depth, [windows])[windows]
+    return weak_star_counts(counts, windows, mu, depth)
 
 
 def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float,

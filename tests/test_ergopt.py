@@ -292,6 +292,23 @@ class TestEquilibrium:
         f = random_potential(FULL2, 3, seed=77, integer=False, low=-1, high=1)
         assert equilibrium_residual(FULL2, f) <= 1e-9
 
+    def test_residual_solves_once_and_equals_two_solves(self, monkeypatch):
+        from sftlab import ergopt
+        solves = []
+        perron = ergopt._perron
+        monkeypatch.setattr(ergopt, "_perron",
+                            lambda M: solves.append(M) or perron(M))
+        for trial, (space, r) in enumerate([(FULL2, 1), (FULL2, 3),
+                                            (GOLDEN, 2)]):
+            f = random_potential(space, r, seed=40 + trial, integer=False,
+                                 low=-2, high=2)
+            solves.clear()
+            got = equilibrium_residual(space, f)
+            assert len(solves) == 1
+            mu = equilibrium_state(space, f)
+            assert got == abs(ks_entropy(mu) + equilibrium_mean(space, f, mu)
+                              - pressure(space, f))
+
     def test_mean_potential_agrees_with_edge_flow(self):
         f = random_potential(FULL2, 2, seed=6, integer=False)
         mu = equilibrium_state(FULL2, f)

@@ -3,29 +3,33 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sftlab import gluing
 from sftlab.analysis import empirical
 from sftlab.chaos import li_yorke_report, orbit_distances, phi_n
-from sftlab.errors import (FamilyNotSeparated, InfeasibleParams,
-                           MalformedSchedule, MalformedTree, NotPrimitive,
-                           OrbitsNotDisjoint)
+from sftlab.errors import (BadCheckpoints, FamilyNotSeparated,
+                           InfeasibleParams, MalformedSchedule, MalformedTree,
+                           NotPrimitive, OrbitsNotDisjoint)
 from sftlab.gluing import (BranchTree, ChaoticFamily, CheckEntry,
-                           GluingSchedule, Stage, TreeComponent, TreeStage,
-                           ValidationReport,
-                           build_branch_tree, build_gk_schedule,
+                           FamilyTrackingReport, GluingSchedule, Stage,
+                           TreeComponent, TreeStage, ValidationReport,
+                           _stage_words, build_branch_tree, build_gk_schedule,
                            check_budgets, contains_all_words, dense_tour,
                            emit_chaotic_family, emit_dc1_family, emit_point,
                            emit_separated_family, family_tracking_report,
                            member_prefix_len, tracking_bound,
                            tracking_report, validate_schedule)
-from sftlab.measures import (MarkovMeasure, MeasurePath, ks_entropy,
-                             typical_separated_family, weak_star_dist)
-from sftlab.shift import SftSpace, Word, glue, separated_count
+from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
+                             ks_entropy, typical_separated_family,
+                             weak_star_dist)
+from sftlab.shift import SftSpace, Word, glue, iglue, separated_count
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -260,6 +264,174 @@ class TestSeparatedFamily:
                     empirical(FULL2, word, n, L), sched.stretched_alpha(n), L)
                 assert report.rows[i][j] == pytest.approx(direct, abs=1e-12)
         assert report.all_ok
+
+
+def per_member_emit_separated_family(s, family, horizon, seed):
+    """Oracle for emit_separated_family: each member's own stream, which
+    redraws the stage tail."""
+    return [emit_point(s, seed, family_word=w).materialize(horizon)
+            for w in family]
+
+
+def counter_family_tracking_report(s, family, seed, checkpoints=None):
+    """Oracle for family_tracking_report: one Counter and one
+    EmpiricalMeasure per member per checkpoint, over the member's prefix
+    windows that start before the checkpoint plus the shared tail windows."""
+    fam = list(family)
+    cps = sorted(checkpoints) if checkpoints is not None else s.stage_ends()
+    L = s.check_depth
+    space = s.space
+    tail = list(itertools.islice(iglue(space, _stage_words(s, seed), s.gap),
+                                 cps[-1] + L))
+    anchor = s.anchor if s.anchor is not None else Word(())
+    tail_head = Word(tail[:1])
+
+    def member_prefix(w):
+        return list(glue(space, (anchor, w, tail_head), s.gap).symbols[:-1])
+
+    p = len(member_prefix(fam[0]))
+    tail_counts = []
+    counter = Counter()
+    pos = 0
+    for n in cps:
+        while pos < n - p:
+            counter[tuple(tail[pos:pos + L])] += 1
+            pos += 1
+        tail_counts.append(counter.copy())
+    targets = [s.stretched_alpha(n) for n in cps]
+    rows = []
+    for w in fam:
+        head = member_prefix(w) + tail[:L - 1]
+        row = []
+        for n, tc, target in zip(cps, tail_counts, targets):
+            pre_counts = Counter(tuple(head[i:i + L])
+                                 for i in range(min(n, p)))
+            emp = EmpiricalMeasure(space, L, dict(pre_counts + tc))
+            row.append(weak_star_dist(emp, target, L))
+        rows.append(tuple(row))
+    return FamilyTrackingReport(
+        checkpoints=tuple(cps),
+        bounds=tuple(tracking_bound(s, n) for n in cps),
+        observed_max=tuple(max(r[i] for r in rows) for i in range(len(cps))),
+        rows=tuple(rows))
+
+
+# The last space is primitive but not a full shift, and its bridges depend
+# on both neighbouring symbols.
+FAMILY_SPACES = [FULL2, GOLDEN, SftSpace.full_shift(3),
+                 SftSpace([[0, 1, 0], [0, 0, 1], [1, 1, 1]])]
+
+
+def admissible_word(draw, space, length):
+    syms = []
+    for _ in range(length):
+        options = space.successors(syms[-1]) if syms else range(space.m)
+        syms.append(draw(st.sampled_from(list(options))))
+    return space.word(syms)
+
+
+def random_markov(draw, space):
+    A = space.transition
+    W = np.array([[draw(st.floats(0.05, 1.0)) if A[i, j] else 0.0
+                   for j in range(space.m)] for i in range(space.m)])
+    return MarkovMeasure(space, W / W.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def family_cases(draw):
+    """A hand-built schedule with a random family and checkpoints.  zeta=1
+    accepts every block draw, so examples spend their time on gluing and
+    counting; stage measures differ, so the tracking target moves."""
+    space = draw(st.sampled_from(FAMILY_SPACES))
+    L = draw(st.integers(1, 3))
+    stages = [Stage(alpha=random_markov(draw, space),
+                    n=draw(st.integers(max(L, 1), 10)),
+                    reps=draw(st.integers(1, 3)),
+                    tour=draw(st.sampled_from(
+                        [None, dense_tour(space, 1), dense_tour(space, 2)])),
+                    zeta=1.0, eps=0.5, depth=1)
+              for _ in range(draw(st.integers(1, 2)))]
+    anchor = (admissible_word(draw, space, draw(st.integers(1, 3)))
+              if draw(st.booleans()) else None)
+    N = draw(st.integers(0, 4))
+    family = draw(st.lists(st.sampled_from(list(space.words(N))),
+                           min_size=1, max_size=6, unique=True))
+    sched = GluingSchedule(
+        space=space, stages=stages, anchor=anchor, family_len=N,
+        check_depth=L,
+        gap=space.primitivity_index + draw(st.integers(0, 1)))
+    checkpoints = draw(st.one_of(st.none(), st.lists(
+        st.one_of(st.integers(1, 15), st.integers(1, 120)),
+        min_size=1, max_size=5)))
+    need = (len(anchor) if anchor else 0) + N
+    horizon = need + draw(st.integers(0, 30))
+    return sched, family, checkpoints, horizon, draw(st.integers(0, 2**16))
+
+
+class TestSharedTailFamily:
+    @settings(max_examples=200, deadline=None)
+    @given(family_cases())
+    def test_equals_per_member_oracles(self, case):
+        sched, family, checkpoints, horizon, seed = case
+        assert emit_separated_family(sched, family, horizon, seed) == \
+            per_member_emit_separated_family(sched, family, horizon, seed)
+        assert family_tracking_report(sched, family, seed, checkpoints) == \
+            counter_family_tracking_report(sched, family, seed, checkpoints)
+
+    def test_checkpoints_below_prefix_match_direct(self):
+        fam = typical_separated_family(B05, 9, 0.1, 0.4, seed=15)[:4]
+        sched = build_gk_schedule(
+            FULL2, B09, anchor=FULL2.parse("0101"), stages=2, seed=12,
+            family_len=9, family_entropy=ks_entropy(B05), family_eta=0.4)
+        p = member_prefix_len(sched)
+        assert p == 13
+        cps = [1, 5, p - 1, p, p + 1, *sched.stage_ends()]
+        report = family_tracking_report(sched, fam, seed=15, checkpoints=cps)
+        for w, row in zip(fam, report.rows):
+            direct = tracking_report(sched, seed=15, checkpoints=cps,
+                                     family_word=w)
+            assert list(row) == [r.observed for r in direct]
+
+    def test_tail_drawn_once_per_family(self, monkeypatch):
+        sched = build_gk_schedule(
+            FULL2, B09, anchor=FULL2.parse("0101"), stages=2, seed=12,
+            family_len=8, family_entropy=ks_entropy(B05), family_eta=0.4)
+        fam = typical_separated_family(B05, 8, 0.1, 0.4, seed=15)[:6]
+        calls = []
+        draw = gluing._draw_block
+        monkeypatch.setattr(gluing, "_draw_block",
+                            lambda *a: calls.append(a) or draw(*a))
+        horizon = member_prefix_len(sched) + 2
+        emit_separated_family(sched, fam[:1], horizon, seed=3)
+        single = len(calls)
+        emit_separated_family(sched, fam, horizon, seed=3)
+        assert len(calls) == 2 * single
+        calls.clear()
+        family_tracking_report(sched, fam, seed=3)
+        whole_tail = len(calls)
+        calls.clear()
+        family_tracking_report(sched, fam[:1], seed=3)
+        assert len(calls) == whole_tail
+
+    def test_forbidden_member_named(self):
+        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), stages=1, seed=2,
+                                  family_len=4)
+        with pytest.raises(ValueError, match=r"'0110'.*1->1 at position 2"):
+            emit_separated_family(sched, [Word("0100"), Word("0110")],
+                                  horizon=20, seed=2)
+
+    def test_bad_checkpoints_named(self):
+        sched = build_gk_schedule(FULL2, B09, stages=2, seed=3, family_len=4)
+        fam = [Word("0101"), Word("0011")]
+        for cps, message in (([], "no tracking checkpoints"),
+                             ([5, 0], "got 0"), ([-3, 8], "got -3")):
+            with pytest.raises(BadCheckpoints, match=message):
+                family_tracking_report(sched, fam, seed=3, checkpoints=cps)
+            with pytest.raises(BadCheckpoints, match=message):
+                tracking_report(sched, seed=3, checkpoints=cps)
+        no_stages = GluingSchedule(space=FULL2, stages=[])
+        with pytest.raises(BadCheckpoints):
+            tracking_report(no_stages, seed=3)
 
 
 class TestBranchTree:

@@ -1,15 +1,20 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftlab.analysis import empirical
 from sftlab.errors import (DepthExceedsEmpirical, ShortFamily, SftLabError,
                            StationaryNotUnique)
-from sftlab.measures import (MarkovMeasure, MeasurePath, cylinder_weights,
+from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
+                             _batch_weak_star, _depth_words, cylinder_weights,
                              interpolate, ks_entropy, refine_path,
-                             sample_word, typical_separated_family,
-                             weak_star_dist)
+                             sample_word, sample_words_batch,
+                             typical_separated_family, weak_star_counts,
+                             weak_star_dist, word_columns)
 from sftlab.shift import SftSpace, Word, delta_separated
 
 FULL2 = SftSpace.full_shift(2)
@@ -156,6 +161,92 @@ class TestWeakStar:
         assert dists[2] < 0.005
 
 
+# The last space is primitive but not a full shift.
+WEAK_SPACES = [FULL2, GOLDEN, SftSpace.full_shift(3),
+               SftSpace([[0, 1, 0], [0, 0, 1], [1, 1, 1]])]
+
+
+def random_markov(draw, space):
+    A = space.transition
+    W = np.array([[draw(st.floats(0.05, 1.0)) if A[i, j] else 0.0
+                   for j in range(space.m)] for i in range(space.m)])
+    return MarkovMeasure(space, W / W.sum(axis=1, keepdims=True))
+
+
+def random_windows(draw, space, depth, admissible=True):
+    """Depth-windows over the alphabet; with admissible=False some are
+    inadmissible, which an EmpiricalMeasure counts in its total and in the
+    cylinders of their admissible prefixes."""
+    def window():
+        if not admissible:
+            return [draw(st.integers(0, space.m - 1)) for _ in range(depth)]
+        syms = [draw(st.integers(0, space.m - 1))]
+        while len(syms) < depth:
+            syms.append(draw(st.sampled_from(space.successors(syms[-1]))))
+        return syms
+
+    return np.array([window() for _ in range(draw(st.integers(1, 30)))],
+                    dtype=np.int64)
+
+
+def random_measure(draw, space, depth):
+    if draw(st.booleans()):
+        return random_markov(draw, space)
+    windows = random_windows(draw, space, depth, draw(st.booleans()))
+    return EmpiricalMeasure(space, depth, Counter(map(tuple, windows.tolist())))
+
+
+class TestWeakStarCore:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_count_rows_equal_weak_star_dist(self, data):
+        space = data.draw(st.sampled_from(WEAK_SPACES))
+        depth = data.draw(st.integers(1, 3))
+        target = random_measure(data.draw, space, depth)
+        samples = [random_windows(data.draw, space, depth)
+                   for _ in range(data.draw(st.integers(1, 4)))]
+        ncols = len(_depth_words(space, depth))
+        counts = np.array([np.bincount(word_columns(space, w), minlength=ncols)
+                           for w in samples])
+        totals = np.array([len(w) for w in samples])
+        got = weak_star_counts(counts, totals, target, depth)
+        for d, w in zip(got.tolist(), samples):
+            emp = EmpiricalMeasure(space, depth,
+                                   Counter(map(tuple, w.tolist())))
+            assert d == weak_star_dist(emp, target, depth)
+
+    def test_inadmissible_window_rejected(self):
+        cols = word_columns(GOLDEN, np.array([[0, 0], [0, 1], [1, 0]]))
+        assert cols.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not an admissible"):
+            word_columns(GOLDEN, np.array([[0, 1], [1, 1]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_batch_rows_equal_weak_star_dist(self, data):
+        space = data.draw(st.sampled_from(WEAK_SPACES))
+        depth = data.draw(st.integers(1, 3))
+        mu = random_markov(data.draw, space)
+        n = data.draw(st.integers(depth, 20))
+        batch = sample_words_batch(mu, n, 8, seed=data.draw(st.integers(0, 99)))
+        got = _batch_weak_star(space, batch, mu, depth)
+        for d, row in zip(got.tolist(), batch):
+            emp = empirical(space, Word(row.tolist()), n - depth + 1, depth)
+            assert d == weak_star_dist(emp, mu, depth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_symmetric_and_bounded(self, data):
+        space = data.draw(st.sampled_from(WEAK_SPACES))
+        depth = data.draw(st.integers(1, 3))
+        a = random_measure(data.draw, space, depth)
+        b = random_measure(data.draw, space, depth)
+        d = weak_star_dist(a, b, depth)
+        assert d == weak_star_dist(b, a, depth)
+        assert 0.0 <= d <= 1.0
+        assert weak_star_dist(a, a, depth) == 0.0
+
+
 class TestSampling:
     def test_degenerate_bernoulli(self):
         mu = MarkovMeasure.bernoulli(FULL2, [1.0, 0.0])
@@ -222,7 +313,6 @@ class TestTypicalFamily:
         assert exc.value.achieved < exc.value.target
 
     def test_batch_filter_matches_weak_star(self):
-        from sftlab.measures import _batch_weak_star, sample_words_batch
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
         batch = sample_words_batch(mu, 15, 20, seed=8)
         dists = _batch_weak_star(FULL2, batch, mu, 2)

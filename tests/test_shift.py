@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -251,6 +252,22 @@ class TestSymbolStream:
         long = stream.materialize(11)
         assert long.symbols[:5] == short.symbols
         assert short == Word("01010")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(GLUE_SPACES), st.integers(0, 2**16),
+           st.lists(st.integers(0, 300), min_size=1, max_size=8))
+    def test_prefix_property_random_walks(self, space, seed, horizons):
+        def walk():
+            rng = random.Random(seed)
+            a = rng.randrange(space.m)
+            while True:
+                yield a
+                a = rng.choice(space.successors(a))
+
+        stream = SymbolStream(space, walk)
+        reference = SymbolStream(space, walk).materialize(max(horizons))
+        for h in horizons:
+            assert stream.materialize(h) == reference[:h]
 
     def test_admissibility_enforced(self):
         def bad():
