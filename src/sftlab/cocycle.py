@@ -13,7 +13,7 @@ import numpy as np
 from .errors import SingularProduct
 from .ergopt import topological_entropy
 from .measures import MarkovMeasure, sample_word
-from .shift import SftSpace, Word, glue
+from .shift import SftSpace, Word, glue, glue_spans
 
 
 class MatrixCocycle:
@@ -225,7 +225,8 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     family = list(space.words(N))
     target = max(1, math.ceil(math.exp(N * (topological_entropy(space) - eta)) - 1e-9))
     head = [anchor] if anchor is not None else []
-    prefix_len = sum(len(a) + gap - 1 for a in head) + N + (gap - 1)
+    anchor_len = 0 if anchor is None else len(anchor)
+    prefix_len = glue_spans((anchor_len, N, tail_len), gap)[-1][0]
     horizon = prefix_len + tail_len
     ref = sample_word(mu, horizon, seed)
     tail = ref[:tail_len]

@@ -71,9 +71,6 @@ class Potential:
     def max_value(self) -> float:
         return max(self.table.values())
 
-    def min_value(self) -> float:
-        return min(self.table.values())
-
     def to_json(self) -> str:
         return json.dumps({
             "r": self.r,

@@ -4,8 +4,9 @@ branching trees with counting measures, and chaotic two-orbit families.
 
 On a mixing SFT the shadowing in all of these constructions is exact word
 concatenation with fixed-length bridging words (``shift.glue`` and its
-streaming form ``shift.iglue``), so every tracking claim reduces to
-checkable arithmetic on segment lengths:
+streaming form ``shift.iglue``), and ``shift.glue_spans`` says where each
+glued word lands, so every tracking claim reduces to checkable arithmetic
+on segment lengths:
 
 * blocks sampled from a measure are redrawn until their own cylinder
   empirical sits within the stage radius zeta of the source measure;
@@ -15,7 +16,9 @@ checkable arithmetic on segment lengths:
 * tours are covering words on the block-word graph: an Eulerian circuit when
   that graph is balanced, otherwise all block words glued together;
 * gluing and chaotic schedules state their lengths as per-stage budgets, and
-  one checker (``check_budgets``) evaluates the inequality families on them.
+  one checker (``check_budgets``) evaluates the inequality families on them;
+* both chaotic two-orbit families are piece plans (shared words and private
+  orbit runs) that one emitter glues for every member.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,7 +40,10 @@ from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
 from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts, word_columns)
-from .shift import SftSpace, SymbolStream, Word, bridge, dist, glue, iglue
+from .shift import (SftSpace, SymbolStream, Word, bridge, dist, glue,
+                    glue_spans, iglue)
+
+_BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 
 # --------------------------- covering tours ---------------------------
 
@@ -148,7 +154,6 @@ class GluingSchedule:
     family_eta: Optional[float] = None
     check_depth: int = 2
     gap: Optional[int] = None
-    block_attempts: int = 500
 
     def __post_init__(self):
         if self.space.primitivity_index is None:
@@ -166,9 +171,11 @@ class GluingSchedule:
     def _stage_at(self, k: int) -> Stage:
         """Stage parameters for 1-based index k; beyond the built stages the
         last stage's pattern repeats (finite-horizon continuation)."""
+        if not self.stages:
+            raise MalformedSchedule("schedule has no stages")
         return self.stages[min(k, len(self.stages)) - 1]
 
-    def iter_segments(self, include_family: bool = True) -> Iterator[Segment]:
+    def iter_segments(self) -> Iterator[Segment]:
         conn = self.gap - 1
         first = True
 
@@ -181,7 +188,7 @@ class GluingSchedule:
         if self.anchor is not None and len(self.anchor):
             yield from bridge()
             yield Segment("anchor", len(self.anchor), None)
-        if include_family and self.family_len > 0:
+        if self.family_len > 0:
             yield from bridge()
             yield Segment("family", self.family_len, None)
         k = 1
@@ -195,22 +202,13 @@ class GluingSchedule:
                 yield Segment("tour", st.tour_len(), k)
             k += 1
 
-    def prologue_len(self, include_family: bool = True) -> int:
-        total = 0
-        for seg in self.iter_segments(include_family):
-            if seg.kind in ("block", "tour"):
-                break
-            total += seg.length
-        return total
-
-    def stage_ends(self, upto: Optional[int] = None) -> list[int]:
+    def stage_ends(self) -> list[int]:
         """Cumulative length at the end of each built stage (after its tour,
         or after its last block when the stage has no tour)."""
-        upto = len(self.stages) if upto is None else upto
         ends: list[int] = []
         total = 0
         for seg in self.iter_segments():
-            if seg.stage is not None and seg.stage > upto:
+            if seg.stage is not None and seg.stage > len(self.stages):
                 break
             total += seg.length
             if seg.stage is not None:
@@ -414,7 +412,7 @@ def validate_schedule(s: GluingSchedule) -> ValidationReport:
     budgets = [StageBudget(st.n, st.reps, st.tour_len(), st.zeta, st.eps,
                            end, end)
                for st, end in zip(s.stages, s.stage_ends())]
-    entries = check_budgets(budgets, s.prologue_len(), s.check_depth)
+    entries = check_budgets(budgets, member_prefix_len(s), s.check_depth)
     if (s.family_len and s.family_entropy is not None
             and s.family_eta is not None and s.anchor is not None):
         a_len = len(s.anchor)
@@ -443,7 +441,7 @@ def _draw_block(s: GluingSchedule, st: Stage, stage_idx: int, rep: int,
     empirical measure is within zeta of the source at the checking depth."""
     L = s.check_depth
     best_d = math.inf
-    for attempt in range(s.block_attempts):
+    for attempt in range(_BLOCK_ATTEMPTS):
         w = sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
         d = weak_star_dist(empirical(s.space, w, st.n - L + 1, L), st.alpha, L)
         if d <= st.zeta:
@@ -451,7 +449,7 @@ def _draw_block(s: GluingSchedule, st: Stage, stage_idx: int, rep: int,
         best_d = min(best_d, d)
     raise InfeasibleParams(
         f"stage {stage_idx}: no draw within zeta={st.zeta} after "
-        f"{s.block_attempts} attempts (best {best_d:.4f}); increase the "
+        f"{_BLOCK_ATTEMPTS} attempts (best {best_d:.4f}); increase the "
         f"block length or zeta")
 
 
@@ -576,8 +574,8 @@ def member_prefix_len(s: GluingSchedule) -> int:
     """Length of the member-specific prefix (anchor, bridges, family slot);
     emitted family streams agree from this position on, where each continues
     with the schedule's one stage tail."""
-    p = s.prologue_len(include_family=True)
-    return p + (s.gap - 1 if p else 0)
+    anchor_len = len(s.anchor) if s.anchor is not None else 0
+    return glue_spans((anchor_len, s.family_len, 1), s.gap)[-1][0]
 
 
 def _member_prefixes(s: GluingSchedule, family: Sequence[Word],
@@ -602,7 +600,7 @@ def _member_prefixes(s: GluingSchedule, family: Sequence[Word],
     head = Word((tail_head,))
     glued = np.array([glue(s.space, (anchor, family[i], head), s.gap).symbols
                       for i in reps], dtype=dtype)[group.ravel()]
-    start = len(anchor) + (s.gap - 1 if len(anchor) and words.shape[1] else 0)
+    start = glue_spans((len(anchor), words.shape[1]), s.gap)[1][0]
     glued[:, start:start + words.shape[1]] = words
     allowed = s.space.transition.astype(bool)
     bad = np.argwhere(~allowed[glued[:, :-1], glued[:, 1:]])
@@ -693,6 +691,21 @@ def family_tracking_report(s: GluingSchedule, family: Sequence[Word],
 # --------------------------- schedule builder ---------------------------
 
 
+def _smallest_reps(end_at: Callable[[int], int], reps: int,
+                   need: float) -> int:
+    """The repetition count a planner takes for a stage: ``reps`` when the
+    stage then ends at or past ``need``, else the count that the linear
+    estimate gives, stepping at least one at a time.  ``end_at(r)`` is the
+    glued length up to the stage's end with r blocks."""
+    base = end_at(0)
+    per_rep = end_at(1) - base
+    while end_at(reps) < need:
+        reps = max(reps + 1, math.ceil((need - base) / per_rep))
+        if reps > 10 ** 9:
+            raise InfeasibleParams("repetition count exploded")
+    return reps
+
+
 def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
                       anchor: Optional[Word] = None, stages: int = 3,
                       seed: int = 0, *, check_depth: int = 2,
@@ -716,7 +729,6 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
         raise ValueError("need at least one stage")
     path = K if isinstance(K, MeasurePath) else MeasurePath([K])
     gap = space.primitivity_index
-    conn = gap - 1
 
     alphas: list[MarkovMeasure] = []
     mesh = 1
@@ -739,38 +751,23 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
               math.ceil(1.0 / zs[k] ** 2))
           for k in range(stages)]
 
-    # exact length bookkeeping: every item after the very first one is
-    # preceded by a bridge of conn symbols
-    items_before = int(anchor is not None) + int(family_len > 0)
-    prologue = 0
-    if anchor is not None:
-        prologue += len(anchor)
-    if family_len:
-        prologue += (conn if anchor is not None else 0) + family_len
-
+    # the glued past counts as one word: the stage follows it as glue would
+    past = glue_spans((0 if anchor is None else len(anchor), family_len),
+                      gap)[-1][1]
     built: list[Stage] = []
-    m_prev = prologue
     reps_prev = 0
     for k in range(stages):
-        first_item_here = (items_before == 0 and k == 0)
-        tour_term = conn + len(tours[k])
-        per_rep = ns[k] + conn
+        def end_at(reps: int) -> int:
+            return glue_spans((past, *[ns[k]] * reps, len(tours[k])),
+                              gap)[-1][1]
 
-        def m_of(reps: int) -> int:
-            return (m_prev + reps * per_rep + tour_term
-                    - (conn if first_item_here else 0))
-
-        need = m_prev / zs[k]
+        need = past / zs[k]
         if k + 1 < stages:
             need = max(need, (ns[k + 1] + len(tours[k + 1])) / zs[k])
-        N = max(1, reps_prev + 1)
-        while m_of(N) < need:
-            N = max(N + 1, math.ceil((need - (m_of(0))) / per_rep))
-            if N > 10 ** 9:
-                raise InfeasibleParams("repetition count exploded")
+        N = _smallest_reps(end_at, max(1, reps_prev + 1), need)
         built.append(Stage(alpha=alphas[k], n=ns[k], reps=N, tour=tours[k],
                            zeta=zs[k], eps=es[k], depth=k + 1))
-        m_prev = m_of(N)
+        past = end_at(N)
         reps_prev = N
 
     sched = GluingSchedule(
@@ -854,14 +851,8 @@ class BranchTree:
 
     def prefix_ends(self) -> list[int]:
         """Cumulative leaf length at each stage end (bridges included)."""
-        ends = []
-        total = 0
-        for i, st in enumerate(self.stages):
-            if i > 0:
-                total += self.gap - 1
-            total += len(st.options[0])
-            ends.append(total)
-        return ends
+        return [end for _, end in glue_spans(
+            (len(st.options[0]) for st in self.stages), self.gap)]
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], Word]]:
         """Every (label, leaf word) in lexicographic label order.  The walk is
@@ -946,21 +937,18 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
     if sum(ws) != 1:
         raise ValueError("component weights must sum to 1")
     gap = space.primitivity_index
-    conn = gap - 1
-
-    h_sup = max(ks_entropy(mu) for mu in comps)
-    h_star = h_sup - eta
+    h_star = K.sup_entropy() - eta
     zetas = [eta * (0.75 ** s) for s in range(1, depth + 1)]
 
     lens = [int(w * stage_len) for w in ws]
     lens[-1] = stage_len - sum(lens[:-1])
     if any(l < max(gap, 2) for l in lens):
         raise InfeasibleParams("stage_len too small for the component split")
-    stage_total = stage_len + conn * (p - 1)
+    # a leaf spends one glued option and the bridge after it per stage
+    stride = glue_spans((*lens, 1), gap)[-1][0]
 
     rate_req = max(h_star - 2 * eta - z for z in zetas)
-    product_target = math.exp((stage_total + conn) * max(rate_req, 0.0)
-                              * size_margin)
+    product_target = math.exp(stride * max(rate_req, 0.0) * size_margin)
 
     stages: list[TreeStage] = []
     for s_idx in range(depth):
@@ -1017,6 +1005,60 @@ def _orbit_gap(space: SftSpace, lam1: Word, lam2: Word) -> float:
     return worst
 
 
+def _check_two_orbit(space: SftSpace, lambda1: Word, lambda2: Word,
+                     xis: Sequence[Sequence[int]], who: str
+                     ) -> tuple[float, list[tuple[int, ...]]]:
+    """The orbit gap eps* and the xi sequences as tuples, once the space is
+    primitive, both orbits are periodically admissible and disjoint, and the
+    sequences are distinct and over {1, 2}."""
+    if space.primitivity_index is None:
+        raise NotPrimitive(f"{who} needs a primitive space")
+    for lam in (lambda1, lambda2):
+        if not space.is_admissible(lam.symbols + lam.symbols):
+            raise ValueError("orbit generators must be periodically admissible")
+    eps_star = _orbit_gap(space, lambda1, lambda2)
+    xi_list = [tuple(int(v) for v in xi) for xi in xis]
+    if len(set(xi_list)) != len(xi_list):
+        raise ValueError("xi prefixes must be distinct")
+    if any(v not in (1, 2) for xi in xi_list for v in xi):
+        raise ValueError("xi entries must be 1 or 2")
+    return eps_star, xi_list
+
+
+# A two-orbit plan piece: a Word every member shares, or a private
+# (slot, length) run that each member fills with the orbit xi[slot] selects.
+_Piece = Union[Word, tuple[int, int]]
+
+
+def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
+                    xis: Sequence[tuple[int, ...]], plan: Sequence[_Piece],
+                    horizon: int) -> tuple[dict, list[tuple[int, int]]]:
+    """Every member, keyed by its xi: the plan's pieces glued and cut at
+    horizon.  Also the span of each piece in the glued plan, which no xi
+    changes."""
+    gap = space.primitivity_index
+    slots = 1 + max((p[0] for p in plan if not isinstance(p, Word)),
+                    default=-1)
+
+    def fill(piece: _Piece, xi: tuple[int, ...]) -> Word:
+        if isinstance(piece, Word):
+            return piece
+        slot, n = piece
+        base = orbits[xi[slot] - 1].symbols
+        return Word((base * math.ceil(n / len(base)))[:n])
+
+    members: dict = {}
+    for xi in xis:
+        if len(xi) < slots:
+            raise ValueError(
+                f"xi prefix length {len(xi)} < {slots} orbit selections")
+        members[xi] = Word(itertools.islice(
+            iglue(space, (fill(p, xi) for p in plan), gap), horizon))
+    spans = glue_spans((len(p) if isinstance(p, Word) else p[1]
+                        for p in plan), gap)
+    return members, spans
+
+
 @dataclass(frozen=True)
 class ChaosStage:
     n: int
@@ -1060,23 +1102,10 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     every stage from u on, while the mu0 runs dominate in length so the
     closeness density climbs toward one.
     """
-    if space.primitivity_index is None:
-        raise NotPrimitive("emit_chaotic_family needs a primitive space")
-    for lam in (lambda1, lambda2):
-        if not space.is_admissible(lam.symbols + lam.symbols):
-            raise ValueError("orbit generators must be periodically admissible")
-    eps_star = _orbit_gap(space, lambda1, lambda2)
+    eps_star, xi_list = _check_two_orbit(space, lambda1, lambda2, xis,
+                                         "emit_chaotic_family")
     gap = space.primitivity_index
-    conn = gap - 1
     L = check_depth
-
-    xi_list = [tuple(int(v) for v in xi) for xi in xis]
-    if len(set(xi_list)) != len(xi_list):
-        raise ValueError("xi prefixes must be distinct")
-    if any(v not in (1, 2) for xi in xi_list for v in xi):
-        raise ValueError("xi entries must be 1 or 2")
-
-    lam_words = {1: lambda1, 2: lambda2}
     maxp = max(len(lambda1), len(lambda2))
     anchor_len = len(anchor) if anchor is not None else 0
 
@@ -1093,103 +1122,67 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
                   math.ceil(1.0 / zeta ** 2))
         params.append((zeta, eps, ntilde, tour, n_k))
 
-    def simulate(count: int):
+    def simulate(count: int) -> tuple[list[ChaosStage], int]:
+        """The first count stages and the glued length at their end."""
         sim_stages: list[ChaosStage] = []
-        sim_ends: list[int] = []
-        sim_runs: list[int] = []
-        m_prev = anchor_len
+        past = anchor_len
         for k in range(1, count + 1):
             zeta, eps, ntilde, tour, n_k = params[k - 1]
-            first_item_here = (anchor is None and k == 1)
-            fixed = k * (ntilde + conn) + len(tour) + conn
 
-            def m_of(reps: int) -> int:
-                return (m_prev + reps * (n_k + conn) + fixed
-                        - (conn if first_item_here else 0))
+            def end_at(reps: int) -> int:
+                return glue_spans((past, *[n_k] * reps, *[ntilde] * k,
+                                   len(tour)), gap)[-1][1]
 
             N = max(sim_stages[-1].reps + 1 if sim_stages else 1,
-                    math.ceil(max(m_prev, 1) / (zeta * n_k)))
+                    math.ceil(max(past, 1) / (zeta * n_k)))
             if k < count:
                 z2, e2, nt2, tr2, n2 = params[k]
                 overhead = n2 + (k + 1) * nt2 + len(tr2)
-                while m_of(N) < overhead / zeta:
-                    N = max(N + 1,
-                            math.ceil((overhead / zeta - m_of(0)) / (n_k + conn)))
+                N = _smallest_reps(end_at, N, overhead / zeta)
             sim_stages.append(ChaosStage(n=n_k, reps=N, ntilde=ntilde,
                                          tour=tour, zeta=zeta, eps=eps))
-            sim_runs.append(m_prev + N * (n_k + conn)
-                            - (conn if first_item_here else 0))
-            m_prev = m_of(N)
-            sim_ends.append(m_prev)
-        return sim_stages, sim_ends, sim_runs
+            past = end_at(N)
+        return sim_stages, past
 
-    chosen = None
+    stages = None
     for count in range(1, 33):
-        trial = simulate(count)
-        if trial[1][-1] > horizon:
+        trial, end = simulate(count)
+        if end > horizon:
             break
-        chosen = trial
-    if chosen is None:
+        stages = trial
+    if stages is None:
         raise InfeasibleParams(
             f"horizon {horizon} too short for one stage")
-    stages, ends, run_ends = ([*chosen[0]], [*chosen[1]], [*chosen[2]])
 
     held = GluingSchedule(space=space, stages=[
         Stage(alpha=mu0, n=st.n, reps=st.reps, tour=st.tour, zeta=st.zeta,
               eps=st.eps, depth=min(i + 1, max_tour_depth))
         for i, st in enumerate(stages)], check_depth=check_depth, gap=gap)
+    plan: list[_Piece] = [] if anchor is None else [anchor]
+    run_last, excursions, tour_at = [], [], []
+    for k, st in enumerate(stages, start=1):
+        plan += [_draw_block(held, held.stages[k - 1], k, rep, seed)
+                 for rep in range(st.reps)]
+        run_last.append(len(plan) - 1)
+        excursions.append(range(len(plan), len(plan) + k))
+        plan += [(q, st.ntilde) for q in range(k)]
+        tour_at.append(len(plan))
+        plan.append(st.tour)
+    members, spans = _emit_two_orbit(space, (lambda1, lambda2), xi_list, plan,
+                                     horizon)
 
-    block_cache: dict[tuple[int, int], Word] = {}
-
-    def mu0_block(k_idx: int, rep: int) -> Word:
-        key = (k_idx, rep)
-        if key not in block_cache:
-            block_cache[key] = _draw_block(held, held.stages[k_idx - 1],
-                                           k_idx, rep, seed)
-        return block_cache[key]
-
-    def excursion_word(which: int, ntilde: int) -> Word:
-        base = lam_words[which].symbols
-        return Word((base * math.ceil(ntilde / len(base)))[:ntilde])
-
-    def pieces(xi: tuple[int, ...]
-               ) -> Iterator[tuple[Optional[tuple[int, int]], Word]]:
-        """The member's words in order, excursions tagged (stage, q)."""
-        if anchor is not None:
-            yield None, anchor
-        for k_idx, st in enumerate(stages, start=1):
-            for rep in range(st.reps):
-                yield None, mu0_block(k_idx, rep)
-            for q in range(1, k_idx + 1):
-                yield (k_idx, q), excursion_word(xi[q - 1], st.ntilde)
-            yield None, st.tour
-
-    members: dict = {}
-    for xi in xi_list:
-        if len(xi) < len(stages):
-            raise ValueError(
-                f"xi prefix length {len(xi)} < stage count {len(stages)}")
-        members[xi] = Word(itertools.islice(
-            iglue(space, (w for _, w in pieces(xi)), gap), horizon))
-
-    # excursion positions follow from piece lengths, which xi does not change
-    spans: list[list[tuple[int, int, int]]] = [[] for _ in stages]
-    pos = 0
-    for tag, w in pieces((1,) * len(stages)):
-        start = pos + (conn if pos else 0)
-        pos = start + len(w)
-        if tag is not None:
-            spans[tag[0] - 1].append((tag[1], start, pos))
-
+    ends = [spans[i][1] for i in tour_at]
     validation = ValidationReport(tuple(check_budgets(
         [st.budget(k, end) for k, (st, end) in enumerate(zip(stages, ends), 1)],
         anchor_len, L)))
     return ChaoticFamily(
         space=space, members=members, eps_star=eps_star,
         stages=tuple(stages), stage_ends=tuple(ends),
-        mu0_run_ends=tuple(run_ends),
-        excursion_spans=tuple(tuple(sp) for sp in spans), horizon=horizon,
-        validation=validation)
+        mu0_run_ends=tuple(spans[i][1] for i in run_last),
+        excursion_spans=tuple(
+            tuple((q, *spans[i]) for q, i in enumerate(ex, start=1))
+            for ex in excursions),
+        horizon=horizon, validation=validation)
 
 
 @dataclass(frozen=True)
@@ -1222,73 +1215,38 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     checkpoint ending a shared run it is 0-close on all but a zeta
     fraction, which is exactly the DC1 statistics pattern.
     """
-    if space.primitivity_index is None:
-        raise NotPrimitive("emit_dc1_family needs a primitive space")
-    for lam in (lambda1, lambda2):
-        if not space.is_admissible(lam.symbols + lam.symbols):
-            raise ValueError("orbit generators must be periodically admissible")
-    eps_star = _orbit_gap(space, lambda1, lambda2)
+    eps_star, xi_list = _check_two_orbit(space, lambda1, lambda2, xis,
+                                         "emit_dc1_family")
     gap = space.primitivity_index
-    conn = gap - 1
-    xi_list = [tuple(int(v) for v in xi) for xi in xis]
-    if len(set(xi_list)) != len(xi_list):
-        raise ValueError("xi prefixes must be distinct")
-    if any(v not in (1, 2) for xi in xi_list for v in xi):
-        raise ValueError("xi entries must be 1 or 2")
-    lam_words = {1: lambda1, 2: lambda2}
 
-    # run lengths: each run dwarfs the whole preceding prefix
+    # run lengths: each run dwarfs the whole glued past
     lengths: list[int] = []
-    kinds: list[str] = []
-    ends: list[int] = []
     zetas: list[float] = []
-    total = 0
-    k = 1
+    past = 0
     while True:
-        zeta = zeta0 * 2.0 ** -(k - 1)
-        run = max(min_block_len, math.ceil(max(total, 1) / zeta)) + conn
-        if total + run > horizon and lengths:
+        zeta = zeta0 * 2.0 ** -len(lengths)
+        run = max(min_block_len, math.ceil(max(past, 1) / zeta))
+        end = glue_spans((past, run), gap)[-1][1]
+        if end > horizon:
             break
-        if total + run > horizon:
-            raise InfeasibleParams(f"horizon {horizon} too short for one run")
-        lengths.append(run - conn)
-        kinds.append("shared" if k % 2 == 1 else "selected")
+        lengths.append(run)
         zetas.append(zeta)
-        total += run
-        ends.append(total)
-        k += 1
+        past = end
+    if not lengths:
+        raise InfeasibleParams(f"horizon {horizon} too short for one run")
 
+    # odd stages share one mu0-sampled run, even stages select an orbit
     holder = GluingSchedule(space=space, stages=[], check_depth=check_depth,
                             gap=gap)
-    shared_cache: dict[int, Word] = {}
+    plan = [_draw_block(holder, Stage(alpha=mu0, n=n, reps=1, tour=None,
+                                      zeta=0.25, eps=0.25, depth=1),
+                        i + 1, 0, seed) if i % 2 == 0 else (i // 2, n)
+            for i, n in enumerate(lengths)]
+    kinds = ["shared" if i % 2 == 0 else "selected" for i in range(len(plan))]
+    members, spans = _emit_two_orbit(space, (lambda1, lambda2), xi_list, plan,
+                                     horizon)
 
-    def shared_run(idx: int, n_len: int) -> Word:
-        if idx not in shared_cache:
-            shared_cache[idx] = _draw_block(
-                holder, Stage(alpha=mu0, n=n_len, reps=1, tour=None,
-                              zeta=0.25, eps=0.25, depth=1),
-                idx + 1, 0, seed)
-        return shared_cache[idx]
-
-    def orbit_run(which: int, n_len: int) -> Word:
-        base = lam_words[which].symbols
-        return Word((base * math.ceil(n_len / len(base)))[:n_len])
-
-    members: dict = {}
-    for xi in xi_list:
-        runs: list[Word] = []
-        sel_count = 0
-        for i, (n_len, kind) in enumerate(zip(lengths, kinds)):
-            if kind == "shared":
-                runs.append(shared_run(i, n_len))
-            else:
-                if sel_count >= len(xi):
-                    raise ValueError(
-                        f"xi prefix length {len(xi)} < selected runs needed")
-                runs.append(orbit_run(xi[sel_count], n_len))
-                sel_count += 1
-        members[xi] = Word(itertools.islice(iglue(space, runs, gap), horizon))
-
+    ends = [end for _, end in spans]
     entries = [_prefix_domination(i + 1, past, zeta, end, kind)
                for i, (past, zeta, end, kind)
                in enumerate(zip([0, *ends], zetas, ends, kinds))]
@@ -1296,4 +1254,3 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
                      stage_ends=tuple(ends), stage_kinds=tuple(kinds),
                      horizon=horizon,
                      validation=ValidationReport(tuple(entries)))
-

@@ -99,11 +99,6 @@ class MarkovMeasure:
         return cls(space, Q, p)
 
     @classmethod
-    def bernoulli2(cls, space: SftSpace, p_one: float) -> "MarkovMeasure":
-        """Bernoulli(1-p, p) on a two-symbol full shift; p is the mass of 1."""
-        return cls.bernoulli(space, [1.0 - p_one, p_one])
-
-    @classmethod
     def periodic_orbit(cls, space: SftSpace, cycle: Word) -> "MarkovMeasure":
         """Uniform measure on the periodic orbit of a simple cycle word
         (each symbol may appear at most once)."""
@@ -410,7 +405,7 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
         for row, d in zip(batch, dists):
             if d > tol:
                 continue
-            t = tuple(int(v) for v in row)
+            t = tuple(row.tolist())
             if t in seen:
                 continue
             # distinctness equals delta-separation when ceil(delta n) <= 1;

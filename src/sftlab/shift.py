@@ -1,7 +1,7 @@
 """Subshifts of finite type: words, admissibility, the shift metric,
 Bowen-ball separation predicates, bridging words, and gluing (word
 concatenation with fixed-length bridges, the one join every construction
-uses).
+uses, and ``glue_spans``, the one rule for where each glued word lands).
 
 Conventions fixed here and used everywhere else:
 
@@ -324,6 +324,23 @@ def glue(space: SftSpace, words: Iterable[Word], gap: int) -> Word:
     length gap-1 between consecutive words.  Raises NotPrimitive or
     GapTooSmall as :func:`connector` does."""
     return Word(iglue(space, words, gap))
+
+
+def glue_spans(lengths: Iterable[int], gap: int) -> list[tuple[int, int]]:
+    """The (start, end) of each word inside ``glue(words, gap)``, given the
+    words' lengths: every nonempty word but the first follows a bridge of
+    gap-1 symbols.  An empty word is skipped, as glue skips it; its span is
+    the empty one at the end of what is glued before it."""
+    spans = []
+    end = 0
+    for n in lengths:
+        if n:
+            start = end + (gap - 1 if end else 0)
+            end = start + n
+            spans.append((start, end))
+        else:
+            spans.append((end, end))
+    return spans
 
 
 # --------------------------- symbol streams ---------------------------

@@ -156,6 +156,22 @@ class TestLyapunovFamily:
         assert separated_count(report.members, n_sep, 1) == 2 ** 8
         assert report.all_within_bound()
 
+    def test_empty_anchor_glues_like_none_on_gap_two(self):
+        c = MatrixCocycle(GOLDEN, {
+            (0,): np.array([[1.2, 0.1], [0.0, 0.9]]),
+            (1,): np.array([[0.7, 0.0], [0.2, 1.3]]),
+        })
+        mu = MarkovMeasure.periodic_orbit(GOLDEN, Word("01"))
+        empty = emit_lyapunov_family(c, GOLDEN, mu, Word(()), N=4, seed=3,
+                                     tail_len=64)
+        none = emit_lyapunov_family(c, GOLDEN, mu, None, N=4, seed=3,
+                                    tail_len=64)
+        assert empty.prefix_len == none.prefix_len == 4 + 1
+        assert empty.horizon == empty.prefix_len + 64
+        assert {len(w) for w in empty.members} == {empty.horizon}
+        assert empty.members == none.members
+        assert empty.exponents == none.exponents
+
     def test_identity_cocycle_zero_exponents(self):
         c = MatrixCocycle.constant(FULL2, np.eye(3))
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])

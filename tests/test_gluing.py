@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sftlab import gluing
 from sftlab.analysis import empirical
-from sftlab.chaos import li_yorke_report, orbit_distances, phi_n
+from sftlab.chaos import dc1_report, li_yorke_report, orbit_distances, phi_n
 from sftlab.errors import (BadCheckpoints, FamilyNotSeparated,
                            InfeasibleParams, MalformedSchedule, MalformedTree,
                            NotPrimitive, OrbitsNotDisjoint)
@@ -169,6 +169,19 @@ class TestValidation:
         with pytest.raises(NotPrimitive):
             GluingSchedule(space=flip, stages=[])
 
+    def test_no_stages_named_at_every_entry_point(self):
+        sched = GluingSchedule(space=FULL2, stages=[], anchor=Word("01"))
+        fam = [Word("0"), Word("1")]
+        calls = [sched.stage_ends,
+                 lambda: emit_point(sched, seed=1).materialize(5),
+                 lambda: tracking_report(sched, seed=1, checkpoints=[3]),
+                 lambda: emit_separated_family(sched, fam, 8, seed=1),
+                 lambda: family_tracking_report(sched, fam, seed=1,
+                                                checkpoints=[3])]
+        for call in calls:
+            with pytest.raises(MalformedSchedule, match="has no stages"):
+                call()
+
 
 def parry(space):
     phi = (1 + math.sqrt(5)) / 2
@@ -229,6 +242,16 @@ class TestSeparatedFamily:
         assert len(out) == len(fam)
         n_sep = member_prefix_len(sched)
         assert separated_count(out, n_sep, 1) == len(fam)
+
+    def test_prefix_len_is_tail_start_on_gap_two(self):
+        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), anchor=Word("010"),
+                                  stages=1, seed=4, family_len=4)
+        fam = [Word("0100"), Word("0010"), Word("1001")]
+        p = member_prefix_len(sched)
+        assert p == 3 + 1 + 4 + 1  # anchor, bridge, slot, bridge
+        out = emit_separated_family(sched, fam, horizon=p + 40, seed=4)
+        assert len({w.symbols[p:] for w in out}) == 1
+        assert len({w.symbols[p - 2:p] for w in out}) > 1  # slot's last symbol
 
     def test_single_member(self):
         sched = self.make_sched(6, 0.3)
@@ -689,6 +712,40 @@ class TestChaoticFamily:
         for w in fam.members.values():
             assert FULL2.is_admissible(w.symbols)
 
+    @pytest.mark.parametrize("anchor", [None, Word("010"), Word(())])
+    def test_golden_mean_positions_match_members(self, anchor, monkeypatch):
+        blocks = {}
+        draw = gluing._draw_block
+        monkeypatch.setattr(gluing, "_draw_block",
+                            lambda *a: blocks.setdefault(a[2:4], draw(*a)))
+        orbits = (Word("0"), Word("01"))
+        xis = [(1, 2, 1), (2, 1, 1)]
+        fam = emit_chaotic_family(GOLDEN, parry(GOLDEN), *orbits, xis, 6000,
+                                  seed=5, anchor=anchor)
+        assert len(fam.stages) == 2
+        for xi, w in fam.members.items():
+            x = w.symbols
+            assert len(x) == fam.stage_ends[-1]
+            assert GOLDEN.is_admissible(x)
+            for k, st in enumerate(fam.stages, start=1):
+                end = fam.mu0_run_ends[k - 1]
+                assert x[end - st.n:end] == blocks[k, st.reps - 1].symbols
+                for q, start, stop in fam.excursion_spans[k - 1]:
+                    orbit = orbits[xi[q - 1] - 1].symbols
+                    assert stop - start == st.ntilde
+                    assert x[start:stop] == (orbit * st.ntilde)[:st.ntilde]
+
+    def test_short_xi_named(self):
+        # two stages select orbits at 20,000 here; the DC1 family selects once
+        mu_per = MarkovMeasure.periodic_orbit(FULL2, Word("01"))
+        for emit, mu0, xis, message in (
+                (emit_chaotic_family, POINT0, [(1,), (2, 1)],
+                 "xi prefix length 1 < 2 orbit selections"),
+                (emit_dc1_family, mu_per, [(), (2,)],
+                 "xi prefix length 0 < 1 orbit selections")):
+            with pytest.raises(ValueError, match=message):
+                emit(FULL2, mu0, Word("0"), Word("1"), xis, 20_000, seed=1)
+
 
 class TestDirectBranchTree:
     def test_four_leaves_quarter_weight(self):
@@ -743,3 +800,16 @@ class TestDc1Family:
         assert FULL2.is_admissible(y.symbols)
         first_end = fam.stage_ends[0]
         assert x.symbols[:first_end] == y.symbols[:first_end]
+
+    def test_golden_mean_ends_match_members(self):
+        mu0 = MarkovMeasure.periodic_orbit(GOLDEN, Word("01"))
+        fam = emit_dc1_family(GOLDEN, mu0, Word("0"), Word("01"),
+                              [(1,) * 4, (2,) * 4], 20_000, seed=1)
+        x, y = fam.members.values()
+        assert fam.stage_kinds == ("shared", "selected")
+        assert len(x) == len(y) == fam.stage_ends[-1]
+        first_end = fam.stage_ends[0]
+        assert x.symbols[:first_end] == y.symbols[:first_end]
+        assert x.symbols[first_end + 1:] == (0,) * (len(x) - first_end - 1)
+        dc1_report(x, y, t0=fam.eps_star / 2, t_grid=[0.5],
+                   checkpoints=list(fam.stage_ends))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
 from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, connector,
-                          delta_separated, dist, glue, iglue, separated_count)
+                          delta_separated, dist, glue, glue_spans, iglue,
+                          separated_count)
 
 
 FULL2 = SftSpace.full_shift(2)
@@ -217,6 +218,17 @@ class TestGlue:
         assert glue(space, words, gap) == expected
         assert list(iglue(space, iter(words), gap)) == list(expected.symbols)
         assert space.is_admissible(expected.symbols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(glue_cases())
+    def test_spans_slice_back_each_word(self, case):
+        space, words, gap = case
+        glued = glue(space, words, gap).symbols
+        spans = glue_spans([len(w) for w in words], gap)
+        assert len(spans) == len(words)
+        for w, (start, end) in zip(words, spans):
+            assert glued[start:end] == w.symbols
+        assert max([0, *(end for _, end in spans)]) == len(glued)
 
     def test_bridge_is_memoised_connector(self):
         space = SftSpace.golden_mean()
