@@ -41,6 +41,14 @@ class MatrixCocycle:
         self.depth = depth
         self.d = int(d)
         self.generators = gens
+        # generators stacked by window code sum(s[j] * m**(depth-1-j)); the
+        # codes of inadmissible windows hold no generator
+        self._stack = np.zeros((space.m ** depth, self.d, self.d))
+        self._known = np.zeros(space.m ** depth, dtype=bool)
+        for k, M in gens.items():
+            code = int(np.ravel_multi_index(k, (space.m,) * depth))
+            self._stack[code] = M
+            self._known[code] = True
 
     def gen(self, window: Sequence[int]) -> np.ndarray:
         return self.generators[tuple(window)]
@@ -85,27 +93,52 @@ class MatrixCocycle:
 # --------------------------- exponents ---------------------------
 
 
-def exponent_along(c: MatrixCocycle, x: Word, n: int, cadence: int = 32) -> float:
-    """(1/n) log ||product of the first n generators along x||.
+def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
+                    cadence: int = 32) -> list[float]:
+    """(1/n) log ||product of the first n generators along each row|| of a
+    symbol matrix, one word per row.
 
-    The running product is renormalized every ``cadence`` steps with the log
-    carried separately, so the value is overflow-safe and cadence-independent
-    to rounding error.
+    The rows advance together as one (rows, d, d) stack of running
+    products.  Each is renormalized every ``cadence`` steps with the log
+    carried separately, so the value is overflow-safe and
+    cadence-independent to rounding error.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if len(x) < n + c.depth - 1:
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-d symbol matrix")
+    if rows.shape[1] < n + c.depth - 1:
         raise ValueError(f"need word length >= {n + c.depth - 1}")
-    s = x.symbols
-    P = np.eye(c.d)
-    acc = 0.0
+    m = c.space.m
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        raise ValueError(f"symbols must lie in 0..{m - 1}")
+    if not len(rows):
+        return []
+    codes = np.ascontiguousarray(rows[:, :n].T)  # step-major window codes
+    for j in range(1, c.depth):
+        codes = codes.astype(np.intp) * m + rows[:, j:j + n].T
+    known = c._known[codes]
+    if not known.all():
+        i, r = np.argwhere(~known)[0]
+        raise ValueError(f"row {r} has no generator for the window "
+                         f"{rows[r, i:i + c.depth].tolist()} at {i}")
+    P = np.tile(np.eye(c.d), (len(rows), 1, 1))
+    acc = [0.0] * len(rows)
     for i in range(n):
-        P = c.gen(s[i:i + c.depth]) @ P
+        P = c._stack[codes[i]] @ P
         if (i + 1) % cadence == 0:
-            norm = np.linalg.norm(P, 2)
-            acc += math.log(norm)
-            P = P / norm
-    return (acc + math.log(np.linalg.norm(P, 2))) / n
+            norms = np.linalg.norm(P, 2, axis=(1, 2))
+            acc = [a + math.log(v) for a, v in zip(acc, norms.tolist())]
+            P = P / norms[:, None, None]
+    norms = np.linalg.norm(P, 2, axis=(1, 2)).tolist()
+    return [(a + math.log(v)) / n for a, v in zip(acc, norms)]
+
+
+def exponent_along(c: MatrixCocycle, x: Word, n: int, cadence: int = 32) -> float:
+    """(1/n) log ||product of the first n generators along x||: the one-row
+    case of :func:`exponents_along`."""
+    return exponents_along(c, x.to_array()[None, :], n, cadence)[0]
 
 
 def periodic_exponent(c: MatrixCocycle, cycle: Word) -> float:
@@ -229,20 +262,32 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     prefix_len = glue_spans((anchor_len, N, tail_len), gap)[-1][0]
     horizon = prefix_len + tail_len
     ref = sample_word(mu, horizon, seed)
-    tail = ref[:tail_len]
-    members = [space.word(glue(space, [*head, w, tail], gap)) for w in family]
+    tail_head = ref[:min(tail_len, 1)]
+    # row 0 is ref; member rows are their glued prefix, then the shared tail
+    rows = np.empty((1 + len(family), horizon),
+                    dtype=np.min_scalar_type(space.m - 1))
+    rows[0] = ref.to_array()
+    rows[1:, :prefix_len] = [glue(space, [*head, w, tail_head], gap)
+                             .symbols[:prefix_len] for w in family]
+    rows[1:, prefix_len:] = rows[0, :tail_len]
+    allowed = space.transition.astype(bool)[rows[1:, :-1], rows[1:, 1:]]
+    if not allowed.all():
+        r, t = np.argwhere(~allowed)[0]
+        raise ValueError(f"member {family[r].to_text()!r} has a forbidden "
+                         f"transition {rows[r + 1, t]}->{rows[r + 1, t + 1]}"
+                         f" at position {t + 1}")
 
     n_eval = horizon - (c.depth - 1)
-    ref_exp = exponent_along(c, ref, n_eval)
+    ref_exp, *exps = exponents_along(c, rows, n_eval)
     tail_exp = exponent_along(c, ref, tail_len)
-    exps = tuple(exponent_along(c, wm, n_eval) for wm in members)
+    members = tuple(Word(row.tolist()) for row in rows[1:])
     devs = tuple(abs(e - ref_exp) for e in exps)
     bound = 2.0 * prefix_len * c.max_log_norm() / n_eval
     return LyapunovFamilyReport(
-        members=tuple(members),
+        members=members,
         prefix_len=prefix_len,
         horizon=horizon,
-        exponents=exps,
+        exponents=tuple(exps),
         reference_exponent=ref_exp,
         tail_exponent=tail_exp,
         deviations=devs,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, chaos, cocycle, ergopt, gluing, measures
 from .measures import MarkovMeasure, MeasurePath, ks_entropy
-from .shift import SftSpace, Word, delta_separated, separated_count
+from .shift import SftSpace, Word, hamming_matrix, separated_count
 
 
 @dataclass
@@ -155,12 +155,9 @@ def prop3_1_family(params: dict, seed: int) -> ExperimentResult:
     delta = params.get("delta", 0.05)
     fam = measures.typical_separated_family(mu, n, delta, eta, seed=seed)
     target = math.ceil(math.exp(n * (ks_entropy(mu) - eta)) - 1e-9)
-    pairwise_ok = True
     cap = min(len(fam), 400)
-    for i in range(cap):
-        for j in range(i + 1, cap):
-            if not delta_separated(fam[i], fam[j], n, delta):
-                pairwise_ok = False
+    too_close = hamming_matrix(fam[:cap], n) < delta * n
+    pairwise_ok = not np.triu(too_close, 1).any()
     passed = len(fam) >= target and pairwise_ok
     return ExperimentResult(
         name="prop3_1_family",
@@ -311,24 +308,26 @@ def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
     ly_ok = True
     n_phi = fam.mu0_run_ends[-1]
     cps = [n for n in fam.stage_ends if n <= horizon]
+    arrays = [x.to_array() for _, x in members]
+    far = chaos.close_gap(fam.eps_star / 2)  # window max below eps_star / 2
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            xi, x = members[i]
-            et, y = members[j]
+            xi, et = members[i][0], members[j][0]
             u = next(q for q in range(len(xi)) if xi[q] != et[q])
-            d = chaos.orbit_distances(x, y, min(len(x), len(y)))
+            g = chaos.orbit_gaps(arrays[i], arrays[j],
+                                 min(len(arrays[i]), len(arrays[j])))
             pair_sep = True
             for k_idx in range(max(u + 1, 1), len(fam.stage_ends) + 1):
                 end = fam.stage_ends[k_idx - 1]
-                if end > len(d):
+                if end > len(g):
                     continue
                 start = fam.stage_ends[k_idx - 2] if k_idx >= 2 else 0
-                if d[start:end].max() < fam.eps_star / 2:
+                if g[start:end].min() >= far:
                     pair_sep = False
             sep_ok = sep_ok and pair_sep
-            val = chaos.phi_n(x, y, 2.0 ** -3, n_phi)
+            val = chaos.phi_from_gaps(g, 2.0 ** -3, n_phi)
             phi_min = min(phi_min, val)
-            rep = chaos.li_yorke_report(x, y, cps)
+            rep = chaos.li_yorke_from_gaps(g, cps)
             ly_ok = ly_ok and rep.consistent
             pair_rows.append([i, j, u, int(pair_sep), val, rep.verdict])
     # measure-recurrent preimage pair: no late alternation

@@ -405,16 +405,16 @@ def validate_schedule(s: GluingSchedule) -> ValidationReport:
     """Evaluate the schedule inequality families, reporting both sides:
     :func:`check_budgets` over the stages (each stage's run is everything up
     to its end), plus family_margin: the family size survives the anchor
-    burn-in.
+    burn-in.  An empty anchor counts as none.
     """
-    if not s.stages and s.anchor is None and not s.family_len:
+    if not s.stages and not s.anchor and not s.family_len:
         return ValidationReport(())
     budgets = [StageBudget(st.n, st.reps, st.tour_len(), st.zeta, st.eps,
                            end, end)
                for st, end in zip(s.stages, s.stage_ends())]
     entries = check_budgets(budgets, member_prefix_len(s), s.check_depth)
     if (s.family_len and s.family_entropy is not None
-            and s.family_eta is not None and s.anchor is not None):
+            and s.family_eta is not None and s.anchor):
         a_len = len(s.anchor)
         h, eta, N = s.family_entropy, s.family_eta, s.family_len
         lhs = N * (h - eta) - math.log(a_len)
@@ -623,7 +623,8 @@ def emit_separated_family(s: GluingSchedule, family: Sequence[Word],
         return []
     if s.family_len and any(len(w) != s.family_len for w in fam):
         raise ValueError("family word length disagrees with the schedule slot")
-    need = (len(s.anchor) if s.anchor else 0) + len(fam[0])
+    need = glue_spans((len(s.anchor) if s.anchor else 0, len(fam[0])),
+                      s.gap)[-1][1]
     if horizon < need:
         raise WordsTooShort(f"horizon {horizon} below prefix length {need}")
     tail = _stage_tail(s, seed)

@@ -323,18 +323,30 @@ def ks_entropy(mu: MarkovMeasure) -> float:
 # --------------------------- sampling ---------------------------
 
 
+_CHAIN_CHUNK = 1 << 16  # steps per successor table in sample_word
+
+
 def sample_word(mu: MarkovMeasure, n: int, seed: int) -> Word:
-    """Length-n draw from the stationary Markov chain, deterministic in seed."""
+    """Length-n draw from the stationary Markov chain, deterministic in seed.
+
+    Step t moves from state a to searchsorted(row_cum[a], u[t], "right").
+    One vectorised searchsorted per state tabulates that successor for a
+    chunk of steps, and the chain walks the table."""
     if n < 1:
         raise ValueError("n must be positive")
     rng = rng_from(seed)
     u = rng.random(n)
-    out = np.empty(n, dtype=np.int64)
-    out[0] = np.searchsorted(mu._pi_cum, u[0], side="right")
-    for t in range(1, n):
-        out[t] = np.searchsorted(mu._row_cum[out[t - 1]], u[t], side="right")
-    np.clip(out, 0, mu.space.m - 1, out=out)
-    return Word(out.tolist())
+    last = mu.space.m - 1
+    state = min(int(np.searchsorted(mu._pi_cum, u[0], side="right")), last)
+    out = [state]
+    for lo in range(1, n, _CHAIN_CHUNK):
+        chunk = u[lo:lo + _CHAIN_CHUNK]
+        succ = [np.minimum(np.searchsorted(row, chunk, side="right"),
+                           last).tolist() for row in mu._row_cum]
+        for t in range(len(chunk)):
+            state = succ[state][t]
+            out.append(state)
+    return Word(out)
 
 
 def sample_words_batch(mu: MarkovMeasure, n: int, count: int, seed: int) -> np.ndarray:

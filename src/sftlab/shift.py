@@ -68,6 +68,13 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({self.to_text()!r})"
 
+    def to_array(self) -> np.ndarray:
+        """The symbols as a uint8 array (int64 when one exceeds 255)."""
+        try:
+            return np.frombuffer(bytes(self.symbols), dtype=np.uint8)
+        except ValueError:
+            return np.array(self.symbols, dtype=np.int64)
+
     def to_text(self) -> str:
         """One character per symbol for alphabets up to 10, else comma-separated."""
         if all(s < 10 for s in self.symbols):
@@ -250,6 +257,20 @@ def hamming(x: Word, y: Word, n: int) -> int:
         raise WordsTooShort(f"need length >= {n}")
     xs, ys = x.symbols, y.symbols
     return sum(1 for j in range(n) if xs[j] != ys[j])
+
+
+def hamming_matrix(words: Sequence[Word], n: int) -> np.ndarray:
+    """Pairwise :func:`hamming` distances on the first n coordinates, as
+    one integer matrix: n minus each pair's agreements, counted by one
+    product of the words' one-hot rows."""
+    if any(len(w) < n for w in words):
+        raise WordsTooShort(f"need length >= {n}")
+    X = np.array([w.symbols[:n] for w in words],
+                 dtype=np.int64).reshape(len(words), n)
+    symbols = np.unique(X)
+    hot = (X[:, :, None] == symbols).reshape(len(words), n * len(symbols))
+    agree = hot.astype(np.int32) @ hot.T.astype(np.int32)
+    return np.subtract(n, agree, out=agree)
 
 
 def delta_separated(x: Word, y: Word, n: int, delta: float) -> bool:

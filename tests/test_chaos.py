@@ -1,7 +1,15 @@
-import numpy as np
+import math
 
-from sftlab.chaos import (dc1_report, li_yorke_report, orbit_distances,
-                          phi_n)
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sftlab.chaos import (ZERO_GAP, Dc1Report, LiYorkeReport, close_gap,
+                          dc1_from_gaps, dc1_report, li_yorke_from_gaps,
+                          li_yorke_report, orbit_distances, orbit_gaps,
+                          phi_from_gaps, phi_n)
+from sftlab.errors import WordsTooShort
 from sftlab.shift import SftSpace, Word, dist
 
 FULL2 = SftSpace.full_shift(2)
@@ -111,3 +119,144 @@ class TestLiYorkeReport:
         rep = li_yorke_report(x, y, checkpoints=[5, 5, 8])
         assert rep.checkpoints == (5, 8)
         assert rep == li_yorke_report(x, y, checkpoints=[5, 8])
+
+
+# ---------------- float oracles: the distance pipeline before the gap core
+
+
+def float_orbit_distances(x, y, n):
+    L = min(len(x), len(y))
+    if n > L:
+        raise WordsTooShort(f"need both words of length >= {n}")
+    xs = np.array(x.symbols[:L], dtype=np.int64)
+    ys = np.array(y.symbols[:L], dtype=np.int64)
+    idx_of = np.where(xs != ys, np.arange(L), L)
+    nxt = np.minimum.accumulate(idx_of[::-1])[::-1]
+    idx = np.arange(n)
+    with np.errstate(under="ignore"):
+        d = np.power(2.0, -(nxt[:n] - idx).astype(float))
+    none_seen = nxt[:n] == L
+    if len(x) == len(y):
+        d[none_seen] = 0.0
+    else:
+        with np.errstate(under="ignore"):
+            d[none_seen] = np.power(2.0, -(L - idx[none_seen]).astype(float))
+    return d
+
+
+def float_phi_n(x, y, t, n):
+    return float((float_orbit_distances(x, y, n) < t).mean())
+
+
+def float_dc1_report(x, y, t0, t_grid, checkpoints, tau_low=0.05,
+                     tau_high=0.05):
+    cps = tuple(sorted(int(c) for c in checkpoints))
+    d = float_orbit_distances(x, y, cps[-1])
+    phi_t0 = tuple(float((d[:n] < t0).mean()) for n in cps)
+    grid = tuple(float(t) for t in t_grid)
+    phi_grid = {t: tuple(float((d[:n] < t).mean()) for n in cps) for t in grid}
+    max_phi = {t: max(v) for t, v in phi_grid.items()}
+    ok = min(phi_t0) <= tau_low and all(
+        max_phi[t] >= 1.0 - tau_high for t in grid)
+    return Dc1Report(
+        t0=t0, checkpoints=cps, phi_t0=phi_t0, grid=grid, phi_grid=phi_grid,
+        min_phi_t0=min(phi_t0), max_phi=max_phi, tau_low=tau_low,
+        tau_high=tau_high,
+        verdict="DC1-consistent" if ok else "not-DC1-consistent",
+        distal_consistent=bool(d.min() > 2.0 ** -20))
+
+
+def float_li_yorke_report(x, y, checkpoints, prox_tol=2.0 ** -10,
+                          dist_tol=2.0 ** -10):
+    cps = tuple(sorted({int(c) for c in checkpoints}))
+    d = float_orbit_distances(x, y, cps[-1])
+    rmin, rmax, smin, smax = [], [], [], []
+    prev = 0
+    for n in cps:
+        rmin.append(float(d[:n].min()))
+        rmax.append(float(d[:n].max()))
+        smin.append(float(d[prev:n].min()))
+        smax.append(float(d[prev:n].max()))
+        prev = n
+    ok = smin[-1] <= prox_tol and smax[-1] >= dist_tol
+    return LiYorkeReport(
+        checkpoints=cps, running_min=tuple(rmin), running_max=tuple(rmax),
+        segment_min=tuple(smin), segment_max=tuple(smax), prox_tol=prox_tol,
+        dist_tol=dist_tol,
+        verdict="LiYorke-consistent" if ok else "not-LiYorke-consistent",
+        distal_consistent=bool(d.min() > prox_tol))
+
+
+EPS_STAR = 2.0 ** -3 / 3  # not a power of two, as eps_star usually is not
+THRESHOLDS = [EPS_STAR / 2, EPS_STAR, 0.3, 0.5, 1.0, 1.001, 2.0 ** -10,
+              math.nextafter(2.0 ** -10, 0), math.nextafter(2.0 ** -10, 1),
+              2.0 ** -1074, 2.0 ** -1073 * 0.75, 0.0, -1.0]
+
+
+@st.composite
+def word_pairs(draw):
+    """Pairs that mostly agree, so gaps run long: a few disagreements,
+    sometimes more than 1,075 symbols apart, where 2.0**-t underflows; the
+    second word may be cut shorter or run longer."""
+    m = draw(st.integers(2, 3))
+    L = draw(st.sampled_from([1, 2, 5, 40, 1100]))
+    x = [draw(st.integers(0, m - 1)) for _ in range(min(L, 8))]
+    x += [0] * (L - len(x))
+    y = list(x)
+    for i in draw(st.lists(st.integers(0, L - 1), max_size=4)):
+        y[i] = (y[i] + 1) % m
+    cut = draw(st.sampled_from([0, 0, 1, 3, -2]))
+    y = y[:L - cut] if cut > 0 else y + [1] * -cut
+    if L - cut < 1:
+        y = x[:1]
+    return Word(x), Word(y)
+
+
+class TestGapCoreOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(word_pairs(), st.data())
+    def test_distances_phi_and_reports(self, pair, data):
+        x, y = pair
+        L = min(len(x), len(y))
+        n = data.draw(st.integers(1, L))
+        assert np.array_equal(orbit_distances(x, y, n),
+                              float_orbit_distances(x, y, n))
+        gaps = orbit_gaps(x, y, L)
+        assert [math.ldexp(1.0, -int(t)) for t in gaps[:n]] == \
+            float_orbit_distances(x, y, n).tolist()
+        cps = data.draw(st.lists(st.integers(1, L), min_size=1, max_size=4))
+        for thr in THRESHOLDS:
+            assert phi_n(x, y, thr, n) == float_phi_n(x, y, thr, n)
+            assert phi_from_gaps(gaps, thr, n) == float_phi_n(x, y, thr, n)
+        t_grid = data.draw(st.lists(st.sampled_from(THRESHOLDS), max_size=3))
+        t0 = data.draw(st.sampled_from(THRESHOLDS))
+        assert dc1_report(x, y, t0, t_grid, cps) == \
+            float_dc1_report(x, y, t0, t_grid, cps)
+        assert dc1_from_gaps(gaps, t0, t_grid, cps) == \
+            float_dc1_report(x, y, t0, t_grid, cps)
+        tols = data.draw(st.tuples(st.sampled_from(THRESHOLDS),
+                                   st.sampled_from(THRESHOLDS)))
+        assert li_yorke_report(x, y, cps, *tols) == \
+            float_li_yorke_report(x, y, cps, *tols)
+        assert li_yorke_from_gaps(gaps, cps, *tols) == \
+            float_li_yorke_report(x, y, cps, *tols)
+
+    def test_close_gap_is_smallest_strict_power(self):
+        for thr in THRESHOLDS + [2.0 ** -k for k in range(-3, 1080)]:
+            k = close_gap(thr)
+            below = [j for j in range(0, 1200) if 2.0 ** -j < thr]
+            assert k == (below[0] if below else close_gap(0.0))
+
+    def test_zero_gap_only_for_equal_lengths(self):
+        w = Word("0110")
+        assert orbit_gaps(w, w, 4).tolist() == [ZERO_GAP] * 4
+        assert orbit_gaps(w, w + Word("1"), 4).tolist() == [4, 3, 2, 1]
+
+    def test_short_gaps_named(self):
+        gaps = orbit_gaps(Word("0101"), Word("0110"), 4)
+        with pytest.raises(WordsTooShort):
+            phi_from_gaps(gaps, 0.5, 5)
+        with pytest.raises(WordsTooShort):
+            li_yorke_from_gaps(gaps, [2, 5])
+        with pytest.raises(WordsTooShort):
+            dc1_from_gaps(gaps, 0.5, [0.25], [5])

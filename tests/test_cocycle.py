@@ -1,13 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftlab.cocycle import (MatrixCocycle, emit_lyapunov_family,
                             exponent_along, exponent_bracket,
-                            periodic_exponent)
+                            exponents_along, periodic_exponent)
 from sftlab.measures import MarkovMeasure, sample_word
-from sftlab.shift import SftSpace, Word, separated_count
+from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -193,3 +196,136 @@ class TestLyapunovFamily:
         for w in report.members:
             assert GOLDEN.is_admissible(w.symbols)
         assert report.all_within_bound()
+
+
+# ---------------- per-member oracles: the exponent loop before batching
+
+
+def per_step_exponent_along(c, x, n, cadence=32):
+    """Oracle for exponent_along: one 2-d product per position of one word."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if len(x) < n + c.depth - 1:
+        raise ValueError(f"need word length >= {n + c.depth - 1}")
+    s = x.symbols
+    P = np.eye(c.d)
+    acc = 0.0
+    for i in range(n):
+        P = c.gen(s[i:i + c.depth]) @ P
+        if (i + 1) % cadence == 0:
+            norm = np.linalg.norm(P, 2)
+            acc += math.log(norm)
+            P = P / norm
+    return (acc + math.log(np.linalg.norm(P, 2))) / n
+
+
+def per_member_lyapunov_family(c, space, mu, anchor, N, seed, tail_len):
+    """Oracle for emit_lyapunov_family's members and exponents: each member
+    glued and checked on its own, each exponent its own loop."""
+    gap = space.primitivity_index
+    head = [anchor] if anchor is not None else []
+    prefix_len = glue_spans((len(anchor) if anchor is not None else 0, N,
+                             tail_len), gap)[-1][0]
+    ref = sample_word(mu, prefix_len + tail_len, seed)
+    members = tuple(space.word(glue(space, [*head, w, ref[:tail_len]], gap))
+                    for w in space.words(N))
+    n_eval = len(ref) - (c.depth - 1)
+    return (members, per_step_exponent_along(c, ref, n_eval),
+            per_step_exponent_along(c, ref, tail_len),
+            tuple(per_step_exponent_along(c, w, n_eval) for w in members))
+
+
+COCYCLE_SPACES = [FULL2, GOLDEN, SftSpace.full_shift(3)]
+
+
+@st.composite
+def cocycles(draw, spaces=COCYCLE_SPACES):
+    """A random invertible cocycle of depth 1 or 2 and dimension 2 or 3."""
+    space = draw(st.sampled_from(spaces))
+    depth = draw(st.integers(1, 2))
+    d = draw(st.integers(2, 3))
+    entry = st.floats(-1.5, 1.5, allow_nan=False, allow_subnormal=False)
+    gens = {}
+    for w in space.words(depth):
+        M = np.array([[draw(entry) for _ in range(d)] for _ in range(d)])
+        gens[w.symbols] = M + 2.0 * np.sign(np.linalg.det(M) or 1.0) * np.eye(d)
+    return MatrixCocycle(space, gens, depth=depth)
+
+
+def admissible_words(draw, space, count, length):
+    words = []
+    for _ in range(count):
+        syms = [draw(st.integers(0, space.m - 1))]
+        for _ in range(length - 1):
+            syms.append(draw(st.sampled_from(space.successors(syms[-1]))))
+        words.append(space.word(syms))
+    return words
+
+
+class TestBatchedExponentOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(cocycles(), st.sampled_from([1, 8, 32]), st.data())
+    def test_rows_equal_per_word_loop(self, c, cadence, data):
+        length = data.draw(st.integers(c.depth, 90))
+        words = admissible_words(data.draw, c.space,
+                                 data.draw(st.integers(1, 4)), length)
+        n = data.draw(st.integers(1, length - c.depth + 1))
+        rows = np.array([w.symbols for w in words], dtype=np.uint8)
+        expected = [per_step_exponent_along(c, w, n, cadence) for w in words]
+        assert exponents_along(c, rows, n, cadence) == expected
+        assert [exponent_along(c, w, n, cadence) for w in words] == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(cocycles([FULL2, GOLDEN]), st.integers(0, 2**16), st.data())
+    def test_family_equals_per_member_oracle(self, c, seed, data):
+        space = c.space
+        anchor = data.draw(st.sampled_from(
+            [None, Word(()), *space.words(1), *space.words(3)]))
+        N = data.draw(st.integers(0, 4))
+        tail_len = data.draw(st.integers(1, 70))
+        phi = (1 + math.sqrt(5)) / 2
+        mu = (MarkovMeasure.bernoulli(space, [0.4, 0.6]) if space == FULL2
+              else MarkovMeasure(space, [[1 / phi, 1 / phi ** 2], [1.0, 0.0]]))
+        try:
+            members, ref, tail, exps = per_member_lyapunov_family(
+                c, space, mu, anchor, N, seed, tail_len)
+        except ValueError as e:  # a horizon too short for the depth
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                emit_lyapunov_family(c, space, mu, anchor, N=N, seed=seed,
+                                     tail_len=tail_len)
+            return
+        report = emit_lyapunov_family(c, space, mu, anchor, N=N, seed=seed,
+                                      tail_len=tail_len)
+        assert report.members == members
+        assert report.reference_exponent == ref
+        assert report.tail_exponent == tail
+        assert report.exponents == exps
+
+    def test_window_without_generator_named(self):
+        c = MatrixCocycle(GOLDEN, {w.symbols: np.eye(2) for w in
+                                   GOLDEN.words(2)}, depth=2)
+        with pytest.raises(ValueError, match=r"no generator for the window"
+                           r" \[1, 1\] at 1"):
+            exponent_along(c, Word("01110"), 4)
+        with pytest.raises(ValueError, match="symbols must lie in 0..1"):
+            exponent_along(c, Word("0120"), 3)
+
+    def test_inadmissible_anchor_named(self):
+        c = MatrixCocycle.constant(GOLDEN, np.eye(2))
+        mu = MarkovMeasure.periodic_orbit(GOLDEN, Word("01"))
+        with pytest.raises(ValueError, match="forbidden transition 1->1"):
+            emit_lyapunov_family(c, GOLDEN, mu, Word("011"), N=2, seed=1,
+                                 tail_len=8)
+
+
+class TestCocycleJson:
+    @settings(max_examples=40, deadline=None)
+    @given(cocycles())
+    def test_round_trip(self, c):
+        back = MatrixCocycle.from_json(c.space, c.to_json())
+        assert (back.d, back.depth) == (c.d, c.depth)
+        assert back.generators.keys() == c.generators.keys()
+        for k, M in c.generators.items():
+            assert np.array_equal(back.generators[k], M)
+        w = sample_word(MarkovMeasure.periodic_orbit(c.space, Word("0")), 12, 0)
+        assert exponent_along(back, w, 10) == exponent_along(c, w, 10)

@@ -16,7 +16,7 @@ from sftlab.analysis import empirical
 from sftlab.chaos import dc1_report, li_yorke_report, orbit_distances, phi_n
 from sftlab.errors import (BadCheckpoints, FamilyNotSeparated,
                            InfeasibleParams, MalformedSchedule, MalformedTree,
-                           NotPrimitive, OrbitsNotDisjoint)
+                           NotPrimitive, OrbitsNotDisjoint, WordsTooShort)
 from sftlab.gluing import (BranchTree, ChaoticFamily, CheckEntry,
                            FamilyTrackingReport, GluingSchedule, Stage,
                            TreeComponent, TreeStage, ValidationReport,
@@ -29,7 +29,8 @@ from sftlab.gluing import (BranchTree, ChaoticFamily, CheckEntry,
 from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                              ks_entropy, typical_separated_family,
                              weak_star_dist)
-from sftlab.shift import SftSpace, Word, glue, iglue, separated_count
+from sftlab.shift import (SftSpace, Word, glue, glue_spans, iglue,
+                          separated_count)
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -164,6 +165,15 @@ class TestValidation:
         assert report.passed
         assert len(report.entries) == 0
 
+    def test_empty_anchor_counts_as_none(self):
+        kw = dict(family_len=4, family_entropy=0.4, family_eta=0.1)
+        empty = build_gk_schedule(GOLDEN, parry(GOLDEN), anchor=Word(()),
+                                  **kw)
+        none = build_gk_schedule(GOLDEN, parry(GOLDEN), anchor=None, **kw)
+        assert empty.stage_ends() == none.stage_ends()
+        assert validate_schedule(empty) == validate_schedule(none)
+        assert validate_schedule(empty).passed
+
     def test_not_primitive_rejected(self):
         flip = SftSpace([[0, 1], [1, 0]])
         with pytest.raises(NotPrimitive):
@@ -252,6 +262,18 @@ class TestSeparatedFamily:
         out = emit_separated_family(sched, fam, horizon=p + 40, seed=4)
         assert len({w.symbols[p:] for w in out}) == 1
         assert len({w.symbols[p - 2:p] for w in out}) > 1  # slot's last symbol
+
+    def test_horizon_must_cover_bridged_slot(self):
+        # anchor 3 + bridge 1 + slot 4 = 8 symbols; a horizon of 7 would cut
+        # the slot and emit 0100 and 0101 both as 0100010
+        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), anchor=Word("010"),
+                                  stages=1, seed=4, family_len=4)
+        fam = [Word("0100"), Word("0101")]
+        with pytest.raises(WordsTooShort, match="horizon 7 below prefix"
+                           " length 8"):
+            emit_separated_family(sched, fam, horizon=7, seed=4)
+        out = emit_separated_family(sched, fam, horizon=8, seed=4)
+        assert len(set(out)) == 2
 
     def test_single_member(self):
         sched = self.make_sched(6, 0.3)
@@ -379,14 +401,14 @@ def family_cases(draw):
     N = draw(st.integers(0, 4))
     family = draw(st.lists(st.sampled_from(list(space.words(N))),
                            min_size=1, max_size=6, unique=True))
+    gap = space.primitivity_index + draw(st.integers(0, 1))
     sched = GluingSchedule(
         space=space, stages=stages, anchor=anchor, family_len=N,
-        check_depth=L,
-        gap=space.primitivity_index + draw(st.integers(0, 1)))
+        check_depth=L, gap=gap)
     checkpoints = draw(st.one_of(st.none(), st.lists(
         st.one_of(st.integers(1, 15), st.integers(1, 120)),
         min_size=1, max_size=5)))
-    need = (len(anchor) if anchor else 0) + N
+    need = glue_spans((len(anchor) if anchor else 0, N), gap)[-1][1]
     horizon = need + draw(st.integers(0, 30))
     return sched, family, checkpoints, horizon, draw(st.integers(0, 2**16))
 

@@ -1,18 +1,20 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sftlab import measures
 from sftlab.analysis import empirical
 from sftlab.errors import (DepthExceedsEmpirical, ShortFamily, SftLabError,
                            StationaryNotUnique)
 from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                              _batch_weak_star, _depth_words, cylinder_weights,
                              interpolate, ks_entropy, refine_path,
-                             sample_word, sample_words_batch,
+                             rng_from, sample_word, sample_words_batch,
                              typical_separated_family, weak_star_counts,
                              weak_star_dist, word_columns)
 from sftlab.shift import SftSpace, Word, delta_separated
@@ -272,6 +274,49 @@ class TestSampling:
         mu = parry_measure(GOLDEN)
         w = sample_word(mu, 500, 11)
         assert GOLDEN.is_admissible(w.symbols)
+
+
+def per_step_sample_word(mu, n, seed):
+    """Oracle for sample_word: one searchsorted per step."""
+    u = rng_from(seed).random(n)
+    out = np.empty(n, dtype=np.int64)
+    out[0] = np.searchsorted(mu._pi_cum, u[0], side="right")
+    for t in range(1, n):
+        out[t] = np.searchsorted(mu._row_cum[out[t - 1]], u[t], side="right")
+    np.clip(out, 0, mu.space.m - 1, out=out)
+    return Word(out.tolist())
+
+
+@st.composite
+def sparse_markov(draw):
+    """A Markov measure on the full m-shift, m <= 4, whose rows may have
+    zero entries or be deterministic; rejected when its stationary vector
+    is not unique."""
+    m = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(m):
+        w = [draw(st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5])) for _ in range(m)]
+        if not any(w):
+            w[draw(st.integers(0, m - 1))] = 1.0
+        rows.append([x / sum(w) for x in w])
+    try:
+        return MarkovMeasure(SftSpace.full_shift(m), rows)
+    except StationaryNotUnique:
+        assume(False)
+
+
+class TestSampleWordOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_markov(), st.integers(1, 300), st.integers(0, 2**32),
+           st.sampled_from([1, 7, 64, 1 << 16]))
+    def test_equals_per_step_draws(self, mu, n, seed, chunk):
+        with mock.patch.object(measures, "_CHAIN_CHUNK", chunk):
+            assert sample_word(mu, n, seed) == per_step_sample_word(mu, n, seed)
+
+    def test_equal_across_table_chunks(self):
+        mu = parry_measure(GOLDEN)
+        n = 2 * (1 << 16) + 3
+        assert sample_word(mu, n, 5) == per_step_sample_word(mu, n, 5)
 
 
 class TestTypicalFamily:

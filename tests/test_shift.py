@@ -3,13 +3,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
+from sftlab import experiments
+from sftlab.experiments import run_experiment
+from sftlab.measures import MarkovMeasure, typical_separated_family
 from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, connector,
-                          delta_separated, dist, glue, glue_spans, iglue,
-                          separated_count)
+                          delta_separated, dist, glue, glue_spans, hamming,
+                          hamming_matrix, iglue, separated_count)
 
 
 FULL2 = SftSpace.full_shift(2)
@@ -249,6 +252,83 @@ class TestGlue:
         for _ in range(2):  # a failed lookup is not memoised
             with pytest.raises(GapTooSmall):
                 glue(GOLDEN, [Word("0"), Word("0")], 1)
+
+
+@st.composite
+def primitive_spaces(draw):
+    """A random primitive SFT on m <= 4 symbols whose primitivity index is
+    at most 4, so brute-force bridge enumeration stays small."""
+    m = draw(st.integers(1, 4))
+    A = [[int(draw(st.integers(0, 3)) > 0) for _ in range(m)] for _ in range(m)]
+    try:
+        space = SftSpace(A)
+    except ValueError:
+        assume(False)
+    assume(space.primitivity_index is not None
+           and space.primitivity_index <= 4)
+    return space
+
+
+class TestConnectorProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(primitive_spaces(), st.data())
+    def test_lex_smallest_bridge(self, space, data):
+        gap = space.primitivity_index + data.draw(st.integers(0, 1))
+        a = data.draw(st.integers(0, space.m - 1))
+        b = data.draw(st.integers(0, space.m - 1))
+        bridges = brute_force_connectors(space, a, b, gap)
+        assert bridges
+        assert connector(space, a, b, gap) == min(
+            bridges, key=lambda w: w.symbols)
+
+
+def pairwise_delta_separated(words, n, delta):
+    """Oracle for the vectorised pairwise check: every pair separately."""
+    return all(delta_separated(words[i], words[j], n, delta)
+               for i in range(len(words)) for j in range(i + 1, len(words)))
+
+
+class TestHammingMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 12), st.data())
+    def test_equals_pairwise_hamming(self, m, n, data):
+        words = [Word(data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                         max_size=n + 3)))
+                 for _ in range(data.draw(st.integers(0, 6)))]
+        H = hamming_matrix(words, n)
+        assert H.shape == (len(words), len(words))
+        assert H.tolist() == [[hamming(x, y, n) for y in words] for x in words]
+
+    def test_too_short_named(self):
+        with pytest.raises(WordsTooShort):
+            hamming_matrix([Word("01"), Word("0")], 2)
+
+    def test_prop3_1_pairwise_check_equals_loop(self, monkeypatch):
+        for n, eta, delta in [(18, 0.3, 0.05), (12, 0.25, 0.1),
+                              (10, 0.4, 0.3)]:
+            params = {"n": n, "eta": eta, "delta": delta}
+            got = run_experiment("prop3_1_family", 5, params).details
+            fam = typical_separated_family(
+                MarkovMeasure.bernoulli(FULL2, [0.5, 0.5]), n, delta, eta,
+                seed=5)[:400]
+            assert got["pairwise_checked"] == len(fam)
+            assert got["pairwise_ok"] == pairwise_delta_separated(fam, n, delta)
+        # a family with one pair too close, as the greedy search never emits
+        close = [Word("0000000000"), Word("1111100000"), Word("1111100001")]
+        monkeypatch.setattr(experiments.measures, "typical_separated_family",
+                            lambda *a, **k: close)
+        got = run_experiment("prop3_1_family", 5, {"n": 10, "delta": 0.2})
+        assert got.details["pairwise_ok"] is False
+        assert not pairwise_delta_separated(close, 10, 0.2)
+
+
+class TestToArray:
+    def test_uint8_unless_a_symbol_exceeds_255(self):
+        a = Word([0, 3, 255]).to_array()
+        assert a.dtype == np.uint8 and a.tolist() == [0, 3, 255]
+        b = Word([0, 256]).to_array()
+        assert b.dtype == np.int64 and b.tolist() == [0, 256]
+        assert Word(()).to_array().shape == (0,)
 
 
 class TestSymbolStream:
