@@ -13,7 +13,8 @@ import numpy as np
 from .errors import SingularProduct
 from .ergopt import topological_entropy
 from .measures import MarkovMeasure, sample_word
-from .shift import SftSpace, Word, glue, glue_spans
+from .gluing import _member_prefixes
+from .shift import SftSpace, Word, glue_spans
 
 
 class MatrixCocycle:
@@ -254,28 +255,21 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
         raise ValueError("needs a primitive space")
     if space.m ** N > 2_000_000:
         raise ValueError("N too large for the all-words family")
+    if tail_len < 1:
+        raise ValueError("tail_len must be positive")
     gap = space.primitivity_index
     family = list(space.words(N))
     target = max(1, math.ceil(math.exp(N * (topological_entropy(space) - eta)) - 1e-9))
-    head = [anchor] if anchor is not None else []
     anchor_len = 0 if anchor is None else len(anchor)
     prefix_len = glue_spans((anchor_len, N, tail_len), gap)[-1][0]
     horizon = prefix_len + tail_len
     ref = sample_word(mu, horizon, seed)
-    tail_head = ref[:min(tail_len, 1)]
     # row 0 is ref; member rows are their glued prefix, then the shared tail
     rows = np.empty((1 + len(family), horizon),
                     dtype=np.min_scalar_type(space.m - 1))
     rows[0] = ref.to_array()
-    rows[1:, :prefix_len] = [glue(space, [*head, w, tail_head], gap)
-                             .symbols[:prefix_len] for w in family]
+    rows[1:, :prefix_len] = _member_prefixes(space, anchor, family, ref[0], gap)
     rows[1:, prefix_len:] = rows[0, :tail_len]
-    allowed = space.transition.astype(bool)[rows[1:, :-1], rows[1:, 1:]]
-    if not allowed.all():
-        r, t = np.argwhere(~allowed)[0]
-        raise ValueError(f"member {family[r].to_text()!r} has a forbidden "
-                         f"transition {rows[r + 1, t]}->{rows[r + 1, t + 1]}"
-                         f" at position {t + 1}")
 
     n_eval = horizon - (c.depth - 1)
     ref_exp, *exps = exponents_along(c, rows, n_eval)

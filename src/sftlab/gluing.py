@@ -6,7 +6,8 @@ On a mixing SFT the shadowing in all of these constructions is exact word
 concatenation with fixed-length bridging words (``shift.glue`` and its
 streaming form ``shift.iglue``), and ``shift.glue_spans`` says where each
 glued word lands, so every tracking claim reduces to checkable arithmetic
-on segment lengths:
+on spans, and ``GluingSchedule.layout`` lists the span of every piece of a
+schedule's point for its stage ends, target and tracking bound:
 
 * blocks sampled from a measure are redrawn until their own cylinder
   empirical sits within the stage radius zeta of the source measure;
@@ -15,6 +16,8 @@ on segment lengths:
   tours, family slots) the full diameter;
 * tours are covering words on the block-word graph: an Eulerian circuit when
   that graph is balanced, otherwise all block words glued together;
+* schedule families share one stage tail and one path, which checks the
+  slot; a point's tracking report is its family's with one member;
 * gluing and chaotic schedules state their lengths as per-stage budgets, and
   one checker (``check_budgets``) evaluates the inequality families on them;
 * both chaotic two-orbit families are piece plans (shared words and private
@@ -136,12 +139,12 @@ class Stage:
         return 0 if self.tour is None else len(self.tour)
 
 
-@dataclass(frozen=True)
-class Segment:
-    kind: str                 # anchor | family | connector | block | tour
-    length: int
+class Piece(NamedTuple):
+    """One glued word of a schedule's point and its span in the point."""
+    kind: str                 # anchor | family | block | tour
     stage: Optional[int]      # 1-based; continuation keeps counting upward
-    rep: Optional[int] = None
+    start: int
+    end: int
 
 
 @dataclass
@@ -165,8 +168,12 @@ class GluingSchedule:
         for st in self.stages:
             if st.n < self.check_depth:
                 raise ValueError("block length below the checking depth")
+        if self.stages and not (self.stages[-1].reps
+                                or self.stages[-1].tour_len()):
+            # past the built stages the last one repeats, and would add nothing
+            raise MalformedSchedule("the last stage has no blocks and no tour")
 
-    # -- static segment plan (lengths only; contents live in emission) --
+    # -- static layout (spans only; contents live in emission) --
 
     def _stage_at(self, k: int) -> Stage:
         """Stage parameters for 1-based index k; beyond the built stages the
@@ -175,65 +182,47 @@ class GluingSchedule:
             raise MalformedSchedule("schedule has no stages")
         return self.stages[min(k, len(self.stages)) - 1]
 
-    def iter_segments(self) -> Iterator[Segment]:
-        conn = self.gap - 1
-        first = True
-
-        def bridge() -> Iterator[Segment]:
-            nonlocal first
-            if not first and conn > 0:
-                yield Segment("connector", conn, None)
-            first = False
-
-        if self.anchor is not None and len(self.anchor):
-            yield from bridge()
-            yield Segment("anchor", len(self.anchor), None)
-        if self.family_len > 0:
-            yield from bridge()
-            yield Segment("family", self.family_len, None)
-        k = 1
-        while True:
-            st = self._stage_at(k)
-            for rep in range(st.reps):
-                yield from bridge()
-                yield Segment("block", st.n, k, rep)
-            if st.tour_len() > 0:
-                yield from bridge()
-                yield Segment("tour", st.tour_len(), k)
+    def layout(self, n: Optional[int] = None) -> list[Piece]:
+        """Every glued piece of the emitted point with its ``glue_spans``
+        span: the anchor and the family slot, then per stage its blocks and
+        its tour.  A missing anchor, slot or tour is an empty piece at the
+        end of what is glued before it, so each stage closes with its tour
+        piece.  With n None the pieces cover the built stages; with n set,
+        they cover as many continued stages as it takes to reach n."""
+        head = glue_spans((len(self.anchor) if self.anchor else 0,
+                           self.family_len), self.gap)
+        pieces = [Piece("anchor", None, *head[0]),
+                  Piece("family", None, *head[1])]
+        end = head[1][1]
+        k = 0
+        while (k < len(self.stages)) if n is None else (end < n):
             k += 1
+            st = self._stage_at(k)
+            kinds = ["block"] * st.reps + ["tour"]
+            # the glued past counts as one word, followed as glue would
+            spans = glue_spans((end, *[st.n] * st.reps, st.tour_len()),
+                               self.gap)[1:]
+            pieces += [Piece(kind, k, *span) for kind, span in zip(kinds, spans)]
+            end = spans[-1][1]
+        return pieces
 
     def stage_ends(self) -> list[int]:
         """Cumulative length at the end of each built stage (after its tour,
         or after its last block when the stage has no tour)."""
-        ends: list[int] = []
-        total = 0
-        for seg in self.iter_segments():
-            if seg.stage is not None and seg.stage > len(self.stages):
-                break
-            total += seg.length
-            if seg.stage is not None:
-                st = self._stage_at(seg.stage)
-                is_last = (seg.kind == "tour") or (
-                    st.tour_len() == 0 and seg.kind == "block"
-                    and seg.rep == st.reps - 1)
-                if is_last:
-                    while len(ends) < seg.stage:
-                        ends.append(total)
-                    ends[seg.stage - 1] = total
-        return ends
+        self._stage_at(1)  # a schedule with no stages has no stage ends
+        return [p.end for p in self.layout() if p.kind == "tour"]
 
     def stretched_alpha(self, n: int) -> MarkovMeasure:
         """The stretched tracking target at horizon n: the source measure of
-        the stage whose span contains n (prologue positions use stage 1)."""
-        total = 0
-        stage_of_n = 1
-        for seg in self.iter_segments():
-            total += seg.length
-            if seg.stage is not None:
-                stage_of_n = seg.stage
-            if total >= n:
+        the stage whose span contains n (prologue positions use stage 1; a
+        bridge belongs to the piece before it)."""
+        stage = 1
+        for p in self.layout(n):
+            if p.start >= n:
                 break
-        return self._stage_at(stage_of_n).alpha
+            if p.stage is not None and p.end > p.start:
+                stage = p.stage
+        return self._stage_at(stage).alpha
 
     # -- serialization --
 
@@ -271,39 +260,48 @@ class GluingSchedule:
         data = json.loads(text)
         space = SftSpace(data["space"]["transition"])
         anchor = None
-        family_len = 0
-        family_entropy = family_eta = None
-        stages: list[Stage] = []
-        pending: Optional[dict] = None
-        params = data["params"]
-        idx = 0
+        family: dict = {}
+        pairs: list[tuple[dict, dict]] = []  # (measure block, tour block)
+        pending: Optional[tuple[int, dict]] = None
         for i, blk in enumerate(data["blocks"]):
-            if blk["kind"] == "anchor":
+            kind = blk["kind"]
+            if kind == "anchor":
                 anchor = space.parse(blk["word"])
-            elif blk["kind"] == "family":
-                family_len = blk["length"]
-                family_entropy = blk.get("entropy")
-                family_eta = blk.get("eta")
-            elif blk["kind"] == "measure":
-                pending = blk
-            elif blk["kind"] == "tour":
+            elif kind == "family":
+                family = blk
+            elif kind == "measure":
+                if pending is not None:
+                    break  # the pending measure has no tour: named below
+                pending = (i, blk)
+            elif kind == "tour":
                 if pending is None:
                     raise MalformedSchedule(
                         f"tour block {i} (depth {blk['depth']}) has no "
                         f"measure block before it")
-                mu = MarkovMeasure(space, pending["measure"]["stochastic"],
-                                   pending["measure"]["stationary"])
-                tour = None if blk["word"] is None else space.parse(blk["word"])
-                stages.append(Stage(
-                    alpha=mu, n=pending["n"], reps=pending["reps"], tour=tour,
-                    zeta=params["zeta"][idx], eps=params["eps"][idx],
-                    depth=blk["depth"]))
-                idx += 1
+                pairs.append((pending[1], blk))
                 pending = None
+            else:
+                raise MalformedSchedule(f"block {i} has unknown kind {kind!r}")
+        if pending is not None:
+            raise MalformedSchedule(
+                f"measure block {pending[0]} has no tour block after it")
+        zetas = data.get("params", {}).get("zeta", [])
+        epss = data.get("params", {}).get("eps", [])
+        if min(len(zetas), len(epss)) < len(pairs):
+            raise MalformedSchedule(
+                f"params give {len(zetas)} zeta and {len(epss)} eps values "
+                f"for {len(pairs)} stages")
+        stages = [Stage(alpha=MarkovMeasure(space, m["measure"]["stochastic"],
+                                            m["measure"]["stationary"]),
+                        n=m["n"], reps=m["reps"],
+                        tour=None if t["word"] is None else space.parse(t["word"]),
+                        zeta=zeta, eps=eps, depth=t["depth"])
+                  for (m, t), zeta, eps in zip(pairs, zetas, epss)]
         sched = cls(space=space, stages=stages, anchor=anchor,
-                    family_len=family_len, family_entropy=family_entropy,
-                    family_eta=family_eta, check_depth=data["check_depth"],
-                    gap=data["gap"])
+                    family_len=family.get("length", 0),
+                    family_entropy=family.get("entropy"),
+                    family_eta=family.get("eta"),
+                    check_depth=data["check_depth"], gap=data["gap"])
         failures = validate_schedule(sched).failures()
         if failures:
             raise _infeasible(failures[0])
@@ -435,15 +433,16 @@ def _mix(*parts: int) -> int:
     return out
 
 
-def _draw_block(s: GluingSchedule, st: Stage, stage_idx: int, rep: int,
+def _draw_block(st: Stage, depth: int, stage_idx: int, rep: int,
                 seed: int) -> Word:
     """Sample a block from the stage measure, redrawing until its own
-    empirical measure is within zeta of the source at the checking depth."""
-    L = s.check_depth
+    empirical measure is within zeta of the source at the checking depth
+    (windows counted in the measure's space)."""
     best_d = math.inf
     for attempt in range(_BLOCK_ATTEMPTS):
         w = sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
-        d = weak_star_dist(empirical(s.space, w, st.n - L + 1, L), st.alpha, L)
+        emp = empirical(st.alpha.space, w, st.n - depth + 1, depth)
+        d = weak_star_dist(emp, st.alpha, depth)
         if d <= st.zeta:
             return w
         best_d = min(best_d, d)
@@ -460,7 +459,7 @@ def _stage_words(s: GluingSchedule, seed: int) -> Iterator[Word]:
     while True:
         st = s._stage_at(k)
         for rep in range(st.reps):
-            yield _draw_block(s, st, k, rep, seed)
+            yield _draw_block(st, s.check_depth, k, rep, seed)
         if st.tour is not None:
             yield st.tour
         k += 1
@@ -471,10 +470,8 @@ def emit_point(s: GluingSchedule, seed: int,
     """The constructed point of a schedule as a resumable stream: anchor,
     optional family slot, then stage blocks and tours, joined by bridges.
     Deterministic in (schedule, seed, family word)."""
-    if (family_word is not None and s.family_len
-            and len(family_word) != s.family_len):
-        raise ValueError(
-            f"family word length {len(family_word)} != slot {s.family_len}")
+    if family_word is not None:
+        _check_slot(s, [family_word])
 
     def factory() -> Iterator[int]:
         prologue = [w for w in (s.anchor, family_word) if w is not None]
@@ -482,15 +479,6 @@ def emit_point(s: GluingSchedule, seed: int,
                      s.gap)
 
     return SymbolStream(s.space, factory, label=f"gk-point(seed={seed})")
-
-
-def _stage_tail(s: GluingSchedule, seed: int) -> SymbolStream:
-    """The stage part of the constructed point (blocks and tours joined by
-    bridges, no prologue) as a stream: every family member emits it after
-    its own prefix."""
-    return SymbolStream(s.space,
-                        lambda: iglue(s.space, _stage_words(s, seed), s.gap),
-                        label=f"stage-tail(seed={seed})")
 
 
 # --------------------------- tracking ---------------------------
@@ -507,19 +495,19 @@ def tracking_bound(s: GluingSchedule, n: int) -> float:
         raise ValueError("n must be positive")
     target = s.stretched_alpha(n)
     bound = 0.0
-    cum = 0
-    for seg in s.iter_segments():
-        if cum >= n:
+    end = 0
+    for p in s.layout(n):
+        bound += (min(p.start, n) - end) / n  # the bridge before p
+        if p.start >= n:
             break
-        take = min(seg.length, n - cum)
-        frac = take / n
-        if seg.kind == "block" and take == seg.length:
-            st = s._stage_at(seg.stage)
+        end = min(p.end, n)
+        frac = (end - p.start) / n
+        if p.kind == "block" and p.end <= n:
+            st = s._stage_at(p.stage)
             drift = weak_star_dist(st.alpha, target, s.check_depth)
             bound += frac * min(1.0, st.zeta + st.eps + drift)
         else:
             bound += frac
-        cum += take
     return bound
 
 
@@ -554,17 +542,12 @@ def tracking_report(s: GluingSchedule, seed: int,
                     checkpoints: Optional[Sequence[int]] = None,
                     family_word: Optional[Word] = None) -> list[TrackingRow]:
     """Observed weak* distance of the emitted point's empirical measure to
-    the stretched target, against the tracking bound, per checkpoint."""
-    cps = _checkpoints(s, checkpoints)
-    stream = emit_point(s, seed, family_word=family_word)
-    L = s.check_depth
-    rows = []
-    for n in cps:
-        w = stream.materialize(n + L - 1)
-        obs = weak_star_dist(empirical(s.space, w, n, L),
-                             s.stretched_alpha(n), L)
-        rows.append(TrackingRow(n=n, observed=obs, bound=tracking_bound(s, n)))
-    return rows
+    the stretched target, against the tracking bound, per checkpoint: the
+    one-member case of :func:`family_tracking_report`."""
+    word = Word(()) if family_word is None else family_word
+    report = family_tracking_report(s, [word], seed, checkpoints)
+    return [TrackingRow(n=n, observed=obs, bound=b) for n, obs, b
+            in zip(report.checkpoints, report.rows[0], report.bounds)]
 
 
 # --------------------------- separated families ---------------------------
@@ -578,11 +561,22 @@ def member_prefix_len(s: GluingSchedule) -> int:
     return glue_spans((anchor_len, s.family_len, 1), s.gap)[-1][0]
 
 
-def _member_prefixes(s: GluingSchedule, family: Sequence[Word],
-                     tail_head: int) -> np.ndarray:
+def _check_slot(s: GluingSchedule, words: Sequence[Word]) -> None:
+    """Family words fill the schedule's slot; the empty word stands for a
+    point emitted without one."""
+    for w in words:
+        if s.family_len and len(w) not in (0, s.family_len):
+            raise ValueError(f"family word {w.to_text()!r} has length "
+                             f"{len(w)}, not the slot length {s.family_len}")
+
+
+def _member_prefixes(space: SftSpace, anchor: Optional[Word],
+                     family: Sequence[Word], tail_head: int,
+                     gap: int) -> np.ndarray:
     """One row per member: glue(anchor, w, tail_head) without its last
-    symbol, that is anchor, family word and the bridge into the shared
-    stage tail.  A member's stream is its row followed by the tail.
+    symbol, that is anchor, family word and the bridge into a shared tail
+    that starts with tail_head.  A member's stream is its row followed by
+    the tail.
 
     A bridge depends only on its two neighbouring symbols, so members with
     the same first and last symbols glue to the same row apart from their
@@ -591,18 +585,18 @@ def _member_prefixes(s: GluingSchedule, family: Sequence[Word],
         raise FamilyNotSeparated("family contains duplicate words")
     if len({len(w) for w in family}) != 1:
         raise ValueError("family words must share one slot length")
-    dtype = np.min_scalar_type(s.space.m - 1)  # a row per member: keep small
+    dtype = np.min_scalar_type(space.m - 1)  # a row per member: keep small
     words = np.array([w.symbols for w in family], dtype=dtype)
     ends = words[:, [0, -1]] if words.shape[1] else words
     _, reps, group = np.unique(ends, axis=0, return_index=True,
                                return_inverse=True)
-    anchor = s.anchor if s.anchor is not None else Word(())
+    anchor = anchor if anchor is not None else Word(())
     head = Word((tail_head,))
-    glued = np.array([glue(s.space, (anchor, family[i], head), s.gap).symbols
+    glued = np.array([glue(space, (anchor, family[i], head), gap).symbols
                       for i in reps], dtype=dtype)[group.ravel()]
-    start = glue_spans((len(anchor), words.shape[1]), s.gap)[1][0]
+    start = glue_spans((len(anchor), words.shape[1]), gap)[1][0]
     glued[:, start:start + words.shape[1]] = words
-    allowed = s.space.transition.astype(bool)
+    allowed = space.transition.astype(bool)
     bad = np.argwhere(~allowed[glued[:, :-1], glued[:, 1:]])
     if len(bad):
         i, t = bad[0]
@@ -610,6 +604,19 @@ def _member_prefixes(s: GluingSchedule, family: Sequence[Word],
             f"family member {family[i].to_text()!r} has a forbidden "
             f"transition {glued[i, t]}->{glued[i, t + 1]} at position {t + 1}")
     return glued[:, :-1]
+
+
+def _family_start(s: GluingSchedule, family: Sequence[Word],
+                  seed: int) -> tuple[SymbolStream, np.ndarray]:
+    """The path every schedule family takes: the slot check, the stage part
+    of the point (blocks and tours joined by bridges) as one stream drawn
+    for the whole family, and each member's prefix row, which it follows."""
+    _check_slot(s, family)
+    tail = SymbolStream(s.space,
+                        lambda: iglue(s.space, _stage_words(s, seed), s.gap),
+                        label=f"stage-tail(seed={seed})")
+    return tail, _member_prefixes(s.space, s.anchor, family,
+                                  tail.materialize(1)[0], s.gap)
 
 
 def emit_separated_family(s: GluingSchedule, family: Sequence[Word],
@@ -621,14 +628,11 @@ def emit_separated_family(s: GluingSchedule, family: Sequence[Word],
     fam = list(family)
     if not fam:
         return []
-    if s.family_len and any(len(w) != s.family_len for w in fam):
-        raise ValueError("family word length disagrees with the schedule slot")
+    tail, pre = _family_start(s, fam, seed)
     need = glue_spans((len(s.anchor) if s.anchor else 0, len(fam[0])),
                       s.gap)[-1][1]
     if horizon < need:
         raise WordsTooShort(f"horizon {horizon} below prefix length {need}")
-    tail = _stage_tail(s, seed)
-    pre = _member_prefixes(s, fam, tail.materialize(1)[0])
     rest = np.array(tail.materialize(max(horizon - pre.shape[1], 0)).symbols,
                     dtype=pre.dtype)
     out = np.hstack([pre, np.broadcast_to(rest, (len(fam), len(rest)))])
@@ -666,8 +670,7 @@ def family_tracking_report(s: GluingSchedule, family: Sequence[Word],
         raise ValueError("empty family")
     cps = _checkpoints(s, checkpoints)
     L = s.check_depth
-    tail = _stage_tail(s, seed)
-    pre = _member_prefixes(s, fam, tail.materialize(1)[0])
+    tail, pre = _family_start(s, fam, seed)
     p = pre.shape[1]
     # the tail windows the last checkpoint reads, and at least one window
     t = np.array(tail.materialize(max(cps[-1] - p, 1) + L - 1).symbols,
@@ -744,6 +747,9 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
           else [2.0 ** -(k + 1) for k in range(stages)])
     if len(zs) != stages or len(es) != stages:
         raise ValueError("zeta/eps sequences must match the stage count")
+    if min(zs + es) <= 0:
+        raise InfeasibleParams(f"zeta and eps must be positive; got "
+                               f"zetas={zs}, epsilons={es}")
 
     tours = [dense_tour(space, k + 1) for k in range(stages)]
     ns = [max(gap, min_block_len, check_depth,
@@ -1155,15 +1161,12 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
         raise InfeasibleParams(
             f"horizon {horizon} too short for one stage")
 
-    held = GluingSchedule(space=space, stages=[
-        Stage(alpha=mu0, n=st.n, reps=st.reps, tour=st.tour, zeta=st.zeta,
-              eps=st.eps, depth=min(i + 1, max_tour_depth))
-        for i, st in enumerate(stages)], check_depth=check_depth, gap=gap)
     plan: list[_Piece] = [] if anchor is None else [anchor]
     run_last, excursions, tour_at = [], [], []
     for k, st in enumerate(stages, start=1):
-        plan += [_draw_block(held, held.stages[k - 1], k, rep, seed)
-                 for rep in range(st.reps)]
+        run = Stage(alpha=mu0, n=st.n, reps=st.reps, tour=st.tour,
+                    zeta=st.zeta, eps=st.eps, depth=min(k, max_tour_depth))
+        plan += [_draw_block(run, L, k, rep, seed) for rep in range(st.reps)]
         run_last.append(len(plan) - 1)
         excursions.append(range(len(plan), len(plan) + k))
         plan += [(q, st.ntilde) for q in range(k)]
@@ -1237,11 +1240,9 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
         raise InfeasibleParams(f"horizon {horizon} too short for one run")
 
     # odd stages share one mu0-sampled run, even stages select an orbit
-    holder = GluingSchedule(space=space, stages=[], check_depth=check_depth,
-                            gap=gap)
-    plan = [_draw_block(holder, Stage(alpha=mu0, n=n, reps=1, tour=None,
-                                      zeta=0.25, eps=0.25, depth=1),
-                        i + 1, 0, seed) if i % 2 == 0 else (i // 2, n)
+    plan = [_draw_block(Stage(alpha=mu0, n=n, reps=1, tour=None, zeta=0.25,
+                              eps=0.25, depth=1), check_depth, i + 1, 0, seed)
+            if i % 2 == 0 else (i // 2, n)
             for i, n in enumerate(lengths)]
     kinds = ["shared" if i % 2 == 0 else "selected" for i in range(len(plan))]
     members, spans = _emit_two_orbit(space, (lambda1, lambda2), xi_list, plan,

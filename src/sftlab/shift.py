@@ -76,10 +76,12 @@ class Word:
             return np.array(self.symbols, dtype=np.int64)
 
     def to_text(self) -> str:
-        """One character per symbol for alphabets up to 10, else comma-separated."""
+        """One character per symbol for alphabets up to 10, else comma-separated
+        with a trailing comma for one symbol: "10," is (10,), "10" is (1, 0)."""
         if all(s < 10 for s in self.symbols):
             return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return ",".join(str(s) for s in self.symbols) + \
+            ("," if len(self.symbols) == 1 else "")
 
     @staticmethod
     def from_text(text: str) -> "Word":

@@ -5,6 +5,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from sftlab.errors import (BadCheckpoints, FamilyNotSeparated,
                            NotPrimitive, OrbitsNotDisjoint, WordsTooShort)
 from sftlab.gluing import (BranchTree, ChaoticFamily, CheckEntry,
                            FamilyTrackingReport, GluingSchedule, Stage,
-                           TreeComponent, TreeStage, ValidationReport,
+                           TrackingRow, TreeComponent, TreeStage,
+                           ValidationReport,
                            _stage_words, build_branch_tree, build_gk_schedule,
                            check_budgets, contains_all_words, dense_tour,
                            emit_chaotic_family, emit_dc1_family, emit_point,
@@ -477,6 +479,293 @@ class TestSharedTailFamily:
         no_stages = GluingSchedule(space=FULL2, stages=[])
         with pytest.raises(BadCheckpoints):
             tracking_report(no_stages, seed=3)
+
+
+class Segment(NamedTuple):
+    kind: str                 # anchor | family | connector | block | tour
+    length: int
+    stage: Optional[int]
+    rep: Optional[int] = None
+
+
+def walk_segments(s):
+    """Oracle for GluingSchedule.layout: the segment walker it replaced,
+    which kept its own bridge count and lists bridges as connector
+    segments.  Infinite: past the built stages the last one repeats."""
+    conn = s.gap - 1
+    first = True
+
+    def bridge():
+        nonlocal first
+        if not first and conn > 0:
+            yield Segment("connector", conn, None)
+        first = False
+
+    if s.anchor is not None and len(s.anchor):
+        yield from bridge()
+        yield Segment("anchor", len(s.anchor), None)
+    if s.family_len > 0:
+        yield from bridge()
+        yield Segment("family", s.family_len, None)
+    k = 1
+    while True:
+        st_ = s._stage_at(k)
+        for rep in range(st_.reps):
+            yield from bridge()
+            yield Segment("block", st_.n, k, rep)
+        if st_.tour_len() > 0:
+            yield from bridge()
+            yield Segment("tour", st_.tour_len(), k)
+        k += 1
+
+
+def walked_stage_ends(s):
+    ends = []
+    total = 0
+    for seg in walk_segments(s):
+        if seg.stage is not None and seg.stage > len(s.stages):
+            break
+        total += seg.length
+        if seg.stage is not None:
+            st_ = s._stage_at(seg.stage)
+            if seg.kind == "tour" or (st_.tour_len() == 0 and seg.kind == "block"
+                                      and seg.rep == st_.reps - 1):
+                while len(ends) < seg.stage:
+                    ends.append(total)
+                ends[seg.stage - 1] = total
+    return ends
+
+
+def walked_stretched_alpha(s, n):
+    total = 0
+    stage_of_n = 1
+    for seg in walk_segments(s):
+        total += seg.length
+        if seg.stage is not None:
+            stage_of_n = seg.stage
+        if total >= n:
+            break
+    return s._stage_at(stage_of_n).alpha
+
+
+def walked_tracking_bound(s, n):
+    target = walked_stretched_alpha(s, n)
+    bound = 0.0
+    cum = 0
+    for seg in walk_segments(s):
+        if cum >= n:
+            break
+        take = min(seg.length, n - cum)
+        frac = take / n
+        if seg.kind == "block" and take == seg.length:
+            st_ = s._stage_at(seg.stage)
+            drift = weak_star_dist(st_.alpha, target, s.check_depth)
+            bound += frac * min(1.0, st_.zeta + st_.eps + drift)
+        else:
+            bound += frac
+        cum += take
+    return bound
+
+
+def per_point_tracking_report(s, seed, checkpoints=None, family_word=None):
+    """Oracle for tracking_report: the point's own stream, one dict
+    empirical measure per checkpoint, the walker's target and bound."""
+    cps = sorted(checkpoints) if checkpoints is not None else s.stage_ends()
+    stream = emit_point(s, seed, family_word=family_word)
+    L = s.check_depth
+    rows = []
+    for n in cps:
+        w = stream.materialize(n + L - 1)
+        obs = weak_star_dist(empirical(s.space, w, n, L),
+                             walked_stretched_alpha(s, n), L)
+        rows.append(TrackingRow(n=n, observed=obs,
+                                bound=walked_tracking_bound(s, n)))
+    return rows
+
+
+@st.composite
+def layout_cases(draw):
+    """A hand-built schedule (gap up to one above the primitivity index,
+    optional anchor and slot, tourless and blockless stages; the last stage
+    is never empty, so it can be continued) plus horizons reaching past the
+    built stages.  A zeta + eps below one makes complete blocks cheaper
+    than the diameter."""
+    space = draw(st.sampled_from(FAMILY_SPACES))
+    L = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 3))
+    stages = []
+    for k in range(count):
+        tour = draw(st.sampled_from(
+            [None, dense_tour(space, 1), dense_tour(space, 2)]))
+        low = 1 if tour is None and k == count - 1 else 0
+        stages.append(Stage(alpha=random_markov(draw, space),
+                            n=draw(st.integers(L, 10)),
+                            reps=draw(st.integers(low, 3)), tour=tour,
+                            zeta=draw(st.sampled_from([0.1, 0.3, 1.0])),
+                            eps=draw(st.sampled_from([0.05, 0.5])), depth=1))
+    anchor = draw(st.sampled_from([None, Word(()), admissible_word(
+        draw, space, draw(st.integers(1, 3)))]))
+    N = draw(st.integers(0, 4))
+    sched = GluingSchedule(
+        space=space, stages=stages, anchor=anchor, family_len=N, check_depth=L,
+        gap=space.primitivity_index + draw(st.integers(0, 1)))
+    top = sched.layout()[-1].end
+    horizons = draw(st.lists(st.integers(1, 3 * top + 5), min_size=1,
+                             max_size=6))
+    word = draw(st.sampled_from([None, *space.words(N)]))
+    return sched, horizons, word, draw(st.integers(0, 2**16))
+
+
+def blockless_tourless(s):
+    return any(st_.reps == 0 and st_.tour is None for st_ in s.stages)
+
+
+class TestLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(layout_cases())
+    def test_equals_segment_walker(self, case):
+        sched, horizons, _, _ = case
+        if not blockless_tourless(sched):
+            assert sched.stage_ends() == walked_stage_ends(sched)
+        top = sched.layout()[-1].end
+        for n in [*range(1, top + 12), *horizons]:
+            assert sched.stretched_alpha(n) is walked_stretched_alpha(sched, n)
+            assert tracking_bound(sched, n) == walked_tracking_bound(sched, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout_cases())
+    def test_tracking_report_equals_per_point_oracle(self, case):
+        sched, horizons, word, seed = case
+        # zeta 1 accepts every block draw
+        sched.stages = [dataclasses.replace(st_, zeta=1.0)
+                        for st_ in sched.stages]
+        # default checkpoints are the stage ends, where empty stages differ
+        for cps in [horizons] + [None] * (not blockless_tourless(sched)):
+            assert tracking_report(sched, seed, cps, word) == \
+                per_point_tracking_report(sched, seed, cps, word)
+
+    def test_spans_hold_the_emitted_words(self, monkeypatch):
+        blocks = {}
+        draw = gluing._draw_block
+        monkeypatch.setattr(gluing, "_draw_block",
+                            lambda *a: blocks.setdefault(a[2:4], draw(*a)))
+        tour = dense_tour(GOLDEN, 2)
+        sched = GluingSchedule(space=GOLDEN, anchor=Word("010"), family_len=3,
+                               stages=[
+            Stage(alpha=parry(GOLDEN), n=5, reps=2, tour=tour, zeta=1.0,
+                  eps=0.5, depth=2),
+            Stage(alpha=parry(GOLDEN), n=4, reps=3, tour=None, zeta=1.0,
+                  eps=0.5, depth=1)])
+        pieces = sched.layout(200)
+        assert [(p.kind, p.stage) for p in pieces[:9]] == [
+            ("anchor", None), ("family", None), ("block", 1), ("block", 1),
+            ("tour", 1), ("block", 2), ("block", 2), ("block", 2),
+            ("tour", 2)]
+        assert pieces[-1].end >= 200 > pieces[-5].end  # stage 3 reaches 200
+        x = emit_point(sched, seed=6, family_word=Word("001")).materialize(
+            pieces[-1].end).symbols
+        reps = Counter()
+        for p in pieces:
+            word = {"anchor": Word("010").symbols, "family": (0, 0, 1)}.get(
+                p.kind)
+            if p.kind == "block":
+                word = blocks[p.stage, reps[p.stage]].symbols
+                reps[p.stage] += 1
+            elif p.kind == "tour":
+                word = tour.symbols if p.stage == 1 else ()
+            assert x[p.start:p.end] == word
+        assert sched.stage_ends() == [pieces[4].end, pieces[8].end]
+
+    def test_blockless_tourless_stage_ends_where_the_last_did(self):
+        a = Stage(alpha=parry(GOLDEN), n=4, reps=1, tour=None, zeta=1.0,
+                  eps=0.5, depth=1)
+        empty = dataclasses.replace(
+            a, reps=0, alpha=MarkovMeasure(GOLDEN, [[0.5, 0.5], [1.0, 0.0]]))
+        sched = GluingSchedule(space=GOLDEN, stages=[a, empty, a])
+        assert sched.stage_ends() == [4, 4, 9]
+        # the walker gave the empty stage the next stage's end
+        assert walked_stage_ends(sched) == [4, 9, 9]
+        # the bridge at 4 belongs to stage 1, not to the empty stage 2
+        assert sched.stretched_alpha(5) is walked_stretched_alpha(sched, 5) \
+            is a.alpha
+
+    def test_empty_last_stage_rejected(self):
+        # its continuation adds nothing, so emit_point and the walker spun
+        # forever past the built stages
+        a = Stage(alpha=B05, n=4, reps=1, tour=None, zeta=1.0, eps=0.5,
+                  depth=1)
+        for last in (dataclasses.replace(a, reps=0),
+                     dataclasses.replace(a, reps=0, tour=Word(()))):
+            with pytest.raises(MalformedSchedule,
+                               match="last stage has no blocks and no tour"):
+                GluingSchedule(space=FULL2, stages=[a, last])
+
+
+class TestScheduleInputs:
+    def data(self, **kw):
+        sched = build_gk_schedule(FULL2, B05, stages=2, seed=5, **kw)
+        return json.loads(sched.to_json())
+
+    def load(self, data):
+        return GluingSchedule.from_json(json.dumps(data))
+
+    def test_short_params_named(self):
+        data = self.data()
+        data["params"]["eps"].pop()
+        with pytest.raises(MalformedSchedule,
+                           match="2 zeta and 1 eps values for 2 stages"):
+            self.load(data)
+
+    def test_missing_params_named(self):
+        data = self.data()
+        del data["params"]
+        with pytest.raises(MalformedSchedule,
+                           match="0 zeta and 0 eps values for 2 stages"):
+            self.load(data)
+
+    def test_unknown_kind_named(self):
+        data = self.data()
+        data["blocks"].insert(1, {"kind": "excursion"})
+        with pytest.raises(MalformedSchedule,
+                           match="block 1 has unknown kind 'excursion'"):
+            self.load(data)
+
+    def test_measure_without_tour_named(self):
+        data = self.data()
+        del data["blocks"][3]
+        with pytest.raises(MalformedSchedule,
+                           match="measure block 2 has no tour block after"):
+            self.load(data)
+        data = self.data()
+        del data["blocks"][1]
+        with pytest.raises(MalformedSchedule,
+                           match="measure block 0 has no tour block after"):
+            self.load(data)
+
+    @pytest.mark.parametrize("kw", [dict(zetas=[0.5, 0.0]),
+                                    dict(epsilons=[-0.1, 0.25])])
+    def test_nonpositive_zeta_or_eps_named(self, kw):
+        with pytest.raises(InfeasibleParams, match="must be positive"):
+            build_gk_schedule(FULL2, B05, stages=2, seed=5, **kw)
+
+    def test_slot_mismatch_named_at_every_family_entry_point(self):
+        sched = build_gk_schedule(FULL2, B09, stages=2, seed=3, family_len=6)
+        fam = [Word("0100")]
+        calls = [lambda: emit_point(sched, seed=1, family_word=fam[0]),
+                 lambda: tracking_report(sched, seed=1, family_word=fam[0]),
+                 lambda: emit_separated_family(sched, fam, 40, seed=1),
+                 lambda: family_tracking_report(sched, fam, seed=1)]
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match="'0100' has length 4, not the slot"):
+                call()
+
+    def test_empty_word_is_no_slot(self):
+        sched = build_gk_schedule(FULL2, B09, stages=2, seed=3, family_len=6)
+        assert tracking_report(sched, seed=1, family_word=Word(())) == \
+            tracking_report(sched, seed=1)
+        assert emit_separated_family(sched, [Word(())], 60, seed=1) == \
+            [emit_point(sched, seed=1).materialize(60)]
 
 
 class TestBranchTree:
