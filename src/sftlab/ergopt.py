@@ -3,11 +3,11 @@ potentials: maximum ergodic averages, maximizing periodic orbits, pressure,
 equilibrium states and level-set entropies.
 
 A depth-r potential lives on the edges of the block graph whose nodes are the
-admissible ell-words, ell = max(r-1, 1).  Maximum mean cycle (Karp) runs in
-exact rational arithmetic, and so does the independent periodic-orbit oracle,
-numpy max-plus matrix powers over integer-scaled weights, so the two must
-agree bit for bit.  Pressure and equilibrium states come from a dense
-eigendecomposition of the transfer matrix.
+admissible ell-words, ell = max(r-1, 1).  One helper scales the edge values
+to exact integers, and one max-plus step over the edge list serves Karp's
+maximum mean cycle, the tight-cycle relaxation and the independent periodic-
+orbit oracle, which agree bit for bit.  Pressure and equilibrium states come
+from a dense eigendecomposition of the transfer matrix.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,6 +124,8 @@ class BlockGraph:
     nodes: tuple[tuple[int, ...], ...]
     index: dict
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]  # (u, v, edge word)
+    src: np.ndarray  # u of each edge, in edge order
+    dst: np.ndarray  # v of each edge
 
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -132,8 +134,7 @@ class BlockGraph:
         if self.ell == 1:
             return self.space
         A = np.zeros((len(self.nodes), len(self.nodes)), dtype=np.int64)
-        for u, v, _ in self.edges:
-            A[u, v] = 1
+        A[self.src, self.dst] = 1
         return SftSpace(A)
 
 
@@ -151,7 +152,9 @@ def block_graph(space: SftSpace, ell: int) -> BlockGraph:
                 v = u[1:] + (b,)
                 if v in index:
                     edges.append((i, index[v], u + (b,)))
-        _BLOCK_CACHE[key] = BlockGraph(space, ell, nodes, index, tuple(edges))
+        uv = np.array([e[:2] for e in edges], dtype=np.intp).reshape(-1, 2)
+        _BLOCK_CACHE[key] = BlockGraph(space, ell, nodes, index, tuple(edges),
+                                       uv[:, 0], uv[:, 1])
     return _BLOCK_CACHE[key]
 
 
@@ -159,23 +162,121 @@ def _graph_for(space: SftSpace, f: Potential) -> BlockGraph:
     return block_graph(space, max(f.r - 1, 1))
 
 
-def _edge_weight_fn(f: Potential) -> Callable[[tuple[int, ...]], float]:
-    r = f.r
-    return lambda edge_word: f.value(edge_word[:r])
-
-
-def _exact(v: float):
-    return int(v) if float(v).is_integer() else Fraction(v)
-
-
-def _exact_weights(graph: BlockGraph, f: Potential) -> list:
-    """Edge weights of f on its block graph as ints or Fractions."""
-    wfn = _edge_weight_fn(f)
-    return [_exact(wfn(e[2])) for e in graph.edges]
+def _edge_values(graph: BlockGraph, f: Potential) -> list[float]:
+    """f on each edge of its block graph, in edge order."""
+    return [f.table[ew[:f.r]] for _, _, ew in graph.edges]
 
 
 def _cycle_word(graph: BlockGraph, cycle_nodes: Sequence[int]) -> Word:
     return Word(graph.nodes[c][0] for c in cycle_nodes)
+
+
+# --------------------------- exact max-plus core ---------------------------
+
+
+def _integer_weights(values: Sequence[float], steps: int) -> tuple:
+    """(w, den, absent, floor): the values as integers w = values * den, den
+    their common (power-of-two) denominator, exact in sums of up to
+    ``steps`` entries: float64 while steps * max|w| < 2**53, else Python
+    ints.  ``absent`` marks a missing entry (-inf, or the int
+    -(2 * steps * max|w| + 1)); a sum of up to ``steps`` entries is above
+    ``floor`` (-inf, or -(steps * max|w| + 1)) exactly when it has none."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max((d for _, d in ratios), default=1)
+    ints = [a * (den // d) for a, d in ratios]
+    bound = max(map(abs, ints), default=0)
+    if bound * steps < 2 ** 53:
+        return np.array(ints, dtype=float), den, -np.inf, -np.inf
+    floor = -(steps * bound + 1)
+    return np.array(ints, dtype=object), den, 2 * floor + 1, floor
+
+
+def _maxplus_step(cur: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                  w: np.ndarray, absent) -> np.ndarray:
+    """One max-plus product with an edge list: out[..., v] is the largest
+    cur[..., u] + w over the edges (u, v), absent where v has none.  The
+    scatter runs on the flat array, numpy's fast path for ufunc.at."""
+    out = np.full(cur.shape, absent, dtype=cur.dtype)
+    flat = dst + np.arange(0, cur.size, cur.shape[-1])[:, None]
+    np.maximum.at(out.reshape(-1), flat.ravel(), (cur[..., src] + w).ravel())
+    return out
+
+
+def _karp(graph: BlockGraph, w: np.ndarray, absent) -> tuple[int, int]:
+    """Karp's maximum cycle mean with multi-source initialization, as a
+    fraction (num, q), q <= n, in the units of the integer weights w.
+
+    D[k, v] is the heaviest walk of k edges into v (never absent: every
+    block-graph node has an in-edge), and lam = max_v min_k (D[n, v] -
+    D[k, v]) / (n - k), the ratios compared by cross-multiplying: products
+    below 2 * n**2 * max|w|, exact in w chosen for 2 * n**2 steps."""
+    n = graph.n_nodes()
+    D = np.zeros((n + 1, n), dtype=w.dtype)
+    for k in range(1, n + 1):
+        D[k] = _maxplus_step(D[k - 1], graph.src, graph.dst, w, absent)
+    num, den = D[n] - D[0], np.full(n, n, dtype=w.dtype)
+    for k in range(1, n):
+        a = D[n] - D[k]
+        lower = a * den < num * (n - k)
+        num, den = np.where(lower, a, num), np.where(lower, n - k, den)
+    best = 0
+    for v in range(1, n):
+        if num[v] * den[best] > num[best] * den[v]:
+            best = v
+    return int(num[best]), int(den[best])
+
+
+def _tight_subgraph(graph: BlockGraph, w: np.ndarray, absent,
+                    num: int, q: int) -> list[list[int]]:
+    """Adjacency lists, in edge order, of the edges with
+    h[u] + w - lam == h[v], for lam = num / q and h the longest-walk
+    potentials of the graph reweighted by -lam.  With lam the maximum cycle
+    mean, its cycles are exactly the optimal cycles.  Scaled by q <= n, the
+    relaxation runs on the integers q * w - num, one vectorised sweep per
+    round, and stays below 2 * n**2 * max|w|."""
+    n = graph.n_nodes()
+    wq = q * w - num
+    h = np.zeros(n, dtype=w.dtype)
+    for _ in range(n + 1):
+        nxt = np.maximum(h, _maxplus_step(h, graph.src, graph.dst, wq, absent))
+        if (nxt == h).all():
+            break
+        h = nxt
+    else:  # pragma: no cover - would mean a positive cycle above the maximum
+        raise ArithmeticError("reweighted relaxation failed to stabilize")
+    tight = h[graph.src] + wq == h[graph.dst]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(graph.src[tight].tolist(), graph.dst[tight].tolist()):
+        adj[u].append(v)
+    return adj
+
+
+def _optimum(graph: BlockGraph, values: Sequence[float]
+             ) -> tuple[Fraction, list[list[int]]]:
+    """The maximum cycle mean of the edge values, exact, and the tight
+    subgraph whose cycles are the optimal ones."""
+    n = graph.n_nodes()
+    w, den, absent, _ = _integer_weights(values, 2 * n * n)
+    num, q = _karp(graph, w, absent)
+    return Fraction(num, q * den), _tight_subgraph(graph, w, absent, num, q)
+
+
+def _maxplus_best_mean(n: int, src: np.ndarray, dst: np.ndarray,
+                       values: Sequence[float],
+                       max_period: int) -> Optional[Fraction]:
+    """Largest mean value of a closed walk of length <= max_period on nodes
+    0..n-1 with the edges (src, dst), exact, from the diagonals of the
+    max-plus powers of the edge values; None without one."""
+    w, den, absent, floor = _integer_weights(values, max_period)
+    cur = np.full((n, n), absent, dtype=w.dtype)
+    np.fill_diagonal(cur, 0)
+    best = None  # (walk sum, length)
+    for p in range(1, max_period + 1):
+        cur = _maxplus_step(cur, src, dst, w, absent)
+        top = cur.diagonal().max()
+        if top > floor and (best is None or int(top) * best[1] > best[0] * p):
+            best = int(top), p
+    return None if best is None else Fraction(best[0], best[1] * den)
 
 
 # --------------------------- maximum mean cycle ---------------------------
@@ -186,70 +287,6 @@ class BetaResult:
     value: float
     cycle: Word
     value_exact: Fraction
-
-
-def _karp(graph: BlockGraph, weights: list) -> Fraction:
-    """Karp's maximum mean cycle with multi-source initialization, exact
-    arithmetic."""
-    n = graph.n_nodes()
-    in_edges: list[list[tuple[int, object]]] = [[] for _ in range(n)]
-    for (u, v, _), w in zip(graph.edges, weights):
-        in_edges[v].append((u, w))
-    D = [[None] * n for _ in range(n + 1)]
-    D[0] = [0] * n
-    for k in range(1, n + 1):
-        row = D[k]
-        prev = D[k - 1]
-        for v in range(n):
-            best = None
-            for u, w in in_edges[v]:
-                if prev[u] is None:
-                    continue
-                cand = prev[u] + w
-                if best is None or cand > best:
-                    best = cand
-            row[v] = best
-    lam = None
-    for v in range(n):
-        if D[n][v] is None:
-            continue
-        worst = None
-        for k in range(n):
-            if D[k][v] is None:
-                continue
-            mean = Fraction(D[n][v] - D[k][v], n - k)
-            if worst is None or mean < worst:
-                worst = mean
-        if worst is not None and (lam is None or worst > lam):
-            lam = worst
-    if lam is None:  # pragma: no cover - graphs here always carry cycles
-        raise ValueError("graph has no cycle")
-    return lam
-
-
-def _tight_subgraph(graph: BlockGraph, weights: list,
-                    lam: Fraction) -> list[list[int]]:
-    """Adjacency lists of the edges with h[u] + w - lam == h[v], for h the
-    longest-walk potentials of the graph reweighted by -lam.  With lam the
-    maximum cycle mean, its cycles are exactly the optimal cycles."""
-    n = graph.n_nodes()
-    h = [Fraction(0)] * n
-    for _ in range(n + 1):
-        changed = False
-        for (u, v, _), w in zip(graph.edges, weights):
-            cand = h[u] + w - lam
-            if cand > h[v]:
-                h[v] = cand
-                changed = True
-        if not changed:
-            break
-    else:  # pragma: no cover - would mean a positive cycle above the maximum
-        raise ArithmeticError("reweighted relaxation failed to stabilize")
-    tight: list[list[int]] = [[] for _ in range(n)]
-    for (u, v, _), w in zip(graph.edges, weights):
-        if h[u] + w - lam == h[v]:
-            tight[u].append(v)
-    return tight
 
 
 def _find_cycle(adj: list[list[int]]) -> Optional[list[int]]:
@@ -290,15 +327,14 @@ def beta(space: SftSpace, f: Potential) -> BetaResult:
     """Maximum ergodic average of f with an attaining periodic word.
 
     Solved as maximum mean cycle on the block graph (Karp's algorithm, exact
-    rationals); ties inside the optimum are broken by the DFS order of the
+    in integers); ties inside the optimum are broken by the DFS order of the
     tight subgraph, see classify_smr for tie reporting.
     """
     if space.primitivity_index is None:
         raise NotPrimitive("beta needs a primitive space")
     graph = _graph_for(space, f)
-    weights = _exact_weights(graph, f)
-    lam = _karp(graph, weights)
-    cycle = _find_cycle(_tight_subgraph(graph, weights, lam))
+    lam, tight = _optimum(graph, _edge_values(graph, f))
+    cycle = _find_cycle(tight)
     if cycle is None:  # pragma: no cover - optimal cycle is always tight
         raise ArithmeticError("no tight cycle found")
     return BetaResult(float(lam), _cycle_word(graph, cycle), lam)
@@ -312,48 +348,11 @@ def brute_force_beta(space: SftSpace, f: Potential, max_period: int) -> float:
     block-graph node count this equals the maximum mean cycle.
     """
     graph = _graph_for(space, f)
-    edges = [((u, v), w) for (u, v, _), w
-             in zip(graph.edges, _exact_weights(graph, f))]
-    best = _maxplus_best_mean(graph.n_nodes(), edges, max_period)
+    best = _maxplus_best_mean(graph.n_nodes(), graph.src, graph.dst,
+                              _edge_values(graph, f), max_period)
     if best is None:
         raise ValueError("no periodic orbit of the requested period")
     return float(best)
-
-
-def _maxplus_best_mean(n: int, edges: list,
-                       max_period: int) -> Optional[Fraction]:
-    """Largest mean weight of a closed walk of length <= max_period on nodes
-    0..n-1, exact, from the diagonals of the max-plus powers W, W^2, ... of
-    the edge weights ``((u, v), w)`` (int or Fraction); None without one.
-
-    The weights are scaled by their common denominator to integers.  Walk
-    sums are then bounded by max|w| * max_period, so float64 holds them
-    exactly below 2**53 and absent entries are -inf; above it the arrays hold
-    Python ints and an absent entry is an int below every real walk sum of
-    the same length, which stays true of any sum that includes it.
-    """
-    if not edges:
-        return None
-    den = math.lcm(*(Fraction(w).denominator for _, w in edges))
-    ints = [int(w * den) for _, w in edges]
-    bound = max(map(abs, ints))
-    if bound * max_period < 2 ** 53:
-        W = np.full((n, n), -np.inf)
-    else:
-        W = np.full((n, n), -(2 * max_period * bound + 1), dtype=object)
-    for ((u, v), _), w in zip(edges, ints):
-        W[u, v] = w
-    cur = W
-    best = None
-    for p in range(1, max_period + 1):
-        if p > 1:
-            cur = (cur[:, :, None] + W[None]).max(axis=1)
-        top = cur.diagonal().max()
-        if top >= -p * bound:
-            mean = Fraction(int(top), p)
-            if best is None or mean > best:
-                best = mean
-    return None if best is None else best / den
 
 
 @dataclass(frozen=True)
@@ -369,17 +368,16 @@ def classify_smr(space: SftSpace, f: Potential) -> SmrClassification:
     cycle (with its gap to the best cycle avoiding it) or the list of tied
     optimal cycles."""
     graph = _graph_for(space, f)
-    weights = _exact_weights(graph, f)
-    lam = _karp(graph, weights)
+    values = _edge_values(graph, f)
+    lam, tight = _optimum(graph, values)
     n = graph.n_nodes()
-    cycles = _simple_cycles(_tight_subgraph(graph, weights, lam))
+    cycles = _simple_cycles(tight)
     words = tuple(_cycle_word(graph, c) for c in cycles)
     if len(cycles) == 1:
-        cyc_edges = {(c, cycles[0][(i + 1) % len(cycles[0])])
-                     for i, c in enumerate(cycles[0])}
-        alt_W = [((u, v), w) for (u, v, _), w in zip(graph.edges, weights)
-                 if (u, v) not in cyc_edges]
-        alt_best = _maxplus_best_mean(n, alt_W, n)
+        cyc = np.array(cycles[0])
+        off = ~np.isin(graph.src * n + graph.dst, cyc * n + np.roll(cyc, -1))
+        alt_best = _maxplus_best_mean(n, graph.src[off], graph.dst[off],
+                                      np.array(values)[off], n)
         gap = None if alt_best is None else float(lam - alt_best)
         return SmrClassification(words[0], words, gap, float(lam))
     return SmrClassification(None, words, 0.0, float(lam))
@@ -408,12 +406,11 @@ def _transfer_matrix(space: SftSpace, f: Potential) -> tuple[BlockGraph, np.ndar
     """Transition-masked exp(f) matrix on the block graph, with the potential
     shifted by its maximum for overflow safety (shift returned separately)."""
     graph = _graph_for(space, f)
-    wfn = _edge_weight_fn(f)
     shift = f.max_value()
     n = graph.n_nodes()
     M = np.zeros((n, n))
-    for u, v, ew in graph.edges:
-        M[u, v] = math.exp(wfn(ew) - shift)
+    M[graph.src, graph.dst] = [math.exp(v - shift)
+                               for v in _edge_values(graph, f)]
     return graph, M, shift
 
 
@@ -480,11 +477,10 @@ def equilibrium_mean(space: SftSpace, f: Potential,
     """Integral of f against its equilibrium state, via edge flows of the
     block-graph measure (valid for any depth)."""
     graph = _graph_for(space, f)
-    wfn = _edge_weight_fn(f)
     measure = mu if mu is not None else equilibrium_state(space, f)
     total = 0.0
-    for u, v, ew in graph.edges:
-        total += measure.stationary[u] * measure.stochastic[u, v] * wfn(ew)
+    for (u, v, _), val in zip(graph.edges, _edge_values(graph, f)):
+        total += measure.stationary[u] * measure.stochastic[u, v] * val
     return total
 
 
@@ -511,8 +507,10 @@ def level_entropy_detail(space: SftSpace, f: Potential, a: float,
     Boundary levels keep pushing the minimizer outward; the search then stops
     at q_max and reports the limiting value there.
     """
+    if not (q_tol > 0 and 0 < q_max < math.inf):
+        raise ValueError("q_tol and q_max must be positive, q_max finite")
     lo, hi = ergodic_average_range(space, f)
-    if a < lo - 1e-9 or a > hi + 1e-9:
+    if not lo - 1e-9 <= a <= hi + 1e-9:  # also rejects nan
         raise OutsideLf(f"a={a} outside [{lo}, {hi}]")
 
     def g(q: float) -> float:

@@ -36,7 +36,6 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import empirical
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
                      MalformedSchedule, MalformedTree, NotPrimitive,
                      OrbitsNotDisjoint, WordsTooShort)
@@ -441,8 +440,11 @@ def _draw_block(st: Stage, depth: int, stage_idx: int, rep: int,
     best_d = math.inf
     for attempt in range(_BLOCK_ATTEMPTS):
         w = sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
-        emp = empirical(st.alpha.space, w, st.n - depth + 1, depth)
-        d = weak_star_dist(emp, st.alpha, depth)
+        cols = word_columns(st.alpha.space,
+                            sliding_window_view(w.to_array(), depth))
+        # one count row; columns past the last word seen count zero
+        d = weak_star_counts(np.bincount(cols)[None], st.n - depth + 1,
+                             st.alpha, depth)[0]
         if d <= st.zeta:
             return w
         best_d = min(best_d, d)

@@ -52,8 +52,8 @@ def _stationary_vector(Q: np.ndarray) -> np.ndarray:
 
 class MarkovMeasure:
     """Row-stochastic matrix supported inside the transition matrix, plus its
-    stationary vector.  Ergodic whenever the support graph is strongly
-    connected."""
+    stationary vector, kept as given (a computed one is normalised).
+    Ergodic whenever the support graph is strongly connected."""
 
     ROW_TOL = 1e-12
     STATIONARY_TOL = 1e-10
@@ -77,7 +77,8 @@ class MarkovMeasure:
         if (pi < -1e-15).any() or abs(pi.sum() - 1.0) > self.ROW_TOL:
             raise ValueError("stationary vector must be a probability vector")
         pi = np.clip(pi, 0.0, None)
-        pi = pi / pi.sum()
+        if stationary is None:
+            pi = pi / pi.sum()
         if np.abs(pi @ Q - pi).max() > self.STATIONARY_TOL:
             raise ValueError("stationarity residual above 1e-10")
         self.space = space
@@ -206,22 +207,19 @@ MeasureLike = Union[MarkovMeasure, EmpiricalMeasure]
 
 # --------------------------- the weak* metric ---------------------------
 
-_CYL_CACHE: dict[tuple[bytes, int], list[tuple[tuple[int, ...], float]]] = {}
-
-
 def cylinder_weights(space: SftSpace, depth: int) -> list[tuple[tuple[int, ...], float]]:
     """Admissible cylinders of length 1..depth in (length, lex) order with
-    their weights 2**-(j+1), j the 1-based enumeration index."""
-    key = (space.transition.tobytes(), depth)
-    if key not in _CYL_CACHE:
+    their weights 2**-(j+1), j the 1-based enumeration index (cached on the
+    space)."""
+    if depth not in space._cyl_cache:
         out = []
         j = 0
         for length in range(1, depth + 1):
             for w in space.words(length):
                 j += 1
                 out.append((w.symbols, 2.0 ** (-(j + 1))))
-        _CYL_CACHE[key] = out
-    return _CYL_CACHE[key]
+        space._cyl_cache[depth] = out
+    return space._cyl_cache[depth]
 
 
 def _depth_words(space: SftSpace, depth: int) -> list[tuple[int, ...]]:

@@ -114,6 +114,7 @@ class SftSpace:
         self.primitivity_index = self._compute_primitivity_index(A)
         self._reach_cache: dict[int, np.ndarray] = {0: np.eye(self.m, dtype=bool)}
         self._bridge_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._cyl_cache: dict[int, list[tuple[tuple[int, ...], float]]] = {}
         self._succ = [tuple(np.flatnonzero(A[i]).tolist()) for i in range(self.m)]
 
     @staticmethod

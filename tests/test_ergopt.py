@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sftlab import ergopt
 from sftlab.errors import OutsideLf
-from sftlab.ergopt import (Potential, _exact, _maxplus_best_mean, _perron,
-                           beta, block_graph, brute_force_beta,
-                           classify_smr, coboundary_shift, equilibrium_mean,
-                           equilibrium_residual, equilibrium_state,
-                           level_entropy, level_entropy_detail,
-                           mean_potential, pressure, random_potential,
-                           topological_entropy)
+from sftlab.ergopt import (Potential, _cycle_word, _edge_values, _find_cycle,
+                           _maxplus_best_mean, _optimum, _perron,
+                           _simple_cycles, beta, block_graph,
+                           brute_force_beta, classify_smr, coboundary_shift,
+                           equilibrium_mean, equilibrium_residual,
+                           equilibrium_state, level_entropy,
+                           level_entropy_detail, mean_potential, pressure,
+                           random_potential, topological_entropy)
 from sftlab.measures import ks_entropy
 from sftlab.shift import SftSpace, Word
 
@@ -22,6 +24,94 @@ GOLDEN = SftSpace.golden_mean()
 PHI = (1 + math.sqrt(5)) / 2
 # primitive, without fixed points: no periodic orbit of period 1
 NO_FIXED = SftSpace(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+IND1 = Potential.indicator(FULL2, Word("1"))
+
+
+def exact(v):
+    return int(v) if float(v).is_integer() else Fraction(v)
+
+
+def fraction_weights(graph, f):
+    """Edge weights of f on its block graph as ints or Fractions."""
+    return [exact(f.value(ew[:f.r])) for _, _, ew in graph.edges]
+
+
+def fraction_karp(graph, weights):
+    """The pure-Python Fraction Karp beta ran before the integer core, kept
+    as its oracle: maximum mean cycle with multi-source initialization."""
+    n = graph.n_nodes()
+    in_edges = [[] for _ in range(n)]
+    for (u, v, _), w in zip(graph.edges, weights):
+        in_edges[v].append((u, w))
+    D = [[None] * n for _ in range(n + 1)]
+    D[0] = [0] * n
+    for k in range(1, n + 1):
+        for v in range(n):
+            best = None
+            for u, w in in_edges[v]:
+                if D[k - 1][u] is not None:
+                    cand = D[k - 1][u] + w
+                    if best is None or cand > best:
+                        best = cand
+            D[k][v] = best
+    lam = None
+    for v in range(n):
+        if D[n][v] is None:
+            continue
+        worst = None
+        for k in range(n):
+            if D[k][v] is not None:
+                mean = Fraction(D[n][v] - D[k][v], n - k)
+                if worst is None or mean < worst:
+                    worst = mean
+        if worst is not None and (lam is None or worst > lam):
+            lam = worst
+    return lam
+
+
+def fraction_tight_subgraph(graph, weights, lam):
+    """The Fraction Bellman-Ford relaxation _tight_subgraph ran before the
+    integer core, kept as its oracle: adjacency lists of the edges with
+    h[u] + w - lam == h[v]."""
+    n = graph.n_nodes()
+    h = [Fraction(0)] * n
+    for _ in range(n + 1):
+        changed = False
+        for (u, v, _), w in zip(graph.edges, weights):
+            if h[u] + w - lam > h[v]:
+                h[v] = h[u] + w - lam
+                changed = True
+        if not changed:
+            break
+    tight = [[] for _ in range(n)]
+    for (u, v, _), w in zip(graph.edges, weights):
+        if h[u] + w - lam == h[v]:
+            tight[u].append(v)
+    return tight
+
+
+def fraction_classify_smr(space, f):
+    """(periodic, ties, gap) as classify_smr found them before the integer
+    core, from the Fraction oracles and the loop max-plus oracle."""
+    graph = block_graph(space, max(f.r - 1, 1))
+    weights = fraction_weights(graph, f)
+    lam = fraction_karp(graph, weights)
+    cycles = _simple_cycles(fraction_tight_subgraph(graph, weights, lam))
+    words = tuple(_cycle_word(graph, c) for c in cycles)
+    if len(cycles) != 1:
+        return None, words, 0.0
+    cyc = cycles[0]
+    on_cycle = {(c, cyc[(i + 1) % len(cyc)]) for i, c in enumerate(cyc)}
+    alt = [((u, v), w) for (u, v, _), w in zip(graph.edges, weights)
+           if (u, v) not in on_cycle]
+    alt_best = loop_max_mean_cycle_excluding(graph.n_nodes(), alt)
+    return words[0], words, None if alt_best is None else float(lam - alt_best)
+
+
+def forbid_pressure(monkeypatch):
+    def solve(*args):
+        raise AssertionError("a bad input reached a pressure solve")
+    monkeypatch.setattr(ergopt, "pressure", solve)
 
 
 def loop_brute_force_beta(space, f, max_period):
@@ -31,7 +121,7 @@ def loop_brute_force_beta(space, f, max_period):
     n = graph.n_nodes()
     W = [[None] * n for _ in range(n)]
     for u, v, ew in graph.edges:
-        W[u][v] = _exact(f.value(ew[:f.r]))
+        W[u][v] = exact(f.value(ew[:f.r]))
     cur = [row[:] for row in W]
     best = None
     for p in range(1, max_period + 1):
@@ -107,12 +197,18 @@ MAXPLUS_CASES = [(FULL2, 1), (FULL2, 2), (FULL2, 3), (GOLDEN, 1),
 
 
 @st.composite
-def potentials_and_periods(draw):
+def block_potentials(draw):
     space, r = draw(st.sampled_from(MAXPLUS_CASES))
     weights = draw(WEIGHTS)
     table = {w.symbols: float(draw(weights)) for w in space.words(r)}
-    n = block_graph(space, max(r - 1, 1)).n_nodes()
-    return space, Potential(space, r, table), draw(st.integers(1, n + 1))
+    return space, Potential(space, r, table)
+
+
+@st.composite
+def potentials_and_periods(draw):
+    space, f = draw(block_potentials())
+    n = block_graph(space, max(f.r - 1, 1)).n_nodes()
+    return space, f, draw(st.integers(1, n + 1))
 
 
 @st.composite
@@ -122,7 +218,7 @@ def weighted_digraphs(draw):
                                     st.integers(0, n - 1)),
                           unique=True, max_size=n * n))
     weights = draw(WEIGHTS)
-    return n, [((u, v), _exact(float(draw(weights)))) for u, v in pairs]
+    return n, [((u, v), exact(float(draw(weights)))) for u, v in pairs]
 
 
 def enumerate_cycle_means(space, f):
@@ -293,7 +389,6 @@ class TestEquilibrium:
         assert equilibrium_residual(FULL2, f) <= 1e-9
 
     def test_residual_solves_once_and_equals_two_solves(self, monkeypatch):
-        from sftlab import ergopt
         solves = []
         perron = ergopt._perron
         monkeypatch.setattr(ergopt, "_perron",
@@ -340,6 +435,21 @@ class TestLevelEntropy:
         t, q = level_entropy_detail(FULL2, f, 1.0)
         assert t == pytest.approx(0.0, abs=1e-6)
         assert q > 20
+
+    def test_zero_q_tol_raises_before_pressure(self, monkeypatch):
+        forbid_pressure(monkeypatch)
+        with pytest.raises(ValueError, match="q_tol"):
+            level_entropy_detail(FULL2, IND1, 0.3, q_tol=0.0)
+
+    def test_negative_q_max_raises_before_pressure(self, monkeypatch):
+        forbid_pressure(monkeypatch)
+        with pytest.raises(ValueError, match="q_max"):
+            level_entropy_detail(FULL2, IND1, 0.3, q_max=-1.0)
+
+    def test_nan_level_raises_before_pressure(self, monkeypatch):
+        forbid_pressure(monkeypatch)
+        with pytest.raises(OutsideLf, match="nan"):
+            level_entropy_detail(FULL2, IND1, float("nan"))
 
     def test_outside_range(self):
         f = Potential.indicator(FULL2, Word("1"))
@@ -401,16 +511,72 @@ class TestMaxPlusCore:
     @given(weighted_digraphs())
     def test_cycle_mean_matches_loop_oracle(self, graph):
         n, edges = graph
-        assert (_maxplus_best_mean(n, edges, n)
+        src, dst = (np.array([e[k] for e, _ in edges], dtype=np.intp)
+                    for k in (0, 1))
+        values = [float(w) for _, w in edges]
+        assert (_maxplus_best_mean(n, src, dst, values, n)
                 == loop_max_mean_cycle_excluding(n, edges))
 
     def test_exact_across_the_float64_limit(self):
-        # a loop of weight w and a 2-cycle of sum 2w + 1, which float64
-        # rounds to 2w once it passes 2**53
-        for w in (2 ** 51, 2 ** 52, 2 ** 60):
-            edges = [((0, 0), w), ((0, 1), w), ((1, 0), w + 1)]
-            assert _maxplus_best_mean(2, edges, 2) == Fraction(2 * w + 1, 2)
-            assert _maxplus_best_mean(2, edges[1:], 1) is None
+        # a loop of weight w and a 2-cycle of sum 2w + d, d the spacing of
+        # floats at w, which float64 rounds to 2w
+        src, dst = np.array([0, 0, 1]), np.array([0, 1, 0])
+        for w in (2.0 ** 51, 2.0 ** 52, 2.0 ** 60):
+            d = math.ulp(w)
+            values = [w, w, w + d]
+            assert (_maxplus_best_mean(2, src, dst, values, 2)
+                    == Fraction(w) + Fraction(d) / 2)
+            assert _maxplus_best_mean(2, src[1:], dst[1:], values[1:],
+                                      1) is None
+
+
+    @settings(deadline=None)
+    @given(block_potentials())
+    def test_karp_matches_fraction_oracle(self, case):
+        space, f = case
+        graph = block_graph(space, max(f.r - 1, 1))
+        lam, _ = _optimum(graph, _edge_values(graph, f))
+        assert lam == fraction_karp(graph, fraction_weights(graph, f))
+        assert beta(space, f).value_exact == lam
+
+    @settings(deadline=None)
+    @given(block_potentials())
+    def test_tight_subgraph_and_cycle_match_fraction_oracle(self, case):
+        space, f = case
+        graph = block_graph(space, max(f.r - 1, 1))
+        weights = fraction_weights(graph, f)
+        tight = fraction_tight_subgraph(graph, weights,
+                                        fraction_karp(graph, weights))
+        assert _optimum(graph, _edge_values(graph, f))[1] == tight
+        assert beta(space, f).cycle == _cycle_word(graph, _find_cycle(tight))
+
+    @settings(deadline=None)
+    @given(block_potentials())
+    def test_classify_smr_matches_fraction_oracle(self, case):
+        space, f = case
+        out = classify_smr(space, f)
+        assert (out.periodic, out.ties, out.gap) == \
+            fraction_classify_smr(space, f)
+
+    def test_karp_exact_across_the_float64_limit(self):
+        # node 0's loop weighs w and the 2-cycle 0 1 sums to 2w + 1.  With
+        # 2 * n**2 = 8 steps, w = 2**49 stays on float64 and the larger w
+        # take Python ints; float64 would round 2**53 + 1 to 2**53, a tie
+        for w in (2 ** 49, 2 ** 50, 2 ** 51, 2 ** 52):
+            f = Potential(FULL2, 2, {(0, 0): w, (0, 1): w, (1, 0): w + 1,
+                                     (1, 1): -w})
+            out = beta(FULL2, f)
+            assert out.value_exact == Fraction(2 * w + 1, 2)
+            assert out.cycle == Word("01")
+            smr = classify_smr(FULL2, f)
+            assert smr.periodic == Word("01") and smr.gap == 0.5
+        # one loop above a flat complete graph at 2**53 / 3: the walk sums
+        # stay below 2**53, Karp's cross-multiplied ratios do not
+        x = 2 ** 53 // 3 - 1
+        full3 = SftSpace.full_shift(3)
+        f = Potential(full3, 2, {w.symbols: x + (w.symbols == (2, 2))
+                                 for w in full3.words(2)})
+        assert beta(full3, f).value_exact == x + 1
 
 
 class TestPerron:

@@ -1,10 +1,8 @@
 """JSON round trips of the serialisable objects on random primitive spaces
 with alphabets up to 12, where symbols 10 and 11 switch words to the
 comma-separated text form."""
-import json
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,16 +31,6 @@ def admissible_word(draw, space, length):
         options = space.successors(syms[-1]) if syms else range(space.m)
         syms.append(draw(st.sampled_from(list(options))))
     return space.word(syms)
-
-
-def split_stationary(text):
-    """A schedule's JSON data with each stage measure's stationary vector
-    taken out: MarkovMeasure renormalises it on load, which may move it by
-    an ulp."""
-    data = json.loads(text)
-    pis = [blk["measure"].pop("stationary") for blk in data["blocks"]
-           if blk["kind"] == "measure"]
-    return data, pis
 
 
 def random_markov(draw, space):
@@ -79,8 +67,7 @@ class TestJsonRoundTrips:
         mu = random_markov(data.draw, space)
         back = MarkovMeasure.from_json(space, mu.to_json())
         assert np.array_equal(back.stochastic, mu.stochastic)
-        # renormalised on load: equal up to rounding
-        assert back.stationary == pytest.approx(mu.stationary, rel=1e-14)
+        assert np.array_equal(back.stationary, mu.stationary)
 
     @settings(max_examples=60, deadline=None)
     @given(primitive_spaces(), st.integers(1, 2), st.integers(0, 2**16))
@@ -100,11 +87,7 @@ class TestJsonRoundTrips:
         sched = build_gk_schedule(space, mu, anchor=anchor, stages=1,
                                   family_len=data.draw(st.integers(0, 3)))
         back = GluingSchedule.from_json(sched.to_json())
-        data, pis = split_stationary(sched.to_json())
-        back_data, back_pis = split_stationary(back.to_json())
-        assert back_data == data
-        for a, b in zip(back_pis, pis, strict=True):
-            assert a == pytest.approx(b, rel=1e-14)
+        assert back.to_json() == sched.to_json()
         assert back.anchor == sched.anchor
         assert back.stage_ends() == sched.stage_ends()
         assert [st_.tour for st_ in back.stages] == \
@@ -117,5 +100,4 @@ class TestJsonRoundTrips:
         sched = build_gk_schedule(space, mu, anchor=Word((10,)), stages=1)
         back = GluingSchedule.from_json(sched.to_json())
         assert back.anchor == Word((10,))
-        assert split_stationary(back.to_json())[0] == \
-            split_stationary(sched.to_json())[0]
+        assert back.to_json() == sched.to_json()
