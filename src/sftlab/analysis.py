@@ -8,10 +8,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Degenerate, NotRecurrent, WordsTooShort, ZeroCylinder
 from .measures import EmpiricalMeasure, MarkovMeasure
-from .shift import SftSpace, Word
+from .shift import SftSpace, Word, word_columns
 
 
 def empirical(space: SftSpace, x: Word, n: int, depth: int) -> EmpiricalMeasure:
@@ -30,12 +31,13 @@ def empirical(space: SftSpace, x: Word, n: int, depth: int) -> EmpiricalMeasure:
 
 
 def birkhoff_avg(x: Word, f, n: int) -> float:
-    """Average of the depth-r potential f over the first n windows of x."""
+    """Average of the depth-r potential f over the first n windows of x,
+    summed left to right; ValueError names a forbidden window."""
     r = f.r
     if len(x) < n + r - 1:
         raise WordsTooShort(f"need length >= {n + r - 1}, got {len(x)}")
-    s = x.symbols
-    return sum(f.value(s[i:i + r]) for i in range(n)) / n
+    cols = word_columns(f.space, sliding_window_view(x.to_array(), r)[:n])
+    return sum(f.values[cols].tolist()) / n
 
 
 def brin_katok_estimate(mu: MarkovMeasure, x: Word, n: int, k: int) -> float:

@@ -25,8 +25,7 @@ class MatrixCocycle:
             raise ValueError("depth must be positive")
         gens = {tuple(int(s) for s in k): np.array(v, dtype=float)
                 for k, v in generators.items()}
-        expected = {w.symbols for w in space.words(depth)}
-        if set(gens) != expected:
+        if set(gens) != set(map(tuple, space.word_table(depth).tolist())):
             raise ValueError("generators must cover exactly the admissible words")
         d = None
         for k, M in gens.items():

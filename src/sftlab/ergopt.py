@@ -2,12 +2,12 @@
 potentials: maximum ergodic averages, maximizing periodic orbits, pressure,
 equilibrium states and level-set entropies.
 
-A depth-r potential lives on the edges of the block graph whose nodes are the
-admissible ell-words, ell = max(r-1, 1).  One helper scales the edge values
-to exact integers, and one max-plus step over the edge list serves Karp's
-maximum mean cycle, the tight-cycle relaxation and the independent periodic-
-orbit oracle, which agree bit for bit.  Pressure and equilibrium states come
-from a dense eigendecomposition of the transfer matrix.
+A depth-r potential is one value per row of the r-word table; it lives on the
+edges of the block graph of ell-words, ell = max(r-1, 1), indexed the same
+way.  One helper scales the edge values to exact integers, and one max-plus
+step over the edge list serves Karp's maximum mean cycle, the tight-cycle
+relaxation and the independent periodic-orbit oracle, which agree bit for
+bit.  Pressure and equilibrium states come from a dense eigendecomposition.
 """
 from __future__ import annotations
 
@@ -15,98 +15,105 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NotPrimitive, OutsideLf
 from .measures import MarkovMeasure, ks_entropy, rng_from
-from .shift import SftSpace, Word
+from .shift import SftSpace, Word, word_columns
 
 # --------------------------- potentials ---------------------------
 
 
 class Potential:
-    """Depth-r potential: one real value per admissible r-word."""
+    """Depth-r potential: one real value per admissible r-word, held as the
+    read-only float vector ``values`` in ``space.word_table(r)`` order."""
 
     def __init__(self, space: SftSpace, r: int, table: dict):
-        if r < 1:
-            raise ValueError("depth must be positive")
-        tbl = {tuple(int(s) for s in k): float(v) for k, v in table.items()}
-        expected = {w.symbols for w in space.words(r)}
-        if set(tbl) != expected:
-            missing = expected - set(tbl)
-            extra = set(tbl) - expected
+        keys = [tuple(int(s) for s in k) for k in table]
+        expected = set(map(tuple, space.word_table(r).tolist()))
+        if set(keys) != expected:
             raise ValueError(
                 f"table must cover exactly the admissible {r}-words "
-                f"(missing {len(missing)}, extra {len(extra)})")
-        self.space = space
-        self.r = r
-        self.table = tbl
+                f"(missing {len(expected - set(keys))}, "
+                f"extra {len(set(keys) - expected)})")
+        values = np.empty(len(expected))
+        values[word_columns(space, np.array(keys).reshape(len(keys), r))] = [
+            float(v) for v in table.values()]
+        self.space, self.r, self.values = space, r, values
+        values.setflags(write=False)
+
+    @classmethod
+    def _of(cls, space: SftSpace, r: int, values: np.ndarray) -> "Potential":
+        f = cls.__new__(cls)  # values in word-table order, unchecked
+        f.space, f.r, f.values = space, r, values
+        values.setflags(write=False)
+        return f
+
+    @property
+    def table(self) -> MappingProxyType:
+        """Read-only {r-word symbols: value}, in lexicographic order."""
+        words = map(tuple, self.space.word_table(self.r).tolist())
+        return MappingProxyType(dict(zip(words, self.values.tolist())))
 
     def value(self, window: Sequence[int]) -> float:
-        return self.table[tuple(window)]
-
-    # -- constructors and arithmetic --
+        if len(window) != self.r:
+            raise ValueError(f"window {tuple(window)} is not an admissible "
+                             f"{self.r}-word")
+        return float(self.values[word_columns(self.space, np.array([window]))[0]])
 
     @classmethod
     def constant(cls, space: SftSpace, c: float, r: int = 1) -> "Potential":
-        return cls(space, r, {w.symbols: c for w in space.words(r)})
+        return cls._of(space, r, np.full(len(space.word_table(r)), float(c)))
 
     @classmethod
     def indicator(cls, space: SftSpace, word: Word) -> "Potential":
-        """1 on the given r-word's cylinder, 0 elsewhere."""
-        r = len(word)
-        return cls(space, r, {
-            w.symbols: 1.0 if w.symbols == word.symbols else 0.0
-            for w in space.words(r)
-        })
+        """1 on the given admissible r-word's cylinder, 0 elsewhere."""
+        values = np.zeros(len(space.word_table(len(word))))
+        values[word_columns(space, np.array([word.symbols]))] = 1.0
+        return cls._of(space, len(word), values)
 
     def scale(self, q: float) -> "Potential":
-        return Potential(self.space, self.r, {k: q * v for k, v in self.table.items()})
+        return Potential._of(self.space, self.r, q * self.values)
 
     def add_constant(self, c: float) -> "Potential":
-        return Potential(self.space, self.r, {k: v + c for k, v in self.table.items()})
+        return Potential._of(self.space, self.r, self.values + c)
 
     def max_value(self) -> float:
-        return max(self.table.values())
+        return float(self.values.max())
 
     def to_json(self) -> str:
-        return json.dumps({
-            "r": self.r,
-            "table": {Word(k).to_text(): v for k, v in self.table.items()},
-        })
+        return json.dumps({"r": self.r, "table": {
+            Word(k).to_text(): v for k, v in self.table.items()}})
 
     @classmethod
     def from_json(cls, space: SftSpace, text: str) -> "Potential":
         data = json.loads(text)
-        return cls(space, data["r"], {
-            Word.from_text(k).symbols: v for k, v in data["table"].items()
-        })
+        return cls(space, data["r"], {Word.from_text(k).symbols: v
+                                      for k, v in data["table"].items()})
 
 
 def random_potential(space: SftSpace, r: int, seed: int,
                      low: int = -9, high: int = 9,
                      integer: bool = True) -> Potential:
-    rng = rng_from(seed)
-    table = {}
-    for w in space.words(r):
-        if integer:
-            table[w.symbols] = float(rng.integers(low, high + 1))
-        else:
-            table[w.symbols] = float(rng.uniform(low, high))
-    return Potential(space, r, table)
+    """One draw per admissible r-word, in table order."""
+    rng, k = rng_from(seed), len(space.word_table(r))
+    return Potential._of(space, r, rng.integers(low, high + 1, size=k)
+                         .astype(float) if integer
+                         else rng.uniform(low, high, size=k))
 
 
 def coboundary_shift(f: Potential, g: Potential) -> Potential:
     """f + g(shifted window) - g(window): same ergodic averages as f."""
     if g.r != max(f.r - 1, 1):
         raise ValueError("coboundary depth must be one less than the potential's")
-    table = {}
-    for w in f.space.words(max(f.r, g.r + 1)):
-        s = w.symbols
-        table[s] = f.value(s[:f.r]) + g.value(s[1:1 + g.r]) - g.value(s[:g.r])
-    return Potential(f.space, max(f.r, g.r + 1), table)
+    r = max(f.r, g.r + 1)
+    words = f.space.word_table(r)
+    f0, g1, g0 = (h.values[word_columns(f.space, words[:, i:i + h.r])]
+                  for h, i in ((f, 0), (g, 1), (g, 0)))
+    return Potential._of(f.space, r, (f0 + g1) - g0)
 
 
 def mean_potential(mu: MarkovMeasure, f: Potential) -> float:
@@ -119,10 +126,10 @@ def mean_potential(mu: MarkovMeasure, f: Potential) -> float:
 
 @dataclass(frozen=True)
 class BlockGraph:
+    """The ell-words as nodes, (ell+1)-words as edges, in word-table order."""
     space: SftSpace
     ell: int
     nodes: tuple[tuple[int, ...], ...]
-    index: dict
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]  # (u, v, edge word)
     src: np.ndarray  # u of each edge, in edge order
     dst: np.ndarray  # v of each edge
@@ -138,33 +145,22 @@ class BlockGraph:
         return SftSpace(A)
 
 
-_BLOCK_CACHE: dict[tuple[bytes, int], BlockGraph] = {}
-
-
 def block_graph(space: SftSpace, ell: int) -> BlockGraph:
-    key = (space.transition.tobytes(), ell)
-    if key not in _BLOCK_CACHE:
-        nodes = tuple(w.symbols for w in space.words(ell))
-        index = {w: i for i, w in enumerate(nodes)}
-        edges = []
-        for i, u in enumerate(nodes):
-            for b in space.successors(u[-1]):
-                v = u[1:] + (b,)
-                if v in index:
-                    edges.append((i, index[v], u + (b,)))
-        uv = np.array([e[:2] for e in edges], dtype=np.intp).reshape(-1, 2)
-        _BLOCK_CACHE[key] = BlockGraph(space, ell, nodes, index, tuple(edges),
-                                       uv[:, 0], uv[:, 1])
-    return _BLOCK_CACHE[key]
-
-
-def _graph_for(space: SftSpace, f: Potential) -> BlockGraph:
-    return block_graph(space, max(f.r - 1, 1))
+    """The ell-block graph, cached on the space."""
+    graph = space._block_cache.get(ell)
+    if graph is None:
+        ew = space.word_table(ell + 1)
+        src, dst = word_columns(space, ew[:, :-1]), word_columns(space, ew[:, 1:])
+        graph = space._block_cache[ell] = BlockGraph(
+            space, ell, tuple(map(tuple, space.word_table(ell).tolist())),
+            tuple(zip(src.tolist(), dst.tolist(), map(tuple, ew.tolist()))),
+            src, dst)
+    return graph
 
 
 def _edge_values(graph: BlockGraph, f: Potential) -> list[float]:
-    """f on each edge of its block graph, in edge order."""
-    return [f.table[ew[:f.r]] for _, _, ew in graph.edges]
+    """f on each edge, in edge order (at depth 1, on its first symbol)."""
+    return (f.values if f.r > graph.ell else f.values[graph.src]).tolist()
 
 
 def _cycle_word(graph: BlockGraph, cycle_nodes: Sequence[int]) -> Word:
@@ -332,7 +328,7 @@ def beta(space: SftSpace, f: Potential) -> BetaResult:
     """
     if space.primitivity_index is None:
         raise NotPrimitive("beta needs a primitive space")
-    graph = _graph_for(space, f)
+    graph = block_graph(space, max(f.r - 1, 1))
     lam, tight = _optimum(graph, _edge_values(graph, f))
     cycle = _find_cycle(tight)
     if cycle is None:  # pragma: no cover - optimal cycle is always tight
@@ -347,7 +343,7 @@ def brute_force_beta(space: SftSpace, f: Potential, max_period: int) -> float:
     Closed walks decompose into simple cycles, so for max_period >= the
     block-graph node count this equals the maximum mean cycle.
     """
-    graph = _graph_for(space, f)
+    graph = block_graph(space, max(f.r - 1, 1))
     best = _maxplus_best_mean(graph.n_nodes(), graph.src, graph.dst,
                               _edge_values(graph, f), max_period)
     if best is None:
@@ -367,7 +363,7 @@ def classify_smr(space: SftSpace, f: Potential) -> SmrClassification:
     """Structure of the maximizing-measure support: a unique optimal simple
     cycle (with its gap to the best cycle avoiding it) or the list of tied
     optimal cycles."""
-    graph = _graph_for(space, f)
+    graph = block_graph(space, max(f.r - 1, 1))
     values = _edge_values(graph, f)
     lam, tight = _optimum(graph, values)
     n = graph.n_nodes()
@@ -405,7 +401,7 @@ def _simple_cycles(adj: list[list[int]]) -> list[list[int]]:
 def _transfer_matrix(space: SftSpace, f: Potential) -> tuple[BlockGraph, np.ndarray, float]:
     """Transition-masked exp(f) matrix on the block graph, with the potential
     shifted by its maximum for overflow safety (shift returned separately)."""
-    graph = _graph_for(space, f)
+    graph = block_graph(space, max(f.r - 1, 1))
     shift = f.max_value()
     n = graph.n_nodes()
     M = np.zeros((n, n))
@@ -476,7 +472,7 @@ def equilibrium_mean(space: SftSpace, f: Potential,
                      mu: Optional[MarkovMeasure] = None) -> float:
     """Integral of f against its equilibrium state, via edge flows of the
     block-graph measure (valid for any depth)."""
-    graph = _graph_for(space, f)
+    graph = block_graph(space, max(f.r - 1, 1))
     measure = mu if mu is not None else equilibrium_state(space, f)
     total = 0.0
     for (u, v, _), val in zip(graph.edges, _edge_values(graph, f)):

@@ -378,10 +378,11 @@ def thm1_6_equilibrium(params: dict, seed: int) -> ExperimentResult:
     worst = 0.0
     count = params.get("count", 50)
     rng = np.random.default_rng(seed)
+    spaces = {m: SftSpace.full_shift(m) for m in range(2, 5)}
     for trial in range(count):
         m = int(rng.integers(2, 5))
         r = int(rng.integers(1, 3))
-        space = SftSpace.full_shift(m)
+        space = spaces[m]
         f = ergopt.random_potential(space, r, seed=seed * 1000 + trial,
                                     integer=False, low=-2, high=2)
         res = ergopt.equilibrium_residual(space, f)
@@ -410,12 +411,13 @@ def karp_oracle(params: dict, seed: int) -> ExperimentResult:
     count = params.get("count", 100)
     rows = []
     all_equal = True
+    spaces = {m: SftSpace.full_shift(m) for m in range(2, 7)}
     for trial in range(count):
         m = int(rng.integers(2, 7))
         r = int(rng.integers(1, 4))
         if m ** max(r - 1, 1) > 40:
             r = 2
-        space = SftSpace.full_shift(m)
+        space = spaces[m]
         f = ergopt.random_potential(space, r, seed=seed * 7919 + trial)
         nodes = ergopt.block_graph(space, max(r - 1, 1)).n_nodes()
         karp = ergopt.beta(space, f).value

@@ -39,59 +39,52 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
                      MalformedSchedule, MalformedTree, NotPrimitive,
                      OrbitsNotDisjoint, WordsTooShort)
+from .ergopt import block_graph
 from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
-                       weak_star_dist, window_counts, word_columns)
+                       weak_star_dist, window_counts)
 from .shift import (SftSpace, SymbolStream, Word, bridge, dist, glue,
-                    glue_spans, iglue)
+                    glue_spans, iglue, word_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 
 # --------------------------- covering tours ---------------------------
 
 
-def _eulerian_circuit(n_nodes: int, edges: list[tuple[int, int, int]]
+def _eulerian_circuit(n_nodes: int, src: np.ndarray, dst: np.ndarray
                       ) -> Optional[list[int]]:
-    """Edge ids of an Eulerian circuit (Hierholzer), or None when the graph
-    is unbalanced or not connected.  Edges are consumed in sorted order, so
-    the circuit is deterministic."""
-    out_deg = [0] * n_nodes
-    in_deg = [0] * n_nodes
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    for u, v, eid in edges:
-        out_deg[u] += 1
-        in_deg[v] += 1
-        adj[u].append((v, eid))
-    if out_deg != in_deg:
+    """Edge ids (positions in src and dst) of an Eulerian circuit
+    (Hierholzer), or None when the graph is unbalanced or not connected.
+    Edges are consumed in sorted order, so the circuit is deterministic."""
+    if (np.bincount(src, minlength=n_nodes) !=
+            np.bincount(dst, minlength=n_nodes)).any():
         return None
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    for eid, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+        adj[u].append((v, eid))
     for lst in adj:
-        lst.sort()
-    ptr = [0] * n_nodes
-    start = min(u for u, _, _ in edges)
-    stack = [start]
-    edge_stack: list[int] = []
-    edge_path: list[int] = []
+        lst.sort(reverse=True)  # pop() takes the smallest
+    stack = [int(src.min())]
+    edge_stack, edge_path = [], []
     while stack:
         v = stack[-1]
-        if ptr[v] < len(adj[v]):
-            nxt, eid = adj[v][ptr[v]]
-            ptr[v] += 1
+        if adj[v]:
+            nxt, eid = adj[v].pop()
             stack.append(nxt)
             edge_stack.append(eid)
         else:
             stack.pop()
             if edge_stack:
                 edge_path.append(edge_stack.pop())
-    if len(edge_path) != len(edges):
+    if len(edge_path) != len(src):
         return None  # the edge graph is not connected
-    edge_path.reverse()
-    return edge_path
+    return edge_path[::-1]
 
 
 def dense_tour(space: SftSpace, depth: int) -> Word:
     """A word containing every admissible depth-word as a subword.
 
-    Depth >= 2 uses an Eulerian circuit on the (depth-1)-word graph whenever
+    Depth >= 2 uses an Eulerian circuit on the (depth-1)-block graph whenever
     that graph is balanced (a de Bruijn word, the shortest certificate);
     otherwise, and for depth 1, the depth-words are concatenated with
     bridging words.
@@ -100,19 +93,14 @@ def dense_tour(space: SftSpace, depth: int) -> Word:
         raise ValueError("depth must be positive")
     if space.primitivity_index is None:
         raise NotPrimitive("tours need a primitive space")
-    words = list(space.words(depth))
-    targets = [w.symbols for w in words]
+    table = space.word_table(depth)
     if depth >= 2:
-        nodes = {w.symbols: i for i, w in enumerate(space.words(depth - 1))}
-        edges = [(nodes[t[:-1]], nodes[t[1:]], eid)
-                 for eid, t in enumerate(targets)]
-        circuit = _eulerian_circuit(len(nodes), edges)
+        graph = block_graph(space, depth - 1)
+        circuit = _eulerian_circuit(graph.n_nodes(), graph.src, graph.dst)
         if circuit is not None:
-            syms = list(targets[circuit[0]])
-            for eid in circuit[1:]:
-                syms.append(targets[eid][-1])
-            return space.word(syms)
-    return glue(space, words, space.primitivity_index)
+            return space.word(table[circuit[0]].tolist() +
+                              table[circuit[1:], -1].tolist())
+    return glue(space, map(Word, table.tolist()), space.primitivity_index)
 
 
 def contains_all_words(space: SftSpace, tour: Word, depth: int) -> bool:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DepthExceedsEmpirical, ShortFamily, StationaryNotUnique
-from .shift import SftSpace, Word
+from .shift import SftSpace, Word, word_columns
 
 # --------------------------- helpers ---------------------------
 
@@ -209,40 +208,19 @@ MeasureLike = Union[MarkovMeasure, EmpiricalMeasure]
 
 def cylinder_weights(space: SftSpace, depth: int) -> list[tuple[tuple[int, ...], float]]:
     """Admissible cylinders of length 1..depth in (length, lex) order with
-    their weights 2**-(j+1), j the 1-based enumeration index (cached on the
-    space)."""
+    their weights 2**-(j+1), j the 1-based enumeration index, cached on the
+    space with the rows lo..hi-1 of ``space.word_table(depth)`` each one
+    prefixes: every admissible word extends, so those rows are one run."""
     if depth not in space._cyl_cache:
-        out = []
-        j = 0
-        for length in range(1, depth + 1):
-            for w in space.words(length):
-                j += 1
-                out.append((w.symbols, 2.0 ** (-(j + 1))))
-        space._cyl_cache[depth] = out
-    return space._cyl_cache[depth]
-
-
-def _depth_words(space: SftSpace, depth: int) -> list[tuple[int, ...]]:
-    """The admissible depth-words in lexicographic order: the last block of
-    :func:`cylinder_weights`, and the columns of every count matrix."""
-    return [cyl for cyl, _ in cylinder_weights(space, depth)
-            if len(cyl) == depth]
-
-
-def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
-    """Column of each row of a (k, depth) symbol array: the row's index in
-    :func:`_depth_words`.  Raises ValueError for an inadmissible row, whose
-    shorter prefixes no count matrix could place."""
-    depth = words.shape[1]
-    radix = space.m ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-    adm = np.array(_depth_words(space, depth), dtype=np.int64) @ radix
-    codes = np.asarray(words, dtype=np.int64) @ radix
-    cols = np.minimum(np.searchsorted(adm, codes), len(adm) - 1)
-    bad = np.flatnonzero(adm[cols] != codes)  # adm ascends: lexicographic
-    if len(bad):
-        raise ValueError(f"window {tuple(words[bad[0]].tolist())} is not an "
-                         f"admissible {depth}-word")
-    return cols
+        table, cyls, runs = space.word_table(depth), [], []
+        for n in range(1, depth + 1):
+            cut = (np.flatnonzero((table[1:, :n] != table[:-1, :n]).any(axis=1))
+                   + 1).tolist()
+            for lo, hi in zip([0] + cut, cut + [len(table)]):
+                cyls.append((tuple(table[lo, :n].tolist()), 2.0 ** -(len(cyls) + 2)))
+                runs.append((lo, hi))
+        space._cyl_cache[depth] = cyls, runs
+    return space._cyl_cache[depth][0]
 
 
 def window_counts(space: SftSpace, rows: np.ndarray, depth: int,
@@ -251,7 +229,7 @@ def window_counts(space: SftSpace, rows: np.ndarray, depth: int,
     symbol array, by :func:`word_columns` column: for each stop k, the
     matrix counting the windows that start before k.  Windows are added one
     offset at a time, so the temporaries hold one value per row."""
-    counts = np.zeros((rows.shape[0], len(_depth_words(space, depth))),
+    counts = np.zeros((rows.shape[0], len(space.word_table(depth))),
                       dtype=np.int64)
     every_row = np.arange(rows.shape[0])
     stops = set(stops)
@@ -271,17 +249,15 @@ def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
     bit for bit: row i counts depth-windows per :func:`word_columns` column
     out of total (a scalar or one total per row).
 
-    A cylinder's count is the sum of the contiguous columns it prefixes,
-    and d += weight * |count / total - target(cyl)| runs in
+    A cylinder's count is the sum of the contiguous word-table rows it
+    prefixes, and d += weight * |count / total - target(cyl)| runs in
     :func:`cylinder_weights` order, the float operations of weak_star_dist.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    words = _depth_words(target.space, depth)
-    top = (target.space.m,)
     d = np.zeros(counts.shape[0])
-    for cyl, weight in cylinder_weights(target.space, depth):
-        lo, hi = bisect_left(words, cyl), bisect_left(words, cyl + top)
+    cyls = cylinder_weights(target.space, depth)
+    for (lo, hi), (cyl, weight) in zip(target.space._cyl_cache[depth][1], cyls):
         freq = counts[:, lo:hi].sum(axis=1) / total
         d += weight * np.abs(freq - target.cylinder_prob(cyl))
     return d

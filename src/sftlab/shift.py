@@ -1,11 +1,14 @@
-"""Subshifts of finite type: words, admissibility, the shift metric,
-Bowen-ball separation predicates, bridging words, and gluing (word
+"""Subshifts of finite type: words and their index, admissibility, the shift
+metric, Bowen-ball separation predicates, bridging words, and gluing (word
 concatenation with fixed-length bridges, the one join every construction
 uses, and ``glue_spans``, the one rule for where each glued word lands).
 
 Conventions fixed here and used everywhere else:
 
 * one-sided shifts over the alphabet {0, ..., m-1};
+* one word index: a word's row in ``SftSpace.word_table(L)`` (lexicographic)
+  indexes every table over admissible L-words, and :func:`word_columns`
+  finds it for each row of a symbol array;
 * metric d(x, y) = 2**(-t) with t the first index of disagreement, so a
   statement "(n, 2**(-k))-separated" is exactly "distinct prefixes of
   length n + k - 1";
@@ -114,7 +117,9 @@ class SftSpace:
         self.primitivity_index = self._compute_primitivity_index(A)
         self._reach_cache: dict[int, np.ndarray] = {0: np.eye(self.m, dtype=bool)}
         self._bridge_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._cyl_cache: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+        self._cyl_cache: dict[int, tuple[list, list]] = {}  # (weights, runs)
+        self._word_cache: dict[int, tuple] = {}  # L: (words, codes)
+        self._block_cache: dict[int, object] = {}  # ergopt.block_graph
         self._succ = [tuple(np.flatnonzero(A[i]).tolist()) for i in range(self.m)]
 
     @staticmethod
@@ -180,6 +185,18 @@ class SftSpace:
             for b in reversed(self._succ[w[-1]]):
                 stack.append(w + (b,))
 
+    def word_table(self, length: int) -> np.ndarray:
+        """The admissible words of a length as the rows of one read-only
+        int64 array, in :meth:`words` order; cached with their base-m codes."""
+        if length < 1:
+            raise ValueError(f"word length must be positive, got {length}")
+        if length not in self._word_cache:
+            table = np.array([w.symbols for w in self.words(length)], dtype=np.int64)
+            table.setflags(write=False)
+            codes = np.ravel_multi_index(table.T, (self.m,) * length)
+            self._word_cache[length] = table, codes
+        return self._word_cache[length][0]
+
     def count_words(self, length: int) -> int:
         if length == 0:
             return 1
@@ -217,6 +234,26 @@ class SftSpace:
 
     def __repr__(self) -> str:
         return f"SftSpace(m={self.m}, full={self.is_full_shift})"
+
+
+def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
+    """Row of each row of a (k, L) symbol array in ``space.word_table(L)``;
+    ValueError names the first row that is not an admissible L-word."""
+    words = np.asarray(words)
+    dims = (space.m,) * words.shape[1]
+    space.word_table(len(dims))
+    adm = space._word_cache[len(dims)][1]
+    try:
+        codes = np.ravel_multi_index(words.T, dims)
+    except ValueError:  # symbols outside the alphabet: code -1 is no word's
+        codes = np.where(((words < 0) | (words >= space.m)).any(axis=1), -1,
+                         np.ravel_multi_index(words.T, dims, mode="clip"))
+    cols = np.minimum(np.searchsorted(adm, codes), len(adm) - 1)
+    bad = adm[cols] != codes
+    if bad.any():
+        raise ValueError(f"window {tuple(words[bad.argmax()].tolist())} is "
+                         f"not an admissible {words.shape[1]}-word")
+    return cols
 
 
 # --------------------------- metric and separation ---------------------------

@@ -12,12 +12,12 @@ from sftlab.analysis import empirical
 from sftlab.errors import (DepthExceedsEmpirical, ShortFamily, SftLabError,
                            StationaryNotUnique)
 from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
-                             _batch_weak_star, _depth_words, cylinder_weights,
+                             _batch_weak_star, cylinder_weights,
                              interpolate, ks_entropy, refine_path,
                              rng_from, sample_word, sample_words_batch,
                              typical_separated_family, weak_star_counts,
-                             weak_star_dist, word_columns)
-from sftlab.shift import SftSpace, Word, delta_separated
+                             weak_star_dist)
+from sftlab.shift import SftSpace, Word, delta_separated, word_columns
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -207,7 +207,7 @@ class TestWeakStarCore:
         target = random_measure(data.draw, space, depth)
         samples = [random_windows(data.draw, space, depth)
                    for _ in range(data.draw(st.integers(1, 4)))]
-        ncols = len(_depth_words(space, depth))
+        ncols = len(space.word_table(depth))
         counts = np.array([np.bincount(word_columns(space, w), minlength=ncols)
                            for w in samples])
         totals = np.array([len(w) for w in samples])

@@ -1,0 +1,418 @@
+"""The one word index: ``SftSpace.word_table`` and ``word_columns``, and the
+potentials, block graphs and count columns that read them.
+
+The per-word and dict forms the vector code replaced are kept here as
+oracles, and every result must equal them exactly."""
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sftlab import ergopt
+from sftlab.analysis import birkhoff_avg
+from sftlab.ergopt import (Potential, beta, block_graph, coboundary_shift,
+                           pressure, random_potential)
+from sftlab.gluing import dense_tour
+from sftlab.measures import (MarkovMeasure, cylinder_weights, rng_from,
+                             sample_word)
+from sftlab.shift import SftSpace, Word, glue, word_columns
+
+GOLDEN = SftSpace.golden_mean()
+# primitive, not a full shift, three symbols
+THREE = SftSpace([[0, 1, 0], [0, 0, 1], [1, 1, 1]])
+SPACES = [GOLDEN, THREE] + [SftSpace.full_shift(m) for m in range(1, 7)]
+
+
+# --------------------------- oracles: the replaced code ---------------------------
+
+
+def per_word_random_potential(space, r, seed, low=-9, high=9, integer=True):
+    """random_potential's table as it was drawn: one draw per word."""
+    rng = rng_from(seed)
+    table = {}
+    for w in space.words(r):
+        if integer:
+            table[w.symbols] = float(rng.integers(low, high + 1))
+        else:
+            table[w.symbols] = float(rng.uniform(low, high))
+    return table
+
+
+def nested_loop_block_graph(space, ell):
+    """(nodes, edges, src, dst) of block_graph as the index dict and the
+    successor loop built them."""
+    nodes = tuple(w.symbols for w in space.words(ell))
+    index = {w: i for i, w in enumerate(nodes)}
+    edges = []
+    for i, u in enumerate(nodes):
+        for b in space.successors(u[-1]):
+            v = u[1:] + (b,)
+            if v in index:
+                edges.append((i, index[v], u + (b,)))
+    uv = np.array([e[:2] for e in edges], dtype=np.intp).reshape(-1, 2)
+    return nodes, tuple(edges), uv[:, 0], uv[:, 1]
+
+
+def dict_scale(f, q):
+    return {k: q * v for k, v in f.table.items()}
+
+
+def dict_add_constant(f, c):
+    return {k: v + c for k, v in f.table.items()}
+
+
+def dict_constant(space, c, r):
+    return {w.symbols: float(c) for w in space.words(r)}
+
+
+def dict_indicator(space, word):
+    return {w.symbols: 1.0 if w.symbols == word.symbols else 0.0
+            for w in space.words(len(word))}
+
+
+def dict_coboundary_shift(f, g):
+    table = {}
+    for w in f.space.words(max(f.r, g.r + 1)):
+        s = w.symbols
+        table[s] = f.table[s[:f.r]] + g.table[s[1:1 + g.r]] - g.table[s[:g.r]]
+    return table
+
+
+def rebuilt_word_columns(space, words):
+    """word_columns as it rebuilt its code array from the word list on
+    every call."""
+    depth = words.shape[1]
+    radix = space.m ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    adm = np.array([w.symbols for w in space.words(depth)],
+                   dtype=np.int64) @ radix
+    codes = np.asarray(words, dtype=np.int64) @ radix
+    cols = np.minimum(np.searchsorted(adm, codes), len(adm) - 1)
+    bad = np.flatnonzero(adm[cols] != codes)
+    if len(bad):
+        raise ValueError(f"window {tuple(words[bad[0]].tolist())} is not an "
+                         f"admissible {depth}-word")
+    return cols
+
+
+def loop_birkhoff_avg(x, f, n):
+    s = x.symbols
+    return sum(f.table[s[i:i + f.r]] for i in range(n)) / n
+
+
+# --------------------------- strategies ---------------------------
+
+
+@st.composite
+def potential_cases(draw):
+    space = draw(st.sampled_from(SPACES))
+    r = draw(st.integers(1, 3))
+    low = draw(st.integers(-20, 20))
+    high = draw(st.integers(low, low + 30))
+    integer = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 32))
+    return space, r, seed, low, high, integer
+
+
+def admissible_rows(draw, space, depth, count):
+    rows = []
+    for _ in range(count):
+        syms = [draw(st.integers(0, space.m - 1))]
+        while len(syms) < depth:
+            syms.append(draw(st.sampled_from(space.successors(syms[-1]))))
+        rows.append(syms)
+    return np.array(rows, dtype=np.int64).reshape(count, depth)
+
+
+# --------------------------- the table ---------------------------
+
+
+class TestWordTable:
+    @pytest.mark.parametrize("space", SPACES, ids=repr)
+    def test_rows_are_the_words_in_order(self, space):
+        for length in (1, 2, 3):
+            table = space.word_table(length)
+            assert [tuple(row) for row in table.tolist()] == \
+                [w.symbols for w in space.words(length)]
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert space.word_table(length) is table
+
+    def test_nonpositive_length_raises(self):
+        for length in (0, -1):
+            with pytest.raises(ValueError, match="must be positive"):
+                GOLDEN.word_table(length)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_word_columns_equal_rebuilt_oracle(self, data):
+        space = data.draw(st.sampled_from(SPACES))
+        depth = data.draw(st.integers(1, 3))
+        count = data.draw(st.integers(0, 12))
+        if data.draw(st.booleans()):
+            rows = admissible_rows(data.draw, space, depth, count)
+        else:
+            rows = np.array(data.draw(st.lists(
+                st.lists(st.integers(0, space.m - 1), min_size=depth,
+                         max_size=depth), min_size=1, max_size=12)),
+                dtype=np.int64)
+        try:
+            expected = rebuilt_word_columns(space, rows)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                word_columns(space, rows)
+        else:
+            assert word_columns(space, rows).tolist() == expected.tolist()
+
+    def test_symbols_outside_the_alphabet_are_named(self):
+        # (0, 2) and (1, -1) have the base-2 codes of (1, 0) and (0, 1)
+        for row in ([0, 2], [1, -1], [-1, 0], [1, 2]):
+            with pytest.raises(ValueError, match=r"is not an admissible 2-word"):
+                word_columns(GOLDEN, np.array([row]))
+
+
+# --------------------------- potentials ---------------------------
+
+
+class TestPotentialVectors:
+    @settings(max_examples=300, deadline=None)
+    @given(potential_cases())
+    def test_random_potential_equals_per_word_draws(self, case):
+        space, r, seed, low, high, integer = case
+        f = random_potential(space, r, seed, low=low, high=high,
+                             integer=integer)
+        expected = per_word_random_potential(space, r, seed, low, high,
+                                             integer)
+        assert dict(f.table) == expected
+        assert list(f.table) == list(expected)  # lexicographic order
+        assert f.values.tolist() == list(expected.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(potential_cases(), st.floats(-50, 50), st.floats(-50, 50))
+    def test_arithmetic_equals_dict_forms(self, case, q, c):
+        space, r, seed, low, high, integer = case
+        f = random_potential(space, r, seed, low=low, high=high,
+                             integer=integer)
+        assert dict(f.scale(q).table) == dict_scale(f, q)
+        assert dict(f.add_constant(c).table) == dict_add_constant(f, c)
+        assert dict(Potential.constant(space, c, r).table) == \
+            dict_constant(space, c, r)
+        assert f.max_value() == max(f.table.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_indicator_equals_dict_form(self, data):
+        space = data.draw(st.sampled_from(SPACES))
+        r = data.draw(st.integers(1, 3))
+        word = Word(admissible_rows(data.draw, space, r, 1)[0].tolist())
+        assert dict(Potential.indicator(space, word).table) == \
+            dict_indicator(space, word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(potential_cases(), st.integers(0, 2 ** 32))
+    def test_coboundary_shift_equals_dict_form(self, case, seed2):
+        space, r, seed, low, high, integer = case
+        f = random_potential(space, r, seed, low=low, high=high,
+                             integer=integer)
+        g = random_potential(space, max(r - 1, 1), seed2, integer=integer)
+        h = coboundary_shift(f, g)
+        assert h.r == max(r, 2)
+        assert dict(h.table) == dict_coboundary_shift(f, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(potential_cases())
+    def test_dict_constructor_and_json_keep_the_values(self, case):
+        space, r, seed, low, high, integer = case
+        f = random_potential(space, r, seed, low=low, high=high,
+                             integer=integer)
+        table = dict(reversed(list(f.table.items())))  # any key order
+        assert Potential(space, r, table).values.tolist() == f.values.tolist()
+        back = Potential.from_json(space, f.to_json())
+        assert back.values.tolist() == f.values.tolist()
+        assert list(json.loads(f.to_json())["table"]) == \
+            [Word(k).to_text() for k in f.table]
+
+    def test_table_and_values_are_read_only(self):
+        f = random_potential(GOLDEN, 2, seed=3)
+        with pytest.raises(TypeError):
+            f.table[(0, 0)] = 1.0
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+
+    def test_dict_constructor_names_missing_and_extra(self):
+        with pytest.raises(ValueError, match=r"missing 1, extra 0"):
+            Potential(GOLDEN, 2, {(0, 0): 1.0, (0, 1): 2.0})
+        with pytest.raises(ValueError, match=r"missing 1, extra 1"):
+            Potential(GOLDEN, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0})
+        with pytest.raises(ValueError, match=r"missing 0, extra 1"):
+            Potential(GOLDEN, 1, {(0,): 1.0, (1,): 2.0, (0, 1): 3.0})
+
+    @pytest.mark.parametrize("text", ["11", "12"])
+    def test_indicator_of_a_forbidden_word_raises(self, text):
+        # it used to return the all-zero potential, whose beta is 0.0
+        window = re.escape(str(tuple(int(c) for c in text)))
+        with pytest.raises(ValueError, match=window):
+            Potential.indicator(GOLDEN, Word(text))
+
+    def test_value_of_a_forbidden_window_raises(self):
+        f = random_potential(GOLDEN, 2, seed=1)
+        assert f.value((1, 0)) == f.table[(1, 0)]
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not an admissible"):
+            f.value((1, 1))
+        with pytest.raises(ValueError, match=r"\(1,\) is not an admissible 2"):
+            f.value((1,))
+
+    def test_operations_enumerate_no_words_after_the_first_table(
+            self, monkeypatch):
+        calls = []
+        words = SftSpace.words
+
+        def counted(self, length):
+            calls.append(length)
+            return words(self, length)
+
+        monkeypatch.setattr(SftSpace, "words", counted)
+        space = SftSpace.full_shift(3)
+        f = random_potential(space, 2, seed=1)
+        g = random_potential(space, 1, seed=2, integer=False)
+        assert sorted(calls) == [1, 2]
+        calls.clear()
+        for trial in range(20):
+            f = random_potential(space, 2, seed=trial)
+            h = coboundary_shift(f.scale(0.5).add_constant(1.0), g)
+            Potential.constant(space, 1.0, 2)
+            Potential.indicator(space, Word("12"))
+            f.value((2, 1))
+            f.max_value()
+            beta(space, h)
+            pressure(space, g)
+            Potential.from_json(space, h.to_json())
+        assert calls == []
+
+
+# --------------------------- block graphs ---------------------------
+
+
+class TestBlockGraphTable:
+    @pytest.mark.parametrize("space", SPACES, ids=repr)
+    def test_equals_nested_loop_oracle(self, space):
+        for ell in (1, 2, 3):
+            if space.m ** ell > 216:
+                continue
+            g = block_graph(space, ell)
+            nodes, edges, src, dst = nested_loop_block_graph(space, ell)
+            assert g.nodes == nodes and g.edges == edges
+            assert g.src.tolist() == src.tolist()
+            assert g.dst.tolist() == dst.tolist()
+
+    def test_cached_on_the_space_not_globally(self):
+        a, b = SftSpace.full_shift(2), SftSpace.full_shift(2)
+        assert block_graph(a, 2) is block_graph(a, 2)
+        assert block_graph(b, 2) is not block_graph(a, 2)
+        assert not hasattr(ergopt, "_BLOCK_CACHE")
+
+    @settings(max_examples=100, deadline=None)
+    @given(potential_cases())
+    def test_edge_values_equal_edge_word_lookups(self, case):
+        space, r, seed, low, high, integer = case
+        f = random_potential(space, r, seed, low=low, high=high,
+                             integer=integer)
+        g = block_graph(space, max(r - 1, 1))
+        assert ergopt._edge_values(g, f) == \
+            [f.table[ew[:f.r]] for _, _, ew in g.edges]
+
+
+# --------------------------- Birkhoff averages ---------------------------
+
+
+class TestBirkhoffWindows:
+    def test_forbidden_window_is_named(self):
+        f = random_potential(GOLDEN, 2, seed=1)
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not an admissible"):
+            birkhoff_avg(Word("0110"), f, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_window_loop(self, data):
+        space = data.draw(st.sampled_from([GOLDEN, THREE,
+                                           SftSpace.full_shift(3)]))
+        r = data.draw(st.integers(1, 3))
+        f = random_potential(space, r, data.draw(st.integers(0, 999)),
+                             integer=data.draw(st.booleans()))
+        row = admissible_rows(data.draw, space,
+                              data.draw(st.integers(r, 60)), 1)[0]
+        x = Word(row.tolist())
+        n = data.draw(st.integers(1, len(x) - r + 1))
+        assert birkhoff_avg(x, f, n) == loop_birkhoff_avg(x, f, n)
+
+    def test_long_sampled_word_equals_the_window_loop(self):
+        mu = MarkovMeasure.bernoulli(SftSpace.full_shift(3), [0.2, 0.3, 0.5])
+        x = sample_word(mu, 5000, seed=4)
+        f = random_potential(mu.space, 3, seed=5, integer=False)
+        assert birkhoff_avg(x, f, 4998) == loop_birkhoff_avg(x, f, 4998)
+
+
+def test_cylinder_weights_unchanged_by_the_table():
+    # the (length, lex) enumeration and its weights, as the loop built them
+    for space in (GOLDEN, THREE):
+        out, j = [], 0
+        for length in (1, 2, 3):
+            for w in space.words(length):
+                j += 1
+                out.append((w.symbols, 2.0 ** (-(j + 1))))
+        assert cylinder_weights(space, 3) == out
+
+
+# --------------------------- covering tours ---------------------------
+
+
+def node_dict_dense_tour(space, depth):
+    """dense_tour as it built its own node dict and walked edge pointers."""
+    words = list(space.words(depth))
+    targets = [w.symbols for w in words]
+    if depth >= 2:
+        nodes = {w.symbols: i for i, w in enumerate(space.words(depth - 1))}
+        edges = [(nodes[t[:-1]], nodes[t[1:]], eid)
+                 for eid, t in enumerate(targets)]
+        n = len(nodes)
+        out_deg, in_deg = [0] * n, [0] * n
+        adj = [[] for _ in range(n)]
+        for u, v, eid in edges:
+            out_deg[u] += 1
+            in_deg[v] += 1
+            adj[u].append((v, eid))
+        circuit = None
+        if out_deg == in_deg:
+            for lst in adj:
+                lst.sort()
+            ptr = [0] * n
+            stack, edge_stack, path = [min(u for u, _, _ in edges)], [], []
+            while stack:
+                v = stack[-1]
+                if ptr[v] < len(adj[v]):
+                    nxt, eid = adj[v][ptr[v]]
+                    ptr[v] += 1
+                    stack.append(nxt)
+                    edge_stack.append(eid)
+                else:
+                    stack.pop()
+                    if edge_stack:
+                        path.append(edge_stack.pop())
+            if len(path) == len(edges):
+                circuit = path[::-1]
+        if circuit is not None:
+            syms = list(targets[circuit[0]])
+            for eid in circuit[1:]:
+                syms.append(targets[eid][-1])
+            return space.word(syms)
+    return glue(space, words, space.primitivity_index)
+
+
+@pytest.mark.parametrize("space", [GOLDEN, THREE, SftSpace.full_shift(2),
+                                   SftSpace.full_shift(3),
+                                   SftSpace([[1, 1, 0], [0, 1, 1], [1, 1, 1]])],
+                         ids=repr)
+def test_dense_tour_equals_node_dict_oracle(space):
+    for depth in (1, 2, 3, 4):
+        assert dense_tour(space, depth) == node_dict_dense_tour(space, depth)
