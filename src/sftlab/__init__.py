@@ -4,8 +4,9 @@ equilibrium states, matrix cocycles and distributional chaos."""
 
 from . import analysis, chaos, cocycle, ergopt, gluing, measures, shift
 from .errors import (BadCheckpoints, Degenerate, DepthExceedsEmpirical,
-                     FamilyNotSeparated, GapTooSmall, InfeasibleParams, MalformedSchedule,
-                     MalformedTree, NotPrimitive, NotRecurrent,
+                     FamilyNotSeparated, GapTooSmall, InfeasibleParams,
+                     LeafOutOfRange, MalformedSchedule, MalformedTree,
+                     NotPrimitive, NotRecurrent,
                      OrbitsNotDisjoint, OutsideLf, SftLabError, ShortFamily,
                      SingularProduct, WordsTooShort, ZeroCylinder)
 from .shift import SftSpace, SymbolStream, Word, bridge, connector, \

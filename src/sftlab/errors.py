@@ -73,6 +73,10 @@ class MalformedTree(SftLabError):
     """A branching-tree stage has no options or options of unequal length."""
 
 
+class LeafOutOfRange(SftLabError, IndexError):
+    """A branching-tree leaf index lies outside [0, leaf count)."""
+
+
 class BadCheckpoints(SftLabError):
     """A tracking report got no checkpoints or a non-positive horizon."""
 

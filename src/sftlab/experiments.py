@@ -7,6 +7,7 @@ bodies are byte-identical across reruns with the same seed.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -114,6 +115,43 @@ def thm1_1_capacity(params: dict, seed: int) -> ExperimentResult:
     )
 
 
+_SAMPLED_LEAVES, _SAMPLED_PAIRS = 64, 32
+
+
+def _sampled_leaf_checks(tree: gluing.BranchTree, seed: int
+                         ) -> tuple[bool, bool]:
+    """(layout_ok, split_ok) over seeded sample leaves, at any depth.
+
+    Layout: each sampled leaf is as long as the tree's last prefix end and
+    holds, in each stage span, the option word its label names.  Split: each
+    sampled pair first disagrees in the first stage where the labels differ
+    (that stage's span plus the bridge in front of it), as
+    prefix_distinct_report predicts; equal labels give equal leaves.  A pair
+    shares a random number of leading stages, so every stage is reached."""
+    rng = random.Random(seed)  # randrange is exact at any leaf count
+    total, spans = tree.leaf_count(), tree.stage_spans()
+    bounds = [0, *tree.prefix_ends()]
+    layout_ok = True
+    for _ in range(_SAMPLED_LEAVES):
+        i = rng.randrange(total)
+        w = tree.leaf(i).symbols
+        layout_ok &= len(w) == bounds[-1] and all(
+            w[a:b] == st.options[c].symbols
+            for (a, b), st, c in zip(spans, tree.stages, tree.label(i)))
+    split_ok = True
+    for _ in range(_SAMPLED_PAIRS):
+        block = total // tree.leaf_count(rng.randrange(len(tree.stages)))
+        i = rng.randrange(total)
+        j = i - i % block + rng.randrange(block)
+        x, y = tree.leaf(i).symbols, tree.leaf(j).symbols
+        first = next((p for p, (a, b) in enumerate(zip(x, y)) if a != b), None)
+        stage = next((s for s, (a, b) in enumerate(
+            zip(tree.label(i), tree.label(j))) if a != b), None)
+        split_ok &= (first is None if stage is None else first is not None
+                     and bounds[stage] <= first < bounds[stage + 1])
+    return layout_ok, split_ok
+
+
 @experiment("thm1_2_packing_tree",
             "packing-entropy branching tree with exact counting-measure"
             " Bowen-ball bounds")
@@ -126,9 +164,10 @@ def thm1_2_packing_tree(params: dict, seed: int) -> ExperimentResult:
                                     stage_len=params.get("stage_len", 12))
     mass = tree.mass_bound_report()
     distinct = tree.prefix_distinct_report()
-    weight_total = tree.leaf_weight() * sum(1 for _ in tree.leaves())
+    weight_total = tree.leaf_weight() * tree.leaf_count()
+    layout_ok, split_ok = _sampled_leaf_checks(tree, seed)
     passed = (all(e.passed for e in mass) and all(e.passed for e in distinct)
-              and weight_total == 1)
+              and weight_total == 1 and layout_ok and split_ok)
     rows = [[e.stage, tree.prefix_ends()[e.stage - 1], e.lhs, e.rhs,
              int(e.passed)] for e in mass]
     return ExperimentResult(
@@ -139,6 +178,10 @@ def thm1_2_packing_tree(params: dict, seed: int) -> ExperimentResult:
             "weights_sum_exact": str(weight_total),
             "mass_bound_ok": all(e.passed for e in mass),
             "prefix_distinct_ok": all(e.passed for e in distinct),
+            "sampled_leaves": _SAMPLED_LEAVES,
+            "sampled_layout_ok": layout_ok,
+            "sampled_pairs": _SAMPLED_PAIRS,
+            "sampled_split_ok": split_ok,
         },
         tables={"mass_bounds.csv": _csv(
             ["stage", "prefix_len", "log_max_mass", "log_bound", "ok"], rows)},

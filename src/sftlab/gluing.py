@@ -37,8 +37,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
-                     MalformedSchedule, MalformedTree, NotPrimitive,
-                     OrbitsNotDisjoint, WordsTooShort)
+                     LeafOutOfRange, MalformedSchedule, MalformedTree,
+                     NotPrimitive, OrbitsNotDisjoint, WordsTooShort)
 from .ergopt import block_graph
 from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
@@ -47,6 +47,7 @@ from .shift import (SftSpace, SymbolStream, Word, bridge, dist, glue,
                     glue_spans, iglue, word_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
+LEAF_ENUMERATION_CAP = 200_000  # BranchTree.leaves walks no larger tree
 
 # --------------------------- covering tours ---------------------------
 
@@ -818,7 +819,8 @@ class BranchTree:
     Options within a stage share one positive length and a bridge is fixed
     by its two neighbouring symbols, so a leaf's stage-s prefix determines
     and is determined by its option words at stages 1..s: both certificates
-    are closed forms over the option sets."""
+    are closed forms over the option sets, and :meth:`leaf` glues any one
+    leaf from its index without walking the others."""
     space: SftSpace
     gap: int
     eta: float
@@ -846,19 +848,47 @@ class BranchTree:
     def leaf_weight(self) -> Fraction:
         return Fraction(1, self.leaf_count())
 
+    def stage_spans(self) -> list[tuple[int, int]]:
+        """The (start, end) of each stage's option word inside every leaf;
+        the bridge in front of a stage ends where its span starts."""
+        return glue_spans((len(st.options[0]) for st in self.stages), self.gap)
+
     def prefix_ends(self) -> list[int]:
         """Cumulative leaf length at each stage end (bridges included)."""
-        return [end for _, end in glue_spans(
-            (len(st.options[0]) for st in self.stages), self.gap)]
+        return [end for _, end in self.stage_spans()]
+
+    def label(self, index: int) -> tuple[int, ...]:
+        """The option chosen at each stage by leaf ``index`` of
+        :meth:`leaves`: the index in mixed radix over :meth:`option_counts`,
+        stage 1 the most significant digit.  LeafOutOfRange names an index
+        outside [0, leaf_count())."""
+        total = self.leaf_count()
+        if not 0 <= index < total:
+            raise LeafOutOfRange(f"leaf index {index} outside [0, {total})")
+        digits = []
+        for count in reversed(self.option_counts()):
+            index, digit = divmod(index, count)
+            digits.append(digit)
+        return tuple(reversed(digits))
+
+    def leaf(self, index: int) -> Word:
+        """Leaf ``index`` of :meth:`leaves`, its options glued with the
+        space's bridge memo; any index of a tree of any size."""
+        return glue(self.space, (st.options[c] for st, c in
+                                 zip(self.stages, self.label(index))), self.gap)
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], Word]]:
         """Every (label, leaf word) in lexicographic label order.  The walk is
         depth first, so each stage prefix is glued once and shared by the
-        leaves below it."""
+        leaves below it.  A tree of more than LEAF_ENUMERATION_CAP leaves
+        raises InfeasibleParams before the walk starts."""
+        count = self.leaf_count()
+        if count > LEAF_ENUMERATION_CAP:
+            raise InfeasibleParams(f"{count} leaves exceed the enumeration "
+                                   f"cap {LEAF_ENUMERATION_CAP}")
         space, gap, stages = self.space, self.gap, self.stages
         if not stages:
-            yield (), Word(())
-            return
+            return iter([((), Word(()))])
         last = len(stages) - 1
 
         def walk(s_idx, label, prefix):
@@ -872,7 +902,7 @@ class BranchTree:
                 else:
                     yield from walk(s_idx + 1, label + (c,), syms)
 
-        yield from walk(0, (), ())
+        return walk(0, (), ())
 
     def prefix_distinct_report(self) -> list[CheckEntry]:
         """Distinct labels give distinct stage-end prefixes: the prefixes
@@ -910,8 +940,7 @@ class BranchTree:
 def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
                       seed: int, *, stage_len: int = 12, delta: float = 0.05,
                       weights: Optional[Sequence[Fraction]] = None,
-                      size_margin: float = 1.2,
-                      max_leaves: int = 200_000) -> BranchTree:
+                      size_margin: float = 1.2) -> BranchTree:
     """Branching tree whose per-stage options are products of component
     separated families, sized so the exact counting-measure mass bound holds
     at every stage.
@@ -919,7 +948,8 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
     Components are the path's checkpoints mixed with rational weights (the
     honest convex combination); per-component family targets come from the
     worst-stage mass threshold with a safety margin.  ShortFamily from the
-    component construction propagates.
+    component construction propagates.  Nothing walks the leaves, so any
+    depth builds; only :meth:`BranchTree.leaves` is capped.
     """
     if space.primitivity_index is None:
         raise NotPrimitive("build_branch_tree needs a primitive space")
@@ -972,9 +1002,6 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
                                 options=tuple(options)))
     tree = BranchTree(space=space, gap=gap, eta=eta, h_star=h_star,
                       stages=tuple(stages))
-    if tree.leaf_count() > max_leaves:
-        raise InfeasibleParams(
-            f"{tree.leaf_count()} leaves exceed the cap {max_leaves}")
     report = tree.mass_bound_report()
     if not all(e.passed for e in report):
         raise InfeasibleParams(

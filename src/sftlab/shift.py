@@ -172,24 +172,34 @@ class SftSpace:
         return self.word(Word.from_text(text).symbols)
 
     def words(self, length: int) -> Iterator[Word]:
-        """All admissible words of the given length, lexicographic order."""
+        """All admissible words of the given length, lexicographic order,
+        yielded lazily; a negative length raises ValueError at the call."""
+        if length < 0:
+            raise ValueError(f"word length must be non-negative, got {length}")
         if length == 0:
-            yield Word(())
-            return
-        stack: list[tuple[int, ...]] = [(a,) for a in range(self.m - 1, -1, -1)]
-        while stack:
-            w = stack.pop()
-            if len(w) == length:
-                yield Word(w)
-                continue
-            for b in reversed(self._succ[w[-1]]):
-                stack.append(w + (b,))
+            return iter([Word(())])
+
+        def walk():
+            stack = [(a,) for a in range(self.m - 1, -1, -1)]
+            while stack:
+                w = stack.pop()
+                if len(w) == length:
+                    yield Word(w)
+                    continue
+                for b in reversed(self._succ[w[-1]]):
+                    stack.append(w + (b,))
+
+        return walk()
 
     def word_table(self, length: int) -> np.ndarray:
         """The admissible words of a length as the rows of one read-only
         int64 array, in :meth:`words` order; cached with their base-m codes."""
         if length < 1:
             raise ValueError(f"word length must be positive, got {length}")
+        if self.m ** length >= 2**63:
+            raise ValueError(f"base-{self.m} codes of length-{length} words "
+                             f"reach {self.m}**{length}, past the int64 "
+                             f"limit 2**63")
         if length not in self._word_cache:
             table = np.array([w.symbols for w in self.words(length)], dtype=np.int64)
             table.setflags(write=False)

@@ -12,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sftlab import gluing
+from sftlab import experiments, gluing
 from sftlab.analysis import empirical
 from sftlab.chaos import dc1_report, li_yorke_report, orbit_distances, phi_n
 from sftlab.errors import (BadCheckpoints, FamilyNotSeparated,
-                           InfeasibleParams, MalformedSchedule, MalformedTree,
-                           NotPrimitive, OrbitsNotDisjoint, WordsTooShort)
-from sftlab.gluing import (BranchTree, ChaoticFamily, CheckEntry,
+                           InfeasibleParams, LeafOutOfRange,
+                           MalformedSchedule, MalformedTree, NotPrimitive,
+                           OrbitsNotDisjoint, WordsTooShort)
+from sftlab.experiments import _sampled_leaf_checks, run_experiment
+from sftlab.gluing import (LEAF_ENUMERATION_CAP, BranchTree, ChaoticFamily,
+                           CheckEntry,
                            FamilyTrackingReport, GluingSchedule, Stage,
                            TrackingRow, TreeComponent, TreeStage,
                            ValidationReport,
@@ -813,6 +816,26 @@ class TestBranchTree:
         for entry in tree.mass_bound_report():
             assert entry.passed, entry
 
+    def test_depth_four_builds_with_exact_reports(self):
+        tree = self.make_tree(4)
+        assert tree.leaf_count() > LEAF_ENUMERATION_CAP
+        assert all(e.passed for e in tree.mass_bound_report())
+        assert all(e.passed for e in tree.prefix_distinct_report())
+        with pytest.raises(InfeasibleParams, match=re.escape(
+                f"{tree.leaf_count()} leaves exceed the enumeration cap "
+                f"{LEAF_ENUMERATION_CAP}")):
+            tree.leaves()
+
+    def test_cap_applies_to_enumeration_only(self, monkeypatch):
+        tree = self.make_tree(2)
+        count = tree.leaf_count()
+        monkeypatch.setattr(gluing, "LEAF_ENUMERATION_CAP", count)
+        walked = [w for _, w in tree.leaves()]
+        monkeypatch.setattr(gluing, "LEAF_ENUMERATION_CAP", count - 1)
+        with pytest.raises(InfeasibleParams, match=f"{count} leaves exceed"):
+            tree.leaves()
+        assert tree.leaf(count - 1) == walked[-1]
+
     def test_component_mixture_structure(self):
         tree = self.make_tree(1)
         stage = tree.stages[0]
@@ -905,12 +928,31 @@ class TestClosedFormCertificates:
     def test_leaves_match_enumeration(self, tree):
         assert list(tree.leaves()) == list(enumerated_leaves(tree))
 
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_trees(max_depth=3))
+    def test_leaf_by_index_matches_walk(self, tree):
+        walked = list(tree.leaves())
+        indices = range(tree.leaf_count())
+        assert [tree.leaf(i) for i in indices] == [w for _, w in walked]
+        assert [tree.label(i) for i in indices] == [lab for lab, _ in walked]
+
     def test_bridges_follow_preceding_symbol(self):
         space, gap = TREE_SPACES[-1]
         tree = hand_tree(["0", "2"], ["1", "2"], space=space, gap=gap)
         assert [w.to_text() for _, w in tree.leaves()] == [
             "0121", "0122", "2121", "2012"]
+        assert [tree.leaf(i).to_text() for i in range(4)] == [
+            "0121", "0122", "2121", "2012"]
         assert list(tree.leaves()) == list(enumerated_leaves(tree))
+
+    def test_leaf_index_out_of_range(self):
+        tree = hand_tree(["01", "10"], ["1", "0", "1"])
+        for index in (6, 7, -1, -6):
+            with pytest.raises(LeafOutOfRange, match=re.escape(
+                    f"leaf index {index} outside [0, 6)")):
+                tree.leaf(index)
+        with pytest.raises(IndexError):
+            tree.label(6)
 
     def test_repeated_options_found(self):
         tree = hand_tree(["01", "01", "10"], ["1", "0", "1", "1"])
@@ -1056,6 +1098,58 @@ class TestChaoticFamily:
                  "xi prefix length 0 < 1 orbit selections")):
             with pytest.raises(ValueError, match=message):
                 emit(FULL2, mu0, Word("0"), Word("1"), xis, 20_000, seed=1)
+
+
+class TestSampledLeafChecks:
+    def test_depth_five_experiment_passes(self):
+        got = run_experiment("thm1_2_packing_tree", 7, {"depth": 5})
+        assert got.passed
+        assert got.details["leaves"] > 10**9
+        assert got.details["sampled_leaves"] == 64
+        assert got.details["sampled_pairs"] == 32
+
+    def test_repeated_options_fail_the_split(self):
+        tree = hand_tree(["01", "01", "10"], ["1", "0", "1", "1"])
+        assert _sampled_leaf_checks(tree, seed=1) == (True, False)
+        assert _sampled_leaf_checks(hand_tree(["01", "10"], ["1", "0"]),
+                                    seed=1) == (True, True)
+
+    def test_pairs_reach_the_last_stage(self):
+        # random pairs share the first two stages 1 time in 64; the drawn
+        # pairs share a random number of stages, so the repeat is found
+        words = ["000", "001", "010", "011", "100", "101", "110", "111"]
+        tree = hand_tree(words, words, ["1", "1"])
+        assert _sampled_leaf_checks(tree, seed=1) == (True, False)
+
+    @pytest.mark.parametrize("corrupt, verdict", [
+        # leaf i + 1 in place of leaf i: its spans hold other options
+        (lambda leaf, tree, i: leaf(tree, (i + 1) % tree.leaf_count()),
+         (False, False)),
+        # one symbol too many after the last stage
+        (lambda leaf, tree, i: leaf(tree, i) + Word("0"), (False, True)),
+        # the bridge in front of stage 2 follows the stage-3 option, so
+        # pairs that first differ at stage 3 disagree two stages early
+        (lambda leaf, tree, i: Word(
+            leaf(tree, i).symbols[:1] + (tree.label(i)[2],)
+            + leaf(tree, i).symbols[2:]), (True, False)),
+    ])
+    def test_corrupted_leaves_fail(self, monkeypatch, corrupt, verdict):
+        space, gap = TREE_SPACES[-1]
+        tree = hand_tree(["0", "2"], ["1", "2"], ["1", "2"], space=space,
+                         gap=gap)
+        assert _sampled_leaf_checks(tree, seed=1) == (True, True)
+        leaf = BranchTree.leaf
+        monkeypatch.setattr(BranchTree, "leaf",
+                            lambda tree, i: corrupt(leaf, tree, i))
+        assert _sampled_leaf_checks(tree, seed=1) == verdict
+
+    def test_failed_sample_fails_the_experiment(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_sampled_leaf_checks",
+                            lambda tree, seed: (True, False))
+        got = run_experiment("thm1_2_packing_tree", 7, {"depth": 1})
+        assert not got.passed
+        assert (got.details["sampled_layout_ok"],
+                got.details["sampled_split_ok"]) == (True, False)
 
 
 class TestDirectBranchTree:

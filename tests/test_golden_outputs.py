@@ -17,7 +17,7 @@ CONFIG = {"seed": 7, "experiments": [
 
 DIGESTS = {
     "summary.json":
-        "a54d05019d33e279415c101e937aaad7d18eb0fecd03f5f10e7ec7ebf92413ad",
+        "092fe6f546a1fd03be3bc6cd3fd3b67dbb8c55aa94838f3e28cc778b83f5ed13",
     "karp_oracle/oracle.csv":
         "1e2db918b16dd24a82e6456f43135d8ce8d0de1bb29dc3a99becd14b7d61026e",
     "thm1_1_capacity/counts.csv":

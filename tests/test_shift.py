@@ -72,6 +72,13 @@ class TestSftSpace:
         assert counts == [2, 3, 5, 8, 13, 21, 34]
         assert len(list(GOLDEN.words(5))) == 13
 
+    def test_negative_word_length_raises(self):
+        for length in (-1, -5):
+            with pytest.raises(ValueError,
+                               match=f"must be non-negative, got {length}"):
+                FULL2.words(length)
+        assert list(FULL2.words(0)) == [Word(())]
+
     def test_json_round_trip(self):
         again = SftSpace.from_json(GOLDEN.to_json())
         assert again == GOLDEN

@@ -144,6 +144,20 @@ class TestWordTable:
             with pytest.raises(ValueError, match="must be positive"):
                 GOLDEN.word_table(length)
 
+    def test_codes_past_int64_raise(self):
+        # cyclic permutations have m words of each length, but base-m codes
+        # need m**L: 64**11 = 2**66, and 8**21 = 2**63 sits on the limit
+        cycle = SftSpace(np.roll(np.eye(64, dtype=int), 1, axis=1))
+        assert len(cycle.word_table(10)) == 64
+        with pytest.raises(ValueError, match=re.escape(
+                "base-64 codes of length-11 words reach 64**11, past the "
+                "int64 limit 2**63")):
+            cycle.word_table(11)
+        cycle8 = SftSpace(np.roll(np.eye(8, dtype=int), 1, axis=1))
+        assert len(cycle8.word_table(20)) == 8
+        with pytest.raises(ValueError, match=re.escape("8**21, past")):
+            cycle8.word_table(21)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_word_columns_equal_rebuilt_oracle(self, data):
