@@ -8,7 +8,8 @@ from .errors import (BadCheckpoints, Degenerate, DepthExceedsEmpirical,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
                      NotPrimitive, NotRecurrent,
                      OrbitsNotDisjoint, OutsideLf, SftLabError, ShortFamily,
-                     SingularProduct, WordsTooShort, ZeroCylinder)
+                     SingularProduct, SpaceMismatch, WordsTooShort,
+                     ZeroCylinder)
 from .shift import SftSpace, SymbolStream, Word, bridge, connector, \
     delta_separated, dist, glue, iglue, separated_count
 from .measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
@@ -16,9 +17,10 @@ from .measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                        typical_separated_family, weak_star_dist)
 from .analysis import (birkhoff_avg, brin_katok_estimate, empirical,
                        growth_rate, recurrence_ratios)
-from .ergopt import (Potential, beta, brute_force_beta, classify_smr,
-                     equilibrium_state, level_entropy, mean_potential,
-                     pressure, topological_entropy)
+from .ergopt import (Potential, beta, betas, brute_force_beta,
+                     brute_force_betas, classify_smr, equilibrium_state,
+                     level_entropy, mean_potential, pressure,
+                     topological_entropy)
 from .cocycle import (MatrixCocycle, emit_lyapunov_family, exponent_along,
                       exponent_bracket, periodic_exponent)
 from .chaos import dc1_report, li_yorke_report, phi_n

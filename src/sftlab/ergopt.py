@@ -5,9 +5,17 @@ equilibrium states and level-set entropies.
 A depth-r potential is one value per row of the r-word table; it lives on the
 edges of the block graph of ell-words, ell = max(r-1, 1), indexed the same
 way.  One helper scales the edge values to exact integers, and one max-plus
-step over the edge list serves Karp's maximum mean cycle, the tight-cycle
-relaxation and the independent periodic-orbit oracle, which agree bit for
-bit.  Pressure and equilibrium states come from a dense eigendecomposition.
+step, a gather over the block graph's padded in-edge table, serves Karp's
+maximum mean cycle, the tight-cycle relaxation and the independent
+periodic-orbit oracle, which agree bit for bit.  Pressure and equilibrium
+states come from a dense eigendecomposition.
+
+The solvers take a leading batch axis: :func:`betas`,
+:func:`brute_force_betas` and :func:`equilibrium_residuals` solve the
+potentials of one block graph together, in batches of bounded size, and
+:func:`beta`, :func:`brute_force_beta` and :func:`equilibrium_residual` are
+their one-potential cases.  Every result is exact or comes from a per-matrix
+LAPACK call, so it does not depend on the batch it was solved in.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPrimitive, OutsideLf
+from .errors import NotPrimitive, OutsideLf, SpaceMismatch
 from .measures import MarkovMeasure, ks_entropy, rng_from
 from .shift import SftSpace, Word, word_columns
 
@@ -124,6 +132,43 @@ def mean_potential(mu: MarkovMeasure, f: Potential) -> float:
 # --------------------------- block graphs ---------------------------
 
 
+# A batched solve is cut so that one max-plus step gathers, or one Perron
+# call holds, at most this many elements: a bound on its memory.
+_BATCH_ELEMENTS = 1 << 14
+
+
+@dataclass(frozen=True)
+class InEdges:
+    """Each node's in-edges, in edge order, padded to the largest in-degree
+    (at least 1).  ``src[v]`` holds their source nodes and ``edge[v]`` their
+    edge indices; a pad has the edge index ``len(edges)``, which
+    :meth:`weights` gives the absent weight, and the node's first source
+    (else 0), so a pad never wins a max.  ``bare`` lists the nodes with no
+    in-edge."""
+    src: np.ndarray
+    edge: np.ndarray
+    bare: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "InEdges":
+        order = np.argsort(dst, kind="stable")
+        deg = np.bincount(dst, minlength=n)
+        starts = np.cumsum(deg) - deg
+        nodes = dst[order]
+        slot = np.arange(len(order)) - starts[nodes]
+        edge = np.full((n, max(int(deg.max(initial=0)), 1)), len(order))
+        edge[nodes, slot] = order
+        sources = np.zeros(edge.shape, dtype=np.intp)
+        sources[nodes, slot] = src[order]
+        sources = np.where(edge == len(order), sources[:, :1], sources)
+        return cls(sources, edge, np.flatnonzero(deg == 0))
+
+    def weights(self, w: np.ndarray, absent) -> np.ndarray:
+        """Edge weights (..., edges) laid out on the table: (..., n, d)."""
+        pad = np.full(w.shape[:-1] + (1,), absent, dtype=w.dtype)
+        return np.concatenate([w, pad], axis=-1)[..., self.edge]
+
+
 @dataclass(frozen=True)
 class BlockGraph:
     """The ell-words as nodes, (ell+1)-words as edges, in word-table order."""
@@ -133,6 +178,7 @@ class BlockGraph:
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]  # (u, v, edge word)
     src: np.ndarray  # u of each edge, in edge order
     dst: np.ndarray  # v of each edge
+    in_edges: InEdges
 
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -146,21 +192,52 @@ class BlockGraph:
 
 
 def block_graph(space: SftSpace, ell: int) -> BlockGraph:
-    """The ell-block graph, cached on the space."""
+    """The ell-block graph with its in-edge table, cached on the space."""
     graph = space._block_cache.get(ell)
     if graph is None:
         ew = space.word_table(ell + 1)
         src, dst = word_columns(space, ew[:, :-1]), word_columns(space, ew[:, 1:])
+        nodes = tuple(map(tuple, space.word_table(ell).tolist()))
         graph = space._block_cache[ell] = BlockGraph(
-            space, ell, tuple(map(tuple, space.word_table(ell).tolist())),
+            space, ell, nodes,
             tuple(zip(src.tolist(), dst.tolist(), map(tuple, ew.tolist()))),
-            src, dst)
+            src, dst, InEdges.of(len(nodes), src, dst))
     return graph
 
 
-def _edge_values(graph: BlockGraph, f: Potential) -> list[float]:
-    """f on each edge, in edge order (at depth 1, on its first symbol)."""
-    return (f.values if f.r > graph.ell else f.values[graph.src]).tolist()
+def _edge_values(graph: BlockGraph, r: int, values: np.ndarray) -> np.ndarray:
+    """Depth-r potential values (..., words) on each edge, in edge order (at
+    depth 1, on its first symbol)."""
+    return values if r > graph.ell else values[..., graph.src]
+
+
+def _check_space(space: SftSpace, fs: Sequence[Potential]) -> None:
+    """SpaceMismatch names the first potential defined on another space."""
+    for i, f in enumerate(fs):
+        if f.space is not space and f.space != space:
+            raise SpaceMismatch(
+                f"potential {i} is defined on the space with transition "
+                f"{f.space.transition.tolist()}, not on "
+                f"{space.transition.tolist()}")
+
+
+def _batches(space: SftSpace, fs: Sequence[Potential], row_elements):
+    """The potentials fs grouped by block graph, in order of first
+    appearance, and cut into batches of at most _BATCH_ELEMENTS elements,
+    ``row_elements(graph)`` per potential: yields (graph, rows, values), rows
+    the batch's indices in fs and values its (len(rows), edges) edge values.
+    A potential defined on another space raises SpaceMismatch."""
+    _check_space(space, fs)
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(fs):
+        groups.setdefault(f.r, []).append(i)
+    for r, rows in groups.items():
+        graph = block_graph(space, max(r - 1, 1))
+        size = max(1, _BATCH_ELEMENTS // row_elements(graph))
+        for lo in range(0, len(rows), size):
+            batch = rows[lo:lo + size]
+            yield graph, batch, _edge_values(
+                graph, r, np.stack([fs[i].values for i in batch]))
 
 
 def _cycle_word(graph: BlockGraph, cycle_nodes: Sequence[int]) -> Word:
@@ -170,109 +247,131 @@ def _cycle_word(graph: BlockGraph, cycle_nodes: Sequence[int]) -> Word:
 # --------------------------- exact max-plus core ---------------------------
 
 
-def _integer_weights(values: Sequence[float], steps: int) -> tuple:
-    """(w, den, absent, floor): the values as integers w = values * den, den
-    their common (power-of-two) denominator, exact in sums of up to
-    ``steps`` entries: float64 while steps * max|w| < 2**53, else Python
-    ints.  ``absent`` marks a missing entry (-inf, or the int
-    -(2 * steps * max|w| + 1)); a sum of up to ``steps`` entries is above
-    ``floor`` (-inf, or -(steps * max|w| + 1)) exactly when it has none."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max((d for _, d in ratios), default=1)
-    ints = [a * (den // d) for a, d in ratios]
-    bound = max(map(abs, ints), default=0)
+def _integer_weights(values: np.ndarray, steps: int) -> tuple:
+    """(w, den, absent, floor) for a batch of value rows: the values as
+    integers w = values * den, den their common (power-of-two) denominator
+    over the whole batch, exact in sums of up to ``steps`` entries: float64
+    while steps * max|w| < 2**53, else Python ints.  ``absent`` marks a
+    missing entry (-inf, or the int -(2 * steps * max|w| + 1)); a sum of up
+    to ``steps`` entries is above ``floor`` (-inf, or
+    -(steps * max|w| + 1)) exactly when it has none."""
+    sizes = set(np.abs(values).ravel().tolist())
+    den = max((v.as_integer_ratio()[1] for v in sizes), default=1)
+    a, d = max(sizes, default=0.0).as_integer_ratio()
+    bound = a * (den // d)
     if bound * steps < 2 ** 53:
-        return np.array(ints, dtype=float), den, -np.inf, -np.inf
+        return np.ldexp(values, den.bit_length() - 1), den, -np.inf, -np.inf
     floor = -(steps * bound + 1)
-    return np.array(ints, dtype=object), den, 2 * floor + 1, floor
+    ints = [a * (den // d) for a, d in map(float.as_integer_ratio,
+                                           values.ravel().tolist())]
+    return (np.array(ints, dtype=object).reshape(values.shape), den,
+            2 * floor + 1, floor)
 
 
-def _maxplus_step(cur: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                  w: np.ndarray, absent) -> np.ndarray:
+def _maxplus_step(cur: np.ndarray, table: InEdges, W: np.ndarray,
+                  absent) -> np.ndarray:
     """One max-plus product with an edge list: out[..., v] is the largest
-    cur[..., u] + w over the edges (u, v), absent where v has none.  The
-    scatter runs on the flat array, numpy's fast path for ufunc.at."""
-    out = np.full(cur.shape, absent, dtype=cur.dtype)
-    flat = dst + np.arange(0, cur.size, cur.shape[-1])[:, None]
-    np.maximum.at(out.reshape(-1), flat.ravel(), (cur[..., src] + w).ravel())
+    of absent and cur[..., u] + w over the edges (u, v), absent where v has
+    none.  A gather over the in-edge table, W = table.weights(w, absent)."""
+    out = np.maximum((cur[..., table.src] + W).max(axis=-1), absent)
+    if table.bare.size:
+        out[..., table.bare] = absent
     return out
 
 
-def _karp(graph: BlockGraph, w: np.ndarray, absent) -> tuple[int, int]:
-    """Karp's maximum cycle mean with multi-source initialization, as a
-    fraction (num, q), q <= n, in the units of the integer weights w.
+def _karp(graph: BlockGraph, w: np.ndarray, absent
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Karp's maximum cycle mean with multi-source initialization for each
+    row of a batch of integer weights w (..., edges), as fractions num / q,
+    q <= n, in the units of w.
 
-    D[k, v] is the heaviest walk of k edges into v (never absent: every
+    D[k, ..., v] is the heaviest walk of k edges into v (never absent: every
     block-graph node has an in-edge), and lam = max_v min_k (D[n, v] -
     D[k, v]) / (n - k), the ratios compared by cross-multiplying: products
     below 2 * n**2 * max|w|, exact in w chosen for 2 * n**2 steps."""
-    n = graph.n_nodes()
-    D = np.zeros((n + 1, n), dtype=w.dtype)
+    n, table = graph.n_nodes(), graph.in_edges
+    W = table.weights(w, absent)
+    D = np.zeros((n + 1,) + w.shape[:-1] + (n,), dtype=w.dtype)
     for k in range(1, n + 1):
-        D[k] = _maxplus_step(D[k - 1], graph.src, graph.dst, w, absent)
-    num, den = D[n] - D[0], np.full(n, n, dtype=w.dtype)
+        D[k] = _maxplus_step(D[k - 1], table, W, absent)
+    num, den = D[n] - D[0], np.full(D[n].shape, n, dtype=w.dtype)
     for k in range(1, n):
         a = D[n] - D[k]
         lower = a * den < num * (n - k)
         num, den = np.where(lower, a, num), np.where(lower, n - k, den)
-    best = 0
+    best_num, best_den = num[..., 0], den[..., 0]
     for v in range(1, n):
-        if num[v] * den[best] > num[best] * den[v]:
-            best = v
-    return int(num[best]), int(den[best])
+        higher = num[..., v] * best_den > best_num * den[..., v]
+        best_num = np.where(higher, num[..., v], best_num)
+        best_den = np.where(higher, den[..., v], best_den)
+    return best_num, best_den
 
 
 def _tight_subgraph(graph: BlockGraph, w: np.ndarray, absent,
-                    num: int, q: int) -> list[list[int]]:
-    """Adjacency lists, in edge order, of the edges with
-    h[u] + w - lam == h[v], for lam = num / q and h the longest-walk
+                    num: np.ndarray, q: np.ndarray) -> list[list[list[int]]]:
+    """For each row of a batch: adjacency lists, in edge order, of the edges
+    with h[u] + w - lam == h[v], for lam = num / q and h the longest-walk
     potentials of the graph reweighted by -lam.  With lam the maximum cycle
     mean, its cycles are exactly the optimal cycles.  Scaled by q <= n, the
     relaxation runs on the integers q * w - num, one vectorised sweep per
-    round, and stays below 2 * n**2 * max|w|."""
-    n = graph.n_nodes()
-    wq = q * w - num
-    h = np.zeros(n, dtype=w.dtype)
+    round for the whole batch, and stays below 2 * n**2 * max|w|."""
+    n, table = graph.n_nodes(), graph.in_edges
+    wq = q[..., None] * w - num[..., None]
+    W = table.weights(wq, absent)
+    h = np.zeros(w.shape[:-1] + (n,), dtype=w.dtype)
     for _ in range(n + 1):
-        nxt = np.maximum(h, _maxplus_step(h, graph.src, graph.dst, wq, absent))
+        nxt = np.maximum(h, _maxplus_step(h, table, W, absent))
         if (nxt == h).all():
             break
         h = nxt
     else:  # pragma: no cover - would mean a positive cycle above the maximum
         raise ArithmeticError("reweighted relaxation failed to stabilize")
-    tight = h[graph.src] + wq == h[graph.dst]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(graph.src[tight].tolist(), graph.dst[tight].tolist()):
-        adj[u].append(v)
-    return adj
+    tight = np.asarray(h[..., graph.src] + wq == h[..., graph.dst], dtype=bool)
+    out = []
+    for row in tight:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(graph.src[row].tolist(), graph.dst[row].tolist()):
+            adj[u].append(v)
+        out.append(adj)
+    return out
 
 
-def _optimum(graph: BlockGraph, values: Sequence[float]
-             ) -> tuple[Fraction, list[list[int]]]:
-    """The maximum cycle mean of the edge values, exact, and the tight
-    subgraph whose cycles are the optimal ones."""
+def _optimum(graph: BlockGraph, values: np.ndarray
+             ) -> list[tuple[Fraction, list[list[int]]]]:
+    """For each row of a batch of edge values: the maximum cycle mean,
+    exact, and the tight subgraph whose cycles are the optimal ones."""
     n = graph.n_nodes()
     w, den, absent, _ = _integer_weights(values, 2 * n * n)
     num, q = _karp(graph, w, absent)
-    return Fraction(num, q * den), _tight_subgraph(graph, w, absent, num, q)
+    tight = _tight_subgraph(graph, w, absent, num, q)
+    return [(Fraction(int(a), int(b) * den), adj)
+            for a, b, adj in zip(num.tolist(), q.tolist(), tight)]
 
 
-def _maxplus_best_mean(n: int, src: np.ndarray, dst: np.ndarray,
-                       values: Sequence[float],
-                       max_period: int) -> Optional[Fraction]:
-    """Largest mean value of a closed walk of length <= max_period on nodes
-    0..n-1 with the edges (src, dst), exact, from the diagonals of the
-    max-plus powers of the edge values; None without one."""
-    w, den, absent, floor = _integer_weights(values, max_period)
-    cur = np.full((n, n), absent, dtype=w.dtype)
-    np.fill_diagonal(cur, 0)
-    best = None  # (walk sum, length)
+def _maxplus_best_mean(table: InEdges, values: np.ndarray,
+                       max_period: int) -> list[Optional[Fraction]]:
+    """For each row of a batch of edge values on the in-edge table of a
+    graph: the largest mean value of a closed walk of length <= max_period,
+    exact, from the diagonals of the max-plus powers of the edge values;
+    None without one.  The integers are chosen exact for max_period**2
+    steps, so a walk sum times a length is exact too."""
+    n = len(table.src)
+    w, den, absent, floor = _integer_weights(values, max_period ** 2)
+    W = table.weights(w, absent)[..., None, :, :]
+    diag = np.arange(n)
+    cur = np.full(w.shape[:-1] + (n, n), absent, dtype=w.dtype)
+    cur[..., diag, diag] = 0
+    best_sum = np.full(w.shape[:-1], absent, dtype=w.dtype)  # none yet
+    best_len = np.ones(w.shape[:-1], dtype=np.int64)
     for p in range(1, max_period + 1):
-        cur = _maxplus_step(cur, src, dst, w, absent)
-        top = cur.diagonal().max()
-        if top > floor and (best is None or int(top) * best[1] > best[0] * p):
-            best = int(top), p
-    return None if best is None else Fraction(best[0], best[1] * den)
+        cur = _maxplus_step(cur, table, W, absent)
+        top = cur[..., diag, diag].max(axis=-1)
+        better = np.asarray((top > floor) & (top * best_len > best_sum * p),
+                            dtype=bool)
+        best_sum = np.where(better, top, best_sum)
+        best_len = np.where(better, p, best_len)
+    return [Fraction(int(s), q * den) if s > floor else None
+            for s, q in zip(best_sum.tolist(), best_len.tolist())]
 
 
 # --------------------------- maximum mean cycle ---------------------------
@@ -319,36 +418,57 @@ def _find_cycle(adj: list[list[int]]) -> Optional[list[int]]:
     return None
 
 
-def beta(space: SftSpace, f: Potential) -> BetaResult:
-    """Maximum ergodic average of f with an attaining periodic word.
+def betas(space: SftSpace, fs: Sequence[Potential]) -> list[BetaResult]:
+    """Maximum ergodic average of each potential with an attaining periodic
+    word, in input order.
 
     Solved as maximum mean cycle on the block graph (Karp's algorithm, exact
-    in integers); ties inside the optimum are broken by the DFS order of the
-    tight subgraph, see classify_smr for tie reporting.
+    in integers), one batch per block graph; ties inside the optimum are
+    broken by the DFS order of the tight subgraph, see classify_smr for tie
+    reporting.
     """
     if space.primitivity_index is None:
         raise NotPrimitive("beta needs a primitive space")
-    graph = block_graph(space, max(f.r - 1, 1))
-    lam, tight = _optimum(graph, _edge_values(graph, f))
-    cycle = _find_cycle(tight)
-    if cycle is None:  # pragma: no cover - optimal cycle is always tight
-        raise ArithmeticError("no tight cycle found")
-    return BetaResult(float(lam), _cycle_word(graph, cycle), lam)
+    out: list = [None] * len(fs)
+    for graph, rows, values in _batches(space, fs,
+                                        lambda g: g.in_edges.src.size):
+        for i, (lam, tight) in zip(rows, _optimum(graph, values)):
+            cycle = _find_cycle(tight)
+            if cycle is None:  # pragma: no cover - optimal cycle is always tight
+                raise ArithmeticError("no tight cycle found")
+            out[i] = BetaResult(float(lam), _cycle_word(graph, cycle), lam)
+    return out
 
 
-def brute_force_beta(space: SftSpace, f: Potential, max_period: int) -> float:
-    """Independent oracle: maximum mean of f over all periodic orbits of
-    period <= max_period, by exact max-plus powers of the weight matrix.
+def beta(space: SftSpace, f: Potential) -> BetaResult:
+    """Maximum ergodic average of f with an attaining periodic word: the
+    one-potential case of :func:`betas`."""
+    return betas(space, [f])[0]
+
+
+def brute_force_betas(space: SftSpace, fs: Sequence[Potential],
+                      max_period: int) -> list[float]:
+    """Independent oracle: the maximum mean of each potential over all
+    periodic orbits of period <= max_period, in input order, by exact
+    max-plus powers of the weight matrix, one batch per block graph.
 
     Closed walks decompose into simple cycles, so for max_period >= the
     block-graph node count this equals the maximum mean cycle.
     """
-    graph = block_graph(space, max(f.r - 1, 1))
-    best = _maxplus_best_mean(graph.n_nodes(), graph.src, graph.dst,
-                              _edge_values(graph, f), max_period)
-    if best is None:
-        raise ValueError("no periodic orbit of the requested period")
-    return float(best)
+    out: list = [None] * len(fs)
+    for graph, rows, values in _batches(
+            space, fs, lambda g: g.n_nodes() * g.in_edges.src.size):
+        for i, best in zip(rows, _maxplus_best_mean(graph.in_edges, values,
+                                                    max_period)):
+            if best is None:
+                raise ValueError("no periodic orbit of the requested period")
+            out[i] = float(best)
+    return out
+
+
+def brute_force_beta(space: SftSpace, f: Potential, max_period: int) -> float:
+    """The one-potential case of :func:`brute_force_betas`."""
+    return brute_force_betas(space, [f], max_period)[0]
 
 
 @dataclass(frozen=True)
@@ -363,17 +483,18 @@ def classify_smr(space: SftSpace, f: Potential) -> SmrClassification:
     """Structure of the maximizing-measure support: a unique optimal simple
     cycle (with its gap to the best cycle avoiding it) or the list of tied
     optimal cycles."""
+    _check_space(space, [f])
     graph = block_graph(space, max(f.r - 1, 1))
-    values = _edge_values(graph, f)
-    lam, tight = _optimum(graph, values)
+    values = _edge_values(graph, f.r, f.values)
+    (lam, tight), = _optimum(graph, values[None])
     n = graph.n_nodes()
     cycles = _simple_cycles(tight)
     words = tuple(_cycle_word(graph, c) for c in cycles)
     if len(cycles) == 1:
         cyc = np.array(cycles[0])
         off = ~np.isin(graph.src * n + graph.dst, cyc * n + np.roll(cyc, -1))
-        alt_best = _maxplus_best_mean(n, graph.src[off], graph.dst[off],
-                                      np.array(values)[off], n)
+        alt_best, = _maxplus_best_mean(
+            InEdges.of(n, graph.src[off], graph.dst[off]), values[None, off], n)
         gap = None if alt_best is None else float(lam - alt_best)
         return SmrClassification(words[0], words, gap, float(lam))
     return SmrClassification(None, words, 0.0, float(lam))
@@ -398,63 +519,70 @@ def _simple_cycles(adj: list[list[int]]) -> list[list[int]]:
 # --------------------------- pressure and equilibrium states ---------------------------
 
 
-def _transfer_matrix(space: SftSpace, f: Potential) -> tuple[BlockGraph, np.ndarray, float]:
-    """Transition-masked exp(f) matrix on the block graph, with the potential
-    shifted by its maximum for overflow safety (shift returned separately)."""
-    graph = block_graph(space, max(f.r - 1, 1))
-    shift = f.max_value()
-    n = graph.n_nodes()
-    M = np.zeros((n, n))
-    M[graph.src, graph.dst] = [math.exp(v - shift)
-                               for v in _edge_values(graph, f)]
-    return graph, M, shift
-
-
-def _perron(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and right eigenvector (summing to 1) of a nonnegative
-    matrix from a dense eigendecomposition.  Every other eigenvalue has
+def _perron(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perron roots (B,) and right eigenvectors (B, n), each summing to 1,
+    of a stack of nonnegative matrices (B, n, n), from one dense
+    eigendecomposition call.  LAPACK solves each matrix on its own, so a
+    row's result does not depend on its batch.  Every other eigenvalue has
     modulus at most the real root, so the root has the largest real part,
     also when the matrix is close to periodic.  One multiplication by M
     confirms the root."""
     vals, vecs = np.linalg.eig(M)
-    v = vecs[:, np.argmax(vals.real)].real
-    v = v / v.sum()
-    lam = float((M @ v).sum())
-    return lam, v
+    v = vecs[np.arange(len(M)), :, vals.real.argmax(axis=-1)].real
+    v = v / v.sum(axis=-1, keepdims=True)
+    return (M @ v[..., None])[..., 0].sum(axis=-1), v
 
 
 def spectral_radius(space: SftSpace) -> float:
     """log-free Perron root of the transition matrix itself."""
-    lam, _ = _perron(space.transition.astype(float))
-    return lam
+    lam, _ = _perron(space.transition.astype(float)[None])
+    return float(lam[0])
 
 
 def topological_entropy(space: SftSpace) -> float:
     return math.log(spectral_radius(space))
 
 
+def _transfer_solves(space: SftSpace, fs: Sequence[Potential]):
+    """Per batch of :func:`_batches`: (graph, rows, M, lam, right, shift),
+    M the transition-masked exp(f) matrices on the block graph with each
+    potential shifted by its maximum for overflow safety, and lam and right
+    their Perron roots and right vectors."""
+    for graph, rows, values in _batches(space, fs,
+                                        lambda g: g.n_nodes() ** 2):
+        shift = values.max(axis=1)
+        n = graph.n_nodes()
+        M = np.zeros((len(rows), n, n))
+        M[:, graph.src, graph.dst] = np.reshape(list(map(
+            math.exp, (values - shift[:, None]).ravel().tolist())),
+            values.shape)
+        lam, right = _perron(M)
+        yield graph, rows, M, lam.tolist(), right, shift.tolist()
+
+
 def pressure(space: SftSpace, f: Potential) -> float:
     """log spectral radius of the transfer matrix; P(0) recovers h_top."""
     if space.primitivity_index is None:
         raise NotPrimitive("pressure needs a primitive space")
-    _, M, shift = _transfer_matrix(space, f)
-    lam, _ = _perron(M)
-    return math.log(lam) + shift
+    (_, _, _, lam, _, shift), = _transfer_solves(space, [f])
+    return math.log(lam[0]) + shift[0]
 
 
-def _equilibrium(space: SftSpace, f: Potential
-                 ) -> tuple[MarkovMeasure, float]:
-    """The equilibrium state of f and the pressure P(f), both from one
-    Perron solve of the transfer matrix."""
+def _equilibria(space: SftSpace, fs: Sequence[Potential]
+                ) -> list[tuple[MarkovMeasure, float]]:
+    """The equilibrium state of each f and its pressure P(f), in input
+    order, both from one Perron solve per batch."""
     if space.primitivity_index is None:
         raise NotPrimitive("equilibrium_state needs a primitive space")
-    graph, M, shift = _transfer_matrix(space, f)
-    lam, right = _perron(M)
-    if (right <= 0).any():  # pragma: no cover - Perron vectors are positive
-        raise ArithmeticError("non-positive Perron entry")
-    Q = M * right / (lam * right[:, None])
-    Q = Q / Q.sum(axis=1, keepdims=True)
-    return MarkovMeasure(graph.block_space(), Q), math.log(lam) + shift
+    out: list = [None] * len(fs)
+    for graph, rows, M, lam, right, shift in _transfer_solves(space, fs):
+        if (right <= 0).any():  # pragma: no cover - Perron vectors are positive
+            raise ArithmeticError("non-positive Perron entry")
+        for i, Mi, li, vi, si in zip(rows, M, lam, right, shift):
+            Q = Mi * vi / (li * vi[:, None])
+            Q = Q / Q.sum(axis=1, keepdims=True)
+            out[i] = MarkovMeasure(graph.block_space(), Q), math.log(li) + si
+    return out
 
 
 def equilibrium_state(space: SftSpace, f: Potential) -> MarkovMeasure:
@@ -465,7 +593,7 @@ def equilibrium_state(space: SftSpace, f: Potential) -> MarkovMeasure:
     For depth r <= 2 this is a Markov measure on the original space; deeper
     potentials return the Markov measure on the (r-1)-block space.
     """
-    return _equilibrium(space, f)[0]
+    return _equilibria(space, [f])[0][0]
 
 
 def equilibrium_mean(space: SftSpace, f: Potential,
@@ -475,15 +603,24 @@ def equilibrium_mean(space: SftSpace, f: Potential,
     graph = block_graph(space, max(f.r - 1, 1))
     measure = mu if mu is not None else equilibrium_state(space, f)
     total = 0.0
-    for (u, v, _), val in zip(graph.edges, _edge_values(graph, f)):
+    for (u, v, _), val in zip(graph.edges,
+                              _edge_values(graph, f.r, f.values).tolist()):
         total += measure.stationary[u] * measure.stochastic[u, v] * val
     return total
 
 
+def equilibrium_residuals(space: SftSpace, fs: Sequence[Potential]
+                          ) -> list[float]:
+    """|h(mu_f) + int f dmu_f - P(f)|, the variational-principle defect, for
+    each potential in input order; the transfer matrices of one block graph
+    share one eigendecomposition call, and every MarkovMeasure is built."""
+    return [abs(ks_entropy(mu) + equilibrium_mean(space, f, mu) - p)
+            for f, (mu, p) in zip(fs, _equilibria(space, fs))]
+
+
 def equilibrium_residual(space: SftSpace, f: Potential) -> float:
-    """|h(mu_f) + int f dmu_f - P(f)|, the variational-principle defect."""
-    mu, p = _equilibrium(space, f)
-    return abs(ks_entropy(mu) + equilibrium_mean(space, f, mu) - p)
+    """The one-potential case of :func:`equilibrium_residuals`."""
+    return equilibrium_residuals(space, [f])[0]
 
 
 # --------------------------- level sets ---------------------------

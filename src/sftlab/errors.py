@@ -57,6 +57,10 @@ class Degenerate(SftLabError):
     """Input data is degenerate for the requested estimate."""
 
 
+class SpaceMismatch(SftLabError, ValueError):
+    """A potential was handed to a solve on a space it is not defined on."""
+
+
 class OutsideLf(SftLabError):
     """Level value lies outside the range of ergodic averages."""
 

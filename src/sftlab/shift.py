@@ -203,8 +203,7 @@ class SftSpace:
         if length not in self._word_cache:
             table = np.array([w.symbols for w in self.words(length)], dtype=np.int64)
             table.setflags(write=False)
-            codes = np.ravel_multi_index(table.T, (self.m,) * length)
-            self._word_cache[length] = table, codes
+            self._word_cache[length] = table, _base_codes(table, self.m)
         return self._word_cache[length][0]
 
     def count_words(self, length: int) -> int:
@@ -246,18 +245,37 @@ class SftSpace:
         return f"SftSpace(m={self.m}, full={self.is_full_shift})"
 
 
+_RAVEL_DIMS = 32  # symbol positions per np.ravel_multi_index call (at most 64)
+
+
+def _base_codes(words: np.ndarray, m: int) -> np.ndarray:
+    """Base-m code of each row of a (k, L) symbol array, first symbol most
+    significant, so codes sort as the rows do; -1, which is no word's code,
+    for a row with a symbol outside 0..m-1.  Any L: np.ravel_multi_index
+    codes the columns _RAVEL_DIMS at a time.  The caller keeps m**L below
+    2**63 (word_table checks it)."""
+    codes = outside = None
+    for lo in range(0, words.shape[1], _RAVEL_DIMS):
+        part = words[:, lo:lo + _RAVEL_DIMS]
+        dims = (m,) * part.shape[1]
+        try:
+            code = np.ravel_multi_index(part.T, dims)
+        except ValueError:  # a symbol outside the alphabet
+            code = np.ravel_multi_index(part.T, dims, mode="clip")
+            outside = ((words < 0) | (words >= m)).any(axis=1)
+        codes = code if codes is None else codes * m ** part.shape[1] + code
+    if outside is not None:
+        codes[outside] = -1
+    return codes
+
+
 def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
     """Row of each row of a (k, L) symbol array in ``space.word_table(L)``;
     ValueError names the first row that is not an admissible L-word."""
     words = np.asarray(words)
-    dims = (space.m,) * words.shape[1]
-    space.word_table(len(dims))
-    adm = space._word_cache[len(dims)][1]
-    try:
-        codes = np.ravel_multi_index(words.T, dims)
-    except ValueError:  # symbols outside the alphabet: code -1 is no word's
-        codes = np.where(((words < 0) | (words >= space.m)).any(axis=1), -1,
-                         np.ravel_multi_index(words.T, dims, mode="clip"))
+    space.word_table(words.shape[1])
+    adm = space._word_cache[words.shape[1]][1]
+    codes = _base_codes(words, space.m)
     cols = np.minimum(np.searchsorted(adm, codes), len(adm) - 1)
     bad = adm[cols] != codes
     if bad.any():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab import ergopt
-from sftlab.errors import OutsideLf
-from sftlab.ergopt import (Potential, _cycle_word, _edge_values, _find_cycle,
-                           _maxplus_best_mean, _optimum, _perron,
-                           _simple_cycles, beta, block_graph,
-                           brute_force_beta, classify_smr, coboundary_shift,
+from sftlab.errors import OutsideLf, SpaceMismatch
+from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
+                           _find_cycle, _integer_weights, _maxplus_best_mean,
+                           _maxplus_step, _optimum, _perron, _simple_cycles,
+                           beta, betas, block_graph, brute_force_beta,
+                           brute_force_betas, classify_smr, coboundary_shift,
                            equilibrium_mean, equilibrium_residual,
-                           equilibrium_state, level_entropy,
-                           level_entropy_detail, mean_potential, pressure,
-                           random_potential, topological_entropy)
+                           equilibrium_residuals, equilibrium_state,
+                           level_entropy, level_entropy_detail,
+                           mean_potential, pressure, random_potential,
+                           topological_entropy)
+from sftlab.experiments import _csv, run_experiment
 from sftlab.measures import ks_entropy
 from sftlab.shift import SftSpace, Word
 
@@ -106,6 +110,27 @@ def fraction_classify_smr(space, f):
            if (u, v) not in on_cycle]
     alt_best = loop_max_mean_cycle_excluding(graph.n_nodes(), alt)
     return words[0], words, None if alt_best is None else float(lam - alt_best)
+
+
+def scatter_maxplus_step(cur, src, dst, w, absent):
+    """The scatter max-plus step the in-edge gather replaced, kept as its
+    oracle: out[..., v] is the largest cur[..., u] + w over the edges
+    (u, v), absent where v has none."""
+    out = np.full(cur.shape, absent, dtype=cur.dtype)
+    flat = dst + np.arange(0, cur.size, cur.shape[-1])[:, None]
+    np.maximum.at(out.reshape(-1), flat.ravel(), (cur[..., src] + w).ravel())
+    return out
+
+
+def optimum(graph, f):
+    """The one-row _optimum of a potential."""
+    return _optimum(graph, _edge_values(graph, f.r, f.values)[None])[0]
+
+
+def best_mean(n, src, dst, values, max_period):
+    """The one-row _maxplus_best_mean of an edge list."""
+    return _maxplus_best_mean(InEdges.of(n, src, dst), np.array([values]),
+                              max_period)[0]
 
 
 def forbid_pressure(monkeypatch):
@@ -202,6 +227,47 @@ def block_potentials(draw):
     weights = draw(WEIGHTS)
     table = {w.symbols: float(draw(weights)) for w in space.words(r)}
     return space, Potential(space, r, table)
+
+
+@st.composite
+def mixed_batches(draw):
+    """A space and 3-6 potentials on it, of the depths MAXPLUS_CASES pairs
+    with it, one potential of each WEIGHT_KINDS entry first, so the large
+    integers put the whole batch on the Python-int path."""
+    space = draw(st.sampled_from(list(dict.fromkeys(s for s, _ in MAXPLUS_CASES))))
+    depths = [r for s, r in MAXPLUS_CASES if s is space]
+    kinds = WEIGHT_KINDS + draw(st.lists(st.sampled_from(WEIGHT_KINDS),
+                                         max_size=3))
+    fs = []
+    for kind in draw(st.permutations(kinds)):
+        r = draw(st.sampled_from(depths))
+        fs.append(Potential(space, r, {w.symbols: float(draw(kind))
+                                       for w in space.words(r)}))
+    return space, fs
+
+
+@st.composite
+def maxplus_states(draw):
+    """A weighted digraph, a batch shape with 0, 1 or 2 leading axes and,
+    for each batch entry, edge values and a state vector over the nodes
+    (some entries absent), as integer weights on the float64 path or, with
+    a step count past 2**53, on the Python-int path."""
+    n, edges = draw(weighted_digraphs())
+    shape = draw(st.sampled_from([(), (2,), (3, 2)]))
+    size = int(np.prod(shape))
+    weights = draw(WEIGHTS)
+    values = np.array([float(draw(weights)) for _ in range(size * len(edges))]
+                      + [float(draw(weights)) for _ in range(size * n)]
+                      ).reshape(shape + (len(edges) + n,))
+    steps = draw(st.sampled_from([n + 1, 2 ** 60]))
+    w, _, absent, _ = _integer_weights(values, steps)
+    gone = np.array(draw(st.lists(st.booleans(), min_size=size * n,
+                                  max_size=size * n))).reshape(shape + (n,))
+    cur = w[..., len(edges):].copy()
+    cur[gone] = absent
+    src, dst = (np.array([e[k] for e, _ in edges], dtype=np.intp)
+                for k in (0, 1))
+    return n, src, dst, w[..., :len(edges)], cur, absent
 
 
 @st.composite
@@ -389,26 +455,139 @@ class TestEquilibrium:
         assert equilibrium_residual(FULL2, f) <= 1e-9
 
     def test_residual_solves_once_and_equals_two_solves(self, monkeypatch):
+        # one Perron call per batch: here one batch per depth
         solves = []
         perron = ergopt._perron
         monkeypatch.setattr(ergopt, "_perron",
                             lambda M: solves.append(M) or perron(M))
-        for trial, (space, r) in enumerate([(FULL2, 1), (FULL2, 3),
-                                            (GOLDEN, 2)]):
-            f = random_potential(space, r, seed=40 + trial, integer=False,
-                                 low=-2, high=2)
+        for space, depths in ((FULL2, (1, 3, 1, 1)), (GOLDEN, (2, 2))):
+            fs = [random_potential(space, r, seed=40 + i, integer=False,
+                                   low=-2, high=2)
+                  for i, r in enumerate(depths)]
             solves.clear()
-            got = equilibrium_residual(space, f)
-            assert len(solves) == 1
-            mu = equilibrium_state(space, f)
-            assert got == abs(ks_entropy(mu) + equilibrium_mean(space, f, mu)
-                              - pressure(space, f))
+            got = equilibrium_residuals(space, fs)
+            assert [len(M) for M in solves] == [
+                depths.count(r) for r in dict.fromkeys(depths)]
+            for f, res in zip(fs, got):
+                mu = equilibrium_state(space, f)
+                assert res == abs(ks_entropy(mu)
+                                  + equilibrium_mean(space, f, mu)
+                                  - pressure(space, f))
+
+    def test_batch_equals_one_row_bit_for_bit(self):
+        for space, depths in ((FULL2, (1, 2, 3, 3, 1)), (GOLDEN, (1, 2, 3)),
+                              (SftSpace.full_shift(3), (1, 2, 2))):
+            fs = [random_potential(space, r, seed=60 + i, integer=False,
+                                   low=-2, high=2)
+                  for i, r in enumerate(depths)]
+            assert equilibrium_residuals(space, fs) == [
+                equilibrium_residual(space, f) for f in fs]
+
+    def test_experiment_equals_per_trial_loop(self):
+        # the residuals.csv that thm1_6_equilibrium wrote trial by trial
+        rng, rows = np.random.default_rng(7), []
+        for trial in range(200):
+            m, r = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+            space = SftSpace.full_shift(m)
+            f = random_potential(space, r, seed=7 * 1000 + trial,
+                                 integer=False, low=-2, high=2)
+            rows.append([trial, m, r, equilibrium_residual(space, f)])
+        got = run_experiment("thm1_6_equilibrium", 7, {"count": 200})
+        assert got.tables["residuals.csv"] == _csv(
+            ["trial", "m", "r", "residual"], rows)
 
     def test_mean_potential_agrees_with_edge_flow(self):
         f = random_potential(FULL2, 2, seed=6, integer=False)
         mu = equilibrium_state(FULL2, f)
         assert mean_potential(mu, f) == pytest.approx(
             equilibrium_mean(FULL2, f, mu), abs=1e-12)
+
+
+class TestBatches:
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_batches())
+    def test_betas_equal_one_row_cases(self, case):
+        space, fs = case
+        got = betas(space, fs)
+        assert [(b.value_exact, b.cycle) for b in got] == [
+            (b.value_exact, b.cycle) for b in (beta(space, f) for f in fs)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_batches(), st.integers(1, 7))
+    def test_brute_force_betas_equal_one_row_cases(self, case, max_period):
+        space, fs = case
+        try:
+            expected = [brute_force_beta(space, f, max_period) for f in fs]
+        except ValueError:
+            with pytest.raises(ValueError, match="no periodic orbit"):
+                brute_force_betas(space, fs, max_period)
+        else:
+            assert brute_force_betas(space, fs, max_period) == expected
+
+    def test_empty_batches(self):
+        assert betas(FULL2, []) == []
+        assert brute_force_betas(FULL2, [], 3) == []
+        assert equilibrium_residuals(FULL2, []) == []
+
+    def test_karp_oracle_equals_per_trial_loop(self):
+        # the oracle.csv that karp_oracle wrote trial by trial
+        rng, rows = np.random.default_rng(7), []
+        for trial in range(200):
+            m, r = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            if m ** max(r - 1, 1) > 40:
+                r = 2
+            space = SftSpace.full_shift(m)
+            f = random_potential(space, r, seed=7 * 7919 + trial)
+            nodes = block_graph(space, max(r - 1, 1)).n_nodes()
+            karp = beta(space, f).value
+            oracle = brute_force_beta(space, f, nodes)
+            rows.append([trial, m, r, karp, oracle, int(karp == oracle)])
+        got = run_experiment("karp_oracle", 7, {"count": 200})
+        assert got.tables["oracle.csv"] == _csv(
+            ["trial", "m", "r", "karp", "oracle", "equal"], rows)
+
+    def test_batches_are_cut_at_the_element_budget(self, monkeypatch):
+        monkeypatch.setattr(ergopt, "_BATCH_ELEMENTS", 10)
+        space = SftSpace.full_shift(3)
+        fs = [random_potential(space, 2, seed=i) for i in range(7)]
+        solves = []
+        optimum_ = ergopt._optimum
+        monkeypatch.setattr(ergopt, "_optimum",
+                            lambda g, v: solves.append(len(v)) or optimum_(g, v))
+        got = betas(space, fs)
+        assert solves == [1] * 7  # 3 nodes of in-degree 3: 9 elements a row
+        monkeypatch.setattr(ergopt, "_BATCH_ELEMENTS", 30)
+        solves.clear()
+        assert betas(space, fs) == got and solves == [3, 3, 1]
+
+
+class TestSpaceMismatch:
+    # a golden-mean potential on the relabelled golden mean: beta used to
+    # return -1 where the right value is 6
+    F = random_potential(GOLDEN, 2, seed=3)
+
+    @pytest.mark.parametrize("space", [SftSpace([[0, 1], [1, 1]]), FULL2],
+                             ids=repr)
+    def test_every_entry_point_names_both_spaces(self, space):
+        message = re.escape(f"{GOLDEN.transition.tolist()}, not on "
+                            f"{space.transition.tolist()}")
+        for call in (lambda: beta(space, self.F),
+                     lambda: betas(space, [random_potential(space, 1, 0),
+                                           self.F]),
+                     lambda: brute_force_beta(space, self.F, 3),
+                     lambda: brute_force_betas(space, [self.F], 3),
+                     lambda: pressure(space, self.F),
+                     lambda: equilibrium_state(space, self.F),
+                     lambda: equilibrium_residual(space, self.F),
+                     lambda: equilibrium_residuals(space, [self.F]),
+                     lambda: classify_smr(space, self.F)):
+            with pytest.raises(SpaceMismatch, match=message):
+                call()
+
+    def test_an_equal_space_is_accepted(self):
+        twin = SftSpace(GOLDEN.transition)
+        assert beta(twin, self.F) == beta(GOLDEN, self.F)
+        assert beta(GOLDEN, self.F).value == 6.0
 
 
 class TestLevelEntropy:
@@ -514,8 +693,36 @@ class TestMaxPlusCore:
         src, dst = (np.array([e[k] for e, _ in edges], dtype=np.intp)
                     for k in (0, 1))
         values = [float(w) for _, w in edges]
-        assert (_maxplus_best_mean(n, src, dst, values, n)
+        assert (best_mean(n, src, dst, values, n)
                 == loop_max_mean_cycle_excluding(n, edges))
+
+    @settings(max_examples=300, deadline=None)
+    @given(maxplus_states())
+    def test_gather_step_matches_scatter_oracle(self, case):
+        n, src, dst, w, cur, absent = case
+        table = InEdges.of(n, src, dst)
+        got = _maxplus_step(cur, table, table.weights(w, absent), absent)
+        expected = scatter_maxplus_step(cur, src, dst, w, absent)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tolist() == expected.tolist()
+
+    def test_gather_step_covers_both_paths_and_bare_nodes(self):
+        # GOLDEN's and NO_FIXED's in-degrees are uneven or have no loop;
+        # dropping node 0's in-edges leaves it bare
+        for space in (GOLDEN, NO_FIXED):
+            g = block_graph(space, 1)
+            keep = g.dst != 0
+            table = InEdges.of(g.n_nodes(), g.src[keep], g.dst[keep])
+            assert table.bare.tolist() == [0]
+            for steps in (3, 2 ** 60):
+                values = np.arange(1.0, 1 + 2 * keep.sum()).reshape(2, -1)
+                w, _, absent, _ = _integer_weights(values, steps)
+                assert (w.dtype == object) == (steps == 2 ** 60)
+                cur = np.zeros((2, g.n_nodes()), dtype=w.dtype)
+                cur[1, 1] = absent
+                assert _maxplus_step(cur, table, table.weights(w, absent),
+                                     absent).tolist() == scatter_maxplus_step(
+                    cur, g.src[keep], g.dst[keep], w, absent).tolist()
 
     def test_exact_across_the_float64_limit(self):
         # a loop of weight w and a 2-cycle of sum 2w + d, d the spacing of
@@ -524,10 +731,9 @@ class TestMaxPlusCore:
         for w in (2.0 ** 51, 2.0 ** 52, 2.0 ** 60):
             d = math.ulp(w)
             values = [w, w, w + d]
-            assert (_maxplus_best_mean(2, src, dst, values, 2)
+            assert (best_mean(2, src, dst, values, 2)
                     == Fraction(w) + Fraction(d) / 2)
-            assert _maxplus_best_mean(2, src[1:], dst[1:], values[1:],
-                                      1) is None
+            assert best_mean(2, src[1:], dst[1:], values[1:], 1) is None
 
 
     @settings(deadline=None)
@@ -535,7 +741,7 @@ class TestMaxPlusCore:
     def test_karp_matches_fraction_oracle(self, case):
         space, f = case
         graph = block_graph(space, max(f.r - 1, 1))
-        lam, _ = _optimum(graph, _edge_values(graph, f))
+        lam, _ = optimum(graph, f)
         assert lam == fraction_karp(graph, fraction_weights(graph, f))
         assert beta(space, f).value_exact == lam
 
@@ -547,7 +753,7 @@ class TestMaxPlusCore:
         weights = fraction_weights(graph, f)
         tight = fraction_tight_subgraph(graph, weights,
                                         fraction_karp(graph, weights))
-        assert _optimum(graph, _edge_values(graph, f))[1] == tight
+        assert optimum(graph, f)[1] == tight
         assert beta(space, f).cycle == _cycle_word(graph, _find_cycle(tight))
 
     @settings(deadline=None)
@@ -585,9 +791,9 @@ class TestPerron:
         # 1 - 2d / (1 + d), so its old convergence took millions of steps
         for d in (1e-3, 1e-6, 1e-9):
             M = np.array([[d, 2.0], [0.5, d]])
-            lam, v = _perron(M)
-            assert lam == pytest.approx(1 + d, rel=1e-14)
-            assert v == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
+            lam, v = _perron(M[None])
+            assert lam[0] == pytest.approx(1 + d, rel=1e-14)
+            assert v[0] == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
 
     def test_near_periodic_pressure_and_equilibrium(self):
         # f is large only on the alternating words, so exp(f) is close to

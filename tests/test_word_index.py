@@ -158,6 +158,22 @@ class TestWordTable:
         with pytest.raises(ValueError, match=re.escape("8**21, past")):
             cycle8.word_table(21)
 
+    def test_one_symbol_space_past_64_positions(self):
+        # np.ravel_multi_index takes at most 64 dimensions
+        one = SftSpace([[1]])
+        for length in (63, 64, 100):
+            assert one.word_table(length).tolist() == [[0] * length]
+            assert word_columns(one, np.zeros((2, length), dtype=int)
+                                ).tolist() == [0, 0]
+        # two words of each length, coded past one 32-symbol call
+        flip = SftSpace([[0, 1], [1, 0]])
+        table = flip.word_table(62)
+        assert flip._word_cache[62][1].tolist() == [
+            int("".join(map(str, row)), 2) for row in table.tolist()]
+        assert word_columns(flip, table[::-1]).tolist() == [1, 0]
+        with pytest.raises(ValueError, match="not an admissible 100-word"):
+            word_columns(one, np.array([[0] * 99 + [1]]))
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_word_columns_equal_rebuilt_oracle(self, data):
@@ -333,7 +349,7 @@ class TestBlockGraphTable:
         f = random_potential(space, r, seed, low=low, high=high,
                              integer=integer)
         g = block_graph(space, max(r - 1, 1))
-        assert ergopt._edge_values(g, f) == \
+        assert ergopt._edge_values(g, f.r, f.values).tolist() == \
             [f.table[ew[:f.r]] for _, _, ew in g.edges]
 
 
