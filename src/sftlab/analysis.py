@@ -17,17 +17,15 @@ from .shift import SftSpace, Word, word_columns
 
 def empirical(space: SftSpace, x: Word, n: int, depth: int) -> EmpiricalMeasure:
     """Sliding-window cylinder frequencies: the first n windows of length
-    ``depth`` (the orbit-average measure projected to depth-cylinders)."""
+    ``depth`` (the orbit-average measure projected to depth-cylinders),
+    counted per word-table row; ValueError names a forbidden window."""
     if n < 1:
         raise ValueError("n must be positive")
     if len(x) < n + depth - 1:
         raise WordsTooShort(f"need length >= {n + depth - 1}, got {len(x)}")
-    freq: dict[tuple[int, ...], int] = {}
-    s = x.symbols
-    for i in range(n):
-        w = s[i:i + depth]
-        freq[w] = freq.get(w, 0) + 1
-    return EmpiricalMeasure(space, depth, freq)
+    cols = word_columns(space, sliding_window_view(x.to_array(), depth)[:n])
+    return EmpiricalMeasure(space, depth, np.bincount(
+        cols, minlength=len(space.word_table(depth))))
 
 
 def birkhoff_avg(x: Word, f, n: int) -> float:

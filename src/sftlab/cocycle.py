@@ -9,46 +9,36 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SingularProduct
 from .ergopt import topological_entropy
 from .measures import MarkovMeasure, sample_word
 from .gluing import _member_prefixes
-from .shift import SftSpace, Word, glue_spans
+from .shift import SftSpace, Word, by_word_row, glue_spans, word_columns
 
 
 class MatrixCocycle:
-    """Locally constant GL(d) cocycle: one invertible matrix per r-word."""
+    """Locally constant GL(d) cocycle: one invertible matrix per depth-word,
+    stacked in ``space.word_table(depth)`` row order."""
 
     def __init__(self, space: SftSpace, generators: dict, depth: int = 1):
         if depth < 1:
             raise ValueError("depth must be positive")
-        gens = {tuple(int(s) for s in k): np.array(v, dtype=float)
-                for k, v in generators.items()}
-        if set(gens) != set(map(tuple, space.word_table(depth).tolist())):
-            raise ValueError("generators must cover exactly the admissible words")
-        d = None
-        for k, M in gens.items():
+        mats = [np.array(v, dtype=float)
+                for v in by_word_row(space, depth, generators, "generators")]
+        words = list(map(tuple, space.word_table(depth).tolist()))
+        for k, M in zip(words, mats):
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError("generators must be square")
-            if d is None:
-                d = M.shape[0]
-            if M.shape[0] != d:
+            if M.shape != mats[0].shape:
                 raise ValueError("generator dimensions disagree")
             if not np.isfinite(np.linalg.cond(M)):
                 raise ValueError(f"generator for {k} is singular")
-        self.space = space
-        self.depth = depth
-        self.d = int(d)
-        self.generators = gens
-        # generators stacked by window code sum(s[j] * m**(depth-1-j)); the
-        # codes of inadmissible windows hold no generator
-        self._stack = np.zeros((space.m ** depth, self.d, self.d))
-        self._known = np.zeros(space.m ** depth, dtype=bool)
-        for k, M in gens.items():
-            code = int(np.ravel_multi_index(k, (space.m,) * depth))
-            self._stack[code] = M
-            self._known[code] = True
+        self.space, self.depth, self.d = space, depth, int(mats[0].shape[0])
+        self._stack = np.stack(mats)
+        self._stack.setflags(write=False)
+        self.generators = dict(zip(words, self._stack))
 
     def gen(self, window: Sequence[int]) -> np.ndarray:
         return self.generators[tuple(window)]
@@ -110,19 +100,11 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
         raise ValueError("rows must be a 2-d symbol matrix")
     if rows.shape[1] < n + c.depth - 1:
         raise ValueError(f"need word length >= {n + c.depth - 1}")
-    m = c.space.m
-    if rows.size and (rows.min() < 0 or rows.max() >= m):
-        raise ValueError(f"symbols must lie in 0..{m - 1}")
     if not len(rows):
         return []
-    codes = np.ascontiguousarray(rows[:, :n].T)  # step-major window codes
-    for j in range(1, c.depth):
-        codes = codes.astype(np.intp) * m + rows[:, j:j + n].T
-    known = c._known[codes]
-    if not known.all():
-        i, r = np.argwhere(~known)[0]
-        raise ValueError(f"row {r} has no generator for the window "
-                         f"{rows[r, i:i + c.depth].tolist()} at {i}")
+    # step-major: codes[i, r] is the row of window i of row r
+    codes = word_columns(c.space, sliding_window_view(
+        rows[:, :n + c.depth - 1].T, c.depth, axis=0))
     P = np.tile(np.eye(c.d), (len(rows), 1, 1))
     acc = [0.0] * len(rows)
     for i in range(n):

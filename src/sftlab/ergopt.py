@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NotPrimitive, OutsideLf, SpaceMismatch
 from .measures import MarkovMeasure, ks_entropy, rng_from
-from .shift import SftSpace, Word, word_columns
+from .shift import SftSpace, Word, by_word_row, word_columns
 
 # --------------------------- potentials ---------------------------
 
@@ -40,16 +40,8 @@ class Potential:
     read-only float vector ``values`` in ``space.word_table(r)`` order."""
 
     def __init__(self, space: SftSpace, r: int, table: dict):
-        keys = [tuple(int(s) for s in k) for k in table]
-        expected = set(map(tuple, space.word_table(r).tolist()))
-        if set(keys) != expected:
-            raise ValueError(
-                f"table must cover exactly the admissible {r}-words "
-                f"(missing {len(expected - set(keys))}, "
-                f"extra {len(set(keys) - expected)})")
-        values = np.empty(len(expected))
-        values[word_columns(space, np.array(keys).reshape(len(keys), r))] = [
-            float(v) for v in table.values()]
+        values = np.array([float(v) for v in
+                           by_word_row(space, r, table, "table")])
         self.space, self.r, self.values = space, r, values
         values.setflags(write=False)
 
@@ -171,22 +163,22 @@ class InEdges:
 
 @dataclass(frozen=True)
 class BlockGraph:
-    """The ell-words as nodes, (ell+1)-words as edges, in word-table order."""
+    """The ell-words as nodes, (ell+1)-words as edges, each in its
+    ``space.word_table`` order: edge j is the (ell+1)-word in row j, from
+    its first to its last ell symbols."""
     space: SftSpace
     ell: int
-    nodes: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, tuple[int, ...]], ...]  # (u, v, edge word)
     src: np.ndarray  # u of each edge, in edge order
     dst: np.ndarray  # v of each edge
     in_edges: InEdges
 
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.space.word_table(self.ell))
 
     def block_space(self) -> SftSpace:
         if self.ell == 1:
             return self.space
-        A = np.zeros((len(self.nodes), len(self.nodes)), dtype=np.int64)
+        A = np.zeros((self.n_nodes(), self.n_nodes()), dtype=np.int64)
         A[self.src, self.dst] = 1
         return SftSpace(A)
 
@@ -197,11 +189,9 @@ def block_graph(space: SftSpace, ell: int) -> BlockGraph:
     if graph is None:
         ew = space.word_table(ell + 1)
         src, dst = word_columns(space, ew[:, :-1]), word_columns(space, ew[:, 1:])
-        nodes = tuple(map(tuple, space.word_table(ell).tolist()))
         graph = space._block_cache[ell] = BlockGraph(
-            space, ell, nodes,
-            tuple(zip(src.tolist(), dst.tolist(), map(tuple, ew.tolist()))),
-            src, dst, InEdges.of(len(nodes), src, dst))
+            space, ell, src, dst,
+            InEdges.of(len(space.word_table(ell)), src, dst))
     return graph
 
 
@@ -241,7 +231,7 @@ def _batches(space: SftSpace, fs: Sequence[Potential], row_elements):
 
 
 def _cycle_word(graph: BlockGraph, cycle_nodes: Sequence[int]) -> Word:
-    return Word(graph.nodes[c][0] for c in cycle_nodes)
+    return Word(graph.space.word_table(graph.ell)[cycle_nodes, 0].tolist())
 
 
 # --------------------------- exact max-plus core ---------------------------
@@ -603,8 +593,8 @@ def equilibrium_mean(space: SftSpace, f: Potential,
     graph = block_graph(space, max(f.r - 1, 1))
     measure = mu if mu is not None else equilibrium_state(space, f)
     total = 0.0
-    for (u, v, _), val in zip(graph.edges,
-                              _edge_values(graph, f.r, f.values).tolist()):
+    for u, v, val in zip(graph.src.tolist(), graph.dst.tolist(),
+                         _edge_values(graph, f.r, f.values).tolist()):
         total += measure.stationary[u] * measure.stochastic[u, v] * val
     return total
 

@@ -86,7 +86,7 @@ def thm1_1_capacity(params: dict, seed: int) -> ExperimentResult:
         fam = measures.typical_separated_family(
             max_ent, N, delta=0.05, eta=eta, seed=seed + N)
         sched = gluing.build_gk_schedule(
-            space, target_mu, anchor=anchor, stages=3, seed=seed,
+            space, target_mu, anchor=anchor, stages=3,
             family_len=N, family_entropy=h, family_eta=eta)
         prefix = gluing.member_prefix_len(sched)
         emitted = gluing.emit_separated_family(
@@ -220,7 +220,7 @@ def lemma_ds_tracking(params: dict, seed: int) -> ExperimentResult:
     a = MarkovMeasure.bernoulli(space, [0.7, 0.3])
     b = MarkovMeasure.bernoulli(space, [0.3, 0.7])
     sched = gluing.build_gk_schedule(space, MeasurePath([a, b]),
-                                     stages=params.get("stages", 3), seed=seed)
+                                     stages=params.get("stages", 3))
     rows = gluing.tracking_report(sched, seed=seed)
     bounds = [r.bound for r in rows]
     nonincreasing = all(x >= y - 1e-12 for x, y in zip(bounds, bounds[1:]))

@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -703,7 +703,7 @@ def _smallest_reps(end_at: Callable[[int], int], reps: int,
 
 def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
                       anchor: Optional[Word] = None, stages: int = 3,
-                      seed: int = 0, *, check_depth: int = 2,
+                      *, check_depth: int = 2,
                       family_len: int = 0,
                       family_entropy: Optional[float] = None,
                       family_eta: Optional[float] = None,
@@ -716,7 +716,8 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
 
     Block lengths absorb the stage tours; repetition counts are the smallest
     satisfying the domination inequalities; the visiting order of K follows
-    the forward-and-back mesh refinement of the path.
+    the forward-and-back mesh refinement of the path.  InfeasibleParams
+    names the first inequality of :func:`validate_schedule` the plan fails.
     """
     if space.primitivity_index is None:
         raise NotPrimitive("build_gk_schedule needs a primitive space")
@@ -750,8 +751,10 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
           for k in range(stages)]
 
     # the glued past counts as one word: the stage follows it as glue would
-    past = glue_spans((0 if anchor is None else len(anchor), family_len),
-                      gap)[-1][1]
+    anchor_len = 0 if anchor is None else len(anchor)
+    past = glue_spans((anchor_len, family_len), gap)[-1][1]
+    # as check_budgets reads it, stage 1 dominates the whole member prefix
+    dominated = glue_spans((anchor_len, family_len, 1), gap)[-1][0]
     built: list[Stage] = []
     reps_prev = 0
     for k in range(stages):
@@ -759,39 +762,23 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
             return glue_spans((past, *[ns[k]] * reps, len(tours[k])),
                               gap)[-1][1]
 
-        need = past / zs[k]
+        need = dominated / zs[k]
         if k + 1 < stages:
             need = max(need, (ns[k + 1] + len(tours[k + 1])) / zs[k])
         N = _smallest_reps(end_at, max(1, reps_prev + 1), need)
         built.append(Stage(alpha=alphas[k], n=ns[k], reps=N, tour=tours[k],
                            zeta=zs[k], eps=es[k], depth=k + 1))
-        past = end_at(N)
+        past = dominated = end_at(N)
         reps_prev = N
 
     sched = GluingSchedule(
         space=space, stages=built, anchor=anchor, family_len=family_len,
         family_entropy=family_entropy, family_eta=family_eta,
         check_depth=check_depth, gap=gap)
-    report = validate_schedule(sched)
-    fixable = {"prefix_domination", "next_stage", "reps_increasing"}
-    for _ in range(64):
-        if report.passed:
-            return sched
-        worst = report.failures()[0]
-        if worst.name not in fixable:
-            # independent of repetition counts: the caller's parameters are
-            # genuinely infeasible (e.g. the family margin needs a longer
-            # family slot or a larger eta relative to the anchor)
-            raise _infeasible(worst)
-        k = (worst.stage or len(sched.stages)) - 1
-        st = sched.stages[k]
-        sched.stages[k] = replace(st, reps=st.reps + 1)
-        for j in range(k + 1, len(sched.stages)):
-            prev, cur = sched.stages[j - 1], sched.stages[j]
-            if cur.reps <= prev.reps:
-                sched.stages[j] = replace(cur, reps=prev.reps + 1)
-        report = validate_schedule(sched)
-    raise InfeasibleParams(f"validator still failing: {report.failures()[:3]}")
+    failures = validate_schedule(sched).failures()
+    if failures:
+        raise _infeasible(failures[0])
+    return sched
 
 
 # --------------------------- branching trees ---------------------------

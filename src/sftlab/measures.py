@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -162,40 +163,43 @@ class MarkovMeasure:
 
 
 class EmpiricalMeasure:
-    """Cylinder-frequency record of an orbit segment at a fixed depth L."""
+    """Cylinder-frequency record of an orbit segment at a fixed depth L: one
+    integer count per row of ``space.word_table(L)``."""
 
-    def __init__(self, space: SftSpace, depth: int,
-                 freq: dict[tuple[int, ...], int]):
+    def __init__(self, space: SftSpace, depth: int, counts: Sequence[int]):
         if depth < 1:
             raise ValueError("depth must be positive")
-        self.space = space
-        self.depth = depth
-        self.freq = dict(freq)
-        self.total = sum(self.freq.values())
-        if any(c < 0 for c in self.freq.values()) or self.total <= 0:
+        counts = np.array(counts, dtype=np.int64)
+        if counts.shape != (len(space.word_table(depth)),):
+            raise ValueError(f"counts must hold one entry per admissible "
+                             f"{depth}-word, got shape {counts.shape}")
+        self.total = int(counts.sum())
+        if (counts < 0).any() or self.total <= 0:
             raise ValueError("counts must be nonnegative with positive total")
-        self._marginals: dict[int, dict[tuple[int, ...], float]] = {}
+        counts.setflags(write=False)
+        self.space, self.depth, self.counts = space, depth, counts
+
+    @property
+    def freq(self) -> MappingProxyType:
+        """Read-only {window: count} of the nonzero rows, in table order."""
+        rows = np.flatnonzero(self.counts)
+        words = map(tuple, self.space.word_table(self.depth)[rows].tolist())
+        return MappingProxyType(dict(zip(words, self.counts[rows].tolist())))
 
     def max_depth(self) -> Optional[int]:
         return self.depth
 
-    def _marginal(self, length: int) -> dict[tuple[int, ...], float]:
-        if length not in self._marginals:
-            acc: dict[tuple[int, ...], float] = {}
-            for w, c in self.freq.items():
-                key = w[:length]
-                acc[key] = acc.get(key, 0.0) + c
-            self._marginals[length] = {k: v / self.total for k, v in acc.items()}
-        return self._marginals[length]
-
     def cylinder_prob(self, symbols: Sequence[int]) -> float:
+        """The count of the rows the cylinder prefixes, one run of the
+        table, over the total; 0.0 for an inadmissible cylinder."""
         s = tuple(symbols)
         if len(s) > self.depth:
             raise DepthExceedsEmpirical(
                 f"empirical depth {self.depth} < requested {len(s)}")
         if not s:
             return 1.0
-        return self._marginal(len(s)).get(s, 0.0)
+        run = (self.space.word_table(self.depth)[:, :len(s)] == s).all(axis=1)
+        return int(self.counts[run].sum()) / self.total
 
     def __repr__(self) -> str:
         return f"EmpiricalMeasure(depth={self.depth}, total={self.total})"

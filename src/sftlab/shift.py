@@ -7,8 +7,10 @@ Conventions fixed here and used everywhere else:
 
 * one-sided shifts over the alphabet {0, ..., m-1};
 * one word index: a word's row in ``SftSpace.word_table(L)`` (lexicographic)
-  indexes every table over admissible L-words, and :func:`word_columns`
-  finds it for each row of a symbol array;
+  indexes every table over admissible L-words.  That row is the word's count
+  rank, the number of admissible L-words before it, which
+  :func:`word_columns` sums from a small rank table without a radix, so any
+  length and alphabet whose words fit in memory is indexed;
 * metric d(x, y) = 2**(-t) with t the first index of disagreement, so a
   statement "(n, 2**(-k))-separated" is exactly "distinct prefixes of
   length n + k - 1";
@@ -118,7 +120,7 @@ class SftSpace:
         self._reach_cache: dict[int, np.ndarray] = {0: np.eye(self.m, dtype=bool)}
         self._bridge_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._cyl_cache: dict[int, tuple[list, list]] = {}  # (weights, runs)
-        self._word_cache: dict[int, tuple] = {}  # L: (words, codes)
+        self._word_cache: dict[int, tuple] = {}  # L: (words, ranks)
         self._block_cache: dict[int, object] = {}  # ergopt.block_graph
         self._succ = [tuple(np.flatnonzero(A[i]).tolist()) for i in range(self.m)]
 
@@ -193,17 +195,15 @@ class SftSpace:
 
     def word_table(self, length: int) -> np.ndarray:
         """The admissible words of a length as the rows of one read-only
-        int64 array, in :meth:`words` order; cached with their base-m codes."""
+        int64 array, in :meth:`words` order, cached with their rank table;
+        that is built first, so a length it rejects enumerates no word."""
         if length < 1:
             raise ValueError(f"word length must be positive, got {length}")
-        if self.m ** length >= 2**63:
-            raise ValueError(f"base-{self.m} codes of length-{length} words "
-                             f"reach {self.m}**{length}, past the int64 "
-                             f"limit 2**63")
         if length not in self._word_cache:
+            ranks = _rank_table(self.transition, length)
             table = np.array([w.symbols for w in self.words(length)], dtype=np.int64)
             table.setflags(write=False)
-            self._word_cache[length] = table, _base_codes(table, self.m)
+            self._word_cache[length] = table, ranks
         return self._word_cache[length][0]
 
     def count_words(self, length: int) -> int:
@@ -245,43 +245,80 @@ class SftSpace:
         return f"SftSpace(m={self.m}, full={self.is_full_shift})"
 
 
-_RAVEL_DIMS = 32  # symbol positions per np.ravel_multi_index call (at most 64)
+def _rank_table(A: np.ndarray, length: int) -> np.ndarray:
+    """The (length, m+1, m) int64 rank table: [i, a, s] counts the words
+    that agree with a word before i and hold at i an admissible successor
+    of a smaller than s (row m: any predecessor, at i = 0), so the sum over
+    i of [i, x[i-1], x[i]] is the count rank of x, from powers of A (Lind &
+    Marcus 1995).  A forbidden step holds the word count K, so a sum reaches
+    K exactly when x is not admissible; ValueError when length * K, which
+    bounds every sum, reaches the int64 limit."""
+    m = len(A)
+    tails = [np.ones(m, dtype=object)]  # tails[k-1][b]: k-words starting at b
+    for _ in range(length - 1):
+        tails.append(A.astype(object) @ tails[-1])
+    K = int(tails[-1].sum())
+    if length * K >= 2**63:
+        raise ValueError(f"{K} admissible {length}-words: rank sums of "
+                         f"{length} entries up to {K} pass the int64 limit "
+                         f"2**63")
+    steps = np.vstack([A, np.ones(m, dtype=np.int64)])  # row m: no predecessor
+    ranks = np.empty((length, m + 1, m), dtype=np.int64)
+    for i in range(length):
+        below = steps * tails[length - 1 - i].astype(np.int64)
+        ranks[i] = np.cumsum(below, axis=1) - below
+    ranks[:, steps == 0] = K
+    ranks.setflags(write=False)
+    return ranks
 
 
-def _base_codes(words: np.ndarray, m: int) -> np.ndarray:
-    """Base-m code of each row of a (k, L) symbol array, first symbol most
-    significant, so codes sort as the rows do; -1, which is no word's code,
-    for a row with a symbol outside 0..m-1.  Any L: np.ravel_multi_index
-    codes the columns _RAVEL_DIMS at a time.  The caller keeps m**L below
-    2**63 (word_table checks it)."""
-    codes = outside = None
-    for lo in range(0, words.shape[1], _RAVEL_DIMS):
-        part = words[:, lo:lo + _RAVEL_DIMS]
-        dims = (m,) * part.shape[1]
-        try:
-            code = np.ravel_multi_index(part.T, dims)
-        except ValueError:  # a symbol outside the alphabet
-            code = np.ravel_multi_index(part.T, dims, mode="clip")
-            outside = ((words < 0) | (words >= m)).any(axis=1)
-        codes = code if codes is None else codes * m ** part.shape[1] + code
-    if outside is not None:
-        codes[outside] = -1
-    return codes
+def _rank_sums(ranks: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Each window's rank, one gather per position; IndexError past m."""
+    cols = ranks[0, -1].take(words[..., 0])
+    for i in range(1, words.shape[-1]):
+        cols += ranks[i, words[..., i - 1], words[..., i]]
+    return cols
 
 
 def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
-    """Row of each row of a (k, L) symbol array in ``space.word_table(L)``;
-    ValueError names the first row that is not an admissible L-word."""
+    """Row in ``space.word_table(L)`` of each length-L window along the last
+    axis of a symbol array, (..., L) to (...): the count rank, one gather of
+    the rank table per position.  ValueError names the first window (in C
+    order) that is not an admissible L-word."""
     words = np.asarray(words)
-    space.word_table(words.shape[1])
-    adm = space._word_cache[words.shape[1]][1]
-    codes = _base_codes(words, space.m)
-    cols = np.minimum(np.searchsorted(adm, codes), len(adm) - 1)
-    bad = adm[cols] != codes
+    L, m = words.shape[-1], space.m
+    K = len(space.word_table(L))
+    ranks = space._word_cache[L][1]
+    try:
+        if words.dtype.kind == "i" and words.size and words.min() < 0:
+            raise IndexError("negative symbol")  # a gather would wrap it
+        cols = _rank_sums(ranks, words)
+        bad = cols >= K
+    except IndexError:  # a symbol outside the alphabet
+        cols = _rank_sums(ranks, np.clip(words, 0, m - 1))
+        bad = (cols >= K) | ((words < 0) | (words >= m)).any(axis=-1)
     if bad.any():
-        raise ValueError(f"window {tuple(words[bad.argmax()].tolist())} is "
-                         f"not an admissible {words.shape[1]}-word")
+        window = words[np.unravel_index(bad.argmax(), bad.shape)]
+        raise ValueError(f"window {tuple(window.tolist())} is not an "
+                         f"admissible {L}-word")
     return cols
+
+
+def by_word_row(space: SftSpace, length: int, mapping: dict,
+                name: str) -> list:
+    """The values of a {length-word symbols: value} mapping in
+    ``space.word_table(length)`` row order; ValueError, counting the missing
+    and extra words, unless its keys are exactly the admissible words."""
+    keys = [tuple(int(s) for s in k) for k in mapping]
+    expected = set(map(tuple, space.word_table(length).tolist()))
+    if set(keys) != expected:
+        raise ValueError(
+            f"{name} must cover exactly the admissible {length}-words "
+            f"(missing {len(expected - set(keys))}, "
+            f"extra {len(set(keys) - expected)})")
+    values = list(mapping.values())
+    rows = word_columns(space, np.array(keys).reshape(len(keys), length))
+    return [values[i] for i in np.argsort(rows).tolist()]
 
 
 # --------------------------- metric and separation ---------------------------

@@ -91,7 +91,7 @@ class TestAcceptance:
             fam = measures.typical_separated_family(
                 max_ent, N, delta=0.05, eta=eta, seed=400 + N)
             sched = gluing.build_gk_schedule(
-                space, target_mu, anchor=anchor, stages=3, seed=4,
+                space, target_mu, anchor=anchor, stages=3,
                 family_len=N, family_entropy=ks_entropy(max_ent),
                 family_eta=eta)
             assert len(anchor) <= 40
@@ -227,12 +227,12 @@ class TestAcceptance:
         for stages in (1, 2, 3):
             sched = gluing.build_gk_schedule(
                 FULL2, MarkovMeasure.bernoulli(FULL2, [0.1, 0.9]),
-                stages=stages, seed=stages)
+                stages=stages)
             accepted = accepted and gluing.validate_schedule(sched).passed
         golden = SftSpace.golden_mean()
         phi = (1 + math.sqrt(5)) / 2
         parry = MarkovMeasure(golden, [[1 / phi, 1 / phi ** 2], [1.0, 0.0]])
-        sched_g = gluing.build_gk_schedule(golden, parry, stages=2, seed=2)
+        sched_g = gluing.build_gk_schedule(golden, parry, stages=2)
         accepted = accepted and gluing.validate_schedule(sched_g).passed
 
         # ... and reject the degenerate single-repetition schedule

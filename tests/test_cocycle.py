@@ -304,11 +304,23 @@ class TestBatchedExponentOracles:
     def test_window_without_generator_named(self):
         c = MatrixCocycle(GOLDEN, {w.symbols: np.eye(2) for w in
                                    GOLDEN.words(2)}, depth=2)
-        with pytest.raises(ValueError, match=r"no generator for the window"
-                           r" \[1, 1\] at 1"):
+        with pytest.raises(ValueError, match=r"window \(1, 1\) is not an "
+                           r"admissible 2-word"):
             exponent_along(c, Word("01110"), 4)
-        with pytest.raises(ValueError, match="symbols must lie in 0..1"):
+        with pytest.raises(ValueError, match=r"window \(1, 2\) is not an "
+                           r"admissible 2-word"):
             exponent_along(c, Word("0120"), 3)
+
+    def test_cycle_of_64_symbols_at_depth_5(self):
+        # the old stack held one matrix per base-64 code: 64**5 of them
+        cycle = SftSpace(np.roll(np.eye(64, dtype=int), 1, axis=1))
+        c = MatrixCocycle(cycle, {
+            w.symbols: np.diag([2.0 if w.symbols[0] == 0 else 1.0, 1.0])
+            for w in cycle.words(5)}, depth=5)
+        assert c._stack.shape == (64, 2, 2)
+        x = Word([i % 64 for i in range(132)])
+        assert exponent_along(c, x, 128) == per_step_exponent_along(c, x, 128)
+        assert exponent_along(c, x, 128) == pytest.approx(math.log(4) / 128)
 
     def test_inadmissible_anchor_named(self):
         c = MatrixCocycle.constant(GOLDEN, np.eye(2))

@@ -35,9 +35,16 @@ def exact(v):
     return int(v) if float(v).is_integer() else Fraction(v)
 
 
+def graph_edges(graph):
+    """(u, v, edge word) per edge of a block graph, in edge order: the
+    rows of the (ell+1)-word table with their src and dst."""
+    words = map(tuple, graph.space.word_table(graph.ell + 1).tolist())
+    return list(zip(graph.src.tolist(), graph.dst.tolist(), words))
+
+
 def fraction_weights(graph, f):
     """Edge weights of f on its block graph as ints or Fractions."""
-    return [exact(f.value(ew[:f.r])) for _, _, ew in graph.edges]
+    return [exact(f.value(ew[:f.r])) for _, _, ew in graph_edges(graph)]
 
 
 def fraction_karp(graph, weights):
@@ -45,7 +52,7 @@ def fraction_karp(graph, weights):
     as its oracle: maximum mean cycle with multi-source initialization."""
     n = graph.n_nodes()
     in_edges = [[] for _ in range(n)]
-    for (u, v, _), w in zip(graph.edges, weights):
+    for (u, v, _), w in zip(graph_edges(graph), weights):
         in_edges[v].append((u, w))
     D = [[None] * n for _ in range(n + 1)]
     D[0] = [0] * n
@@ -81,14 +88,14 @@ def fraction_tight_subgraph(graph, weights, lam):
     h = [Fraction(0)] * n
     for _ in range(n + 1):
         changed = False
-        for (u, v, _), w in zip(graph.edges, weights):
+        for (u, v, _), w in zip(graph_edges(graph), weights):
             if h[u] + w - lam > h[v]:
                 h[v] = h[u] + w - lam
                 changed = True
         if not changed:
             break
     tight = [[] for _ in range(n)]
-    for (u, v, _), w in zip(graph.edges, weights):
+    for (u, v, _), w in zip(graph_edges(graph), weights):
         if h[u] + w - lam == h[v]:
             tight[u].append(v)
     return tight
@@ -106,7 +113,7 @@ def fraction_classify_smr(space, f):
         return None, words, 0.0
     cyc = cycles[0]
     on_cycle = {(c, cyc[(i + 1) % len(cyc)]) for i, c in enumerate(cyc)}
-    alt = [((u, v), w) for (u, v, _), w in zip(graph.edges, weights)
+    alt = [((u, v), w) for (u, v, _), w in zip(graph_edges(graph), weights)
            if (u, v) not in on_cycle]
     alt_best = loop_max_mean_cycle_excluding(graph.n_nodes(), alt)
     return words[0], words, None if alt_best is None else float(lam - alt_best)
@@ -145,7 +152,7 @@ def loop_brute_force_beta(space, f, max_period):
     graph = block_graph(space, max(f.r - 1, 1))
     n = graph.n_nodes()
     W = [[None] * n for _ in range(n)]
-    for u, v, ew in graph.edges:
+    for u, v, ew in graph_edges(graph):
         W[u][v] = exact(f.value(ew[:f.r]))
     cur = [row[:] for row in W]
     best = None
@@ -292,7 +299,7 @@ def enumerate_cycle_means(space, f):
     cycles of the block graph with exact means."""
     g = block_graph(space, max(f.r - 1, 1))
     adj = {}
-    for u, v, ew in g.edges:
+    for u, v, ew in graph_edges(g):
         adj.setdefault(u, []).append((v, Fraction(f.value(ew[:f.r]))))
     best = None
 
@@ -331,7 +338,8 @@ class TestBlockGraph:
 
         for space in (ConstHash.full_shift(2), ConstHash.golden_mean()):
             g = block_graph(space, 3)
-            assert g.nodes == tuple(w.symbols for w in space.words(3))
+            assert g.space is space
+            assert g.n_nodes() == space.count_words(3)
 
 
 class TestBeta:

@@ -31,11 +31,12 @@ from sftlab.gluing import (LEAF_ENUMERATION_CAP, BranchTree, ChaoticFamily,
                            emit_separated_family, family_tracking_report,
                            member_prefix_len, tracking_bound,
                            tracking_report, validate_schedule)
-from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
-                             ks_entropy, typical_separated_family,
-                             weak_star_dist)
+from sftlab.measures import (MarkovMeasure, MeasurePath, ks_entropy,
+                             typical_separated_family, weak_star_dist)
 from sftlab.shift import (SftSpace, Word, glue, glue_spans, iglue,
                           separated_count)
+
+from dict_empirical import DictEmpiricalMeasure
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -82,17 +83,17 @@ class TestScheduleBasics:
 
     def test_anchor_prefix_contract(self):
         sched = build_gk_schedule(FULL2, B05, anchor=FULL2.parse("01"),
-                                  stages=2, seed=1)
+                                  stages=2)
         w = emit_point(sched, seed=1).materialize(40)
         assert w.symbols[:2] == (0, 1)
 
     def test_emitted_streams_admissible(self):
-        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), stages=2, seed=2)
+        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), stages=2)
         w = emit_point(sched, seed=2).materialize(600)
         assert GOLDEN.is_admissible(w.symbols)
 
     def test_deterministic_and_prefix_stable(self):
-        sched = build_gk_schedule(FULL2, B09, stages=2, seed=3)
+        sched = build_gk_schedule(FULL2, B09, stages=2)
         a = emit_point(sched, seed=3).materialize(500)
         b = emit_point(sched, seed=3).materialize(500)
         assert a == b
@@ -101,7 +102,7 @@ class TestScheduleBasics:
         assert stream.materialize(500).symbols[:100] == short.symbols
 
     def test_tour_blocks_cover_cylinders(self):
-        sched = build_gk_schedule(FULL2, B05, stages=2, seed=4)
+        sched = build_gk_schedule(FULL2, B05, stages=2)
         ends = sched.stage_ends()
         w = emit_point(sched, seed=4).materialize(ends[-1])
         subs = {w.symbols[i:i + 2] for i in range(len(w) - 1)}
@@ -109,7 +110,7 @@ class TestScheduleBasics:
 
     def test_json_round_trip(self):
         sched = build_gk_schedule(FULL2, B09, anchor=FULL2.parse("0110"),
-                                  stages=2, seed=5, family_len=6,
+                                  stages=2, family_len=6,
                                   family_entropy=math.log(2), family_eta=0.35)
         again = GluingSchedule.from_json(sched.to_json())
         assert again.stage_ends() == sched.stage_ends()
@@ -119,7 +120,7 @@ class TestScheduleBasics:
         assert w1 == w2
 
     def test_json_orphan_tour_named(self):
-        sched = build_gk_schedule(FULL2, B05, stages=2, seed=5)
+        sched = build_gk_schedule(FULL2, B05, stages=2)
         data = json.loads(sched.to_json())
         assert [b["kind"] for b in data["blocks"]] == [
             "measure", "tour", "measure", "tour"]
@@ -128,7 +129,7 @@ class TestScheduleBasics:
             GluingSchedule.from_json(json.dumps(data))
 
     def test_json_lowered_reps_rejected_on_load(self):
-        sched = build_gk_schedule(FULL2, B05, stages=2, seed=5)
+        sched = build_gk_schedule(FULL2, B05, stages=2)
         lowered = GluingSchedule(space=FULL2, stages=[
             sched.stages[0], dataclasses.replace(sched.stages[1], reps=1)])
         first = validate_schedule(lowered).failures()[0]
@@ -143,9 +144,31 @@ class TestScheduleBasics:
 class TestValidation:
     def test_builder_output_passes(self):
         for stages in (1, 2, 3):
-            sched = build_gk_schedule(FULL2, B05, stages=stages, seed=6)
+            sched = build_gk_schedule(FULL2, B05, stages=stages)
             report = validate_schedule(sched)
             assert report.passed, report.failures()
+
+    def test_stage_one_planned_from_the_member_prefix(self):
+        # the 12 slot symbols and the bridge into the tail are a 13-symbol
+        # member prefix; planned from the 12 alone, stage 1 came out one
+        # block short and was repaired after validation
+        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), stages=1,
+                                  family_len=12)
+        entry = validate_schedule(sched).entry("prefix_domination", 1)
+        assert entry.lhs == member_prefix_len(sched) == 13
+        assert entry.passed and validate_schedule(sched).passed
+        assert [st.reps for st in sched.stages] == [2]
+        assert sched.stage_ends() == [34]
+
+    def test_first_failure_raised_without_repair(self):
+        # a 10-symbol anchor burns more than a 4-symbol slot can repay
+        lhs = 4 * (0.4 - 0.1) - math.log(10)
+        rhs = (10 + 4) * (0.4 - 2 * 0.1)
+        with pytest.raises(InfeasibleParams, match=re.escape(
+                f"family_margin: lhs={lhs} rhs={rhs}")):
+            build_gk_schedule(FULL2, B05, anchor=Word("0" * 10), stages=1,
+                              family_len=4, family_entropy=0.4,
+                              family_eta=0.1)
 
     def test_degenerate_reps_rejected(self):
         tours = [dense_tour(FULL2, 1), dense_tour(FULL2, 2)]
@@ -211,14 +234,14 @@ class TestTracking:
         assert tracking_bound(sched, 64) == pytest.approx(0.125 + 0.0625)
 
     def test_bound_nonincreasing_at_stage_ends(self):
-        sched = build_gk_schedule(FULL2, B09, stages=3, seed=7)
+        sched = build_gk_schedule(FULL2, B09, stages=3)
         ends = sched.stage_ends()
         bounds = [tracking_bound(sched, n) for n in ends]
         assert all(a >= b - 1e-12 for a, b in zip(bounds, bounds[1:]))
 
     def test_observed_never_exceeds_bound(self):
         # soundness of the empirical-tracking estimate, single target
-        sched = build_gk_schedule(FULL2, B09, stages=3, seed=8)
+        sched = build_gk_schedule(FULL2, B09, stages=3)
         rows = tracking_report(sched, seed=8)
         assert len(rows) == 3
         for row in rows:
@@ -227,19 +250,19 @@ class TestTracking:
     def test_observed_never_exceeds_bound_on_path(self):
         a = MarkovMeasure.bernoulli(FULL2, [0.7, 0.3])
         b = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
-        sched = build_gk_schedule(FULL2, MeasurePath([a, b]), stages=3, seed=9)
+        sched = build_gk_schedule(FULL2, MeasurePath([a, b]), stages=3)
         for row in tracking_report(sched, seed=9):
             assert row.ok, (row.n, row.observed, row.bound)
 
     def test_anchored_schedule_tracks_too(self):
         sched = build_gk_schedule(FULL2, B09, anchor=FULL2.parse("0011"),
-                                  stages=2, seed=10)
+                                  stages=2)
         for row in tracking_report(sched, seed=10):
             assert row.ok
 
     def test_golden_mean_tracking(self):
         mu = parry(GOLDEN)
-        sched = build_gk_schedule(GOLDEN, mu, stages=2, seed=11)
+        sched = build_gk_schedule(GOLDEN, mu, stages=2)
         for row in tracking_report(sched, seed=11):
             assert row.ok
 
@@ -247,7 +270,7 @@ class TestTracking:
 class TestSeparatedFamily:
     def make_sched(self, fam_n, eta):
         return build_gk_schedule(
-            FULL2, B09, anchor=FULL2.parse("0101"), stages=2, seed=12,
+            FULL2, B09, anchor=FULL2.parse("0101"), stages=2,
             family_len=fam_n, family_entropy=ks_entropy(B05), family_eta=eta)
 
     def test_cardinality_and_separation_exact(self):
@@ -260,7 +283,7 @@ class TestSeparatedFamily:
 
     def test_prefix_len_is_tail_start_on_gap_two(self):
         sched = build_gk_schedule(GOLDEN, parry(GOLDEN), anchor=Word("010"),
-                                  stages=1, seed=4, family_len=4)
+                                  stages=1, family_len=4)
         fam = [Word("0100"), Word("0010"), Word("1001")]
         p = member_prefix_len(sched)
         assert p == 3 + 1 + 4 + 1  # anchor, bridge, slot, bridge
@@ -272,7 +295,7 @@ class TestSeparatedFamily:
         # anchor 3 + bridge 1 + slot 4 = 8 symbols; a horizon of 7 would cut
         # the slot and emit 0100 and 0101 both as 0100010
         sched = build_gk_schedule(GOLDEN, parry(GOLDEN), anchor=Word("010"),
-                                  stages=1, seed=4, family_len=4)
+                                  stages=1, family_len=4)
         fam = [Word("0100"), Word("0101")]
         with pytest.raises(WordsTooShort, match="horizon 7 below prefix"
                            " length 8"):
@@ -324,8 +347,8 @@ def per_member_emit_separated_family(s, family, horizon, seed):
 
 
 def counter_family_tracking_report(s, family, seed, checkpoints=None):
-    """Oracle for family_tracking_report: one Counter and one
-    EmpiricalMeasure per member per checkpoint, over the member's prefix
+    """Oracle for family_tracking_report: one Counter and one dict
+    empirical measure per member per checkpoint, over the member's prefix
     windows that start before the checkpoint plus the shared tail windows."""
     fam = list(family)
     cps = sorted(checkpoints) if checkpoints is not None else s.stage_ends()
@@ -356,7 +379,7 @@ def counter_family_tracking_report(s, family, seed, checkpoints=None):
         for n, tc, target in zip(cps, tail_counts, targets):
             pre_counts = Counter(tuple(head[i:i + L])
                                  for i in range(min(n, p)))
-            emp = EmpiricalMeasure(space, L, dict(pre_counts + tc))
+            emp = DictEmpiricalMeasure(space, L, dict(pre_counts + tc))
             row.append(weak_star_dist(emp, target, L))
         rows.append(tuple(row))
     return FamilyTrackingReport(
@@ -431,7 +454,7 @@ class TestSharedTailFamily:
     def test_checkpoints_below_prefix_match_direct(self):
         fam = typical_separated_family(B05, 9, 0.1, 0.4, seed=15)[:4]
         sched = build_gk_schedule(
-            FULL2, B09, anchor=FULL2.parse("0101"), stages=2, seed=12,
+            FULL2, B09, anchor=FULL2.parse("0101"), stages=2,
             family_len=9, family_entropy=ks_entropy(B05), family_eta=0.4)
         p = member_prefix_len(sched)
         assert p == 13
@@ -444,7 +467,7 @@ class TestSharedTailFamily:
 
     def test_tail_drawn_once_per_family(self, monkeypatch):
         sched = build_gk_schedule(
-            FULL2, B09, anchor=FULL2.parse("0101"), stages=2, seed=12,
+            FULL2, B09, anchor=FULL2.parse("0101"), stages=2,
             family_len=8, family_entropy=ks_entropy(B05), family_eta=0.4)
         fam = typical_separated_family(B05, 8, 0.1, 0.4, seed=15)[:6]
         calls = []
@@ -464,14 +487,14 @@ class TestSharedTailFamily:
         assert len(calls) == whole_tail
 
     def test_forbidden_member_named(self):
-        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), stages=1, seed=2,
+        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), stages=1,
                                   family_len=4)
         with pytest.raises(ValueError, match=r"'0110'.*1->1 at position 2"):
             emit_separated_family(sched, [Word("0100"), Word("0110")],
                                   horizon=20, seed=2)
 
     def test_bad_checkpoints_named(self):
-        sched = build_gk_schedule(FULL2, B09, stages=2, seed=3, family_len=4)
+        sched = build_gk_schedule(FULL2, B09, stages=2, family_len=4)
         fam = [Word("0101"), Word("0011")]
         for cps, message in (([], "no tracking checkpoints"),
                              ([5, 0], "got 0"), ([-3, 8], "got -3")):
@@ -706,7 +729,7 @@ class TestLayout:
 
 class TestScheduleInputs:
     def data(self, **kw):
-        sched = build_gk_schedule(FULL2, B05, stages=2, seed=5, **kw)
+        sched = build_gk_schedule(FULL2, B05, stages=2, **kw)
         return json.loads(sched.to_json())
 
     def load(self, data):
@@ -749,10 +772,10 @@ class TestScheduleInputs:
                                     dict(epsilons=[-0.1, 0.25])])
     def test_nonpositive_zeta_or_eps_named(self, kw):
         with pytest.raises(InfeasibleParams, match="must be positive"):
-            build_gk_schedule(FULL2, B05, stages=2, seed=5, **kw)
+            build_gk_schedule(FULL2, B05, stages=2, **kw)
 
     def test_slot_mismatch_named_at_every_family_entry_point(self):
-        sched = build_gk_schedule(FULL2, B09, stages=2, seed=3, family_len=6)
+        sched = build_gk_schedule(FULL2, B09, stages=2, family_len=6)
         fam = [Word("0100")]
         calls = [lambda: emit_point(sched, seed=1, family_word=fam[0]),
                  lambda: tracking_report(sched, seed=1, family_word=fam[0]),
@@ -764,7 +787,7 @@ class TestScheduleInputs:
                 call()
 
     def test_empty_word_is_no_slot(self):
-        sched = build_gk_schedule(FULL2, B09, stages=2, seed=3, family_len=6)
+        sched = build_gk_schedule(FULL2, B09, stages=2, family_len=6)
         assert tracking_report(sched, seed=1, family_word=Word(())) == \
             tracking_report(sched, seed=1)
         assert emit_separated_family(sched, [Word(())], 60, seed=1) == \

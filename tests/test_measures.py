@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from unittest import mock
@@ -18,6 +19,8 @@ from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                              typical_separated_family, weak_star_counts,
                              weak_star_dist)
 from sftlab.shift import SftSpace, Word, delta_separated, word_columns
+
+from dict_empirical import DictEmpiricalMeasure, dict_empirical
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -191,11 +194,22 @@ def random_windows(draw, space, depth, admissible=True):
                     dtype=np.int64)
 
 
+def count_row(space, windows):
+    return np.bincount(word_columns(space, windows),
+                       minlength=len(space.word_table(windows.shape[1])))
+
+
 def random_measure(draw, space, depth):
+    """A Markov measure, a count-row empirical measure of admissible
+    windows, or the dict oracle of windows that may be inadmissible."""
     if draw(st.booleans()):
         return random_markov(draw, space)
+    if draw(st.booleans()):
+        return EmpiricalMeasure(space, depth, count_row(
+            space, random_windows(draw, space, depth)))
     windows = random_windows(draw, space, depth, draw(st.booleans()))
-    return EmpiricalMeasure(space, depth, Counter(map(tuple, windows.tolist())))
+    return DictEmpiricalMeasure(space, depth,
+                                Counter(map(tuple, windows.tolist())))
 
 
 class TestWeakStarCore:
@@ -213,8 +227,8 @@ class TestWeakStarCore:
         totals = np.array([len(w) for w in samples])
         got = weak_star_counts(counts, totals, target, depth)
         for d, w in zip(got.tolist(), samples):
-            emp = EmpiricalMeasure(space, depth,
-                                   Counter(map(tuple, w.tolist())))
+            emp = DictEmpiricalMeasure(space, depth,
+                                       Counter(map(tuple, w.tolist())))
             assert d == weak_star_dist(emp, target, depth)
 
     def test_inadmissible_window_rejected(self):
@@ -247,6 +261,79 @@ class TestWeakStarCore:
         assert d == weak_star_dist(b, a, depth)
         assert 0.0 <= d <= 1.0
         assert weak_star_dist(a, a, depth) == 0.0
+
+
+def all_cylinders(space, depth):
+    """Every cylinder of length 1..depth over the alphabet, admissible or
+    not."""
+    return [c for n in range(1, depth + 1)
+            for c in itertools.product(range(space.m), repeat=n)]
+
+
+class TestCountRowEmpirical:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_dict_oracle_bit_for_bit(self, data):
+        space = data.draw(st.sampled_from(WEAK_SPACES))
+        depth = data.draw(st.integers(1, 3))
+        windows = random_windows(data.draw, space, depth)
+        emp = EmpiricalMeasure(space, depth, count_row(space, windows))
+        oracle = DictEmpiricalMeasure(space, depth,
+                                      Counter(map(tuple, windows.tolist())))
+        assert emp.freq == oracle.freq and emp.total == oracle.total
+        assert list(emp.freq) == sorted(oracle.freq)
+        for cyl in all_cylinders(space, depth):
+            assert emp.cylinder_prob(cyl) == oracle.cylinder_prob(cyl)
+        target = random_measure(data.draw, space, depth)
+        for d in range(1, depth + 1):
+            assert weak_star_dist(emp, target, d) == \
+                weak_star_dist(oracle, target, d)
+            assert weak_star_dist(target, emp, d) == \
+                weak_star_dist(target, oracle, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_empirical_equals_the_window_loop(self, data):
+        space = data.draw(st.sampled_from(WEAK_SPACES))
+        depth = data.draw(st.integers(1, 3))
+        x = Word(random_windows(data.draw, space,
+                                data.draw(st.integers(depth, 40)))[0].tolist())
+        n = data.draw(st.integers(1, len(x) - depth + 1))
+        emp, oracle = empirical(space, x, n, depth), \
+            dict_empirical(space, x, n, depth)
+        assert emp.freq == oracle.freq and emp.total == oracle.total
+        mu = random_markov(data.draw, space)
+        assert weak_star_dist(emp, mu, depth) == \
+            weak_star_dist(oracle, mu, depth)
+
+    def test_inadmissible_window_named(self):
+        # the dict path counted it silently
+        assert dict_empirical(GOLDEN, Word("0110"), 3, 2).freq[(1, 1)] == 1
+        with pytest.raises(ValueError, match=r"window \(1, 1\) is not an "
+                           r"admissible 2-word"):
+            empirical(GOLDEN, Word("0110"), 3, 2)
+        with pytest.raises(ValueError, match=r"window \(2,\) is not"):
+            empirical(GOLDEN, Word("0120"), 4, 1)
+
+    def test_counts_and_freq_are_read_only(self):
+        emp = empirical(GOLDEN, Word("01001"), 4, 2)
+        assert emp.counts.tolist() == [1, 2, 1]
+        assert dict(emp.freq) == {(0, 0): 1, (0, 1): 2, (1, 0): 1}
+        assert emp.cylinder_prob((1, 1)) == 0.0
+        assert emp.cylinder_prob((0,)) == 0.75
+        with pytest.raises(TypeError):
+            emp.freq[(0, 0)] = 5
+        with pytest.raises(ValueError):
+            emp.counts[0] = 5
+
+    def test_bad_count_rows_raise(self):
+        with pytest.raises(ValueError,
+                           match="one entry per admissible 2-word"):
+            EmpiricalMeasure(GOLDEN, 2, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="nonnegative with positive"):
+            EmpiricalMeasure(GOLDEN, 2, [1, -1, 0])
+        with pytest.raises(ValueError, match="nonnegative with positive"):
+            EmpiricalMeasure(GOLDEN, 2, [0, 0, 0])
 
 
 class TestSampling:

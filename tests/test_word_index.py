@@ -3,6 +3,8 @@ potentials, block graphs and count columns that read them.
 
 The per-word and dict forms the vector code replaced are kept here as
 oracles, and every result must equal them exactly."""
+import bisect
+import functools
 import json
 import re
 
@@ -18,7 +20,7 @@ from sftlab.ergopt import (Potential, beta, block_graph, coboundary_shift,
 from sftlab.gluing import dense_tour
 from sftlab.measures import (MarkovMeasure, cylinder_weights, rng_from,
                              sample_word)
-from sftlab.shift import SftSpace, Word, glue, word_columns
+from sftlab.shift import SftSpace, Word, _rank_table, glue, word_columns
 
 GOLDEN = SftSpace.golden_mean()
 # primitive, not a full shift, three symbols
@@ -97,6 +99,13 @@ def rebuilt_word_columns(space, words):
     return cols
 
 
+@functools.lru_cache(maxsize=None)
+def sorted_words(space, length):
+    """The admissible words sorted, not in enumeration order: a word's
+    count rank is its bisect position."""
+    return sorted(w.symbols for w in space.words(length))
+
+
 def loop_birkhoff_avg(x, f, n):
     s = x.symbols
     return sum(f.table[s[i:i + f.r]] for i in range(n)) / n
@@ -144,35 +153,66 @@ class TestWordTable:
             with pytest.raises(ValueError, match="must be positive"):
                 GOLDEN.word_table(length)
 
-    def test_codes_past_int64_raise(self):
-        # cyclic permutations have m words of each length, but base-m codes
-        # need m**L: 64**11 = 2**66, and 8**21 = 2**63 sits on the limit
-        cycle = SftSpace(np.roll(np.eye(64, dtype=int), 1, axis=1))
-        assert len(cycle.word_table(10)) == 64
+    def test_codes_past_int64_raise(self, monkeypatch):
+        # a rank is a sum of L entries up to the word count K, so L * K must
+        # stay below 2**63; the check reads the count, before any word is
+        # enumerated
+        def forbid(self, length):
+            raise AssertionError(f"enumerated the {length}-words")
+
+        monkeypatch.setattr(SftSpace, "words", forbid)
         with pytest.raises(ValueError, match=re.escape(
-                "base-64 codes of length-11 words reach 64**11, past the "
-                "int64 limit 2**63")):
-            cycle.word_table(11)
-        cycle8 = SftSpace(np.roll(np.eye(8, dtype=int), 1, axis=1))
-        assert len(cycle8.word_table(20)) == 8
-        with pytest.raises(ValueError, match=re.escape("8**21, past")):
-            cycle8.word_table(21)
+                f"{2**64} admissible 64-words: rank sums of 64 entries up to "
+                f"{2**64} pass the int64 limit 2**63")):
+            SftSpace.full_shift(2).word_table(64)
+        A = SftSpace.full_shift(2).transition
+        assert _rank_table(A, 57).shape == (57, 3, 2)  # 57 * 2**57 < 2**63
+        with pytest.raises(ValueError, match=re.escape(
+                f"{2**58} admissible 58-words")):
+            _rank_table(A, 58)
 
     def test_one_symbol_space_past_64_positions(self):
-        # np.ravel_multi_index takes at most 64 dimensions
         one = SftSpace([[1]])
         for length in (63, 64, 100):
             assert one.word_table(length).tolist() == [[0] * length]
             assert word_columns(one, np.zeros((2, length), dtype=int)
                                 ).tolist() == [0, 0]
-        # two words of each length, coded past one 32-symbol call
+        # two words of each length: 0101... ranks 0, 1010... ranks 1
         flip = SftSpace([[0, 1], [1, 0]])
         table = flip.word_table(62)
-        assert flip._word_cache[62][1].tolist() == [
-            int("".join(map(str, row)), 2) for row in table.tolist()]
+        ranks = flip._word_cache[62][1]
+        assert ranks.shape == (62, 3, 2) and not ranks.flags.writeable
+        assert ranks[0, 2].tolist() == [0, 1]  # any predecessor: 0 first
+        assert (ranks[1:, [0, 1], [1, 0]] == 0).all()  # the one successor
+        assert (ranks[1:, [0, 1], [0, 1]] == 2).all()  # forbidden: K
         assert word_columns(flip, table[::-1]).tolist() == [1, 0]
         with pytest.raises(ValueError, match="not an admissible 100-word"):
             word_columns(one, np.array([[0] * 99 + [1]]))
+
+    @pytest.mark.parametrize("length", [11, 40])
+    def test_cycle_past_the_base_m_limit(self, length):
+        # 64**11 = 2**66 is past the int64 limit of base-m codes; the ranks
+        # count only the 64 words
+        cycle = SftSpace(np.roll(np.eye(64, dtype=int), 1, axis=1))
+        table = cycle.word_table(length)
+        assert len(table) == 64
+        assert table[:, 0].tolist() == list(range(64))
+        assert (np.diff(table, axis=1) % 64 == 1).all()
+        assert word_columns(cycle, table[::-1]).tolist() == \
+            list(range(63, -1, -1))
+        with pytest.raises(ValueError, match=r"\(0, 2,"):
+            word_columns(cycle, np.array([[0, 2] + [3] * (length - 2)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rank_is_the_count_of_smaller_words(self, data):
+        space = data.draw(st.sampled_from(SPACES))
+        length = data.draw(st.integers(1, 5))
+        rows = admissible_rows(data.draw, space, length,
+                               data.draw(st.integers(1, 12)))
+        smaller = sorted_words(space, length)
+        assert word_columns(space, rows).tolist() == [
+            bisect.bisect_left(smaller, tuple(row)) for row in rows.tolist()]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -196,10 +236,19 @@ class TestWordTable:
             assert word_columns(space, rows).tolist() == expected.tolist()
 
     def test_symbols_outside_the_alphabet_are_named(self):
-        # (0, 2) and (1, -1) have the base-2 codes of (1, 0) and (0, 1)
+        # clipped into the alphabet, (0, 2) and (1, -1) would rank as the
+        # admissible (0, 1) and (1, 0)
         for row in ([0, 2], [1, -1], [-1, 0], [1, 2]):
             with pytest.raises(ValueError, match=r"is not an admissible 2-word"):
                 word_columns(GOLDEN, np.array([row]))
+        # the first bad window is named, forbidden or outside
+        for rows, named in (([[1, 1], [0, 2]], "(1, 1)"),
+                            ([[0, 2], [1, 1]], "(0, 2)"),
+                            ([[0, 0], [-1, 0], [1, 1]], "(-1, 0)")):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                word_columns(GOLDEN, np.array(rows))
+        with pytest.raises(ValueError, match=re.escape("(0, 1, 7)")):
+            word_columns(GOLDEN, np.array([[0, 1, 7]], dtype=np.uint8))
 
 
 # --------------------------- potentials ---------------------------
@@ -332,7 +381,11 @@ class TestBlockGraphTable:
                 continue
             g = block_graph(space, ell)
             nodes, edges, src, dst = nested_loop_block_graph(space, ell)
-            assert g.nodes == nodes and g.edges == edges
+            words = space.word_table(ell + 1).tolist()
+            assert g.n_nodes() == len(nodes)
+            assert tuple(map(tuple, space.word_table(ell).tolist())) == nodes
+            assert tuple(zip(g.src.tolist(), g.dst.tolist(),
+                             map(tuple, words))) == edges
             assert g.src.tolist() == src.tolist()
             assert g.dst.tolist() == dst.tolist()
 
@@ -350,7 +403,8 @@ class TestBlockGraphTable:
                              integer=integer)
         g = block_graph(space, max(r - 1, 1))
         assert ergopt._edge_values(g, f.r, f.values).tolist() == \
-            [f.table[ew[:f.r]] for _, _, ew in g.edges]
+            [f.table[tuple(ew[:f.r])]
+             for ew in space.word_table(g.ell + 1).tolist()]
 
 
 # --------------------------- Birkhoff averages ---------------------------
