@@ -144,14 +144,17 @@ def periodic_exponent(c: MatrixCocycle, cycle: Word) -> float:
     return (scale + math.log(rho)) / p
 
 
-def _cyclic_words(space: SftSpace, period: int):
-    """Admissible necklaces of the given period (deduplicated by rotation)."""
-    for w in space.words(period):
-        s = w.symbols
-        if not space.allowed(s[-1], s[0]):
-            continue
-        if min(s[i:] + s[:i] for i in range(len(s))) == s:
-            yield w
+def _cyclic_words(space: SftSpace, period: int) -> list[Word]:
+    """Admissible necklaces of the given period: the ``word_table(period)``
+    rows that close up and whose row, their count rank (lexicographic), is
+    the least among their rotations', admissible since the row closes up."""
+    table = space.word_table(period)
+    own = np.flatnonzero(space.transition[table[:, -1], table[:, 0]])
+    rows = table[own]
+    least = np.ones(len(own), dtype=bool)
+    for i in range(1, period):
+        least &= own <= word_columns(space, np.roll(rows, -i, axis=1))
+    return [Word(row) for row in rows[least].tolist()]
 
 
 def exponent_bracket(c: MatrixCocycle, space: SftSpace, n: int,
@@ -160,32 +163,20 @@ def exponent_bracket(c: MatrixCocycle, space: SftSpace, n: int,
 
     lower: best periodic exponent over orbits of period <= max_period;
     upper: (1/n) log of the largest product norm over admissible n-words
-    (sound for every n by submultiplicativity).
+    (sound for every n by submultiplicativity) along the rows of
+    ``space.word_table(n + c.depth - 1)``.  ValueError unless n and
+    max_period are positive and the longest table holds <= 2,000,000 words.
     """
-    if space.m ** n > 2_000_000:
-        raise ValueError("n too large for exhaustive word enumeration")
-    lower = -math.inf
-    for p in range(1, max_period + 1):
-        for w in _cyclic_words(space, p):
-            lower = max(lower, periodic_exponent(c, w))
-
-    best = -math.inf
-    # DFS over admissible words carrying the running (renormalized) product
-    stack = [((a,), None, 0.0) for a in range(space.m)]
-    while stack:
-        prefix, P, acc = stack.pop()
-        if len(prefix) >= c.depth:
-            step = c.gen(prefix[-c.depth:])
-            P = step if P is None else step @ P
-            norm = np.linalg.norm(P, 2)
-            acc += math.log(norm)
-            P = P / norm
-        if len(prefix) - c.depth + 1 >= n:
-            best = max(best, acc)
-            continue
-        for b in space.successors(prefix[-1]):
-            stack.append((prefix + (b,), P, acc))
-    upper = best / n
+    if n < 1 or max_period < 1:
+        raise ValueError(f"need n >= 1 and max_period >= 1, "
+                         f"got {n} and {max_period}")
+    longest = max(n + c.depth - 1, max_period)  # counts grow with length
+    if space.count_words(longest) > 2_000_000:
+        raise ValueError(f"{space.count_words(longest)} admissible "
+                         f"{longest}-words: too many to enumerate")
+    lower = max((periodic_exponent(c, w) for p in range(1, max_period + 1)
+                 for w in _cyclic_words(space, p)), default=-math.inf)
+    upper = max(exponents_along(c, space.word_table(n + c.depth - 1), n))
     return lower, upper
 
 
@@ -234,12 +225,13 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     """
     if space.primitivity_index is None:
         raise ValueError("needs a primitive space")
-    if space.m ** N > 2_000_000:
-        raise ValueError("N too large for the all-words family")
+    if space.count_words(N) > 2_000_000:
+        raise ValueError(f"{space.count_words(N)} admissible {N}-words: too "
+                         f"many for the all-words family")
     if tail_len < 1:
         raise ValueError("tail_len must be positive")
     gap = space.primitivity_index
-    family = list(space.words(N))
+    family = list(map(Word, space.word_table(N).tolist())) if N else [Word(())]
     target = max(1, math.ceil(math.exp(N * (topological_entropy(space) - eta)) - 1e-9))
     anchor_len = 0 if anchor is None else len(anchor)
     prefix_len = glue_spans((anchor_len, N, tail_len), gap)[-1][0]

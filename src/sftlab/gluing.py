@@ -43,8 +43,8 @@ from .ergopt import block_graph
 from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts)
-from .shift import (SftSpace, SymbolStream, Word, bridge, dist, glue,
-                    glue_spans, iglue, word_columns)
+from .shift import (SftSpace, SymbolStream, Word, bridge, glue, glue_spans,
+                    iglue, word_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 LEAF_ENUMERATION_CAP = 200_000  # BranchTree.leaves walks no larger tree
@@ -106,7 +106,7 @@ def dense_tour(space: SftSpace, depth: int) -> Word:
 
 def contains_all_words(space: SftSpace, tour: Word, depth: int) -> bool:
     subs = {tour.symbols[i:i + depth] for i in range(len(tour) - depth + 1)}
-    return all(w.symbols in subs for w in space.words(depth))
+    return subs.issuperset(map(tuple, space.word_table(depth).tolist()))
 
 
 # --------------------------- schedules ---------------------------
@@ -1000,20 +1000,19 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
 
 
 def _orbit_gap(space: SftSpace, lam1: Word, lam2: Word) -> float:
-    """min over rotations of the distance between two periodic orbits."""
+    """min over rotations of the distance between two periodic orbits:
+    2**(-t), t the longest wait of a rotation pair for a disagreement along
+    its cycle; row k of ``differ`` runs twice round the one through (0, k)."""
     p1, p2 = len(lam1), len(lam2)
-    horizon = 2 * (p1 * p2) // math.gcd(p1, p2) + max(p1, p2) + 4
-    worst = 1.0
-    for i in range(p1):
-        xi = Word([lam1[(i + t) % p1] for t in range(horizon)])
-        for j in range(p2):
-            yj = Word([lam2[(j + t) % p2] for t in range(horizon)])
-            d = dist(xi, yj)
-            if d == 0.0:
-                raise OrbitsNotDisjoint(
-                    f"orbits of {lam1.to_text()} and {lam2.to_text()} meet")
-            worst = min(worst, d)
-    return worst
+    t = np.arange(2 * p1 * p2 // math.gcd(p1, p2))
+    differ = lam1.to_array()[t % p1] != lam2.to_array()[
+        (np.arange(math.gcd(p1, p2))[:, None] + t) % p2]
+    if not differ.any(axis=1).all():
+        raise OrbitsNotDisjoint(
+            f"orbits of {lam1.to_text()} and {lam2.to_text()} meet")
+    at = np.where(differ, t, t[-1])  # a disagreement's own step
+    ahead = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1]  # the next
+    return 2.0 ** -int((ahead - t)[:, :len(t) // 2].max())
 
 
 def _check_two_orbit(space: SftSpace, lambda1: Word, lambda2: Word,
@@ -1024,7 +1023,9 @@ def _check_two_orbit(space: SftSpace, lambda1: Word, lambda2: Word,
     sequences are distinct and over {1, 2}."""
     if space.primitivity_index is None:
         raise NotPrimitive(f"{who} needs a primitive space")
-    for lam in (lambda1, lambda2):
+    for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not lam.symbols:
+            raise ValueError(f"orbit generator {name} is empty")
         if not space.is_admissible(lam.symbols + lam.symbols):
             raise ValueError("orbit generators must be periodically admissible")
     eps_star = _orbit_gap(space, lambda1, lambda2)

@@ -201,18 +201,17 @@ class SftSpace:
             raise ValueError(f"word length must be positive, got {length}")
         if length not in self._word_cache:
             ranks = _rank_table(self.transition, length)
-            table = np.array([w.symbols for w in self.words(length)], dtype=np.int64)
+            table = np.fromiter(itertools.chain.from_iterable(
+                self.words(length)), dtype=np.int64).reshape(-1, length)
             table.setflags(write=False)
             self._word_cache[length] = table, ranks
         return self._word_cache[length][0]
 
     def count_words(self, length: int) -> int:
-        if length == 0:
-            return 1
-        v = np.ones(self.m, dtype=object)
-        for _ in range(length - 1):
-            v = self.transition.astype(object) @ v
-        return int(v.sum())
+        """The exact number of admissible words of a length (>= 0)."""
+        if length < 0:
+            raise ValueError(f"word length must be non-negative, got {length}")
+        return int(_tail_counts(self.transition, length)[-1].sum()) if length else 1
 
     def reach(self, t: int) -> np.ndarray:
         """Boolean matrix: is there a path of exactly t edges from i to j."""
@@ -245,6 +244,14 @@ class SftSpace:
         return f"SftSpace(m={self.m}, full={self.is_full_shift})"
 
 
+def _tail_counts(A: np.ndarray, length: int) -> list:
+    """Exact A^k 1 for k < length: [k][b] counts (k+1)-words from b."""
+    Ao, tails = A.astype(object), [np.ones(len(A), dtype=object)]
+    for _ in range(length - 1):
+        tails.append(Ao @ tails[-1])
+    return tails
+
+
 def _rank_table(A: np.ndarray, length: int) -> np.ndarray:
     """The (length, m+1, m) int64 rank table: [i, a, s] counts the words
     that agree with a word before i and hold at i an admissible successor
@@ -254,9 +261,7 @@ def _rank_table(A: np.ndarray, length: int) -> np.ndarray:
     K exactly when x is not admissible; ValueError when length * K, which
     bounds every sum, reaches the int64 limit."""
     m = len(A)
-    tails = [np.ones(m, dtype=object)]  # tails[k-1][b]: k-words starting at b
-    for _ in range(length - 1):
-        tails.append(A.astype(object) @ tails[-1])
+    tails = _tail_counts(A, length)
     K = int(tails[-1].sum())
     if length * K >= 2**63:
         raise ValueError(f"{K} admissible {length}-words: rank sums of "

@@ -1,16 +1,20 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sftlab.cocycle import (MatrixCocycle, emit_lyapunov_family,
+from sftlab.cocycle import (MatrixCocycle, _cyclic_words, emit_lyapunov_family,
                             exponent_along, exponent_bracket,
                             exponents_along, periodic_exponent)
 from sftlab.measures import MarkovMeasure, sample_word
 from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
+
+from word_oracles import (cyclic_words_filter, dfs_exponent_bracket,
+                          primitive_spaces)
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -140,6 +144,35 @@ class TestExponentBracket:
             assert lower <= upper + 1e-12
 
 
+    def test_nonpositive_n_or_max_period_raise(self):
+        c = MatrixCocycle.constant(FULL2, np.eye(2))
+        for n, max_period in ((0, 4), (-1, 4), (4, 0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"need n >= 1 and max_period >= 1, got {n} and "
+                    f"{max_period}")):
+                exponent_bracket(c, FULL2, n, max_period)
+
+    def test_count_past_limit_raises_before_enumerating(self, monkeypatch):
+        # 2,178,309 golden-mean 30-words; 1,346,269 29-words pass
+        def forbid(self, length):
+            raise AssertionError(f"enumerated the {length}-words")
+
+        golden = SftSpace.golden_mean()
+        c = MatrixCocycle(golden, {w: np.eye(2) for w in ((0, 0), (0, 1),
+                                                          (1, 0))}, depth=2)
+        mu = MarkovMeasure.periodic_orbit(golden, Word("01"))
+        monkeypatch.setattr(SftSpace, "words", forbid)
+        start = time.perf_counter()
+        for call in (lambda: exponent_bracket(c, golden, 29, 2),
+                     lambda: exponent_bracket(c, golden, 2, 30),
+                     lambda: emit_lyapunov_family(c, golden, mu, None, N=30,
+                                                  seed=1)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "2178309 admissible 30-words: too many")):
+                call()
+        assert time.perf_counter() - start < 0.5
+
+
 class TestLyapunovFamily:
     def test_all_words_family_on_full_shift(self):
         c = MatrixCocycle(FULL2, {
@@ -239,9 +272,10 @@ COCYCLE_SPACES = [FULL2, GOLDEN, SftSpace.full_shift(3)]
 
 
 @st.composite
-def cocycles(draw, spaces=COCYCLE_SPACES):
-    """A random invertible cocycle of depth 1 or 2 and dimension 2 or 3."""
-    space = draw(st.sampled_from(spaces))
+def cocycles(draw, spaces=st.sampled_from(COCYCLE_SPACES)):
+    """A random invertible cocycle of depth 1 or 2 and dimension 2 or 3 on
+    a space drawn from ``spaces``."""
+    space = draw(spaces)
     depth = draw(st.integers(1, 2))
     d = draw(st.integers(2, 3))
     entry = st.floats(-1.5, 1.5, allow_nan=False, allow_subnormal=False)
@@ -276,7 +310,8 @@ class TestBatchedExponentOracles:
         assert [exponent_along(c, w, n, cadence) for w in words] == expected
 
     @settings(max_examples=25, deadline=None)
-    @given(cocycles([FULL2, GOLDEN]), st.integers(0, 2**16), st.data())
+    @given(cocycles(st.sampled_from([FULL2, GOLDEN])), st.integers(0, 2**16),
+           st.data())
     def test_family_equals_per_member_oracle(self, c, seed, data):
         space = c.space
         anchor = data.draw(st.sampled_from(
@@ -321,6 +356,11 @@ class TestBatchedExponentOracles:
         x = Word([i % 64 for i in range(132)])
         assert exponent_along(c, x, 128) == per_step_exponent_along(c, x, 128)
         assert exponent_along(c, x, 128) == pytest.approx(math.log(4) / 128)
+        # 64 words of each length: one necklace, at period 64, and one
+        # doubled step in every 4 along any 8-word
+        lower, upper = exponent_bracket(c, cycle, 4, 64)
+        assert lower == pytest.approx(math.log(2) / 64)
+        assert upper == pytest.approx(math.log(2) / 4)
 
     def test_inadmissible_anchor_named(self):
         c = MatrixCocycle.constant(GOLDEN, np.eye(2))
@@ -328,6 +368,28 @@ class TestBatchedExponentOracles:
         with pytest.raises(ValueError, match="forbidden transition 1->1"):
             emit_lyapunov_family(c, GOLDEN, mu, Word("011"), N=2, seed=1,
                                  tail_len=8)
+
+
+BRACKET_SPACES = st.one_of(st.just(GOLDEN), primitive_spaces())
+
+
+class TestWordTableBracketOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(cocycles(BRACKET_SPACES), st.integers(1, 10), st.integers(1, 4))
+    def test_bracket_equals_dfs(self, c, n, max_period):
+        # keep the search small: at most 2,000 words of the longest length
+        while n > 1 and c.space.count_words(n + c.depth - 1) > 2000:
+            n -= 1
+        lower, upper = exponent_bracket(c, c.space, n, max_period)
+        dfs_lower, dfs_upper = dfs_exponent_bracket(c, c.space, n, max_period)
+        assert lower == dfs_lower
+        assert upper == pytest.approx(dfs_upper, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(BRACKET_SPACES, st.integers(1, 6))
+    def test_cyclic_words_equal_filter(self, space, period):
+        assert _cyclic_words(space, period) == \
+            list(cyclic_words_filter(space, period))
 
 
 class TestCocycleJson:

@@ -37,6 +37,7 @@ from sftlab.shift import (SftSpace, Word, glue, glue_spans, iglue,
                           separated_count)
 
 from dict_empirical import DictEmpiricalMeasure
+from word_oracles import orbit_gap_loop
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -1030,6 +1031,27 @@ class TestChaoticFamily:
         with pytest.raises(OrbitsNotDisjoint):
             emit_chaotic_family(FULL2, POINT0, Word("01"), Word("10"),
                                 [(1,) * 8, (2,) * 8], 4000, seed=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=8),
+           st.lists(st.integers(0, 2), min_size=1, max_size=8))
+    def test_orbit_gap_equals_pairwise_dist(self, s1, s2):
+        lam1, lam2 = Word(s1), Word(s2)
+        try:
+            expected = orbit_gap_loop(lam1, lam2)
+        except OrbitsNotDisjoint as e:
+            with pytest.raises(OrbitsNotDisjoint, match=re.escape(str(e))):
+                gluing._orbit_gap(FULL2, lam1, lam2)
+            return
+        assert gluing._orbit_gap(FULL2, lam1, lam2) == expected
+
+    def test_empty_orbit_generator_named(self):
+        for lams, name in (((Word(()), Word("1")), "lambda1"),
+                           ((Word("0"), Word(())), "lambda2")):
+            for emit in (emit_chaotic_family, emit_dc1_family):
+                with pytest.raises(ValueError, match=f"orbit generator "
+                                   f"{name} is empty"):
+                    emit(FULL2, POINT0, *lams, [(1, 2)], 2000, seed=1)
 
     def test_validation_passes(self):
         fam = self.make_family()

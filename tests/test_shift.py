@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
@@ -13,6 +13,8 @@ from sftlab.measures import MarkovMeasure, typical_separated_family
 from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, connector,
                           delta_separated, dist, glue, glue_spans, hamming,
                           hamming_matrix, iglue, separated_count)
+
+from word_oracles import count_words_loop, primitive_spaces
 
 
 FULL2 = SftSpace.full_shift(2)
@@ -74,10 +76,18 @@ class TestSftSpace:
 
     def test_negative_word_length_raises(self):
         for length in (-1, -5):
-            with pytest.raises(ValueError,
-                               match=f"must be non-negative, got {length}"):
-                FULL2.words(length)
+            for call in (FULL2.words, FULL2.count_words):
+                with pytest.raises(ValueError,
+                                   match=f"must be non-negative, got {length}"):
+                    call(length)
         assert list(FULL2.words(0)) == [Word(())]
+        assert FULL2.count_words(0) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.just(GOLDEN), primitive_spaces()), st.integers(1, 6))
+    def test_count_equals_loop_and_table(self, space, length):
+        assert space.count_words(length) == count_words_loop(space, length) \
+            == len(space.word_table(length))
 
     def test_json_round_trip(self):
         again = SftSpace.from_json(GOLDEN.to_json())
@@ -259,21 +269,6 @@ class TestGlue:
         for _ in range(2):  # a failed lookup is not memoised
             with pytest.raises(GapTooSmall):
                 glue(GOLDEN, [Word("0"), Word("0")], 1)
-
-
-@st.composite
-def primitive_spaces(draw):
-    """A random primitive SFT on m <= 4 symbols whose primitivity index is
-    at most 4, so brute-force bridge enumeration stays small."""
-    m = draw(st.integers(1, 4))
-    A = [[int(draw(st.integers(0, 3)) > 0) for _ in range(m)] for _ in range(m)]
-    try:
-        space = SftSpace(A)
-    except ValueError:
-        assume(False)
-    assume(space.primitivity_index is not None
-           and space.primitivity_index <= 4)
-    return space
 
 
 class TestConnectorProperty:
