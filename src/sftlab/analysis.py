@@ -31,6 +31,8 @@ def empirical(space: SftSpace, x: Word, n: int, depth: int) -> EmpiricalMeasure:
 def birkhoff_avg(x: Word, f, n: int) -> float:
     """Average of the depth-r potential f over the first n windows of x,
     summed left to right; ValueError names a forbidden window."""
+    if n < 1:
+        raise ValueError("n must be positive")
     r = f.r
     if len(x) < n + r - 1:
         raise WordsTooShort(f"need length >= {n + r - 1}, got {len(x)}")

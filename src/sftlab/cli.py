@@ -110,8 +110,9 @@ def cmd_run(args) -> int:
     started = time.time()
 
     results: dict[str, ExperimentResult] = {}
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(experiments) <= 1:
+    # a pool starts all its workers up front: no more than there are jobs
+    jobs = max(1, min(args.jobs, len(experiments)))
+    if jobs == 1:
         for name, params in experiments:
             try:
                 results[name] = _run_one(name, _derived_seed(seed, name),

@@ -124,10 +124,14 @@ def exponent_along(c: MatrixCocycle, x: Word, n: int, cadence: int = 32) -> floa
 
 
 def periodic_exponent(c: MatrixCocycle, cycle: Word) -> float:
-    """(1/p) log spectral radius of the ordered product along one period."""
+    """(1/p) log spectral radius of the ordered product along one period;
+    ValueError unless the cycle is nonempty and periodically admissible."""
     p = len(cycle)
     if p < 1:
         raise ValueError("cycle must be nonempty")
+    if not c.space.is_admissible(cycle.symbols + cycle.symbols):
+        raise ValueError(f"cycle {cycle.to_text()!r} is not periodically "
+                         f"admissible")
     ext = cycle.symbols * ((c.depth // p) + 2)
     P = np.eye(c.d)
     scale = 0.0

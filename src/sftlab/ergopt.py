@@ -106,7 +106,9 @@ def random_potential(space: SftSpace, r: int, seed: int,
 
 
 def coboundary_shift(f: Potential, g: Potential) -> Potential:
-    """f + g(shifted window) - g(window): same ergodic averages as f."""
+    """f + g(shifted window) - g(window): same ergodic averages as f;
+    SpaceMismatch (potential 1) when g lives on another space."""
+    _check_space(f.space, [f, g])
     if g.r != max(f.r - 1, 1):
         raise ValueError("coboundary depth must be one less than the potential's")
     r = max(f.r, g.r + 1)
@@ -117,7 +119,9 @@ def coboundary_shift(f: Potential, g: Potential) -> Potential:
 
 
 def mean_potential(mu: MarkovMeasure, f: Potential) -> float:
-    """Integral of a depth-r potential against a Markov measure on its space."""
+    """Integral of a depth-r potential against a Markov measure on its space;
+    SpaceMismatch when the measure lives on another space."""
+    _check_space(mu.space, [f])
     return sum(mu.cylinder_prob(w) * v for w, v in f.table.items())
 
 

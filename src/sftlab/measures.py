@@ -330,6 +330,8 @@ def sample_word(mu: MarkovMeasure, n: int, seed: int) -> Word:
 def sample_words_batch(mu: MarkovMeasure, n: int, count: int, seed: int) -> np.ndarray:
     """(count, n) array of independent draws; row i matches no single-word
     call but the batch is deterministic in seed."""
+    if n < 1:
+        raise ValueError("n must be positive")
     rng = rng_from(seed)
     out = np.empty((count, n), dtype=np.int64)
     u = rng.random((count, n))
@@ -363,6 +365,8 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     Raises ShortFamily (carrying the achieved words) if the greedy search
     stalls, which signals the packing feasibility margin was violated.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
     if eta < 0:

@@ -174,37 +174,24 @@ class SftSpace:
         return self.word(Word.from_text(text).symbols)
 
     def words(self, length: int) -> Iterator[Word]:
-        """All admissible words of the given length, lexicographic order,
-        yielded lazily; a negative length raises ValueError at the call."""
+        """The rows of :meth:`word_table` as Words, built at the call, which
+        raises its ValueError or MemoryError; length 0: the empty word."""
         if length < 0:
             raise ValueError(f"word length must be non-negative, got {length}")
         if length == 0:
             return iter([Word(())])
-
-        def walk():
-            stack = [(a,) for a in range(self.m - 1, -1, -1)]
-            while stack:
-                w = stack.pop()
-                if len(w) == length:
-                    yield Word(w)
-                    continue
-                for b in reversed(self._succ[w[-1]]):
-                    stack.append(w + (b,))
-
-        return walk()
+        return map(Word, self.word_table(length).tolist())
 
     def word_table(self, length: int) -> np.ndarray:
         """The admissible words of a length as the rows of one read-only
-        int64 array, in :meth:`words` order, cached with their rank table;
-        that is built first, so a length it rejects enumerates no word."""
+        int64 array, in lexicographic order, cached with their rank table;
+        that is built first, so a length it rejects fills no row."""
         if length < 1:
             raise ValueError(f"word length must be positive, got {length}")
         if length not in self._word_cache:
-            ranks = _rank_table(self.transition, length)
-            table = np.fromiter(itertools.chain.from_iterable(
-                self.words(length)), dtype=np.int64).reshape(-1, length)
-            table.setflags(write=False)
-            self._word_cache[length] = table, ranks
+            tails = _tail_counts(self.transition, length)
+            ranks = _rank_table(self.transition, tails)
+            self._word_cache[length] = _fill_words(self.transition, tails), ranks
         return self._word_cache[length][0]
 
     def count_words(self, length: int) -> int:
@@ -252,16 +239,15 @@ def _tail_counts(A: np.ndarray, length: int) -> list:
     return tails
 
 
-def _rank_table(A: np.ndarray, length: int) -> np.ndarray:
-    """The (length, m+1, m) int64 rank table: [i, a, s] counts the words
-    that agree with a word before i and hold at i an admissible successor
-    of a smaller than s (row m: any predecessor, at i = 0), so the sum over
-    i of [i, x[i-1], x[i]] is the count rank of x, from powers of A (Lind &
-    Marcus 1995).  A forbidden step holds the word count K, so a sum reaches
-    K exactly when x is not admissible; ValueError when length * K, which
-    bounds every sum, reaches the int64 limit."""
-    m = len(A)
-    tails = _tail_counts(A, length)
+def _rank_table(A: np.ndarray, tails: list) -> np.ndarray:
+    """The (length, m+1, m) int64 rank table, from the length's tail counts:
+    [i, a, s] counts the words that agree with a word before i and hold at
+    i an admissible successor of a smaller than s (row m: any predecessor,
+    at i = 0), so the sum over i of [i, x[i-1], x[i]] is the count rank of
+    x (Lind & Marcus 1995).  A forbidden step holds the word count K, so a
+    sum reaches K exactly when x is not admissible; ValueError when
+    length * K, which bounds every sum, reaches the int64 limit."""
+    m, length = len(A), len(tails)
     K = int(tails[-1].sum())
     if length * K >= 2**63:
         raise ValueError(f"{K} admissible {length}-words: rank sums of "
@@ -275,6 +261,19 @@ def _rank_table(A: np.ndarray, length: int) -> np.ndarray:
     ranks[:, steps == 0] = K
     ranks.setflags(write=False)
     return ranks
+
+
+def _fill_words(A: np.ndarray, tails: list) -> np.ndarray:
+    """The read-only rows of ``word_table(len(tails))``: column j repeats the
+    last symbol of each admissible (j+1)-prefix once per word it starts."""
+    table = np.empty((int(tails[-1].sum()), len(tails)), dtype=np.int64)
+    last = np.arange(len(A))
+    for j, tail in enumerate(reversed(tails)):
+        if j:
+            last = np.nonzero(A[last])[1]
+        table[:, j] = np.repeat(last, tail[last].astype(np.int64))
+    table.setflags(write=False)
+    return table
 
 
 def _rank_sums(ranks: np.ndarray, words: np.ndarray) -> np.ndarray:

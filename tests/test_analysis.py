@@ -46,6 +46,13 @@ class TestBirkhoff:
         f = Potential.indicator(FULL2, Word("1"))
         assert birkhoff_avg(Word("0101010101"), f, 10) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_raises(self, n):
+        # n = 0 used to divide by zero
+        f = Potential.constant(FULL2, 2.5)
+        with pytest.raises(ValueError, match="n must be positive"):
+            birkhoff_avg(Word("0101"), f, n)
+
     def test_matches_empirical_integration(self):
         rng = np.random.default_rng(2)
         for trial in range(20):

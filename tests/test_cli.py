@@ -1,8 +1,9 @@
+import concurrent.futures
 import json
 
 import pytest
 
-from sftlab import experiments
+from sftlab import cli, experiments
 from sftlab.cli import main
 from sftlab.experiments import catalog, run_experiment
 
@@ -134,3 +135,30 @@ class TestCliCommands:
         assert summary["experiments"]["karp_oracle"]["passed"] is True
         assert (out / "karp_oracle" / "oracle.csv").exists()
         assert (out / "meta.json").exists()
+
+    @pytest.mark.parametrize("jobs, workers", [("100000", 2), ("2", 2),
+                                               ("0", None), ("1", None)])
+    def test_workers_capped_at_the_experiment_count(
+            self, tmp_path, monkeypatch, jobs, workers):
+        # a fork pool starts all its workers up front, so --jobs past the
+        # experiment count would only start idle processes
+        started = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 5,
+            "experiments": [{"name": "karp_oracle", "params": {"count": 4}},
+                            "pressure_identities"],
+        }))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+        assert started == ([] if workers is None else [workers])
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["jobs"] == (workers or 1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sftlab import shift
 from sftlab.cocycle import (MatrixCocycle, _cyclic_words, emit_lyapunov_family,
                             exponent_along, exponent_bracket,
                             exponents_along, periodic_exponent)
@@ -96,6 +97,20 @@ class TestPeriodicExponent:
         assert periodic_exponent(c, Word("01")) == pytest.approx(
             0.5 * math.log(rho), abs=1e-12)
 
+    def test_cycle_not_periodically_admissible_raises(self):
+        # on the golden mean "11" is forbidden, "101" only as it closes up,
+        # and 2 is no symbol: "11" used to give 1.0986 at depth 1 and a raw
+        # KeyError at depth 2
+        gens = {w: np.eye(2) * 3.0 for w in ((0, 0), (0, 1), (1, 0))}
+        for c in (MatrixCocycle.constant(GOLDEN, np.eye(2) * 3.0),
+                  MatrixCocycle(GOLDEN, gens, depth=2)):
+            for text in ("11", "101", "12"):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"cycle '{text}' is not periodically admissible")):
+                    periodic_exponent(c, Word(text))
+            assert periodic_exponent(c, Word("01")) == \
+                pytest.approx(math.log(3.0))
+
     def test_submultiplicative_window_bound(self):
         rng = np.random.default_rng(4)
         c = MatrixCocycle(FULL2, {
@@ -154,14 +169,14 @@ class TestExponentBracket:
 
     def test_count_past_limit_raises_before_enumerating(self, monkeypatch):
         # 2,178,309 golden-mean 30-words; 1,346,269 29-words pass
-        def forbid(self, length):
-            raise AssertionError(f"enumerated the {length}-words")
+        def forbid(A, tails):
+            raise AssertionError(f"filled the {len(tails)}-words")
 
         golden = SftSpace.golden_mean()
         c = MatrixCocycle(golden, {w: np.eye(2) for w in ((0, 0), (0, 1),
                                                           (1, 0))}, depth=2)
         mu = MarkovMeasure.periodic_orbit(golden, Word("01"))
-        monkeypatch.setattr(SftSpace, "words", forbid)
+        monkeypatch.setattr(shift, "_fill_words", forbid)
         start = time.perf_counter()
         for call in (lambda: exponent_bracket(c, golden, 29, 2),
                      lambda: exponent_bracket(c, golden, 2, 30),

@@ -20,7 +20,7 @@ from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
                            mean_potential, pressure, random_potential,
                            topological_entropy)
 from sftlab.experiments import _csv, run_experiment
-from sftlab.measures import ks_entropy
+from sftlab.measures import MarkovMeasure, ks_entropy
 from sftlab.shift import SftSpace, Word
 
 FULL2 = SftSpace.full_shift(2)
@@ -591,6 +591,28 @@ class TestSpaceMismatch:
                      lambda: classify_smr(space, self.F)):
             with pytest.raises(SpaceMismatch, match=message):
                 call()
+
+    def test_coboundary_shift_names_the_other_space(self):
+        # a full-shift g used to give the golden-mean f a coboundary silently
+        g = random_potential(FULL2, 1, seed=4)
+        with pytest.raises(SpaceMismatch, match=re.escape(
+                f"potential 1 is defined on the space with transition "
+                f"{FULL2.transition.tolist()}, not on "
+                f"{GOLDEN.transition.tolist()}")):
+            coboundary_shift(self.F, g)
+        twin = random_potential(SftSpace(GOLDEN.transition), 1, seed=4)
+        assert coboundary_shift(self.F, twin).r == 2
+
+    def test_mean_potential_names_the_other_space(self):
+        # a full-shift f used to be integrated against a golden-mean measure
+        mu = MarkovMeasure.periodic_orbit(GOLDEN, Word("01"))
+        f = random_potential(FULL2, 2, seed=5)
+        with pytest.raises(SpaceMismatch, match=re.escape(
+                f"{FULL2.transition.tolist()}, not on "
+                f"{GOLDEN.transition.tolist()}")):
+            mean_potential(mu, f)
+        assert mean_potential(mu, self.F) == pytest.approx(
+            (self.F.value((0, 1)) + self.F.value((1, 0))) / 2)
 
     def test_an_equal_space_is_accepted(self):
         twin = SftSpace(GOLDEN.transition)

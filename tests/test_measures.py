@@ -352,6 +352,15 @@ class TestSampling:
         freq = sum(w.symbols) / len(w)
         assert abs(freq - 0.5) < 0.01
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_length_raises(self, n):
+        # the batch used to raise a raw IndexError at n = 0
+        mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
+        for call in (lambda: sample_word(mu, n, 0),
+                     lambda: sample_words_batch(mu, n, 3, 0)):
+            with pytest.raises(ValueError, match="n must be positive"):
+                call()
+
     def test_deterministic_in_seed(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
         assert sample_word(mu, 64, 5) == sample_word(mu, 64, 5)
@@ -407,6 +416,13 @@ class TestSampleWordOracle:
 
 
 class TestTypicalFamily:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_length_raises(self, n):
+        # n = 0 used to raise a raw IndexError from the batch sampler
+        mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
+        with pytest.raises(ValueError, match="n must be positive"):
+            typical_separated_family(mu, n, 0.05, 0.35, seed=2)
+
     def test_point_mass_gives_singleton(self):
         mu = MarkovMeasure.periodic_orbit(FULL2, Word("0"))
         fam = typical_separated_family(mu, 12, 0.05, 0.1, seed=1)

@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sftlab import ergopt
+from sftlab import ergopt, shift
 from sftlab.analysis import birkhoff_avg
 from sftlab.ergopt import (Potential, beta, block_graph, coboundary_shift,
                            pressure, random_potential)
 from sftlab.gluing import dense_tour
 from sftlab.measures import (MarkovMeasure, cylinder_weights, rng_from,
                              sample_word)
-from sftlab.shift import SftSpace, Word, _rank_table, glue, word_columns
+from sftlab.shift import (SftSpace, Word, _rank_table, _tail_counts, glue,
+                          word_columns)
+from word_oracles import dfs_words, nonprimitive_spaces, primitive_spaces
 
 GOLDEN = SftSpace.golden_mean()
 # primitive, not a full shift, three symbols
@@ -35,7 +37,7 @@ def per_word_random_potential(space, r, seed, low=-9, high=9, integer=True):
     """random_potential's table as it was drawn: one draw per word."""
     rng = rng_from(seed)
     table = {}
-    for w in space.words(r):
+    for w in dfs_words(space, r):
         if integer:
             table[w.symbols] = float(rng.integers(low, high + 1))
         else:
@@ -46,7 +48,7 @@ def per_word_random_potential(space, r, seed, low=-9, high=9, integer=True):
 def nested_loop_block_graph(space, ell):
     """(nodes, edges, src, dst) of block_graph as the index dict and the
     successor loop built them."""
-    nodes = tuple(w.symbols for w in space.words(ell))
+    nodes = tuple(w.symbols for w in dfs_words(space, ell))
     index = {w: i for i, w in enumerate(nodes)}
     edges = []
     for i, u in enumerate(nodes):
@@ -67,17 +69,17 @@ def dict_add_constant(f, c):
 
 
 def dict_constant(space, c, r):
-    return {w.symbols: float(c) for w in space.words(r)}
+    return {w.symbols: float(c) for w in dfs_words(space, r)}
 
 
 def dict_indicator(space, word):
     return {w.symbols: 1.0 if w.symbols == word.symbols else 0.0
-            for w in space.words(len(word))}
+            for w in dfs_words(space, len(word))}
 
 
 def dict_coboundary_shift(f, g):
     table = {}
-    for w in f.space.words(max(f.r, g.r + 1)):
+    for w in dfs_words(f.space, max(f.r, g.r + 1)):
         s = w.symbols
         table[s] = f.table[s[:f.r]] + g.table[s[1:1 + g.r]] - g.table[s[:g.r]]
     return table
@@ -88,7 +90,7 @@ def rebuilt_word_columns(space, words):
     every call."""
     depth = words.shape[1]
     radix = space.m ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-    adm = np.array([w.symbols for w in space.words(depth)],
+    adm = np.array([w.symbols for w in dfs_words(space, depth)],
                    dtype=np.int64) @ radix
     codes = np.asarray(words, dtype=np.int64) @ radix
     cols = np.minimum(np.searchsorted(adm, codes), len(adm) - 1)
@@ -103,7 +105,7 @@ def rebuilt_word_columns(space, words):
 def sorted_words(space, length):
     """The admissible words sorted, not in enumeration order: a word's
     count rank is its bisect position."""
-    return sorted(w.symbols for w in space.words(length))
+    return sorted(w.symbols for w in dfs_words(space, length))
 
 
 def loop_birkhoff_avg(x, f, n):
@@ -144,7 +146,7 @@ class TestWordTable:
         for length in (1, 2, 3):
             table = space.word_table(length)
             assert [tuple(row) for row in table.tolist()] == \
-                [w.symbols for w in space.words(length)]
+                [w.symbols for w in dfs_words(space, length)]
             assert table.dtype == np.int64 and not table.flags.writeable
             assert space.word_table(length) is table
 
@@ -153,23 +155,53 @@ class TestWordTable:
             with pytest.raises(ValueError, match="must be positive"):
                 GOLDEN.word_table(length)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(primitive_spaces(), nonprimitive_spaces()),
+           st.integers(1, 7))
+    def test_fill_equals_the_dfs_walk(self, space, length):
+        table = space.word_table(length)
+        assert [tuple(row) for row in table.tolist()] == \
+            [w.symbols for w in dfs_words(space, length)]
+        assert len(table) == space.count_words(length)
+        assert list(space.words(length)) == list(dfs_words(space, length))
+
+    def test_words_builds_the_table_at_the_call(self, monkeypatch):
+        def forbid(A, tails):
+            raise AssertionError(f"filled the {len(tails)}-words")
+
+        monkeypatch.setattr(shift, "_fill_words", forbid)
+        golden = SftSpace.golden_mean()  # no table cached yet
+        with pytest.raises(AssertionError, match="filled the 3-words"):
+            golden.words(3)
+        assert list(golden.words(0)) == [Word(())]
+        with pytest.raises(ValueError, match="must be non-negative"):
+            golden.words(-1)
+        with pytest.raises(ValueError, match="pass the int64 limit"):
+            SftSpace.full_shift(2).words(64)
+
+    def test_words_past_memory_raise_at_the_call(self):
+        # 2**50 rows of 50 symbols: 400 PiB, past any address space, so the
+        # allocation fails at once; the walk it replaced yielded lazily
+        with pytest.raises(MemoryError):
+            SftSpace.full_shift(2).words(50)
+
     def test_codes_past_int64_raise(self, monkeypatch):
         # a rank is a sum of L entries up to the word count K, so L * K must
-        # stay below 2**63; the check reads the count, before any word is
-        # enumerated
-        def forbid(self, length):
-            raise AssertionError(f"enumerated the {length}-words")
+        # stay below 2**63; the check reads the count, before any row is
+        # filled
+        def forbid(A, tails):
+            raise AssertionError(f"filled the {len(tails)}-words")
 
-        monkeypatch.setattr(SftSpace, "words", forbid)
+        monkeypatch.setattr(shift, "_fill_words", forbid)
         with pytest.raises(ValueError, match=re.escape(
                 f"{2**64} admissible 64-words: rank sums of 64 entries up to "
                 f"{2**64} pass the int64 limit 2**63")):
             SftSpace.full_shift(2).word_table(64)
         A = SftSpace.full_shift(2).transition
-        assert _rank_table(A, 57).shape == (57, 3, 2)  # 57 * 2**57 < 2**63
-        with pytest.raises(ValueError, match=re.escape(
+        assert _rank_table(A, _tail_counts(A, 57)).shape == (57, 3, 2)
+        with pytest.raises(ValueError, match=re.escape(  # 57 * 2**57 < 2**63
                 f"{2**58} admissible 58-words")):
-            _rank_table(A, 58)
+            _rank_table(A, _tail_counts(A, 58))
 
     def test_one_symbol_space_past_64_positions(self):
         one = SftSpace([[1]])
@@ -345,13 +377,13 @@ class TestPotentialVectors:
     def test_operations_enumerate_no_words_after_the_first_table(
             self, monkeypatch):
         calls = []
-        words = SftSpace.words
+        fill = shift._fill_words
 
-        def counted(self, length):
-            calls.append(length)
-            return words(self, length)
+        def counted(A, tails):
+            calls.append(len(tails))
+            return fill(A, tails)
 
-        monkeypatch.setattr(SftSpace, "words", counted)
+        monkeypatch.setattr(shift, "_fill_words", counted)
         space = SftSpace.full_shift(3)
         f = random_potential(space, 2, seed=1)
         g = random_potential(space, 1, seed=2, integer=False)
@@ -442,7 +474,7 @@ def test_cylinder_weights_unchanged_by_the_table():
     for space in (GOLDEN, THREE):
         out, j = [], 0
         for length in (1, 2, 3):
-            for w in space.words(length):
+            for w in dfs_words(space, length):
                 j += 1
                 out.append((w.symbols, 2.0 ** (-(j + 1))))
         assert cylinder_weights(space, 3) == out
@@ -453,10 +485,11 @@ def test_cylinder_weights_unchanged_by_the_table():
 
 def node_dict_dense_tour(space, depth):
     """dense_tour as it built its own node dict and walked edge pointers."""
-    words = list(space.words(depth))
+    words = list(dfs_words(space, depth))
     targets = [w.symbols for w in words]
     if depth >= 2:
-        nodes = {w.symbols: i for i, w in enumerate(space.words(depth - 1))}
+        nodes = {w.symbols: i
+                 for i, w in enumerate(dfs_words(space, depth - 1))}
         edges = [(nodes[t[:-1]], nodes[t[1:]], eid)
                  for eid, t in enumerate(targets)]
         n = len(nodes)

@@ -1,9 +1,9 @@
 """The word enumerations and counts that ``SftSpace.word_table`` and its
-transfer-matrix counts replaced, kept as their oracles: the exponent
-bracket's depth-first search over admissible words carrying running
-products, its necklace filter over ``space.words``, the object-arithmetic
-word count loop and the pairwise orbit-gap loop over ``dist``.  Also the
-random primitive spaces the properties draw from."""
+transfer-matrix counts replaced, kept as their oracles: the depth-first
+walk that filled the table, the exponent bracket's depth-first search over
+admissible words carrying running products, its necklace filter, the
+object-arithmetic word count loop and the pairwise orbit-gap loop over
+``dist``.  Also the random spaces the properties draw from."""
 import math
 
 import numpy as np
@@ -30,6 +30,37 @@ def primitive_spaces(draw):
     return space
 
 
+@st.composite
+def nonprimitive_spaces(draw):
+    """A random 0/1 matrix on m <= 4 symbols that ``SftSpace`` accepts (each
+    symbol with a successor and a predecessor) and that is not primitive:
+    reducible, periodic, or both."""
+    m = draw(st.integers(1, 4))
+    A = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(m)]
+    try:
+        space = SftSpace(A)
+    except ValueError:
+        assume(False)
+    assume(space.primitivity_index is None)
+    return space
+
+
+def dfs_words(space, length):
+    """All admissible words of a length in lexicographic order, one tuple
+    and one ``Word`` per word from a depth-first walk of the successors."""
+    if length == 0:
+        yield Word(())
+        return
+    stack = [(a,) for a in range(space.m - 1, -1, -1)]
+    while stack:
+        w = stack.pop()
+        if len(w) == length:
+            yield Word(w)
+            continue
+        for b in reversed(space.successors(w[-1])):
+            stack.append(w + (b,))
+
+
 def count_words_loop(space, length):
     """The number of admissible words of a length, one object product
     A @ v per extra symbol."""
@@ -43,7 +74,7 @@ def count_words_loop(space, length):
 
 def cyclic_words_filter(space, period):
     """Admissible necklaces of the given period (deduplicated by rotation)."""
-    for w in space.words(period):
+    for w in dfs_words(space, period):
         s = w.symbols
         if not space.allowed(s[-1], s[0]):
             continue
