@@ -5,38 +5,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Degenerate, NotRecurrent, WordsTooShort, ZeroCylinder
 from .measures import EmpiricalMeasure, MarkovMeasure
-from .shift import SftSpace, Word, word_columns
+from .shift import SftSpace, Word, _symbols, word_columns
 
 
-def empirical(space: SftSpace, x: Word, n: int, depth: int) -> EmpiricalMeasure:
-    """Sliding-window cylinder frequencies: the first n windows of length
-    ``depth`` (the orbit-average measure projected to depth-cylinders),
-    counted per word-table row; ValueError names a forbidden window."""
+def empirical(space: SftSpace, x: Union[Word, np.ndarray], n: int,
+              depth: int) -> EmpiricalMeasure:
+    """Sliding-window cylinder frequencies of a word or symbol array: the
+    first n windows of length ``depth`` (the orbit-average measure projected
+    to depth-cylinders), counted per word-table row; ValueError names a
+    forbidden window."""
     if n < 1:
         raise ValueError("n must be positive")
     if len(x) < n + depth - 1:
         raise WordsTooShort(f"need length >= {n + depth - 1}, got {len(x)}")
-    cols = word_columns(space, sliding_window_view(x.to_array(), depth)[:n])
+    cols = word_columns(space, sliding_window_view(_symbols(x), depth)[:n])
     return EmpiricalMeasure(space, depth, np.bincount(
         cols, minlength=len(space.word_table(depth))))
 
 
-def birkhoff_avg(x: Word, f, n: int) -> float:
-    """Average of the depth-r potential f over the first n windows of x,
-    summed left to right; ValueError names a forbidden window."""
+def birkhoff_avg(x: Union[Word, np.ndarray], f, n: int) -> float:
+    """Average of the depth-r potential f over the first n windows of a word
+    or symbol array, summed left to right; ValueError names a forbidden
+    window."""
     if n < 1:
         raise ValueError("n must be positive")
     r = f.r
     if len(x) < n + r - 1:
         raise WordsTooShort(f"need length >= {n + r - 1}, got {len(x)}")
-    cols = word_columns(f.space, sliding_window_view(x.to_array(), r)[:n])
+    cols = word_columns(f.space, sliding_window_view(_symbols(x), r)[:n])
     return sum(f.values[cols].tolist()) / n
 
 
@@ -64,8 +67,10 @@ def brin_katok_estimate(mu: MarkovMeasure, x: Word, n: int, k: int) -> float:
     return -logp / n
 
 
-def recurrence_ratios(x: Word, target: Word) -> list[tuple[int, float]]:
-    """Return times into the target cylinder and consecutive ratios.
+def recurrence_ratios(x: Union[Word, np.ndarray],
+                      target: Word) -> list[tuple[int, float]]:
+    """Return times of a word or symbol array into the target cylinder and
+    consecutive ratios.
 
     Output pairs are (t_i, t_{i+1}/t_i) over consecutive visits with t_i > 0;
     a visit at time 0 contributes no ratio.
@@ -73,8 +78,10 @@ def recurrence_ratios(x: Word, target: Word) -> list[tuple[int, float]]:
     tlen = len(target)
     if tlen < 1:
         raise ValueError("target cylinder must be nonempty")
-    s, t = x.symbols, target.symbols
-    times = [i for i in range(len(s) - tlen + 1) if s[i:i + tlen] == t]
+    xs = _symbols(x)
+    times = [] if len(xs) < tlen else np.flatnonzero(
+        (sliding_window_view(xs, tlen) == target.to_array()).all(axis=1)
+    ).tolist()
     if len(times) < 2:
         raise NotRecurrent(
             f"cylinder {target.to_text()!r} visited {len(times)} time(s)")

@@ -14,8 +14,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import WordsTooShort
-from .shift import Word
+from .shift import Word, _symbols
 
+
+Orbit = Union[Word, np.ndarray]  # a word or a 1-d symbol array
 
 # A pair's orbit distances are the powers d_i = 2.0**-t_i of integer gaps
 # t_i = (first disagreement at or after i) - i, so every threshold test is an
@@ -24,8 +26,7 @@ ZERO_GAP = 1 << 62      # d = 0: equal lengths, no later disagreement
 _NEVER = (1 << 63) - 1  # close_gap of a threshold no distance is below
 
 
-def orbit_gaps(x: Union[Word, np.ndarray], y: Union[Word, np.ndarray],
-               n: int) -> np.ndarray:
+def orbit_gaps(x: Orbit, y: Orbit, n: int) -> np.ndarray:
     """Integer gaps t with d(shift^i x, shift^i y) = 2.0**-t[i], 0 <= i < n.
 
     Past the last observed disagreement the finite-word convention holds:
@@ -33,8 +34,7 @@ def orbit_gaps(x: Union[Word, np.ndarray], y: Union[Word, np.ndarray],
     x and y are words or symbol arrays (``Word.to_array``); the gaps of a
     prefix do not depend on n.
     """
-    xs = x if isinstance(x, np.ndarray) else x.to_array()
-    ys = y if isinstance(y, np.ndarray) else y.to_array()
+    xs, ys = _symbols(x), _symbols(y)
     L = min(len(xs), len(ys))
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -64,7 +64,7 @@ def _distance(t: int) -> float:
     return math.ldexp(1.0, -int(t))
 
 
-def orbit_distances(x: Word, y: Word, n: int) -> np.ndarray:
+def orbit_distances(x: Orbit, y: Orbit, n: int) -> np.ndarray:
     """d(shift^i x, shift^i y) for 0 <= i < n on the available symbols: the
     float view of :func:`orbit_gaps`."""
     with np.errstate(under="ignore"):
@@ -100,7 +100,7 @@ def phi_from_gaps(gaps: np.ndarray, t: float, n: int) -> float:
     return _phi_at(gaps, t, (n,))[0]
 
 
-def phi_n(x: Word, y: Word, t: float, n: int) -> float:
+def phi_n(x: Orbit, y: Orbit, t: float, n: int) -> float:
     """Fraction of the first n iterates at which the pair is t-close."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -140,7 +140,7 @@ class Dc1Report:
         })
 
 
-def dc1_report(x: Word, y: Word, t0: float, t_grid: Sequence[float],
+def dc1_report(x: Orbit, y: Orbit, t0: float, t_grid: Sequence[float],
                checkpoints: Sequence[int], tau_low: float = 0.05,
                tau_high: float = 0.05) -> Dc1Report:
     """Finite-horizon DC1 proxies: liminf Phi(t0) via the min over the
@@ -202,7 +202,7 @@ class LiYorkeReport:
         })
 
 
-def li_yorke_report(x: Word, y: Word, checkpoints: Sequence[int],
+def li_yorke_report(x: Orbit, y: Orbit, checkpoints: Sequence[int],
                     prox_tol: float = 2.0 ** -10,
                     dist_tol: float = 2.0 ** -10) -> LiYorkeReport:
     """Running and per-segment min/max orbit distances.

@@ -83,6 +83,15 @@ class MatrixCocycle:
 # --------------------------- exponents ---------------------------
 
 
+_RANK_WINDOWS = 1 << 17  # window ranks exponents_along holds at once
+
+
+def _math_logs(values: np.ndarray) -> np.ndarray:
+    """math.log of each value, as a float64 vector: np.log differs from it
+    in the last bit on some inputs, which would move reported exponents."""
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
 def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
                     cadence: int = 32) -> list[float]:
     """(1/n) log ||product of the first n generators along each row|| of a
@@ -91,10 +100,15 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
     The rows advance together as one (rows, d, d) stack of running
     products.  Each is renormalized every ``cadence`` steps with the log
     carried separately, so the value is overflow-safe and
-    cadence-independent to rounding error.
+    cadence-independent to rounding error.  The windows are ranked a block
+    of steps at a time, at most about ``_RANK_WINDOWS`` ranks at once, so
+    the memory held beyond the input and the product stack does not grow
+    with n.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if cadence < 1:
+        raise ValueError(f"cadence must be positive, got {cadence}")
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-d symbol matrix")
@@ -102,19 +116,21 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
         raise ValueError(f"need word length >= {n + c.depth - 1}")
     if not len(rows):
         return []
-    # step-major: codes[i, r] is the row of window i of row r
-    codes = word_columns(c.space, sliding_window_view(
-        rows[:, :n + c.depth - 1].T, c.depth, axis=0))
     P = np.tile(np.eye(c.d), (len(rows), 1, 1))
-    acc = [0.0] * len(rows)
-    for i in range(n):
-        P = c._stack[codes[i]] @ P
-        if (i + 1) % cadence == 0:
-            norms = np.linalg.norm(P, 2, axis=(1, 2))
-            acc = [a + math.log(v) for a, v in zip(acc, norms.tolist())]
-            P = P / norms[:, None, None]
-    norms = np.linalg.norm(P, 2, axis=(1, 2)).tolist()
-    return [(a + math.log(v)) / n for a, v in zip(acc, norms)]
+    acc = np.zeros(len(rows))
+    steps = max(1, _RANK_WINDOWS // len(rows))
+    for lo in range(0, n, steps):
+        # step-major: codes[i, r] is the row of window lo + i of row r
+        codes = word_columns(c.space, sliding_window_view(
+            rows[:, lo:min(lo + steps, n) + c.depth - 1].T, c.depth, axis=0))
+        for i, code in enumerate(codes, start=lo):
+            P = c._stack[code] @ P
+            if (i + 1) % cadence == 0:
+                norms = np.linalg.norm(P, 2, axis=(1, 2))
+                acc += _math_logs(norms)
+                P = P / norms[:, None, None]
+    acc += _math_logs(np.linalg.norm(P, 2, axis=(1, 2)))
+    return (acc / n).tolist()
 
 
 def exponent_along(c: MatrixCocycle, x: Word, n: int, cadence: int = 32) -> float:
@@ -189,7 +205,7 @@ def exponent_bracket(c: MatrixCocycle, space: SftSpace, n: int,
 
 @dataclass(frozen=True)
 class LyapunovFamilyReport:
-    members: tuple[Word, ...]
+    members: np.ndarray          # read-only (members, horizon) symbol rows
     prefix_len: int
     horizon: int
     exponents: tuple[float, ...]
@@ -235,23 +251,25 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     if tail_len < 1:
         raise ValueError("tail_len must be positive")
     gap = space.primitivity_index
-    family = list(map(Word, space.word_table(N).tolist())) if N else [Word(())]
+    dtype = space.symbol_dtype
+    family = (space.word_table(N).astype(dtype) if N
+              else np.empty((1, 0), dtype=dtype))
     target = max(1, math.ceil(math.exp(N * (topological_entropy(space) - eta)) - 1e-9))
     anchor_len = 0 if anchor is None else len(anchor)
     prefix_len = glue_spans((anchor_len, N, tail_len), gap)[-1][0]
     horizon = prefix_len + tail_len
     ref = sample_word(mu, horizon, seed)
     # row 0 is ref; member rows are their glued prefix, then the shared tail
-    rows = np.empty((1 + len(family), horizon),
-                    dtype=np.min_scalar_type(space.m - 1))
+    rows = np.empty((1 + len(family), horizon), dtype=dtype)
     rows[0] = ref.to_array()
     rows[1:, :prefix_len] = _member_prefixes(space, anchor, family, ref[0], gap)
     rows[1:, prefix_len:] = rows[0, :tail_len]
+    rows.flags.writeable = False
 
     n_eval = horizon - (c.depth - 1)
     ref_exp, *exps = exponents_along(c, rows, n_eval)
     tail_exp = exponent_along(c, ref, tail_len)
-    members = tuple(Word(row.tolist()) for row in rows[1:])
+    members = rows[1:]
     devs = tuple(abs(e - ref_exp) for e in exps)
     bound = 2.0 * prefix_len * c.max_log_norm() / n_eval
     return LyapunovFamilyReport(

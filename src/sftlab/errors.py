@@ -30,7 +30,7 @@ class ShortFamily(SftLabError):
         )
         self.target = target
         self.achieved = achieved
-        self.words = list(words) if words is not None else []
+        self.words = words if words is not None else []  # the achieved rows
 
 
 class FamilyNotSeparated(SftLabError):

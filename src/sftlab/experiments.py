@@ -351,14 +351,12 @@ def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
     ly_ok = True
     n_phi = fam.mu0_run_ends[-1]
     cps = [n for n in fam.stage_ends if n <= horizon]
-    arrays = [x.to_array() for _, x in members]
     far = chaos.close_gap(fam.eps_star / 2)  # window max below eps_star / 2
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            xi, et = members[i][0], members[j][0]
+            (xi, x), (et, y) = members[i], members[j]
             u = next(q for q in range(len(xi)) if xi[q] != et[q])
-            g = chaos.orbit_gaps(arrays[i], arrays[j],
-                                 min(len(arrays[i]), len(arrays[j])))
+            g = chaos.orbit_gaps(x, y, min(len(x), len(y)))
             pair_sep = True
             for k_idx in range(max(u + 1, 1), len(fam.stage_ends) + 1):
                 end = fam.stage_ends[k_idx - 1]

@@ -3,11 +3,12 @@ they emit: saturated-set generic points, separated stream families,
 branching trees with counting measures, and chaotic two-orbit families.
 
 On a mixing SFT the shadowing in all of these constructions is exact word
-concatenation with fixed-length bridging words (``shift.glue`` and its
-streaming form ``shift.iglue``), and ``shift.glue_spans`` says where each
-glued word lands, so every tracking claim reduces to checkable arithmetic
-on spans, and ``GluingSchedule.layout`` lists the span of every piece of a
-schedule's point for its stage ends, target and tracking bound:
+concatenation with fixed-length bridging words (``shift.glue``, and the
+pieces that a ``SymbolStream`` pulls from ``shift._glue_pieces``), and
+``shift.glue_spans`` says where each glued word lands, so every tracking
+claim reduces to checkable arithmetic on spans, and
+``GluingSchedule.layout`` lists the span of every piece of a schedule's
+point for its stage ends, target and tracking bound:
 
 * blocks sampled from a measure are redrawn until their own cylinder
   empirical sits within the stage radius zeta of the source measure;
@@ -43,8 +44,8 @@ from .ergopt import block_graph
 from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts)
-from .shift import (SftSpace, SymbolStream, Word, bridge, glue, glue_spans,
-                    iglue, word_columns)
+from .shift import (SftSpace, SymbolStream, Word, _glue_pieces, _prefix_rows,
+                    bridge, distinct_rows, glue, glue_spans, word_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 LEAF_ENUMERATION_CAP = 200_000  # BranchTree.leaves walks no larger tree
@@ -462,12 +463,13 @@ def emit_point(s: GluingSchedule, seed: int,
     optional family slot, then stage blocks and tours, joined by bridges.
     Deterministic in (schedule, seed, family word)."""
     if family_word is not None:
-        _check_slot(s, [family_word])
+        _check_slot(s, _family_rows(s.space, [family_word]))
 
-    def factory() -> Iterator[int]:
+    def factory() -> Iterator[tuple[int, ...]]:
         prologue = [w for w in (s.anchor, family_word) if w is not None]
-        return iglue(s.space, itertools.chain(prologue, _stage_words(s, seed)),
-                     s.gap)
+        return _glue_pieces(s.space,
+                            itertools.chain(prologue, _stage_words(s, seed)),
+                            s.gap)
 
     return SymbolStream(s.space, factory, label=f"gk-point(seed={seed})")
 
@@ -552,82 +554,104 @@ def member_prefix_len(s: GluingSchedule) -> int:
     return glue_spans((anchor_len, s.family_len, 1), s.gap)[-1][0]
 
 
-def _check_slot(s: GluingSchedule, words: Sequence[Word]) -> None:
-    """Family words fill the schedule's slot; the empty word stands for a
+def _family_rows(space: SftSpace,
+                 family: Union[np.ndarray, Sequence[Word]]) -> np.ndarray:
+    """A family as the rows of one array of ``space.symbol_dtype``: a 2-d
+    symbol array, or words of one length; ValueError for words of several
+    lengths or a symbol outside the alphabet."""
+    if not isinstance(family, np.ndarray):
+        words = list(family)
+        widths = {len(w) for w in words}
+        if len(widths) > 1:
+            raise ValueError("family words must share one slot length")
+        family = _prefix_rows(words, widths.pop() if words else 0)
+    if family.ndim != 2:
+        raise ValueError("a family array must be 2-d, one member per row")
+    if family.size and (family.min() < 0 or family.max() >= space.m):
+        raise ValueError(f"family symbols must lie in 0..{space.m - 1}")
+    return family.astype(space.symbol_dtype, copy=False)
+
+
+def _check_slot(s: GluingSchedule, rows: np.ndarray) -> None:
+    """Family rows fill the schedule's slot; the empty word stands for a
     point emitted without one."""
-    for w in words:
-        if s.family_len and len(w) not in (0, s.family_len):
-            raise ValueError(f"family word {w.to_text()!r} has length "
-                             f"{len(w)}, not the slot length {s.family_len}")
+    if len(rows) and s.family_len and rows.shape[1] not in (0, s.family_len):
+        raise ValueError(f"family word {Word(rows[0].tolist()).to_text()!r} "
+                         f"has length {rows.shape[1]}, not the slot length "
+                         f"{s.family_len}")
 
 
 def _member_prefixes(space: SftSpace, anchor: Optional[Word],
-                     family: Sequence[Word], tail_head: int,
+                     words: np.ndarray, tail_head: int,
                      gap: int) -> np.ndarray:
-    """One row per member: glue(anchor, w, tail_head) without its last
-    symbol, that is anchor, family word and the bridge into a shared tail
-    that starts with tail_head.  A member's stream is its row followed by
-    the tail.
+    """One row per member, a row of the (members, slot) symbol array words:
+    glue(anchor, w, tail_head) without its last symbol, that is anchor,
+    family word and the bridge into a shared tail that starts with
+    tail_head.  A member's stream is its row followed by the tail.
 
     A bridge depends only on its two neighbouring symbols, so members with
     the same first and last symbols glue to the same row apart from their
     slot: one representative per such pair is glued, the rest copied."""
-    if len({w.symbols for w in family}) != len(family):
+    if distinct_rows(words) != len(words):
         raise FamilyNotSeparated("family contains duplicate words")
-    if len({len(w) for w in family}) != 1:
-        raise ValueError("family words must share one slot length")
-    dtype = np.min_scalar_type(space.m - 1)  # a row per member: keep small
-    words = np.array([w.symbols for w in family], dtype=dtype)
-    ends = words[:, [0, -1]] if words.shape[1] else words
-    _, reps, group = np.unique(ends, axis=0, return_index=True,
-                               return_inverse=True)
+    width = words.shape[1]
+    ends = (words[:, 0].astype(np.int64) * space.m + words[:, -1] if width
+            else np.zeros(len(words), dtype=np.int64))
+    _, reps, group = np.unique(ends, return_index=True, return_inverse=True)
     anchor = anchor if anchor is not None else Word(())
     head = Word((tail_head,))
-    glued = np.array([glue(space, (anchor, family[i], head), gap).symbols
-                      for i in reps], dtype=dtype)[group.ravel()]
-    start = glue_spans((len(anchor), words.shape[1]), gap)[1][0]
-    glued[:, start:start + words.shape[1]] = words
+    glued = np.array([glue(space, (anchor, Word(words[i].tolist()), head),
+                           gap).symbols for i in reps],
+                     dtype=words.dtype)[group.ravel()]
+    start = glue_spans((len(anchor), width), gap)[1][0]
+    glued[:, start:start + width] = words
     allowed = space.transition.astype(bool)
     bad = np.argwhere(~allowed[glued[:, :-1], glued[:, 1:]])
     if len(bad):
         i, t = bad[0]
         raise ValueError(
-            f"family member {family[i].to_text()!r} has a forbidden "
-            f"transition {glued[i, t]}->{glued[i, t + 1]} at position {t + 1}")
+            f"family member {Word(words[i].tolist()).to_text()!r} has a "
+            f"forbidden transition {glued[i, t]}->{glued[i, t + 1]} at "
+            f"position {t + 1}")
     return glued[:, :-1]
 
 
-def _family_start(s: GluingSchedule, family: Sequence[Word],
+def _family_start(s: GluingSchedule, rows: np.ndarray,
                   seed: int) -> tuple[SymbolStream, np.ndarray]:
     """The path every schedule family takes: the slot check, the stage part
     of the point (blocks and tours joined by bridges) as one stream drawn
     for the whole family, and each member's prefix row, which it follows."""
-    _check_slot(s, family)
-    tail = SymbolStream(s.space,
-                        lambda: iglue(s.space, _stage_words(s, seed), s.gap),
-                        label=f"stage-tail(seed={seed})")
-    return tail, _member_prefixes(s.space, s.anchor, family,
-                                  tail.materialize(1)[0], s.gap)
+    _check_slot(s, rows)
+    tail = SymbolStream(
+        s.space, lambda: _glue_pieces(s.space, _stage_words(s, seed), s.gap),
+        label=f"stage-tail(seed={seed})")
+    return tail, _member_prefixes(s.space, s.anchor, rows,
+                                  int(tail.materialize(1)[0]), s.gap)
 
 
-def emit_separated_family(s: GluingSchedule, family: Sequence[Word],
-                          horizon: int, seed: int) -> list[Word]:
-    """One stream prefix per family element: the member's prefix followed
-    by the schedule's stage tail, drawn once for the whole family.  Distinct
-    family words force distinct prefixes, so the output is exactly
-    (prefix-length, 1/2)-separated with full cardinality."""
-    fam = list(family)
-    if not fam:
-        return []
-    tail, pre = _family_start(s, fam, seed)
-    need = glue_spans((len(s.anchor) if s.anchor else 0, len(fam[0])),
-                      s.gap)[-1][1]
-    if horizon < need:
-        raise WordsTooShort(f"horizon {horizon} below prefix length {need}")
-    rest = np.array(tail.materialize(max(horizon - pre.shape[1], 0)).symbols,
-                    dtype=pre.dtype)
-    out = np.hstack([pre, np.broadcast_to(rest, (len(fam), len(rest)))])
-    return [Word(row.tolist()) for row in out[:, :horizon]]
+def emit_separated_family(s: GluingSchedule,
+                          family: Union[np.ndarray, Sequence[Word]],
+                          horizon: int, seed: int) -> np.ndarray:
+    """One stream prefix per family member (a row of a symbol array, or a
+    word), as the rows of one read-only (members, horizon) array: the
+    member's prefix followed by the schedule's stage tail, drawn once for
+    the whole family.  Distinct family words force distinct prefixes, so
+    the output is exactly (prefix-length, 1/2)-separated with full
+    cardinality."""
+    rows = _family_rows(s.space, family)
+    out = np.empty((len(rows), max(horizon, 0)), dtype=rows.dtype)
+    if len(rows):
+        tail, pre = _family_start(s, rows, seed)
+        need = glue_spans((len(s.anchor) if s.anchor else 0, rows.shape[1]),
+                          s.gap)[-1][1]
+        if horizon < need:
+            raise WordsTooShort(f"horizon {horizon} below prefix length "
+                                f"{need}")
+        p = min(pre.shape[1], horizon)
+        out[:, :p] = pre[:, :p]
+        out[:, p:] = tail.materialize(horizon - p)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -643,11 +667,13 @@ class FamilyTrackingReport:
                    for o, b in zip(self.observed_max, self.bounds))
 
 
-def family_tracking_report(s: GluingSchedule, family: Sequence[Word],
+def family_tracking_report(s: GluingSchedule,
+                           family: Union[np.ndarray, Sequence[Word]],
                            seed: int,
                            checkpoints: Optional[Sequence[int]] = None
                            ) -> FamilyTrackingReport:
-    """Tracking check for every family member at every checkpoint.
+    """Tracking check for every family member (a row of a symbol array, or
+    a word) at every checkpoint.
 
     A member's first n windows are its prefix windows starting before n and
     the first n - p windows of the shared tail (p the prefix length).  So
@@ -656,31 +682,30 @@ def family_tracking_report(s: GluingSchedule, family: Sequence[Word],
     and the numbers equal the direct per-member computation exactly at
     every checkpoint.
     """
-    fam = list(family)
-    if not fam:
+    rows = _family_rows(s.space, family)
+    if not len(rows):
         raise ValueError("empty family")
     cps = _checkpoints(s, checkpoints)
     L = s.check_depth
-    tail, pre = _family_start(s, fam, seed)
+    tail, pre = _family_start(s, rows, seed)
     p = pre.shape[1]
     # the tail windows the last checkpoint reads, and at least one window
-    t = np.array(tail.materialize(max(cps[-1] - p, 1) + L - 1).symbols,
-                 dtype=pre.dtype)
+    t = tail.materialize(max(cps[-1] - p, 1) + L - 1)
     tail_cols = word_columns(s.space, sliding_window_view(t, L))
-    head = np.hstack([pre, np.broadcast_to(t[:L - 1], (len(fam), L - 1))])
+    head = np.hstack([pre, np.broadcast_to(t[:L - 1], (len(rows), L - 1))])
     pre_counts = window_counts(s.space, head, L, {min(n, p) for n in cps})
-    rows = np.empty((len(fam), len(cps)))
+    observed = np.empty((len(rows), len(cps)))
     for j, n in enumerate(cps):
         pre_n = pre_counts[min(n, p)]
         tail_n = np.bincount(tail_cols[:max(n - p, 0)],
                              minlength=pre_n.shape[1])
-        rows[:, j] = weak_star_counts(pre_n + tail_n, n, s.stretched_alpha(n),
-                                      L)
+        observed[:, j] = weak_star_counts(pre_n + tail_n, n,
+                                          s.stretched_alpha(n), L)
     bounds = tuple(tracking_bound(s, n) for n in cps)
     return FamilyTrackingReport(
         checkpoints=tuple(cps), bounds=bounds,
-        observed_max=tuple(rows.max(axis=0).tolist()),
-        rows=tuple(tuple(row.tolist()) for row in rows))
+        observed_max=tuple(observed.max(axis=0).tolist()),
+        rows=tuple(tuple(row.tolist()) for row in observed))
 
 
 # --------------------------- schedule builder ---------------------------
@@ -967,7 +992,7 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
     stages: list[TreeStage] = []
     for s_idx in range(depth):
         comps_built = []
-        option_parts: list[list[Word]] = []
+        option_parts: list[tuple[Word, ...]] = []
         for c_idx, (mu, a, l) in enumerate(zip(comps, ws, lens)):
             t_i = max(2, math.ceil(product_target ** float(a)))
             h_i = ks_entropy(mu)
@@ -979,9 +1004,9 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
             fam = typical_separated_family(
                 mu, l, delta, eta_i, seed=_mix(seed, s_idx, c_idx),
                 typical_tol=max(eta_i, 0.2))
-            fam = fam[:t_i]
-            comps_built.append(TreeComponent(a, mu, tuple(fam)))
-            option_parts.append(fam)
+            words = tuple(map(Word, fam[:t_i].tolist()))  # the rows glued
+            comps_built.append(TreeComponent(a, mu, words))
+            option_parts.append(words)
         options = [glue(space, combo, gap)
                    for combo in itertools.product(*option_parts)]
         stages.append(TreeStage(n=stage_len, zeta=zetas[s_idx],
@@ -1045,27 +1070,52 @@ _Piece = Union[Word, tuple[int, int]]
 def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
                     xis: Sequence[tuple[int, ...]], plan: Sequence[_Piece],
                     horizon: int) -> tuple[dict, list[tuple[int, int]]]:
-    """Every member, keyed by its xi: the plan's pieces glued and cut at
-    horizon.  Also the span of each piece in the glued plan, which no xi
+    """Every member, keyed by its xi, as a read-only symbol array: the
+    plan's pieces glued and cut at horizon, one concatenation of piece
+    arrays (each shared word and each orbit run built once) and memoised
+    bridges.  Also the span of each piece in the glued plan, which no xi
     changes."""
     gap = space.primitivity_index
     slots = 1 + max((p[0] for p in plan if not isinstance(p, Word)),
                     default=-1)
-
-    def fill(piece: _Piece, xi: tuple[int, ...]) -> Word:
-        if isinstance(piece, Word):
-            return piece
-        slot, n = piece
-        base = orbits[xi[slot] - 1].symbols
-        return Word((base * math.ceil(n / len(base)))[:n])
-
-    members: dict = {}
     for xi in xis:
         if len(xi) < slots:
             raise ValueError(
                 f"xi prefix length {len(xi)} < {slots} orbit selections")
-        members[xi] = Word(itertools.islice(
-            iglue(space, (fill(p, xi) for p in plan), gap), horizon))
+    dtype = space.symbol_dtype
+    shared = {i: p.to_array().astype(dtype) for i, p in enumerate(plan)
+              if isinstance(p, Word)}
+    cycles = [o.to_array().astype(dtype) for o in orbits]
+    runs: dict[tuple[int, int], np.ndarray] = {}   # (orbit, length)
+    bridges: dict[tuple[int, int], np.ndarray] = {}
+
+    def piece(i: int, xi: tuple[int, ...]) -> np.ndarray:
+        if i in shared:
+            return shared[i]
+        slot, n = plan[i]
+        key = (xi[slot] - 1, n)
+        if key not in runs:  # the orbit's cycle repeated to length n
+            runs[key] = np.resize(cycles[key[0]], n)
+        return runs[key]
+
+    members: dict = {}
+    for xi in xis:
+        parts: list[np.ndarray] = []
+        for i in range(len(plan)):
+            a = piece(i, xi)
+            if not len(a):
+                continue
+            if parts:
+                key = (int(parts[-1][-1]), int(a[0]))
+                if key not in bridges:
+                    bridges[key] = np.array(bridge(space, *key, gap),
+                                            dtype=dtype)
+                if len(bridges[key]):
+                    parts.append(bridges[key])
+            parts.append(a)
+        x = np.concatenate(parts)[:horizon] if parts else np.empty(0, dtype)
+        x.flags.writeable = False
+        members[xi] = x
     spans = glue_spans((len(p) if isinstance(p, Word) else p[1]
                         for p in plan), gap)
     return members, spans

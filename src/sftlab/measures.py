@@ -332,6 +332,8 @@ def sample_words_batch(mu: MarkovMeasure, n: int, count: int, seed: int) -> np.n
     call but the batch is deterministic in seed."""
     if n < 1:
         raise ValueError("n must be positive")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     rng = rng_from(seed)
     out = np.empty((count, n), dtype=np.int64)
     u = rng.random((count, n))
@@ -358,11 +360,12 @@ def _batch_weak_star(space: SftSpace, batch: np.ndarray, mu: MarkovMeasure,
 def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float,
                              seed: int, typical_tol: Optional[float] = None,
                              typical_depth: int = 2,
-                             max_attempts: Optional[int] = None) -> list[Word]:
+                             max_attempts: Optional[int] = None) -> np.ndarray:
     """Greedy pairwise delta-separated family of mu-typical length-n words of
-    size at least ceil(e^{n (h(mu) - eta)}).
+    size at least ceil(e^{n (h(mu) - eta)}), as the rows of one read-only
+    (size, n) array of ``space.symbol_dtype`` in the order they were kept.
 
-    Raises ShortFamily (carrying the achieved words) if the greedy search
+    Raises ShortFamily (carrying the achieved rows) if the greedy search
     stalls, which signals the packing feasibility margin was violated.
     """
     if n < 1:
@@ -385,9 +388,9 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     need = math.ceil(delta * n - 1e-12)
     cap = max_attempts if max_attempts is not None else max(200 * target, 20_000)
 
-    arr = np.empty((target, n), dtype=np.int64)
+    arr = np.empty((target, n), dtype=space.symbol_dtype)
     filled = 0
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     attempts = 0
     batch_no = 0
     while filled < target and attempts < cap:
@@ -396,10 +399,11 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
         batch_no += 1
         attempts += batch_size
         dists = _batch_weak_star(space, batch, mu, typical_depth)
-        for row, d in zip(batch, dists):
+        batch = batch.astype(space.symbol_dtype)
+        for row, d in zip(batch, dists.tolist()):
             if d > tol:
                 continue
-            t = tuple(row.tolist())
+            t = row.tobytes()
             if t in seen:
                 continue
             # distinctness equals delta-separation when ceil(delta n) <= 1;
@@ -412,10 +416,11 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
             seen.add(t)
             if filled >= target:
                 break
-    words = [Word(arr[i].tolist()) for i in range(filled)]
+    family = arr[:filled]
+    family.flags.writeable = False
     if filled < target:
-        raise ShortFamily(target, filled, words)
-    return words
+        raise ShortFamily(target, filled, family)
+    return family
 
 
 # --------------------------- measure paths ---------------------------

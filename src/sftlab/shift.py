@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -95,6 +95,11 @@ class Word:
         return Word(int(c) for c in text)
 
 
+def _symbols(x: Union[Word, np.ndarray]) -> np.ndarray:
+    """The symbols of a word, or a 1-d symbol array as it is."""
+    return x if isinstance(x, np.ndarray) else x.to_array()
+
+
 # --------------------------- the ambient space ---------------------------
 
 
@@ -102,7 +107,9 @@ class SftSpace:
     """Alphabet size m plus a 0/1 transition matrix.
 
     ``primitivity_index`` is the smallest t with ``transition**t`` entrywise
-    positive (None when the matrix is not primitive).
+    positive (None when the matrix is not primitive).  ``symbol_dtype`` is
+    the smallest unsigned dtype that holds every symbol, the dtype of the
+    symbol arrays streams and families return.
     """
 
     def __init__(self, transition: Sequence[Sequence[int]]):
@@ -114,6 +121,7 @@ class SftSpace:
         if (A.sum(axis=1) == 0).any() or (A.sum(axis=0) == 0).any():
             raise ValueError("every symbol needs a successor and a predecessor")
         self.m = int(A.shape[0])
+        self.symbol_dtype = np.min_scalar_type(self.m - 1)
         self.transition = A
         self.transition.setflags(write=False)
         self.primitivity_index = self._compute_primitivity_index(A)
@@ -265,8 +273,15 @@ def _rank_table(A: np.ndarray, tails: list) -> np.ndarray:
 
 def _fill_words(A: np.ndarray, tails: list) -> np.ndarray:
     """The read-only rows of ``word_table(len(tails))``: column j repeats the
-    last symbol of each admissible (j+1)-prefix once per word it starts."""
-    table = np.empty((int(tails[-1].sum()), len(tails)), dtype=np.int64)
+    last symbol of each admissible (j+1)-prefix once per word it starts.
+    ValueError, naming the size, when the int64 table would reach 2**63
+    bytes, numpy's limit for one array."""
+    K, length = int(tails[-1].sum()), len(tails)
+    if 8 * length * K >= 2**63:
+        raise ValueError(f"{K} admissible {length}-words: a table of "
+                         f"{8 * length * K} bytes passes numpy's 2**63-byte "
+                         f"array limit")
+    table = np.empty((K, length), dtype=np.int64)
     last = np.arange(len(A))
     for j, tail in enumerate(reversed(tails)):
         if j:
@@ -344,21 +359,46 @@ def dist(x: Word, y: Word) -> float:
     return 2.0 ** (-n)
 
 
-def separated_count(points: Iterable[Word], n: int, k: int) -> int:
-    """Exact maximal (n, 2**(-k))-separated cardinality of a word set.
+def _prefix_rows(points: Union[np.ndarray, Iterable[Word]],
+                 L: int) -> np.ndarray:
+    """The first L symbols of each point as the rows of a 2-d array: the
+    columns of a symbol matrix, or the rows built from a sequence of words;
+    WordsTooShort when a point is shorter than L."""
+    if isinstance(points, np.ndarray):
+        if points.ndim != 2:
+            raise ValueError("points must be a 2-d symbol matrix")
+        if points.shape[1] < L:
+            raise WordsTooShort(f"word of length {points.shape[1]} < prefix "
+                                f"length {L}")
+        return points[:, :L]
+    points = list(points)
+    for w in points:
+        if len(w) < L:
+            raise WordsTooShort(f"word of length {len(w)} < prefix length {L}")
+    return np.array([w.symbols[:L] for w in points],
+                    dtype=np.int64).reshape(len(points), L)
+
+
+def distinct_rows(rows: np.ndarray) -> int:
+    """The number of distinct rows of a 2-d array: one lexsort of the rows,
+    then one compare of each sorted row with the one before it."""
+    if len(rows) < 2 or not rows.shape[1]:
+        return min(len(rows), 1)
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    return 1 + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
+
+
+def separated_count(points: Union[np.ndarray, Iterable[Word]], n: int,
+                    k: int) -> int:
+    """Exact maximal (n, 2**(-k))-separated cardinality of a word set, given
+    as the rows of a symbol matrix or as words.
 
     Under the metric convention this is the number of distinct prefixes of
     length max(n + k - 1, 1); the ultrametric makes the greedy maximum exact.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    L = max(n + k - 1, 1)
-    prefixes = set()
-    for w in points:
-        if len(w) < L:
-            raise WordsTooShort(f"word of length {len(w)} < prefix length {L}")
-        prefixes.add(w.symbols[:L])
-    return len(prefixes)
+    return distinct_rows(_prefix_rows(points, max(n + k - 1, 1)))
 
 
 def hamming(x: Word, y: Word, n: int) -> int:
@@ -368,16 +408,15 @@ def hamming(x: Word, y: Word, n: int) -> int:
     return sum(1 for j in range(n) if xs[j] != ys[j])
 
 
-def hamming_matrix(words: Sequence[Word], n: int) -> np.ndarray:
-    """Pairwise :func:`hamming` distances on the first n coordinates, as
-    one integer matrix: n minus each pair's agreements, counted by one
-    product of the words' one-hot rows."""
-    if any(len(w) < n for w in words):
-        raise WordsTooShort(f"need length >= {n}")
-    X = np.array([w.symbols[:n] for w in words],
-                 dtype=np.int64).reshape(len(words), n)
+def hamming_matrix(words: Union[np.ndarray, Sequence[Word]],
+                   n: int) -> np.ndarray:
+    """Pairwise :func:`hamming` distances on the first n coordinates of the
+    rows of a symbol matrix (or of words), as one integer matrix: n minus
+    each pair's agreements, counted by one product of the rows' one-hot
+    rows."""
+    X = _prefix_rows(words, n)
     symbols = np.unique(X)
-    hot = (X[:, :, None] == symbols).reshape(len(words), n * len(symbols))
+    hot = (X[:, :, None] == symbols).reshape(len(X), n * len(symbols))
     agree = hot.astype(np.int32) @ hot.T.astype(np.int32)
     return np.subtract(n, agree, out=agree)
 
@@ -479,38 +518,71 @@ def glue_spans(lengths: Iterable[int], gap: int) -> list[tuple[int, int]]:
 class SymbolStream:
     """Deterministic resumable symbol source.
 
-    ``materialize(H)`` returns the first H symbols as a Word; longer calls
-    extend the same underlying sequence, so shorter materializations are
-    always prefixes of longer ones.
+    The factory returns an iterator of pieces, runs of symbols (tuples or
+    arrays) such as the words and bridges :func:`_glue_pieces` yields.
+    ``materialize(H)`` returns the first H symbols as a read-only array of
+    ``space.symbol_dtype``; longer calls extend the same underlying
+    sequence, so shorter materializations are always prefixes of longer
+    ones.  A piece is pulled only once the symbols before it are consumed,
+    and its transitions, the one from the symbol before it included, are
+    checked in one lookup.
     """
 
-    def __init__(self, space: SftSpace, factory: Callable[[], Iterator[int]],
+    def __init__(self, space: SftSpace,
+                 factory: Callable[[], Iterator[Sequence[int]]],
                  label: str = ""):
         self.space = space
         self.label = label
         self._factory = factory
-        self._iter: Optional[Iterator[int]] = None
-        self._buf: list[int] = []
+        self._iter: Optional[Iterator[Sequence[int]]] = None
+        self._buf = np.empty(0, dtype=space.symbol_dtype)
+        self._len = 0
+        self._allowed = space.transition.astype(bool)
         self._lock = threading.Lock()
 
-    def materialize(self, horizon: int) -> Word:
+    def _append(self, piece: Sequence[int]) -> None:
+        """Check one piece against the alphabet and the transitions and
+        append it to the buffer, which at least doubles when it is full."""
+        symbols = np.asarray(piece)
+        if not symbols.size:
+            return
+        n, end = self._len, self._len + symbols.size
+        outside = (symbols < 0) | (symbols >= self.space.m)
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValueError(f"stream {self.label!r} emitted symbol "
+                             f"{symbols[i]} outside the alphabet at "
+                             f"position {n + i}")
+        if end > len(self._buf):
+            grown = np.empty(max(end, 2 * len(self._buf)), dtype=self._buf.dtype)
+            grown[:n] = self._buf[:n]
+            self._buf = grown
+        self._buf[n:end] = symbols
+        run = self._buf[max(n - 1, 0):end]
+        ok = self._allowed[run[:-1], run[1:]]
+        if not ok.all():
+            t = int(ok.argmin())
+            raise ValueError(
+                f"stream {self.label!r} emitted a forbidden transition "
+                f"{run[t]}->{run[t + 1]} at position {max(n - 1, 0) + t + 1}")
+        self._len = end
+
+    def materialize(self, horizon: int) -> np.ndarray:
+        if horizon < 0:
+            raise ValueError(f"horizon must be non-negative, got {horizon}")
         with self._lock:
             if self._iter is None:
                 self._iter = self._factory()
-            while len(self._buf) < horizon:
+            while self._len < horizon:
                 try:
-                    s = next(self._iter)
+                    piece = next(self._iter)
                 except StopIteration:  # pragma: no cover - streams are infinite
                     raise WordsTooShort(
-                        f"stream {self.label!r} exhausted at {len(self._buf)}"
-                    )
-                if self._buf and not self.space.allowed(self._buf[-1], s):
-                    raise ValueError(
-                        f"stream {self.label!r} emitted a forbidden transition "
-                        f"{self._buf[-1]}->{s} at position {len(self._buf)}"
-                    )
-                self._buf.append(int(s))
-            return Word(self._buf[:horizon])
+                        f"stream {self.label!r} exhausted at {self._len}")
+                self._append(piece)
+            out = self._buf[:horizon]
+            out.flags.writeable = False
+            return out
 
     def __repr__(self) -> str:
-        return f"SymbolStream({self.label!r}, buffered={len(self._buf)})"
+        return f"SymbolStream({self.label!r}, buffered={self._len})"

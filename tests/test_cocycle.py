@@ -1,13 +1,15 @@
 import math
 import re
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sftlab import shift
+from sftlab import cocycle, shift
 from sftlab.cocycle import (MatrixCocycle, _cyclic_words, emit_lyapunov_family,
                             exponent_along, exponent_bracket,
                             exponents_along, periodic_exponent)
@@ -15,7 +17,7 @@ from sftlab.measures import MarkovMeasure, sample_word
 from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
 
 from word_oracles import (cyclic_words_filter, dfs_exponent_bracket,
-                          primitive_spaces)
+                          primitive_spaces, unchunked_exponents_along)
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -200,8 +202,10 @@ class TestLyapunovFamily:
                                       eta=0.1, tail_len=256)
         assert report.family_size == 2 ** 8
         assert report.family_size >= report.target_size
+        assert report.members.shape == (2 ** 8, report.horizon)
+        assert not report.members.flags.writeable
         for w in report.members:
-            assert FULL2.is_admissible(w.symbols)
+            assert FULL2.is_admissible(w)
         # distinct words force separation at the prefix scale, exactly
         n_sep = report.prefix_len - 0  # gap-1 = 0 on the full shift
         assert separated_count(report.members, n_sep, 1) == 2 ** 8
@@ -220,7 +224,7 @@ class TestLyapunovFamily:
         assert empty.prefix_len == none.prefix_len == 4 + 1
         assert empty.horizon == empty.prefix_len + 64
         assert {len(w) for w in empty.members} == {empty.horizon}
-        assert empty.members == none.members
+        assert np.array_equal(empty.members, none.members)
         assert empty.exponents == none.exponents
 
     def test_identity_cocycle_zero_exponents(self):
@@ -242,7 +246,7 @@ class TestLyapunovFamily:
                                       N=6, seed=7, tail_len=128)
         assert report.family_size == GOLDEN.count_words(6)
         for w in report.members:
-            assert GOLDEN.is_admissible(w.symbols)
+            assert GOLDEN.is_admissible(w)
         assert report.all_within_bound()
 
 
@@ -346,10 +350,49 @@ class TestBatchedExponentOracles:
             return
         report = emit_lyapunov_family(c, space, mu, anchor, N=N, seed=seed,
                                       tail_len=tail_len)
-        assert report.members == members
+        assert list(map(Word, report.members.tolist())) == list(members)
         assert report.reference_exponent == ref
         assert report.tail_exponent == tail
         assert report.exponents == exps
+
+    @settings(max_examples=100, deadline=None)
+    @given(cocycles(), st.integers(1, 40), st.integers(1, 200), st.data())
+    def test_chunked_equals_unchunked(self, c, cadence, windows, data):
+        # window ranks a block of steps at a time, block edges anywhere
+        # against the cadence, and the logs in a float64 vector: the same
+        # products and the same math.log sums
+        length = data.draw(st.integers(c.depth, 150))
+        rows = np.array([w.symbols for w in admissible_words(
+            data.draw, c.space, data.draw(st.integers(1, 6)), length)],
+            dtype=np.uint8)
+        n = data.draw(st.integers(1, length - c.depth + 1))
+        with mock.patch.object(cocycle, "_RANK_WINDOWS", windows):
+            got = exponents_along(c, rows, n, cadence)
+        assert got == unchunked_exponents_along(c, rows, n, cadence)
+
+    def test_cadence_must_be_positive(self):
+        c = MatrixCocycle.constant(FULL2, np.eye(2))
+        with pytest.raises(ValueError, match="cadence must be positive"):
+            exponents_along(c, np.zeros((1, 4), dtype=np.uint8), 4, 0)
+
+    def test_family_peak_memory_bounded(self):
+        # the whole (n, rows) int64 window-rank matrix peaked at 36.9 MiB
+        # here at N = 12 (4,097 rows of 529 symbols); blocks of at most
+        # 2**17 ranks peak at 6.3 MiB
+        c = MatrixCocycle(FULL2, {
+            (0,): np.array([[1.2, 0.1], [0.0, 0.9]]),
+            (1,): np.array([[0.7, 0.0], [0.2, 1.3]]),
+        })
+        mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
+        tracemalloc.start()
+        try:
+            report = emit_lyapunov_family(c, FULL2, mu, FULL2.parse("0101"),
+                                          N=12, seed=7, tail_len=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.family_size == 2 ** 12
+        assert peak < 12 * 2**20
 
     def test_window_without_generator_named(self):
         c = MatrixCocycle(GOLDEN, {w.symbols: np.eye(2) for w in

@@ -24,7 +24,7 @@ from sftlab.gluing import (LEAF_ENUMERATION_CAP, BranchTree, ChaoticFamily,
                            CheckEntry,
                            FamilyTrackingReport, GluingSchedule, Stage,
                            TrackingRow, TreeComponent, TreeStage,
-                           ValidationReport,
+                           ValidationReport, _emit_two_orbit,
                            _stage_words, build_branch_tree, build_gk_schedule,
                            check_budgets, contains_all_words, dense_tour,
                            emit_chaotic_family, emit_dc1_family, emit_point,
@@ -37,7 +37,7 @@ from sftlab.shift import (SftSpace, Word, glue, glue_spans, iglue,
                           separated_count)
 
 from dict_empirical import DictEmpiricalMeasure
-from word_oracles import orbit_gap_loop
+from word_oracles import iglue_two_orbit, orbit_gap_loop
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -80,32 +80,32 @@ class TestScheduleBasics:
             Stage(alpha=POINT0, n=5, reps=2, tour=None, zeta=0.5, eps=0.5,
                   depth=1)])
         stream = emit_point(sched, seed=0)
-        assert stream.materialize(10) == Word("0000000000")
+        assert Word(stream.materialize(10)) == Word("0000000000")
 
     def test_anchor_prefix_contract(self):
         sched = build_gk_schedule(FULL2, B05, anchor=FULL2.parse("01"),
                                   stages=2)
         w = emit_point(sched, seed=1).materialize(40)
-        assert w.symbols[:2] == (0, 1)
+        assert w[:2].tolist() == [0, 1]
 
     def test_emitted_streams_admissible(self):
         sched = build_gk_schedule(GOLDEN, parry(GOLDEN), stages=2)
         w = emit_point(sched, seed=2).materialize(600)
-        assert GOLDEN.is_admissible(w.symbols)
+        assert len(w) == 600 and GOLDEN.is_admissible(w)
 
     def test_deterministic_and_prefix_stable(self):
         sched = build_gk_schedule(FULL2, B09, stages=2)
         a = emit_point(sched, seed=3).materialize(500)
         b = emit_point(sched, seed=3).materialize(500)
-        assert a == b
+        assert Word(a) == Word(b)
         stream = emit_point(sched, seed=3)
         short = stream.materialize(100)
-        assert stream.materialize(500).symbols[:100] == short.symbols
+        assert Word(stream.materialize(500)[:100]) == Word(short)
 
     def test_tour_blocks_cover_cylinders(self):
         sched = build_gk_schedule(FULL2, B05, stages=2)
         ends = sched.stage_ends()
-        w = emit_point(sched, seed=4).materialize(ends[-1])
+        w = Word(emit_point(sched, seed=4).materialize(ends[-1]))
         subs = {w.symbols[i:i + 2] for i in range(len(w) - 1)}
         assert subs == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -118,7 +118,7 @@ class TestScheduleBasics:
         assert validate_schedule(again).passed
         w1 = emit_point(sched, seed=9, family_word=Word("010101")).materialize(200)
         w2 = emit_point(again, seed=9, family_word=Word("010101")).materialize(200)
-        assert w1 == w2
+        assert Word(w1) == Word(w2)
 
     def test_json_orphan_tour_named(self):
         sched = build_gk_schedule(FULL2, B05, stages=2)
@@ -289,8 +289,9 @@ class TestSeparatedFamily:
         p = member_prefix_len(sched)
         assert p == 3 + 1 + 4 + 1  # anchor, bridge, slot, bridge
         out = emit_separated_family(sched, fam, horizon=p + 40, seed=4)
-        assert len({w.symbols[p:] for w in out}) == 1
-        assert len({w.symbols[p - 2:p] for w in out}) > 1  # slot's last symbol
+        assert out.shape == (3, p + 40) and not out.flags.writeable
+        assert len({w[p:].tobytes() for w in out}) == 1
+        assert len({w[p - 2:p].tobytes() for w in out}) > 1  # slot's last
 
     def test_horizon_must_cover_bridged_slot(self):
         # anchor 3 + bridge 1 + slot 4 = 8 symbols; a horizon of 7 would cut
@@ -302,7 +303,7 @@ class TestSeparatedFamily:
                            " length 8"):
             emit_separated_family(sched, fam, horizon=7, seed=4)
         out = emit_separated_family(sched, fam, horizon=8, seed=4)
-        assert len(set(out)) == 2
+        assert len(set(map(Word, out))) == 2
 
     def test_single_member(self):
         sched = self.make_sched(6, 0.3)
@@ -330,7 +331,7 @@ class TestSeparatedFamily:
         report = family_tracking_report(sched, fam, seed=15)
         # oracle: direct per-member empirical measures at each checkpoint
         L = sched.check_depth
-        for i, w in enumerate(fam):
+        for i, w in enumerate(map(Word, fam)):
             stream = emit_point(sched, seed=15, family_word=w)
             for j, n in enumerate(report.checkpoints):
                 word = stream.materialize(n + L - 1)
@@ -342,8 +343,8 @@ class TestSeparatedFamily:
 
 def per_member_emit_separated_family(s, family, horizon, seed):
     """Oracle for emit_separated_family: each member's own stream, which
-    redraws the stage tail."""
-    return [emit_point(s, seed, family_word=w).materialize(horizon)
+    redraws the stage tail, as a list of Words."""
+    return [Word(emit_point(s, seed, family_word=w).materialize(horizon))
             for w in family]
 
 
@@ -447,10 +448,16 @@ class TestSharedTailFamily:
     @given(family_cases())
     def test_equals_per_member_oracles(self, case):
         sched, family, checkpoints, horizon, seed = case
-        assert emit_separated_family(sched, family, horizon, seed) == \
-            per_member_emit_separated_family(sched, family, horizon, seed)
-        assert family_tracking_report(sched, family, seed, checkpoints) == \
-            counter_family_tracking_report(sched, family, seed, checkpoints)
+        want = per_member_emit_separated_family(sched, family, horizon, seed)
+        rows = np.array([w.symbols for w in family],
+                        dtype=np.uint8).reshape(len(family), -1)
+        for fam in (family, rows):  # words, or the rows of a symbol array
+            out = emit_separated_family(sched, fam, horizon, seed)
+            assert out.shape == (len(family), horizon)
+            assert list(map(Word, out)) == want
+            assert family_tracking_report(sched, fam, seed, checkpoints) == \
+                counter_family_tracking_report(sched, family, seed,
+                                               checkpoints)
 
     def test_checkpoints_below_prefix_match_direct(self):
         fam = typical_separated_family(B05, 9, 0.1, 0.4, seed=15)[:4]
@@ -461,7 +468,7 @@ class TestSharedTailFamily:
         assert p == 13
         cps = [1, 5, p - 1, p, p + 1, *sched.stage_ends()]
         report = family_tracking_report(sched, fam, seed=15, checkpoints=cps)
-        for w, row in zip(fam, report.rows):
+        for w, row in zip(map(Word, fam), report.rows):
             direct = tracking_report(sched, seed=15, checkpoints=cps,
                                      family_word=w)
             assert list(row) == [r.observed for r in direct]
@@ -689,8 +696,8 @@ class TestLayout:
             ("tour", 1), ("block", 2), ("block", 2), ("block", 2),
             ("tour", 2)]
         assert pieces[-1].end >= 200 > pieces[-5].end  # stage 3 reaches 200
-        x = emit_point(sched, seed=6, family_word=Word("001")).materialize(
-            pieces[-1].end).symbols
+        x = Word(emit_point(sched, seed=6, family_word=Word("001")).materialize(
+            pieces[-1].end)).symbols
         reps = Counter()
         for p in pieces:
             word = {"anchor": Word("010").symbols, "family": (0, 0, 1)}.get(
@@ -791,8 +798,8 @@ class TestScheduleInputs:
         sched = build_gk_schedule(FULL2, B09, stages=2, family_len=6)
         assert tracking_report(sched, seed=1, family_word=Word(())) == \
             tracking_report(sched, seed=1)
-        assert emit_separated_family(sched, [Word(())], 60, seed=1) == \
-            [emit_point(sched, seed=1).materialize(60)]
+        assert emit_separated_family(sched, [Word(())], 60, seed=1).tolist() \
+            == [emit_point(sched, seed=1).materialize(60).tolist()]
 
 
 class TestBranchTree:
@@ -1024,7 +1031,7 @@ class TestChaoticFamily:
         fam1 = self.make_family()
         fam2 = self.make_family()
         for xi in fam1.members:
-            assert fam1.members[xi] == fam2.members[xi]
+            assert Word(fam1.members[xi]) == Word(fam2.members[xi])
 
     def test_orbit_gap_detected(self):
         assert self.make_family().eps_star == 1.0
@@ -1108,7 +1115,7 @@ class TestChaoticFamily:
     def test_all_members_admissible(self):
         fam = self.make_family()
         for w in fam.members.values():
-            assert FULL2.is_admissible(w.symbols)
+            assert FULL2.is_admissible(w) and not w.flags.writeable
 
     @pytest.mark.parametrize("anchor", [None, Word("010"), Word(())])
     def test_golden_mean_positions_match_members(self, anchor, monkeypatch):
@@ -1122,7 +1129,7 @@ class TestChaoticFamily:
                                   seed=5, anchor=anchor)
         assert len(fam.stages) == 2
         for xi, w in fam.members.items():
-            x = w.symbols
+            x = Word(w).symbols
             assert len(x) == fam.stage_ends[-1]
             assert GOLDEN.is_admissible(x)
             for k, st in enumerate(fam.stages, start=1):
@@ -1143,6 +1150,49 @@ class TestChaoticFamily:
                  "xi prefix length 0 < 1 orbit selections")):
             with pytest.raises(ValueError, match=message):
                 emit(FULL2, mu0, Word("0"), Word("1"), xis, 20_000, seed=1)
+
+
+# orbit generator pairs, periodically admissible and disjoint, per space
+TWO_ORBITS = {FULL2: [("0", "1"), ("01", "1"), ("001", "11")],
+              SftSpace.full_shift(3): [("0", "12"), ("1", "2")],
+              GOLDEN: [("0", "01"), ("0", "010")]}
+
+
+@st.composite
+def two_orbit_cases(draw):
+    """A random two-orbit plan: shared admissible words (some empty) and
+    private orbit runs (some of length 0), distinct xis and a horizon that
+    may cut the glued plan."""
+    space = draw(st.sampled_from(list(TWO_ORBITS)))
+    orbits = tuple(map(Word, draw(st.sampled_from(TWO_ORBITS[space]))))
+    plan, slots = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            plan.append(admissible_word(draw, space, draw(st.integers(0, 6))))
+        else:
+            plan.append((slots, draw(st.integers(0, 9))))
+            slots += 1
+    xis = draw(st.lists(st.tuples(*[st.sampled_from((1, 2))] * slots),
+                        min_size=1, max_size=4, unique=True))
+    total = glue_spans((len(p) if isinstance(p, Word) else p[1]
+                        for p in plan), space.primitivity_index)[-1][1]
+    return space, orbits, xis, plan, draw(st.integers(0, total + 3))
+
+
+class TestTwoOrbitEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(two_orbit_cases())
+    def test_equals_iglue_oracle(self, case):
+        # full shifts and the golden mean, whose bridges are one symbol
+        space, orbits, xis, plan, horizon = case
+        members, spans = _emit_two_orbit(space, orbits, xis, plan, horizon)
+        want = iglue_two_orbit(space, orbits, xis, plan, horizon)
+        assert list(members) == list(want)
+        for xi, x in members.items():
+            assert x.dtype == np.uint8 and not x.flags.writeable
+            assert Word(x) == want[xi]
+        assert spans == glue_spans((len(p) if isinstance(p, Word) else p[1]
+                                    for p in plan), space.primitivity_index)
 
 
 class TestSampledLeafChecks:
@@ -1245,7 +1295,7 @@ class TestDc1Family:
 
     def test_members_admissible_and_shared_runs_identical(self):
         fam = self.make_pair(horizon=30_000)
-        x, y = fam.members.values()
+        x, y = map(Word, fam.members.values())
         assert FULL2.is_admissible(x.symbols)
         assert FULL2.is_admissible(y.symbols)
         first_end = fam.stage_ends[0]
@@ -1255,7 +1305,7 @@ class TestDc1Family:
         mu0 = MarkovMeasure.periodic_orbit(GOLDEN, Word("01"))
         fam = emit_dc1_family(GOLDEN, mu0, Word("0"), Word("01"),
                               [(1,) * 4, (2,) * 4], 20_000, seed=1)
-        x, y = fam.members.values()
+        x, y = map(Word, fam.members.values())
         assert fam.stage_kinds == ("shared", "selected")
         assert len(x) == len(y) == fam.stage_ends[-1]
         first_end = fam.stage_ends[0]

@@ -21,6 +21,7 @@ from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
 from sftlab.shift import SftSpace, Word, delta_separated, word_columns
 
 from dict_empirical import DictEmpiricalMeasure, dict_empirical
+from word_oracles import word_typical_separated_family
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -361,6 +362,14 @@ class TestSampling:
             with pytest.raises(ValueError, match="n must be positive"):
                 call()
 
+    def test_negative_count_named(self):
+        # numpy's raw "negative dimensions" error used to escape
+        mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
+        with pytest.raises(ValueError, match="count must be non-negative, "
+                           "got -1"):
+            sample_words_batch(mu, 3, -1, 0)
+        assert sample_words_batch(mu, 3, 0, 0).shape == (0, 3)
+
     def test_deterministic_in_seed(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
         assert sample_word(mu, 64, 5) == sample_word(mu, 64, 5)
@@ -434,10 +443,13 @@ class TestTypicalFamily:
         fam = typical_separated_family(mu, n, delta, eta, seed=2)
         target = math.ceil(math.exp(n * (ks_entropy(mu) - eta)) - 1e-9)
         assert len(fam) >= target
+        assert fam.shape == (len(fam), n) and fam.dtype == np.uint8
+        assert not fam.flags.writeable
         # exhaustive pairwise replay of the separation postcondition
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                assert delta_separated(fam[i], fam[j], n, delta)
+        words = list(map(Word, fam.tolist()))
+        for i in range(len(words)):
+            for j in range(i + 1, len(words)):
+                assert delta_separated(words[i], words[j], n, delta)
 
     def test_hamming_threshold_above_one(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
@@ -459,6 +471,35 @@ class TestTypicalFamily:
             typical_separated_family(mu, 10, 0.01, 0.02, seed=5,
                                      typical_tol=1e-6, max_attempts=3000)
         assert exc.value.achieved < exc.value.target
+        assert exc.value.words.shape == (exc.value.achieved, 10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["full2", "full3", "golden"]), st.integers(2, 9),
+           st.sampled_from([0.05, 0.15, 0.3]), st.floats(0.1, 0.6),
+           st.integers(0, 2**16))
+    def test_equals_word_list_oracle(self, which, n, delta, eta, seed):
+        # full shifts and the golden mean (primitivity index 2), with
+        # Hamming thresholds of one and more
+        if which == "golden":
+            mu = parry_measure(GOLDEN)
+        else:
+            space = SftSpace.full_shift(2 if which == "full2" else 3)
+            mu = MarkovMeasure.bernoulli(space, [1 / space.m] * space.m)
+        args = (mu, n, delta, eta, seed)
+        kw = {"max_attempts": 4096}
+        try:
+            got = typical_separated_family(*args, **kw)
+        except ShortFamily as exc:
+            with pytest.raises(ShortFamily) as want:
+                word_typical_separated_family(*args, **kw)
+            assert list(map(Word, exc.words.tolist())) == want.value.words
+            return
+        except ValueError as exc:  # the margin check, which the oracle skips
+            assert "infeasible margin" in str(exc)
+            assume(False)
+        assert got.dtype == mu.space.symbol_dtype
+        assert list(map(Word, got.tolist())) == \
+            word_typical_separated_family(*args, **kw)
 
     def test_batch_filter_matches_weak_star(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])

@@ -14,7 +14,8 @@ from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, connector,
                           delta_separated, dist, glue, glue_spans, hamming,
                           hamming_matrix, iglue, separated_count)
 
-from word_oracles import count_words_loop, primitive_spaces
+from word_oracles import (PerSymbolStream, count_words_loop,
+                          primitive_spaces, set_separated_count)
 
 
 FULL2 = SftSpace.full_shift(2)
@@ -128,6 +129,24 @@ class TestSeparation:
     def test_too_short(self):
         with pytest.raises(WordsTooShort):
             separated_count([Word("0")], 3, 1)
+        with pytest.raises(WordsTooShort, match="length 2 < prefix length 3"):
+            separated_count(np.zeros((4, 2), dtype=np.uint8), 3, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([FULL2, SftSpace.full_shift(3), GOLDEN]),
+           st.integers(1, 6), st.integers(0, 3), st.integers(0, 40),
+           st.integers(0, 2**16))
+    def test_matrix_equals_set_oracle(self, space, n, k, count, seed):
+        # admissible rows, many sharing prefixes, so duplicates are common
+        L = max(n + k - 1, 1)
+        rng = np.random.default_rng(seed)
+        table = space.word_table(L + 2)
+        rows = table[rng.integers(0, len(table), count)]
+        words = [Word(r) for r in rows.tolist()]
+        want = set_separated_count(words, n, k)
+        assert separated_count(rows.astype(space.symbol_dtype), n, k) == want
+        assert separated_count(rows, n, k) == want
+        assert separated_count(words, n, k) == want
 
     def test_counting_identity_against_metric_greedy(self):
         # greedy maximal selection under pairwise d_n comparisons is exact
@@ -310,15 +329,15 @@ class TestHammingMatrix:
                               (10, 0.4, 0.3)]:
             params = {"n": n, "eta": eta, "delta": delta}
             got = run_experiment("prop3_1_family", 5, params).details
-            fam = typical_separated_family(
+            fam = list(map(Word, typical_separated_family(
                 MarkovMeasure.bernoulli(FULL2, [0.5, 0.5]), n, delta, eta,
-                seed=5)[:400]
+                seed=5)[:400]))
             assert got["pairwise_checked"] == len(fam)
             assert got["pairwise_ok"] == pairwise_delta_separated(fam, n, delta)
         # a family with one pair too close, as the greedy search never emits
         close = [Word("0000000000"), Word("1111100000"), Word("1111100001")]
         monkeypatch.setattr(experiments.measures, "typical_separated_family",
-                            lambda *a, **k: close)
+                            lambda *a, **k: np.array(close, dtype=np.uint8))
         got = run_experiment("prop3_1_family", 5, {"n": 10, "delta": 0.2})
         assert got.details["pairwise_ok"] is False
         assert not pairwise_delta_separated(close, 10, 0.2)
@@ -333,53 +352,118 @@ class TestToArray:
         assert Word(()).to_array().shape == (0,)
 
 
+def walk_pieces(space, seed, bad_at=None):
+    """An infinite random walk on a space, cut into random pieces (some
+    empty); with bad_at set, the symbol at that position is replaced by
+    one no symbol before it may reach, if the space has one."""
+    rng = random.Random(seed)
+    a, pos = rng.randrange(space.m), 0
+    while True:
+        piece = []
+        for _ in range(rng.randrange(0, 9)):
+            if pos == bad_at:
+                banned = [b for b in range(space.m) if not space.allowed(a, b)]
+                a = banned[0] if banned else a
+            piece.append(a)
+            pos += 1
+            a = rng.choice(space.successors(a))
+        yield tuple(piece)
+
+
 class TestSymbolStream:
     def test_prefix_property(self):
         def factory():
-            a = 0
             while True:
-                yield a
-                a = 1 - a
+                yield (0, 1)
+                yield ()
 
         stream = SymbolStream(FULL2, factory, label="alt")
         short = stream.materialize(5)
         long = stream.materialize(11)
-        assert long.symbols[:5] == short.symbols
-        assert short == Word("01010")
+        assert long[:5].tolist() == short.tolist()
+        assert Word(short) == Word("01010")
+        assert short.dtype == np.uint8 and not short.flags.writeable
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(GLUE_SPACES), st.integers(0, 2**16),
            st.lists(st.integers(0, 300), min_size=1, max_size=8))
     def test_prefix_property_random_walks(self, space, seed, horizons):
-        def walk():
-            rng = random.Random(seed)
-            a = rng.randrange(space.m)
-            while True:
-                yield a
-                a = rng.choice(space.successors(a))
-
-        stream = SymbolStream(space, walk)
-        reference = SymbolStream(space, walk).materialize(max(horizons))
+        stream = SymbolStream(space, lambda: walk_pieces(space, seed))
+        reference = SymbolStream(space, lambda: walk_pieces(space, seed)
+                                 ).materialize(max(horizons))
         for h in horizons:
-            assert stream.materialize(h) == reference[:h]
+            assert stream.materialize(h).tolist() == reference[:h].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([FULL2, SftSpace.full_shift(3), GOLDEN]),
+           st.integers(0, 2**16),
+           st.lists(st.integers(0, 200), min_size=1, max_size=6),
+           st.one_of(st.none(), st.integers(0, 150)))
+    def test_equals_per_symbol_oracle(self, space, seed, horizons, bad_at):
+        # full shifts and the golden mean (primitivity index 2); on the
+        # golden mean a bad symbol may land on a junction between pieces
+        pieces = lambda: walk_pieces(space, seed, bad_at)  # noqa: E731
+        oracle = PerSymbolStream(
+            space, lambda: itertools.chain.from_iterable(pieces()),
+            label="walk")
+        try:
+            oracle.materialize(1000)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        good = Word(oracle._buf)  # the symbols before a bad one
+        stream = SymbolStream(space, pieces, label="walk")
+        for h in horizons:
+            try:
+                got = stream.materialize(h)
+            except ValueError as exc:
+                # the piece holding the bad symbol is checked when pulled
+                assert str(exc) == error and h > len(good) - 8
+                return
+            assert h <= len(good) and Word(got) == good[:h]
 
     def test_admissibility_enforced(self):
         def bad():
-            yield 1
-            yield 1
+            yield (0,)
+            yield (1, 0, 1)
+            yield (1,)
 
-        stream = SymbolStream(GOLDEN, bad)
-        with pytest.raises(ValueError):
-            stream.materialize(2)
+        stream = SymbolStream(GOLDEN, bad, label="bad")
+        assert Word(stream.materialize(4)) == Word("0101")
+        with pytest.raises(ValueError, match="'bad' emitted a forbidden "
+                           "transition 1->1 at position 4"):
+            stream.materialize(5)
+
+    def test_symbol_outside_alphabet_named(self):
+        for piece in ((0, 2), (0, -1)):
+            stream = SymbolStream(FULL2, lambda: iter([(1,), piece]))
+            with pytest.raises(ValueError, match=f"symbol {piece[1]} outside "
+                               f"the alphabet at position 2"):
+                stream.materialize(3)
+
+    def test_negative_horizon_named(self):
+        stream = SymbolStream(FULL2, lambda: itertools.repeat((0,)))
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            stream.materialize(-1)
+        assert stream.materialize(0).shape == (0,)
 
     def test_concurrent_materialization(self):
-        import itertools
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        stream = SymbolStream(FULL2, lambda: itertools.cycle([0, 1, 1]))
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            words = list(pool.map(stream.materialize,
-                                  [50, 200, 10, 400, 100, 33, 380, 77]))
+        # more threads than cores, switching often, over a buffer that
+        # grows (and is replaced) while other threads hold views of it
+        stream = SymbolStream(FULL2, lambda: itertools.cycle([(0, 1), (1,)]))
+        horizons = [50, 200, 10, 400, 100, 33, 380, 77] * 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                words = list(pool.map(stream.materialize, horizons,
+                                      timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
         longest = stream.materialize(400)
-        for w in words:
-            assert longest.symbols[:len(w)] == w.symbols
+        assert longest.tolist() == ([0, 1, 1] * 134)[:400]
+        for h, w in zip(horizons, words):
+            assert w.tolist() == longest[:h].tolist()

@@ -155,6 +155,13 @@ class TestWordTable:
             with pytest.raises(ValueError, match="must be positive"):
                 GOLDEN.word_table(length)
 
+    def test_table_past_numpy_limit_named(self):
+        # 2**57 words of length 57 pass the rank table's int64 check, and
+        # numpy's raw "array is too big" used to escape the allocation
+        with pytest.raises(ValueError, match=r"144115188075855872 admissible "
+                           r"57-words: a table of 65716525762590277632 bytes"):
+            SftSpace.full_shift(2).words(57)
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(primitive_spaces(), nonprimitive_spaces()),
            st.integers(1, 7))

@@ -3,16 +3,25 @@ transfer-matrix counts replaced, kept as their oracles: the depth-first
 walk that filled the table, the exponent bracket's depth-first search over
 admissible words carrying running products, its necklace filter, the
 object-arithmetic word count loop and the pairwise orbit-gap loop over
-``dist``.  Also the random spaces the properties draw from."""
+``dist``.  Also the ``Word`` paths that the symbol arrays replaced: the
+per-symbol stream, the ``iglue`` walk per two-orbit member, the
+set-of-tuples separated count, the list-of-``Word`` typical family and the
+exponents ranked over all windows at once.  And the random spaces the
+properties draw from."""
+import itertools
 import math
+import threading
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sftlab.cocycle import periodic_exponent
-from sftlab.errors import OrbitsNotDisjoint
-from sftlab.shift import SftSpace, Word, dist
+from sftlab.errors import OrbitsNotDisjoint, ShortFamily, WordsTooShort
+from sftlab.measures import (_batch_weak_star, ks_entropy,
+                             sample_words_batch)
+from sftlab.shift import SftSpace, Word, dist, iglue, word_columns
 
 
 @st.composite
@@ -124,3 +133,116 @@ def orbit_gap_loop(lam1, lam2):
                     f"orbits of {lam1.to_text()} and {lam2.to_text()} meet")
             worst = min(worst, d)
     return worst
+
+
+class PerSymbolStream:
+    """The stream the piece stream replaced: its factory yields one symbol
+    at a time, each checked with one ``allowed()`` call, and
+    ``materialize`` returns a Word."""
+
+    def __init__(self, space, factory, label=""):
+        self.space, self.label, self._factory = space, label, factory
+        self._iter, self._buf = None, []
+        self._lock = threading.Lock()
+
+    def materialize(self, horizon):
+        with self._lock:
+            if self._iter is None:
+                self._iter = self._factory()
+            while len(self._buf) < horizon:
+                s = next(self._iter)
+                if self._buf and not self.space.allowed(self._buf[-1], s):
+                    raise ValueError(
+                        f"stream {self.label!r} emitted a forbidden "
+                        f"transition {self._buf[-1]}->{s} at position "
+                        f"{len(self._buf)}")
+                self._buf.append(int(s))
+            return Word(self._buf[:horizon])
+
+
+def iglue_two_orbit(space, orbits, xis, plan, horizon):
+    """The two-orbit members as Words, one ``iglue`` walk per member over
+    the plan's pieces (a shared Word or a private (slot, length) run)."""
+    gap = space.primitivity_index
+
+    def fill(piece, xi):
+        if isinstance(piece, Word):
+            return piece
+        slot, n = piece
+        base = orbits[xi[slot] - 1].symbols
+        return Word((base * math.ceil(n / len(base)))[:n])
+
+    return {xi: Word(itertools.islice(
+        iglue(space, (fill(p, xi) for p in plan), gap), horizon))
+        for xi in xis}
+
+
+def set_separated_count(points, n, k):
+    """The number of distinct prefixes of length max(n + k - 1, 1) of a list
+    of words, one tuple per word in a set."""
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    L = max(n + k - 1, 1)
+    prefixes = set()
+    for w in points:
+        if len(w) < L:
+            raise WordsTooShort(f"word of length {len(w)} < prefix length {L}")
+        prefixes.add(w.symbols[:L])
+    return len(prefixes)
+
+
+def word_typical_separated_family(mu, n, delta, eta, seed, typical_tol=None,
+                                  typical_depth=2, max_attempts=None):
+    """``typical_separated_family`` as a list of Words: a set of row tuples
+    for the duplicates and one Word per kept int64 row."""
+    space = mu.space
+    target = max(1, math.ceil(math.exp(n * (ks_entropy(mu) - eta)) - 1e-9))
+    tol = eta if typical_tol is None else typical_tol
+    need = math.ceil(delta * n - 1e-12)
+    cap = max_attempts if max_attempts is not None else max(200 * target,
+                                                            20_000)
+    arr = np.empty((target, n), dtype=np.int64)
+    filled, seen, attempts, batch_no = 0, set(), 0, 0
+    while filled < target and attempts < cap:
+        batch_size = min(max(1024, target // 2), cap - attempts)
+        batch = sample_words_batch(mu, n, batch_size,
+                                   seed=seed + 7919 * batch_no)
+        batch_no += 1
+        attempts += batch_size
+        dists = _batch_weak_star(space, batch, mu, typical_depth)
+        for row, d in zip(batch, dists):
+            if d > tol:
+                continue
+            t = tuple(row.tolist())
+            if t in seen:
+                continue
+            if need > 1 and filled:
+                if ((arr[:filled] != row).sum(axis=1) < need).any():
+                    continue
+            arr[filled] = row
+            filled += 1
+            seen.add(t)
+            if filled >= target:
+                break
+    words = [Word(arr[i].tolist()) for i in range(filled)]
+    if filled < target:
+        raise ShortFamily(target, filled, words)
+    return words
+
+
+def unchunked_exponents_along(c, rows, n, cadence=32):
+    """``exponents_along`` with every window ranked at once, a step-major
+    (n, rows) int64 matrix, and the logs carried in a Python list."""
+    rows = np.asarray(rows)
+    codes = word_columns(c.space, sliding_window_view(
+        rows[:, :n + c.depth - 1].T, c.depth, axis=0))
+    P = np.tile(np.eye(c.d), (len(rows), 1, 1))
+    acc = [0.0] * len(rows)
+    for i in range(n):
+        P = c._stack[codes[i]] @ P
+        if (i + 1) % cadence == 0:
+            norms = np.linalg.norm(P, 2, axis=(1, 2))
+            acc = [a + math.log(v) for a, v in zip(acc, norms.tolist())]
+            P = P / norms[:, None, None]
+    norms = np.linalg.norm(P, 2, axis=(1, 2)).tolist()
+    return [(a + math.log(v)) / n for a, v in zip(acc, norms)]
