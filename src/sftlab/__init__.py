@@ -6,14 +6,15 @@ from . import analysis, chaos, cocycle, ergopt, gluing, measures, shift
 from .errors import (BadCheckpoints, Degenerate, DepthExceedsEmpirical,
                      FamilyNotSeparated, GapTooSmall, InfeasibleParams,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
-                     NotPrimitive, NotRecurrent,
-                     OrbitsNotDisjoint, OutsideLf, SftLabError, ShortFamily,
+                     NotPrimitive, NotRecurrent, OrbitsNotDisjoint, OutsideLf,
+                     PerronNotPositive, SftLabError, ShortFamily,
                      SingularProduct, SpaceMismatch, WordsTooShort,
                      ZeroCylinder)
 from .shift import SftSpace, SymbolStream, Word, bridge, connector, \
     delta_separated, dist, glue, iglue, separated_count
 from .measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
-                       ks_entropy, refine_path, sample_word,
+                       ks_entropies, ks_entropy, markov_measures,
+                       refine_path, sample_word,
                        typical_separated_family, weak_star_dist)
 from .analysis import (birkhoff_avg, brin_katok_estimate, empirical,
                        growth_rate, recurrence_ratios)

@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPrimitive, OutsideLf, SpaceMismatch
-from .measures import MarkovMeasure, ks_entropy, rng_from
+from .errors import NotPrimitive, OutsideLf, PerronNotPositive, SpaceMismatch
+from .measures import MarkovMeasure, ks_entropies, markov_measures, rng_from
 from .shift import SftSpace, Word, by_word_row, word_columns
 
 # --------------------------- potentials ---------------------------
@@ -538,10 +538,10 @@ def topological_entropy(space: SftSpace) -> float:
 
 
 def _transfer_solves(space: SftSpace, fs: Sequence[Potential]):
-    """Per batch of :func:`_batches`: (graph, rows, M, lam, right, shift),
-    M the transition-masked exp(f) matrices on the block graph with each
-    potential shifted by its maximum for overflow safety, and lam and right
-    their Perron roots and right vectors."""
+    """Per batch of :func:`_batches`: (graph, rows, values, M, lam, right,
+    shift), M the transition-masked exp(f) matrices on the block graph with
+    each potential shifted by its maximum for overflow safety, and lam and
+    right their Perron roots and right vectors."""
     for graph, rows, values in _batches(space, fs,
                                         lambda g: g.n_nodes() ** 2):
         shift = values.max(axis=1)
@@ -551,32 +551,36 @@ def _transfer_solves(space: SftSpace, fs: Sequence[Potential]):
             math.exp, (values - shift[:, None]).ravel().tolist())),
             values.shape)
         lam, right = _perron(M)
-        yield graph, rows, M, lam.tolist(), right, shift.tolist()
+        yield graph, rows, values, M, lam, right, shift.tolist()
 
 
 def pressure(space: SftSpace, f: Potential) -> float:
     """log spectral radius of the transfer matrix; P(0) recovers h_top."""
     if space.primitivity_index is None:
         raise NotPrimitive("pressure needs a primitive space")
-    (_, _, _, lam, _, shift), = _transfer_solves(space, [f])
+    (_, _, _, _, lam, _, shift), = _transfer_solves(space, [f])
     return math.log(lam[0]) + shift[0]
 
 
-def _equilibria(space: SftSpace, fs: Sequence[Potential]
-                ) -> list[tuple[MarkovMeasure, float]]:
-    """The equilibrium state of each f and its pressure P(f), in input
-    order, both from one Perron solve per batch."""
+def _equilibria(space: SftSpace, fs: Sequence[Potential]):
+    """Per batch of :func:`_batches`: (graph, rows, values, mus, pressures),
+    the equilibrium states on one block space and the pressures P(f) of the
+    batch, from one Perron solve and one :func:`markov_measures` call."""
     if space.primitivity_index is None:
         raise NotPrimitive("equilibrium_state needs a primitive space")
-    out: list = [None] * len(fs)
-    for graph, rows, M, lam, right, shift in _transfer_solves(space, fs):
-        if (right <= 0).any():  # pragma: no cover - Perron vectors are positive
-            raise ArithmeticError("non-positive Perron entry")
-        for i, Mi, li, vi, si in zip(rows, M, lam, right, shift):
-            Q = Mi * vi / (li * vi[:, None])
-            Q = Q / Q.sum(axis=1, keepdims=True)
-            out[i] = MarkovMeasure(graph.block_space(), Q), math.log(li) + si
-    return out
+    for graph, rows, values, M, lam, right, shift in _transfer_solves(space,
+                                                                       fs):
+        low = right.min(axis=1)
+        bad = np.flatnonzero(low <= 0)
+        if bad.size:
+            raise PerronNotPositive(
+                f"potential {rows[bad[0]]}: the computed Perron vector has"
+                f" the entry {low[bad[0]]:.3g}, so the transfer matrix is"
+                " too ill-conditioned for the eigensolver")
+        Q = M * right[:, None, :] / (lam[:, None, None] * right[:, :, None])
+        Q = Q / Q.sum(axis=2, keepdims=True)
+        yield (graph, rows, values, markov_measures(graph.block_space(), Q),
+               [math.log(li) + si for li, si in zip(lam, shift)])
 
 
 def equilibrium_state(space: SftSpace, f: Potential) -> MarkovMeasure:
@@ -587,7 +591,19 @@ def equilibrium_state(space: SftSpace, f: Potential) -> MarkovMeasure:
     For depth r <= 2 this is a Markov measure on the original space; deeper
     potentials return the Markov measure on the (r-1)-block space.
     """
-    return _equilibria(space, [f])[0][0]
+    (_, _, _, mus, _), = _equilibria(space, [f])
+    return mus[0]
+
+
+def _edge_flow_means(graph: BlockGraph, values: np.ndarray,
+                     mus: Sequence[MarkovMeasure]) -> np.ndarray:
+    """For each row of a batch of edge values (B, edges) and its measure on
+    the block space: the sum of pi[u] * Q[u, v] * value over the edges, left
+    to right in edge order."""
+    pi = np.stack([mu.stationary for mu in mus])
+    Q = np.stack([mu.stochastic for mu in mus])
+    flows = pi[:, graph.src] * Q[:, graph.src, graph.dst] * values
+    return np.cumsum(flows, axis=1)[:, -1]
 
 
 def equilibrium_mean(space: SftSpace, f: Potential,
@@ -596,20 +612,23 @@ def equilibrium_mean(space: SftSpace, f: Potential,
     block-graph measure (valid for any depth)."""
     graph = block_graph(space, max(f.r - 1, 1))
     measure = mu if mu is not None else equilibrium_state(space, f)
-    total = 0.0
-    for u, v, val in zip(graph.src.tolist(), graph.dst.tolist(),
-                         _edge_values(graph, f.r, f.values).tolist()):
-        total += measure.stationary[u] * measure.stochastic[u, v] * val
-    return total
+    return float(_edge_flow_means(
+        graph, _edge_values(graph, f.r, f.values)[None], [measure])[0])
 
 
 def equilibrium_residuals(space: SftSpace, fs: Sequence[Potential]
                           ) -> list[float]:
     """|h(mu_f) + int f dmu_f - P(f)|, the variational-principle defect, for
-    each potential in input order; the transfer matrices of one block graph
-    share one eigendecomposition call, and every MarkovMeasure is built."""
-    return [abs(ks_entropy(mu) + equilibrium_mean(space, f, mu) - p)
-            for f, (mu, p) in zip(fs, _equilibria(space, fs))]
+    each potential in input order; per batch, the transfer matrices share
+    one eigendecomposition call, the measures one :func:`markov_measures`
+    call, and the entropies and edge-flow means are computed as stacks."""
+    out: list = [None] * len(fs)
+    for graph, rows, values, mus, p in _equilibria(space, fs):
+        res = np.abs(ks_entropies(mus) + _edge_flow_means(graph, values, mus)
+                     - np.array(p))
+        for i, v in zip(rows, res.tolist()):
+            out[i] = v
+    return out
 
 
 def equilibrium_residual(space: SftSpace, f: Potential) -> float:

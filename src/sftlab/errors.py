@@ -61,6 +61,10 @@ class SpaceMismatch(SftLabError, ValueError):
     """A potential was handed to a solve on a space it is not defined on."""
 
 
+class PerronNotPositive(SftLabError, ArithmeticError):
+    """An eigensolver returned a Perron vector with a non-positive entry."""
+
+
 class OutsideLf(SftLabError):
     """Level value lies outside the range of ergodic averages."""
 

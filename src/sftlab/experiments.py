@@ -412,6 +412,14 @@ def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
     )
 
 
+def _count(params: dict, default: int) -> int:
+    """The ``count`` param: a number of trials, which must be positive."""
+    count = params.get("count", default)
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    return count
+
+
 def _trials_by_space(draws: list[tuple[int, int]]):
     """For each alphabet size m among the (m, r) draws, in increasing order:
     the full m-shift and the indices of the trials that drew m."""
@@ -423,7 +431,7 @@ def _trials_by_space(draws: list[tuple[int, int]]):
 @experiment("thm1_6_equilibrium",
             "equilibrium states: variational identity and entropy comparisons")
 def thm1_6_equilibrium(params: dict, seed: int) -> ExperimentResult:
-    count = params.get("count", 50)
+    count = _count(params, 50)
     rng = np.random.default_rng(seed)
     draws = [(int(rng.integers(2, 5)), int(rng.integers(1, 3)))
              for _ in range(count)]
@@ -457,7 +465,7 @@ def thm1_6_equilibrium(params: dict, seed: int) -> ExperimentResult:
             "maximum mean cycle against the periodic-orbit oracle, exact")
 def karp_oracle(params: dict, seed: int) -> ExperimentResult:
     rng = np.random.default_rng(seed)
-    count = params.get("count", 100)
+    count = _count(params, 100)
     draws = []
     for _ in range(count):
         m = int(rng.integers(2, 7))

@@ -32,19 +32,63 @@ def rng_from(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(_seed_seq(*entropy))
 
 
-def _stationary_vector(Q: np.ndarray) -> np.ndarray:
-    """The stationary row vector of a stochastic matrix, spanning the null
-    space of Q^T - I (its last right singular vector).  A second singular
+def _flag(bad: np.ndarray, message: str, error=ValueError) -> None:
+    """Raise error(message) when a row of a stack is bad, naming the first
+    such row when the stack has more than one."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise error(message + (f" (row {rows[0]})" if len(bad) > 1 else ""))
+
+
+def _stationary_vectors(Q: np.ndarray) -> np.ndarray:
+    """The stationary row vector of each stochastic matrix of a stack
+    (B, m, m), spanning the null space of Q^T - I (its last right singular
+    vector), from one stacked SVD call: LAPACK solves each matrix on its
+    own, so a row's vector does not depend on its stack.  A second singular
     value that is zero at numpy's matrix_rank tolerance means more than one
     closed class, and raises."""
-    m = Q.shape[0]
-    _, sing, vt = np.linalg.svd(Q.T - np.eye(m))
-    if m > 1 and sing[-2] <= m * np.finfo(float).eps * sing[0]:
-        raise StationaryNotUnique(
-            "stochastic matrix has more than one closed class, so its"
-            " stationary vector is not unique")
-    v = np.clip(vt[-1] / vt[-1].sum(), 0.0, None)
-    return v / v.sum()
+    m = Q.shape[-1]
+    _, sing, vt = np.linalg.svd(np.swapaxes(Q, 1, 2) - np.eye(m))
+    if m > 1:
+        _flag(sing[:, -2] <= m * np.finfo(float).eps * sing[:, 0],
+              "stochastic matrix has more than one closed class, so its"
+              " stationary vector is not unique", StationaryNotUnique)
+    v = np.clip(vt[:, -1] / vt[:, -1].sum(axis=1, keepdims=True), 0.0, None)
+    return v / v.sum(axis=1, keepdims=True)
+
+
+def _checked(space: SftSpace, Q: np.ndarray, pi: Optional[np.ndarray]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """MarkovMeasure's checks, each once over a stack of stochastic matrices
+    (B, m, m) and of stationary vectors (B, m) or None: the clipped stacks,
+    the missing vectors solved and normalised."""
+    if Q.ndim != 3 or Q.shape[1:] != (space.m, space.m):
+        raise ValueError("stochastic matrix shape mismatch")
+    _flag(~np.isfinite(Q).all(axis=(1, 2)),
+          "stochastic matrix entries must be finite")
+    _flag((Q < -1e-15).any(axis=(1, 2)), "negative transition probability")
+    Q = np.clip(Q, 0.0, None)
+    _flag((np.abs(Q.sum(axis=2) - 1.0) > MarkovMeasure.ROW_TOL).any(axis=1),
+          "rows must sum to 1 within 1e-12")
+    _flag(((Q > 0) & (space.transition == 0)).any(axis=(1, 2)),
+          "support leaks outside the transition matrix")
+    solved = pi is None
+    if solved:
+        pi = _stationary_vectors(Q)
+    if pi.shape != (len(Q), space.m):
+        raise ValueError("stationary vector shape mismatch")
+    _flag(~np.isfinite(pi).all(axis=1),
+          "stationary vector entries must be finite")
+    _flag((pi < -1e-15).any(axis=1)
+          | (np.abs(pi.sum(axis=1) - 1.0) > MarkovMeasure.ROW_TOL),
+          "stationary vector must be a probability vector")
+    pi = np.clip(pi, 0.0, None)
+    if solved:
+        pi = pi / pi.sum(axis=1, keepdims=True)
+    _flag((np.abs((pi[:, None, :] @ Q)[:, 0] - pi)
+           > MarkovMeasure.STATIONARY_TOL).any(axis=1),
+          "stationarity residual above 1e-10")
+    return Q, pi
 
 
 # --------------------------- Markov measures ---------------------------
@@ -53,41 +97,25 @@ def _stationary_vector(Q: np.ndarray) -> np.ndarray:
 class MarkovMeasure:
     """Row-stochastic matrix supported inside the transition matrix, plus its
     stationary vector, kept as given (a computed one is normalised).
-    Ergodic whenever the support graph is strongly connected."""
+    Ergodic whenever the support graph is strongly connected.  A measure is
+    the one-row case of :func:`markov_measures`."""
 
     ROW_TOL = 1e-12
     STATIONARY_TOL = 1e-10
 
     def __init__(self, space: SftSpace, stochastic: Sequence[Sequence[float]],
                  stationary: Optional[Sequence[float]] = None):
-        Q = np.array(stochastic, dtype=float)
-        if Q.shape != (space.m, space.m):
-            raise ValueError("stochastic matrix shape mismatch")
-        if (Q < -1e-15).any():
-            raise ValueError("negative transition probability")
-        Q = np.clip(Q, 0.0, None)
-        if np.abs(Q.sum(axis=1) - 1.0).max() > self.ROW_TOL:
-            raise ValueError("rows must sum to 1 within 1e-12")
-        if ((Q > 0) & (space.transition == 0)).any():
-            raise ValueError("support leaks outside the transition matrix")
-        pi = (np.array(stationary, dtype=float) if stationary is not None
-              else _stationary_vector(Q))
-        if pi.shape != (space.m,):
-            raise ValueError("stationary vector shape mismatch")
-        if (pi < -1e-15).any() or abs(pi.sum() - 1.0) > self.ROW_TOL:
-            raise ValueError("stationary vector must be a probability vector")
-        pi = np.clip(pi, 0.0, None)
-        if stationary is None:
-            pi = pi / pi.sum()
-        if np.abs(pi @ Q - pi).max() > self.STATIONARY_TOL:
-            raise ValueError("stationarity residual above 1e-10")
-        self.space = space
-        self.stochastic = Q
-        self.stationary = pi
-        self.stochastic.setflags(write=False)
-        self.stationary.setflags(write=False)
-        self._row_cum = np.cumsum(Q, axis=1)
-        self._pi_cum = np.cumsum(pi)
+        vars(self).update(vars(markov_measures(
+            space, [stochastic], None if stationary is None else [stationary]
+        )[0]))
+
+    @classmethod
+    def _of(cls, space: SftSpace, Q: np.ndarray, pi: np.ndarray,
+            row_cum: np.ndarray, pi_cum: np.ndarray) -> "MarkovMeasure":
+        mu = cls.__new__(cls)  # one row of checked, read-only stacks
+        mu.space, mu.stochastic, mu.stationary = space, Q, pi
+        mu._row_cum, mu._pi_cum = row_cum, pi_cum
+        return mu
 
     # -- constructors --
 
@@ -157,6 +185,24 @@ class MarkovMeasure:
 
     def __repr__(self) -> str:
         return f"MarkovMeasure(m={self.space.m}, h={ks_entropy(self):.4f})"
+
+
+def markov_measures(space: SftSpace, stochastic, stationary=None
+                    ) -> list[MarkovMeasure]:
+    """The Markov measure of each row of a stack of stochastic matrices
+    (B, m, m) with, optionally, their stationary vectors (B, m), each as
+    ``MarkovMeasure(space, stochastic[i], stationary[i])`` builds it, bit for
+    bit.  The checks run once over the stack, and an error names the first
+    failing row of a stack of more than one; the missing stationary vectors
+    come from one stacked SVD call.  The measures hold rows of the read-only
+    stacks."""
+    Q, pi = _checked(space, np.asarray(stochastic, dtype=float),
+                     None if stationary is None
+                     else np.asarray(stationary, dtype=float))
+    Q.setflags(write=False)
+    pi.setflags(write=False)
+    return [MarkovMeasure._of(space, *row) for row in zip(
+        Q, pi, np.cumsum(Q, axis=2), np.cumsum(pi, axis=1))]
 
 
 # --------------------------- empirical measures ---------------------------
@@ -289,13 +335,20 @@ def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
 # --------------------------- entropy ---------------------------
 
 
-def ks_entropy(mu: MarkovMeasure) -> float:
-    """Kolmogorov-Sinai entropy of a Markov measure, natural logarithm."""
-    Q = mu.stochastic
-    pi = mu.stationary
+def ks_entropies(mus: Sequence[MarkovMeasure]) -> np.ndarray:
+    """Kolmogorov-Sinai entropy of each Markov measure of one alphabet size,
+    natural logarithm, from their stacked arrays: each row's pi @ plogp is
+    the dot product a single measure takes."""
+    Q = np.stack([mu.stochastic for mu in mus])
+    pi = np.stack([mu.stationary for mu in mus])
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(Q > 0, Q * np.log(Q), 0.0)
-    return float(-(pi @ plogp.sum(axis=1)))
+    return -(pi[:, None, :] @ plogp.sum(axis=2)[:, :, None])[:, 0, 0]
+
+
+def ks_entropy(mu: MarkovMeasure) -> float:
+    """The one-measure case of :func:`ks_entropies`."""
+    return float(ks_entropies([mu])[0])
 
 
 # --------------------------- sampling ---------------------------

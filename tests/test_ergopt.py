@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab import ergopt
-from sftlab.errors import OutsideLf, SpaceMismatch
+from sftlab.errors import OutsideLf, PerronNotPositive, SftLabError, SpaceMismatch
 from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
-                           _find_cycle, _integer_weights, _maxplus_best_mean,
+                           _equilibria, _find_cycle, _integer_weights, _maxplus_best_mean,
                            _maxplus_step, _optimum, _perron, _simple_cycles,
                            beta, betas, block_graph, brute_force_beta,
                            brute_force_betas, classify_smr, coboundary_shift,
@@ -22,6 +22,9 @@ from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
 from sftlab.experiments import _csv, run_experiment
 from sftlab.measures import MarkovMeasure, ks_entropy
 from sftlab.shift import SftSpace, Word
+
+from measure_oracles import (loop_equilibrium_mean, per_measure_entropy,
+                             per_row_equilibria, per_row_residuals)
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -249,6 +252,20 @@ def mixed_batches(draw):
     for kind in draw(st.permutations(kinds)):
         r = draw(st.sampled_from(depths))
         fs.append(Potential(space, r, {w.symbols: float(draw(kind))
+                                       for w in space.words(r)}))
+    return space, fs
+
+
+@st.composite
+def equilibrium_batches(draw):
+    """A space and 1-6 potentials on it with values in [-3, 3], of the
+    depths MAXPLUS_CASES pairs with it."""
+    space = draw(st.sampled_from(list(dict.fromkeys(s for s, _ in MAXPLUS_CASES))))
+    depths = [r for s, r in MAXPLUS_CASES if s is space]
+    fs = []
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(st.sampled_from(depths))
+        fs.append(Potential(space, r, {w.symbols: draw(st.floats(-3, 3))
                                        for w in space.words(r)}))
     return space, fs
 
@@ -503,6 +520,60 @@ class TestEquilibrium:
         got = run_experiment("thm1_6_equilibrium", 7, {"count": 200})
         assert got.tables["residuals.csv"] == _csv(
             ["trial", "m", "r", "residual"], rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(equilibrium_batches())
+    def test_batch_equals_per_row_oracle(self, case):
+        space, fs = case
+        assert equilibrium_residuals(space, fs) == per_row_residuals(space, fs)
+        for f, (want, p) in zip(fs, per_row_equilibria(space, fs)):
+            mu = equilibrium_state(space, f)
+            assert np.array_equal(mu.stochastic, want.stochastic)
+            assert np.array_equal(mu.stationary, want.stationary)
+            assert ks_entropy(mu) == per_measure_entropy(want)
+            assert equilibrium_mean(space, f, mu) == loop_equilibrium_mean(
+                space, f, want)
+
+    def test_experiment_draws_equal_per_row_oracle(self):
+        rng = np.random.default_rng(21)
+        draws = [(int(rng.integers(2, 5)), int(rng.integers(1, 3)))
+                 for _ in range(300)]
+        for m in (2, 3, 4):
+            space = SftSpace.full_shift(m)
+            fs = [random_potential(space, r, seed=21 * 1000 + t,
+                                   integer=False, low=-2, high=2)
+                  for t, (mt, r) in enumerate(draws) if mt == m]
+            assert equilibrium_residuals(space, fs) == per_row_residuals(
+                space, fs)
+
+    def test_depth3_batch_shares_one_block_space(self):
+        fs = [random_potential(FULL2, 3, seed=90 + i, integer=False,
+                               low=-2, high=2) for i in range(5)]
+        (_, rows, _, mus, _), = _equilibria(FULL2, fs)
+        assert rows == list(range(5))
+        assert len({id(mu.space) for mu in mus}) == 1
+        assert mus[0].space.m == 4
+        for f, mu in zip(fs, mus):
+            one = equilibrium_state(FULL2, f)
+            assert np.array_equal(mu.stochastic, one.stochastic)
+            assert np.array_equal(mu.stationary, one.stationary)
+
+    def test_ill_conditioned_perron_vector_named(self):
+        # eig returns an entry of about -1e-16 for a vector spanning 1e-17..1
+        bad = random_potential(FULL2, 4, seed=3, integer=False)
+        assert issubclass(PerronNotPositive, SftLabError)
+        assert issubclass(PerronNotPositive, ArithmeticError)
+        with pytest.raises(PerronNotPositive, match=r"^potential 0: .* -\d"):
+            equilibrium_state(FULL2, bad)
+        good = random_potential(FULL2, 4, seed=1, integer=False)
+        with pytest.raises(PerronNotPositive, match="^potential 2: "):
+            equilibrium_residuals(FULL2, [good, good, bad])
+
+    @pytest.mark.parametrize("name", ["thm1_6_equilibrium", "karp_oracle"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_count_rejected(self, name, count):
+        with pytest.raises(ValueError, match=f"count must be positive, got {count}"):
+            run_experiment(name, 7, {"count": count})
 
     def test_mean_potential_agrees_with_edge_flow(self):
         f = random_potential(FULL2, 2, seed=6, integer=False)

@@ -14,13 +14,15 @@ from sftlab.errors import (DepthExceedsEmpirical, ShortFamily, SftLabError,
                            StationaryNotUnique)
 from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                              _batch_weak_star, cylinder_weights,
-                             interpolate, ks_entropy, refine_path,
+                             interpolate, ks_entropies, ks_entropy,
+                             markov_measures, refine_path,
                              rng_from, sample_word, sample_words_batch,
                              typical_separated_family, weak_star_counts,
                              weak_star_dist)
 from sftlab.shift import SftSpace, Word, delta_separated, word_columns
 
 from dict_empirical import DictEmpiricalMeasure, dict_empirical
+from measure_oracles import per_matrix_measure, per_measure_entropy
 from word_oracles import word_typical_separated_family
 
 FULL2 = SftSpace.full_shift(2)
@@ -109,6 +111,105 @@ class TestEntropy:
             mu = MarkovMeasure.bernoulli(FULL2, [1 - p, p])
             expected = -p * math.log(p) - (1 - p) * math.log(1 - p)
             assert ks_entropy(mu) == pytest.approx(expected, abs=1e-12)
+
+
+# full shifts, the golden mean and a primitive 3-symbol SFT
+STACK_SPACES = [FULL2, SftSpace.full_shift(3), SftSpace.full_shift(4), GOLDEN,
+                SftSpace([[0, 1, 0], [0, 0, 1], [1, 1, 1]])]
+
+
+@st.composite
+def markov_stacks(draw):
+    """A space and a stack of 1-6 stochastic matrices supported inside its
+    transitions, whose rows may have zero entries."""
+    space = draw(st.sampled_from(STACK_SPACES))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        W = np.array([[draw(weight) if a else 0.0 for a in row]
+                      for row in space.transition])
+        for i in np.flatnonzero(W.sum(axis=1) == 0):
+            W[i, space.successors(i)[0]] = 1.0
+        stack.append(W / W.sum(axis=1, keepdims=True))
+    return space, np.array(stack)
+
+
+def assert_rows_equal(mus, oracles):
+    assert len(mus) == len(oracles)
+    for mu, want in zip(mus, oracles):
+        for name in ("stochastic", "stationary", "_row_cum", "_pi_cum"):
+            assert np.array_equal(getattr(mu, name), getattr(want, name)), name
+
+
+class TestMarkovMeasureStack:
+    @settings(max_examples=200, deadline=None)
+    @given(markov_stacks())
+    def test_equals_per_matrix_oracle(self, case):
+        space, Q = case
+        unique = []
+        for i, row in enumerate(Q):
+            try:
+                unique.append(per_matrix_measure(space, row))
+            except StationaryNotUnique:
+                where = rf" \(row {i}\)" if len(Q) > 1 else ""
+                with pytest.raises(StationaryNotUnique,
+                                   match=f"more than one closed.*unique{where}$"):
+                    markov_measures(space, Q)
+                return
+        assert_rows_equal(markov_measures(space, Q), unique)
+        pi = np.array([mu.stationary for mu in unique])
+        assert_rows_equal(markov_measures(space, Q, pi), [
+            per_matrix_measure(space, q, p) for q, p in zip(Q, pi)])
+        assert_rows_equal([MarkovMeasure(space, q) for q in Q], unique)
+        assert ks_entropies(markov_measures(space, Q)).tolist() == [
+            per_measure_entropy(mu) for mu in unique]
+
+    def test_rows_are_read_only(self):
+        mu, = markov_measures(FULL2, [[[0.5, 0.5], [0.5, 0.5]]])
+        assert not mu.stochastic.flags.writeable
+        assert not mu.stationary.flags.writeable
+
+    def test_two_closed_classes_name_the_row(self):
+        good = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
+        two = [[1, 0, 0], [0.5, 0, 0.5], [0, 0, 1]]
+        with pytest.raises(StationaryNotUnique,
+                           match=r"more than one closed.*\(row 1\)"):
+            markov_measures(SftSpace.full_shift(3), [good, two, good])
+
+    def test_checks_name_the_row(self):
+        good = [[0.5, 0.5], [0.5, 0.5]]
+        with pytest.raises(ValueError, match=r"rows must sum.*\(row 2\)"):
+            markov_measures(FULL2, [good, good, [[0.6, 0.3], [0.5, 0.5]]])
+        with pytest.raises(ValueError, match=r"leaks.*\(row 1\)"):
+            markov_measures(GOLDEN, [[[0.5, 0.5], [1, 0]], good])
+        with pytest.raises(ValueError, match=r"residual.*\(row 0\)"):
+            markov_measures(FULL2, [[[0.9, 0.1], [0.1, 0.9]], good],
+                            [[0.9, 0.1], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="stationary vector shape"):
+            markov_measures(FULL2, [good, good], [[0.5, 0.5]])
+
+    def test_non_finite_stochastic_named(self):
+        nan = float("nan")
+        with pytest.raises(ValueError,
+                           match="^stochastic matrix entries must be finite$"):
+            MarkovMeasure(FULL2, [[nan, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError,
+                           match=r"stochastic matrix .* finite \(row 1\)"):
+            markov_measures(FULL2, [[[0.5, 0.5], [0.5, 0.5]],
+                                    [[0.5, 0.5], [float("inf"), 0.5]]])
+
+    def test_non_finite_stationary_named(self):
+        uniform = [[0.5, 0.5], [0.5, 0.5]]
+        with pytest.raises(ValueError,
+                           match="^stationary vector entries must be finite$"):
+            MarkovMeasure(FULL2, uniform, [float("nan"), 1.0])
+        text = '{"stochastic": [[0.5, 0.5], [0.5, 0.5]], "stationary": [NaN, NaN]}'
+        with pytest.raises(ValueError, match="stationary vector .* finite"):
+            MarkovMeasure.from_json(FULL2, text)
+        with pytest.raises(ValueError,
+                           match=r"stationary vector .* finite \(row 1\)"):
+            markov_measures(FULL2, [uniform, uniform],
+                            [[0.5, 0.5], [0.5, float("nan")]])
 
 
 class TestWeakStar:
