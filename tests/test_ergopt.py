@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab import ergopt
-from sftlab.errors import OutsideLf, PerronNotPositive, SftLabError, SpaceMismatch
+from sftlab.errors import (OutsideLf, PerronNotPositive, SftLabError,
+                           SpaceMismatch)
 from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
-                           _equilibria, _find_cycle, _integer_weights, _maxplus_best_mean,
-                           _maxplus_step, _optimum, _perron, _simple_cycles,
-                           beta, betas, block_graph, brute_force_beta,
+                           _equilibria, _find_cycle, _integer_weights,
+                           _maxplus_best_mean, _maxplus_step, _optimum,
+                           _perron, _simple_cycles, beta, betas,
+                           block_graph, brute_force_beta,
                            brute_force_betas, classify_smr, coboundary_shift,
                            equilibrium_mean, equilibrium_residual,
                            equilibrium_residuals, equilibrium_state,
@@ -260,7 +262,8 @@ def mixed_batches(draw):
 def equilibrium_batches(draw):
     """A space and 1-6 potentials on it with values in [-3, 3], of the
     depths MAXPLUS_CASES pairs with it."""
-    space = draw(st.sampled_from(list(dict.fromkeys(s for s, _ in MAXPLUS_CASES))))
+    space = draw(st.sampled_from(list(dict.fromkeys(
+        s for s, _ in MAXPLUS_CASES))))
     depths = [r for s, r in MAXPLUS_CASES if s is space]
     fs = []
     for _ in range(draw(st.integers(1, 6))):
@@ -572,7 +575,8 @@ class TestEquilibrium:
     @pytest.mark.parametrize("name", ["thm1_6_equilibrium", "karp_oracle"])
     @pytest.mark.parametrize("count", [0, -3])
     def test_non_positive_count_rejected(self, name, count):
-        with pytest.raises(ValueError, match=f"count must be positive, got {count}"):
+        with pytest.raises(ValueError,
+                           match=f"count must be positive, got {count}"):
             run_experiment(name, 7, {"count": count})
 
     def test_mean_potential_agrees_with_edge_flow(self):

@@ -152,8 +152,9 @@ class TestMarkovMeasureStack:
                 unique.append(per_matrix_measure(space, row))
             except StationaryNotUnique:
                 where = rf" \(row {i}\)" if len(Q) > 1 else ""
-                with pytest.raises(StationaryNotUnique,
-                                   match=f"more than one closed.*unique{where}$"):
+                with pytest.raises(
+                        StationaryNotUnique,
+                        match=f"more than one closed.*unique{where}$"):
                     markov_measures(space, Q)
                 return
         assert_rows_equal(markov_measures(space, Q), unique)
@@ -203,7 +204,8 @@ class TestMarkovMeasureStack:
         with pytest.raises(ValueError,
                            match="^stationary vector entries must be finite$"):
             MarkovMeasure(FULL2, uniform, [float("nan"), 1.0])
-        text = '{"stochastic": [[0.5, 0.5], [0.5, 0.5]], "stationary": [NaN, NaN]}'
+        text = ('{"stochastic": [[0.5, 0.5], [0.5, 0.5]],'
+                ' "stationary": [NaN, NaN]}')
         with pytest.raises(ValueError, match="stationary vector .* finite"):
             MarkovMeasure.from_json(FULL2, text)
         with pytest.raises(ValueError,
