@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Degenerate, NotRecurrent, WordsTooShort, ZeroCylinder
 from .measures import EmpiricalMeasure, MarkovMeasure
-from .shift import SftSpace, Word, _symbols, word_columns
+from .shift import SftSpace, Word, _symbols, window_columns
 
 
 def empirical(space: SftSpace, x: Union[Word, np.ndarray], n: int,
@@ -25,7 +25,7 @@ def empirical(space: SftSpace, x: Union[Word, np.ndarray], n: int,
         raise ValueError("n must be positive")
     if len(x) < n + depth - 1:
         raise WordsTooShort(f"need length >= {n + depth - 1}, got {len(x)}")
-    cols = word_columns(space, sliding_window_view(_symbols(x), depth)[:n])
+    cols = window_columns(space, _symbols(x)[:n + depth - 1], depth)
     return EmpiricalMeasure(space, depth, np.bincount(
         cols, minlength=len(space.word_table(depth))))
 
@@ -39,7 +39,7 @@ def birkhoff_avg(x: Union[Word, np.ndarray], f, n: int) -> float:
     r = f.r
     if len(x) < n + r - 1:
         raise WordsTooShort(f"need length >= {n + r - 1}, got {len(x)}")
-    cols = word_columns(f.space, sliding_window_view(_symbols(x), r)[:n])
+    cols = window_columns(f.space, _symbols(x)[:n + r - 1], r)
     return sum(f.values[cols].tolist()) / n
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,7 +15,8 @@ from .errors import SingularProduct
 from .ergopt import topological_entropy
 from .measures import MarkovMeasure, sample_word
 from .gluing import _member_prefixes
-from .shift import SftSpace, Word, by_word_row, glue_spans, word_columns
+from .shift import (SftSpace, Word, _symbols, by_word_row, glue_spans,
+                    word_columns)
 
 
 class MatrixCocycle:
@@ -133,10 +134,11 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
     return (acc / n).tolist()
 
 
-def exponent_along(c: MatrixCocycle, x: Word, n: int, cadence: int = 32) -> float:
-    """(1/n) log ||product of the first n generators along x||: the one-row
-    case of :func:`exponents_along`."""
-    return exponents_along(c, x.to_array()[None, :], n, cadence)[0]
+def exponent_along(c: MatrixCocycle, x: Union[Word, np.ndarray], n: int,
+                   cadence: int = 32) -> float:
+    """(1/n) log ||product of the first n generators along a word or 1-d
+    symbol array x||: the one-row case of :func:`exponents_along`."""
+    return exponents_along(c, _symbols(x)[None, :], n, cadence)[0]
 
 
 def periodic_exponent(c: MatrixCocycle, cycle: Word) -> float:
@@ -261,8 +263,9 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     ref = sample_word(mu, horizon, seed)
     # row 0 is ref; member rows are their glued prefix, then the shared tail
     rows = np.empty((1 + len(family), horizon), dtype=dtype)
-    rows[0] = ref.to_array()
-    rows[1:, :prefix_len] = _member_prefixes(space, anchor, family, ref[0], gap)
+    rows[0] = ref
+    rows[1:, :prefix_len] = _member_prefixes(space, anchor, family,
+                                             int(ref[0]), gap)
     rows[1:, prefix_len:] = rows[0, :tail_len]
     rows.flags.writeable = False
 

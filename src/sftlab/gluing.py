@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
@@ -45,7 +44,8 @@ from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts)
 from .shift import (SftSpace, SymbolStream, Word, _glue_pieces, _prefix_rows,
-                    bridge, distinct_rows, glue, glue_spans, word_columns)
+                    _symbols, bridge, distinct_rows, glue, glue_spans,
+                    window_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 LEAF_ENUMERATION_CAP = 200_000  # BranchTree.leaves walks no larger tree
@@ -423,20 +423,21 @@ def _mix(*parts: int) -> int:
 
 
 def _draw_block(st: Stage, depth: int, stage_idx: int, rep: int,
-                seed: int) -> Word:
+                seed: int) -> np.ndarray:
     """Sample a block from the stage measure, redrawing until its own
     empirical measure is within zeta of the source at the checking depth
-    (windows counted in the measure's space)."""
+    (windows counted in the measure's space); the block is the read-only
+    symbol array :func:`sample_word` returns."""
+    space = st.alpha.space
+    words = len(space.word_table(depth))
     best_d = math.inf
     for attempt in range(_BLOCK_ATTEMPTS):
-        w = sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
-        cols = word_columns(st.alpha.space,
-                            sliding_window_view(w.to_array(), depth))
-        # one count row; columns past the last word seen count zero
-        d = weak_star_counts(np.bincount(cols)[None], st.n - depth + 1,
-                             st.alpha, depth)[0]
+        x = sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
+        counts = np.bincount(window_columns(space, x, depth), minlength=words)
+        d = weak_star_counts(counts[None], st.n - depth + 1, st.alpha,
+                             depth)[0]
         if d <= st.zeta:
-            return w
+            return x
         best_d = min(best_d, d)
     raise InfeasibleParams(
         f"stage {stage_idx}: no draw within zeta={st.zeta} after "
@@ -444,9 +445,11 @@ def _draw_block(st: Stage, depth: int, stage_idx: int, rep: int,
         f"block length or zeta")
 
 
-def _stage_words(s: GluingSchedule, seed: int) -> Iterator[Word]:
-    """The stage part's blocks and tours in order (no prologue), infinite
-    and deterministic in seed; blocks are drawn as they are pulled."""
+def _stage_words(s: GluingSchedule,
+                 seed: int) -> Iterator[Union[np.ndarray, Word]]:
+    """The stage part's blocks (symbol arrays) and tours in order (no
+    prologue), infinite and deterministic in seed; blocks are drawn as they
+    are pulled."""
     k = 1
     while True:
         st = s._stage_at(k)
@@ -465,7 +468,7 @@ def emit_point(s: GluingSchedule, seed: int,
     if family_word is not None:
         _check_slot(s, _family_rows(s.space, [family_word]))
 
-    def factory() -> Iterator[tuple[int, ...]]:
+    def factory() -> Iterator[Sequence[int]]:
         prologue = [w for w in (s.anchor, family_word) if w is not None]
         return _glue_pieces(s.space,
                             itertools.chain(prologue, _stage_words(s, seed)),
@@ -691,7 +694,7 @@ def family_tracking_report(s: GluingSchedule,
     p = pre.shape[1]
     # the tail windows the last checkpoint reads, and at least one window
     t = tail.materialize(max(cps[-1] - p, 1) + L - 1)
-    tail_cols = word_columns(s.space, sliding_window_view(t, L))
+    tail_cols = window_columns(s.space, t, L)
     head = np.hstack([pre, np.broadcast_to(t[:L - 1], (len(rows), L - 1))])
     pre_counts = window_counts(s.space, head, L, {min(n, p) for n in cps})
     observed = np.empty((len(rows), len(cps)))
@@ -1062,9 +1065,10 @@ def _check_two_orbit(space: SftSpace, lambda1: Word, lambda2: Word,
     return eps_star, xi_list
 
 
-# A two-orbit plan piece: a Word every member shares, or a private
-# (slot, length) run that each member fills with the orbit xi[slot] selects.
-_Piece = Union[Word, tuple[int, int]]
+# A two-orbit plan piece: a symbol array or Word every member shares, or a
+# private (slot, length) run that each member fills with the orbit xi[slot]
+# selects.
+_Piece = Union[np.ndarray, Word, tuple[int, int]]
 
 
 def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
@@ -1076,15 +1080,14 @@ def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
     bridges.  Also the span of each piece in the glued plan, which no xi
     changes."""
     gap = space.primitivity_index
-    slots = 1 + max((p[0] for p in plan if not isinstance(p, Word)),
-                    default=-1)
+    slots = 1 + max((p[0] for p in plan if isinstance(p, tuple)), default=-1)
     for xi in xis:
         if len(xi) < slots:
             raise ValueError(
                 f"xi prefix length {len(xi)} < {slots} orbit selections")
     dtype = space.symbol_dtype
-    shared = {i: p.to_array().astype(dtype) for i, p in enumerate(plan)
-              if isinstance(p, Word)}
+    shared = {i: _symbols(p).astype(dtype, copy=False)
+              for i, p in enumerate(plan) if not isinstance(p, tuple)}
     cycles = [o.to_array().astype(dtype) for o in orbits]
     runs: dict[tuple[int, int], np.ndarray] = {}   # (orbit, length)
     bridges: dict[tuple[int, int], np.ndarray] = {}
@@ -1116,7 +1119,7 @@ def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
         x = np.concatenate(parts)[:horizon] if parts else np.empty(0, dtype)
         x.flags.writeable = False
         members[xi] = x
-    spans = glue_spans((len(p) if isinstance(p, Word) else p[1]
+    spans = glue_spans((p[1] if isinstance(p, tuple) else len(p)
                         for p in plan), gap)
     return members, spans
 
@@ -1172,12 +1175,16 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     anchor_len = len(anchor) if anchor is not None else 0
 
     # static per-stage parameters, independent of repetition counts
+    tours: dict[int, Word] = {}  # one tour per depth
     params = []
     for k in range(1, 33):
         zeta = 2.0 ** -(k + 1)
         eps = min(2.0 ** -(k + 1), eps_star / 2 ** (k + 2))
         ntilde = max(6, gap, 2 * maxp)
-        tour = dense_tour(space, min(k, max_tour_depth))
+        depth = min(k, max_tour_depth)
+        if depth not in tours:
+            tours[depth] = dense_tour(space, depth)
+        tour = tours[depth]
         n_k = max(gap, min_block_len, L,
                   math.ceil((len(tour) + k * ntilde) / zeta),
                   math.ceil((L - 1) / max(eps, 1e-9)),

@@ -115,6 +115,8 @@ class MarkovMeasure:
         mu = cls.__new__(cls)  # one row of checked, read-only stacks
         mu.space, mu.stochastic, mu.stationary = space, Q, pi
         mu._row_cum, mu._pi_cum = row_cum, pi_cum
+        mu._walk = None  # _walk(mu), built at the first sample_word
+        mu._cyl_probs = {}  # depth: cylinder_probs(depth)
         return mu
 
     # -- constructors --
@@ -157,6 +159,26 @@ class MarkovMeasure:
         for a, b in zip(s, s[1:]):
             p *= self.stochastic[a, b]
         return float(p)
+
+    def cylinder_probs(self, depth: int) -> np.ndarray:
+        """:meth:`cylinder_prob` of each cylinder of
+        :func:`cylinder_weights`, in its order and with its float
+        operations: the length-n cylinders are the rows of
+        ``space.word_table(n)``, whose stationary masses are multiplied by
+        their transitions left to right.  One read-only vector, cached per
+        depth."""
+        probs = self._cyl_probs.get(depth)
+        if probs is None:
+            parts = []
+            for n in range(1, depth + 1):
+                table = self.space.word_table(n)
+                p = self.stationary[table[:, 0]]
+                for j in range(1, n):
+                    p = p * self.stochastic[table[:, j - 1], table[:, j]]
+                parts.append(p)
+            probs = self._cyl_probs[depth] = np.concatenate(parts)
+            probs.setflags(write=False)
+        return probs
 
     @property
     def is_ergodic(self) -> bool:
@@ -247,6 +269,18 @@ class EmpiricalMeasure:
         run = (self.space.word_table(self.depth)[:, :len(s)] == s).all(axis=1)
         return int(self.counts[run].sum()) / self.total
 
+    def cylinder_probs(self, depth: int) -> np.ndarray:
+        """:meth:`cylinder_prob` of each cylinder of
+        :func:`cylinder_weights` at a depth up to the measure's: each
+        cylinder's run of the count row, summed from one prefix sum, over
+        the total."""
+        if depth > self.depth:
+            raise DepthExceedsEmpirical(
+                f"empirical depth {self.depth} < requested {depth}")
+        size = len(_cylinders(self.space, depth)[0])
+        _, _, lo, hi = _cylinders(self.space, self.depth)
+        return _run_sums(self.counts, lo[:size], hi[:size]) / self.total
+
     def __repr__(self) -> str:
         return f"EmpiricalMeasure(depth={self.depth}, total={self.total})"
 
@@ -256,21 +290,46 @@ MeasureLike = Union[MarkovMeasure, EmpiricalMeasure]
 
 # --------------------------- the weak* metric ---------------------------
 
-def cylinder_weights(space: SftSpace, depth: int) -> list[tuple[tuple[int, ...], float]]:
-    """Admissible cylinders of length 1..depth in (length, lex) order with
-    their weights 2**-(j+1), j the 1-based enumeration index, cached on the
-    space with the rows lo..hi-1 of ``space.word_table(depth)`` each one
-    prefixes: every admissible word extends, so those rows are one run."""
+def _cylinders(space: SftSpace, depth: int) -> tuple:
+    """The admissible cylinders of length 1..depth in (length, lex) order,
+    their weights 2**-(j+1) (j the 1-based enumeration index), and the rows
+    lo..hi-1 of ``space.word_table(depth)`` each one prefixes (every
+    admissible word extends, so those rows are one run): a list of tuples
+    and three read-only arrays, cached on the space."""
     if depth not in space._cyl_cache:
         table, cyls, runs = space.word_table(depth), [], []
         for n in range(1, depth + 1):
             cut = (np.flatnonzero((table[1:, :n] != table[:-1, :n]).any(axis=1))
                    + 1).tolist()
             for lo, hi in zip([0] + cut, cut + [len(table)]):
-                cyls.append((tuple(table[lo, :n].tolist()), 2.0 ** -(len(cyls) + 2)))
+                cyls.append(tuple(table[lo, :n].tolist()))
                 runs.append((lo, hi))
-        space._cyl_cache[depth] = cyls, runs
-    return space._cyl_cache[depth][0]
+        weights = np.array([2.0 ** -(j + 2) for j in range(len(cyls))])
+        lo, hi = (np.array(v, dtype=np.intp) for v in zip(*runs))
+        for a in (weights, lo, hi):
+            a.setflags(write=False)
+        space._cyl_cache[depth] = cyls, weights, lo, hi
+    return space._cyl_cache[depth]
+
+
+def cylinder_weights(space: SftSpace, depth: int) -> list[tuple[tuple[int, ...], float]]:
+    """Admissible cylinders of length 1..depth in (length, lex) order with
+    their weights 2**-(j+1), j the 1-based enumeration index."""
+    cyls, weights, _, _ = _cylinders(space, depth)
+    return list(zip(cyls, weights.tolist()))
+
+
+def _run_sums(counts: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray) -> np.ndarray:
+    """The sum of counts[..., lo[j]:hi[j]] for each run j, from one integer
+    prefix sum along the last axis, so exact."""
+    prefix = np.zeros((*counts.shape[:-1], counts.shape[-1] + 1),
+                      dtype=np.int64)
+    prefix[..., 1:] = counts
+    np.add.accumulate(prefix, axis=-1, out=prefix)
+    sums = prefix.take(hi, axis=-1)
+    sums -= prefix.take(lo, axis=-1)
+    return sums
 
 
 def window_counts(space: SftSpace, rows: np.ndarray, depth: int,
@@ -293,6 +352,9 @@ def window_counts(space: SftSpace, rows: np.ndarray, depth: int,
     return out
 
 
+_WEAK_STAR_ROWS = 1 << 10  # count rows weak_star_counts scores at once
+
+
 def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
                      depth: int) -> np.ndarray:
     """weak_star_dist to target of the empirical measure of each count row,
@@ -300,16 +362,39 @@ def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
     out of total (a scalar or one total per row).
 
     A cylinder's count is the sum of the contiguous word-table rows it
-    prefixes, and d += weight * |count / total - target(cyl)| runs in
-    :func:`cylinder_weights` order, the float operations of weak_star_dist.
+    prefixes, read off one prefix sum of the rows; every term
+    weight * |count / total - target(cyl)| is formed at once, and the terms
+    are summed left to right in :func:`cylinder_weights` order, the float
+    operations of weak_star_dist.  At most ``_WEAK_STAR_ROWS`` rows are
+    scored at a time, so the temporaries stay small beside the counts.
+    ValueError unless counts has exactly one column per row of
+    ``word_table(depth)`` and total is a scalar or one value per row.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    d = np.zeros(counts.shape[0])
-    cyls = cylinder_weights(target.space, depth)
-    for (lo, hi), (cyl, weight) in zip(target.space._cyl_cache[depth][1], cyls):
-        freq = counts[:, lo:hi].sum(axis=1) / total
-        d += weight * np.abs(freq - target.cylinder_prob(cyl))
+    space = target.space
+    _, weights, lo, hi = _cylinders(space, depth)
+    words = len(space.word_table(depth))
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[1] != words:
+        raise ValueError(f"counts must have one column per admissible "
+                         f"{depth}-word ({words}), got shape {counts.shape}")
+    total = np.asarray(total)
+    if total.ndim:
+        if total.shape != (len(counts),):
+            raise ValueError(f"total must be a scalar or one value per count "
+                             f"row ({len(counts)}), got shape {total.shape}")
+        total = total[:, None]
+    probs = target.cylinder_probs(depth)
+    d = np.empty(len(counts))
+    for r in range(0, len(counts), _WEAK_STAR_ROWS):
+        rows = slice(r, r + _WEAK_STAR_ROWS)
+        terms = _run_sums(counts[rows], lo, hi) / (total[rows] if total.ndim
+                                                   else total)
+        terms -= probs
+        np.abs(terms, out=terms)
+        terms *= weights
+        d[rows] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
     return d
 
 
@@ -317,7 +402,8 @@ def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
     """Truncated weighted-L1 distance over cylinder indicators.
 
     Symmetric pseudometric bounded by 1; separates measures differing on some
-    cylinder of length <= depth.
+    cylinder of length <= depth.  The terms are formed from the measures'
+    :meth:`cylinder_probs` vectors and summed left to right.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -325,11 +411,9 @@ def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
         d = side.max_depth()
         if d is not None and d < depth:
             raise DepthExceedsEmpirical(f"empirical depth {d} < metric depth {depth}")
-    space = a.space
-    total = 0.0
-    for cyl, weight in cylinder_weights(space, depth):
-        total += weight * abs(a.cylinder_prob(cyl) - b.cylinder_prob(cyl))
-    return total
+    weights = _cylinders(a.space, depth)[1]
+    terms = weights * np.abs(a.cylinder_probs(depth) - b.cylinder_probs(depth))
+    return float(np.add.accumulate(terms)[-1])
 
 
 # --------------------------- entropy ---------------------------
@@ -357,27 +441,61 @@ def ks_entropy(mu: MarkovMeasure) -> float:
 _CHAIN_CHUNK = 1 << 16  # steps per successor table in sample_word
 
 
-def sample_word(mu: MarkovMeasure, n: int, seed: int) -> Word:
-    """Length-n draw from the stationary Markov chain, deterministic in seed.
+def _walk(mu: MarkovMeasure) -> tuple[np.ndarray, list[int]]:
+    """The cut rows :func:`sample_word` searches and the states its chain
+    can visit, built at the first draw and cached on the measure.
 
-    Step t moves from state a to searchsorted(row_cum[a], u[t], "right").
-    One vectorised searchsorted per state tabulates that successor for a
-    chunk of steps, and the chain walks the table."""
+    Row a < m is state a's cumulative transition row and row m the
+    cumulative stationary vector (the start), each without its last entry,
+    so a step from a row goes to the number of its entries at or below u.
+    It goes to b for the u between entries b-1 and b (from 0 for b = 0, up
+    to 1 for b = m-1), so it can reach b exactly when that interval meets
+    [0, 1).  The visited states are those reachable from row m."""
+    if mu._walk is None:
+        m = mu.space.m
+        cuts = np.vstack([mu._row_cum, mu._pi_cum])[:, :-1]
+        lo = np.hstack([np.zeros((m + 1, 1)), cuts])
+        hi = np.hstack([cuts, np.ones((m + 1, 1))])
+        step = lo < np.minimum(hi, 1.0)
+        seen = new = step[m]
+        while new.any():
+            new = step[:m][new].any(axis=0) & ~seen
+            seen = seen | new
+        mu._walk = cuts, np.flatnonzero(seen).tolist()
+    return mu._walk
+
+
+def sample_word(mu: MarkovMeasure, n: int, seed: int) -> np.ndarray:
+    """Length-n draw from the stationary Markov chain, deterministic in
+    seed, as a read-only array of ``space.symbol_dtype``.
+
+    Step t moves from state a to min(searchsorted(row_cum[a], u[t],
+    "right"), m - 1), step 0 from pi_cum the same way: that is the number
+    of the row's first m - 1 cumulative entries at or below u[t].  One
+    vectorised searchsorted per state the walk can visit tabulates its
+    successors for a chunk of steps.  When all those states have the same
+    successors the chunk is read off the table (a point mass, a Bernoulli
+    measure); otherwise the chain walks the table."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = rng_from(seed)
-    u = rng.random(n)
-    last = mu.space.m - 1
-    state = min(int(np.searchsorted(mu._pi_cum, u[0], side="right")), last)
-    out = [state]
+    u = rng_from(seed).random(n)
+    cuts, visited = _walk(mu)
+    x = np.empty(n, dtype=mu.space.symbol_dtype)
+    x[0] = state = int(cuts[-1].searchsorted(u[0], "right"))
     for lo in range(1, n, _CHAIN_CHUNK):
         chunk = u[lo:lo + _CHAIN_CHUNK]
-        succ = [np.minimum(np.searchsorted(row, chunk, side="right"),
-                           last).tolist() for row in mu._row_cum]
-        for t in range(len(chunk)):
-            state = succ[state][t]
-            out.append(state)
-    return Word(out)
+        span = slice(lo, lo + len(chunk))
+        table = [cuts[a].searchsorted(chunk, "right") for a in visited]
+        if all(np.array_equal(row, table[0]) for row in table[1:]):
+            x[span] = table[0]  # no step depends on the state
+        else:
+            succ = [None] * mu.space.m
+            for a, row in zip(visited, table):
+                succ[a] = row.tolist()
+            x[span] = [state := succ[state][t] for t in range(len(chunk))]
+        state = int(x[span.stop - 1])
+    x.flags.writeable = False
+    return x
 
 
 def sample_words_batch(mu: MarkovMeasure, n: int, count: int, seed: int) -> np.ndarray:

@@ -127,7 +127,7 @@ class SftSpace:
         self.primitivity_index = self._compute_primitivity_index(A)
         self._reach_cache: dict[int, np.ndarray] = {0: np.eye(self.m, dtype=bool)}
         self._bridge_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._cyl_cache: dict[int, tuple[list, list]] = {}  # (weights, runs)
+        self._cyl_cache: dict[int, tuple] = {}  # measures._cylinders
         self._word_cache: dict[int, tuple] = {}  # L: (words, ranks)
         self._block_cache: dict[int, object] = {}  # ergopt.block_graph
         self._succ = [tuple(np.flatnonzero(A[i]).tolist()) for i in range(self.m)]
@@ -291,12 +291,39 @@ def _fill_words(A: np.ndarray, tails: list) -> np.ndarray:
     return table
 
 
-def _rank_sums(ranks: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Each window's rank, one gather per position; IndexError past m."""
-    cols = ranks[0, -1].take(words[..., 0])
-    for i in range(1, words.shape[-1]):
-        cols += ranks[i, words[..., i - 1], words[..., i]]
+def _rank_sums(ranks: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Each window's rank from its symbol columns (columns[i] holds the
+    windows' i-th symbols), one gather per position; IndexError past m."""
+    cols = ranks[0, -1].take(columns[0])
+    for i in range(1, len(columns)):
+        cols += ranks[i, columns[i - 1], columns[i]]
     return cols
+
+
+def _column_ranks(space: SftSpace, symbols: np.ndarray,
+                  columns: Sequence[np.ndarray],
+                  window_at: Callable[[tuple], np.ndarray]) -> np.ndarray:
+    """The count rank of each window whose i-th symbols are columns[i],
+    views of the array symbols; ValueError names ``window_at`` of the first
+    window (in C order) that is not an admissible word."""
+    L, m = len(columns), space.m
+    K = len(space.word_table(L))
+    ranks = space._word_cache[L][1]
+    try:
+        if symbols.dtype.kind == "i" and symbols.size and symbols.min() < 0:
+            raise IndexError("negative symbol")  # a gather would wrap it
+        cols = _rank_sums(ranks, columns)
+        if not cols.size or cols.max() < K:
+            return cols
+        bad = cols >= K
+    except IndexError:  # a symbol outside the alphabet
+        cols = _rank_sums(ranks, [np.clip(c, 0, m - 1) for c in columns])
+        bad = cols >= K
+        for c in columns:
+            bad |= (c < 0) | (c >= m)
+    window = window_at(np.unravel_index(bad.argmax(), bad.shape))
+    raise ValueError(f"window {tuple(window.tolist())} is not an "
+                     f"admissible {L}-word")
 
 
 def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
@@ -305,22 +332,21 @@ def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
     the rank table per position.  ValueError names the first window (in C
     order) that is not an admissible L-word."""
     words = np.asarray(words)
-    L, m = words.shape[-1], space.m
-    K = len(space.word_table(L))
-    ranks = space._word_cache[L][1]
-    try:
-        if words.dtype.kind == "i" and words.size and words.min() < 0:
-            raise IndexError("negative symbol")  # a gather would wrap it
-        cols = _rank_sums(ranks, words)
-        bad = cols >= K
-    except IndexError:  # a symbol outside the alphabet
-        cols = _rank_sums(ranks, np.clip(words, 0, m - 1))
-        bad = (cols >= K) | ((words < 0) | (words >= m)).any(axis=-1)
-    if bad.any():
-        window = words[np.unravel_index(bad.argmax(), bad.shape)]
-        raise ValueError(f"window {tuple(window.tolist())} is not an "
-                         f"admissible {L}-word")
-    return cols
+    return _column_ranks(space, words,
+                         [words[..., i] for i in range(words.shape[-1])],
+                         lambda at: words[at])
+
+
+def window_columns(space: SftSpace, x: np.ndarray, length: int) -> np.ndarray:
+    """:func:`word_columns` of every length-window of a 1-d symbol array, in
+    order, gathered from ``length`` shifted views of x; ValueError when x is
+    shorter than one window or a window is not admissible."""
+    x = np.asarray(x)
+    count = len(x) - length + 1
+    if length < 1 or count < 1:
+        raise ValueError(f"no {length}-window in {len(x)} symbols")
+    return _column_ranks(space, x, [x[i:i + count] for i in range(length)],
+                         lambda at: x[at[0]:at[0] + length])
 
 
 def by_word_row(space: SftSpace, length: int, mapping: dict,
@@ -469,17 +495,19 @@ def bridge(space: SftSpace, a: int, b: int, gap: int) -> tuple[int, ...]:
     return symbols
 
 
-def _glue_pieces(space: SftSpace, words: Iterable[Word],
-                 gap: int) -> Iterator[tuple[int, ...]]:
-    """The nonempty words' symbols with bridges between them."""
+def _glue_pieces(space: SftSpace, words: Iterable[Union[Word, np.ndarray]],
+                 gap: int) -> Iterator[Sequence[int]]:
+    """The nonempty words' symbols (a word's tuple, a symbol array as it
+    is) with bridges between them."""
     prev: Optional[int] = None
     for w in words:
-        if not w.symbols:
+        symbols = w.symbols if isinstance(w, Word) else w
+        if not len(symbols):
             continue
         if prev is not None:
-            yield bridge(space, prev, w.symbols[0], gap)
-        yield w.symbols
-        prev = w.symbols[-1]
+            yield bridge(space, prev, int(symbols[0]), gap)
+        yield symbols
+        prev = int(symbols[-1])
 
 
 def iglue(space: SftSpace, words: Iterable[Word], gap: int) -> Iterator[int]:

@@ -2,7 +2,10 @@
 ``analysis.empirical`` replaced, kept as their oracle: a {window: count}
 dict, whose windows need not be admissible (each counts in the total and
 in the cylinders it falls in), and its marginals summed as floats."""
+import numpy as np
+
 from sftlab.errors import DepthExceedsEmpirical, WordsTooShort
+from sftlab.measures import cylinder_weights
 
 
 class DictEmpiricalMeasure:
@@ -40,6 +43,11 @@ class DictEmpiricalMeasure:
         if not s:
             return 1.0
         return self._marginal(len(s)).get(s, 0.0)
+
+    def cylinder_probs(self, depth):
+        """cylinder_prob of each cylinder of cylinder_weights, one by one."""
+        return np.array([self.cylinder_prob(c)
+                         for c, _ in cylinder_weights(self.space, depth)])
 
 
 def dict_empirical(space, x, n, depth):

@@ -1,14 +1,20 @@
 """The per-row paths that the stacked Markov-measure builder replaced, kept
 as its oracles: MarkovMeasure's per-matrix checks and SVD stationary solve,
 the per-measure entropy, the edge-flow mean summed edge by edge in Python,
-and equilibrium states conjugated and built one potential at a time."""
+and equilibrium states conjugated and built one potential at a time.  Also
+the per-step sampler, the per-cylinder weak* sums and the Word-scored block
+draw that the array-first draws replaced."""
 import math
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from sftlab import gluing
 from sftlab.ergopt import _edge_values, _transfer_solves, block_graph
 from sftlab.errors import StationaryNotUnique
+from sftlab.measures import cylinder_weights, rng_from
+from sftlab.shift import Word, word_columns
 
 
 def per_matrix_stationary(Q):
@@ -85,3 +91,60 @@ def per_row_equilibria(space, fs):
 def per_row_residuals(space, fs):
     return [abs(per_measure_entropy(mu) + loop_equilibrium_mean(space, f, mu)
                 - p) for f, (mu, p) in zip(fs, per_row_equilibria(space, fs))]
+
+
+# The per-step sampler, the per-cylinder weak* loops and the Word-scored
+# block draw that the array paths replaced.
+
+
+def per_step_sample_word(mu, n, seed):
+    """Oracle for sample_word: one searchsorted per step, clipped to the
+    last state, as a Word."""
+    u = rng_from(seed).random(n)
+    last = mu.space.m - 1
+    out = [min(int(np.searchsorted(mu._pi_cum, u[0], side="right")), last)]
+    for t in range(1, n):
+        out.append(min(int(np.searchsorted(mu._row_cum[out[-1]], u[t],
+                                           side="right")), last))
+    return Word(out)
+
+
+def loop_weak_star_counts(counts, total, target, depth):
+    """weak_star_counts as it summed one cylinder at a time: each cylinder's
+    count is the sum of the table rows it prefixes, and its term is added to
+    the running distances; a short count row counts the missing rows as
+    zero."""
+    table = target.space.word_table(depth)
+    counts = np.hstack([counts, np.zeros(
+        (len(counts), len(table) - counts.shape[1]), dtype=counts.dtype)])
+    d = np.zeros(counts.shape[0])
+    for cyl, weight in cylinder_weights(target.space, depth):
+        run = (table[:, :len(cyl)] == cyl).all(axis=1)
+        freq = counts[:, run].sum(axis=1) / total
+        d += weight * np.abs(freq - target.cylinder_prob(cyl))
+    return d
+
+
+def loop_weak_star_dist(a, b, depth):
+    """weak_star_dist as a Python sum over the cylinders, one
+    cylinder_prob call per measure and cylinder."""
+    total = 0.0
+    for cyl, weight in cylinder_weights(a.space, depth):
+        total += weight * abs(a.cylinder_prob(cyl) - b.cylinder_prob(cyl))
+    return total
+
+
+def word_draw_block(st, depth, stage_idx, rep, seed):
+    """gluing._draw_block as it drew a Word per attempt and scored it through
+    ``to_array``, a sliding window view, a bare bincount and the
+    per-cylinder loop: the accepted Word and the attempts it took."""
+    for attempt in range(gluing._BLOCK_ATTEMPTS):
+        w = per_step_sample_word(
+            st.alpha, st.n, gluing._mix(seed, stage_idx, rep, attempt))
+        cols = word_columns(st.alpha.space,
+                            sliding_window_view(w.to_array(), depth))
+        d = loop_weak_star_counts(np.bincount(cols)[None], st.n - depth + 1,
+                                  st.alpha, depth)[0]
+        if d <= st.zeta:
+            return w, attempt + 1
+    raise AssertionError("no draw accepted")

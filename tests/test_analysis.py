@@ -67,7 +67,7 @@ class TestBirkhoff:
 class TestBrinKatok:
     def test_fair_coin_exact(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
-        w = sample_word(mu, 50, 1)
+        w = Word(sample_word(mu, 50, 1))
         assert brin_katok_estimate(mu, w, 40, 1) == pytest.approx(
             math.log(2), abs=1e-12)
 
@@ -78,14 +78,14 @@ class TestBrinKatok:
     def test_law_of_large_numbers(self):
         p = 0.3
         mu = MarkovMeasure.bernoulli(FULL2, [1 - p, p])
-        w = sample_word(mu, 10 ** 5 + 5, 9)
+        w = Word(sample_word(mu, 10 ** 5 + 5, 9))
         h = -p * math.log(p) - (1 - p) * math.log(1 - p)
         assert brin_katok_estimate(mu, w, 10 ** 5, 2) == pytest.approx(
             h, abs=0.01)
 
     def test_analytic_identity(self):
         mu = MarkovMeasure(FULL2, [[0.9, 0.1], [0.4, 0.6]])
-        w = sample_word(mu, 30, 4)
+        w = Word(sample_word(mu, 30, 4))
         n, k = 20, 3
         L = n + k - 1
         expected = -(math.log(mu.stationary[w[0]]) + sum(

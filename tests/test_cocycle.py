@@ -124,7 +124,7 @@ class TestPeriodicExponent:
         na, nb = 120, 280
         full = exponent_along(c, w, na + nb) * (na + nb)
         head = exponent_along(c, w, na) * na
-        tail = exponent_along(c, Word(w.symbols[na:]), nb) * nb
+        tail = exponent_along(c, w[na:], nb) * nb
         assert full <= head + tail + 1e-9
 
 
@@ -278,7 +278,7 @@ def per_member_lyapunov_family(c, space, mu, anchor, N, seed, tail_len):
     head = [anchor] if anchor is not None else []
     prefix_len = glue_spans((len(anchor) if anchor is not None else 0, N,
                              tail_len), gap)[-1][0]
-    ref = sample_word(mu, prefix_len + tail_len, seed)
+    ref = Word(sample_word(mu, prefix_len + tail_len, seed))
     members = tuple(space.word(glue(space, [*head, w, ref[:tail_len]], gap))
                     for w in space.words(N))
     n_eval = len(ref) - (c.depth - 1)

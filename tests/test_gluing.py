@@ -37,6 +37,7 @@ from sftlab.shift import (SftSpace, Word, glue, glue_spans, iglue,
                           separated_count)
 
 from dict_empirical import DictEmpiricalMeasure
+from measure_oracles import word_draw_block
 from word_oracles import iglue_two_orbit, orbit_gap_loop
 
 FULL2 = SftSpace.full_shift(2)
@@ -703,7 +704,7 @@ class TestLayout:
             word = {"anchor": Word("010").symbols, "family": (0, 0, 1)}.get(
                 p.kind)
             if p.kind == "block":
-                word = blocks[p.stage, reps[p.stage]].symbols
+                word = tuple(blocks[p.stage, reps[p.stage]].tolist())
                 reps[p.stage] += 1
             elif p.kind == "tour":
                 word = tour.symbols if p.stage == 1 else ()
@@ -1134,7 +1135,8 @@ class TestChaoticFamily:
             assert GOLDEN.is_admissible(x)
             for k, st in enumerate(fam.stages, start=1):
                 end = fam.mu0_run_ends[k - 1]
-                assert x[end - st.n:end] == blocks[k, st.reps - 1].symbols
+                assert x[end - st.n:end] == \
+                    tuple(blocks[k, st.reps - 1].tolist())
                 for q, start, stop in fam.excursion_spans[k - 1]:
                     orbit = orbits[xi[q - 1] - 1].symbols
                     assert stop - start == st.ntilde
@@ -1179,18 +1181,95 @@ def two_orbit_cases(draw):
     return space, orbits, xis, plan, draw(st.integers(0, total + 3))
 
 
+def recorded_draws(monkeypatch, run):
+    """The arguments of every _draw_block call that run() makes."""
+    calls = []
+    draw = gluing._draw_block
+    monkeypatch.setattr(gluing, "_draw_block",
+                        lambda *a: calls.append(a) or draw(*a))
+    run()
+    monkeypatch.setattr(gluing, "_draw_block", draw)
+    return calls
+
+
+class TestArrayDraws:
+    """Blocks are drawn, scored and kept as symbol arrays; each equals the
+    Word the per-step sampler and the per-cylinder loop drew, after the
+    same number of attempts."""
+
+    def stage_calls(self, monkeypatch):
+        path = MeasurePath([MarkovMeasure.bernoulli(FULL2, [0.7, 0.3]),
+                            MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])])
+        tracking = build_gk_schedule(FULL2, path, stages=3)
+        capacity = build_gk_schedule(
+            FULL2, B09, anchor=Word("0"), stages=3, family_len=8,
+            family_entropy=math.log(2), family_eta=0.12)
+        return {
+            "chaos": recorded_draws(monkeypatch, lambda: emit_chaotic_family(
+                FULL2, POINT0, Word("0"), Word("1"), [(1, 2, 1), (2, 1, 2)],
+                20_000, seed=7)),
+            "tracking": recorded_draws(
+                monkeypatch, lambda: tracking_report(tracking, seed=7)),
+            "capacity": recorded_draws(
+                monkeypatch, lambda: emit_point(capacity, seed=7).materialize(
+                    capacity.stage_ends()[-1])),
+        }
+
+    def test_equal_to_the_word_path(self, monkeypatch):
+        sampled = []
+        sample = gluing.sample_word
+        monkeypatch.setattr(gluing, "sample_word", lambda *a, **k:
+                            sampled.append(a) or sample(*a, **k))
+        redrawn = 0
+        for name, calls in self.stage_calls(monkeypatch).items():
+            assert calls, name
+            for st_, depth, k, rep, seed in calls:
+                # at a quarter of the radius some blocks need redraws
+                quarter = dataclasses.replace(st_, zeta=st_.zeta / 4)
+                for stage in (st_, quarter):
+                    sampled.clear()
+                    x = gluing._draw_block(stage, depth, k, rep, seed)
+                    want, attempts = word_draw_block(stage, depth, k, rep,
+                                                     seed)
+                    assert Word(x) == want and len(sampled) == attempts, name
+                    assert x.dtype == np.uint8 and not x.flags.writeable
+                    redrawn += attempts > 1
+        assert redrawn
+
+    def test_golden_mean_blocks_equal_the_word_path(self):
+        st_ = Stage(alpha=parry(GOLDEN), n=40, reps=1, tour=None, zeta=0.02,
+                    eps=0.5, depth=1)
+        for depth in (1, 2, 3):
+            for rep in range(4):
+                x = gluing._draw_block(st_, depth, 1, rep, 11)
+                assert Word(x) == word_draw_block(st_, depth, 1, rep, 11)[0]
+
+    def test_chaotic_family_builds_each_tour_once(self, monkeypatch):
+        depths = []
+        tour = gluing.dense_tour
+        monkeypatch.setattr(gluing, "dense_tour", lambda space, d:
+                            depths.append(d) or tour(space, d))
+        emit_chaotic_family(FULL2, POINT0, Word("0"), Word("1"), [(1, 2)],
+                            20_000, seed=7, max_tour_depth=3)
+        assert depths == [1, 2, 3]
+
+
 class TestTwoOrbitEmitter:
     @settings(max_examples=300, deadline=None)
     @given(two_orbit_cases())
     def test_equals_iglue_oracle(self, case):
-        # full shifts and the golden mean, whose bridges are one symbol
+        # full shifts and the golden mean, whose bridges are one symbol;
+        # shared pieces as Words and as symbol arrays (sampled blocks)
         space, orbits, xis, plan, horizon = case
-        members, spans = _emit_two_orbit(space, orbits, xis, plan, horizon)
         want = iglue_two_orbit(space, orbits, xis, plan, horizon)
-        assert list(members) == list(want)
-        for xi, x in members.items():
-            assert x.dtype == np.uint8 and not x.flags.writeable
-            assert Word(x) == want[xi]
+        arrays = [p.to_array() if isinstance(p, Word) else p for p in plan]
+        for pieces in (plan, arrays):
+            members, spans = _emit_two_orbit(space, orbits, xis, pieces,
+                                             horizon)
+            assert list(members) == list(want)
+            for xi, x in members.items():
+                assert x.dtype == np.uint8 and not x.flags.writeable
+                assert Word(x) == want[xi]
         assert spans == glue_spans((len(p) if isinstance(p, Word) else p[1]
                                     for p in plan), space.primitivity_index)
 

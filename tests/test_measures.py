@@ -16,13 +16,16 @@ from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                              _batch_weak_star, cylinder_weights,
                              interpolate, ks_entropies, ks_entropy,
                              markov_measures, refine_path,
-                             rng_from, sample_word, sample_words_batch,
+                             sample_word, sample_words_batch,
                              typical_separated_family, weak_star_counts,
                              weak_star_dist)
 from sftlab.shift import SftSpace, Word, delta_separated, word_columns
 
 from dict_empirical import DictEmpiricalMeasure, dict_empirical
-from measure_oracles import per_matrix_measure, per_measure_entropy
+import measure_oracles
+from measure_oracles import (loop_weak_star_counts, loop_weak_star_dist,
+                             per_matrix_measure, per_measure_entropy,
+                             per_step_sample_word)
 from word_oracles import word_typical_separated_family
 
 FULL2 = SftSpace.full_shift(2)
@@ -316,6 +319,93 @@ def random_measure(draw, space, depth):
                                 Counter(map(tuple, windows.tolist())))
 
 
+# point masses and periodic orbits on both spaces, next to random chains
+ORBIT_MEASURES = [MarkovMeasure.periodic_orbit(space, Word(text))
+                  for space, texts in ((FULL2, ("0", "1", "01")),
+                                       (GOLDEN, ("0", "01")))
+                  for text in texts]
+
+
+def any_markov(draw, space):
+    """A random Markov measure on the space, or one of its orbit
+    measures."""
+    orbits = [mu for mu in ORBIT_MEASURES if mu.space is space]
+    if orbits and draw(st.booleans()):
+        return draw(st.sampled_from(orbits))
+    return random_markov(draw, space)
+
+
+class TestVectorWeakStar:
+    """weak_star_counts and weak_star_dist against the per-cylinder loops
+    they replaced, with ==."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_counts_equal_the_cylinder_loop(self, data):
+        space = data.draw(st.sampled_from([FULL2, GOLDEN,
+                                           SftSpace.full_shift(3)]))
+        depth = data.draw(st.integers(1, 3))
+        target = any_markov(data.draw, space)
+        samples = [random_windows(data.draw, space, depth)
+                   for _ in range(data.draw(st.integers(1, 5)))]
+        counts = np.array([count_row(space, w) for w in samples])
+        per_row = np.array([len(w) for w in samples])
+        block = data.draw(st.sampled_from([1, 2, 1 << 10]))  # rows at once
+        for total in (per_row, int(per_row.max())):
+            with mock.patch.object(measures, "_WEAK_STAR_ROWS", block):
+                got = weak_star_counts(counts, total, target, depth)
+            want = loop_weak_star_counts(counts, total, target, depth)
+            assert got.tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dist_equals_the_cylinder_loop(self, data):
+        space = data.draw(st.sampled_from([FULL2, GOLDEN]))
+        depth = data.draw(st.integers(1, 3))
+        a = (any_markov(data.draw, space) if data.draw(st.booleans())
+             else random_measure(data.draw, space, depth))
+        b = any_markov(data.draw, space)
+        for x, y in ((a, b), (b, a)):
+            assert weak_star_dist(x, y, depth) == \
+                loop_weak_star_dist(x, y, depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cylinder_probs_equal_cylinder_prob(self, data):
+        space = data.draw(st.sampled_from(WEAK_SPACES))
+        depth = data.draw(st.integers(1, 3))
+        cyls = [c for c, _ in cylinder_weights(space, depth)]
+        mu = any_markov(data.draw, space)
+        emp = EmpiricalMeasure(space, depth, count_row(
+            space, random_windows(data.draw, space, depth)))
+        for measure in (mu, emp):
+            probs = measure.cylinder_probs(depth)
+            assert probs.tolist() == [measure.cylinder_prob(c) for c in cyls]
+        assert mu.cylinder_probs(depth) is mu.cylinder_probs(depth)
+        assert not mu.cylinder_probs(depth).flags.writeable
+        with pytest.raises(DepthExceedsEmpirical):
+            emp.cylinder_probs(depth + 1)
+
+    def test_count_rows_must_fill_the_table(self):
+        mu = MarkovMeasure.bernoulli(FULL2, [0.4, 0.6])
+        # the 2-words of the 2-shift are 4 columns; a short row used to
+        # count the missing words as zero and a long one to drop columns
+        for counts in ([[3, 1, 2]], [[3, 1, 2, 0, 0]], [3, 1, 2, 0]):
+            with pytest.raises(ValueError, match=r"one column per admissible "
+                               r"2-word \(4\)"):
+                weak_star_counts(np.array(counts), 6, mu, 2)
+
+    def test_totals_must_be_scalar_or_per_row(self):
+        mu = MarkovMeasure.bernoulli(FULL2, [0.4, 0.6])
+        counts = np.array([[3, 1, 2, 0], [1, 1, 1, 1]])
+        for total in ([6], [6, 4, 4], [[6, 4]]):
+            with pytest.raises(ValueError, match=r"total must be a scalar or "
+                               r"one value per count row \(2\)"):
+                weak_star_counts(counts, np.array(total), mu, 2)
+        assert weak_star_counts(counts, np.array([6, 4]), mu, 2).tolist() == \
+            loop_weak_star_counts(counts, np.array([6, 4]), mu, 2).tolist()
+
+
 class TestWeakStarCore:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -443,17 +533,17 @@ class TestCountRowEmpirical:
 class TestSampling:
     def test_degenerate_bernoulli(self):
         mu = MarkovMeasure.bernoulli(FULL2, [1.0, 0.0])
-        assert sample_word(mu, 8, 0) == Word("00000000")
+        assert sample_word(mu, 8, 0).tolist() == [0] * 8
 
     def test_two_cycle_alternates(self):
         mu = MarkovMeasure.periodic_orbit(FULL2, Word("01"))
         w = sample_word(mu, 9, 3)
-        assert w.symbols in (tuple(Word("010101010")), tuple(Word("101010101")))
+        assert w.tolist() in ([0, 1] * 4 + [0], [1, 0] * 4 + [1])
 
     def test_frequency_concentration(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
         w = sample_word(mu, 10 ** 5, 7)
-        freq = sum(w.symbols) / len(w)
+        freq = w.sum() / len(w)
         assert abs(freq - 0.5) < 0.01
 
     @pytest.mark.parametrize("n", [0, -1])
@@ -475,24 +565,14 @@ class TestSampling:
 
     def test_deterministic_in_seed(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
-        assert sample_word(mu, 64, 5) == sample_word(mu, 64, 5)
-        assert sample_word(mu, 64, 5) != sample_word(mu, 64, 6)
+        assert np.array_equal(sample_word(mu, 64, 5), sample_word(mu, 64, 5))
+        assert not np.array_equal(sample_word(mu, 64, 5),
+                                  sample_word(mu, 64, 6))
 
     def test_golden_mean_samples_admissible(self):
         mu = parry_measure(GOLDEN)
         w = sample_word(mu, 500, 11)
-        assert GOLDEN.is_admissible(w.symbols)
-
-
-def per_step_sample_word(mu, n, seed):
-    """Oracle for sample_word: one searchsorted per step."""
-    u = rng_from(seed).random(n)
-    out = np.empty(n, dtype=np.int64)
-    out[0] = np.searchsorted(mu._pi_cum, u[0], side="right")
-    for t in range(1, n):
-        out[t] = np.searchsorted(mu._row_cum[out[t - 1]], u[t], side="right")
-    np.clip(out, 0, mu.space.m - 1, out=out)
-    return Word(out.tolist())
+        assert GOLDEN.is_admissible(w)
 
 
 @st.composite
@@ -519,12 +599,60 @@ class TestSampleWordOracle:
            st.sampled_from([1, 7, 64, 1 << 16]))
     def test_equals_per_step_draws(self, mu, n, seed, chunk):
         with mock.patch.object(measures, "_CHAIN_CHUNK", chunk):
-            assert sample_word(mu, n, seed) == per_step_sample_word(mu, n, seed)
+            x = sample_word(mu, n, seed)
+        assert Word(x) == per_step_sample_word(mu, n, seed)
+        assert x.dtype == mu.space.symbol_dtype and not x.flags.writeable
 
     def test_equal_across_table_chunks(self):
         mu = parry_measure(GOLDEN)
         n = 2 * (1 << 16) + 3
-        assert sample_word(mu, n, 5) == per_step_sample_word(mu, n, 5)
+        assert Word(sample_word(mu, n, 5)) == per_step_sample_word(mu, n, 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_markov(), st.data())
+    def test_equals_per_step_draws_at_the_cuts(self, mu, data):
+        # u on and next to every cumulative entry, and at 0 and just below
+        # 1, where a row summing to just under 1 moves to the last state
+        edges = np.concatenate([mu._row_cum.ravel(), mu._pi_cum, [0.0]])
+        cuts = np.unique(np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            [1 - 2.0 ** -53]]))
+        cuts = cuts[(cuts >= 0) & (cuts < 1)]
+        u = np.array(data.draw(st.lists(st.sampled_from(cuts.tolist()),
+                                        min_size=1, max_size=60)))
+        fake = mock.Mock(return_value=mock.Mock(random=lambda n: u[:n]))
+        with mock.patch.object(measures, "rng_from", fake), \
+                mock.patch.object(measure_oracles, "rng_from", fake):
+            assert Word(sample_word(mu, len(u), 0)) == \
+                per_step_sample_word(mu, len(u), 0)
+
+    def test_short_row_moves_to_the_last_state(self):
+        # row 1 sums to 1 - 1e-13, so u in [1 - 1e-13, 1) leaves it for 1,
+        # a zero-probability and forbidden step, as the per-step draw does
+        mu = MarkovMeasure(GOLDEN, [[0.5, 0.5], [1 - 1e-13, 0.0]])
+        assert measures._walk(mu)[1] == [0, 1]
+        u = np.array([0.9, 1 - 2.0 ** -53, 0.2, 0.99])
+        fake = mock.Mock(return_value=mock.Mock(random=lambda n: u[:n]))
+        with mock.patch.object(measures, "rng_from", fake), \
+                mock.patch.object(measure_oracles, "rng_from", fake):
+            assert sample_word(mu, 4, 0).tolist() == [1, 1, 0, 1]
+            assert per_step_sample_word(mu, 4, 0) == Word("1101")
+
+    def test_wide_alphabet_draws_uint16(self):
+        # 300 symbols in one cycle: a uint16 draw, every step walked
+        Q = np.roll(np.eye(300), 1, axis=1)
+        mu = MarkovMeasure(SftSpace.full_shift(300), Q)
+        x = sample_word(mu, 500, 3)
+        assert x.dtype == np.uint16 and not x.flags.writeable
+        assert Word(x) == per_step_sample_word(mu, 500, 3)
+        assert (np.diff(x.astype(int)) % 300 == 1).all()
+
+    def test_visits_only_reachable_states(self):
+        assert measures._walk(MarkovMeasure.periodic_orbit(
+            FULL2, Word("0")))[1] == [0]
+        assert measures._walk(MarkovMeasure.periodic_orbit(
+            SftSpace.full_shift(3), Word("12")))[1] == [1, 2]
+        assert measures._walk(parry_measure(GOLDEN))[1] == [0, 1]
 
 
 class TestTypicalFamily:

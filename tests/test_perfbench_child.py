@@ -2,7 +2,8 @@
 a config with its span tracer installed, and its hooks read sftlab's return
 values (lengths of materialized streams and kept families) and call
 signatures (``_draw_block``'s positional arguments).  A change to those
-that breaks the tracer fails here, not only in the benchmark."""
+that breaks the tracer fails here, not only in the benchmark, and so does
+a return of the ``Word`` round trip per drawn block."""
 import json
 import subprocess
 import sys
@@ -36,3 +37,6 @@ def test_traced_pass_counts(tmp_path):
     assert counters["gluing._draw_block.accepted"] == draws
     assert 0 < counters["gluing._draw_block.distinct"] <= draws
     assert counters["gluing._draw_block.sample_word_calls"] >= draws
+    # blocks stay symbol arrays: far fewer Words than drawn blocks (108
+    # against 442 draws here; one Word per block made it 576)
+    assert counters["shift.Word.constructed"] < draws

@@ -471,7 +471,7 @@ class TestBirkhoffWindows:
 
     def test_long_sampled_word_equals_the_window_loop(self):
         mu = MarkovMeasure.bernoulli(SftSpace.full_shift(3), [0.2, 0.3, 0.5])
-        x = sample_word(mu, 5000, seed=4)
+        x = Word(sample_word(mu, 5000, seed=4))
         f = random_potential(mu.space, 3, seed=5, integer=False)
         assert birkhoff_avg(x, f, 4998) == loop_birkhoff_avg(x, f, 4998)
 
