@@ -6,6 +6,7 @@ claims a proof of the corresponding limit statement.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -88,9 +89,12 @@ def _checkpoints(checkpoints: Sequence[int], unique: bool) -> tuple[int, ...]:
 
 def _phi_at(gaps: np.ndarray, thr: float, cps: Sequence[int]) -> list[float]:
     """The fraction of thr-close iterates among the first n, at each n of
-    the sorted checkpoints."""
-    close = np.cumsum(_prefix(gaps, cps[-1]) >= close_gap(thr))
-    return [c / n for c, n in zip(close[np.asarray(cps) - 1].tolist(), cps)]
+    the sorted checkpoints: the close gaps counted between consecutive
+    checkpoints, summed."""
+    prefix, close = _prefix(gaps, cps[-1]), close_gap(thr)
+    counts = itertools.accumulate(np.count_nonzero(prefix[a:b] >= close)
+                                  for a, b in zip((0, *cps), cps))
+    return [c / n for c, n in zip(counts, cps)]
 
 
 def phi_from_gaps(gaps: np.ndarray, t: float, n: int) -> float:

@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -44,7 +44,7 @@ from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts)
 from .shift import (SftSpace, SymbolStream, Word, _glue_pieces, _prefix_rows,
-                    _symbols, bridge, distinct_rows, glue, glue_spans,
+                    bridge, distinct_rows, glue, glue_spans,
                     window_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
@@ -729,6 +729,15 @@ def _smallest_reps(end_at: Callable[[int], int], reps: int,
     return reps
 
 
+def _block_len(extra: int, zeta: float, eps: float, depth: int, gap: int,
+               min_len: int) -> int:
+    """A stage's block length: at least gap, min_len and the checking depth,
+    with the stage's extra symbols at most a zeta share of one block, the
+    block-edge windows at most an eps share, and 1/zeta**2 symbols."""
+    return max(gap, min_len, depth, math.ceil(extra / zeta),
+               math.ceil((depth - 1) / eps), math.ceil(1.0 / zeta ** 2))
+
+
 def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
                       anchor: Optional[Word] = None, stages: int = 3,
                       *, check_depth: int = 2,
@@ -772,10 +781,8 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
                                f"zetas={zs}, epsilons={es}")
 
     tours = [dense_tour(space, k + 1) for k in range(stages)]
-    ns = [max(gap, min_block_len, check_depth,
-              math.ceil(len(tours[k]) / zs[k]),
-              math.ceil((check_depth - 1) / es[k]),
-              math.ceil(1.0 / zs[k] ** 2))
+    ns = [_block_len(len(tours[k]), zs[k], es[k], check_depth, gap,
+                     min_block_len)
           for k in range(stages)]
 
     # the glued past counts as one word: the stage follows it as glue would
@@ -1075,10 +1082,9 @@ def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
                     xis: Sequence[tuple[int, ...]], plan: Sequence[_Piece],
                     horizon: int) -> tuple[dict, list[tuple[int, int]]]:
     """Every member, keyed by its xi, as a read-only symbol array: the
-    plan's pieces glued and cut at horizon, one concatenation of piece
-    arrays (each shared word and each orbit run built once) and memoised
-    bridges.  Also the span of each piece in the glued plan, which no xi
-    changes."""
+    plan's pieces (each orbit run built once) glued by ``_glue_pieces`` and
+    cut at horizon.  Also the span of each piece in the glued plan, which no
+    xi changes."""
     gap = space.primitivity_index
     slots = 1 + max((p[0] for p in plan if isinstance(p, tuple)), default=-1)
     for xi in xis:
@@ -1086,36 +1092,23 @@ def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
             raise ValueError(
                 f"xi prefix length {len(xi)} < {slots} orbit selections")
     dtype = space.symbol_dtype
-    shared = {i: _symbols(p).astype(dtype, copy=False)
-              for i, p in enumerate(plan) if not isinstance(p, tuple)}
-    cycles = [o.to_array().astype(dtype) for o in orbits]
+    cycles = [o.to_array() for o in orbits]
     runs: dict[tuple[int, int], np.ndarray] = {}   # (orbit, length)
-    bridges: dict[tuple[int, int], np.ndarray] = {}
 
-    def piece(i: int, xi: tuple[int, ...]) -> np.ndarray:
-        if i in shared:
-            return shared[i]
-        slot, n = plan[i]
-        key = (xi[slot] - 1, n)
+    def fill(p: _Piece, xi: tuple[int, ...]) -> Union[np.ndarray, Word]:
+        if not isinstance(p, tuple):
+            return p
+        key = (xi[p[0]] - 1, p[1])
         if key not in runs:  # the orbit's cycle repeated to length n
-            runs[key] = np.resize(cycles[key[0]], n)
+            runs[key] = np.resize(cycles[key[0]], key[1])
         return runs[key]
 
     members: dict = {}
     for xi in xis:
-        parts: list[np.ndarray] = []
-        for i in range(len(plan)):
-            a = piece(i, xi)
-            if not len(a):
-                continue
-            if parts:
-                key = (int(parts[-1][-1]), int(a[0]))
-                if key not in bridges:
-                    bridges[key] = np.array(bridge(space, *key, gap),
-                                            dtype=dtype)
-                if len(bridges[key]):
-                    parts.append(bridges[key])
-            parts.append(a)
+        # bridges and Words come as tuples: each part takes the space's
+        # dtype, and the empty bridges of gap 1 are left out
+        parts = [np.asarray(a, dtype) for a in _glue_pieces(
+            space, (fill(p, xi) for p in plan), gap) if len(a)]
         x = np.concatenate(parts)[:horizon] if parts else np.empty(0, dtype)
         x.flags.writeable = False
         members[xi] = x
@@ -1124,20 +1117,11 @@ def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
     return members, spans
 
 
-@dataclass(frozen=True)
-class ChaosStage:
-    n: int
-    reps: int
-    ntilde: int
-    tour: Word
-    zeta: float
-    eps: float
-
-    def budget(self, k: int, end: int) -> StageBudget:
-        """Stage k's budget: the tour and k excursions are its overhead, and
-        its mu0 blocks are the tracking run."""
-        return StageBudget(self.n, self.reps, len(self.tour) + k * self.ntilde,
-                           self.zeta, self.eps, self.n * self.reps, end)
+def _chaos_budget(st: Stage, k: int, ntilde: int, end: int) -> StageBudget:
+    """Chaotic stage k's budget: the tour and k excursions of length ntilde
+    are its overhead, and its mu0 blocks are the tracking run."""
+    return StageBudget(st.n, st.reps, st.tour_len() + k * ntilde, st.zeta,
+                       st.eps, st.n * st.reps, end)
 
 
 @dataclass(frozen=True)
@@ -1145,7 +1129,8 @@ class ChaoticFamily:
     space: SftSpace
     members: dict
     eps_star: float
-    stages: tuple[ChaosStage, ...]
+    stages: tuple[Stage, ...]        # alpha = mu0, depth = the tour depth
+    ntilde: int                      # the length of every excursion
     stage_ends: tuple[int, ...]
     mu0_run_ends: tuple[int, ...]
     excursion_spans: tuple[tuple[tuple[int, int, int], ...], ...]
@@ -1165,73 +1150,62 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
 
     Sequences differing at index u force a window of distance >= eps*/2 in
     every stage from u on, while the mu0 runs dominate in length so the
-    closeness density climbs toward one.
+    closeness density climbs toward one.  The plan takes stages (at most
+    32) while one more, sized as the last, still ends within horizon.
     """
     eps_star, xi_list = _check_two_orbit(space, lambda1, lambda2, xis,
                                          "emit_chaotic_family")
     gap = space.primitivity_index
     L = check_depth
-    maxp = max(len(lambda1), len(lambda2))
+    ntilde = max(6, gap, 2 * max(len(lambda1), len(lambda2)))
     anchor_len = len(anchor) if anchor is not None else 0
 
-    # static per-stage parameters, independent of repetition counts
+    # each stage's shape (reps 0), independent of repetition counts
     tours: dict[int, Word] = {}  # one tour per depth
-    params = []
+    shapes: list[Stage] = []
     for k in range(1, 33):
         zeta = 2.0 ** -(k + 1)
         eps = min(2.0 ** -(k + 1), eps_star / 2 ** (k + 2))
-        ntilde = max(6, gap, 2 * maxp)
         depth = min(k, max_tour_depth)
         if depth not in tours:
             tours[depth] = dense_tour(space, depth)
-        tour = tours[depth]
-        n_k = max(gap, min_block_len, L,
-                  math.ceil((len(tour) + k * ntilde) / zeta),
-                  math.ceil((L - 1) / max(eps, 1e-9)),
-                  math.ceil(1.0 / zeta ** 2))
-        params.append((zeta, eps, ntilde, tour, n_k))
+        n_k = _block_len(len(tours[depth]) + k * ntilde, zeta,
+                         max(eps, 1e-9), L, gap, min_block_len)
+        shapes.append(Stage(alpha=mu0, n=n_k, reps=0, tour=tours[depth],
+                            zeta=zeta, eps=eps, depth=depth))
 
-    def simulate(count: int) -> tuple[list[ChaosStage], int]:
-        """The first count stages and the glued length at their end."""
-        sim_stages: list[ChaosStage] = []
-        past = anchor_len
-        for k in range(1, count + 1):
-            zeta, eps, ntilde, tour, n_k = params[k - 1]
+    # one forward pass: stage k sized as the last stage ends the plan of k
+    # stages; sized for the next stage's overhead it continues the plan
+    stages: Optional[list[Stage]] = None
+    sized: list[Stage] = []
+    past = anchor_len
+    for k, st in enumerate(shapes, start=1):
+        def end_at(reps: int) -> int:
+            return glue_spans((past, *[st.n] * reps, *[ntilde] * k,
+                               st.tour_len()), gap)[-1][1]
 
-            def end_at(reps: int) -> int:
-                return glue_spans((past, *[n_k] * reps, *[ntilde] * k,
-                                   len(tour)), gap)[-1][1]
-
-            N = max(sim_stages[-1].reps + 1 if sim_stages else 1,
-                    math.ceil(max(past, 1) / (zeta * n_k)))
-            if k < count:
-                z2, e2, nt2, tr2, n2 = params[k]
-                overhead = n2 + (k + 1) * nt2 + len(tr2)
-                N = _smallest_reps(end_at, N, overhead / zeta)
-            sim_stages.append(ChaosStage(n=n_k, reps=N, ntilde=ntilde,
-                                         tour=tour, zeta=zeta, eps=eps))
-            past = end_at(N)
-        return sim_stages, past
-
-    stages = None
-    for count in range(1, 33):
-        trial, end = simulate(count)
-        if end > horizon:
+        N = max(sized[-1].reps + 1 if sized else 1,
+                math.ceil(max(past, 1) / (st.zeta * st.n)))
+        if end_at(N) > horizon:
             break
-        stages = trial
+        stages = sized + [replace(st, reps=N)]
+        if k == len(shapes):
+            break
+        nxt = shapes[k]
+        overhead = nxt.n + (k + 1) * ntilde + nxt.tour_len()
+        N = _smallest_reps(end_at, N, overhead / st.zeta)
+        sized.append(replace(st, reps=N))
+        past = end_at(N)
     if stages is None:
-        raise InfeasibleParams(
-            f"horizon {horizon} too short for one stage")
+        raise InfeasibleParams(f"horizon {horizon} too short for one stage")
 
     plan: list[_Piece] = [] if anchor is None else [anchor]
     run_last, excursions, tour_at = [], [], []
     for k, st in enumerate(stages, start=1):
-        run = Stage(alpha=mu0, n=st.n, reps=st.reps, tour=st.tour,
-                    zeta=st.zeta, eps=st.eps, depth=min(k, max_tour_depth))
-        plan += [_draw_block(run, L, k, rep, seed) for rep in range(st.reps)]
+        plan += [_draw_block(st, L, k, rep, seed) for rep in range(st.reps)]
         run_last.append(len(plan) - 1)
         excursions.append(range(len(plan), len(plan) + k))
-        plan += [(q, st.ntilde) for q in range(k)]
+        plan += [(q, ntilde) for q in range(k)]
         tour_at.append(len(plan))
         plan.append(st.tour)
     members, spans = _emit_two_orbit(space, (lambda1, lambda2), xi_list, plan,
@@ -1239,11 +1213,12 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
 
     ends = [spans[i][1] for i in tour_at]
     validation = ValidationReport(tuple(check_budgets(
-        [st.budget(k, end) for k, (st, end) in enumerate(zip(stages, ends), 1)],
+        [_chaos_budget(st, k, ntilde, end)
+         for k, (st, end) in enumerate(zip(stages, ends), start=1)],
         anchor_len, L)))
     return ChaoticFamily(
         space=space, members=members, eps_star=eps_star,
-        stages=tuple(stages), stage_ends=tuple(ends),
+        stages=tuple(stages), ntilde=ntilde, stage_ends=tuple(ends),
         mu0_run_ends=tuple(spans[i][1] for i in run_last),
         excursion_spans=tuple(
             tuple((q, *spans[i]) for q, i in enumerate(ex, start=1))
@@ -1283,6 +1258,9 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     """
     eps_star, xi_list = _check_two_orbit(space, lambda1, lambda2, xis,
                                          "emit_dc1_family")
+    if not 0 < zeta0 < math.inf:
+        raise InfeasibleParams(f"zeta0 must be positive and finite; "
+                               f"got zeta0={zeta0}")
     gap = space.primitivity_index
 
     # run lengths: each run dwarfs the whole glued past

@@ -505,14 +505,12 @@ def sample_words_batch(mu: MarkovMeasure, n: int, count: int, seed: int) -> np.n
         raise ValueError("n must be positive")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    rng = rng_from(seed)
+    u = rng_from(seed).random((count, n))
+    cuts = _walk(mu)[0]  # a step goes where sample_word's does
     out = np.empty((count, n), dtype=np.int64)
-    u = rng.random((count, n))
-    out[:, 0] = np.searchsorted(mu._pi_cum, u[:, 0], side="right")
-    C = mu._row_cum
+    out[:, 0] = cuts[-1].searchsorted(u[:, 0], "right")
     for t in range(1, n):
-        out[:, t] = (C[out[:, t - 1]] <= u[:, t][:, None]).sum(axis=1)
-    np.clip(out, 0, mu.space.m - 1, out=out)
+        out[:, t] = (cuts[out[:, t - 1]] <= u[:, t][:, None]).sum(axis=1)
     return out
 
 

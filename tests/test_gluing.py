@@ -36,6 +36,7 @@ from sftlab.measures import (MarkovMeasure, MeasurePath, ks_entropy,
 from sftlab.shift import (SftSpace, Word, glue, glue_spans, iglue,
                           separated_count)
 
+from chaos_oracles import bridged_two_orbit, simulated_chaotic_family
 from dict_empirical import DictEmpiricalMeasure
 from measure_oracles import word_draw_block
 from word_oracles import iglue_two_orbit, orbit_gap_loop
@@ -1071,7 +1072,7 @@ class TestChaoticFamily:
         stages = list(fam.stages)
 
         def report(stages):
-            budgets = [st.budget(k, end) for k, (st, end)
+            budgets = [gluing._chaos_budget(st, k, fam.ntilde, end) for k, (st, end)
                        in enumerate(zip(stages, fam.stage_ends), start=1)]
             return ValidationReport(tuple(check_budgets(budgets, 0, 2)))
 
@@ -1139,8 +1140,8 @@ class TestChaoticFamily:
                     tuple(blocks[k, st.reps - 1].tolist())
                 for q, start, stop in fam.excursion_spans[k - 1]:
                     orbit = orbits[xi[q - 1] - 1].symbols
-                    assert stop - start == st.ntilde
-                    assert x[start:stop] == (orbit * st.ntilde)[:st.ntilde]
+                    assert stop - start == fam.ntilde
+                    assert x[start:stop] == (orbit * fam.ntilde)[:fam.ntilde]
 
     def test_short_xi_named(self):
         # two stages select orbits at 20,000 here; the DC1 family selects once
@@ -1153,6 +1154,16 @@ class TestChaoticFamily:
             with pytest.raises(ValueError, match=message):
                 emit(FULL2, mu0, Word("0"), Word("1"), xis, 20_000, seed=1)
 
+    @pytest.mark.parametrize("zeta0", [0.0, -0.1, math.nan, math.inf])
+    def test_dc1_bad_zeta0_named(self, zeta0):
+        # these used to raise ZeroDivisionError, OverflowError and (nan,
+        # inf) ValueError from the run-length arithmetic
+        mu_per = MarkovMeasure.periodic_orbit(FULL2, Word("01"))
+        with pytest.raises(InfeasibleParams, match=re.escape(
+                f"zeta0 must be positive and finite; got zeta0={zeta0}")):
+            emit_dc1_family(FULL2, mu_per, Word("0"), Word("1"),
+                            [(1,), (2,)], 20_000, seed=1, zeta0=zeta0)
+
 
 # orbit generator pairs, periodically admissible and disjoint, per space
 TWO_ORBITS = {FULL2: [("0", "1"), ("01", "1"), ("001", "11")],
@@ -1161,12 +1172,12 @@ TWO_ORBITS = {FULL2: [("0", "1"), ("01", "1"), ("001", "11")],
 
 
 @st.composite
-def two_orbit_cases(draw):
+def two_orbit_cases(draw, orbit_pairs=TWO_ORBITS):
     """A random two-orbit plan: shared admissible words (some empty) and
     private orbit runs (some of length 0), distinct xis and a horizon that
     may cut the glued plan."""
-    space = draw(st.sampled_from(list(TWO_ORBITS)))
-    orbits = tuple(map(Word, draw(st.sampled_from(TWO_ORBITS[space]))))
+    space = draw(st.sampled_from(list(orbit_pairs)))
+    orbits = tuple(map(Word, draw(st.sampled_from(orbit_pairs[space]))))
     plan, slots = [], 0
     for _ in range(draw(st.integers(1, 8))):
         if draw(st.booleans()):
@@ -1272,6 +1283,94 @@ class TestTwoOrbitEmitter:
                 assert Word(x) == want[xi]
         assert spans == glue_spans((len(p) if isinstance(p, Word) else p[1]
                                     for p in plan), space.primitivity_index)
+
+
+# a primitive 3-symbol space (index 5) whose bridges, of four symbols,
+# depend on both neighbours, with a Markov measure and two disjoint orbits
+SFT3 = SftSpace([[0, 1, 0], [1, 0, 1], [1, 0, 0]])
+SFT3_MU = MarkovMeasure(SFT3, [[0, 1, 0], [0.5, 0, 0.5], [1, 0, 0]])
+CHAOS_CASES = {FULL2: (POINT0, ("0", "1")),
+               GOLDEN: (parry(GOLDEN), ("0", "01")),
+               SFT3: (SFT3_MU, ("01", "012"))}
+CHAOS_ANCHORS = [None, Word(()), Word("010")]
+
+
+def assert_equals_simulated_family(space, anchor, horizon, depth, seed, xis):
+    """emit_chaotic_family equals the replaced planner and emitter loop, and
+    each member is the glue of its plan's pieces; a horizon too short for
+    one stage raises the same error in both."""
+    mu0, orbits = CHAOS_CASES[space]
+    args = (space, mu0, Word(orbits[0]), Word(orbits[1]), xis, horizon, seed)
+    kw = dict(anchor=anchor, max_tour_depth=depth)
+    try:
+        want = simulated_chaotic_family(*args, **kw)
+    except InfeasibleParams as e:
+        with pytest.raises(InfeasibleParams, match=re.escape(str(e))):
+            emit_chaotic_family(*args, **kw)
+        return 0
+    fam = emit_chaotic_family(*args, **kw)
+    assert len(fam.stages) == len(want["stages"])
+    for k, (got, old) in enumerate(zip(fam.stages, want["stages"]), start=1):
+        assert (got.n, got.reps, got.tour, got.zeta, got.eps) == \
+            (old.n, old.reps, old.tour, old.zeta, old.eps)
+        assert got.alpha is mu0 and got.depth == min(k, depth)
+        assert fam.ntilde == old.ntilde
+    for name in ("stage_ends", "mu0_run_ends", "excursion_spans",
+                 "validation"):
+        assert getattr(fam, name) == want[name], name
+    assert list(fam.members) == list(want["members"])
+    gap = space.primitivity_index
+    for xi, x in fam.members.items():
+        assert x.dtype == want["members"][xi].dtype == space.symbol_dtype
+        assert np.array_equal(x, want["members"][xi])
+        words = [Word(p) if isinstance(p, np.ndarray) else p
+                 if isinstance(p, Word) else
+                 Word(np.resize(Word(orbits[xi[p[0]] - 1]).to_array(), p[1]))
+                 for p in want["plan"]]
+        assert Word(x) == glue(space, words, gap)
+    return len(fam.stages)
+
+
+class TestChaoticFamilyOracle:
+    """The family from the schedule's parts (one ``Stage`` record, one
+    planning pass, ``_glue_pieces``) equals the replaced planner, which
+    re-planned every stage for each stage count, and the emitter's own
+    bridge loop (``chaos_oracles``), on spaces whose bridges have 0, 1 and
+    4 symbols."""
+
+    @pytest.mark.parametrize("space", list(CHAOS_CASES))
+    def test_every_stage_count(self, space):
+        counts = [assert_equals_simulated_family(
+            space, CHAOS_ANCHORS[i % 3], horizon, 1 + (i + depth0) % 6, i,
+            [(1, 2, 1), (2, 1, 1), (2, 2, 2)])
+            for i, horizon in enumerate((20, 1_000, 40_000, 200_000))
+            for depth0 in (0, 3)]
+        assert counts == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(list(CHAOS_CASES)), st.sampled_from(CHAOS_ANCHORS),
+           st.sampled_from([20, 100, 1_000, 12_000, 40_000, 120_000]),
+           st.integers(1, 6), st.integers(0, 2 ** 16),
+           st.lists(st.tuples(*[st.sampled_from((1, 2))] * 3), min_size=1,
+                    max_size=3, unique=True))
+    def test_equals_simulated_family(self, space, anchor, horizon, depth,
+                                     seed, xis):
+        assert_equals_simulated_family(space, anchor, horizon, depth, seed,
+                                       xis)
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_orbit_cases({**TWO_ORBITS, SFT3: [("01", "012")]}))
+    def test_emitter_equals_bridge_loop(self, case):
+        # plans with empty words and runs between nonempty ones
+        space, orbits, xis, plan, horizon = case
+        want = bridged_two_orbit(space, orbits, xis, plan, horizon)
+        arrays = [p.to_array() if isinstance(p, Word) else p for p in plan]
+        for pieces in (plan, arrays):
+            members, _ = _emit_two_orbit(space, orbits, xis, pieces, horizon)
+            assert list(members) == list(want)
+            for xi, x in members.items():
+                assert x.dtype == space.symbol_dtype
+                assert np.array_equal(x, want[xi])
 
 
 class TestSampledLeafChecks:

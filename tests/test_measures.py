@@ -638,6 +638,19 @@ class TestSampleWordOracle:
             assert sample_word(mu, 4, 0).tolist() == [1, 1, 0, 1]
             assert per_step_sample_word(mu, 4, 0) == Word("1101")
 
+    def test_draw_past_a_short_row_stays_in_range(self):
+        # rows summing to 1 - 4e-13 pass ROW_TOL; u = 1 - 1e-13 lies past
+        # a row's last cumulative entry, so both samplers take the last
+        # state at every step (the batch used to index row m mid-walk)
+        row = [0.5, 0.5 - 4e-13]
+        mu = MarkovMeasure(FULL2, [row, row])
+        fake = mock.Mock(return_value=mock.Mock(
+            random=lambda shape: np.full(shape, 1 - 1e-13)))
+        with mock.patch.object(measures, "rng_from", fake):
+            assert sample_word(mu, 5, 0).tolist() == [1] * 5
+            batch = sample_words_batch(mu, 5, 3, 0)
+        assert batch.tolist() == [[1] * 5] * 3
+
     def test_wide_alphabet_draws_uint16(self):
         # 300 symbols in one cycle: a uint16 draw, every step walked
         Q = np.roll(np.eye(300), 1, axis=1)
