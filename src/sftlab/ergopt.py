@@ -11,11 +11,14 @@ periodic-orbit oracle, which agree bit for bit.  Pressure and equilibrium
 states come from a dense eigendecomposition.
 
 The solvers take a leading batch axis: :func:`betas`,
-:func:`brute_force_betas` and :func:`equilibrium_residuals` solve the
-potentials of one block graph together, in batches of bounded size, and
-:func:`beta`, :func:`brute_force_beta` and :func:`equilibrium_residual` are
-their one-potential cases.  Every result is exact or comes from a per-matrix
-LAPACK call, so it does not depend on the batch it was solved in.
+:func:`brute_force_betas`, :func:`pressures` and
+:func:`equilibrium_residuals` solve the potentials of one block graph
+together, in batches of bounded size, and :func:`beta`,
+:func:`brute_force_beta`, :func:`pressure` and :func:`equilibrium_residual`
+are their one-potential cases.  Every result is exact or comes from a
+per-matrix LAPACK call, so it does not depend on the batch it was solved in;
+:func:`level_entropy_details` runs its golden-section searches in lockstep on
+:func:`pressures` for the same reason.
 """
 from __future__ import annotations
 
@@ -128,9 +131,12 @@ def mean_potential(mu: MarkovMeasure, f: Potential) -> float:
 # --------------------------- block graphs ---------------------------
 
 
-# A batched solve is cut so that one max-plus step gathers, or one Perron
-# call holds, at most this many elements: a bound on its memory.
-_BATCH_ELEMENTS = 1 << 14
+# A batched solve is cut so that the largest array it holds per potential
+# (Karp's D table, the oracle's gather, a Perron call's matrix) has at most
+# this many elements over the batch: a bound on its memory.  On the oracle,
+# 2**16 runs 432 max-plus steps where 2**14 ran 1,436; 2**17 saved under 1%
+# more of a pass and added 0.75 MiB to its peak memory.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -266,8 +272,12 @@ def _maxplus_step(cur: np.ndarray, table: InEdges, W: np.ndarray,
                   absent) -> np.ndarray:
     """One max-plus product with an edge list: out[..., v] is the largest
     of absent and cur[..., u] + w over the edges (u, v), absent where v has
-    none.  A gather over the in-edge table, W = table.weights(w, absent)."""
-    out = np.maximum((cur[..., table.src] + W).max(axis=-1), absent)
+    none.  A gather over the in-edge table, W = table.weights(w, absent),
+    with the gathered array the step's one temporary."""
+    g = cur[..., table.src]  # (n, d)-major: the max over d is elementwise
+    g += W
+    out = g.max(axis=-1)
+    np.maximum(out, absent, out=out)
     if table.bare.size:
         out[..., table.bare] = absent
     return out
@@ -424,8 +434,9 @@ def betas(space: SftSpace, fs: Sequence[Potential]) -> list[BetaResult]:
     if space.primitivity_index is None:
         raise NotPrimitive("beta needs a primitive space")
     out: list = [None] * len(fs)
-    for graph, rows, values in _batches(space, fs,
-                                        lambda g: g.in_edges.src.size):
+    for graph, rows, values in _batches(  # Karp's (n+1) x n D, or n x d
+            space, fs, lambda g: g.n_nodes() * max(g.n_nodes() + 1,
+                                                   g.in_edges.src.shape[1])):
         for i, (lam, tight) in zip(rows, _optimum(graph, values)):
             cycle = _find_cycle(tight)
             if cycle is None:  # pragma: no cover - optimal cycle is always tight
@@ -554,12 +565,22 @@ def _transfer_solves(space: SftSpace, fs: Sequence[Potential]):
         yield graph, rows, values, M, lam, right, shift.tolist()
 
 
-def pressure(space: SftSpace, f: Potential) -> float:
-    """log spectral radius of the transfer matrix; P(0) recovers h_top."""
+def pressures(space: SftSpace, fs: Sequence[Potential]) -> list[float]:
+    """P(f), the log spectral radius of the transfer matrix, for each
+    potential in input order, from one :func:`_transfer_solves` pass."""
     if space.primitivity_index is None:
         raise NotPrimitive("pressure needs a primitive space")
-    (_, _, _, _, lam, _, shift), = _transfer_solves(space, [f])
-    return math.log(lam[0]) + shift[0]
+    out: list = [None] * len(fs)
+    for _, rows, _, _, lam, _, shift in _transfer_solves(space, fs):
+        for i, li, si in zip(rows, lam.tolist(), shift):
+            out[i] = math.log(li) + si
+    return out
+
+
+def pressure(space: SftSpace, f: Potential) -> float:
+    """log spectral radius of the transfer matrix; P(0) recovers h_top.  The
+    one-potential case of :func:`pressures`."""
+    return pressures(space, [f])[0]
 
 
 def _equilibria(space: SftSpace, fs: Sequence[Potential]):
@@ -640,32 +661,25 @@ def equilibrium_residual(space: SftSpace, f: Potential) -> float:
 
 
 def ergodic_average_range(space: SftSpace, f: Potential) -> tuple[float, float]:
-    hi = beta(space, f).value
-    lo = -beta(space, f.scale(-1.0)).value
-    return lo, hi
+    hi, neg = betas(space, [f, f.scale(-1.0)])
+    return -neg.value, hi.value
 
 
-def level_entropy_detail(space: SftSpace, f: Potential, a: float,
-                         q_max: float = 512.0,
-                         q_tol: float = 1e-8) -> tuple[float, float]:
-    """(t_a, q*) with t_a = inf_q P(q f) - q a by golden-section search.
+def _level_search(a: float, q_max: float, q_tol: float):
+    """The golden-section search for t_a = inf_q P(q f) - q a as a
+    generator: it yields each q whose pressure P(q f) it needs, is sent
+    that pressure, and returns (t_a, q*).
 
     Boundary levels keep pushing the minimizer outward; the search then stops
     at q_max and reports the limiting value there.
     """
-    if not (q_tol > 0 and 0 < q_max < math.inf):
-        raise ValueError("q_tol and q_max must be positive, q_max finite")
-    lo, hi = ergodic_average_range(space, f)
-    if not lo - 1e-9 <= a <= hi + 1e-9:  # also rejects nan
-        raise OutsideLf(f"a={a} outside [{lo}, {hi}]")
-
-    def g(q: float) -> float:
-        return pressure(space, f.scale(q)) - q * a
+    def g(q: float):
+        return (yield q) - q * a
 
     ql, qr = -1.0, 1.0
-    g0 = g(0.0)
+    g0 = yield from g(0.0)
     while qr <= q_max:
-        if g(ql) >= g0 and g(qr) >= g0:
+        if (yield from g(ql)) >= g0 and (yield from g(qr)) >= g0:
             break
         ql *= 2.0
         qr *= 2.0
@@ -675,18 +689,60 @@ def level_entropy_detail(space: SftSpace, f: Potential, a: float,
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = qr - invphi * (qr - ql)
     d = ql + invphi * (qr - ql)
-    gc, gd = g(c), g(d)
+    gc = yield from g(c)
+    gd = yield from g(d)
     while qr - ql > q_tol:
         if gc <= gd:
             qr, d, gd = d, c, gc
             c = qr - invphi * (qr - ql)
-            gc = g(c)
+            gc = yield from g(c)
         else:
             ql, c, gc = c, d, gd
             d = ql + invphi * (qr - ql)
-            gd = g(d)
+            gd = yield from g(d)
     q_star = 0.5 * (ql + qr)
-    return g(q_star), q_star
+    return (yield from g(q_star)), q_star
+
+
+def level_entropy_details(space: SftSpace, f: Potential,
+                          levels: Sequence[float], q_max: float = 512.0,
+                          q_tol: float = 1e-8) -> list[tuple[float, float]]:
+    """(t_a, q*) for each level a, in input order, with t_a = inf_q P(q f) -
+    q a by golden-section search.
+
+    The searches run in lockstep: each round solves the next q of every
+    search still running in one :func:`pressures` call.  Every level is
+    checked against the range of ergodic averages before any pressure
+    solve; OutsideLf names the first one outside it.
+    """
+    if not (q_tol > 0 and 0 < q_max < math.inf):
+        raise ValueError("q_tol and q_max must be positive, q_max finite")
+    lo, hi = ergodic_average_range(space, f)
+    for a in levels:
+        if not lo - 1e-9 <= a <= hi + 1e-9:  # also rejects nan
+            raise OutsideLf(f"a={a} outside [{lo}, {hi}]")
+    searches = [_level_search(a, q_max, q_tol) for a in levels]
+    out: list = [None] * len(levels)
+    qs = [next(search) for search in searches]
+    running = list(range(len(levels)))
+    while running:
+        ps = pressures(space, [f.scale(qs[i]) for i in running])
+        still = []
+        for i, p in zip(running, ps):
+            try:
+                qs[i] = searches[i].send(p)
+                still.append(i)
+            except StopIteration as done:
+                out[i] = done.value
+        running = still
+    return out
+
+
+def level_entropy_detail(space: SftSpace, f: Potential, a: float,
+                         q_max: float = 512.0,
+                         q_tol: float = 1e-8) -> tuple[float, float]:
+    """(t_a, q*): the one-level case of :func:`level_entropy_details`."""
+    return level_entropy_details(space, f, [a], q_max, q_tol)[0]
 
 
 def level_entropy(space: SftSpace, f: Potential, a: float) -> float:

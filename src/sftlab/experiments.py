@@ -298,13 +298,12 @@ def thm1_4_levels_and_smr(params: dict, seed: int) -> ExperimentResult:
     grid = [round(0.1 * i, 10) for i in range(1, 10)]
     rows = []
     max_err = 0.0
-    for a in grid:
-        t, q = ergopt.level_entropy_detail(space, f, a)
+    *details, (center, _), (t_boundaryish, _) = ergopt.level_entropy_details(
+        space, f, grid + [0.5, 0.9])
+    for a, (t, q) in zip(grid, details):
         expected = -a * math.log(a) - (1 - a) * math.log(1 - a)
         max_err = max(max_err, abs(t - expected))
         rows.append([a, t, q, expected])
-    center = ergopt.level_entropy(space, f, 0.5)
-    t_boundaryish = ergopt.level_entropy(space, f, 0.9)
     smr = ergopt.classify_smr(space, ergopt.Potential(space, 2, {
         (0, 0): 0.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 0.0}))
     passed = (max_err <= 1e-6

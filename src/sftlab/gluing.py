@@ -1155,6 +1155,12 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     """
     eps_star, xi_list = _check_two_orbit(space, lambda1, lambda2, xis,
                                          "emit_chaotic_family")
+    if anchor is not None and not space.is_admissible(anchor.symbols):
+        raise InfeasibleParams(f"anchor {anchor.to_text()!r} is not "
+                               "admissible")
+    if max_tour_depth < 1:
+        raise InfeasibleParams(f"max_tour_depth must be at least 1, got "
+                               f"{max_tour_depth}")
     gap = space.primitivity_index
     L = check_depth
     ntilde = max(6, gap, 2 * max(len(lambda1), len(lambda2)))

@@ -441,7 +441,7 @@ def hamming_matrix(words: Union[np.ndarray, Sequence[Word]],
     each pair's agreements, counted by one product of the rows' one-hot
     rows."""
     X = _prefix_rows(words, n)
-    symbols = np.unique(X)
+    symbols = np.flatnonzero(np.bincount(X.ravel()))  # the symbols present
     hot = (X[:, :, None] == symbols).reshape(len(X), n * len(symbols))
     agree = hot.astype(np.int32) @ hot.T.astype(np.int32)
     return np.subtract(n, agree, out=agree)

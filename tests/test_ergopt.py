@@ -18,9 +18,10 @@ from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
                            brute_force_betas, classify_smr, coboundary_shift,
                            equilibrium_mean, equilibrium_residual,
                            equilibrium_residuals, equilibrium_state,
-                           level_entropy, level_entropy_detail,
-                           mean_potential, pressure, random_potential,
-                           topological_entropy)
+                           ergodic_average_range, level_entropy,
+                           level_entropy_detail, level_entropy_details,
+                           mean_potential, pressure, pressures,
+                           random_potential, topological_entropy)
 from sftlab.experiments import _csv, run_experiment
 from sftlab.measures import MarkovMeasure, ks_entropy
 from sftlab.shift import SftSpace, Word
@@ -148,7 +149,57 @@ def best_mean(n, src, dst, values, max_period):
 def forbid_pressure(monkeypatch):
     def solve(*args):
         raise AssertionError("a bad input reached a pressure solve")
-    monkeypatch.setattr(ergopt, "pressure", solve)
+    monkeypatch.setattr(ergopt, "_transfer_solves", solve)
+
+
+def count_transfer_solves(monkeypatch):
+    """The list that records the potentials of every _transfer_solves call."""
+    calls = []
+    solve = ergopt._transfer_solves
+    monkeypatch.setattr(ergopt, "_transfer_solves",
+                        lambda space, fs: calls.append(len(fs))
+                        or solve(space, fs))
+    return calls
+
+
+def sequential_level_entropy_detail(space, f, a, q_max=512.0, q_tol=1e-8):
+    """The one-level golden-section search level_entropy_detail ran before
+    the lockstep searches, one pressure solve per step, kept as their
+    oracle."""
+    if not (q_tol > 0 and 0 < q_max < math.inf):
+        raise ValueError("q_tol and q_max must be positive, q_max finite")
+    lo, hi = ergodic_average_range(space, f)
+    if not lo - 1e-9 <= a <= hi + 1e-9:
+        raise OutsideLf(f"a={a} outside [{lo}, {hi}]")
+
+    def g(q):
+        return pressure(space, f.scale(q)) - q * a
+
+    ql, qr = -1.0, 1.0
+    g0 = g(0.0)
+    while qr <= q_max:
+        if g(ql) >= g0 and g(qr) >= g0:
+            break
+        ql *= 2.0
+        qr *= 2.0
+    ql = max(ql, -q_max)
+    qr = min(qr, q_max)
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = qr - invphi * (qr - ql)
+    d = ql + invphi * (qr - ql)
+    gc, gd = g(c), g(d)
+    while qr - ql > q_tol:
+        if gc <= gd:
+            qr, d, gd = d, c, gc
+            c = qr - invphi * (qr - ql)
+            gc = g(c)
+        else:
+            ql, c, gc = c, d, gd
+            d = ql + invphi * (qr - ql)
+            gd = g(d)
+    q_star = 0.5 * (ql + qr)
+    return g(q_star), q_star
 
 
 def loop_brute_force_beta(space, f, max_period):
@@ -607,6 +658,19 @@ class TestBatches:
         else:
             assert brute_force_betas(space, fs, max_period) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_batches(), st.floats(-4, 4))
+    def test_pressures_equal_one_row_cases(self, case, q):
+        space, fs = case
+        fs = [f.scale(q) for f in fs]
+        try:
+            expected = [pressure(space, f) for f in fs]
+        except ValueError:  # a Perron root that underflows to zero
+            with pytest.raises(ValueError):
+                pressures(space, fs)
+        else:
+            assert pressures(space, fs) == expected
+
     def test_empty_batches(self):
         assert betas(FULL2, []) == []
         assert brute_force_betas(FULL2, [], 3) == []
@@ -630,18 +694,36 @@ class TestBatches:
             ["trial", "m", "r", "karp", "oracle", "equal"], rows)
 
     def test_batches_are_cut_at_the_element_budget(self, monkeypatch):
-        monkeypatch.setattr(ergopt, "_BATCH_ELEMENTS", 10)
+        # 3 nodes of in-degree 3: Karp's D table holds (3 + 1) * 3 = 12
+        # elements a row, the oracle's gather 3 * 3 * 3 = 27 and a Perron
+        # call 3 * 3 = 9
         space = SftSpace.full_shift(3)
         fs = [random_potential(space, 2, seed=i) for i in range(7)]
         solves = []
-        optimum_ = ergopt._optimum
-        monkeypatch.setattr(ergopt, "_optimum",
-                            lambda g, v: solves.append(len(v)) or optimum_(g, v))
-        got = betas(space, fs)
-        assert solves == [1] * 7  # 3 nodes of in-degree 3: 9 elements a row
-        monkeypatch.setattr(ergopt, "_BATCH_ELEMENTS", 30)
-        solves.clear()
-        assert betas(space, fs) == got and solves == [3, 3, 1]
+
+        def record(name, batch_arg):
+            solve = getattr(ergopt, name)
+            monkeypatch.setattr(ergopt, name, lambda *a: solves.append(
+                len(a[batch_arg])) or solve(*a))
+
+        record("_optimum", 1)
+        record("_maxplus_best_mean", 1)
+        record("_perron", 0)
+        expected = (betas(space, fs), brute_force_betas(space, fs, 3),
+                    pressures(space, fs))
+        for budget, karp, oracle, perron in [
+                (11, [1] * 7, [1] * 7, [1] * 7),
+                (26, [2, 2, 2, 1], [1] * 7, [2, 2, 2, 1]),
+                (36, [3, 3, 1], [1] * 7, [4, 3]),
+                (54, [4, 3], [2, 2, 2, 1], [6, 1])]:
+            monkeypatch.setattr(ergopt, "_BATCH_ELEMENTS", budget)
+            solves.clear()
+            assert betas(space, fs) == expected[0] and solves == karp
+            solves.clear()
+            assert brute_force_betas(space, fs, 3) == expected[1]
+            assert solves == oracle
+            solves.clear()
+            assert pressures(space, fs) == expected[2] and solves == perron
 
 
 class TestSpaceMismatch:
@@ -660,6 +742,8 @@ class TestSpaceMismatch:
                      lambda: brute_force_beta(space, self.F, 3),
                      lambda: brute_force_betas(space, [self.F], 3),
                      lambda: pressure(space, self.F),
+                     lambda: pressures(space, [self.F]),
+                     lambda: level_entropy_details(space, self.F, [0.0]),
                      lambda: equilibrium_state(space, self.F),
                      lambda: equilibrium_residual(space, self.F),
                      lambda: equilibrium_residuals(space, [self.F]),
@@ -739,6 +823,53 @@ class TestLevelEntropy:
         f = Potential.indicator(FULL2, Word("1"))
         with pytest.raises(OutsideLf):
             level_entropy(FULL2, f, 1.5)
+
+    def test_one_bad_level_raises_before_pressure(self, monkeypatch):
+        forbid_pressure(monkeypatch)
+        with pytest.raises(OutsideLf, match=re.escape("a=1.5 outside")):
+            level_entropy_details(FULL2, IND1, [0.2, 0.5, 1.5, -1.0, 0.9])
+
+    def test_lockstep_equals_sequential_searches(self, monkeypatch):
+        # the boundary levels 0 and 1 run out to q_max, the grid stops early
+        levels = [0.0, 1.0] + [round(0.1 * i, 10) for i in range(1, 10)]
+        calls = count_transfer_solves(monkeypatch)
+        expected, steps = [], []
+        for a in levels:
+            expected.append(sequential_level_entropy_detail(FULL2, IND1, a))
+            steps.append(len(calls))
+            calls.clear()
+        assert level_entropy_details(FULL2, IND1, levels) == expected
+        # one solve per round, of every search that has not ended
+        assert calls == [sum(n > k for n in steps) for k in range(max(steps))]
+        assert [level_entropy_detail(FULL2, IND1, a) for a in levels] == expected
+        assert level_entropy_details(FULL2, IND1, []) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(FULL2, 1), (FULL2, 2), (GOLDEN, 2),
+                            (SftSpace.full_shift(3), 1), (NO_FIXED, 2)]),
+           st.integers(0, 2 ** 32 - 1),
+           st.lists(st.floats(0, 1), min_size=1, max_size=4),
+           st.sampled_from([(512.0, 1e-8), (8.0, 1e-3)]))
+    def test_lockstep_equals_sequential_on_random_potentials(
+            self, case, seed, shares, search):
+        space, r = case
+        f = random_potential(space, r, seed=seed, low=-3, high=3)
+        lo, hi = ergodic_average_range(space, f)
+        levels = [lo + t * (hi - lo) for t in shares]
+        try:
+            expected = [sequential_level_entropy_detail(space, f, a, *search)
+                        for a in levels]
+        except ValueError:  # a Perron root that underflows to zero
+            with pytest.raises(ValueError):
+                level_entropy_details(space, f, levels, *search)
+        else:
+            assert level_entropy_details(space, f, levels, *search) == expected
+
+    def test_thm1_4_solves_its_levels_in_lockstep(self, monkeypatch):
+        # eleven searches one after another made 555 transfer solves
+        calls = count_transfer_solves(monkeypatch)
+        assert run_experiment("thm1_4_levels_and_smr", 7, {}).passed
+        assert len(calls) <= 60 and calls[0] == 11
 
     def test_ceiling_respected_on_grid(self):
         f = random_potential(FULL2, 1, seed=12)

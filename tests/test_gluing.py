@@ -1164,6 +1164,32 @@ class TestChaoticFamily:
             emit_dc1_family(FULL2, mu_per, Word("0"), Word("1"),
                             [(1,), (2,)], 20_000, seed=1, zeta0=zeta0)
 
+    def test_inadmissible_anchor_named(self, monkeypatch):
+        # the golden mean forbids 11: members used to start 1 1 0 ...
+        monkeypatch.setattr(gluing, "dense_tour", forbidden("a tour"))
+        with pytest.raises(InfeasibleParams,
+                           match=re.escape("anchor '11' is not admissible")):
+            emit_chaotic_family(GOLDEN, parry(GOLDEN), Word("0"), Word("01"),
+                                [(1, 2, 1), (2, 1, 1)], 6000, seed=5,
+                                anchor=Word("11"))
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_non_positive_max_tour_depth_named(self, depth, monkeypatch):
+        # these used to reach dense_tour and fail with a bare ValueError
+        monkeypatch.setattr(gluing, "dense_tour", forbidden("a tour"))
+        with pytest.raises(InfeasibleParams, match=re.escape(
+                f"max_tour_depth must be at least 1, got {depth}")):
+            emit_chaotic_family(FULL2, POINT0, Word("0"), Word("1"),
+                                [(1, 2), (2, 1)], 20_000, seed=1,
+                                max_tour_depth=depth)
+
+
+def forbidden(what):
+    """A stand-in that fails the test when a bad input reaches it."""
+    def call(*args, **kwargs):
+        raise AssertionError(f"a bad input reached {what}")
+    return call
+
 
 # orbit generator pairs, periodically admissible and disjoint, per space
 TWO_ORBITS = {FULL2: [("0", "1"), ("01", "1"), ("001", "11")],

@@ -320,6 +320,17 @@ class TestHammingMatrix:
         assert H.shape == (len(words), len(words))
         assert H.tolist() == [[hamming(x, y, n) for y in words] for x in words]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_symbol_matrix_equals_pairwise_hamming(self, m, n, k, seed):
+        # random rows of a symbol matrix, some symbols absent
+        X = np.random.default_rng(seed).integers(0, m, size=(k, n + 2),
+                                                  dtype=np.uint8)
+        words = [Word(row) for row in X.tolist()]
+        assert hamming_matrix(X, n).tolist() == [
+            [hamming(x, y, n) for y in words] for x in words]
+
     def test_too_short_named(self):
         with pytest.raises(WordsTooShort):
             hamming_matrix([Word("01"), Word("0")], 2)
