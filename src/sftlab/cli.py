@@ -15,7 +15,6 @@ and message; the rest of the batch still runs and the exit code is 1.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import platform
 import sys
@@ -120,6 +119,7 @@ def cmd_run(args) -> int:
             except Exception as exc:  # one experiment must not lose the batch
                 results[name] = _failed(name, exc)
     else:
+        import concurrent.futures  # only a pool needs it
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
                 pool.submit(_run_one, name, _derived_seed(seed, name), params):

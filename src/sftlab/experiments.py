@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import analysis, chaos, cocycle, ergopt, gluing, measures
+from . import measures
 from .measures import MarkovMeasure, MeasurePath, ks_entropy
 from .shift import SftSpace, Word, hamming_matrix, separated_count
 
@@ -71,6 +71,7 @@ def run_experiment(name: str, seed: int, params: Optional[dict] = None
             "full upper-capacity entropy of saturated sets via glued"
             " separated families")
 def thm1_1_capacity(params: dict, seed: int) -> ExperimentResult:
+    from . import analysis, gluing
     space = SftSpace.full_shift(2)
     target_mu = MarkovMeasure.bernoulli(space, [0.1, 0.9])
     max_ent = MarkovMeasure.bernoulli(space, [0.5, 0.5])
@@ -100,7 +101,6 @@ def thm1_1_capacity(params: dict, seed: int) -> ExperimentResult:
     rate = analysis.growth_rate(counts)
     slope_floor = math.log(2) - 0.15
     passed = rate.slope >= slope_floor and tracking_ok
-    rows = [[n, c] for n, c in counts]
     return ExperimentResult(
         name="thm1_1_capacity",
         passed=passed,
@@ -111,7 +111,7 @@ def thm1_1_capacity(params: dict, seed: int) -> ExperimentResult:
             "tracking_all_ok": tracking_ok,
             "tracking_worst_excess": worst_excess,
         },
-        tables={"counts.csv": _csv(["n", "separated_count"], rows)},
+        tables={"counts.csv": _csv(["n", "separated_count"], counts)},
     )
 
 
@@ -156,6 +156,7 @@ def _sampled_leaf_checks(tree: gluing.BranchTree, seed: int
             "packing-entropy branching tree with exact counting-measure"
             " Bowen-ball bounds")
 def thm1_2_packing_tree(params: dict, seed: int) -> ExperimentResult:
+    from . import gluing
     space = SftSpace.full_shift(2)
     K = MeasurePath([MarkovMeasure.bernoulli(space, [0.7, 0.3]),
                      MarkovMeasure.bernoulli(space, [0.3, 0.7])])
@@ -216,6 +217,7 @@ def prop3_1_family(params: dict, seed: int) -> ExperimentResult:
 @experiment("lemma_ds_tracking",
             "empirical-tracking bound soundness along a measure path")
 def lemma_ds_tracking(params: dict, seed: int) -> ExperimentResult:
+    from . import gluing
     space = SftSpace.full_shift(2)
     a = MarkovMeasure.bernoulli(space, [0.7, 0.3])
     b = MarkovMeasure.bernoulli(space, [0.3, 0.7])
@@ -243,6 +245,7 @@ def lemma_ds_tracking(params: dict, seed: int) -> ExperimentResult:
 @experiment("thm1_3_cocycle_family",
             "full-capacity families with prescribed top Lyapunov exponent")
 def thm1_3_cocycle_family(params: dict, seed: int) -> ExperimentResult:
+    from . import analysis, cocycle
     space = SftSpace.full_shift(2)
     c = cocycle.MatrixCocycle(space, {
         (0,): np.array([[1.2, 0.1], [0.0, 0.9]]),
@@ -293,17 +296,15 @@ def thm1_3_cocycle_family(params: dict, seed: int) -> ExperimentResult:
             "level-set entropy ceilings and the periodic structure of"
             " measure-recurrent optimal orbits")
 def thm1_4_levels_and_smr(params: dict, seed: int) -> ExperimentResult:
+    from . import ergopt
     space = SftSpace.full_shift(2)
     f = ergopt.Potential.indicator(space, Word("1"))
     grid = [round(0.1 * i, 10) for i in range(1, 10)]
-    rows = []
-    max_err = 0.0
-    *details, (center, _), (t_boundaryish, _) = ergopt.level_entropy_details(
-        space, f, grid + [0.5, 0.9])
-    for a, (t, q) in zip(grid, details):
-        expected = -a * math.log(a) - (1 - a) * math.log(1 - a)
-        max_err = max(max_err, abs(t - expected))
-        rows.append([a, t, q, expected])
+    details = ergopt.level_entropy_details(space, f, grid)
+    center, t_boundaryish = (details[grid.index(a)][0] for a in (0.5, 0.9))
+    rows = [[a, t, q, -a * math.log(a) - (1 - a) * math.log(1 - a)]
+            for a, (t, q) in zip(grid, details)]  # closed form last
+    max_err = max(abs(t - expected) for _, t, _, expected in rows)
     smr = ergopt.classify_smr(space, ergopt.Potential(space, 2, {
         (0, 0): 0.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 0.0}))
     passed = (max_err <= 1e-6
@@ -330,6 +331,7 @@ def thm1_4_levels_and_smr(params: dict, seed: int) -> ExperimentResult:
             "chaotic two-orbit families: separation recurrence and"
             " closeness density")
 def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
+    from . import chaos, gluing
     space = SftSpace.full_shift(2)
     mu0 = MarkovMeasure.periodic_orbit(space, Word("0"))
     horizon = params.get("horizon", 100_000)
@@ -430,6 +432,7 @@ def _trials_by_space(draws: list[tuple[int, int]]):
 @experiment("thm1_6_equilibrium",
             "equilibrium states: variational identity and entropy comparisons")
 def thm1_6_equilibrium(params: dict, seed: int) -> ExperimentResult:
+    from . import ergopt
     count = _count(params, 50)
     rng = np.random.default_rng(seed)
     draws = [(int(rng.integers(2, 5)), int(rng.integers(1, 3)))
@@ -463,6 +466,7 @@ def thm1_6_equilibrium(params: dict, seed: int) -> ExperimentResult:
 @experiment("karp_oracle",
             "maximum mean cycle against the periodic-orbit oracle, exact")
 def karp_oracle(params: dict, seed: int) -> ExperimentResult:
+    from . import ergopt
     rng = np.random.default_rng(seed)
     count = _count(params, 100)
     draws = []
@@ -498,6 +502,7 @@ def karp_oracle(params: dict, seed: int) -> ExperimentResult:
 @experiment("pressure_identities",
             "pressure normalizations, additivity and the two-shift closed form")
 def pressure_identities(params: dict, seed: int) -> ExperimentResult:
+    from . import ergopt
     rows = []
     ok = True
     for m in (2, 3, 4):

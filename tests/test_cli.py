@@ -1,9 +1,12 @@
 import concurrent.futures
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sftlab import cli, experiments
+from sftlab import experiments
 from sftlab.cli import main
 from sftlab.experiments import catalog, run_experiment
 
@@ -149,7 +152,8 @@ class TestCliCommands:
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+        # cli imports the pool module only when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             Recording)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -162,3 +166,43 @@ class TestCliCommands:
         assert started == ([] if workers is None else [workers])
         meta = json.loads((out / "meta.json").read_text())
         assert meta["jobs"] == (workers or 1)
+
+
+# Runs the CLI in a fresh interpreter and prints, after each command, the
+# sftlab layers and the pool module that are loaded.
+_LOAD_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from sftlab.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("sftlab.") or m == "concurrent.futures")
+
+points = {}
+for name, argv in (("list", ["list"]), ("validate", ["validate", sys.argv[2]]),
+                   ("run", ["run", sys.argv[2], "--out", sys.argv[3]])):
+    assert main(argv) == 0
+    points[name] = loaded()
+print(json.dumps(points))
+"""
+
+
+def test_a_run_loads_only_the_layers_its_experiments_call(tmp_path):
+    # start-up compiles every module a process loads, so a layer imported
+    # at module level again would cost every pass that never calls it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "experiments": [
+        {"name": "karp_oracle", "params": {"count": 4}},
+        "pressure_identities"]}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, str(src), str(cfg),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    points = json.loads(done.stdout.splitlines()[-1])
+    runner = ["sftlab.cli", "sftlab.errors", "sftlab.experiments",
+              "sftlab.measures", "sftlab.shift"]
+    assert points["list"] == points["validate"] == runner
+    assert points["run"] == sorted(runner + ["sftlab.ergopt"])

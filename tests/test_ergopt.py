@@ -866,10 +866,11 @@ class TestLevelEntropy:
             assert level_entropy_details(space, f, levels, *search) == expected
 
     def test_thm1_4_solves_its_levels_in_lockstep(self, monkeypatch):
-        # eleven searches one after another made 555 transfer solves
+        # eleven searches one after another made 555 transfer solves; the
+        # grid's nine levels hold 0.5 and 0.9, so no level is searched twice
         calls = count_transfer_solves(monkeypatch)
         assert run_experiment("thm1_4_levels_and_smr", 7, {}).passed
-        assert len(calls) <= 60 and calls[0] == 11
+        assert len(calls) <= 60 and calls[0] == 9
 
     def test_ceiling_respected_on_grid(self):
         f = random_potential(FULL2, 1, seed=12)

@@ -18,9 +18,9 @@ CONFIG = {"seed": 7, "experiments": [
 ]}
 
 
-def test_traced_pass_counts(tmp_path):
+def _traced_pass(tmp_path, config) -> dict:
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(CONFIG))
+    cfg.write_text(json.dumps(config))
     record = tmp_path / "record.json"
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), str(cfg),
@@ -29,7 +29,12 @@ def test_traced_pass_counts(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     rec = json.loads(record.read_text())
     assert rec["exit_code"] == 0 and rec["errors"] == []
-    counters, spans = rec["trace"]["counters"], rec["trace"]["spans"]
+    return rec["trace"]
+
+
+def test_traced_pass_counts(tmp_path):
+    trace = _traced_pass(tmp_path, CONFIG)
+    counters, spans = trace["counters"], trace["spans"]
     assert counters["shift.SymbolStream.materialize.symbols"] > 0
     assert counters["measures.typical_separated_family.kept"] > 0
     draws = spans["gluing._draw_block"]["calls"]
@@ -40,3 +45,15 @@ def test_traced_pass_counts(tmp_path):
     # blocks stay symbol arrays: far fewer Words than drawn blocks (108
     # against 442 draws here; one Word per block made it 576)
     assert counters["shift.Word.constructed"] < draws
+
+
+def test_oracle_only_pass_traces_the_solvers(tmp_path):
+    # the experiments import ergopt only when they run; the tracer imports
+    # every layer itself, so the solvers are wrapped before they are called
+    spans = _traced_pass(tmp_path, {"seed": 7, "experiments": [
+        {"name": "karp_oracle", "params": {"count": 8}},
+        "pressure_identities"]})["spans"]
+    assert spans["ergopt.betas"]["calls"] > 0
+    assert spans["ergopt.brute_force_betas"]["calls"] > 0
+    assert spans["ergopt.pressure"]["calls"] == 12
+    assert spans["ergopt.betas"]["self_s"] > 0
