@@ -12,7 +12,7 @@ from .errors import (BadCheckpoints, Degenerate, DepthExceedsEmpirical,
 
 _HOME = {name: layer for layer, names in (  # name -> its layer; layer -> self
     ("shift", "SftSpace SymbolStream Word bridge connector delta_separated "
-              "dist glue iglue separated_count"),
+              "dist glue iglue separated_count topological_entropy"),
     ("measures", "EmpiricalMeasure MarkovMeasure MeasurePath ks_entropies "
                  "ks_entropy markov_measures refine_path sample_word "
                  "typical_separated_family weak_star_dist"),
@@ -20,7 +20,7 @@ _HOME = {name: layer for layer, names in (  # name -> its layer; layer -> self
                  "recurrence_ratios"),
     ("ergopt", "Potential beta betas brute_force_beta brute_force_betas "
                "classify_smr equilibrium_state level_entropy mean_potential "
-               "pressure topological_entropy"),
+               "pressure"),
     ("cocycle", "MatrixCocycle emit_lyapunov_family exponent_along "
                 "exponent_bracket periodic_exponent"),
     ("chaos", "dc1_report li_yorke_report phi_n"),

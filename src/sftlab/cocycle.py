@@ -11,12 +11,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SingularProduct
-from .ergopt import topological_entropy
+from .errors import NotPrimitive, SingularProduct
 from .measures import MarkovMeasure, sample_word
 from .gluing import _member_prefixes
 from .shift import (SftSpace, Word, _symbols, by_word_row, glue_spans,
-                    word_columns)
+                    topological_entropy, word_columns)
 
 
 class MatrixCocycle:
@@ -246,7 +245,7 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     2 * prefix_len * max_log_norm / horizon.
     """
     if space.primitivity_index is None:
-        raise ValueError("needs a primitive space")
+        raise NotPrimitive("emit_lyapunov_family needs a primitive space")
     if space.count_words(N) > 2_000_000:
         raise ValueError(f"{space.count_words(N)} admissible {N}-words: too "
                          f"many for the all-words family")

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import NotPrimitive, OutsideLf, PerronNotPositive, SpaceMismatch
 from .measures import MarkovMeasure, ks_entropies, markov_measures, rng_from
-from .shift import SftSpace, Word, by_word_row, word_columns
+from .shift import (BlockGraph, InEdges, SftSpace, Word, _perron, block_graph,
+                    by_word_row, word_columns)
 
 # --------------------------- potentials ---------------------------
 
@@ -128,7 +129,7 @@ def mean_potential(mu: MarkovMeasure, f: Potential) -> float:
     return sum(mu.cylinder_prob(w) * v for w, v in f.table.items())
 
 
-# --------------------------- block graphs ---------------------------
+# --------------------------- batches on block graphs ---------------------------
 
 
 # A batched solve is cut so that the largest array it holds per potential
@@ -137,72 +138,6 @@ def mean_potential(mu: MarkovMeasure, f: Potential) -> float:
 # 2**16 runs 432 max-plus steps where 2**14 ran 1,436; 2**17 saved under 1%
 # more of a pass and added 0.75 MiB to its peak memory.
 _BATCH_ELEMENTS = 1 << 16
-
-
-@dataclass(frozen=True)
-class InEdges:
-    """Each node's in-edges, in edge order, padded to the largest in-degree
-    (at least 1).  ``src[v]`` holds their source nodes and ``edge[v]`` their
-    edge indices; a pad has the edge index ``len(edges)``, which
-    :meth:`weights` gives the absent weight, and the node's first source
-    (else 0), so a pad never wins a max.  ``bare`` lists the nodes with no
-    in-edge."""
-    src: np.ndarray
-    edge: np.ndarray
-    bare: np.ndarray
-
-    @classmethod
-    def of(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "InEdges":
-        order = np.argsort(dst, kind="stable")
-        deg = np.bincount(dst, minlength=n)
-        starts = np.cumsum(deg) - deg
-        nodes = dst[order]
-        slot = np.arange(len(order)) - starts[nodes]
-        edge = np.full((n, max(int(deg.max(initial=0)), 1)), len(order))
-        edge[nodes, slot] = order
-        sources = np.zeros(edge.shape, dtype=np.intp)
-        sources[nodes, slot] = src[order]
-        sources = np.where(edge == len(order), sources[:, :1], sources)
-        return cls(sources, edge, np.flatnonzero(deg == 0))
-
-    def weights(self, w: np.ndarray, absent) -> np.ndarray:
-        """Edge weights (..., edges) laid out on the table: (..., n, d)."""
-        pad = np.full(w.shape[:-1] + (1,), absent, dtype=w.dtype)
-        return np.concatenate([w, pad], axis=-1)[..., self.edge]
-
-
-@dataclass(frozen=True)
-class BlockGraph:
-    """The ell-words as nodes, (ell+1)-words as edges, each in its
-    ``space.word_table`` order: edge j is the (ell+1)-word in row j, from
-    its first to its last ell symbols."""
-    space: SftSpace
-    ell: int
-    src: np.ndarray  # u of each edge, in edge order
-    dst: np.ndarray  # v of each edge
-    in_edges: InEdges
-
-    def n_nodes(self) -> int:
-        return len(self.space.word_table(self.ell))
-
-    def block_space(self) -> SftSpace:
-        if self.ell == 1:
-            return self.space
-        A = np.zeros((self.n_nodes(), self.n_nodes()), dtype=np.int64)
-        A[self.src, self.dst] = 1
-        return SftSpace(A)
-
-
-def block_graph(space: SftSpace, ell: int) -> BlockGraph:
-    """The ell-block graph with its in-edge table, cached on the space."""
-    graph = space._block_cache.get(ell)
-    if graph is None:
-        ew = space.word_table(ell + 1)
-        src, dst = word_columns(space, ew[:, :-1]), word_columns(space, ew[:, 1:])
-        graph = space._block_cache[ell] = BlockGraph(
-            space, ell, src, dst,
-            InEdges.of(len(space.word_table(ell)), src, dst))
-    return graph
 
 
 def _edge_values(graph: BlockGraph, r: int, values: np.ndarray) -> np.ndarray:
@@ -524,30 +459,6 @@ def _simple_cycles(adj: list[list[int]]) -> list[list[int]]:
 # --------------------------- pressure and equilibrium states ---------------------------
 
 
-def _perron(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Perron roots (B,) and right eigenvectors (B, n), each summing to 1,
-    of a stack of nonnegative matrices (B, n, n), from one dense
-    eigendecomposition call.  LAPACK solves each matrix on its own, so a
-    row's result does not depend on its batch.  Every other eigenvalue has
-    modulus at most the real root, so the root has the largest real part,
-    also when the matrix is close to periodic.  One multiplication by M
-    confirms the root."""
-    vals, vecs = np.linalg.eig(M)
-    v = vecs[np.arange(len(M)), :, vals.real.argmax(axis=-1)].real
-    v = v / v.sum(axis=-1, keepdims=True)
-    return (M @ v[..., None])[..., 0].sum(axis=-1), v
-
-
-def spectral_radius(space: SftSpace) -> float:
-    """log-free Perron root of the transition matrix itself."""
-    lam, _ = _perron(space.transition.astype(float)[None])
-    return float(lam[0])
-
-
-def topological_entropy(space: SftSpace) -> float:
-    return math.log(spectral_radius(space))
-
-
 def _transfer_solves(space: SftSpace, fs: Sequence[Potential]):
     """Per batch of :func:`_batches`: (graph, rows, values, M, lam, right,
     shift), M the transition-masked exp(f) matrices on the block graph with
@@ -630,7 +541,9 @@ def _edge_flow_means(graph: BlockGraph, values: np.ndarray,
 def equilibrium_mean(space: SftSpace, f: Potential,
                      mu: Optional[MarkovMeasure] = None) -> float:
     """Integral of f against its equilibrium state, via edge flows of the
-    block-graph measure (valid for any depth)."""
+    block-graph measure (valid for any depth); SpaceMismatch when f lives
+    on another space."""
+    _check_space(space, [f])
     graph = block_graph(space, max(f.r - 1, 1))
     measure = mu if mu is not None else equilibrium_state(space, f)
     return float(_edge_flow_means(

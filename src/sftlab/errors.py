@@ -58,7 +58,8 @@ class Degenerate(SftLabError):
 
 
 class SpaceMismatch(SftLabError, ValueError):
-    """A potential was handed to a solve on a space it is not defined on."""
+    """A potential or a measure was handed to an operation on a space it is
+    not defined on."""
 
 
 class PerronNotPositive(SftLabError, ArithmeticError):

@@ -14,8 +14,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import measures
+from .errors import InfeasibleParams
 from .measures import MarkovMeasure, MeasurePath, ks_entropy
-from .shift import SftSpace, Word, hamming_matrix, separated_count
+from .shift import (SftSpace, Word, block_graph, hamming_matrix,
+                    separated_count)
 
 
 @dataclass
@@ -336,6 +338,8 @@ def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
     mu0 = MarkovMeasure.periodic_orbit(space, Word("0"))
     horizon = params.get("horizon", 100_000)
     n_xi = params.get("n_xi", 8)
+    if not 2 <= n_xi <= 1024:  # a pair to check, and distinct 10-bit xis
+        raise InfeasibleParams(f"n_xi must lie in [2, 1024], got {n_xi}")
     xis = []
     k = 0
     while len(xis) < n_xi:
@@ -483,7 +487,7 @@ def karp_oracle(params: dict, seed: int) -> ExperimentResult:
         # the oracle's period is the node count, which depends on the depth
         for r in sorted({f.r for f in fs}):
             at = [i for i, f in enumerate(fs) if f.r == r]
-            nodes = ergopt.block_graph(space, max(r - 1, 1)).n_nodes()
+            nodes = block_graph(space, max(r - 1, 1)).n_nodes()
             for i, val in zip(at, ergopt.brute_force_betas(
                     space, [fs[i] for i in at], nodes)):
                 oracle[trials[i]] = val

@@ -39,12 +39,11 @@ import numpy as np
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
                      NotPrimitive, OrbitsNotDisjoint, WordsTooShort)
-from .ergopt import block_graph
 from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts)
 from .shift import (SftSpace, SymbolStream, Word, _glue_pieces, _prefix_rows,
-                    bridge, distinct_rows, glue, glue_spans,
+                    block_graph, bridge, distinct_rows, glue, glue_spans,
                     window_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible

@@ -17,7 +17,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DepthExceedsEmpirical, ShortFamily, StationaryNotUnique
+from .errors import (DepthExceedsEmpirical, ShortFamily, SpaceMismatch,
+                     StationaryNotUnique)
 from .shift import SftSpace, Word, word_columns
 
 # --------------------------- helpers ---------------------------
@@ -403,10 +404,15 @@ def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
 
     Symmetric pseudometric bounded by 1; separates measures differing on some
     cylinder of length <= depth.  The terms are formed from the measures'
-    :meth:`cylinder_probs` vectors and summed left to right.
+    :meth:`cylinder_probs` vectors and summed left to right.  SpaceMismatch
+    names both transition matrices when the measures' spaces differ.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
+    if a.space is not b.space and a.space != b.space:
+        raise SpaceMismatch(
+            f"the measures are defined on the spaces with transition "
+            f"{a.space.transition.tolist()} and {b.space.transition.tolist()}")
     for side in (a, b):
         d = side.max_depth()
         if d is not None and d < depth:

@@ -1,7 +1,8 @@
-"""Subshifts of finite type: words and their index, admissibility, the shift
-metric, Bowen-ball separation predicates, bridging words, and gluing (word
-concatenation with fixed-length bridges, the one join every construction
-uses, and ``glue_spans``, the one rule for where each glued word lands).
+"""Subshifts of finite type: words and their index, block graphs and the
+Perron root, admissibility, the shift metric, Bowen-ball separation
+predicates, bridging words, and gluing (word concatenation with fixed-length
+bridges, the one join every construction uses, and ``glue_spans``, the one
+rule for where each glued word lands).
 
 Conventions fixed here and used everywhere else:
 
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -129,7 +132,7 @@ class SftSpace:
         self._bridge_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._cyl_cache: dict[int, tuple] = {}  # measures._cylinders
         self._word_cache: dict[int, tuple] = {}  # L: (words, ranks)
-        self._block_cache: dict[int, object] = {}  # ergopt.block_graph
+        self._block_cache: dict[int, BlockGraph] = {}  # block_graph
         self._succ = [tuple(np.flatnonzero(A[i]).tolist()) for i in range(self.m)]
 
     @staticmethod
@@ -364,6 +367,95 @@ def by_word_row(space: SftSpace, length: int, mapping: dict,
     values = list(mapping.values())
     rows = word_columns(space, np.array(keys).reshape(len(keys), length))
     return [values[i] for i in np.argsort(rows).tolist()]
+
+
+# --------------------------- block graphs and the Perron root ---------------------------
+
+
+@dataclass(frozen=True)
+class InEdges:
+    """Each node's in-edges, in edge order, padded to the largest in-degree
+    (at least 1).  ``src[v]`` holds their source nodes and ``edge[v]`` their
+    edge indices; a pad has the edge index ``len(edges)``, which
+    :meth:`weights` gives the absent weight, and the node's first source
+    (else 0), so a pad never wins a max.  ``bare`` lists the nodes with no
+    in-edge."""
+    src: np.ndarray
+    edge: np.ndarray
+    bare: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "InEdges":
+        order = np.argsort(dst, kind="stable")
+        deg = np.bincount(dst, minlength=n)
+        starts = np.cumsum(deg) - deg
+        nodes = dst[order]
+        slot = np.arange(len(order)) - starts[nodes]
+        edge = np.full((n, max(int(deg.max(initial=0)), 1)), len(order))
+        edge[nodes, slot] = order
+        sources = np.zeros(edge.shape, dtype=np.intp)
+        sources[nodes, slot] = src[order]
+        sources = np.where(edge == len(order), sources[:, :1], sources)
+        return cls(sources, edge, np.flatnonzero(deg == 0))
+
+    def weights(self, w: np.ndarray, absent) -> np.ndarray:
+        """Edge weights (..., edges) laid out on the table: (..., n, d)."""
+        pad = np.full(w.shape[:-1] + (1,), absent, dtype=w.dtype)
+        return np.concatenate([w, pad], axis=-1)[..., self.edge]
+
+
+@dataclass(frozen=True)
+class BlockGraph:
+    """The ell-words as nodes, (ell+1)-words as edges, each in its
+    ``space.word_table`` order: edge j is the (ell+1)-word in row j, from
+    its first to its last ell symbols."""
+    space: SftSpace
+    ell: int
+    src: np.ndarray  # u of each edge, in edge order
+    dst: np.ndarray  # v of each edge
+    in_edges: InEdges
+
+    def n_nodes(self) -> int:
+        return len(self.space.word_table(self.ell))
+
+    def block_space(self) -> SftSpace:
+        if self.ell == 1:
+            return self.space
+        A = np.zeros((self.n_nodes(), self.n_nodes()), dtype=np.int64)
+        A[self.src, self.dst] = 1
+        return SftSpace(A)
+
+
+def block_graph(space: SftSpace, ell: int) -> BlockGraph:
+    """The ell-block graph with its in-edge table, cached on the space."""
+    graph = space._block_cache.get(ell)
+    if graph is None:
+        ew = space.word_table(ell + 1)
+        src, dst = word_columns(space, ew[:, :-1]), word_columns(space, ew[:, 1:])
+        graph = space._block_cache[ell] = BlockGraph(
+            space, ell, src, dst,
+            InEdges.of(len(space.word_table(ell)), src, dst))
+    return graph
+
+
+def _perron(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perron roots (B,) and right eigenvectors (B, n), each summing to 1,
+    of a stack of nonnegative matrices (B, n, n), from one dense
+    eigendecomposition call.  LAPACK solves each matrix on its own, so a
+    row's result does not depend on its batch.  Every other eigenvalue has
+    modulus at most the real root, so the root has the largest real part,
+    also when the matrix is close to periodic.  One multiplication by M
+    confirms the root."""
+    vals, vecs = np.linalg.eig(M)
+    v = vecs[np.arange(len(M)), :, vals.real.argmax(axis=-1)].real
+    v = v / v.sum(axis=-1, keepdims=True)
+    return (M @ v[..., None])[..., 0].sum(axis=-1), v
+
+
+def topological_entropy(space: SftSpace) -> float:
+    """log of the Perron root of the transition matrix itself."""
+    lam, _ = _perron(space.transition.astype(float)[None])
+    return math.log(lam[0])
 
 
 # --------------------------- metric and separation ---------------------------

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from sftlab.chaos import (ZERO_GAP, Dc1Report, LiYorkeReport, close_gap,
                           dc1_from_gaps, dc1_report, li_yorke_from_gaps,
                           li_yorke_report, orbit_distances, orbit_gaps,
                           phi_from_gaps, phi_n)
-from sftlab.errors import WordsTooShort
+from sftlab import gluing
+from sftlab.errors import InfeasibleParams, WordsTooShort
+from sftlab.experiments import run_experiment
 from sftlab.shift import SftSpace, Word, dist
 
 FULL2 = SftSpace.full_shift(2)
@@ -260,3 +263,32 @@ class TestGapCoreOracles:
             li_yorke_from_gaps(gaps, [2, 5])
         with pytest.raises(WordsTooShort):
             dc1_from_gaps(gaps, 0.5, [0.25], [5])
+
+
+class TestChaosExperimentParams:
+    """thm1_5_chaos draws distinct 10-bit xi sequences, of which there are
+    1,024, and checks pairs of members."""
+
+    def _timeout(self, *_):
+        raise AssertionError("thm1_5_chaos did not raise at once")
+
+    @pytest.mark.parametrize("n_xi", [0, 1, 1025])
+    def test_n_xi_outside_range_raises_before_any_family(self, n_xi,
+                                                         monkeypatch):
+        # 1025 used to loop forever looking for a 1,025th sequence; 0 and 1
+        # passed with no pair checked
+        monkeypatch.setattr(gluing, "emit_chaotic_family", self._timeout)
+        previous = signal.signal(signal.SIGALRM, self._timeout)
+        signal.alarm(5)
+        try:
+            with pytest.raises(InfeasibleParams,
+                               match=rf"n_xi must lie in \[2, 1024\], got "
+                                     rf"{n_xi}$"):
+                run_experiment("thm1_5_chaos", 7, {"n_xi": n_xi})
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_two_sequences_check_one_pair(self):
+        got = run_experiment("thm1_5_chaos", 7, {"n_xi": 2})
+        assert got.passed and got.details["pairs"] == 1

@@ -188,21 +188,49 @@ print(json.dumps(points))
 """
 
 
-def test_a_run_loads_only_the_layers_its_experiments_call(tmp_path):
-    # start-up compiles every module a process loads, so a layer imported
-    # at module level again would cost every pass that never calls it
+def _load_points(tmp_path, experiments):
+    """The loaded modules after list, validate and run of a config of the
+    experiments, in one fresh interpreter."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 5, "experiments": [
-        {"name": "karp_oracle", "params": {"count": 4}},
-        "pressure_identities"]}))
+    cfg.write_text(json.dumps({"seed": 5, "experiments": experiments}))
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-c", _LOAD_PROBE, str(src), str(cfg),
          str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-    points = json.loads(done.stdout.splitlines()[-1])
-    runner = ["sftlab.cli", "sftlab.errors", "sftlab.experiments",
-              "sftlab.measures", "sftlab.shift"]
-    assert points["list"] == points["validate"] == runner
-    assert points["run"] == sorted(runner + ["sftlab.ergopt"])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_RUNNER = ["sftlab.cli", "sftlab.errors", "sftlab.experiments",
+           "sftlab.measures", "sftlab.shift"]
+
+
+def test_a_run_loads_only_the_layers_its_experiments_call(tmp_path):
+    # start-up compiles every module a process loads, so a layer imported
+    # at module level again would cost every pass that never calls it
+    points = _load_points(tmp_path, [
+        {"name": "karp_oracle", "params": {"count": 4}},
+        "pressure_identities"])
+    assert points["list"] == points["validate"] == _RUNNER
+    assert points["run"] == sorted(_RUNNER + ["sftlab.ergopt"])
+
+
+@pytest.mark.parametrize("experiments, layers", [
+    ([{"name": "thm1_2_packing_tree", "params": {"depth": 2}}], ["gluing"]),
+    ([{"name": "thm1_1_capacity", "params": {"family_sizes": [8, 10, 12]}},
+      {"name": "prop3_1_family", "params": {"n": 10, "delta": 0.2}}],
+     ["analysis", "gluing"]),
+    ([{"name": "thm1_3_cocycle_family", "params": {"N": 4, "tail_len": 64}},
+      {"name": "thm1_5_chaos", "params": {"n_xi": 3}},
+      {"name": "lemma_ds_tracking", "params": {"stages": 2}}],
+     ["analysis", "chaos", "cocycle", "gluing"]),
+], ids=["packing_tree", "capacity_family", "long_orbits"])
+def test_the_constructions_never_load_the_solvers(tmp_path, experiments,
+                                                  layers):
+    # words, measures and gluing build the saturated-set, cocycle and chaos
+    # constructions; only the optimal-orbit and equilibrium experiments
+    # need ergopt
+    points = _load_points(tmp_path, experiments)
+    assert points["list"] == points["validate"] == _RUNNER
+    assert points["run"] == sorted(_RUNNER + [f"sftlab.{m}" for m in layers])

@@ -13,6 +13,7 @@ from sftlab import cocycle, shift
 from sftlab.cocycle import (MatrixCocycle, _cyclic_words, emit_lyapunov_family,
                             exponent_along, exponent_bracket,
                             exponents_along, periodic_exponent)
+from sftlab.errors import NotPrimitive
 from sftlab.measures import MarkovMeasure, sample_word
 from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
 
@@ -234,6 +235,15 @@ class TestLyapunovFamily:
                                       tail_len=64)
         assert all(abs(e) < 1e-12 for e in report.exponents)
         assert report.prefix_bound == 0.0
+
+    def test_non_primitive_space_names_the_builder(self):
+        # raised a bare ValueError("needs a primitive space")
+        flip = SftSpace([[0, 1], [1, 0]])
+        c = MatrixCocycle.constant(flip, np.eye(2))
+        mu = MarkovMeasure.periodic_orbit(flip, Word("01"))
+        with pytest.raises(NotPrimitive, match="^emit_lyapunov_family needs "
+                                               "a primitive space$"):
+            emit_lyapunov_family(c, flip, mu, None, N=2, seed=0)
 
     def test_golden_mean_family_respects_transitions(self):
         c = MatrixCocycle(GOLDEN, {

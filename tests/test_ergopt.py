@@ -21,10 +21,10 @@ from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
                            ergodic_average_range, level_entropy,
                            level_entropy_detail, level_entropy_details,
                            mean_potential, pressure, pressures,
-                           random_potential, topological_entropy)
+                           random_potential)
 from sftlab.experiments import _csv, run_experiment
 from sftlab.measures import MarkovMeasure, ks_entropy
-from sftlab.shift import SftSpace, Word
+from sftlab.shift import SftSpace, Word, topological_entropy
 
 from measure_oracles import (loop_equilibrium_mean, per_measure_entropy,
                              per_row_equilibria, per_row_residuals)
@@ -747,6 +747,9 @@ class TestSpaceMismatch:
                      lambda: equilibrium_state(space, self.F),
                      lambda: equilibrium_residual(space, self.F),
                      lambda: equilibrium_residuals(space, [self.F]),
+                     lambda: equilibrium_mean(
+                         space, self.F,
+                         MarkovMeasure.periodic_orbit(space, Word("01"))),
                      lambda: classify_smr(space, self.F)):
             with pytest.raises(SpaceMismatch, match=message):
                 call()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sftlab import measures
 from sftlab.analysis import empirical
 from sftlab.errors import (DepthExceedsEmpirical, ShortFamily, SftLabError,
-                           StationaryNotUnique)
+                           SpaceMismatch, StationaryNotUnique)
 from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                              _batch_weak_star, cylinder_weights,
                              interpolate, ks_entropies, ks_entropy,
@@ -262,6 +263,25 @@ class TestWeakStar:
         emp = empirical(FULL2, sample_word(mu, 50, 1), 40, 2)
         with pytest.raises(DepthExceedsEmpirical):
             weak_star_dist(emp, mu, 3)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_measures_on_other_spaces_name_both(self, depth):
+        # gave 0.0625 silently at depth 1 and a numpy broadcast error at 2
+        full = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
+        golden = MarkovMeasure(GOLDEN, [[0.5, 0.5], [1.0, 0.0]])
+        message = re.escape(f"{FULL2.transition.tolist()} and "
+                            f"{GOLDEN.transition.tolist()}")
+        with pytest.raises(SpaceMismatch, match=message):
+            weak_star_dist(full, golden, depth)
+        with pytest.raises(SpaceMismatch):
+            weak_star_dist(golden, full, depth)
+
+    def test_an_equal_space_is_accepted(self):
+        twin = SftSpace(GOLDEN.transition)
+        mu = MarkovMeasure(GOLDEN, [[0.5, 0.5], [1.0, 0.0]])
+        nu = MarkovMeasure(twin, [[0.5, 0.5], [1.0, 0.0]])
+        assert twin is not GOLDEN
+        assert weak_star_dist(mu, nu, 2) == 0.0
 
     def test_empirical_converges_to_source(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])

@@ -20,7 +20,8 @@ REEXPORTS = {
         "PerronNotPositive", "SftLabError", "ShortFamily", "SingularProduct",
         "SpaceMismatch", "WordsTooShort", "ZeroCylinder"],
     "shift": ["SftSpace", "SymbolStream", "Word", "bridge", "connector",
-              "delta_separated", "dist", "glue", "iglue", "separated_count"],
+              "delta_separated", "dist", "glue", "iglue", "separated_count",
+              "topological_entropy"],
     "measures": ["EmpiricalMeasure", "MarkovMeasure", "MeasurePath",
                  "ks_entropies", "ks_entropy", "markov_measures",
                  "refine_path", "sample_word", "typical_separated_family",
@@ -29,8 +30,7 @@ REEXPORTS = {
                  "growth_rate", "recurrence_ratios"],
     "ergopt": ["Potential", "beta", "betas", "brute_force_beta",
                "brute_force_betas", "classify_smr", "equilibrium_state",
-               "level_entropy", "mean_potential", "pressure",
-               "topological_entropy"],
+               "level_entropy", "mean_potential", "pressure"],
     "cocycle": ["MatrixCocycle", "emit_lyapunov_family", "exponent_along",
                 "exponent_bracket", "periodic_exponent"],
     "chaos": ["dc1_report", "li_yorke_report", "phi_n"],
