@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NotPrimitive, SingularProduct
+from .errors import SingularProduct
 from .measures import MarkovMeasure, sample_word
 from .gluing import _member_prefixes
 from .shift import (SftSpace, Word, _symbols, by_word_row, glue_spans,
@@ -244,14 +244,12 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     from the reference by at most the reported prefix bound
     2 * prefix_len * max_log_norm / horizon.
     """
-    if space.primitivity_index is None:
-        raise NotPrimitive("emit_lyapunov_family needs a primitive space")
+    gap = space.gap("emit_lyapunov_family")
     if space.count_words(N) > 2_000_000:
         raise ValueError(f"{space.count_words(N)} admissible {N}-words: too "
                          f"many for the all-words family")
     if tail_len < 1:
         raise ValueError("tail_len must be positive")
-    gap = space.primitivity_index
     dtype = space.symbol_dtype
     family = (space.word_table(N).astype(dtype) if N
               else np.empty((1, 0), dtype=dtype))

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPrimitive, OutsideLf, PerronNotPositive, SpaceMismatch
+from .errors import OutsideLf, PerronNotPositive, SpaceMismatch
 from .measures import MarkovMeasure, ks_entropies, markov_measures, rng_from
 from .shift import (BlockGraph, InEdges, SftSpace, Word, _perron, block_graph,
                     by_word_row, word_columns)
@@ -366,8 +366,7 @@ def betas(space: SftSpace, fs: Sequence[Potential]) -> list[BetaResult]:
     broken by the DFS order of the tight subgraph, see classify_smr for tie
     reporting.
     """
-    if space.primitivity_index is None:
-        raise NotPrimitive("beta needs a primitive space")
+    space.gap("beta")
     out: list = [None] * len(fs)
     for graph, rows, values in _batches(  # Karp's (n+1) x n D, or n x d
             space, fs, lambda g: g.n_nodes() * max(g.n_nodes() + 1,
@@ -479,8 +478,7 @@ def _transfer_solves(space: SftSpace, fs: Sequence[Potential]):
 def pressures(space: SftSpace, fs: Sequence[Potential]) -> list[float]:
     """P(f), the log spectral radius of the transfer matrix, for each
     potential in input order, from one :func:`_transfer_solves` pass."""
-    if space.primitivity_index is None:
-        raise NotPrimitive("pressure needs a primitive space")
+    space.gap("pressure")
     out: list = [None] * len(fs)
     for _, rows, _, _, lam, _, shift in _transfer_solves(space, fs):
         for i, li, si in zip(rows, lam.tolist(), shift):
@@ -498,8 +496,7 @@ def _equilibria(space: SftSpace, fs: Sequence[Potential]):
     """Per batch of :func:`_batches`: (graph, rows, values, mus, pressures),
     the equilibrium states on one block space and the pressures P(f) of the
     batch, from one Perron solve and one :func:`markov_measures` call."""
-    if space.primitivity_index is None:
-        raise NotPrimitive("equilibrium_state needs a primitive space")
+    space.gap("equilibrium_state")
     for graph, rows, values, M, lam, right, shift in _transfer_solves(space,
                                                                        fs):
         low = right.min(axis=1)
@@ -540,14 +537,25 @@ def _edge_flow_means(graph: BlockGraph, values: np.ndarray,
 
 def equilibrium_mean(space: SftSpace, f: Potential,
                      mu: Optional[MarkovMeasure] = None) -> float:
-    """Integral of f against its equilibrium state, via edge flows of the
-    block-graph measure (valid for any depth); SpaceMismatch when f lives
-    on another space."""
+    """Integral of f against its equilibrium state, or against a given
+    measure on f's block space, via edge flows of the block-graph measure
+    (valid for any depth); SpaceMismatch when f lives on another space or
+    mu on another block space (edges compared with the graph's, so the
+    block space is not built)."""
     _check_space(space, [f])
     graph = block_graph(space, max(f.r - 1, 1))
-    measure = mu if mu is not None else equilibrium_state(space, f)
+    if mu is None:
+        mu = equilibrium_state(space, f)
+    else:
+        n, A = graph.n_nodes(), mu.space.transition
+        if (len(A), int(A.sum())) != (n, len(graph.src)) \
+                or not A[graph.src, graph.dst].all():
+            raise SpaceMismatch(
+                f"mu must live on the {n}-node block space of the depth-{f.r}"
+                f" potential ({len(graph.src)} edges), not on {mu.space!r} "
+                f"({int(A.sum())} edges)")
     return float(_edge_flow_means(
-        graph, _edge_values(graph, f.r, f.values)[None], [measure])[0])
+        graph, _edge_values(graph, f.r, f.values)[None], [mu])[0])
 
 
 def equilibrium_residuals(space: SftSpace, fs: Sequence[Potential]

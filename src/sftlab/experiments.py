@@ -79,6 +79,9 @@ def thm1_1_capacity(params: dict, seed: int) -> ExperimentResult:
     max_ent = MarkovMeasure.bernoulli(space, [0.5, 0.5])
     eta = params.get("eta", 0.12)
     sizes = params.get("family_sizes", [12, 16, 20])
+    if len(sizes) < 3 or len(set(sizes)) == 1:  # growth_rate's fit needs both
+        raise InfeasibleParams(f"family_sizes needs at least three sizes, not"
+                               f" all equal; got {sizes}")
     anchor = space.parse(params.get("anchor", "0"))
     h = ks_entropy(max_ent)
 
@@ -340,13 +343,7 @@ def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
     n_xi = params.get("n_xi", 8)
     if not 2 <= n_xi <= 1024:  # a pair to check, and distinct 10-bit xis
         raise InfeasibleParams(f"n_xi must lie in [2, 1024], got {n_xi}")
-    xis = []
-    k = 0
-    while len(xis) < n_xi:
-        bits = tuple(1 + ((k >> i) & 1) for i in range(10))
-        if bits not in xis:
-            xis.append(bits)
-        k += 1
+    xis = [tuple(1 + ((k >> i) & 1) for i in range(10)) for k in range(n_xi)]
     fam = gluing.emit_chaotic_family(space, mu0, Word("0"), Word("1"),
                                      xis, horizon, seed=seed)
     members = list(fam.members.items())

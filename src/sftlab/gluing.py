@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
-                     NotPrimitive, OrbitsNotDisjoint, WordsTooShort)
+                     OrbitsNotDisjoint, WordsTooShort)
 from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts)
@@ -92,8 +92,7 @@ def dense_tour(space: SftSpace, depth: int) -> Word:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    if space.primitivity_index is None:
-        raise NotPrimitive("tours need a primitive space")
+    gap = space.gap("dense_tour")
     table = space.word_table(depth)
     if depth >= 2:
         graph = block_graph(space, depth - 1)
@@ -101,7 +100,7 @@ def dense_tour(space: SftSpace, depth: int) -> Word:
         if circuit is not None:
             return space.word(table[circuit[0]].tolist() +
                               table[circuit[1:], -1].tolist())
-    return glue(space, map(Word, table.tolist()), space.primitivity_index)
+    return glue(space, map(Word, table.tolist()), gap)
 
 
 def contains_all_words(space: SftSpace, tour: Word, depth: int) -> bool:
@@ -147,11 +146,10 @@ class GluingSchedule:
     gap: Optional[int] = None
 
     def __post_init__(self):
-        if self.space.primitivity_index is None:
-            raise NotPrimitive("schedules need a primitive space")
+        index = self.space.gap("GluingSchedule")
         if self.gap is None:
-            self.gap = self.space.primitivity_index
-        if self.gap < self.space.primitivity_index:
+            self.gap = index
+        if self.gap < index:
             raise ValueError("gap below the primitivity index")
         for st in self.stages:
             if st.n < self.check_depth:
@@ -755,12 +753,10 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
     the forward-and-back mesh refinement of the path.  InfeasibleParams
     names the first inequality of :func:`validate_schedule` the plan fails.
     """
-    if space.primitivity_index is None:
-        raise NotPrimitive("build_gk_schedule needs a primitive space")
+    gap = space.gap("build_gk_schedule")
     if stages < 1:
         raise ValueError("need at least one stage")
     path = K if isinstance(K, MeasurePath) else MeasurePath([K])
-    gap = space.primitivity_index
 
     alphas: list[MarkovMeasure] = []
     mesh = 1
@@ -972,8 +968,7 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
     component construction propagates.  Nothing walks the leaves, so any
     depth builds; only :meth:`BranchTree.leaves` is capped.
     """
-    if space.primitivity_index is None:
-        raise NotPrimitive("build_branch_tree needs a primitive space")
+    gap = space.gap("build_branch_tree")
     if depth < 1 or eta <= 0:
         raise ValueError("need depth >= 1 and eta > 0")
     comps = K.checkpoints
@@ -984,7 +979,6 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
     ws = list(weights) if weights is not None else [Fraction(1, p)] * p
     if sum(ws) != 1:
         raise ValueError("component weights must sum to 1")
-    gap = space.primitivity_index
     h_star = K.sup_entropy() - eta
     zetas = [eta * (0.75 ** s) for s in range(1, depth + 1)]
 
@@ -1055,8 +1049,7 @@ def _check_two_orbit(space: SftSpace, lambda1: Word, lambda2: Word,
     """The orbit gap eps* and the xi sequences as tuples, once the space is
     primitive, both orbits are periodically admissible and disjoint, and the
     sequences are distinct and over {1, 2}."""
-    if space.primitivity_index is None:
-        raise NotPrimitive(f"{who} needs a primitive space")
+    space.gap(who)
     for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
         if not lam.symbols:
             raise ValueError(f"orbit generator {name} is empty")
@@ -1084,7 +1077,7 @@ def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
     plan's pieces (each orbit run built once) glued by ``_glue_pieces`` and
     cut at horizon.  Also the span of each piece in the glued plan, which no
     xi changes."""
-    gap = space.primitivity_index
+    gap = space.gap("_emit_two_orbit")
     slots = 1 + max((p[0] for p in plan if isinstance(p, tuple)), default=-1)
     for xi in xis:
         if len(xi) < slots:
@@ -1160,7 +1153,7 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     if max_tour_depth < 1:
         raise InfeasibleParams(f"max_tour_depth must be at least 1, got "
                                f"{max_tour_depth}")
-    gap = space.primitivity_index
+    gap = space.gap("emit_chaotic_family")
     L = check_depth
     ntilde = max(6, gap, 2 * max(len(lambda1), len(lambda2)))
     anchor_len = len(anchor) if anchor is not None else 0
@@ -1266,7 +1259,7 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     if not 0 < zeta0 < math.inf:
         raise InfeasibleParams(f"zeta0 must be positive and finite; "
                                f"got zeta0={zeta0}")
-    gap = space.primitivity_index
+    gap = space.gap("emit_dc1_family")
 
     # run lengths: each run dwarfs the whole glued past
     lengths: list[int] = []

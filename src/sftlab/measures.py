@@ -41,6 +41,16 @@ def _flag(bad: np.ndarray, message: str, error=ValueError) -> None:
         raise error(message + (f" (row {rows[0]})" if len(bad) > 1 else ""))
 
 
+def _sweep(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The states a boolean adjacency matrix reaches from the boolean set
+    start, start included, one frontier of new states per step."""
+    seen = new = start
+    while new.any():
+        new = adj[new].any(axis=0) & ~seen
+        seen = seen | new
+    return seen
+
+
 def _stationary_vectors(Q: np.ndarray) -> np.ndarray:
     """The stationary row vector of each stochastic matrix of a stack
     (B, m, m), spanning the null space of Q^T - I (its last right singular
@@ -183,14 +193,13 @@ class MarkovMeasure:
 
     @property
     def is_ergodic(self) -> bool:
-        """Strong connectivity of the support graph restricted to charged states."""
+        """Strong connectivity of the support graph restricted to charged
+        states: the forward and the backward sweep from one charged state
+        each reach every charged state."""
         support = np.flatnonzero(self.stationary > 0)
         adj = self.stochastic[np.ix_(support, support)] > 0
-        n = len(support)
-        reach = np.eye(n, dtype=bool)
-        for _ in range(n):
-            reach = reach | (reach @ adj)
-        return bool(reach.all())
+        first = np.arange(len(support)) == 0
+        return bool(_sweep(adj, first).all() and _sweep(adj.T, first).all())
 
     def max_depth(self) -> Optional[int]:
         return None  # analytic: any depth available
@@ -463,11 +472,7 @@ def _walk(mu: MarkovMeasure) -> tuple[np.ndarray, list[int]]:
         lo = np.hstack([np.zeros((m + 1, 1)), cuts])
         hi = np.hstack([cuts, np.ones((m + 1, 1))])
         step = lo < np.minimum(hi, 1.0)
-        seen = new = step[m]
-        while new.any():
-            new = step[:m][new].any(axis=0) & ~seen
-            seen = seen | new
-        mu._walk = cuts, np.flatnonzero(seen).tolist()
+        mu._walk = cuts, np.flatnonzero(_sweep(step[:m], step[m])).tolist()
     return mu._walk
 
 

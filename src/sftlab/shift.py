@@ -24,6 +24,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -109,10 +110,8 @@ def _symbols(x: Union[Word, np.ndarray]) -> np.ndarray:
 class SftSpace:
     """Alphabet size m plus a 0/1 transition matrix.
 
-    ``primitivity_index`` is the smallest t with ``transition**t`` entrywise
-    positive (None when the matrix is not primitive).  ``symbol_dtype`` is
-    the smallest unsigned dtype that holds every symbol, the dtype of the
-    symbol arrays streams and families return.
+    ``symbol_dtype`` is the smallest unsigned dtype that holds every symbol,
+    the dtype of the symbol arrays streams and families return.
     """
 
     def __init__(self, transition: Sequence[Sequence[int]]):
@@ -127,24 +126,34 @@ class SftSpace:
         self.symbol_dtype = np.min_scalar_type(self.m - 1)
         self.transition = A
         self.transition.setflags(write=False)
-        self.primitivity_index = self._compute_primitivity_index(A)
         self._reach_cache: dict[int, np.ndarray] = {0: np.eye(self.m, dtype=bool)}
         self._bridge_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._cyl_cache: dict[int, tuple] = {}  # measures._cylinders
         self._word_cache: dict[int, tuple] = {}  # L: (words, ranks)
         self._block_cache: dict[int, BlockGraph] = {}  # block_graph
-        self._succ = [tuple(np.flatnonzero(A[i]).tolist()) for i in range(self.m)]
 
-    @staticmethod
-    def _compute_primitivity_index(A: np.ndarray) -> Optional[int]:
-        m = A.shape[0]
-        P = A.astype(bool)
+    @cached_property
+    def primitivity_index(self) -> Optional[int]:
+        """The smallest t with ``transition**t`` entrywise positive, None
+        when the matrix is not primitive; computed on first read."""
+        P = self.transition.astype(bool)
         power = P.copy()
-        for t in range(1, _WIELANDT(m) + 1):
+        for t in range(1, _WIELANDT(self.m) + 1):
             if power.all():
                 return t
             power = power @ P
         return None
+
+    def gap(self, who: str) -> int:
+        """The primitivity index, the least gap :func:`connector` accepts;
+        NotPrimitive naming who when the space is not primitive."""
+        if self.primitivity_index is None:
+            raise NotPrimitive(f"{who} needs a primitive space")
+        return self.primitivity_index
+
+    @cached_property
+    def _succ(self) -> list[tuple[int, ...]]:
+        return [tuple(np.flatnonzero(row).tolist()) for row in self.transition]
 
     # -- constructors --
 
@@ -557,10 +566,9 @@ def connector(space: SftSpace, a: int, b: int, gap: int) -> Word:
     Requires a primitive space and gap >= primitivity index, which guarantees
     a bridge of every such length exists between any two symbols.
     """
-    if space.primitivity_index is None:
-        raise NotPrimitive("connector needs a primitive transition matrix")
-    if gap < space.primitivity_index:
-        raise GapTooSmall(f"gap {gap} < primitivity index {space.primitivity_index}")
+    index = space.gap("connector")
+    if gap < index:
+        raise GapTooSmall(f"gap {gap} < primitivity index {index}")
     if not (0 <= a < space.m and 0 <= b < space.m):
         raise ValueError("symbols out of range")
     out = []

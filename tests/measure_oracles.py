@@ -3,7 +3,8 @@ as its oracles: MarkovMeasure's per-matrix checks and SVD stationary solve,
 the per-measure entropy, the edge-flow mean summed edge by edge in Python,
 and equilibrium states conjugated and built one potential at a time.  Also
 the per-step sampler, the per-cylinder weak* sums and the Word-scored block
-draw that the array-first draws replaced."""
+draw that the array-first draws replaced, and the closure-loop ergodicity
+check that the frontier sweeps replaced."""
 import math
 from types import SimpleNamespace
 
@@ -57,6 +58,18 @@ def per_matrix_measure(space, stochastic, stationary=None):
     return SimpleNamespace(space=space, stochastic=Q, stationary=pi,
                            _row_cum=np.cumsum(Q, axis=1),
                            _pi_cum=np.cumsum(pi))
+
+
+def closure_is_ergodic(mu):
+    """MarkovMeasure.is_ergodic by the reflexive-transitive closure of the
+    support graph on charged states, n dense boolean products."""
+    support = np.flatnonzero(mu.stationary > 0)
+    adj = mu.stochastic[np.ix_(support, support)] > 0
+    n = len(support)
+    reach = np.eye(n, dtype=bool)
+    for _ in range(n):
+        reach = reach | (reach @ adj)
+    return bool(reach.all())
 
 
 def per_measure_entropy(mu):

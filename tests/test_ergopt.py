@@ -781,6 +781,30 @@ class TestSpaceMismatch:
         assert beta(twin, self.F) == beta(GOLDEN, self.F)
         assert beta(GOLDEN, self.F).value == 6.0
 
+    # a measure off f's block space used to raise a raw IndexError (the
+    # 2-state measure for a depth-3 f) or return a number silently
+    @pytest.mark.parametrize("r, mu, nodes, edges", [
+        (3, MarkovMeasure.bernoulli(FULL2, [0.5, 0.5]), 4, 8),
+        (3, MarkovMeasure.periodic_orbit(SftSpace.full_shift(4),
+                                         Word("0123")), 4, 8),
+        (2, MarkovMeasure.periodic_orbit(GOLDEN, Word("01")), 2, 4),
+    ], ids=["two-states", "full-4-shift", "golden-mean"])
+    def test_equilibrium_mean_names_the_block_space(self, r, mu, nodes,
+                                                    edges):
+        with pytest.raises(SpaceMismatch, match=re.escape(
+                f"mu must live on the {nodes}-node block space of the "
+                f"depth-{r} potential ({edges} edges), not on {mu.space!r}")):
+            equilibrium_mean(FULL2, random_potential(FULL2, r, seed=6), mu)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_equilibrium_mean_accepts_an_equal_block_space(self, r):
+        f = random_potential(FULL2, r, seed=6)
+        mu = equilibrium_state(FULL2, f)
+        twin = MarkovMeasure(SftSpace(mu.space.transition), mu.stochastic,
+                             mu.stationary)
+        assert equilibrium_mean(FULL2, f, twin) == \
+            equilibrium_mean(FULL2, f, mu) == equilibrium_mean(FULL2, f)
+
 
 class TestLevelEntropy:
     def test_binary_entropy_closed_form(self):

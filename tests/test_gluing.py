@@ -1451,6 +1451,30 @@ class TestSampledLeafChecks:
                 got.details["sampled_split_ok"]) == (True, False)
 
 
+class TestCapacityExperimentParams:
+    """thm1_1_capacity fits a growth rate through its family sizes, which
+    needs at least three sizes, not all equal."""
+
+    @pytest.mark.parametrize("sizes", [[16, 20], [16], [], [16, 16, 16]])
+    def test_unfit_sizes_raise_before_any_family(self, sizes, monkeypatch):
+        # [16, 20] used to build, emit and track both families before
+        # growth_rate raised Degenerate
+        def built(*_, **__):
+            raise AssertionError("a family was built first")
+        monkeypatch.setattr(experiments.measures, "typical_separated_family",
+                            built)
+        monkeypatch.setattr(gluing, "build_gk_schedule", built)
+        with pytest.raises(InfeasibleParams, match=re.escape(
+                f"family_sizes needs at least three sizes, not all equal; "
+                f"got {sizes}")):
+            run_experiment("thm1_1_capacity", 7, {"family_sizes": sizes})
+
+    def test_three_sizes_with_a_repeat_pass(self):
+        got = run_experiment("thm1_1_capacity", 7,
+                             {"family_sizes": [8, 8, 10]})
+        assert got.details["tracking_all_ok"]
+
+
 class TestDirectBranchTree:
     def test_four_leaves_quarter_weight(self):
         mu_a = MarkovMeasure.bernoulli(FULL2, [0.7, 0.3])

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,9 +25,9 @@ from sftlab.shift import SftSpace, Word, delta_separated, word_columns
 
 from dict_empirical import DictEmpiricalMeasure, dict_empirical
 import measure_oracles
-from measure_oracles import (loop_weak_star_counts, loop_weak_star_dist,
-                             per_matrix_measure, per_measure_entropy,
-                             per_step_sample_word)
+from measure_oracles import (closure_is_ergodic, loop_weak_star_counts,
+                             loop_weak_star_dist, per_matrix_measure,
+                             per_measure_entropy, per_step_sample_word)
 from word_oracles import word_typical_separated_family
 
 FULL2 = SftSpace.full_shift(2)
@@ -91,6 +92,46 @@ class TestMarkovMeasure:
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
         again = MarkovMeasure.from_json(FULL2, mu.to_json())
         assert np.allclose(again.stochastic, mu.stochastic)
+
+
+@st.composite
+def charged_supports(draw):
+    """(stochastic, stationary) whose only use is their positive entries: a
+    support graph drawn at random, periodic (edges only from class i mod d
+    to the next, around an n-cycle) or reducible (upper triangular), and a
+    random nonempty set of charged states."""
+    kind = draw(st.sampled_from(["random", "periodic", "reducible"]))
+    d = draw(st.integers(2, 3))
+    n = d * draw(st.integers(1, 3)) if kind == "periodic" \
+        else draw(st.integers(1, 7))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n * n,
+                                  max_size=n * n)), dtype=bool).reshape(n, n)
+    i, j = np.indices((n, n))
+    if kind == "periodic":
+        bits = (bits & ((j - i) % d == 1)) | ((j - i) % n == 1 % n)
+    elif kind == "reducible":
+        bits &= i <= j
+    charged = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assume(charged.any())
+    return bits.astype(float), charged / charged.sum()
+
+
+class TestErgodicity:
+    @settings(max_examples=300, deadline=None)
+    @given(charged_supports())
+    def test_sweeps_equal_the_closure(self, support):
+        mu = SimpleNamespace(stochastic=support[0], stationary=support[1])
+        assert MarkovMeasure.is_ergodic.fget(mu) == closure_is_ergodic(mu)
+
+    @pytest.mark.parametrize("mu, ergodic", [
+        (MarkovMeasure.bernoulli(FULL2, [0.3, 0.7]), True),
+        (MarkovMeasure.periodic_orbit(SftSpace.full_shift(3), Word("012")),
+         True),
+        (MarkovMeasure(FULL2, np.eye(2), [0.5, 0.5]), False),
+        (MarkovMeasure(FULL2, np.eye(2), [1.0, 0.0]), True),
+    ], ids=["bernoulli", "period-3 orbit", "two fixed points", "one of them"])
+    def test_measures(self, mu, ergodic):
+        assert mu.is_ergodic == closure_is_ergodic(mu) == ergodic
 
 
 class TestEntropy:

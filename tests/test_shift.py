@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from functools import cached_property
+
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
-from sftlab import experiments
+from sftlab import cocycle, ergopt, experiments, gluing
 from sftlab.experiments import run_experiment
-from sftlab.measures import MarkovMeasure, typical_separated_family
+from sftlab.measures import (MarkovMeasure, MeasurePath,
+                             typical_separated_family)
 from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, connector,
                           delta_separated, dist, glue, glue_spans, hamming,
                           hamming_matrix, iglue, separated_count)
@@ -93,6 +96,65 @@ class TestSftSpace:
     def test_json_round_trip(self):
         again = SftSpace.from_json(GOLDEN.to_json())
         assert again == GOLDEN
+
+
+FLIP = SftSpace([[0, 1], [1, 0]])  # period 2, never primitive
+_FLIP_MU = MarkovMeasure.periodic_orbit(FLIP, Word("01"))
+_FLIP_F = ergopt.random_potential(FLIP, 2, 0)
+_TWO_ORBITS = (_FLIP_MU, Word("0"), Word("1"), [(1,), (2,)], 64, 0)
+
+# every entry point behind SftSpace.gap, called on FLIP, keyed by the name
+# its NotPrimitive message gives
+GATED = {
+    "connector": lambda: connector(FLIP, 0, 1, 3),
+    "dense_tour": lambda: gluing.dense_tour(FLIP, 2),
+    "GluingSchedule": lambda: gluing.GluingSchedule(FLIP, []),
+    "build_gk_schedule": lambda: gluing.build_gk_schedule(FLIP, _FLIP_MU),
+    "build_branch_tree": lambda: gluing.build_branch_tree(
+        FLIP, MeasurePath([_FLIP_MU]), 0.1, 1, 0),
+    "emit_chaotic_family": lambda: gluing.emit_chaotic_family(
+        FLIP, *_TWO_ORBITS),
+    "emit_dc1_family": lambda: gluing.emit_dc1_family(FLIP, *_TWO_ORBITS),
+    "_emit_two_orbit": lambda: gluing._emit_two_orbit(
+        FLIP, (Word("0"), Word("1")), [(1,)], [], 8),
+    "beta": lambda: ergopt.beta(FLIP, _FLIP_F),
+    "pressure": lambda: ergopt.pressure(FLIP, _FLIP_F),
+    "equilibrium_state": lambda: ergopt.equilibrium_state(FLIP, _FLIP_F),
+    "emit_lyapunov_family": lambda: cocycle.emit_lyapunov_family(
+        cocycle.MatrixCocycle.constant(FLIP, np.eye(2)), FLIP, _FLIP_MU,
+        None, 2, 0),
+}
+
+
+class TestPrimitiveGate:
+    @pytest.mark.parametrize("who", GATED)
+    def test_every_gated_entry_point_names_itself(self, who):
+        with pytest.raises(NotPrimitive,
+                           match=f"^{who} needs a primitive space$"):
+            GATED[who]()
+
+    @pytest.mark.parametrize("r", [3, 5])
+    def test_equilibrium_block_space_never_computes_its_index(
+            self, r, monkeypatch):
+        computed = []
+        index = SftSpace.primitivity_index.func
+
+        def spy(space):
+            computed.append(space)
+            return index(space)
+
+        prop = cached_property(spy)
+        prop.__set_name__(SftSpace, "primitivity_index")
+        monkeypatch.setattr(SftSpace, "primitivity_index", prop)
+        block = ergopt.equilibrium_state(
+            FULL2, ergopt.random_potential(FULL2, r, 123)).space
+        assert block.m == 2 ** (r - 1)
+        assert not any(s is block for s in computed)
+        assert "primitivity_index" not in vars(block)
+        # the (r-1)-block graph of the full shift joins any two nodes in
+        # exactly r-1 steps, and the index is computed once, on first read
+        assert block.primitivity_index == block.gap("a reader") == r - 1
+        assert sum(s is block for s in computed) == 1
 
 
 class TestDist:
