@@ -1,12 +1,11 @@
 import itertools
 import random
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from functools import cached_property
 
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
 from sftlab import cocycle, ergopt, experiments, gluing
