@@ -47,13 +47,14 @@ def _normalize(data: dict, path: str) -> tuple[int, list[tuple[str, dict]]]:
     if not isinstance(data, dict):
         raise SystemExit(f"{path}: config must be a JSON object")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise SystemExit(f"{path}: 'seed' must be an integer")
     raw = data.get("experiments", [])
     if not isinstance(raw, list):
         raise SystemExit(f"{path}: 'experiments' must be a list")
     known = {name for name, _ in catalog()}
     out = []
+    first: dict[str, int] = {}  # name: index of its entry
     for i, item in enumerate(raw):
         if isinstance(item, str):
             name, params = item, {}
@@ -71,6 +72,12 @@ def _normalize(data: dict, path: str) -> tuple[int, list[tuple[str, dict]]]:
             raise SystemExit(
                 f"{path}: experiments[{i}]: unknown experiment {name!r} "
                 f"(see `sftlab list`)")
+        if name in first:
+            # the summary keeps one result per name
+            raise SystemExit(
+                f"{path}: experiments[{i}]: {name!r} is already listed at "
+                f"experiments[{first[name]}]")
+        first[name] = i
         out.append((name, params))
     return seed, out
 

@@ -13,9 +13,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SingularProduct
 from .measures import MarkovMeasure, sample_word
-from .gluing import _member_prefixes
-from .shift import (SftSpace, Word, _symbols, by_word_row, glue_spans,
-                    topological_entropy, word_columns)
+from .shift import (SftSpace, Word, _symbols, by_word_row, glue_rows,
+                    glue_spans, topological_entropy, word_columns)
 
 
 class MatrixCocycle:
@@ -258,18 +257,14 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     prefix_len = glue_spans((anchor_len, N, tail_len), gap)[-1][0]
     horizon = prefix_len + tail_len
     ref = sample_word(mu, horizon, seed)
-    # row 0 is ref; member rows are their glued prefix, then the shared tail
-    rows = np.empty((1 + len(family), horizon), dtype=dtype)
-    rows[0] = ref
-    rows[1:, :prefix_len] = _member_prefixes(space, anchor, family,
-                                             int(ref[0]), gap)
-    rows[1:, prefix_len:] = rows[0, :tail_len]
-    rows.flags.writeable = False
+    # a member is its glued prefix, then the shared tail: ref's first symbols
+    members = glue_rows(space, (anchor or Word(()), family, ref[:tail_len]),
+                        len(family), gap)
 
     n_eval = horizon - (c.depth - 1)
-    ref_exp, *exps = exponents_along(c, rows, n_eval)
+    ref_exp = exponent_along(c, ref, n_eval)
+    exps = exponents_along(c, members, n_eval)
     tail_exp = exponent_along(c, ref, tail_len)
-    members = rows[1:]
     devs = tuple(abs(e - ref_exp) for e in exps)
     bound = 2.0 * prefix_len * c.max_log_norm() / n_eval
     return LyapunovFamilyReport(

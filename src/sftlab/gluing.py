@@ -3,8 +3,9 @@ they emit: saturated-set generic points, separated stream families,
 branching trees with counting measures, and chaotic two-orbit families.
 
 On a mixing SFT the shadowing in all of these constructions is exact word
-concatenation with fixed-length bridging words (``shift.glue``, and the
-pieces that a ``SymbolStream`` pulls from ``shift._glue_pieces``), and
+concatenation with fixed-length bridging words (``shift.glue``,
+``shift.glue_rows`` for every array of glued members, and the pieces that a
+``SymbolStream`` pulls from ``shift._glue_pieces``), and
 ``shift.glue_spans`` says where each glued word lands, so every tracking
 claim reduces to checkable arithmetic on spans, and
 ``GluingSchedule.layout`` lists the span of every piece of a schedule's
@@ -43,7 +44,7 @@ from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts)
 from .shift import (SftSpace, SymbolStream, Word, _glue_pieces, _prefix_rows,
-                    block_graph, bridge, distinct_rows, glue, glue_spans,
+                    block_graph, distinct_rows, glue, glue_rows, glue_spans,
                     window_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
@@ -581,52 +582,20 @@ def _check_slot(s: GluingSchedule, rows: np.ndarray) -> None:
                          f"{s.family_len}")
 
 
-def _member_prefixes(space: SftSpace, anchor: Optional[Word],
-                     words: np.ndarray, tail_head: int,
-                     gap: int) -> np.ndarray:
-    """One row per member, a row of the (members, slot) symbol array words:
-    glue(anchor, w, tail_head) without its last symbol, that is anchor,
-    family word and the bridge into a shared tail that starts with
-    tail_head.  A member's stream is its row followed by the tail.
-
-    A bridge depends only on its two neighbouring symbols, so members with
-    the same first and last symbols glue to the same row apart from their
-    slot: one representative per such pair is glued, the rest copied."""
-    if distinct_rows(words) != len(words):
-        raise FamilyNotSeparated("family contains duplicate words")
-    width = words.shape[1]
-    ends = (words[:, 0].astype(np.int64) * space.m + words[:, -1] if width
-            else np.zeros(len(words), dtype=np.int64))
-    _, reps, group = np.unique(ends, return_index=True, return_inverse=True)
-    anchor = anchor if anchor is not None else Word(())
-    head = Word((tail_head,))
-    glued = np.array([glue(space, (anchor, Word(words[i].tolist()), head),
-                           gap).symbols for i in reps],
-                     dtype=words.dtype)[group.ravel()]
-    start = glue_spans((len(anchor), width), gap)[1][0]
-    glued[:, start:start + width] = words
-    allowed = space.transition.astype(bool)
-    bad = np.argwhere(~allowed[glued[:, :-1], glued[:, 1:]])
-    if len(bad):
-        i, t = bad[0]
-        raise ValueError(
-            f"family member {Word(words[i].tolist()).to_text()!r} has a "
-            f"forbidden transition {glued[i, t]}->{glued[i, t + 1]} at "
-            f"position {t + 1}")
-    return glued[:, :-1]
-
-
 def _family_start(s: GluingSchedule, rows: np.ndarray,
                   seed: int) -> tuple[SymbolStream, np.ndarray]:
-    """The path every schedule family takes: the slot check, the stage part
-    of the point (blocks and tours joined by bridges) as one stream drawn
-    for the whole family, and each member's prefix row, which it follows."""
+    """The path every schedule family takes: the slot and duplicate checks,
+    the stage part of the point (blocks and tours joined by bridges) as one
+    stream drawn for the whole family, and each member's prefix row, which
+    it follows: anchor, word and bridge glued to the tail's first symbol."""
     _check_slot(s, rows)
+    if distinct_rows(rows) != len(rows):
+        raise FamilyNotSeparated("family contains duplicate words")
     tail = SymbolStream(
         s.space, lambda: _glue_pieces(s.space, _stage_words(s, seed), s.gap),
         label=f"stage-tail(seed={seed})")
-    return tail, _member_prefixes(s.space, s.anchor, rows,
-                                  int(tail.materialize(1)[0]), s.gap)
+    pieces = (s.anchor or Word(()), rows, tail.materialize(1))
+    return tail, glue_rows(s.space, pieces, len(rows), s.gap)[:, :-1]
 
 
 def emit_separated_family(s: GluingSchedule,
@@ -895,31 +864,22 @@ class BranchTree:
                                  zip(self.stages, self.label(index))), self.gap)
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], Word]]:
-        """Every (label, leaf word) in lexicographic label order.  The walk is
-        depth first, so each stage prefix is glued once and shared by the
-        leaves below it.  A tree of more than LEAF_ENUMERATION_CAP leaves
-        raises InfeasibleParams before the walk starts."""
+        """Every (label, leaf word) in lexicographic label order, glued at
+        once from each stage's options picked by its label digits.  A tree
+        of more than LEAF_ENUMERATION_CAP leaves raises InfeasibleParams
+        before any leaf is glued."""
         count = self.leaf_count()
         if count > LEAF_ENUMERATION_CAP:
             raise InfeasibleParams(f"{count} leaves exceed the enumeration "
                                    f"cap {LEAF_ENUMERATION_CAP}")
-        space, gap, stages = self.space, self.gap, self.stages
-        if not stages:
-            return iter([((), Word(()))])
-        last = len(stages) - 1
-
-        def walk(s_idx, label, prefix):
-            for c, opt in enumerate(stages[s_idx].options):
-                syms = opt.symbols
-                if prefix:
-                    syms = (prefix + bridge(space, prefix[-1], syms[0], gap)
-                            + syms)
-                if s_idx == last:
-                    yield label + (c,), Word(syms)
-                else:
-                    yield from walk(s_idx + 1, label + (c,), syms)
-
-        return walk(0, (), ())
+        counts = self.option_counts()
+        digits = np.unravel_index(np.arange(count), counts) if counts else ()
+        pieces = [np.array([o.symbols for o in st.options],
+                           dtype=self.space.symbol_dtype)[d]
+                  for st, d in zip(self.stages, digits)]
+        rows = glue_rows(self.space, pieces, count, self.gap)
+        labels = itertools.product(*map(range, counts))
+        return ((label, Word(row.tolist())) for label, row in zip(labels, rows))
 
     def prefix_distinct_report(self) -> list[CheckEntry]:
         """Distinct labels give distinct stage-end prefixes: the prefixes
@@ -1073,37 +1033,22 @@ _Piece = Union[np.ndarray, Word, tuple[int, int]]
 def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
                     xis: Sequence[tuple[int, ...]], plan: Sequence[_Piece],
                     horizon: int) -> tuple[dict, list[tuple[int, int]]]:
-    """Every member, keyed by its xi, as a read-only symbol array: the
-    plan's pieces (each orbit run built once) glued by ``_glue_pieces`` and
-    cut at horizon.  Also the span of each piece in the glued plan, which no
-    xi changes."""
+    """Every member, keyed by its xi, as a read-only symbol array: a row of
+    the plan's pieces glued and cut at horizon, a private run the (members,
+    n) pick of the orbits' cycles repeated to length n.  Also the span of
+    each piece in the glued plan, which no xi changes."""
     gap = space.gap("_emit_two_orbit")
     slots = 1 + max((p[0] for p in plan if isinstance(p, tuple)), default=-1)
     for xi in xis:
         if len(xi) < slots:
             raise ValueError(
                 f"xi prefix length {len(xi)} < {slots} orbit selections")
-    dtype = space.symbol_dtype
+    picks = np.array([xi[:slots] for xi in xis], dtype=np.intp).reshape(
+        len(xis), slots) - 1
     cycles = [o.to_array() for o in orbits]
-    runs: dict[tuple[int, int], np.ndarray] = {}   # (orbit, length)
-
-    def fill(p: _Piece, xi: tuple[int, ...]) -> Union[np.ndarray, Word]:
-        if not isinstance(p, tuple):
-            return p
-        key = (xi[p[0]] - 1, p[1])
-        if key not in runs:  # the orbit's cycle repeated to length n
-            runs[key] = np.resize(cycles[key[0]], key[1])
-        return runs[key]
-
-    members: dict = {}
-    for xi in xis:
-        # bridges and Words come as tuples: each part takes the space's
-        # dtype, and the empty bridges of gap 1 are left out
-        parts = [np.asarray(a, dtype) for a in _glue_pieces(
-            space, (fill(p, xi) for p in plan), gap) if len(a)]
-        x = np.concatenate(parts)[:horizon] if parts else np.empty(0, dtype)
-        x.flags.writeable = False
-        members[xi] = x
+    pieces = [np.stack([np.resize(c, p[1]) for c in cycles])[picks[:, p[0]]]
+              if isinstance(p, tuple) else p for p in plan]
+    members = dict(zip(xis, glue_rows(space, pieces, len(xis), gap, horizon)))
     spans = glue_spans((p[1] if isinstance(p, tuple) else len(p)
                         for p in plan), gap)
     return members, spans

@@ -378,7 +378,8 @@ def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
     operations of weak_star_dist.  At most ``_WEAK_STAR_ROWS`` rows are
     scored at a time, so the temporaries stay small beside the counts.
     ValueError unless counts has exactly one column per row of
-    ``word_table(depth)`` and total is a scalar or one value per row.
+    ``word_table(depth)`` and total is a positive scalar or one positive
+    value per row; the error names the first total that is not positive.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -395,6 +396,9 @@ def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
             raise ValueError(f"total must be a scalar or one value per count "
                              f"row ({len(counts)}), got shape {total.shape}")
         total = total[:, None]
+    if not (total > 0).all():  # nan is not positive either
+        raise ValueError(f"total must be positive, got "
+                         f"{total[~(total > 0)][0]}")
     probs = target.cylinder_probs(depth)
     d = np.empty(len(counts))
     for r in range(0, len(counts), _WEAK_STAR_ROWS):
@@ -408,6 +412,15 @@ def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
     return d
 
 
+def _same_space(a: MeasureLike, b: MeasureLike) -> None:
+    """SpaceMismatch naming both transition matrices unless the measures
+    live on one space."""
+    if a.space is not b.space and a.space != b.space:
+        raise SpaceMismatch(
+            f"the measures are defined on the spaces with transition "
+            f"{a.space.transition.tolist()} and {b.space.transition.tolist()}")
+
+
 def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
     """Truncated weighted-L1 distance over cylinder indicators.
 
@@ -418,10 +431,7 @@ def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    if a.space is not b.space and a.space != b.space:
-        raise SpaceMismatch(
-            f"the measures are defined on the spaces with transition "
-            f"{a.space.transition.tolist()} and {b.space.transition.tolist()}")
+    _same_space(a, b)
     for side in (a, b):
         d = side.max_depth()
         if d is not None and d < depth:
@@ -550,6 +560,9 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n < typical_depth:
+        raise ValueError(f"n = {n} is shorter than typical_depth = "
+                         f"{typical_depth}: no window to check typicality on")
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
     if eta < 0:
@@ -608,9 +621,11 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
 
 def interpolate(a: MarkovMeasure, b: MarkovMeasure, s: float) -> MarkovMeasure:
     """Entrywise convex interpolation of stochastic matrices, rows renormalized
-    and the stationary vector recomputed."""
+    and the stationary vector recomputed; SpaceMismatch unless a and b share
+    one space."""
     if not (0.0 <= s <= 1.0):
         raise ValueError("interpolation parameter must lie in [0, 1]")
+    _same_space(a, b)
     Q = (1.0 - s) * a.stochastic + s * b.stochastic
     Q = Q / Q.sum(axis=1, keepdims=True)
     return MarkovMeasure(a.space, Q)
@@ -627,10 +642,9 @@ class MeasurePath:
         cps = list(checkpoints)
         if not cps:
             raise ValueError("a path needs at least one checkpoint")
-        space = cps[0].space
-        if any(cp.space is not space and cp.space != space for cp in cps):
-            raise ValueError("all checkpoints must share one space")
-        self.space = space
+        for cp in cps[1:]:
+            _same_space(cps[0], cp)
+        self.space = cps[0].space
         self.checkpoints = cps
 
     def at(self, t: float) -> MarkovMeasure:

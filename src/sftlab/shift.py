@@ -1,8 +1,8 @@
 """Subshifts of finite type: words and their index, block graphs and the
 Perron root, admissibility, the shift metric, Bowen-ball separation
 predicates, bridging words, and gluing (word concatenation with fixed-length
-bridges, the one join every construction uses, and ``glue_spans``, the one
-rule for where each glued word lands).
+bridges, the one join every construction uses, ``glue_spans``, the one rule
+for where each glued word lands, and ``glue_rows`` for arrays of members).
 
 Conventions fixed here and used everywhere else:
 
@@ -118,6 +118,8 @@ class SftSpace:
         A = np.array(transition, dtype=np.int64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("transition matrix must be square")
+        if not A.size:
+            raise ValueError("a space needs at least one symbol")
         if not np.isin(A, (0, 1)).all():
             raise ValueError("transition entries must be 0 or 1")
         if (A.sum(axis=1) == 0).any() or (A.sum(axis=0) == 0).any():
@@ -638,6 +640,65 @@ def glue_spans(lengths: Iterable[int], gap: int) -> list[tuple[int, int]]:
         else:
             spans.append((end, end))
     return spans
+
+
+def glue_rows(space: SftSpace, pieces: Sequence[Union[Word, np.ndarray]],
+              members: int, gap: int,
+              horizon: Optional[int] = None) -> np.ndarray:
+    """Each member's :func:`glue` of the pieces, cut at horizon, as the rows
+    of one read-only (members, length) array of ``space.symbol_dtype``.
+
+    A piece is a Word or 1-d symbol array every member shares, or a 2-d
+    array with one row per member; it lands at its :func:`glue_spans` span,
+    and a bridge is looked up once per distinct (last, first) pair.  With
+    no members x length temporary, a shared piece's transitions are checked
+    once, a per-member piece's in blocks of rows and a junction's as one
+    column (a full shift forbids none); ValueError names the member by its
+    rows of the per-member pieces, and the position."""
+    arrays = [_symbols(p) for p in pieces]
+    if any(p.ndim != 1 and p.shape[:-1] != (members,) for p in arrays):
+        raise ValueError("a piece is 1-d, or 2-d with one row per member")
+    spans = glue_spans((p.shape[-1] for p in arrays), gap)
+    length = min(spans[-1][1] if spans else 0,
+                 math.inf if horizon is None else horizon)
+    out = np.empty((members, length), dtype=space.symbol_dtype)
+    allowed = None if space.is_full_shift else space.transition.astype(bool)
+
+    def check(a: np.ndarray, b: np.ndarray, row: int, col: int) -> None:
+        """Raise at the first forbidden a -> b: member row, position col on."""
+        ok = not members or allowed[a, b]
+        if not np.all(ok):
+            i, t = np.add(divmod(int(ok.argmin()), ok.shape[1]), (row, col))
+            own = [p[i] for p in arrays if p.ndim == 2] or [()]
+            raise ValueError(
+                f"member {Word(np.concatenate(own).tolist()).to_text()!r} has "
+                f"a forbidden transition {out[i, t - 1]}->{out[i, t]} at "
+                f"position {t}")
+
+    last: Optional[np.ndarray] = None  # each member's last symbol so far
+    for p, (start, end) in zip(arrays, spans):
+        lo = start - (gap - 1) if last is not None else start
+        if start == end or lo >= length:
+            continue
+        if last is not None:
+            keys = last.astype(np.int64) * space.m + p[..., 0]
+            pairs = sorted(set(keys.ravel().tolist()))
+            at = np.searchsorted(pairs, keys) if keys.ndim else 0
+            table = np.array([bridge(space, *divmod(k, space.m), gap)
+                              for k in pairs], dtype=out.dtype)
+            out[:, lo:start] = table.reshape(len(pairs), gap - 1)[
+                at, :length - lo]
+        q = np.atleast_2d(p[..., :max(length - start, 0)])
+        out[:, start:start + q.shape[1]] = q
+        if allowed is not None:  # a full shift forbids none
+            for c in {lo, start} - {0}:  # empty columns past the horizon
+                check(out[:, c - 1:c], out[:, c:c + 1], 0, c)
+            step = (1 << 20) // max(q.shape[1], 1) + 1  # rows checked at once
+            for r in range(0, len(q), step):
+                check(q[r:r + step, :-1], q[r:r + step, 1:], r, start + 1)
+        last = p[..., -1]
+    out.flags.writeable = False
+    return out
 
 
 # --------------------------- symbol streams ---------------------------

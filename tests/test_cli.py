@@ -28,6 +28,12 @@ class TestCatalog:
             run_experiment("nonsense", 0)
 
 
+def _command_line(command, cfg, out):
+    """validate cfg, or run it into out."""
+    return [command, str(cfg)] + (["--out", str(out)] if command == "run"
+                                  else [])
+
+
 class TestCliCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -56,6 +62,29 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as exc:
             main(["validate", str(cfg)])
         assert "nope" in str(exc.value)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_an_experiment_listed_twice_is_refused(self, tmp_path, command):
+        # the summary keeps one result per name: the second run would
+        # overwrite the first, under --jobs by completion order
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"name": "karp_oracle", "params": {"count": 4}},
+            "pressure_identities",
+            {"name": "karp_oracle", "params": {"count": 5}}]}))
+        with pytest.raises(SystemExit, match=r"experiments\[2\]: "
+                           r"'karp_oracle' is already listed at "
+                           r"experiments\[0\]"):
+            main(_command_line(command, cfg, tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_bool_seed_is_refused(self, tmp_path, command):
+        cfg = tmp_path / "bool.json"
+        cfg.write_text(json.dumps({"seed": True, "experiments": []}))
+        with pytest.raises(SystemExit, match="'seed' must be an integer"):
+            main(_command_line(command, cfg, tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_empty_run_exits_zero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -225,7 +254,9 @@ def test_a_run_loads_only_the_layers_its_experiments_call(tmp_path):
       {"name": "thm1_5_chaos", "params": {"n_xi": 3}},
       {"name": "lemma_ds_tracking", "params": {"stages": 2}}],
      ["analysis", "chaos", "cocycle", "gluing"]),
-], ids=["packing_tree", "capacity_family", "long_orbits"])
+    ([{"name": "thm1_3_cocycle_family", "params": {"N": 4, "tail_len": 64}}],
+     ["analysis", "cocycle"]),
+], ids=["packing_tree", "capacity_family", "long_orbits", "cocycle_family"])
 def test_the_constructions_never_load_the_solvers(tmp_path, experiments,
                                                   layers):
     # words, measures and gluing build the saturated-set, cocycle and chaos

@@ -305,17 +305,24 @@ class TestWeakStar:
         with pytest.raises(DepthExceedsEmpirical):
             weak_star_dist(emp, mu, 3)
 
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_measures_on_other_spaces_name_both(self, depth):
-        # gave 0.0625 silently at depth 1 and a numpy broadcast error at 2
+    @pytest.mark.parametrize("call", [
+        lambda a, b: weak_star_dist(a, b, 1),
+        lambda a, b: weak_star_dist(a, b, 2),
+        lambda a, b: interpolate(a, b, 0.5),
+        lambda a, b: MeasurePath([a, b]),
+    ], ids=["1", "2", "interpolate", "MeasurePath"])
+    def test_measures_on_other_spaces_name_both(self, call):
+        # weak_star_dist gave 0.0625 silently at depth 1 and a numpy
+        # broadcast error at 2; interpolate gave a measure on the first
+        # space built from the second's matrix, or a support error, and
+        # MeasurePath a plain ValueError
         full = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
         golden = MarkovMeasure(GOLDEN, [[0.5, 0.5], [1.0, 0.0]])
-        message = re.escape(f"{FULL2.transition.tolist()} and "
-                            f"{GOLDEN.transition.tolist()}")
-        with pytest.raises(SpaceMismatch, match=message):
-            weak_star_dist(full, golden, depth)
-        with pytest.raises(SpaceMismatch):
-            weak_star_dist(golden, full, depth)
+        for a, b in ((full, golden), (golden, full)):
+            message = re.escape(f"{a.space.transition.tolist()} and "
+                                f"{b.space.transition.tolist()}")
+            with pytest.raises(SpaceMismatch, match=message):
+                call(a, b)
 
     def test_an_equal_space_is_accepted(self):
         twin = SftSpace(GOLDEN.transition)
@@ -465,6 +472,17 @@ class TestVectorWeakStar:
                 weak_star_counts(counts, np.array(total), mu, 2)
         assert weak_star_counts(counts, np.array([6, 4]), mu, 2).tolist() == \
             loop_weak_star_counts(counts, np.array([6, 4]), mu, 2).tolist()
+
+    @pytest.mark.parametrize("total, bad", [(0, 0), (-2, -2), (np.nan, "nan"),
+                                            ([6, 0], 0), ([-1, 4], -1)])
+    def test_totals_must_be_positive(self, total, bad):
+        # a total of 0 gave inf or nan with a RuntimeWarning, and -2 or nan
+        # gave a distance silently
+        mu = MarkovMeasure.bernoulli(FULL2, [0.4, 0.6])
+        counts = np.array([[3, 1, 2, 0], [1, 1, 1, 1]])
+        with pytest.raises(ValueError,
+                           match=f"total must be positive, got {bad}$"):
+            weak_star_counts(counts, np.array(total), mu, 2)
 
 
 class TestWeakStarCore:
@@ -736,6 +754,18 @@ class TestTypicalFamily:
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
         with pytest.raises(ValueError, match="n must be positive"):
             typical_separated_family(mu, n, 0.05, 0.35, seed=2)
+
+    @pytest.mark.parametrize("n, depth", [(1, 2), (2, 3)])
+    def test_words_shorter_than_the_typicality_depth_raise(self, n, depth):
+        # n = 1 at the default depth 2 kept every drawn row unchecked: its
+        # distance was nan, and nan > tol is false
+        mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
+        with mock.patch.object(measures, "sample_words_batch") as draw:
+            with pytest.raises(ValueError, match=f"n = {n} is shorter than "
+                               f"typical_depth = {depth}"):
+                typical_separated_family(mu, n, 0.05, 0.35, seed=2,
+                                         typical_depth=depth)
+        draw.assert_not_called()
 
     def test_point_mass_gives_singleton(self):
         mu = MarkovMeasure.periodic_orbit(FULL2, Word("0"))

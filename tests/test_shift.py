@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
-from sftlab import cocycle, ergopt, experiments, gluing
+from sftlab import cocycle, ergopt, experiments, gluing, shift
 from sftlab.experiments import run_experiment
 from sftlab.measures import (MarkovMeasure, MeasurePath,
                              typical_separated_family)
 from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, connector,
-                          delta_separated, dist, glue, glue_spans, hamming,
-                          hamming_matrix, iglue, separated_count)
+                          delta_separated, dist, glue, glue_rows, glue_spans,
+                          hamming, hamming_matrix, iglue, separated_count)
 
 from word_oracles import (PerSymbolStream, count_words_loop,
                           primitive_spaces, set_separated_count)
@@ -65,6 +65,11 @@ class TestSftSpace:
     def test_stranded_symbol_rejected(self):
         with pytest.raises(ValueError):
             SftSpace([[1, 1], [0, 0]])
+
+    def test_empty_alphabet_rejected(self):
+        # was accepted as m = 0, with an empty word_table(1)
+        with pytest.raises(ValueError, match="at least one symbol"):
+            SftSpace(np.zeros((0, 0)))
 
     def test_word_admissibility(self):
         GOLDEN.word([0, 1, 0, 0, 1])
@@ -349,6 +354,95 @@ class TestGlue:
         for _ in range(2):  # a failed lookup is not memoised
             with pytest.raises(GapTooSmall):
                 glue(GOLDEN, [Word("0"), Word("0")], 1)
+
+
+# a primitive 3-symbol space (index 5) whose bridges, of four symbols,
+# depend on both neighbours
+SFT3 = SftSpace([[0, 1, 0], [1, 0, 1], [1, 0, 0]])
+
+
+def admissible_symbols(draw, space, n):
+    syms = []
+    for _ in range(n):
+        options = space.successors(syms[-1]) if syms else range(space.m)
+        syms.append(draw(st.sampled_from(list(options))))
+    return syms
+
+
+class TestGlueRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_each_row_is_its_members_glue(self, data):
+        # shared pieces as Words and 1-d arrays, per-member pieces as 2-d
+        # arrays, empty ones among them; horizons from 0 past the end, so
+        # inside bridges and pieces
+        space = data.draw(st.sampled_from([FULL2, GOLDEN, SFT3]))
+        gap = space.primitivity_index
+        members = data.draw(st.integers(0, 4))
+        pieces, words = [], [[] for _ in range(members)]
+        for _ in range(data.draw(st.integers(0, 5))):
+            n = data.draw(st.integers(0, 5))
+            kind = data.draw(st.sampled_from(["word", "array", "rows"]))
+            shared = admissible_symbols(data.draw, space, n)
+            if kind == "rows":
+                rows = [admissible_symbols(data.draw, space, n)
+                        for _ in range(members)]
+                pieces.append(np.array(rows, dtype=space.symbol_dtype
+                                       ).reshape(members, n))
+            else:
+                rows = [shared] * members
+                pieces.append(Word(shared) if kind == "word"
+                              else np.array(shared, dtype=int))
+            for member, row in zip(words, rows):
+                member.append(Word(row))
+        spans = glue_spans([p.shape[-1] if isinstance(p, np.ndarray)
+                            else len(p) for p in pieces], gap)
+        length = max([0, *(end for _, end in spans)])
+        horizon = data.draw(st.one_of(st.none(), st.integers(0, length + 2)))
+        got = glue_rows(space, pieces, members, gap, horizon)
+        cut = length if horizon is None else min(length, horizon)
+        assert got.shape == (members, cut)
+        assert got.dtype == space.symbol_dtype and not got.flags.writeable
+        for row, member in zip(got, words):
+            assert Word(row.tolist()) == glue(space, member, gap)[:cut]
+
+    def test_a_horizon_inside_a_bridge(self):
+        # SFT3 bridges are four symbols: "0" + bridge + "1", cut after two
+        # symbols of the bridge
+        whole = glue(SFT3, [Word("0"), Word("1")], 5)
+        rows = glue_rows(SFT3, [Word("0"), np.array([[1], [1]])], 2, 5, 3)
+        assert rows.tolist() == [list(whole.symbols[:3])] * 2
+
+    def test_a_forbidden_transition_names_the_member_and_position(self):
+        rows = np.array([[0, 1, 0], [0, 1, 1]])
+        with pytest.raises(ValueError, match="^member '011' has a forbidden "
+                           "transition 1->1 at position 4$"):
+            glue_rows(GOLDEN, [Word("0"), rows, Word("0")], 2, 2)
+        with pytest.raises(ValueError, match="^member '010' has a forbidden "
+                           "transition 1->1 at position 2$"):
+            glue_rows(GOLDEN, [Word("011"), rows], 2, 2)
+        # past the horizon nothing is glued, so nothing is checked
+        assert glue_rows(GOLDEN, [Word("0"), rows], 2, 2, 4).shape == (2, 4)
+
+    def test_a_forbidden_junction_is_named(self, monkeypatch):
+        # connector's bridges always join admissibly: a bad one is faked
+        monkeypatch.setattr(shift, "bridge", lambda space, a, b, gap: (1,))
+        rows = np.array([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="^member '10' has a forbidden "
+                           "transition 1->1 at position 2$"):
+            glue_rows(GOLDEN, [Word("0"), rows], 2, 2)
+
+    def test_a_forbidden_transition_past_the_first_row_block(self):
+        # rows of more than 2**20 symbols are checked one row at a time
+        rows = np.zeros((2, (1 << 20) + 1), dtype=np.uint8)
+        rows[1, 5:7] = 1
+        with pytest.raises(ValueError, match="^member '0000011.* has a "
+                           "forbidden transition 1->1 at position 6$"):
+            glue_rows(GOLDEN, [rows], 2, 2)
+
+    def test_a_piece_needs_one_row_per_member(self):
+        with pytest.raises(ValueError, match="one row per member"):
+            glue_rows(FULL2, [np.zeros((2, 3), dtype=np.uint8)], 3, 1)
 
 
 class TestConnectorProperty:
