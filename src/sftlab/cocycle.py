@@ -13,8 +13,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SingularProduct
 from .measures import MarkovMeasure, sample_word
-from .shift import (SftSpace, Word, _symbols, by_word_row, glue_rows,
-                    glue_spans, topological_entropy, word_columns)
+from .shift import (SftSpace, Word, _symbols, by_word_row, check_rows,
+                    glue_rows, glue_spans, topological_entropy, word_columns)
 
 
 class MatrixCocycle:
@@ -104,7 +104,15 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
     the memory held beyond the input and the product stack does not grow
     with n.
     """
-    if n < 1:
+    return _exponents_at(c, rows, (n,), cadence)[0]
+
+
+def _exponents_at(c: MatrixCocycle, rows: np.ndarray, ns: Sequence[int],
+                  cadence: int = 32) -> list[list[float]]:
+    """:func:`exponents_along` at each n of ns, from one walk of max(ns)
+    steps; each value equals the walk of its own n."""
+    n = max(ns)
+    if min(ns) < 1:
         raise ValueError("n must be positive")
     if cadence < 1:
         raise ValueError(f"cadence must be positive, got {cadence}")
@@ -114,9 +122,10 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
     if rows.shape[1] < n + c.depth - 1:
         raise ValueError(f"need word length >= {n + c.depth - 1}")
     if not len(rows):
-        return []
+        return [[] for _ in ns]
     P = np.tile(np.eye(c.d), (len(rows), 1, 1))
     acc = np.zeros(len(rows))
+    at = {}
     steps = max(1, _RANK_WINDOWS // len(rows))
     for lo in range(0, n, steps):
         # step-major: codes[i, r] is the row of window lo + i of row r
@@ -128,8 +137,10 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
                 norms = np.linalg.norm(P, 2, axis=(1, 2))
                 acc += _math_logs(norms)
                 P = P / norms[:, None, None]
-    acc += _math_logs(np.linalg.norm(P, 2, axis=(1, 2)))
-    return (acc / n).tolist()
+            if i + 1 in ns:
+                at[i + 1] = ((acc + _math_logs(np.linalg.norm(
+                    P, 2, axis=(1, 2)))) / (i + 1)).tolist()
+    return [at[m] for m in ns]
 
 
 def exponent_along(c: MatrixCocycle, x: Union[Word, np.ndarray], n: int,
@@ -253,18 +264,20 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     family = (space.word_table(N).astype(dtype) if N
               else np.empty((1, 0), dtype=dtype))
     target = max(1, math.ceil(math.exp(N * (topological_entropy(space) - eta)) - 1e-9))
-    anchor_len = 0 if anchor is None else len(anchor)
-    prefix_len = glue_spans((anchor_len, N, tail_len), gap)[-1][0]
+    anchor = anchor or Word(())
+    prefix_len = glue_spans((len(anchor), N, tail_len), gap)[-1][0]
     horizon = prefix_len + tail_len
+    # the one piece not admissible by construction
+    check_rows(space, "anchor", anchor.to_array()[None])
     ref = sample_word(mu, horizon, seed)
     # a member is its glued prefix, then the shared tail: ref's first symbols
-    members = glue_rows(space, (anchor or Word(()), family, ref[:tail_len]),
-                        len(family), gap)
+    members = glue_rows(space, (anchor, family, ref[:tail_len]), len(family),
+                        gap)
 
     n_eval = horizon - (c.depth - 1)
-    ref_exp = exponent_along(c, ref, n_eval)
+    # ref's tail exponent is a prefix of its walk: one walk gives both
+    (ref_exp,), (tail_exp,) = _exponents_at(c, ref[None], (n_eval, tail_len))
     exps = exponents_along(c, members, n_eval)
-    tail_exp = exponent_along(c, ref, tail_len)
     devs = tuple(abs(e - ref_exp) for e in exps)
     bound = 2.0 * prefix_len * c.max_log_norm() / n_eval
     return LyapunovFamilyReport(

@@ -3,9 +3,8 @@ they emit: saturated-set generic points, separated stream families,
 branching trees with counting measures, and chaotic two-orbit families.
 
 On a mixing SFT the shadowing in all of these constructions is exact word
-concatenation with fixed-length bridging words (``shift.glue``,
-``shift.glue_rows`` for every array of glued members, and the pieces that a
-``SymbolStream`` pulls from ``shift._glue_pieces``), and
+concatenation with fixed-length bridging words (``shift.glue``, its member
+arrays ``shift.glue_rows`` and a ``SymbolStream``'s ``shift._glue_pieces``), and
 ``shift.glue_spans`` says where each glued word lands, so every tracking
 claim reduces to checkable arithmetic on spans, and
 ``GluingSchedule.layout`` lists the span of every piece of a schedule's
@@ -44,11 +43,12 @@ from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
                        sample_word, typical_separated_family, weak_star_counts,
                        weak_star_dist, window_counts)
 from .shift import (SftSpace, SymbolStream, Word, _glue_pieces, _prefix_rows,
-                    block_graph, distinct_rows, glue, glue_rows, glue_spans,
-                    window_columns)
+                    block_graph, check_rows, distinct_rows, glue, glue_rows,
+                    glue_spans, window_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 LEAF_ENUMERATION_CAP = 200_000  # BranchTree.leaves walks no larger tree
+LEAF_BLOCK = 4096  # leaves BranchTree.leaves glues at once
 
 # --------------------------- covering tours ---------------------------
 
@@ -584,17 +584,19 @@ def _check_slot(s: GluingSchedule, rows: np.ndarray) -> None:
 
 def _family_start(s: GluingSchedule, rows: np.ndarray,
                   seed: int) -> tuple[SymbolStream, np.ndarray]:
-    """The path every schedule family takes: the slot and duplicate checks,
-    the stage part of the point (blocks and tours joined by bridges) as one
-    stream drawn for the whole family, and each member's prefix row, which
-    it follows: anchor, word and bridge glued to the tail's first symbol."""
+    """The path every schedule family takes: the checks, the stage part of
+    the point (blocks and tours joined by bridges) as one stream drawn for
+    the whole family, and each member's prefix row, which it follows."""
     _check_slot(s, rows)
     if distinct_rows(rows) != len(rows):
         raise FamilyNotSeparated("family contains duplicate words")
     tail = SymbolStream(
         s.space, lambda: _glue_pieces(s.space, _stage_words(s, seed), s.gap),
         label=f"stage-tail(seed={seed})")
-    pieces = (s.anchor or Word(()), rows, tail.materialize(1))
+    anchor = s.anchor or Word(())
+    check_rows(s.space, "anchor", anchor.to_array()[None])
+    check_rows(s.space, "member", rows)  # bridges and tail are admissible
+    pieces = (anchor, rows, tail.materialize(1))
     return tail, glue_rows(s.space, pieces, len(rows), s.gap)[:, :-1]
 
 
@@ -864,22 +866,30 @@ class BranchTree:
                                  zip(self.stages, self.label(index))), self.gap)
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], Word]]:
-        """Every (label, leaf word) in lexicographic label order, glued at
-        once from each stage's options picked by its label digits.  A tree
-        of more than LEAF_ENUMERATION_CAP leaves raises InfeasibleParams
-        before any leaf is glued."""
+        """Every (label, leaf word) in lexicographic label order, glued
+        LEAF_BLOCK leaves at a time from each stage's options picked by the
+        labels' digits.  A tree of more than LEAF_ENUMERATION_CAP leaves
+        raises InfeasibleParams before any leaf is glued."""
         count = self.leaf_count()
         if count > LEAF_ENUMERATION_CAP:
             raise InfeasibleParams(f"{count} leaves exceed the enumeration "
                                    f"cap {LEAF_ENUMERATION_CAP}")
         counts = self.option_counts()
-        digits = np.unravel_index(np.arange(count), counts) if counts else ()
-        pieces = [np.array([o.symbols for o in st.options],
-                           dtype=self.space.symbol_dtype)[d]
-                  for st, d in zip(self.stages, digits)]
-        rows = glue_rows(self.space, pieces, count, self.gap)
+        options = [np.array([o.symbols for o in st.options])
+                   for st in self.stages]
         labels = itertools.product(*map(range, counts))
-        return ((label, Word(row.tolist())) for label, row in zip(labels, rows))
+
+        def blocks():
+            for lo in range(0, count, LEAF_BLOCK):
+                index = np.arange(lo, min(lo + LEAF_BLOCK, count))
+                picks = [o[d] for o, d in
+                         zip(options, np.unravel_index(index, counts or 1))]
+                rows = glue_rows(self.space, picks, len(index), self.gap)
+                # rows first: zip stops on them without drawing a label
+                for row, label in zip(rows, labels):
+                    yield label, Word(row.tolist())
+
+        return blocks()
 
     def prefix_distinct_report(self) -> list[CheckEntry]:
         """Distinct labels give distinct stage-end prefixes: the prefixes

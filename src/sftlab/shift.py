@@ -646,15 +646,10 @@ def glue_rows(space: SftSpace, pieces: Sequence[Union[Word, np.ndarray]],
               members: int, gap: int,
               horizon: Optional[int] = None) -> np.ndarray:
     """Each member's :func:`glue` of the pieces, cut at horizon, as the rows
-    of one read-only (members, length) array of ``space.symbol_dtype``.
-
-    A piece is a Word or 1-d symbol array every member shares, or a 2-d
-    array with one row per member; it lands at its :func:`glue_spans` span,
-    and a bridge is looked up once per distinct (last, first) pair.  With
-    no members x length temporary, a shared piece's transitions are checked
-    once, a per-member piece's in blocks of rows and a junction's as one
-    column (a full shift forbids none); ValueError names the member by its
-    rows of the per-member pieces, and the position."""
+    of one read-only (members, length) array of ``space.symbol_dtype``: a
+    piece is a Word or 1-d array all members share, or a 2-d array with one
+    row per member, at its :func:`glue_spans` span; a bridge is looked up
+    once per distinct (last, first) pair.  As in glue, nothing is checked."""
     arrays = [_symbols(p) for p in pieces]
     if any(p.ndim != 1 and p.shape[:-1] != (members,) for p in arrays):
         raise ValueError("a piece is 1-d, or 2-d with one row per member")
@@ -662,19 +657,6 @@ def glue_rows(space: SftSpace, pieces: Sequence[Union[Word, np.ndarray]],
     length = min(spans[-1][1] if spans else 0,
                  math.inf if horizon is None else horizon)
     out = np.empty((members, length), dtype=space.symbol_dtype)
-    allowed = None if space.is_full_shift else space.transition.astype(bool)
-
-    def check(a: np.ndarray, b: np.ndarray, row: int, col: int) -> None:
-        """Raise at the first forbidden a -> b: member row, position col on."""
-        ok = not members or allowed[a, b]
-        if not np.all(ok):
-            i, t = np.add(divmod(int(ok.argmin()), ok.shape[1]), (row, col))
-            own = [p[i] for p in arrays if p.ndim == 2] or [()]
-            raise ValueError(
-                f"member {Word(np.concatenate(own).tolist()).to_text()!r} has "
-                f"a forbidden transition {out[i, t - 1]}->{out[i, t]} at "
-                f"position {t}")
-
     last: Optional[np.ndarray] = None  # each member's last symbol so far
     for p, (start, end) in zip(arrays, spans):
         lo = start - (gap - 1) if last is not None else start
@@ -688,17 +670,21 @@ def glue_rows(space: SftSpace, pieces: Sequence[Union[Word, np.ndarray]],
                               for k in pairs], dtype=out.dtype)
             out[:, lo:start] = table.reshape(len(pairs), gap - 1)[
                 at, :length - lo]
-        q = np.atleast_2d(p[..., :max(length - start, 0)])
-        out[:, start:start + q.shape[1]] = q
-        if allowed is not None:  # a full shift forbids none
-            for c in {lo, start} - {0}:  # empty columns past the horizon
-                check(out[:, c - 1:c], out[:, c:c + 1], 0, c)
-            step = (1 << 20) // max(q.shape[1], 1) + 1  # rows checked at once
-            for r in range(0, len(q), step):
-                check(q[r:r + step, :-1], q[r:r + step, 1:], r, start + 1)
+        out[:, start:end] = p[..., :max(length - start, 0)]
         last = p[..., -1]
     out.flags.writeable = False
     return out
+
+
+def check_rows(space: SftSpace, what: str, rows: np.ndarray) -> None:
+    """Raise ValueError naming what, the first 2-d symbol row with a
+    forbidden transition, and the position in it of the symbol entered."""
+    bad = np.argwhere(~space.transition.astype(bool)[rows[:, :-1], rows[:, 1:]])
+    if len(bad):
+        i, t = bad[0]
+        raise ValueError(
+            f"{what} {Word(rows[i].tolist()).to_text()!r} has a forbidden "
+            f"transition {rows[i, t]}->{rows[i, t + 1]} at position {t + 1}")
 
 
 # --------------------------- symbol streams ---------------------------

@@ -380,6 +380,19 @@ class TestBatchedExponentOracles:
             got = exponents_along(c, rows, n, cadence)
         assert got == unchunked_exponents_along(c, rows, n, cadence)
 
+    @settings(max_examples=100, deadline=None)
+    @given(cocycles(), st.integers(1, 40), st.data())
+    def test_one_walk_equals_a_walk_per_length(self, c, cadence, data):
+        # lengths in any order, repeated, on or off the cadence
+        length = data.draw(st.integers(c.depth, 120))
+        rows = np.array([w.symbols for w in admissible_words(
+            data.draw, c.space, data.draw(st.integers(0, 4)), length)],
+            dtype=np.uint8).reshape(-1, length)
+        ns = data.draw(st.lists(st.integers(1, length - c.depth + 1),
+                                min_size=1, max_size=4))
+        assert cocycle._exponents_at(c, rows, ns, cadence) == [
+            exponents_along(c, rows, n, cadence) for n in ns]
+
     def test_cadence_must_be_positive(self):
         c = MatrixCocycle.constant(FULL2, np.eye(2))
         with pytest.raises(ValueError, match="cadence must be positive"):

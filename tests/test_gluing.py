@@ -503,6 +503,19 @@ class TestSharedTailFamily:
             emit_separated_family(sched, [Word("0100"), Word("0110")],
                                   horizon=20, seed=2)
 
+    def test_forbidden_anchor_named_and_member_after_an_anchor(self):
+        # a position counts within the word named
+        sched = build_gk_schedule(GOLDEN, parry(GOLDEN), anchor=Word("0"),
+                                  stages=1, family_len=4)
+        with pytest.raises(ValueError, match=r"^member '0110' has a "
+                           r"forbidden transition 1->1 at position 2$"):
+            emit_separated_family(sched, [Word("0100"), Word("0110")],
+                                  horizon=30, seed=2)
+        bad = dataclasses.replace(sched, anchor=Word("011"))
+        with pytest.raises(ValueError, match=r"^anchor '011' has a "
+                           r"forbidden transition 1->1 at position 2$"):
+            emit_separated_family(bad, [Word("0100")], horizon=30, seed=2)
+
     def test_bad_checkpoints_named(self):
         sched = build_gk_schedule(FULL2, B09, stages=2, family_len=4)
         fam = [Word("0101"), Word("0011")]
@@ -968,6 +981,16 @@ class TestClosedFormCertificates:
         indices = range(tree.leaf_count())
         assert [tree.leaf(i) for i in indices] == [w for _, w in walked]
         assert [tree.label(i) for i in indices] == [lab for lab, _ in walked]
+
+    @pytest.mark.parametrize("block", [1, 5, 12, 13])
+    def test_leaves_glued_in_blocks(self, block, monkeypatch):
+        # blocks that split the 12 leaves unevenly, or hold them all, still
+        # pair each row with its label
+        space, gap = TREE_SPACES[-1]
+        tree = hand_tree(["0", "1", "2"], ["12", "20"], ["0", "2"],
+                         space=space, gap=gap)
+        monkeypatch.setattr(gluing, "LEAF_BLOCK", block)
+        assert list(tree.leaves()) == list(enumerated_leaves(tree))
 
     def test_bridges_follow_preceding_symbol(self):
         space, gap = TREE_SPACES[-1]

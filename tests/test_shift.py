@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab.errors import GapTooSmall, NotPrimitive, WordsTooShort
-from sftlab import cocycle, ergopt, experiments, gluing, shift
+from sftlab import cocycle, ergopt, experiments, gluing
 from sftlab.experiments import run_experiment
 from sftlab.measures import (MarkovMeasure, MeasurePath,
                              typical_separated_family)
-from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, connector,
-                          delta_separated, dist, glue, glue_rows, glue_spans,
-                          hamming, hamming_matrix, iglue, separated_count)
+from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, check_rows,
+                          connector, delta_separated, dist, glue, glue_rows,
+                          glue_spans, hamming, hamming_matrix, iglue,
+                          separated_count)
 
 from word_oracles import (PerSymbolStream, count_words_loop,
                           primitive_spaces, set_separated_count)
@@ -413,32 +414,16 @@ class TestGlueRows:
         rows = glue_rows(SFT3, [Word("0"), np.array([[1], [1]])], 2, 5, 3)
         assert rows.tolist() == [list(whole.symbols[:3])] * 2
 
-    def test_a_forbidden_transition_names_the_member_and_position(self):
+    def test_a_forbidden_transition_names_the_row_and_position(self):
         rows = np.array([[0, 1, 0], [0, 1, 1]])
         with pytest.raises(ValueError, match="^member '011' has a forbidden "
-                           "transition 1->1 at position 4$"):
-            glue_rows(GOLDEN, [Word("0"), rows, Word("0")], 2, 2)
-        with pytest.raises(ValueError, match="^member '010' has a forbidden "
                            "transition 1->1 at position 2$"):
-            glue_rows(GOLDEN, [Word("011"), rows], 2, 2)
-        # past the horizon nothing is glued, so nothing is checked
-        assert glue_rows(GOLDEN, [Word("0"), rows], 2, 2, 4).shape == (2, 4)
-
-    def test_a_forbidden_junction_is_named(self, monkeypatch):
-        # connector's bridges always join admissibly: a bad one is faked
-        monkeypatch.setattr(shift, "bridge", lambda space, a, b, gap: (1,))
-        rows = np.array([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="^member '10' has a forbidden "
+            check_rows(GOLDEN, "member", rows)
+        with pytest.raises(ValueError, match="^anchor '011' has a forbidden "
                            "transition 1->1 at position 2$"):
-            glue_rows(GOLDEN, [Word("0"), rows], 2, 2)
-
-    def test_a_forbidden_transition_past_the_first_row_block(self):
-        # rows of more than 2**20 symbols are checked one row at a time
-        rows = np.zeros((2, (1 << 20) + 1), dtype=np.uint8)
-        rows[1, 5:7] = 1
-        with pytest.raises(ValueError, match="^member '0000011.* has a "
-                           "forbidden transition 1->1 at position 6$"):
-            glue_rows(GOLDEN, [rows], 2, 2)
+            check_rows(GOLDEN, "anchor", Word("011").to_array()[None])
+        check_rows(GOLDEN, "member", rows[:1])
+        check_rows(GOLDEN, "anchor", np.empty((1, 0), dtype=np.uint8))
 
     def test_a_piece_needs_one_row_per_member(self):
         with pytest.raises(ValueError, match="one row per member"):
