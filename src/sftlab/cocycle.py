@@ -82,7 +82,7 @@ class MatrixCocycle:
 # --------------------------- exponents ---------------------------
 
 
-_RANK_WINDOWS = 1 << 17  # window ranks exponents_along holds at once
+_RANK_WINDOWS = 1 << 14  # window ranks exponents_along holds at once
 
 
 def _math_logs(values: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ bodies are byte-identical across reruns with the same seed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -338,41 +339,14 @@ def thm1_4_levels_and_smr(params: dict, seed: int) -> ExperimentResult:
 def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
     from . import chaos, gluing
     space = SftSpace.full_shift(2)
-    mu0 = MarkovMeasure.periodic_orbit(space, Word("0"))
     horizon = params.get("horizon", 100_000)
     n_xi = params.get("n_xi", 8)
     if not 2 <= n_xi <= 1024:  # a pair to check, and distinct 10-bit xis
         raise InfeasibleParams(f"n_xi must lie in [2, 1024], got {n_xi}")
-    xis = [tuple(1 + ((k >> i) & 1) for i in range(10)) for k in range(n_xi)]
-    fam = gluing.emit_chaotic_family(space, mu0, Word("0"), Word("1"),
-                                     xis, horizon, seed=seed)
-    members = list(fam.members.items())
-    pair_rows = []
-    sep_ok = True
-    phi_min = 1.0
-    ly_ok = True
-    n_phi = fam.mu0_run_ends[-1]
-    cps = [n for n in fam.stage_ends if n <= horizon]
-    far = chaos.close_gap(fam.eps_star / 2)  # window max below eps_star / 2
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            (xi, x), (et, y) = members[i], members[j]
-            u = next(q for q in range(len(xi)) if xi[q] != et[q])
-            g = chaos.orbit_gaps(x, y, min(len(x), len(y)))
-            pair_sep = True
-            for k_idx in range(max(u + 1, 1), len(fam.stage_ends) + 1):
-                end = fam.stage_ends[k_idx - 1]
-                if end > len(g):
-                    continue
-                start = fam.stage_ends[k_idx - 2] if k_idx >= 2 else 0
-                if g[start:end].min() >= far:
-                    pair_sep = False
-            sep_ok = sep_ok and pair_sep
-            val = chaos.phi_from_gaps(g, 2.0 ** -3, n_phi)
-            phi_min = min(phi_min, val)
-            rep = chaos.li_yorke_from_gaps(g, cps)
-            ly_ok = ly_ok and rep.consistent
-            pair_rows.append([i, j, u, int(pair_sep), val, rep.verdict])
+    pair_rows, fam_details = _chaotic_pairs(space, horizon, n_xi, seed)
+    sep_ok = all(row[3] for row in pair_rows)
+    phi_min = min([1.0] + [row[4] for row in pair_rows])
+    ly_ok = all(row[5] == "LiYorke-consistent" for row in pair_rows)
     # measure-recurrent preimage pair: no late alternation
     pre_x = Word("0110" + "1" * 2000)
     pre_y = Word("1001" + "1" * 2000)
@@ -382,11 +356,12 @@ def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
     mu_per = MarkovMeasure.periodic_orbit(space, Word("01"))
     dc1_fam = gluing.emit_dc1_family(space, mu_per, Word("0"), Word("1"),
                                      [(1,) * 4, (2,) * 4], horizon, seed=seed)
-    dx, dy = dc1_fam.members.values()
     dc1_cps = [n for n in dc1_fam.stage_ends if n <= dc1_fam.horizon]
-    t_grid = [2.0 ** -6, 2.0 ** -3, 0.5]
-    dc1_rep = chaos.dc1_report(dx, dy, t0=dc1_fam.eps_star / 2,
-                               t_grid=t_grid, checkpoints=dc1_cps)
+    t0, t_grid = dc1_fam.eps_star / 2, [2.0 ** -6, 2.0 ** -3, 0.5]
+    stats, = chaos.gap_windows(dc1_fam.rows.window, dc1_fam.rows.length,
+                               [(0, 1)], dc1_cps,
+                               [chaos.close_gap(t) for t in (t0, *t_grid)])
+    dc1_rep = chaos.dc1_from_windows(stats, t0, t_grid, dc1_cps)
     traj_rows = [[n, t, dc1_rep.phi_grid[t][i]]
                  for t in t_grid for i, n in enumerate(dc1_rep.checkpoints)]
 
@@ -402,8 +377,7 @@ def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
             "li_yorke_all_consistent": ly_ok,
             "preimage_pair_verdict": pre_rep.verdict,
             "dc1_nonfixed_verdict": dc1_rep.verdict,
-            "stages": len(fam.stages),
-            "eps_star": fam.eps_star,
+            **fam_details,
         },
         tables={
             "pairs.csv": _csv(
@@ -412,6 +386,34 @@ def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
             "dc1_trajectories.csv": _csv(["n", "t", "phi"], traj_rows),
         },
     )
+
+
+def _chaotic_pairs(space: SftSpace, horizon: int, n_xi: int,
+                   seed: int) -> tuple[list[list], dict]:
+    """thm1_5_chaos's pair rows, scored from one chunked walk of the
+    chaotic family's members, and the family's stage count and eps*."""
+    from . import chaos, gluing
+    mu0 = MarkovMeasure.periodic_orbit(space, Word("0"))
+    xis = [tuple(1 + ((k >> i) & 1) for i in range(10)) for k in range(n_xi)]
+    fam = gluing.emit_chaotic_family(space, mu0, Word("0"), Word("1"),
+                                     xis, horizon, seed=seed)
+    n_phi, ends = fam.mu0_run_ends[-1], fam.stage_ends
+    cps = [n for n in ends if n <= horizon]
+    near = chaos.close_gap(2.0 ** -3)
+    far = chaos.close_gap(fam.eps_star / 2)  # window max below eps_star / 2
+    pairs = list(itertools.combinations(range(len(xis)), 2))
+    rows = []
+    for (i, j), stats in zip(pairs, chaos.gap_windows(
+            fam.rows.window, fam.rows.length, pairs, [*ends, n_phi],
+            [near])):
+        u = next(q for q in range(len(xis[i])) if xis[i][q] != xis[j][q])
+        lows = stats.extremes(ends)[0]
+        pair_sep = all(lows[k - 1] < far
+                       for k in range(max(u + 1, 1), len(ends) + 1))
+        val = stats.counts(near, [n_phi])[0] / n_phi
+        rep = chaos.li_yorke_from_windows(stats, cps)
+        rows.append([i, j, u, int(pair_sep), val, rep.verdict])
+    return rows, {"stages": len(fam.stages), "eps_star": fam.eps_star}
 
 
 def _count(params: dict, default: int) -> int:

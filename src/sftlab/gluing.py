@@ -22,7 +22,9 @@ point for its stage ends, target and tracking bound:
 * gluing and chaotic schedules state their lengths as per-stage budgets, and
   one checker (``check_budgets``) evaluates the inequality families on them;
 * both chaotic two-orbit families are piece plans (shared words and private
-  orbit runs) that one emitter glues for every member.
+  orbit runs) that one emitter glues for every member, a window of columns
+  at a time (``shift.GluedRows``), so their chaos statistics are read a
+  chunk at a time and no member is held at full length.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -39,16 +42,17 @@ import numpy as np
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
                      OrbitsNotDisjoint, WordsTooShort)
-from .measures import (MarkovMeasure, MeasurePath, ks_entropy, refine_path,
-                       sample_word, typical_separated_family, weak_star_counts,
-                       weak_star_dist, window_counts)
-from .shift import (SftSpace, SymbolStream, Word, _glue_pieces, _prefix_rows,
-                    block_graph, check_rows, distinct_rows, glue, glue_rows,
-                    glue_spans, window_columns)
+from .measures import (MarkovMeasure, MeasurePath, _same_space, ks_entropy,
+                       refine_path, sample_word, typical_separated_family,
+                       weak_star_counts, weak_star_dist, window_counts)
+from .shift import (GluedRows, Periodic, SftSpace, SymbolStream, Word,
+                    _glue_pieces, _prefix_rows, block_graph, check_rows,
+                    distinct_rows, glue, glue_rows, glue_spans, window_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 LEAF_ENUMERATION_CAP = 200_000  # BranchTree.leaves walks no larger tree
 LEAF_BLOCK = 4096  # leaves BranchTree.leaves glues at once
+_WINDOW_CHUNK = 1 << 14  # block windows _draw_block ranks at once
 
 # --------------------------- covering tours ---------------------------
 
@@ -424,14 +428,17 @@ def _draw_block(st: Stage, depth: int, stage_idx: int, rep: int,
                 seed: int) -> np.ndarray:
     """Sample a block from the stage measure, redrawing until its own
     empirical measure is within zeta of the source at the checking depth
-    (windows counted in the measure's space); the block is the read-only
-    symbol array :func:`sample_word` returns."""
+    (windows counted in the measure's space, ``_WINDOW_CHUNK`` at a time);
+    the block is the read-only symbol array :func:`sample_word` returns."""
     space = st.alpha.space
     words = len(space.word_table(depth))
     best_d = math.inf
+    chunks = range(0, max(st.n - depth + 1, 1), _WINDOW_CHUNK)
     for attempt in range(_BLOCK_ATTEMPTS):
         x = sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
-        counts = np.bincount(window_columns(space, x, depth), minlength=words)
+        counts = sum(np.bincount(window_columns(
+            space, x[lo:lo + _WINDOW_CHUNK + depth - 1], depth),
+            minlength=words) for lo in chunks)
         d = weak_star_counts(counts[None], st.n - depth + 1, st.alpha,
                              depth)[0]
         if d <= st.zeta:
@@ -725,6 +732,7 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
     names the first inequality of :func:`validate_schedule` the plan fails.
     """
     gap = space.gap("build_gk_schedule")
+    _same_space(K, space, "build_gk_schedule: the target and the space")
     if stages < 1:
         raise ValueError("need at least one stage")
     path = K if isinstance(K, MeasurePath) else MeasurePath([K])
@@ -939,6 +947,7 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
     depth builds; only :meth:`BranchTree.leaves` is capped.
     """
     gap = space.gap("build_branch_tree")
+    _same_space(K, space, "build_branch_tree: the target and the space")
     if depth < 1 or eta <= 0:
         raise ValueError("need depth >= 1 and eta > 0")
     comps = K.checkpoints
@@ -1042,11 +1051,11 @@ _Piece = Union[np.ndarray, Word, tuple[int, int]]
 
 def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
                     xis: Sequence[tuple[int, ...]], plan: Sequence[_Piece],
-                    horizon: int) -> tuple[dict, list[tuple[int, int]]]:
-    """Every member, keyed by its xi, as a read-only symbol array: a row of
-    the plan's pieces glued and cut at horizon, a private run the (members,
-    n) pick of the orbits' cycles repeated to length n.  Also the span of
-    each piece in the glued plan, which no xi changes."""
+                    horizon: int) -> tuple[GluedRows, list[tuple[int, int]]]:
+    """The members, one row per xi, glued a window at a time and cut at
+    horizon: a row is the plan's pieces glued, a private run of length n
+    the :class:`~sftlab.shift.Periodic` run of the orbit its xi selects.
+    Also the span of each piece in the glued plan, which no xi changes."""
     gap = space.gap("_emit_two_orbit")
     slots = 1 + max((p[0] for p in plan if isinstance(p, tuple)), default=-1)
     for xi in xis:
@@ -1055,13 +1064,23 @@ def _emit_two_orbit(space: SftSpace, orbits: tuple[Word, Word],
                 f"xi prefix length {len(xi)} < {slots} orbit selections")
     picks = np.array([xi[:slots] for xi in xis], dtype=np.intp).reshape(
         len(xis), slots) - 1
-    cycles = [o.to_array() for o in orbits]
-    pieces = [np.stack([np.resize(c, p[1]) for c in cycles])[picks[:, p[0]]]
+    period = math.lcm(*map(len, orbits))
+    cycles = np.stack([np.resize(o.to_array(), period) for o in orbits])
+    pieces = [Periodic(cycles[picks[:, p[0]]], p[1])
               if isinstance(p, tuple) else p for p in plan]
-    members = dict(zip(xis, glue_rows(space, pieces, len(xis), gap, horizon)))
     spans = glue_spans((p[1] if isinstance(p, tuple) else len(p)
                         for p in plan), gap)
-    return members, spans
+    return GluedRows(space, pieces, len(xis), gap, horizon), spans
+
+
+class _TwoOrbitMembers:
+    """A two-orbit family's members: ``rows`` glues any window of them, and
+    ``members`` is the whole [0, length) window keyed by xi, glued on first
+    read."""
+
+    @cached_property
+    def members(self) -> dict:
+        return dict(zip(self.xis, self.rows.window(0, self.rows.length)))
 
 
 def _chaos_budget(st: Stage, k: int, ntilde: int, end: int) -> StageBudget:
@@ -1072,9 +1091,10 @@ def _chaos_budget(st: Stage, k: int, ntilde: int, end: int) -> StageBudget:
 
 
 @dataclass(frozen=True)
-class ChaoticFamily:
+class ChaoticFamily(_TwoOrbitMembers):
     space: SftSpace
-    members: dict
+    xis: tuple[tuple[int, ...], ...]
+    rows: GluedRows                  # one row per xi, glued a window at a time
     eps_star: float
     stages: tuple[Stage, ...]        # alpha = mu0, depth = the tour depth
     ntilde: int                      # the length of every excursion
@@ -1100,6 +1120,7 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     closeness density climbs toward one.  The plan takes stages (at most
     32) while one more, sized as the last, still ends within horizon.
     """
+    _same_space(mu0, space, "emit_chaotic_family: mu0 and the space")
     eps_star, xi_list = _check_two_orbit(space, lambda1, lambda2, xis,
                                          "emit_chaotic_family")
     if anchor is not None and not space.is_admissible(anchor.symbols):
@@ -1161,8 +1182,8 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
         plan += [(q, ntilde) for q in range(k)]
         tour_at.append(len(plan))
         plan.append(st.tour)
-    members, spans = _emit_two_orbit(space, (lambda1, lambda2), xi_list, plan,
-                                     horizon)
+    rows, spans = _emit_two_orbit(space, (lambda1, lambda2), xi_list, plan,
+                                  horizon)
 
     ends = [spans[i][1] for i in tour_at]
     validation = ValidationReport(tuple(check_budgets(
@@ -1170,7 +1191,7 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
          for k, (st, end) in enumerate(zip(stages, ends), start=1)],
         anchor_len, L)))
     return ChaoticFamily(
-        space=space, members=members, eps_star=eps_star,
+        space=space, xis=tuple(xi_list), rows=rows, eps_star=eps_star,
         stages=tuple(stages), ntilde=ntilde, stage_ends=tuple(ends),
         mu0_run_ends=tuple(spans[i][1] for i in run_last),
         excursion_spans=tuple(
@@ -1180,12 +1201,13 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
 
 
 @dataclass(frozen=True)
-class Dc1Family:
+class Dc1Family(_TwoOrbitMembers):
     """Alternating-domination variant: shared runs and selected-orbit runs
     take turns dwarfing the whole past, so pairs separate with density near
     one at some scales and agree with density near one at every scale."""
     space: SftSpace
-    members: dict
+    xis: tuple[tuple[int, ...], ...]
+    rows: GluedRows                  # one row per xi, glued a window at a time
     eps_star: float
     stage_ends: tuple[int, ...]      # checkpoint after each dominating run
     stage_kinds: tuple[str, ...]     # "shared" | "selected"
@@ -1209,6 +1231,7 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     checkpoint ending a shared run it is 0-close on all but a zeta
     fraction, which is exactly the DC1 statistics pattern.
     """
+    _same_space(mu0, space, "emit_dc1_family: mu0 and the space")
     eps_star, xi_list = _check_two_orbit(space, lambda1, lambda2, xis,
                                          "emit_dc1_family")
     if not 0 < zeta0 < math.inf:
@@ -1238,14 +1261,14 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
             if i % 2 == 0 else (i // 2, n)
             for i, n in enumerate(lengths)]
     kinds = ["shared" if i % 2 == 0 else "selected" for i in range(len(plan))]
-    members, spans = _emit_two_orbit(space, (lambda1, lambda2), xi_list, plan,
-                                     horizon)
+    rows, spans = _emit_two_orbit(space, (lambda1, lambda2), xi_list, plan,
+                                  horizon)
 
     ends = [end for _, end in spans]
     entries = [_prefix_domination(i + 1, past, zeta, end, kind)
                for i, (past, zeta, end, kind)
                in enumerate(zip([0, *ends], zetas, ends, kinds))]
-    return Dc1Family(space=space, members=members, eps_star=eps_star,
-                     stage_ends=tuple(ends), stage_kinds=tuple(kinds),
-                     horizon=horizon,
+    return Dc1Family(space=space, xis=tuple(xi_list), rows=rows,
+                     eps_star=eps_star, stage_ends=tuple(ends),
+                     stage_kinds=tuple(kinds), horizon=horizon,
                      validation=ValidationReport(tuple(entries)))

@@ -378,8 +378,8 @@ def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
     operations of weak_star_dist.  At most ``_WEAK_STAR_ROWS`` rows are
     scored at a time, so the temporaries stay small beside the counts.
     ValueError unless counts has exactly one column per row of
-    ``word_table(depth)`` and total is a positive scalar or one positive
-    value per row; the error names the first total that is not positive.
+    ``word_table(depth)`` and total is a positive finite scalar or one
+    such value per row; the error names the first total that is not.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -399,6 +399,9 @@ def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
     if not (total > 0).all():  # nan is not positive either
         raise ValueError(f"total must be positive, got "
                          f"{total[~(total > 0)][0]}")
+    if not np.isfinite(total).all():
+        raise ValueError(f"total must be finite, got "
+                         f"{total[~np.isfinite(total)][0]}")
     probs = target.cylinder_probs(depth)
     d = np.empty(len(counts))
     for r in range(0, len(counts), _WEAK_STAR_ROWS):
@@ -412,13 +415,14 @@ def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
     return d
 
 
-def _same_space(a: MeasureLike, b: MeasureLike) -> None:
-    """SpaceMismatch naming both transition matrices unless the measures
-    live on one space."""
-    if a.space is not b.space and a.space != b.space:
+def _same_space(a, b, who: str = "the measures") -> None:
+    """SpaceMismatch naming who and both transition matrices unless a and
+    b, each a space or a measure or path on one, live on one space."""
+    sa, sb = (getattr(x, "space", x) for x in (a, b))
+    if sa is not sb and sa != sb:
         raise SpaceMismatch(
-            f"the measures are defined on the spaces with transition "
-            f"{a.space.transition.tolist()} and {b.space.transition.tolist()}")
+            f"{who} are defined on the spaces with transition "
+            f"{sa.transition.tolist()} and {sb.transition.tolist()}")
 
 
 def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
@@ -466,9 +470,11 @@ def ks_entropy(mu: MarkovMeasure) -> float:
 _CHAIN_CHUNK = 1 << 16  # steps per successor table in sample_word
 
 
-def _walk(mu: MarkovMeasure) -> tuple[np.ndarray, list[int]]:
-    """The cut rows :func:`sample_word` searches and the states its chain
-    can visit, built at the first draw and cached on the measure.
+def _walk(mu: MarkovMeasure
+          ) -> tuple[np.ndarray, list[int], Optional[list[int]]]:
+    """The cut rows :func:`sample_word` searches, the states its chain can
+    visit and, when each of those has one successor, the successor of
+    every state; built at the first draw and cached on the measure.
 
     Row a < m is state a's cumulative transition row and row m the
     cumulative stationary vector (the start), each without its last entry,
@@ -482,7 +488,10 @@ def _walk(mu: MarkovMeasure) -> tuple[np.ndarray, list[int]]:
         lo = np.hstack([np.zeros((m + 1, 1)), cuts])
         hi = np.hstack([cuts, np.ones((m + 1, 1))])
         step = lo < np.minimum(hi, 1.0)
-        mu._walk = cuts, np.flatnonzero(_sweep(step[:m], step[m])).tolist()
+        visited = np.flatnonzero(_sweep(step[:m], step[m])).tolist()
+        then = step[:m].argmax(axis=1).tolist()
+        one = (step[visited].sum(axis=1) == 1).all()
+        mu._walk = cuts, visited, then if one else None
     return mu._walk
 
 
@@ -492,29 +501,41 @@ def sample_word(mu: MarkovMeasure, n: int, seed: int) -> np.ndarray:
 
     Step t moves from state a to min(searchsorted(row_cum[a], u[t],
     "right"), m - 1), step 0 from pi_cum the same way: that is the number
-    of the row's first m - 1 cumulative entries at or below u[t].  One
-    vectorised searchsorted per state the walk can visit tabulates its
-    successors for a chunk of steps.  When all those states have the same
-    successors the chunk is read off the table (a point mass, a Bernoulli
-    measure); otherwise the chain walks the table."""
+    of the row's first m - 1 cumulative entries at or below u[t].  The
+    uniforms are drawn a chunk of steps at a time, the stream one draw of
+    n gives.  When every state the walk can visit has one successor (a
+    periodic orbit) no step after the first depends on u, and the word is
+    read off the cycle it enters.  Otherwise one vectorised searchsorted
+    per visitable state tabulates its successors for the chunk; when all
+    those states have the same successors the chunk is read off the table
+    (a Bernoulli measure), else the chain walks the table."""
     if n < 1:
         raise ValueError("n must be positive")
-    u = rng_from(seed).random(n)
-    cuts, visited = _walk(mu)
+    rng = rng_from(seed)
+    cuts, visited, then = _walk(mu)
     x = np.empty(n, dtype=mu.space.symbol_dtype)
-    x[0] = state = int(cuts[-1].searchsorted(u[0], "right"))
-    for lo in range(1, n, _CHAIN_CHUNK):
-        chunk = u[lo:lo + _CHAIN_CHUNK]
-        span = slice(lo, lo + len(chunk))
-        table = [cuts[a].searchsorted(chunk, "right") for a in visited]
-        if all(np.array_equal(row, table[0]) for row in table[1:]):
-            x[span] = table[0]  # no step depends on the state
-        else:
-            succ = [None] * mu.space.m
-            for a, row in zip(visited, table):
-                succ[a] = row.tolist()
-            x[span] = [state := succ[state][t] for t in range(len(chunk))]
-        state = int(x[span.stop - 1])
+    path = [int(cuts[-1].searchsorted(rng.random(), "right"))]
+    if then is not None:
+        while then[path[-1]] not in path:
+            path.append(then[path[-1]])
+        j = path.index(then[path[-1]])  # the walk enters the cycle path[j:]
+        cycle, rest = np.array(path[j:], dtype=x.dtype), len(x[j:])
+        x[:j] = path[:j][:n]
+        x[j:] = np.tile(cycle, -(-rest // len(cycle)))[:rest]
+    else:
+        x[0] = state = path[0]
+        for lo in range(1, n, _CHAIN_CHUNK):
+            chunk = rng.random(min(_CHAIN_CHUNK, n - lo))
+            span = slice(lo, lo + len(chunk))
+            table = [cuts[a].searchsorted(chunk, "right") for a in visited]
+            if all(np.array_equal(row, table[0]) for row in table[1:]):
+                x[span] = table[0]  # no step depends on the state
+            else:
+                succ = [None] * mu.space.m
+                for a, row in zip(visited, table):
+                    succ[a] = row.tolist()
+                x[span] = [state := succ[state][t] for t in range(len(chunk))]
+            state = int(x[span.stop - 1])
     x.flags.writeable = False
     return x
 
@@ -560,6 +581,9 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if typical_depth < 1:
+        raise ValueError(f"typical_depth must be positive, got "
+                         f"{typical_depth}")
     if n < typical_depth:
         raise ValueError(f"n = {n} is shorter than typical_depth = "
                          f"{typical_depth}: no window to check typicality on")

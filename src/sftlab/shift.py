@@ -2,7 +2,8 @@
 Perron root, admissibility, the shift metric, Bowen-ball separation
 predicates, bridging words, and gluing (word concatenation with fixed-length
 bridges, the one join every construction uses, ``glue_spans``, the one rule
-for where each glued word lands, and ``glue_rows`` for arrays of members).
+for where each glued word lands, and ``GluedRows`` for any window of an
+array of members, whose whole is ``glue_rows``).
 
 Conventions fixed here and used everywhere else:
 
@@ -19,13 +20,15 @@ Conventions fixed here and used everywhere else:
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 import numpy as np
 
@@ -642,38 +645,85 @@ def glue_spans(lengths: Iterable[int], gap: int) -> list[tuple[int, int]]:
     return spans
 
 
-def glue_rows(space: SftSpace, pieces: Sequence[Union[Word, np.ndarray]],
-              members: int, gap: int,
-              horizon: Optional[int] = None) -> np.ndarray:
+class Periodic(NamedTuple):
+    """A glue piece too long to hold: ``cycle`` (1-d, or 2-d with one row
+    per member) repeated along its last axis to ``length`` symbols."""
+    cycle: np.ndarray
+    length: int
+
+
+_Piece = Union[Word, np.ndarray, Periodic]
+
+
+def _cut(p: Union[np.ndarray, Periodic], a: int, b: int) -> np.ndarray:
+    """Symbols [a, b) of a piece along its last axis."""
+    if isinstance(p, Periodic):
+        return p.cycle[..., np.arange(a, b) % p.cycle.shape[-1]]
+    return p[..., a:b]
+
+
+class GluedRows:
+    """Each member's :func:`glue` of the pieces, cut at horizon, glued a
+    window of columns at a time: a piece is a Word or 1-d array all members
+    share, a 2-d array with one row per member, or a :class:`Periodic` run
+    of either, and lands at its :func:`glue_spans` span.  A window looks up
+    each bridge it meets once per distinct (last, first) pair and touches
+    only the pieces it meets.  As in glue, nothing is checked."""
+
+    def __init__(self, space: SftSpace, pieces: Sequence[_Piece],
+                 members: int, gap: int, horizon: Optional[int] = None):
+        arrays = [p if isinstance(p, Periodic) else _symbols(p)
+                  for p in pieces]
+        shapes = [(p.cycle.shape[:-1], p.length) if isinstance(p, Periodic)
+                  else (p.shape[:-1], p.shape[-1]) for p in arrays]
+        if any(lead not in ((), (members,)) for lead, _ in shapes):
+            raise ValueError("a piece is 1-d, or 2-d with one row per member")
+        spans = glue_spans((n for _, n in shapes), gap)
+        kept = [i for i, (a, b) in enumerate(spans) if a < b]
+        self.space, self.members, self.gap = space, members, gap
+        self._pieces = [arrays[i] for i in kept]
+        self._spans = [spans[i] for i in kept]
+        self._ends = [end for _, end in self._spans]
+        self.length = min(self._ends[-1] if kept else 0,
+                          math.inf if horizon is None else horizon)
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Columns [lo, hi) of the glued rows, as one read-only (members,
+        hi - lo) array of ``space.symbol_dtype``."""
+        if not 0 <= lo <= hi <= self.length:
+            raise ValueError(f"window [{lo}, {hi}) outside [0, "
+                             f"{self.length})")
+        out = np.empty((self.members, hi - lo), dtype=self.space.symbol_dtype)
+        m, gap = self.space.m, self.gap
+        for k in range(bisect.bisect_right(self._ends, lo), len(self._pieces)):
+            p, (start, end) = self._pieces[k], self._spans[k]
+            a = self._ends[k - 1] if k else start  # where its bridge starts
+            if a >= hi:
+                break
+            if max(a, lo) < min(start, hi):
+                n = self._ends[k - 1] - self._spans[k - 1][0]
+                last = _cut(self._pieces[k - 1], n - 1, n)[..., 0]
+                keys = last.astype(np.int64) * m + _cut(p, 0, 1)[..., 0]
+                pairs = sorted(set(keys.ravel().tolist()))
+                at = np.searchsorted(pairs, keys) if keys.ndim else 0
+                table = np.array([bridge(self.space, *divmod(key, m), gap)
+                                  for key in pairs], dtype=out.dtype)
+                out[:, max(a, lo) - lo:min(start, hi) - lo] = table.reshape(
+                    len(pairs), gap - 1)[at, max(lo - a, 0):min(start, hi) - a]
+            if max(start, lo) < min(end, hi):
+                out[:, max(start, lo) - lo:min(end, hi) - lo] = _cut(
+                    p, max(lo - start, 0), min(end, hi) - start)
+        out.flags.writeable = False
+        return out
+
+
+def glue_rows(space: SftSpace, pieces: Sequence[_Piece], members: int,
+              gap: int, horizon: Optional[int] = None) -> np.ndarray:
     """Each member's :func:`glue` of the pieces, cut at horizon, as the rows
-    of one read-only (members, length) array of ``space.symbol_dtype``: a
-    piece is a Word or 1-d array all members share, or a 2-d array with one
-    row per member, at its :func:`glue_spans` span; a bridge is looked up
-    once per distinct (last, first) pair.  As in glue, nothing is checked."""
-    arrays = [_symbols(p) for p in pieces]
-    if any(p.ndim != 1 and p.shape[:-1] != (members,) for p in arrays):
-        raise ValueError("a piece is 1-d, or 2-d with one row per member")
-    spans = glue_spans((p.shape[-1] for p in arrays), gap)
-    length = min(spans[-1][1] if spans else 0,
-                 math.inf if horizon is None else horizon)
-    out = np.empty((members, length), dtype=space.symbol_dtype)
-    last: Optional[np.ndarray] = None  # each member's last symbol so far
-    for p, (start, end) in zip(arrays, spans):
-        lo = start - (gap - 1) if last is not None else start
-        if start == end or lo >= length:
-            continue
-        if last is not None:
-            keys = last.astype(np.int64) * space.m + p[..., 0]
-            pairs = sorted(set(keys.ravel().tolist()))
-            at = np.searchsorted(pairs, keys) if keys.ndim else 0
-            table = np.array([bridge(space, *divmod(k, space.m), gap)
-                              for k in pairs], dtype=out.dtype)
-            out[:, lo:start] = table.reshape(len(pairs), gap - 1)[
-                at, :length - lo]
-        out[:, start:end] = p[..., :max(length - start, 0)]
-        last = p[..., -1]
-    out.flags.writeable = False
-    return out
+    of one read-only (members, length) array: the [0, length) window of
+    :class:`GluedRows`."""
+    rows = GluedRows(space, pieces, members, gap, horizon)
+    return rows.window(0, rows.length)
 
 
 def check_rows(space: SftSpace, what: str, rows: np.ndarray) -> None:

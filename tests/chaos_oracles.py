@@ -2,16 +2,106 @@
 stage record with its own budget, the planner that re-planned every stage
 from scratch for each stage count it tried (``simulate``), and the
 emitter's loop with its own memoised bridges and skip-empty rule.  The
-blocks come from ``gluing._draw_block``, as they always did."""
+blocks come from ``gluing._draw_block``, as they always did.  Also the
+whole-array gap core that the chunked window stats replaced: one gap array
+per pair (``orbit_gaps``) and the reports read off it."""
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from sftlab import gluing
+from sftlab.chaos import (ZERO_GAP, Dc1Report, LiYorkeReport, _checkpoints,
+                          _distance, close_gap)
+from sftlab.errors import WordsTooShort
 from sftlab.gluing import (Stage, StageBudget, ValidationReport,
                            check_budgets, dense_tour)
-from sftlab.shift import Word, bridge, glue_spans
+from sftlab.shift import Word, _symbols, bridge, glue_spans
+
+
+def orbit_gaps(x, y, n):
+    """Integer gaps t with d(shift^i x, shift^i y) = 2.0**-t[i], 0 <= i < n:
+    ZERO_GAP past the last disagreement of words of equal length, else the
+    symbols remaining."""
+    xs, ys = _symbols(x), _symbols(y)
+    L = min(len(xs), len(ys))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > L:
+        raise WordsTooShort(f"need both words of length >= {n}")
+    pos = np.flatnonzero(xs[:L] != ys[:L])
+    nxt = np.append(pos, L)  # each position's next disagreement, else L
+    nxt = np.repeat(nxt, np.diff(nxt, prepend=-1))[:n]
+    t = nxt - np.arange(n)
+    if len(xs) == len(ys):
+        t[nxt == L] = ZERO_GAP
+    return t
+
+
+def _prefix(gaps, n):
+    if n > len(gaps):
+        raise WordsTooShort(f"need both words of length >= {n}")
+    return gaps[:n]
+
+
+def _phi_at(gaps, thr, cps):
+    prefix, close = _prefix(gaps, cps[-1]), close_gap(thr)
+    counts = itertools.accumulate(np.count_nonzero(prefix[a:b] >= close)
+                                  for a, b in zip((0, *cps), cps))
+    return [c / n for c, n in zip(counts, cps)]
+
+
+def phi_from_gaps(gaps, t, n):
+    """phi_n of the pair with the given gaps (at least n of them)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _phi_at(gaps, t, (n,))[0]
+
+
+def dc1_from_gaps(gaps, t0, t_grid, checkpoints, tau_low=0.05,
+                  tau_high=0.05):
+    """dc1_report of the pair with the given gaps."""
+    cps = _checkpoints(checkpoints, unique=False)
+    phi_t0 = tuple(_phi_at(gaps, t0, cps))
+    grid = tuple(float(t) for t in t_grid)
+    phi_grid = {t: tuple(_phi_at(gaps, t, cps)) for t in grid}
+    min_phi_t0 = min(phi_t0)
+    max_phi = {t: max(v) for t, v in phi_grid.items()}
+    ok = min_phi_t0 <= tau_low and all(
+        max_phi[t] >= 1.0 - tau_high for t in grid)
+    return Dc1Report(
+        t0=t0, checkpoints=cps, phi_t0=phi_t0, grid=grid, phi_grid=phi_grid,
+        min_phi_t0=min_phi_t0, max_phi=max_phi, tau_low=tau_low,
+        tau_high=tau_high,
+        verdict="DC1-consistent" if ok else "not-DC1-consistent",
+        distal_consistent=_distance(_prefix(gaps, cps[-1]).max()) > 2.0 ** -20,
+    )
+
+
+def li_yorke_from_gaps(gaps, checkpoints, prox_tol=2.0 ** -10,
+                       dist_tol=2.0 ** -10):
+    """li_yorke_report of the pair with the given gaps: a window's min
+    distance is that of its largest gap, its max that of its smallest."""
+    cps = _checkpoints(checkpoints, unique=True)
+    head = _prefix(gaps, cps[-1])
+    starts = (0, *cps[:-1])
+    seg_hi = np.maximum.reduceat(head, starts)
+    seg_lo = np.minimum.reduceat(head, starts)
+
+    def dists(a):
+        return tuple(_distance(t) for t in a.tolist())
+
+    running_min = dists(np.maximum.accumulate(seg_hi))
+    seg_min, seg_max = dists(seg_hi), dists(seg_lo)
+    ok = seg_min[-1] <= prox_tol and seg_max[-1] >= dist_tol
+    return LiYorkeReport(
+        checkpoints=cps, running_min=running_min,
+        running_max=dists(np.minimum.accumulate(seg_lo)),
+        segment_min=seg_min, segment_max=seg_max, prox_tol=prox_tol,
+        dist_tol=dist_tol,
+        verdict="LiYorke-consistent" if ok else "not-LiYorke-consistent",
+        distal_consistent=running_min[-1] > prox_tol)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,16 @@ as its oracles: MarkovMeasure's per-matrix checks and SVD stationary solve,
 the per-measure entropy, the edge-flow mean summed edge by edge in Python,
 and equilibrium states conjugated and built one potential at a time.  Also
 the per-step sampler, the per-cylinder weak* sums and the Word-scored block
-draw that the array-first draws replaced, and the closure-loop ergodicity
-check that the frontier sweeps replaced."""
+draw that the array-first draws replaced, the one-draw sampler that walked
+periodic orbits step by step, which the chunked draw replaced, and the
+closure-loop ergodicity check that the frontier sweeps replaced."""
 import math
 from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from sftlab import gluing
+from sftlab import gluing, measures
 from sftlab.ergopt import _edge_values, _transfer_solves, block_graph
 from sftlab.errors import StationaryNotUnique
 from sftlab.measures import cylinder_weights, rng_from
@@ -120,6 +121,30 @@ def per_step_sample_word(mu, n, seed):
         out.append(min(int(np.searchsorted(mu._row_cum[out[-1]], u[t],
                                            side="right")), last))
     return Word(out)
+
+
+def one_draw_sample_word(mu, n, seed):
+    """sample_word as it drew all n uniforms at once and walked every chain
+    whose successors depend on the state step by step, periodic orbits
+    included: a read-only symbol array."""
+    u = rng_from(seed).random(n)
+    cuts, visited = measures._walk(mu)[:2]
+    x = np.empty(n, dtype=mu.space.symbol_dtype)
+    x[0] = state = int(cuts[-1].searchsorted(u[0], "right"))
+    for lo in range(1, n, measures._CHAIN_CHUNK):
+        chunk = u[lo:lo + measures._CHAIN_CHUNK]
+        span = slice(lo, lo + len(chunk))
+        table = [cuts[a].searchsorted(chunk, "right") for a in visited]
+        if all(np.array_equal(row, table[0]) for row in table[1:]):
+            x[span] = table[0]
+        else:
+            succ = [None] * mu.space.m
+            for a, row in zip(visited, table):
+                succ[a] = row.tolist()
+            x[span] = [state := succ[state][t] for t in range(len(chunk))]
+        state = int(x[span.stop - 1])
+    x.flags.writeable = False
+    return x
 
 
 def loop_weak_star_counts(counts, total, target, depth):

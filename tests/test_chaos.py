@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab.chaos import (ZERO_GAP, Dc1Report, LiYorkeReport, close_gap,
-                          dc1_from_gaps, dc1_report, li_yorke_from_gaps,
-                          li_yorke_report, orbit_distances, orbit_gaps,
-                          phi_from_gaps, phi_n)
+                          dc1_from_windows, dc1_report, gap_windows,
+                          li_yorke_from_windows, li_yorke_report,
+                          orbit_distances, phi_n)
 from sftlab import gluing
 from sftlab.errors import InfeasibleParams, WordsTooShort
 from sftlab.experiments import run_experiment
 from sftlab.shift import SftSpace, Word, dist
+
+from chaos_oracles import (dc1_from_gaps, li_yorke_from_gaps, orbit_gaps,
+                           phi_from_gaps)
 
 FULL2 = SftSpace.full_shift(2)
 
@@ -254,15 +257,104 @@ class TestGapCoreOracles:
         w = Word("0110")
         assert orbit_gaps(w, w, 4).tolist() == [ZERO_GAP] * 4
         assert orbit_gaps(w, w + Word("1"), 4).tolist() == [4, 3, 2, 1]
+        for y, gaps in ((w, [ZERO_GAP] * 4), (w + Word("1"), [4, 3, 2, 1])):
+            stats = window_stats(w, y, [1, 2, 3, 4], [])
+            assert stats.low.tolist() == stats.high.tolist() == gaps
 
     def test_short_gaps_named(self):
-        gaps = orbit_gaps(Word("0101"), Word("0110"), 4)
+        x, y = Word("0101"), Word("0110")
         with pytest.raises(WordsTooShort):
-            phi_from_gaps(gaps, 0.5, 5)
+            phi_n(x, y, 0.5, 5)
         with pytest.raises(WordsTooShort):
-            li_yorke_from_gaps(gaps, [2, 5])
+            li_yorke_report(x, y, [2, 5])
         with pytest.raises(WordsTooShort):
-            dc1_from_gaps(gaps, 0.5, [0.25], [5])
+            dc1_report(x, y, 0.5, [0.25], [5])
+        with pytest.raises(WordsTooShort, match="length >= 5"):
+            window_stats(x, y, [5], [], chunk=2)
+
+
+def window_stats(x, y, cuts, ks, chunk=None):
+    """gap_windows of two orbits, read chunk symbols at a time (all at
+    once by default)."""
+    xs, ys = Word(x).to_array(), Word(y).to_array()
+    L = min(len(xs), len(ys))
+    return gap_windows(lambda lo, hi: (xs[lo:hi], ys[lo:hi]), L, [(0, 1)],
+                       cuts, ks, len(xs) == len(ys), chunk or max(L, 1))[0]
+
+
+def oracle_windows(gaps, cuts, ks):
+    """Per window between the sorted cuts: min, max and the counts >= k,
+    sliced off the whole gap array."""
+    bounds = list(zip((0, *cuts), cuts))
+    return ([int(gaps[a:b].min()) for a, b in bounds],
+            [int(gaps[a:b].max()) for a, b in bounds],
+            [[int((gaps[a:b] >= k).sum()) for a, b in bounds] for k in ks])
+
+
+KS = [0, 1, 2, 3, 7, 40, 1075, ZERO_GAP, ZERO_GAP + 1, close_gap(0.0)]
+
+
+class TestChunkedGapWindows:
+    """gap_windows, which reads the pair a chunk at a time from the end,
+    equals the whole gap array sliced per window, at every chunk size."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_pairs(), st.data())
+    def test_equals_the_whole_gap_array(self, pair, data):
+        x, y = pair
+        L = min(len(x), len(y))
+        chunk = data.draw(st.one_of(st.integers(1, 8),
+                                    st.sampled_from([L, L + 5, 1 << 15])))
+        # cuts on chunk edges, beside them and anywhere
+        edges = [c for e in range(chunk, L + 1, chunk)
+                 for c in (e - 1, e, e + 1) if 1 <= c <= L]
+        cuts = sorted(set(data.draw(st.lists(
+            st.sampled_from(edges) if edges and data.draw(st.booleans())
+            else st.integers(1, L), min_size=1, max_size=5))))
+        ks = data.draw(st.lists(st.sampled_from(KS), max_size=3))
+        got = window_stats(x, y, cuts, ks, chunk)
+        want = oracle_windows(orbit_gaps(x, y, cuts[-1]), cuts, ks)
+        assert got.cuts == tuple(cuts) and got.ks == tuple(ks)
+        assert (got.low.tolist(), got.high.tolist(), got.close.tolist()) \
+            == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 300), st.integers(1, 40),
+           st.integers(0, 2 ** 32))
+    def test_every_pair_of_a_member_array(self, members, n, chunk, seed):
+        # members that share most symbols, read as windows of one 2-d array
+        rng = np.random.default_rng(seed)
+        rows = np.zeros((members, n), dtype=np.uint8)
+        flips = rng.integers(0, n, size=(members, 3))
+        rows[np.arange(members)[:, None], flips] = 1
+        pairs = [(i, j) for i in range(members) for j in range(members)
+                 if i != j]
+        cuts = sorted({n, *rng.integers(1, n + 1, 3).tolist()})
+        got = gap_windows(lambda lo, hi: rows[:, lo:hi], n, pairs, cuts,
+                          [0, 2, 5], chunk=chunk)
+        for (i, j), stats in zip(pairs, got):
+            want = oracle_windows(orbit_gaps(rows[i], rows[j], n), cuts,
+                                  [0, 2, 5])
+            assert (stats.low.tolist(), stats.high.tolist(),
+                    stats.close.tolist()) == want
+
+    def test_reports_read_coarser_windows(self):
+        x = Word("0" * 50 + "01" * 25)
+        y = Word("0" * 49 + "1" + "10" * 25)
+        stats = window_stats(x, y, [10, 30, 60, 100], [close_gap(0.3)],
+                             chunk=7)
+        gaps = orbit_gaps(x, y, 100)
+        assert stats.counts(close_gap(0.3), [30, 100, 30]) == [
+            int((gaps[:n] >= close_gap(0.3)).sum()) for n in (30, 100, 30)]
+        low, high = stats.extremes([30, 100])
+        assert low.tolist() == [gaps[:30].min(), gaps[30:].min()]
+        assert high.tolist() == [gaps[:30].max(), gaps[30:].max()]
+        assert li_yorke_from_windows(stats, [30, 100]) == \
+            li_yorke_from_gaps(gaps, [30, 100])
+        assert dc1_from_windows(stats, 0.3, [0.3], [30, 100, 30]) == \
+            dc1_from_gaps(gaps, 0.3, [0.3], [30, 100, 30])
+        with pytest.raises(ValueError, match="50 is not a cut"):
+            stats.extremes([50])
 
 
 class TestChaosExperimentParams:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sftlab import experiments, gluing
+from sftlab import ergopt, experiments, gluing
 from sftlab.analysis import empirical
-from sftlab.chaos import dc1_report, li_yorke_report, orbit_distances, phi_n
+from sftlab.chaos import (close_gap, dc1_report, gap_windows,
+                          li_yorke_report, orbit_distances, phi_n)
 from sftlab.errors import (BadCheckpoints, FamilyNotSeparated,
                            InfeasibleParams, LeafOutOfRange,
                            MalformedSchedule, MalformedTree, NotPrimitive,
-                           OrbitsNotDisjoint, WordsTooShort)
+                           OrbitsNotDisjoint, SpaceMismatch, WordsTooShort)
 from sftlab.experiments import _sampled_leaf_checks, run_experiment
 from sftlab.gluing import (LEAF_ENUMERATION_CAP, BranchTree, ChaoticFamily,
                            CheckEntry,
@@ -1324,8 +1326,9 @@ class TestTwoOrbitEmitter:
         want = iglue_two_orbit(space, orbits, xis, plan, horizon)
         arrays = [p.to_array() if isinstance(p, Word) else p for p in plan]
         for pieces in (plan, arrays):
-            members, spans = _emit_two_orbit(space, orbits, xis, pieces,
-                                             horizon)
+            rows, spans = _emit_two_orbit(space, orbits, xis, pieces,
+                                          horizon)
+            members = dict(zip(xis, rows.window(0, rows.length)))
             assert list(members) == list(want)
             for xi, x in members.items():
                 assert x.dtype == np.uint8 and not x.flags.writeable
@@ -1415,7 +1418,8 @@ class TestChaoticFamilyOracle:
         want = bridged_two_orbit(space, orbits, xis, plan, horizon)
         arrays = [p.to_array() if isinstance(p, Word) else p for p in plan]
         for pieces in (plan, arrays):
-            members, _ = _emit_two_orbit(space, orbits, xis, pieces, horizon)
+            rows, _ = _emit_two_orbit(space, orbits, xis, pieces, horizon)
+            members = dict(zip(xis, rows.window(0, rows.length)))
             assert list(members) == list(want)
             for xi, x in members.items():
                 assert x.dtype == space.symbol_dtype
@@ -1564,3 +1568,103 @@ class TestDc1Family:
         assert x.symbols[first_end + 1:] == (0,) * (len(x) - first_end - 1)
         dc1_report(x, y, t0=fam.eps_star / 2, t_grid=[0.5],
                    checkpoints=list(fam.stage_ends))
+
+
+# the equilibrium state of a depth-3 potential lives on the 4-node block
+# space of the 2-shift, not on the 2-shift
+BLOCK_MU = ergopt.equilibrium_state(FULL2,
+                                    ergopt.random_potential(FULL2, 3, 5))
+TWIN2 = SftSpace(FULL2.transition)  # equal to FULL2, not the same object
+BUILDERS = {
+    "build_gk_schedule": lambda space, mu: build_gk_schedule(
+        space, mu, stages=1),
+    "build_branch_tree": lambda space, mu: build_branch_tree(
+        space, MeasurePath([mu]), eta=0.1, depth=1, seed=16, stage_len=12),
+    "emit_chaotic_family": lambda space, mu: emit_chaotic_family(
+        space, mu, Word("0"), Word("1"), [(1, 2), (2, 1)], 20_000, seed=7),
+    "emit_dc1_family": lambda space, mu: emit_dc1_family(
+        space, mu, Word("0"), Word("1"), [(1,) * 4, (2,) * 4], 20_000,
+        seed=7),
+}
+
+
+class TestBuildersCheckTheTargetSpace:
+    @pytest.mark.parametrize("who", BUILDERS)
+    def test_a_target_from_another_space_is_named(self, who, monkeypatch):
+        # the schedule built and failed at its first draw, the tree's
+        # certificates passed for leaves that do not exist, and the two-orbit
+        # families raised a bare "symbols out of range"
+        monkeypatch.setattr(gluing, "_draw_block", self._unplanned)
+        message = re.escape(f"{who}: ") + ".* are defined on the spaces " \
+            "with transition " + re.escape(
+                f"{BLOCK_MU.space.transition.tolist()} and "
+                f"{FULL2.transition.tolist()}")
+        with pytest.raises(SpaceMismatch, match=message):
+            BUILDERS[who](FULL2, BLOCK_MU)
+
+    @staticmethod
+    def _unplanned(*args):
+        raise AssertionError("planned before the space check")
+
+    @pytest.mark.parametrize("who", BUILDERS)
+    def test_an_equal_space_is_accepted(self, who):
+        cycle = Word("01") if who == "emit_dc1_family" else Word("0")
+        target = (MarkovMeasure.periodic_orbit(TWIN2, cycle)
+                  if who.startswith("emit") else
+                  MarkovMeasure.bernoulli(TWIN2, [0.5, 0.5]))
+        assert BUILDERS[who](FULL2, target) is not None
+
+
+class TestFamilyWindows:
+    """A two-orbit family glues any window of its members, equal to the
+    slice of the whole members."""
+
+    @pytest.mark.parametrize("space", list(CHAOS_CASES))
+    def test_windows_are_slices_of_the_members(self, space):
+        mu0, orbits = CHAOS_CASES[space]
+        fam = emit_chaotic_family(space, mu0, Word(orbits[0]),
+                                  Word(orbits[1]),
+                                  [(1, 2, 1), (2, 1, 1), (2, 2, 2)], 40_000,
+                                  seed=3)
+        whole = np.stack(list(fam.members.values()))
+        assert whole.shape == (3, fam.rows.length) == (3, fam.stage_ends[-1])
+        rng = np.random.default_rng(5)
+        for lo, hi in [(0, 0), (0, 1), (fam.rows.length - 1, fam.rows.length),
+                       *np.sort(rng.integers(0, fam.rows.length + 1,
+                                             (40, 2))).tolist()]:
+            got = fam.rows.window(lo, hi)
+            assert np.array_equal(got, whole[:, lo:hi]) and \
+                not got.flags.writeable
+        with pytest.raises(ValueError, match="outside"):
+            fam.rows.window(0, fam.rows.length + 1)
+
+    def test_members_are_glued_on_first_read_only(self):
+        fam = emit_dc1_family(FULL2, MarkovMeasure.periodic_orbit(
+            FULL2, Word("01")), Word("0"), Word("1"), [(1,) * 4, (2,) * 4],
+            30_000, seed=19)
+        assert "members" not in vars(fam)
+        assert fam.members is fam.members
+        assert list(fam.members) == list(fam.xis)
+
+
+class TestChunkedPairScoringMemory:
+    def test_five_million_symbols_in_bounded_memory(self):
+        # at horizon 5 M the members are 3,189,928 symbols over 4 stages:
+        # the 8 whole members alone take 25.5 MB, and one pair's gap array
+        # 25.5 MB more, while the chunked walk holds a chunk of each member
+        xis = [tuple(1 + ((k >> i) & 1) for i in range(10)) for k in range(8)]
+        fam = emit_chaotic_family(FULL2, POINT0, Word("0"), Word("1"), xis,
+                                  5_000_000, seed=123)
+        assert fam.rows.length == 3_189_928 and len(fam.stages) == 4
+        pairs = list(itertools.combinations(range(8), 2))
+        cuts = [*fam.stage_ends, fam.mu0_run_ends[-1]]
+        tracemalloc.start()
+        try:
+            stats = gap_windows(fam.rows.window, fam.rows.length, pairs, cuts,
+                                [close_gap(2.0 ** -3)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stats) == 28
+        assert peak < 4 * 2 ** 20, peak
+

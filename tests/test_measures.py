@@ -26,8 +26,9 @@ from sftlab.shift import SftSpace, Word, delta_separated, word_columns
 from dict_empirical import DictEmpiricalMeasure, dict_empirical
 import measure_oracles
 from measure_oracles import (closure_is_ergodic, loop_weak_star_counts,
-                             loop_weak_star_dist, per_matrix_measure,
-                             per_measure_entropy, per_step_sample_word)
+                             loop_weak_star_dist, one_draw_sample_word,
+                             per_matrix_measure, per_measure_entropy,
+                             per_step_sample_word)
 from word_oracles import word_typical_separated_family
 
 FULL2 = SftSpace.full_shift(2)
@@ -485,6 +486,19 @@ class TestVectorWeakStar:
             weak_star_counts(counts, np.array(total), mu, 2)
 
 
+    @pytest.mark.parametrize("total, bad", [(np.inf, "inf"),
+                                            ([6, np.inf], "inf")])
+    def test_totals_must_be_finite(self, total, bad):
+        # an infinite total scored an all-zero count row: 0.1991
+        mu = MarkovMeasure.bernoulli(FULL2, [0.4, 0.6])
+        counts = np.array([[3, 1, 2, 0], [1, 1, 1, 1]])
+        with pytest.raises(ValueError,
+                           match=f"total must be finite, got {bad}$"):
+            weak_star_counts(counts, np.array(total), mu, 2)
+        with pytest.raises(ValueError, match="total must be finite"):
+            weak_star_counts(counts[:1], np.inf, mu, 2)
+
+
 class TestWeakStarCore:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -672,6 +686,29 @@ def sparse_markov(draw):
         assume(False)
 
 
+def fake_rng(u):
+    """A stand-in for rng_from: each generator it makes serves the uniforms
+    u in order, one at a time or as an array of any shape."""
+    def rng(*seed):
+        at = iter(np.asarray(u, dtype=float).tolist())
+
+        def random(size=None):
+            if size is None:
+                return next(at)
+            out = np.array([next(at) for _ in range(int(np.prod(size)))])
+            return out.reshape(size)
+        return mock.Mock(random=random)
+    return rng
+
+
+@st.composite
+def periodic_orbits(draw):
+    """The measure of a cycle of distinct symbols of a full shift."""
+    m = draw(st.integers(1, 5))
+    cycle = draw(st.permutations(range(m)))[:draw(st.integers(1, m))]
+    return MarkovMeasure.periodic_orbit(SftSpace.full_shift(m), Word(cycle))
+
+
 class TestSampleWordOracle:
     @settings(max_examples=150, deadline=None)
     @given(sparse_markov(), st.integers(1, 300), st.integers(0, 2**32),
@@ -681,6 +718,36 @@ class TestSampleWordOracle:
             x = sample_word(mu, n, seed)
         assert Word(x) == per_step_sample_word(mu, n, seed)
         assert x.dtype == mu.space.symbol_dtype and not x.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(sparse_markov(), periodic_orbits()), st.integers(1, 700),
+           st.integers(0, 2**32), st.sampled_from([1, 7, 64, 1 << 16]))
+    def test_equals_the_one_draw_sampler(self, mu, n, seed, chunk):
+        # uniforms drawn a chunk at a time, periodic orbits read off their
+        # cycle: the word the one-draw, step-by-step sampler gave
+        with mock.patch.object(measures, "_CHAIN_CHUNK", chunk):
+            x = sample_word(mu, n, seed)
+            want = one_draw_sample_word(mu, n, seed)
+        assert x.dtype == want.dtype and np.array_equal(x, want)
+
+    def test_chunked_uniforms_are_one_draw(self):
+        for sizes in ([1, 5, 64], [1] * 10, [3, 1 << 16, 7]):
+            rng = measures.rng_from(9)
+            parts = [rng.random(k) for k in sizes]
+            assert np.array_equal(np.concatenate(parts),
+                                  measures.rng_from(9).random(sum(sizes)))
+        assert measures.rng_from(9).random() == \
+            measures.rng_from(9).random(1)[0]
+
+    def test_a_periodic_orbit_is_read_off_its_cycle(self):
+        # no per-step walk: a million symbols of a 3-cycle at once
+        mu = MarkovMeasure.periodic_orbit(SftSpace.full_shift(4), Word("203"))
+        then = measures._walk(mu)[2]
+        assert (then[2], then[0], then[3]) == (0, 3, 2)
+        x = sample_word(mu, 10 ** 6, 4)
+        assert np.array_equal(x[:5000], one_draw_sample_word(mu, 5000, 4))
+        assert np.array_equal(x[3:], x[:-3]) and set(x[:3]) == {0, 2, 3}
+        assert measures._walk(parry_measure(GOLDEN))[2] is None
 
     def test_equal_across_table_chunks(self):
         mu = parry_measure(GOLDEN)
@@ -699,7 +766,7 @@ class TestSampleWordOracle:
         cuts = cuts[(cuts >= 0) & (cuts < 1)]
         u = np.array(data.draw(st.lists(st.sampled_from(cuts.tolist()),
                                         min_size=1, max_size=60)))
-        fake = mock.Mock(return_value=mock.Mock(random=lambda n: u[:n]))
+        fake = fake_rng(u)
         with mock.patch.object(measures, "rng_from", fake), \
                 mock.patch.object(measure_oracles, "rng_from", fake):
             assert Word(sample_word(mu, len(u), 0)) == \
@@ -711,7 +778,7 @@ class TestSampleWordOracle:
         mu = MarkovMeasure(GOLDEN, [[0.5, 0.5], [1 - 1e-13, 0.0]])
         assert measures._walk(mu)[1] == [0, 1]
         u = np.array([0.9, 1 - 2.0 ** -53, 0.2, 0.99])
-        fake = mock.Mock(return_value=mock.Mock(random=lambda n: u[:n]))
+        fake = fake_rng(u)
         with mock.patch.object(measures, "rng_from", fake), \
                 mock.patch.object(measure_oracles, "rng_from", fake):
             assert sample_word(mu, 4, 0).tolist() == [1, 1, 0, 1]
@@ -723,8 +790,7 @@ class TestSampleWordOracle:
         # state at every step (the batch used to index row m mid-walk)
         row = [0.5, 0.5 - 4e-13]
         mu = MarkovMeasure(FULL2, [row, row])
-        fake = mock.Mock(return_value=mock.Mock(
-            random=lambda shape: np.full(shape, 1 - 1e-13)))
+        fake = fake_rng(np.full(15, 1 - 1e-13))
         with mock.patch.object(measures, "rng_from", fake):
             assert sample_word(mu, 5, 0).tolist() == [1] * 5
             batch = sample_words_batch(mu, 5, 3, 0)
@@ -764,6 +830,18 @@ class TestTypicalFamily:
             with pytest.raises(ValueError, match=f"n = {n} is shorter than "
                                f"typical_depth = {depth}"):
                 typical_separated_family(mu, n, 0.05, 0.35, seed=2,
+                                         typical_depth=depth)
+        draw.assert_not_called()
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_typical_depth_must_be_positive(self, depth):
+        # depth 0 drew a batch, then failed with "word length must be
+        # positive, got 0", which named neither the parameter nor the call
+        mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
+        with mock.patch.object(measures, "sample_words_batch") as draw:
+            with pytest.raises(ValueError, match=f"^typical_depth must be "
+                               f"positive, got {depth}$"):
+                typical_separated_family(mu, 4, 0.05, 0.35, seed=1,
                                          typical_depth=depth)
         draw.assert_not_called()
 

@@ -12,10 +12,10 @@ from sftlab import cocycle, ergopt, experiments, gluing
 from sftlab.experiments import run_experiment
 from sftlab.measures import (MarkovMeasure, MeasurePath,
                              typical_separated_family)
-from sftlab.shift import (SftSpace, SymbolStream, Word, bridge, check_rows,
-                          connector, delta_separated, dist, glue, glue_rows,
-                          glue_spans, hamming, hamming_matrix, iglue,
-                          separated_count)
+from sftlab.shift import (GluedRows, Periodic, SftSpace, SymbolStream, Word,
+                          bridge, check_rows, connector, delta_separated, dist,
+                          glue, glue_rows, glue_spans, hamming, hamming_matrix,
+                          iglue, separated_count)
 
 from word_oracles import (PerSymbolStream, count_words_loop,
                           primitive_spaces, set_separated_count)
@@ -406,6 +406,39 @@ class TestGlueRows:
         assert got.dtype == space.symbol_dtype and not got.flags.writeable
         for row, member in zip(got, words):
             assert Word(row.tolist()) == glue(space, member, gap)[:cut]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_window_is_a_slice_of_the_whole(self, data):
+        # periodic runs, shared and per member, glue as their cycles
+        # repeated; every window, inside bridges and pieces and across
+        # them, is the slice of the whole rows
+        space = data.draw(st.sampled_from([FULL2, GOLDEN, SFT3]))
+        gap = space.primitivity_index
+        members = data.draw(st.integers(0, 3))
+        lazy, whole = [], []
+        for _ in range(data.draw(st.integers(0, 5))):
+            n, period = data.draw(st.integers(0, 12)), data.draw(
+                st.integers(1, 3))
+            kind = data.draw(st.sampled_from(["shared", "rows"]))
+            shape = (members, period) if kind == "rows" else (period,)
+            cycle = np.array([data.draw(st.integers(0, space.m - 1))
+                              for _ in range(int(np.prod(shape)))],
+                             dtype=int).reshape(shape)
+            run = cycle[..., np.arange(n) % period]
+            whole.append(run)
+            lazy.append(Periodic(cycle, n) if data.draw(st.booleans())
+                        else run)
+        horizon = data.draw(st.one_of(st.none(), st.integers(0, 80)))
+        rows = GluedRows(space, lazy, members, gap, horizon)
+        want = glue_rows(space, whole, members, gap, horizon)
+        assert rows.length == want.shape[1]
+        for _ in range(4):
+            lo = data.draw(st.integers(0, rows.length))
+            hi = data.draw(st.integers(lo, rows.length))
+            got = rows.window(lo, hi)
+            assert got.dtype == space.symbol_dtype and not got.flags.writeable
+            assert np.array_equal(got, want[:, lo:hi])
 
     def test_a_horizon_inside_a_bridge(self):
         # SFT3 bridges are four symbols: "0" + bridge + "1", cut after two

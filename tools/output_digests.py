@@ -2,14 +2,15 @@
 
     python3 tools/output_digests.py [--seeds 7 21]
 
-Run it from the repository root.  For each seed it runs ``configs/all.json``
-and the config of each benchmark workload (``perfbench/workloads.py``) with
-``sftlab run`` in a fresh interpreter, writing into a temporary directory
-that is removed afterwards.  The output is one JSON object, sorted by key,
-that maps ``config/seed/file`` to the sha256 of ``summary.json`` and of
-every CSV (``meta.json`` holds timings and is left out).  Two trees give the
-same outputs for these seeds exactly when their printed objects are equal,
-so comparing them is one ``diff``.
+Run it from the repository root.  For each seed it runs ``configs/all.json``,
+the config of each benchmark workload (``perfbench/workloads.py``) and
+``thm1_5_chaos`` at horizon 5,000,000 (``chaos_5m``, whose members cross many
+chunks and four stage ends) with ``sftlab run`` in a fresh interpreter,
+writing into a temporary directory that is removed afterwards.  The output
+is one JSON object, sorted by key, that maps ``config/seed/file`` to the
+sha256 of ``summary.json`` and of every CSV (``meta.json`` holds timings and
+is left out).  Two trees give the same outputs for these seeds exactly when
+their printed objects are equal, so comparing them is one ``diff``.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from workloads import WORKLOADS, config  # noqa: E402
 def _configs(seed: int) -> dict[str, dict]:
     out = {"all": json.loads((ROOT / "configs" / "all.json").read_text())}
     out.update((name, config(name, seed)) for name in WORKLOADS)
+    out["chaos_5m"] = {"seed": seed, "experiments": [
+        {"name": "thm1_5_chaos", "params": {"horizon": 5_000_000}}]}
     return out
 
 
