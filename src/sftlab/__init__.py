@@ -12,7 +12,7 @@ from .errors import (BadCheckpoints, Degenerate, DepthExceedsEmpirical,
 
 _HOME = {name: layer for layer, names in (  # name -> its layer; layer -> self
     ("shift", "SftSpace SymbolStream Word bridge connector delta_separated "
-              "dist glue iglue separated_count topological_entropy"),
+              "dist glue separated_count topological_entropy"),
     ("measures", "EmpiricalMeasure MarkovMeasure MeasurePath ks_entropies "
                  "ks_entropy markov_measures refine_path sample_word "
                  "typical_separated_family weak_star_dist"),

@@ -3,10 +3,12 @@ they emit: saturated-set generic points, separated stream families,
 branching trees with counting measures, and chaotic two-orbit families.
 
 On a mixing SFT the shadowing in all of these constructions is exact word
-concatenation with fixed-length bridging words (``shift.glue``, its member
-arrays ``shift.glue_rows`` and a ``SymbolStream``'s ``shift._glue_pieces``), and
-``shift.glue_spans`` says where each glued word lands, so every tracking
-claim reduces to checkable arithmetic on spans, and
+concatenation with fixed-length bridging words, placed by one engine,
+``shift.GluedRows``: ``shift.glue`` is its one-member case,
+``shift.glue_rows`` its member arrays, and a ``SymbolStream`` glues the
+words it pulls with it a window at a time.  ``shift.glue_spans`` says
+where each glued word lands, so every tracking claim reduces to
+checkable arithmetic on spans, and
 ``GluingSchedule.layout`` lists the span of every piece of a schedule's
 point for its stage ends, target and tracking bound:
 
@@ -46,8 +48,8 @@ from .measures import (MarkovMeasure, MeasurePath, _same_space, ks_entropy,
                        refine_path, sample_word, typical_separated_family,
                        weak_star_counts, weak_star_dist, window_counts)
 from .shift import (GluedRows, Periodic, SftSpace, SymbolStream, Word,
-                    _glue_pieces, _prefix_rows, block_graph, check_rows,
-                    distinct_rows, glue, glue_rows, glue_spans, window_columns)
+                    _prefix_rows, block_graph, check_rows, distinct_rows,
+                    glue, glue_rows, glue_spans, window_columns)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 LEAF_ENUMERATION_CAP = 200_000  # BranchTree.leaves walks no larger tree
@@ -106,11 +108,6 @@ def dense_tour(space: SftSpace, depth: int) -> Word:
             return space.word(table[circuit[0]].tolist() +
                               table[circuit[1:], -1].tolist())
     return glue(space, map(Word, table.tolist()), gap)
-
-
-def contains_all_words(space: SftSpace, tour: Word, depth: int) -> bool:
-    subs = {tour.symbols[i:i + depth] for i in range(len(tour) - depth + 1)}
-    return subs.issuperset(map(tuple, space.word_table(depth).tolist()))
 
 
 # --------------------------- schedules ---------------------------
@@ -473,13 +470,10 @@ def emit_point(s: GluingSchedule, seed: int,
     if family_word is not None:
         _check_slot(s, _family_rows(s.space, [family_word]))
 
-    def factory() -> Iterator[Sequence[int]]:
-        prologue = [w for w in (s.anchor, family_word) if w is not None]
-        return _glue_pieces(s.space,
-                            itertools.chain(prologue, _stage_words(s, seed)),
-                            s.gap)
-
-    return SymbolStream(s.space, factory, label=f"gk-point(seed={seed})")
+    prologue = [w for w in (s.anchor, family_word) if w is not None]
+    return SymbolStream(
+        s.space, lambda: itertools.chain(prologue, _stage_words(s, seed)),
+        s.gap, label=f"gk-point(seed={seed})")
 
 
 # --------------------------- tracking ---------------------------
@@ -597,9 +591,8 @@ def _family_start(s: GluingSchedule, rows: np.ndarray,
     _check_slot(s, rows)
     if distinct_rows(rows) != len(rows):
         raise FamilyNotSeparated("family contains duplicate words")
-    tail = SymbolStream(
-        s.space, lambda: _glue_pieces(s.space, _stage_words(s, seed), s.gap),
-        label=f"stage-tail(seed={seed})")
+    tail = SymbolStream(s.space, lambda: _stage_words(s, seed), s.gap,
+                        label=f"stage-tail(seed={seed})")
     anchor = s.anchor or Word(())
     check_rows(s.space, "anchor", anchor.to_array()[None])
     check_rows(s.space, "member", rows)  # bridges and tail are admissible

@@ -21,7 +21,6 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 import threading
@@ -173,13 +172,6 @@ class SftSpace:
 
     # -- predicates and enumeration --
 
-    @property
-    def is_full_shift(self) -> bool:
-        return bool(self.transition.all())
-
-    def allowed(self, a: int, b: int) -> bool:
-        return bool(self.transition[a, b])
-
     def successors(self, a: int) -> tuple[int, ...]:
         return self._succ[a]
 
@@ -253,7 +245,7 @@ class SftSpace:
         return hash(self.transition.tobytes())
 
     def __repr__(self) -> str:
-        return f"SftSpace(m={self.m}, full={self.is_full_shift})"
+        return f"SftSpace(m={self.m}, full={bool(self.transition.all())})"
 
 
 def _tail_counts(A: np.ndarray, length: int) -> list:
@@ -600,32 +592,10 @@ def bridge(space: SftSpace, a: int, b: int, gap: int) -> tuple[int, ...]:
     return symbols
 
 
-def _glue_pieces(space: SftSpace, words: Iterable[Union[Word, np.ndarray]],
-                 gap: int) -> Iterator[Sequence[int]]:
-    """The nonempty words' symbols (a word's tuple, a symbol array as it
-    is) with bridges between them."""
-    prev: Optional[int] = None
-    for w in words:
-        symbols = w.symbols if isinstance(w, Word) else w
-        if not len(symbols):
-            continue
-        if prev is not None:
-            yield bridge(space, prev, int(symbols[0]), gap)
-        yield symbols
-        prev = int(symbols[-1])
-
-
-def iglue(space: SftSpace, words: Iterable[Word], gap: int) -> Iterator[int]:
-    """The symbols of :func:`glue`, yielded lazily: each word is pulled from
-    ``words`` only once the symbols before it are consumed."""
-    return itertools.chain.from_iterable(_glue_pieces(space, words, gap))
-
-
 def glue(space: SftSpace, words: Iterable[Word], gap: int) -> Word:
     """Concatenate the words, skipping empty ones, with the connector of
-    length gap-1 between consecutive words.  Raises NotPrimitive or
-    GapTooSmall as :func:`connector` does."""
-    return Word(iglue(space, words, gap))
+    length gap-1 between each two: the one row of :func:`glue_rows`."""
+    return Word(glue_rows(space, list(words), 1, gap)[0].tolist())
 
 
 def glue_spans(lengths: Iterable[int], gap: int) -> list[tuple[int, int]]:
@@ -668,10 +638,16 @@ class GluedRows:
     share, a 2-d array with one row per member, or a :class:`Periodic` run
     of either, and lands at its :func:`glue_spans` span.  A window looks up
     each bridge it meets once per distinct (last, first) pair and touches
-    only the pieces it meets.  As in glue, nothing is checked."""
+    only the pieces it meets.  A gap below 1, or below the primitivity index
+    where two nonempty pieces meet, raises GapTooSmall and a negative horizon
+    ValueError; the symbols are not checked."""
 
     def __init__(self, space: SftSpace, pieces: Sequence[_Piece],
                  members: int, gap: int, horizon: Optional[int] = None):
+        if gap < 1:
+            raise GapTooSmall(f"gap {gap} < 1")
+        if horizon is not None and horizon < 0:
+            raise ValueError(f"horizon must be non-negative, got {horizon}")
         arrays = [p if isinstance(p, Periodic) else _symbols(p)
                   for p in pieces]
         shapes = [(p.cycle.shape[:-1], p.length) if isinstance(p, Periodic)
@@ -680,6 +656,9 @@ class GluedRows:
             raise ValueError("a piece is 1-d, or 2-d with one row per member")
         spans = glue_spans((n for _, n in shapes), gap)
         kept = [i for i, (a, b) in enumerate(spans) if a < b]
+        if len(kept) > 1 and gap < space.gap("glue_rows"):
+            raise GapTooSmall(f"gap {gap} < primitivity index "
+                              f"{space.primitivity_index}")
         self.space, self.members, self.gap = space, members, gap
         self._pieces = [arrays[i] for i in kept]
         self._spans = [spans[i] for i in kept]
@@ -741,70 +720,68 @@ def check_rows(space: SftSpace, what: str, rows: np.ndarray) -> None:
 
 
 class SymbolStream:
-    """Deterministic resumable symbol source.
+    """Deterministic resumable symbol source: the :func:`glue` of the words
+    (Words or 1-d symbol arrays) the factory's iterator yields.
 
-    The factory returns an iterator of pieces, runs of symbols (tuples or
-    arrays) such as the words and bridges :func:`_glue_pieces` yields.
     ``materialize(H)`` returns the first H symbols as a read-only array of
-    ``space.symbol_dtype``; longer calls extend the same underlying
-    sequence, so shorter materializations are always prefixes of longer
-    ones.  A piece is pulled only once the symbols before it are consumed,
-    and its transitions, the one from the symbol before it included, are
-    checked in one lookup.
+    ``space.symbol_dtype``, a prefix of every longer call's.  It pulls words
+    only until their :func:`glue_spans` end reaches H, each checked against
+    the alphabet, glues the new window with :class:`GluedRows` and checks
+    its transitions, from the symbol before it on, with :func:`check_rows`.
+    Of the words glued whole it keeps the last symbol, the next bridge's.
     """
 
     def __init__(self, space: SftSpace,
-                 factory: Callable[[], Iterator[Sequence[int]]],
-                 label: str = ""):
-        self.space = space
-        self.label = label
-        self._factory = factory
-        self._iter: Optional[Iterator[Sequence[int]]] = None
+                 factory: Callable[[], Iterator[Union[Word, np.ndarray]]],
+                 gap: int, label: str = ""):
+        self.space, self.gap, self.label = space, gap, label
+        self._factory, self._iter = factory, None
         self._buf = np.empty(0, dtype=space.symbol_dtype)
-        self._len = 0
-        self._allowed = space.transition.astype(bool)
+        self._len = 0  # symbols glued into the buffer
+        self._words: list[np.ndarray] = []  # pulled, not yet glued whole
+        self._origin = self._end = 0  # where the first starts, the last ends
         self._lock = threading.Lock()
 
-    def _append(self, piece: Sequence[int]) -> None:
-        """Check one piece against the alphabet and the transitions and
-        append it to the buffer, which at least doubles when it is full."""
-        symbols = np.asarray(piece)
-        if not symbols.size:
-            return
-        n, end = self._len, self._len + symbols.size
-        outside = (symbols < 0) | (symbols >= self.space.m)
-        if outside.any():
-            i = int(outside.argmax())
-            raise ValueError(f"stream {self.label!r} emitted symbol "
-                             f"{symbols[i]} outside the alphabet at "
-                             f"position {n + i}")
-        if end > len(self._buf):
-            grown = np.empty(max(end, 2 * len(self._buf)), dtype=self._buf.dtype)
+    def _extend(self, horizon: int) -> None:
+        """Pull words until they reach horizon; glue and check up to it."""
+        if self._iter is None:
+            self._iter = self._factory()
+        while self._end < horizon:
+            word = next(self._iter, None)
+            if word is None:  # pragma: no cover - streams are infinite
+                raise WordsTooShort(
+                    f"stream {self.label!r} exhausted at {self._end}")
+            word = _symbols(word)
+            start, self._end = glue_spans((self._end, len(word)), self.gap)[1]
+            bad = np.flatnonzero((word < 0) | (word >= self.space.m))
+            if len(bad):
+                raise ValueError(f"stream {self.label!r} emitted symbol "
+                                 f"{word[bad[0]]} outside the alphabet at "
+                                 f"position {start + bad[0]}")
+            if len(word):
+                self._words.append(word)
+        n, origin = self._len, self._origin
+        rows = GluedRows(self.space, self._words, 1, self.gap)
+        if horizon > len(self._buf):  # grow it at least twofold
+            grown = np.empty(max(horizon, 2 * n), dtype=self._buf.dtype)
             grown[:n] = self._buf[:n]
             self._buf = grown
-        self._buf[n:end] = symbols
-        run = self._buf[max(n - 1, 0):end]
-        ok = self._allowed[run[:-1], run[1:]]
-        if not ok.all():
-            t = int(ok.argmin())
-            raise ValueError(
-                f"stream {self.label!r} emitted a forbidden transition "
-                f"{run[t]}->{run[t + 1]} at position {max(n - 1, 0) + t + 1}")
-        self._len = end
+        self._buf[n:horizon] = rows.window(n - origin, horizon - origin)[0]
+        lo = max(n - 1, 0)
+        check_rows(self.space, f"stream {self.label!r} window [{lo}, "
+                   f"{horizon})", self._buf[None, lo:horizon])
+        self._len = horizon
+        done = bisect.bisect_right(rows._ends, horizon - origin)
+        if done:  # keep the last symbol of the words glued whole
+            self._origin += rows._ends[done - 1] - 1
+            self._words[:done] = [self._words[done - 1][-1:].copy()]
 
     def materialize(self, horizon: int) -> np.ndarray:
         if horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {horizon}")
         with self._lock:
-            if self._iter is None:
-                self._iter = self._factory()
-            while self._len < horizon:
-                try:
-                    piece = next(self._iter)
-                except StopIteration:  # pragma: no cover - streams are infinite
-                    raise WordsTooShort(
-                        f"stream {self.label!r} exhausted at {self._len}")
-                self._append(piece)
+            if horizon > self._len:
+                self._extend(horizon)
             out = self._buf[:horizon]
             out.flags.writeable = False
             return out

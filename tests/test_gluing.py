@@ -28,20 +28,20 @@ from sftlab.gluing import (LEAF_ENUMERATION_CAP, BranchTree, ChaoticFamily,
                            TrackingRow, TreeComponent, TreeStage,
                            ValidationReport, _emit_two_orbit,
                            _stage_words, build_branch_tree, build_gk_schedule,
-                           check_budgets, contains_all_words, dense_tour,
+                           check_budgets, dense_tour,
                            emit_chaotic_family, emit_dc1_family, emit_point,
                            emit_separated_family, family_tracking_report,
                            member_prefix_len, tracking_bound,
                            tracking_report, validate_schedule)
 from sftlab.measures import (MarkovMeasure, MeasurePath, ks_entropy,
                              typical_separated_family, weak_star_dist)
-from sftlab.shift import (SftSpace, Word, glue, glue_spans, iglue,
-                          separated_count)
+from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
 
 from chaos_oracles import bridged_two_orbit, simulated_chaotic_family
 from dict_empirical import DictEmpiricalMeasure
 from measure_oracles import word_draw_block
-from word_oracles import iglue_two_orbit, orbit_gap_loop
+from word_oracles import (contains_all_words, iglue, iglue_two_orbit,
+                          orbit_gap_loop)
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -1385,7 +1385,7 @@ def assert_equals_simulated_family(space, anchor, horizon, depth, seed, xis):
 
 class TestChaoticFamilyOracle:
     """The family from the schedule's parts (one ``Stage`` record, one
-    planning pass, ``_glue_pieces``) equals the replaced planner, which
+    planning pass, ``shift.GluedRows``) equals the replaced planner, which
     re-planned every stage for each stage count, and the emitter's own
     bridge loop (``chaos_oracles``), on spaces whose bridges have 0, 1 and
     4 symbols."""

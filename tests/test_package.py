@@ -20,7 +20,7 @@ REEXPORTS = {
         "PerronNotPositive", "SftLabError", "ShortFamily", "SingularProduct",
         "SpaceMismatch", "WordsTooShort", "ZeroCylinder"],
     "shift": ["SftSpace", "SymbolStream", "Word", "bridge", "connector",
-              "delta_separated", "dist", "glue", "iglue", "separated_count",
+              "delta_separated", "dist", "glue", "separated_count",
               "topological_entropy"],
     "measures": ["EmpiricalMeasure", "MarkovMeasure", "MeasurePath",
                  "ks_entropies", "ks_entropy", "markov_measures",

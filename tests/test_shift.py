@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from functools import cached_property
 
 import numpy as np
@@ -15,9 +16,9 @@ from sftlab.measures import (MarkovMeasure, MeasurePath,
 from sftlab.shift import (GluedRows, Periodic, SftSpace, SymbolStream, Word,
                           bridge, check_rows, connector, delta_separated, dist,
                           glue, glue_rows, glue_spans, hamming, hamming_matrix,
-                          iglue, separated_count)
+                          separated_count)
 
-from word_oracles import (PerSymbolStream, count_words_loop,
+from word_oracles import (PerSymbolStream, count_words_loop, iglue,
                           primitive_spaces, set_separated_count)
 
 
@@ -29,9 +30,9 @@ def brute_force_connectors(space, a, b, gap):
     """All admissible bridges of length gap-1 between a and b."""
     out = []
     if gap == 1:
-        return [Word(())] if space.allowed(a, b) else []
+        return [Word(())] if space.transition[a, b] else []
     for w in space.words(gap - 1):
-        if space.allowed(a, w[0]) and space.allowed(w[len(w) - 1], b) \
+        if space.transition[a, w[0]] and space.transition[w[len(w) - 1], b] \
                 and space.is_admissible(w.symbols):
             out.append(w)
     return out
@@ -53,7 +54,7 @@ class TestWord:
 class TestSftSpace:
     def test_full_shift_primitivity(self):
         assert FULL2.primitivity_index == 1
-        assert FULL2.is_full_shift
+        assert FULL2.transition.all()
 
     def test_golden_mean_primitivity(self):
         # A^2 = [[2,1],[1,1]] is the first positive power
@@ -112,6 +113,7 @@ _TWO_ORBITS = (_FLIP_MU, Word("0"), Word("1"), [(1,), (2,)], 64, 0)
 # its NotPrimitive message gives
 GATED = {
     "connector": lambda: connector(FLIP, 0, 1, 3),
+    "glue_rows": lambda: glue_rows(FLIP, [Word("0"), Word("1")], 1, 3),
     "dense_tour": lambda: gluing.dense_tour(FLIP, 2),
     "GluingSchedule": lambda: gluing.GluingSchedule(FLIP, []),
     "build_gk_schedule": lambda: gluing.build_gk_schedule(FLIP, _FLIP_MU),
@@ -342,11 +344,6 @@ class TestGlue:
         assert first == connector(space, 1, 1, 3).symbols
         assert bridge(space, 1, 1, 3) is first
 
-    def test_iglue_pulls_words_lazily(self):
-        words = (Word("10") for _ in itertools.count())
-        head = itertools.islice(iglue(GOLDEN, words, 2), 7)
-        assert list(head) == [1, 0, 0, 1, 0, 0, 1]
-
     def test_errors_still_raise(self):
         flip = SftSpace([[0, 1], [1, 0]])
         assert glue(flip, [Word("01")], 3) == Word("01")  # no junction
@@ -355,6 +352,28 @@ class TestGlue:
         for _ in range(2):  # a failed lookup is not memoised
             with pytest.raises(GapTooSmall):
                 glue(GOLDEN, [Word("0"), Word("0")], 1)
+
+    def test_a_gap_below_the_index_raises_where_pieces_meet(self):
+        # below the index a junction would hold a forbidden transition
+        # (golden mean, gap 1: 0110) or the pieces would overlap (gap 0)
+        for space, gap in ((GOLDEN, 1), (FULL2, 0)):
+            words = [Word("01"), Word("10")]
+            with pytest.raises(GapTooSmall, match=f"^gap {gap} < "):
+                glue_rows(space, words, 1, gap)
+            with pytest.raises(GapTooSmall, match=f"^gap {gap} < "):
+                glue(space, words, gap)
+        # one nonempty piece meets none: any gap from 1 glues, on any space
+        assert glue(GOLDEN, [Word(()), Word("010"), Word(())], 1) == \
+            Word("010")
+        assert glue(FLIP, [Word("01")], 1) == Word("01")
+        with pytest.raises(GapTooSmall, match="^gap 0 < 1$"):
+            glue_rows(FULL2, [Word("01")], 1, 0)
+
+    def test_a_negative_horizon_is_named(self):
+        with pytest.raises(ValueError, match="^horizon must be "
+                           "non-negative, got -3$"):
+            GluedRows(GOLDEN, [Word("010")], 1, 2, horizon=-3)
+        assert GluedRows(GOLDEN, [Word("010")], 1, 2, horizon=0).length == 0
 
 
 # a primitive 3-symbol space (index 5) whose bridges, of four symbols,
@@ -536,44 +555,102 @@ class TestToArray:
         assert Word(()).to_array().shape == (0,)
 
 
-def walk_pieces(space, seed, bad_at=None):
-    """An infinite random walk on a space, cut into random pieces (some
-    empty); with bad_at set, the symbol at that position is replaced by
-    one no symbol before it may reach, if the space has one."""
+def walk_words(space, seed, bad_at=None):
+    """An infinite random walk on a space, cut into random words (some
+    empty, Words and int arrays in turn); with bad_at set, the symbol at
+    that walk position, unless it starts a word, is replaced by one the
+    symbol before it may not reach, if there is one."""
     rng = random.Random(seed)
     a, pos = rng.randrange(space.m), 0
-    while True:
-        piece = []
+    for k in itertools.count():
+        word = []
         for _ in range(rng.randrange(0, 9)):
-            if pos == bad_at:
-                banned = [b for b in range(space.m) if not space.allowed(a, b)]
+            if pos == bad_at and word:
+                banned = [b for b in range(space.m)
+                          if not space.transition[word[-1], b]]
                 a = banned[0] if banned else a
-            piece.append(a)
+            word.append(a)
             pos += 1
             a = rng.choice(space.successors(a))
-        yield tuple(piece)
+        yield Word(word) if k % 2 else np.array(word, dtype=int)
+
+
+@st.composite
+def stream_cases(draw):
+    """A space, its gap, a finite word list (empty words, Words and arrays
+    among them, at least one nonempty) and horizons on, beside and between
+    the edges of the words and bridges of its first two rounds."""
+    space = draw(st.sampled_from([FULL2, GOLDEN, SFT3]))
+    gap = space.primitivity_index + draw(st.integers(0, 1))
+    words = []
+    for _ in range(draw(st.integers(1, 5))):
+        syms = admissible_symbols(draw, space, draw(st.integers(0, 6)))
+        words.append(Word(syms) if draw(st.booleans())
+                     else np.array(syms, dtype=int))
+    if not any(len(w) for w in words):
+        words.append(Word([draw(st.integers(0, space.m - 1))]))
+    spans = glue_spans([len(w) for w in words * 2], gap)
+    edges = sorted({e + d for span in spans for e in span for d in (-1, 0, 1)
+                    if e + d >= 0})
+    horizons = draw(st.lists(st.one_of(st.sampled_from(edges),
+                                       st.integers(0, 2 * edges[-1])),
+                             min_size=1, max_size=8))
+    return space, gap, words, horizons
 
 
 class TestSymbolStream:
     def test_prefix_property(self):
         def factory():
             while True:
-                yield (0, 1)
-                yield ()
+                yield Word("01")
+                yield Word(())
 
-        stream = SymbolStream(FULL2, factory, label="alt")
+        stream = SymbolStream(FULL2, factory, 1, label="alt")
         short = stream.materialize(5)
         long = stream.materialize(11)
         assert long[:5].tolist() == short.tolist()
         assert Word(short) == Word("01010")
         assert short.dtype == np.uint8 and not short.flags.writeable
 
+    @settings(max_examples=300, deadline=None)
+    @given(stream_cases())
+    def test_equals_the_iglue_oracle(self, case):
+        # the stream repeats its words; every call, growing or shrinking,
+        # is the prefix of the oracle's walk over the same words
+        space, gap, words, horizons = case
+        stream = SymbolStream(space, lambda: itertools.cycle(words), gap)
+        want = list(itertools.islice(
+            iglue(space, itertools.cycle(words), gap), max(horizons)))
+        for h in horizons:
+            got = stream.materialize(h)
+            assert got.dtype == space.symbol_dtype and not got.flags.writeable
+            assert got.tolist() == want[:h]
+
+    def test_materialize_pulls_only_the_words_it_needs(self):
+        # golden mean, gap 2: 10 [0] 10 [0] 10, so 7 symbols end inside the
+        # third word, and 5 end the second
+        pulled = []
+
+        def factory():
+            for k in itertools.count():
+                pulled.append(k)
+                yield Word("10")
+
+        stream = SymbolStream(GOLDEN, factory, 2)
+        assert stream.materialize(5).tolist() == [1, 0, 0, 1, 0]
+        assert pulled == [0, 1]
+        assert stream.materialize(7).tolist() == [1, 0, 0, 1, 0, 0, 1]
+        assert pulled == [0, 1, 2]
+        stream.materialize(3)
+        assert pulled == [0, 1, 2]
+
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(GLUE_SPACES), st.integers(0, 2**16),
            st.lists(st.integers(0, 300), min_size=1, max_size=8))
     def test_prefix_property_random_walks(self, space, seed, horizons):
-        stream = SymbolStream(space, lambda: walk_pieces(space, seed))
-        reference = SymbolStream(space, lambda: walk_pieces(space, seed)
+        gap = space.primitivity_index
+        stream = SymbolStream(space, lambda: walk_words(space, seed), gap)
+        reference = SymbolStream(space, lambda: walk_words(space, seed), gap
                                  ).materialize(max(horizons))
         for h in horizons:
             assert stream.materialize(h).tolist() == reference[:h].tolist()
@@ -584,49 +661,56 @@ class TestSymbolStream:
            st.lists(st.integers(0, 200), min_size=1, max_size=6),
            st.one_of(st.none(), st.integers(0, 150)))
     def test_equals_per_symbol_oracle(self, space, seed, horizons, bad_at):
-        # full shifts and the golden mean (primitivity index 2); on the
-        # golden mean a bad symbol may land on a junction between pieces
-        pieces = lambda: walk_pieces(space, seed, bad_at)  # noqa: E731
-        oracle = PerSymbolStream(
-            space, lambda: itertools.chain.from_iterable(pieces()),
-            label="walk")
+        # full shifts and the golden mean (primitivity index 2); the glued
+        # words are checked once glued, so a call fails exactly when it
+        # reaches the bad symbol, and names its transition and position
+        gap = space.primitivity_index
+        words = lambda: walk_words(space, seed, bad_at)  # noqa: E731
+        oracle = PerSymbolStream(space, lambda: iglue(space, words(), gap),
+                                 label="walk")
         try:
             oracle.materialize(1000)
             error = None
         except ValueError as exc:
-            error = str(exc)
+            error = re.search(r"transition (\d+->\d+) at position (\d+)$",
+                              str(exc)).groups()
         good = Word(oracle._buf)  # the symbols before a bad one
-        stream = SymbolStream(space, pieces, label="walk")
+        stream = SymbolStream(space, words, gap, label="walk")
         for h in horizons:
             try:
                 got = stream.materialize(h)
             except ValueError as exc:
-                # the piece holding the bad symbol is checked when pulled
-                assert str(exc) == error and h > len(good) - 8
+                lo, step, t = re.fullmatch(
+                    r"stream 'walk' window \[(\d+), \d+\) '\d*' has a "
+                    r"forbidden transition (\d+->\d+) at position (\d+)",
+                    str(exc)).groups()
+                assert (step, str(int(lo) + int(t))) == error
+                assert h > len(good)
                 return
             assert h <= len(good) and Word(got) == good[:h]
 
     def test_admissibility_enforced(self):
         def bad():
-            yield (0,)
-            yield (1, 0, 1)
-            yield (1,)
+            yield Word("01")
+            yield Word("011")  # 01 [0] 011: 1->1 enters position 5
+            yield Word("0")
 
-        stream = SymbolStream(GOLDEN, bad, label="bad")
-        assert Word(stream.materialize(4)) == Word("0101")
-        with pytest.raises(ValueError, match="'bad' emitted a forbidden "
-                           "transition 1->1 at position 4"):
-            stream.materialize(5)
+        stream = SymbolStream(GOLDEN, bad, 2, label="bad")
+        assert Word(stream.materialize(5)) == Word("01001")
+        with pytest.raises(ValueError, match=r"^stream 'bad' window \[4, 6\) "
+                           r"'11' has a forbidden transition 1->1 at "
+                           r"position 1$"):
+            stream.materialize(6)
 
     def test_symbol_outside_alphabet_named(self):
-        for piece in ((0, 2), (0, -1)):
-            stream = SymbolStream(FULL2, lambda: iter([(1,), piece]))
-            with pytest.raises(ValueError, match=f"symbol {piece[1]} outside "
+        for word in (Word((0, 2)), np.array([0, -1])):
+            stream = SymbolStream(FULL2, lambda: iter([Word("1"), word]), 1)
+            with pytest.raises(ValueError, match=f"symbol {word[1]} outside "
                                f"the alphabet at position 2"):
                 stream.materialize(3)
 
     def test_negative_horizon_named(self):
-        stream = SymbolStream(FULL2, lambda: itertools.repeat((0,)))
+        stream = SymbolStream(FULL2, lambda: itertools.repeat(Word("0")), 1)
         with pytest.raises(ValueError, match="horizon must be non-negative"):
             stream.materialize(-1)
         assert stream.materialize(0).shape == (0,)
@@ -637,7 +721,8 @@ class TestSymbolStream:
 
         # more threads than cores, switching often, over a buffer that
         # grows (and is replaced) while other threads hold views of it
-        stream = SymbolStream(FULL2, lambda: itertools.cycle([(0, 1), (1,)]))
+        stream = SymbolStream(
+            FULL2, lambda: itertools.cycle([Word("01"), Word("1")]), 1)
         horizons = [50, 200, 10, 400, 100, 33, 380, 77] * 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -4,10 +4,11 @@ walk that filled the table, the exponent bracket's depth-first search over
 admissible words carrying running products, its necklace filter, the
 object-arithmetic word count loop and the pairwise orbit-gap loop over
 ``dist``.  Also the ``Word`` paths that the symbol arrays replaced: the
-per-symbol stream, the ``iglue`` walk per two-orbit member, the
-set-of-tuples separated count, the list-of-``Word`` typical family and the
-exponents ranked over all windows at once.  And the random spaces the
-properties draw from."""
+per-symbol stream, the ``iglue`` walk that glued streams and words before
+``shift.GluedRows`` (and its use per two-orbit member), the set-of-tuples
+separated count, the list-of-``Word`` typical family and the exponents
+ranked over all windows at once.  The set-of-tuples check that a tour
+covers every word.  And the random spaces the properties draw from."""
 import itertools
 import math
 import threading
@@ -21,7 +22,7 @@ from sftlab.cocycle import periodic_exponent
 from sftlab.errors import OrbitsNotDisjoint, ShortFamily, WordsTooShort
 from sftlab.measures import (_batch_weak_star, ks_entropy,
                              sample_words_batch)
-from sftlab.shift import SftSpace, Word, dist, iglue, word_columns
+from sftlab.shift import SftSpace, Word, connector, dist, word_columns
 
 
 @st.composite
@@ -85,7 +86,7 @@ def cyclic_words_filter(space, period):
     """Admissible necklaces of the given period (deduplicated by rotation)."""
     for w in dfs_words(space, period):
         s = w.symbols
-        if not space.allowed(s[-1], s[0]):
+        if not space.transition[s[-1], s[0]]:
             continue
         if min(s[i:] + s[:i] for i in range(len(s))) == s:
             yield w
@@ -137,7 +138,7 @@ def orbit_gap_loop(lam1, lam2):
 
 class PerSymbolStream:
     """The stream the piece stream replaced: its factory yields one symbol
-    at a time, each checked with one ``allowed()`` call, and
+    at a time, each checked with one transition lookup, and
     ``materialize`` returns a Word."""
 
     def __init__(self, space, factory, label=""):
@@ -151,13 +152,35 @@ class PerSymbolStream:
                 self._iter = self._factory()
             while len(self._buf) < horizon:
                 s = next(self._iter)
-                if self._buf and not self.space.allowed(self._buf[-1], s):
+                if self._buf and not self.space.transition[self._buf[-1], s]:
                     raise ValueError(
                         f"stream {self.label!r} emitted a forbidden "
                         f"transition {self._buf[-1]}->{s} at position "
                         f"{len(self._buf)}")
                 self._buf.append(int(s))
             return Word(self._buf[:horizon])
+
+
+def iglue(space, words, gap):
+    """The symbols of ``shift.glue``, yielded lazily: the nonempty words
+    (Words or 1-d symbol arrays), each pulled only once the symbols before
+    it are consumed, with ``connector`` between each two."""
+    prev = None
+    for w in words:
+        symbols = [int(x) for x in w]
+        if not symbols:
+            continue
+        if prev is not None:
+            yield from connector(space, prev, symbols[0], gap)
+        yield from symbols
+        prev = symbols[-1]
+
+
+def contains_all_words(space, tour, depth):
+    """Whether every admissible depth-word occurs in the tour, one set of
+    the tour's depth-windows as tuples."""
+    subs = {tour.symbols[i:i + depth] for i in range(len(tour) - depth + 1)}
+    return subs.issuperset(map(tuple, space.word_table(depth).tolist()))
 
 
 def iglue_two_orbit(space, orbits, xis, plan, horizon):
