@@ -5,10 +5,12 @@
     sftlab run config.json [--out DIR] [--jobs N] [--seed S]
 
 A config is one JSON object: {"seed": int, "experiments": [name | {"name":
-..., "params": {...}}, ...]}.  Each run writes a summary with one pass/fail
-verdict per experiment, per-experiment CSV tables whose bodies are
-byte-identical across reruns with the same seed, and a metadata file that
-keeps all timing and version information out of the deterministic outputs.
+..., "params": {...}}, ...]}.  The params are the experiment's keyword
+arguments; a bad key or value is refused before anything runs.  Each run
+writes a summary with one pass/fail verdict per experiment, per-experiment
+CSV tables whose bodies are byte-identical across reruns with the same seed,
+and a metadata file that keeps timings, versions and the params that ran
+out of the deterministic outputs.
 An experiment that raises is recorded as a failed result with its error type
 and message; the rest of the batch still runs and the exit code is 1.
 """
@@ -23,7 +25,9 @@ import zlib
 from pathlib import Path
 
 from . import __version__
-from .experiments import ExperimentResult, catalog, run_experiment
+from .errors import BadParams
+from .experiments import (ExperimentResult, catalog, resolve_params,
+                          run_experiment)
 
 
 def _derived_seed(seed: int, name: str) -> int:
@@ -58,7 +62,7 @@ def _normalize(data: dict, path: str) -> tuple[int, list[tuple[str, dict]]]:
     for i, item in enumerate(raw):
         if isinstance(item, str):
             name, params = item, {}
-        elif isinstance(item, dict) and "name" in item:
+        elif isinstance(item, dict) and isinstance(item.get("name"), str):
             name = item["name"]
             params = item.get("params", {})
             if not isinstance(params, dict):
@@ -78,7 +82,10 @@ def _normalize(data: dict, path: str) -> tuple[int, list[tuple[str, dict]]]:
                 f"{path}: experiments[{i}]: {name!r} is already listed at "
                 f"experiments[{first[name]}]")
         first[name] = i
-        out.append((name, params))
+        try:
+            out.append((name, resolve_params(name, params)))
+        except BadParams as exc:
+            raise SystemExit(f"{path}: experiments[{i}]: {exc}")
     return seed, out
 
 
@@ -160,6 +167,7 @@ def cmd_run(args) -> int:
         "wall_time_s": time.time() - started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "jobs": jobs,
+        "params": dict(experiments),
     }
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"summary: {out_dir / 'summary.json'}")

@@ -85,9 +85,6 @@ class Potential:
     def add_constant(self, c: float) -> "Potential":
         return Potential._of(self.space, self.r, self.values + c)
 
-    def max_value(self) -> float:
-        return float(self.values.max())
-
     def to_json(self) -> str:
         return json.dumps({"r": self.r, "table": {
             Word(k).to_text(): v for k, v in self.table.items()}})

@@ -92,3 +92,7 @@ class BadCheckpoints(SftLabError):
 
 class InfeasibleParams(SftLabError):
     """No admissible parameter choice satisfies the schedule inequalities."""
+
+
+class BadParams(InfeasibleParams, ValueError):
+    """An experiment param is not declared, or not of its default's type."""

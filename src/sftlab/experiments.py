@@ -1,11 +1,13 @@
 """Built-in desk-scale experiments, one per headline construction.
 
-Each experiment is a function (params, seed) -> ExperimentResult with a
+Each experiment is a function (seed, **params) -> ExperimentResult with a
 pass/fail verdict, a details dict for the summary, and CSV tables whose
-bodies are byte-identical across reruns with the same seed.
+bodies are byte-identical across reruns with the same seed.  Its params are
+its keyword-only arguments, whose defaults :func:`resolve_params` checks.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -15,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import measures
-from .errors import InfeasibleParams
+from .errors import BadParams, InfeasibleParams
 from .measures import MarkovMeasure, MeasurePath, ks_entropy
 from .shift import (SftSpace, Word, block_graph, hamming_matrix,
                     separated_count)
@@ -59,12 +61,49 @@ def catalog() -> list[tuple[str, str]]:
     return [(name, target) for name, (_, target) in sorted(REGISTRY.items())]
 
 
-def run_experiment(name: str, seed: int, params: Optional[dict] = None
-                   ) -> ExperimentResult:
+_KINDS = {int: "an int", float: "a finite number", str: "a string",
+          tuple: "a list"}
+
+
+def _fits(value, default) -> bool:
+    """Whether a param value has its default's type: an int refuses bools
+    and floats, a float takes an int or a finite float, and a tuple takes a
+    list or tuple whose entries fit its first entry."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) is int or (type(value) is float
+                                      and math.isfinite(value))
+    return type(value) is type(default)
+
+
+def resolve_params(name: str, params: Optional[dict] = None) -> dict:
+    """The named experiment's keyword arguments: its signature's defaults,
+    overridden by params.  :class:`BadParams` refuses an undeclared key,
+    naming the closest declared one, and a value not of its default's type."""
     if name not in REGISTRY:
         raise KeyError(f"unknown experiment {name!r}; see `sftlab list`")
-    fn, _ = REGISTRY[name]
-    return fn(params or {}, seed)
+    declared = {p.name: p.default for p in inspect.signature(
+        REGISTRY[name][0]).parameters.values() if p.kind is p.KEYWORD_ONLY}
+    params = params or {}
+    for key, value in params.items():
+        if key not in declared:
+            import difflib  # only a refused config needs it
+            near = difflib.get_close_matches(key, declared, 1, 0)
+            raise BadParams(f"{name}: no param {key!r}" + (
+                f"; the closest is {near[0]!r}" if near else "; it takes none"))
+        if not _fits(value, declared[key]):
+            raise BadParams(f"{name}: param {key!r} must be"
+                            f" {_KINDS[type(declared[key])]} like its"
+                            f" default {declared[key]!r}, got {value!r}")
+    return {**declared, **params}
+
+
+def run_experiment(name: str, seed: int, params: Optional[dict] = None
+                   ) -> ExperimentResult:
+    params = resolve_params(name, params)
+    return REGISTRY[name][0](seed, **params)
 
 
 # --------------------------- experiments ---------------------------
@@ -73,23 +112,24 @@ def run_experiment(name: str, seed: int, params: Optional[dict] = None
 @experiment("thm1_1_capacity",
             "full upper-capacity entropy of saturated sets via glued"
             " separated families")
-def thm1_1_capacity(params: dict, seed: int) -> ExperimentResult:
+def thm1_1_capacity(seed: int, *, eta: float = 0.12,
+                    family_sizes: tuple = (12, 16, 20), anchor: str = "0"
+                    ) -> ExperimentResult:
     from . import analysis, gluing
     space = SftSpace.full_shift(2)
     target_mu = MarkovMeasure.bernoulli(space, [0.1, 0.9])
     max_ent = MarkovMeasure.bernoulli(space, [0.5, 0.5])
-    eta = params.get("eta", 0.12)
-    sizes = params.get("family_sizes", [12, 16, 20])
-    if len(sizes) < 3 or len(set(sizes)) == 1:  # growth_rate's fit needs both
+    # growth_rate's fit needs both
+    if len(family_sizes) < 3 or len(set(family_sizes)) == 1:
         raise InfeasibleParams(f"family_sizes needs at least three sizes, not"
-                               f" all equal; got {sizes}")
-    anchor = space.parse(params.get("anchor", "0"))
+                               f" all equal; got {family_sizes}")
+    anchor = space.parse(anchor)
     h = ks_entropy(max_ent)
 
     counts = []
     tracking_ok = True
     worst_excess = -math.inf
-    for N in sizes:
+    for N in family_sizes:
         fam = measures.typical_separated_family(
             max_ent, N, delta=0.05, eta=eta, seed=seed + N)
         sched = gluing.build_gk_schedule(
@@ -161,14 +201,14 @@ def _sampled_leaf_checks(tree: gluing.BranchTree, seed: int
 @experiment("thm1_2_packing_tree",
             "packing-entropy branching tree with exact counting-measure"
             " Bowen-ball bounds")
-def thm1_2_packing_tree(params: dict, seed: int) -> ExperimentResult:
+def thm1_2_packing_tree(seed: int, *, depth: int = 3, stage_len: int = 12
+                        ) -> ExperimentResult:
     from . import gluing
     space = SftSpace.full_shift(2)
     K = MeasurePath([MarkovMeasure.bernoulli(space, [0.7, 0.3]),
                      MarkovMeasure.bernoulli(space, [0.3, 0.7])])
-    depth = params.get("depth", 3)
     tree = gluing.build_branch_tree(space, K, eta=0.1, depth=depth, seed=seed,
-                                    stage_len=params.get("stage_len", 12))
+                                    stage_len=stage_len)
     mass = tree.mass_bound_report()
     distinct = tree.prefix_distinct_report()
     weight_total = tree.leaf_weight() * tree.leaf_count()
@@ -197,12 +237,10 @@ def thm1_2_packing_tree(params: dict, seed: int) -> ExperimentResult:
 
 @experiment("prop3_1_family",
             "typical separated families at the entropy rate")
-def prop3_1_family(params: dict, seed: int) -> ExperimentResult:
+def prop3_1_family(seed: int, *, n: int = 18, eta: float = 0.3,
+                   delta: float = 0.05) -> ExperimentResult:
     space = SftSpace.full_shift(2)
     mu = MarkovMeasure.bernoulli(space, [0.5, 0.5])
-    n = params.get("n", 18)
-    eta = params.get("eta", 0.3)
-    delta = params.get("delta", 0.05)
     fam = measures.typical_separated_family(mu, n, delta, eta, seed=seed)
     target = math.ceil(math.exp(n * (ks_entropy(mu) - eta)) - 1e-9)
     cap = min(len(fam), 400)
@@ -222,13 +260,13 @@ def prop3_1_family(params: dict, seed: int) -> ExperimentResult:
 
 @experiment("lemma_ds_tracking",
             "empirical-tracking bound soundness along a measure path")
-def lemma_ds_tracking(params: dict, seed: int) -> ExperimentResult:
+def lemma_ds_tracking(seed: int, *, stages: int = 3) -> ExperimentResult:
     from . import gluing
     space = SftSpace.full_shift(2)
     a = MarkovMeasure.bernoulli(space, [0.7, 0.3])
     b = MarkovMeasure.bernoulli(space, [0.3, 0.7])
     sched = gluing.build_gk_schedule(space, MeasurePath([a, b]),
-                                     stages=params.get("stages", 3))
+                                     stages=stages)
     rows = gluing.tracking_report(sched, seed=seed)
     bounds = [r.bound for r in rows]
     nonincreasing = all(x >= y - 1e-12 for x, y in zip(bounds, bounds[1:]))
@@ -250,7 +288,8 @@ def lemma_ds_tracking(params: dict, seed: int) -> ExperimentResult:
 
 @experiment("thm1_3_cocycle_family",
             "full-capacity families with prescribed top Lyapunov exponent")
-def thm1_3_cocycle_family(params: dict, seed: int) -> ExperimentResult:
+def thm1_3_cocycle_family(seed: int, *, N: int = 8, tail_len: int = 512
+                          ) -> ExperimentResult:
     from . import analysis, cocycle
     space = SftSpace.full_shift(2)
     c = cocycle.MatrixCocycle(space, {
@@ -258,10 +297,9 @@ def thm1_3_cocycle_family(params: dict, seed: int) -> ExperimentResult:
         (1,): np.array([[0.7, 0.0], [0.2, 1.3]]),
     })
     mu = MarkovMeasure.bernoulli(space, [0.5, 0.5])
-    N = params.get("N", 8)
     report = cocycle.emit_lyapunov_family(
         c, space, mu, space.parse("0101"), N=N, seed=seed, eta=0.1,
-        tail_len=params.get("tail_len", 512))
+        tail_len=tail_len)
     sep = separated_count(report.members, report.prefix_len, 1)
 
     # recurrence-time diagnostic along one emitted member
@@ -301,7 +339,7 @@ def thm1_3_cocycle_family(params: dict, seed: int) -> ExperimentResult:
 @experiment("thm1_4_levels_and_smr",
             "level-set entropy ceilings and the periodic structure of"
             " measure-recurrent optimal orbits")
-def thm1_4_levels_and_smr(params: dict, seed: int) -> ExperimentResult:
+def thm1_4_levels_and_smr(seed: int) -> ExperimentResult:
     from . import ergopt
     space = SftSpace.full_shift(2)
     f = ergopt.Potential.indicator(space, Word("1"))
@@ -336,11 +374,10 @@ def thm1_4_levels_and_smr(params: dict, seed: int) -> ExperimentResult:
 @experiment("thm1_5_chaos",
             "chaotic two-orbit families: separation recurrence and"
             " closeness density")
-def thm1_5_chaos(params: dict, seed: int) -> ExperimentResult:
+def thm1_5_chaos(seed: int, *, horizon: int = 100_000, n_xi: int = 8
+                 ) -> ExperimentResult:
     from . import chaos, gluing
     space = SftSpace.full_shift(2)
-    horizon = params.get("horizon", 100_000)
-    n_xi = params.get("n_xi", 8)
     if not 2 <= n_xi <= 1024:  # a pair to check, and distinct 10-bit xis
         raise InfeasibleParams(f"n_xi must lie in [2, 1024], got {n_xi}")
     pair_rows, fam_details = _chaotic_pairs(space, horizon, n_xi, seed)
@@ -416,12 +453,10 @@ def _chaotic_pairs(space: SftSpace, horizon: int, n_xi: int,
     return rows, {"stages": len(fam.stages), "eps_star": fam.eps_star}
 
 
-def _count(params: dict, default: int) -> int:
-    """The ``count`` param: a number of trials, which must be positive."""
-    count = params.get("count", default)
+def _count(count: int) -> None:
+    """Check the ``count`` param, a number of trials: it must be positive."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    return count
 
 
 def _trials_by_space(draws: list[tuple[int, int]]):
@@ -434,9 +469,9 @@ def _trials_by_space(draws: list[tuple[int, int]]):
 
 @experiment("thm1_6_equilibrium",
             "equilibrium states: variational identity and entropy comparisons")
-def thm1_6_equilibrium(params: dict, seed: int) -> ExperimentResult:
+def thm1_6_equilibrium(seed: int, *, count: int = 50) -> ExperimentResult:
     from . import ergopt
-    count = _count(params, 50)
+    _count(count)
     rng = np.random.default_rng(seed)
     draws = [(int(rng.integers(2, 5)), int(rng.integers(1, 3)))
              for _ in range(count)]
@@ -468,10 +503,10 @@ def thm1_6_equilibrium(params: dict, seed: int) -> ExperimentResult:
 
 @experiment("karp_oracle",
             "maximum mean cycle against the periodic-orbit oracle, exact")
-def karp_oracle(params: dict, seed: int) -> ExperimentResult:
+def karp_oracle(seed: int, *, count: int = 100) -> ExperimentResult:
     from . import ergopt
     rng = np.random.default_rng(seed)
-    count = _count(params, 100)
+    _count(count)
     draws = []
     for _ in range(count):
         m = int(rng.integers(2, 7))
@@ -504,7 +539,7 @@ def karp_oracle(params: dict, seed: int) -> ExperimentResult:
 
 @experiment("pressure_identities",
             "pressure normalizations, additivity and the two-shift closed form")
-def pressure_identities(params: dict, seed: int) -> ExperimentResult:
+def pressure_identities(seed: int) -> ExperimentResult:
     from . import ergopt
     rows = []
     ok = True

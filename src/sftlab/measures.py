@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -256,13 +255,6 @@ class EmpiricalMeasure:
             raise ValueError("counts must be nonnegative with positive total")
         counts.setflags(write=False)
         self.space, self.depth, self.counts = space, depth, counts
-
-    @property
-    def freq(self) -> MappingProxyType:
-        """Read-only {window: count} of the nonzero rows, in table order."""
-        rows = np.flatnonzero(self.counts)
-        words = map(tuple, self.space.word_table(self.depth)[rows].tolist())
-        return MappingProxyType(dict(zip(words, self.counts[rows].tolist())))
 
     def max_depth(self) -> Optional[int]:
         return self.depth

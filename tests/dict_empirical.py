@@ -50,6 +50,15 @@ class DictEmpiricalMeasure:
                          for c, _ in cylinder_weights(self.space, depth)])
 
 
+def freq(emp):
+    """{window: count} of the nonzero rows of a count-row
+    ``EmpiricalMeasure``, in table order: its dict form, as the oracle
+    keeps it."""
+    rows = np.flatnonzero(emp.counts)
+    words = map(tuple, emp.space.word_table(emp.depth)[rows].tolist())
+    return dict(zip(words, emp.counts[rows].tolist()))
+
+
 def dict_empirical(space, x, n, depth):
     """analysis.empirical as the window loop built it."""
     if n < 1:

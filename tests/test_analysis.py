@@ -10,19 +10,21 @@ from sftlab.ergopt import Potential, random_potential
 from sftlab.measures import MarkovMeasure, sample_word
 from sftlab.shift import SftSpace, Word
 
+from dict_empirical import freq
+
 FULL2 = SftSpace.full_shift(2)
 
 
 class TestEmpirical:
     def test_constant_word(self):
         emp = empirical(FULL2, Word("0000"), 3, 1)
-        assert emp.freq == {(0,): 3}
+        assert freq(emp) == {(0,): 3}
         assert emp.total == 3
 
     def test_alternating_pairs(self):
         w = Word("01" * 50 + "0")  # length 101
         emp = empirical(FULL2, w, 100, 2)
-        assert emp.freq == {(0, 1): 50, (1, 0): 50}
+        assert freq(emp) == {(0, 1): 50, (1, 0): 50}
 
     def test_needs_window_slack(self):
         with pytest.raises(WordsTooShort):

@@ -86,6 +86,17 @@ class TestCliCommands:
             main(_command_line(command, cfg, tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_name_that_is_not_a_string_is_refused(self, tmp_path, command):
+        # a list name used to reach the catalog lookup: TypeError, unhashable
+        cfg = tmp_path / "listname.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"name": ["karp_oracle"]}]}))
+        with pytest.raises(SystemExit, match=r"experiments\[0\] must be a "
+                           r"name or an object with a 'name'"):
+            main(_command_line(command, cfg, tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_empty_run_exits_zero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 0, "experiments": []}))
@@ -145,7 +156,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_raising_experiment_keeps_batch(self, tmp_path, monkeypatch, jobs):
-        def boom(params, seed):
+        def boom(seed):
             raise RuntimeError("injected failure")
 
         _, target = experiments.REGISTRY["pressure_identities"]

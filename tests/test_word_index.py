@@ -316,7 +316,7 @@ class TestPotentialVectors:
         assert dict(f.add_constant(c).table) == dict_add_constant(f, c)
         assert dict(Potential.constant(space, c, r).table) == \
             dict_constant(space, c, r)
-        assert f.max_value() == max(f.table.values())
+        assert f.values.max() == max(f.table.values())
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -402,7 +402,7 @@ class TestPotentialVectors:
             Potential.constant(space, 1.0, 2)
             Potential.indicator(space, Word("12"))
             f.value((2, 1))
-            f.max_value()
+            f.values.max()
             beta(space, h)
             pressure(space, g)
             Potential.from_json(space, h.to_json())
