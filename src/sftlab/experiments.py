@@ -90,7 +90,9 @@ def resolve_params(name: str, params: Optional[dict] = None) -> dict:
     for key, value in params.items():
         if key not in declared:
             import difflib  # only a refused config needs it
-            near = difflib.get_close_matches(key, declared, 1, 0)
+            lower = {k.lower(): k for k in declared}  # {"n": 4} hints 'N'
+            near = [lower[k] for k in difflib.get_close_matches(
+                key.lower(), lower, 1, 0)]
             raise BadParams(f"{name}: no param {key!r}" + (
                 f"; the closest is {near[0]!r}" if near else "; it takes none"))
         if not _fits(value, declared[key]):

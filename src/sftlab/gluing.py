@@ -542,7 +542,7 @@ def tracking_report(s: GluingSchedule, seed: int,
     word = Word(()) if family_word is None else family_word
     report = family_tracking_report(s, [word], seed, checkpoints)
     return [TrackingRow(n=n, observed=obs, bound=b) for n, obs, b
-            in zip(report.checkpoints, report.rows[0], report.bounds)]
+            in zip(report.checkpoints, report.rows[0].tolist(), report.bounds)]
 
 
 # --------------------------- separated families ---------------------------
@@ -627,15 +627,22 @@ def emit_separated_family(s: GluingSchedule,
 
 @dataclass(frozen=True)
 class FamilyTrackingReport:
+    """Observed weak* distances of a family's points to the stretched
+    target against the tracking bounds: ``rows`` is a read-only
+    (members, checkpoints) float array, one row per member in family
+    order; ``observed_max`` is its column maxima."""
     checkpoints: tuple[int, ...]
     bounds: tuple[float, ...]
     observed_max: tuple[float, ...]       # per checkpoint, max over members
-    rows: tuple[tuple[float, ...], ...]   # per member, per checkpoint
+    rows: np.ndarray                      # per member, per checkpoint
 
     @property
     def all_ok(self) -> bool:
         return all(o <= b + 1e-12
                    for o, b in zip(self.observed_max, self.bounds))
+
+
+_TRACK_BLOCK = 1 << 12  # members family_tracking_report counts at once
 
 
 def family_tracking_report(s: GluingSchedule,
@@ -648,10 +655,11 @@ def family_tracking_report(s: GluingSchedule,
 
     A member's first n windows are its prefix windows starting before n and
     the first n - p windows of the shared tail (p the prefix length).  So
-    one integer count matrix (members by admissible depth-words) holds the
-    prefix windows, one count vector per checkpoint holds the tail windows,
-    and the numbers equal the direct per-member computation exactly at
-    every checkpoint.
+    the prefix windows of a block of ``_TRACK_BLOCK`` members are counted
+    into one integer matrix (members by admissible depth-words), and the
+    tail windows every member shares into one count vector per checkpoint;
+    the numbers equal the direct per-member computation exactly at every
+    checkpoint.
     """
     rows = _family_rows(s.space, family)
     if not len(rows):
@@ -663,20 +671,24 @@ def family_tracking_report(s: GluingSchedule,
     # the tail windows the last checkpoint reads, and at least one window
     t = tail.materialize(max(cps[-1] - p, 1) + L - 1)
     tail_cols = window_columns(s.space, t, L)
-    head = np.hstack([pre, np.broadcast_to(t[:L - 1], (len(rows), L - 1))])
-    pre_counts = window_counts(s.space, head, L, {min(n, p) for n in cps})
+    words = len(s.space.word_table(L))
+    shared = [(min(n, p), np.bincount(tail_cols[:max(n - p, 0)],
+                                      minlength=words),
+               n, s.stretched_alpha(n)) for n in cps]
     observed = np.empty((len(rows), len(cps)))
-    for j, n in enumerate(cps):
-        pre_n = pre_counts[min(n, p)]
-        tail_n = np.bincount(tail_cols[:max(n - p, 0)],
-                             minlength=pre_n.shape[1])
-        observed[:, j] = weak_star_counts(pre_n + tail_n, n,
-                                          s.stretched_alpha(n), L)
-    bounds = tuple(tracking_bound(s, n) for n in cps)
+    for lo in range(0, len(rows), _TRACK_BLOCK):
+        block = pre[lo:lo + _TRACK_BLOCK]
+        head = np.hstack([block, np.broadcast_to(t[:L - 1],
+                                                 (len(block), L - 1))])
+        pre_counts = window_counts(s.space, head, L, {c[0] for c in shared})
+        for j, (stop, tail_n, n, target) in enumerate(shared):
+            observed[lo:lo + len(block), j] = weak_star_counts(
+                pre_counts[stop] + tail_n, n, target, L)
+    observed.flags.writeable = False
     return FamilyTrackingReport(
-        checkpoints=tuple(cps), bounds=bounds,
-        observed_max=tuple(observed.max(axis=0).tolist()),
-        rows=tuple(tuple(row.tolist()) for row in observed))
+        checkpoints=tuple(cps),
+        bounds=tuple(tracking_bound(s, n) for n in cps),
+        observed_max=tuple(observed.max(axis=0).tolist()), rows=observed)
 
 
 # --------------------------- schedule builder ---------------------------

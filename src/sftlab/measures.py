@@ -10,9 +10,10 @@ enumeration.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -532,20 +533,36 @@ def sample_word(mu: MarkovMeasure, n: int, seed: int) -> np.ndarray:
     return x
 
 
-def sample_words_batch(mu: MarkovMeasure, n: int, count: int, seed: int) -> np.ndarray:
-    """(count, n) array of independent draws; row i matches no single-word
-    call but the batch is deterministic in seed."""
+_SAMPLE_BLOCK = 1 << 10  # rows typical_separated_family draws at once
+
+
+def _sample_blocks(mu: MarkovMeasure, n: int, count: int, seed: int,
+                   block: int) -> Iterator[np.ndarray]:
+    """The rows of :func:`sample_words_batch`, at most block rows at a time
+    (at least one block, empty when count is 0), each written straight
+    into ``space.symbol_dtype``.  Every block draws its uniforms from the
+    batch's one generator, which fills row-major, so the blocks join into
+    the stream one draw of the whole batch gives."""
     if n < 1:
         raise ValueError("n must be positive")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    u = rng_from(seed).random((count, n))
+    rng = rng_from(seed)
     cuts = _walk(mu)[0]  # a step goes where sample_word's does
-    out = np.empty((count, n), dtype=np.int64)
-    out[:, 0] = cuts[-1].searchsorted(u[:, 0], "right")
-    for t in range(1, n):
-        out[:, t] = (cuts[out[:, t - 1]] <= u[:, t][:, None]).sum(axis=1)
-    return out
+    for lo in range(0, max(count, 1), block):
+        u = rng.random((min(block, count - lo), n))
+        out = np.empty(u.shape, dtype=mu.space.symbol_dtype)
+        out[:, 0] = cuts[-1].searchsorted(u[:, 0], "right")
+        for t in range(1, n):
+            out[:, t] = (cuts[out[:, t - 1]] <= u[:, t][:, None]).sum(axis=1)
+        yield out
+
+
+def sample_words_batch(mu: MarkovMeasure, n: int, count: int, seed: int) -> np.ndarray:
+    """(count, n) array of independent draws of ``space.symbol_dtype``; row
+    i matches no single-word call but the batch is deterministic in seed.
+    The one-block case of :func:`_sample_blocks`."""
+    return next(_sample_blocks(mu, n, count, seed, max(count, 1)))
 
 
 # --------------------------- typical separated families ---------------------------
@@ -560,6 +577,128 @@ def _batch_weak_star(space: SftSpace, batch: np.ndarray, mu: MarkovMeasure,
     return weak_star_counts(counts, windows, mu, depth)
 
 
+_MAP_KEYS = 1 << 25  # most words the kept-word map covers (32 MiB)
+_PROBES = 1 << 18  # ball keys _Packing._balls yields at once
+
+
+class _Packing:
+    """The greedy's kept rows, pairwise at Hamming distance above radius,
+    and the index that tells whether a candidate lies within radius of one.
+
+    A candidate conflicts with a kept row when that row is in the
+    candidate's Hamming ball, so each check is one lookup per ball word,
+    the word itself first.  Words are indexed by their base-m keys (int64,
+    Python ints past 63 bits) in a boolean map when the m**n keys fit
+    ``_MAP_KEYS`` bytes, and in a set otherwise.  When the ball is larger
+    than the target family the rows are scanned instead."""
+
+    def __init__(self, space: SftSpace, n: int, radius: int, target: int):
+        m = space.m
+        self.rows = np.empty((target, n), dtype=space.symbol_dtype)
+        self.filled, self.m, self.radius = 0, m, radius
+        ball = sum(math.comb(n, i) * (m - 1) ** i for i in range(radius + 1))
+        self.scan = ball > target
+        if self.scan:
+            return
+        # ball word p moves position j by s for each column j m + s of
+        # cols[p] (s = 0: no move)
+        self.cols = np.array([
+            [j * m + s for j, s in zip(where + (0,) * (radius - i),
+                                       by + (0,) * (radius - i))]
+            for i in range(radius + 1)
+            for where in itertools.combinations(range(n), i)
+            for by in itertools.product(range(1, m), repeat=i)
+        ], dtype=np.intp).reshape(ball, radius)
+        self.weights = np.array([m ** j for j in range(n - 1, -1, -1)],
+                                dtype=np.int64 if m ** n <= 2**63 else object)
+        self.map = np.zeros(m ** n, dtype=bool) if m ** n <= _MAP_KEYS \
+            else None
+        self.seen: set[int] = set()
+
+    def keep(self, cands: np.ndarray) -> None:
+        """Keep each candidate row in order, up to the target, that lies
+        outside the radius of every row kept before it."""
+        if not self.scan:
+            if len(cands):
+                self._keep_indexed(cands)
+            return
+        for row in cands:
+            if self.filled == len(self.rows):
+                return
+            if not ((self.rows[:self.filled] != row).sum(axis=1)
+                    <= self.radius).any():
+                self.rows[self.filled] = row
+                self.filled += 1
+
+    def _balls(self, cands: np.ndarray, keys: np.ndarray, skip: int = 0
+               ) -> Iterator[np.ndarray]:
+        """The ball keys of each candidate, the key itself first, but for
+        the first skip, as (rows, words) arrays of at most about
+        ``_PROBES`` keys."""
+        if self.radius:  # column j m + s: the key change when j moves by s
+            a = np.arange(self.m)[:, None]
+            moves = (a + a.T) % self.m - a  # moves[a, s]: a moved by s
+            delta = (moves[cands] * self.weights[:, None]).reshape(
+                len(cands), cands.shape[1] * self.m)
+        step = max(1, _PROBES // max(len(cands), 1))
+        for lo in range(skip, len(self.cols), step):
+            cols = self.cols[lo:lo + step]
+            probe = np.repeat(keys[:, None], len(cols), axis=1)
+            for k in range(self.radius):
+                probe += delta.take(cols[:, k], axis=1)
+            yield probe
+
+    def _indexed(self, probe: np.ndarray) -> np.ndarray:
+        """Whether each key of an array is in the index."""
+        if self.map is not None:
+            return self.map[probe]
+        return np.fromiter(map(self.seen.__contains__, probe.flat), bool,
+                           probe.size).reshape(probe.shape)
+
+    def _keep_indexed(self, cands: np.ndarray) -> None:
+        """:meth:`keep` without the scan, a block at a time.  A candidate is
+        refused when a ball key is in the index, and so is a repeat of an
+        earlier candidate's key.  The first candidates of their keys are
+        then entered in the index for a second lookup of their balls past
+        the word itself; the few with a hit there, a candidate within
+        radius, are settled in order, and the keys not kept leave the
+        index."""
+        keys = cands @ self.weights
+        free = np.ones(len(cands), dtype=bool)
+        for probe in self._balls(cands, keys):
+            free &= ~self._indexed(probe).any(axis=1)
+        first: dict[int, int] = {}
+        for i, key in zip(np.flatnonzero(free).tolist(),
+                          keys[free].tolist()):
+            first.setdefault(key, i)
+        lead = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        kept = np.zeros(len(cands), dtype=bool)
+        kept[lead] = True
+        self._enter(keys[lead], True)
+        near = np.zeros(len(lead), dtype=bool)
+        for probe in self._balls(cands[lead], keys[lead], skip=1):
+            near |= self._indexed(probe).any(axis=1)
+        for i in lead[near].tolist():
+            ball = np.hstack(list(self._balls(cands[i:i + 1], keys[i:i + 1])))
+            kept[i] = not any(kept[j] for j in map(first.get, ball[0].tolist())
+                              if j is not None and j < i)
+        take = np.flatnonzero(kept)[:len(self.rows) - self.filled]
+        out = np.ones(len(cands), dtype=bool)  # refused or past the target
+        out[take] = False
+        self._enter(keys[lead[out[lead]]], False)
+        self.rows[self.filled:self.filled + len(take)] = cands[take]
+        self.filled += len(take)
+
+    def _enter(self, keys: np.ndarray, present: bool) -> None:
+        """Enter keys in the index, or take them out."""
+        if self.map is not None:
+            self.map[keys] = present
+        elif present:
+            self.seen.update(keys.tolist())
+        else:
+            self.seen.difference_update(keys.tolist())
+
+
 def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float,
                              seed: int, typical_tol: Optional[float] = None,
                              typical_depth: int = 2,
@@ -567,6 +706,14 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     """Greedy pairwise delta-separated family of mu-typical length-n words of
     size at least ceil(e^{n (h(mu) - eta)}), as the rows of one read-only
     (size, n) array of ``space.symbol_dtype`` in the order they were kept.
+
+    Batch b draws max(1024, target // 2) rows (fewer at the attempt cap)
+    from seed + 7919 b, a block of ``_SAMPLE_BLOCK`` rows at a time.  Each
+    block's rows within typical_tol (eta by default) of mu in the weak*
+    metric at typical_depth are offered in order, and a row is kept unless
+    it lies at Hamming distance below max(ceil(delta n), 1) from a row kept
+    before it: one Hamming-ball lookup in :class:`_Packing`.  Drawing stops
+    once the target is met, so memory holds the family and one block.
 
     Raises ShortFamily (carrying the achieved rows) if the greedy search
     stalls, which signals the packing feasibility margin was violated.
@@ -597,38 +744,24 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     need = math.ceil(delta * n - 1e-12)
     cap = max_attempts if max_attempts is not None else max(200 * target, 20_000)
 
-    arr = np.empty((target, n), dtype=space.symbol_dtype)
-    filled = 0
-    seen: set[bytes] = set()
+    kept = _Packing(space, n, max(need - 1, 0), target)
     attempts = 0
     batch_no = 0
-    while filled < target and attempts < cap:
+    while kept.filled < target and attempts < cap:
         batch_size = min(max(1024, target // 2), cap - attempts)
-        batch = sample_words_batch(mu, n, batch_size, seed=seed + 7919 * batch_no)
+        blocks = _sample_blocks(mu, n, batch_size, seed + 7919 * batch_no,
+                                _SAMPLE_BLOCK)
         batch_no += 1
         attempts += batch_size
-        dists = _batch_weak_star(space, batch, mu, typical_depth)
-        batch = batch.astype(space.symbol_dtype)
-        for row, d in zip(batch, dists.tolist()):
-            if d > tol:
-                continue
-            t = row.tobytes()
-            if t in seen:
-                continue
-            # distinctness equals delta-separation when ceil(delta n) <= 1;
-            # otherwise check Hamming distance against everything kept so far
-            if need > 1 and filled:
-                if ((arr[:filled] != row).sum(axis=1) < need).any():
-                    continue
-            arr[filled] = row
-            filled += 1
-            seen.add(t)
-            if filled >= target:
+        for block in blocks:
+            dists = _batch_weak_star(space, block, mu, typical_depth)
+            kept.keep(block[~(dists > tol)])
+            if kept.filled >= target:
                 break
-    family = arr[:filled]
+    family = kept.rows[:kept.filled]
     family.flags.writeable = False
-    if filled < target:
-        raise ShortFamily(target, filled, family)
+    if kept.filled < target:
+        raise ShortFamily(target, kept.filled, family)
     return family
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,13 +456,22 @@ class TestSharedTailFamily:
         want = per_member_emit_separated_family(sched, family, horizon, seed)
         rows = np.array([w.symbols for w in family],
                         dtype=np.uint8).reshape(len(family), -1)
+        oracle = counter_family_tracking_report(sched, family, seed,
+                                                checkpoints)
         for fam in (family, rows):  # words, or the rows of a symbol array
             out = emit_separated_family(sched, fam, horizon, seed)
             assert out.shape == (len(family), horizon)
             assert list(map(Word, out)) == want
-            assert family_tracking_report(sched, fam, seed, checkpoints) == \
-                counter_family_tracking_report(sched, family, seed,
-                                               checkpoints)
+            # blocks of 1 and 4 members: block edges fall inside the family
+            for block in (1, 4, gluing._TRACK_BLOCK):
+                with mock.patch.object(gluing, "_TRACK_BLOCK", block):
+                    got = family_tracking_report(sched, fam, seed,
+                                                 checkpoints)
+                assert got.rows.shape == (len(family), len(got.checkpoints))
+                assert not got.rows.flags.writeable
+                assert dataclasses.replace(got, rows=None) == \
+                    dataclasses.replace(oracle, rows=None)
+                assert got.rows.tolist() == list(map(list, oracle.rows))
 
     def test_checkpoints_below_prefix_match_direct(self):
         fam = typical_separated_family(B05, 9, 0.1, 0.4, seed=15)[:4]

@@ -824,7 +824,7 @@ class TestTypicalFamily:
         # n = 1 at the default depth 2 kept every drawn row unchecked: its
         # distance was nan, and nan > tol is false
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
-        with mock.patch.object(measures, "sample_words_batch") as draw:
+        with mock.patch.object(measures, "_sample_blocks") as draw:
             with pytest.raises(ValueError, match=f"n = {n} is shorter than "
                                f"typical_depth = {depth}"):
                 typical_separated_family(mu, n, 0.05, 0.35, seed=2,
@@ -836,7 +836,7 @@ class TestTypicalFamily:
         # depth 0 drew a batch, then failed with "word length must be
         # positive, got 0", which named neither the parameter nor the call
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
-        with mock.patch.object(measures, "sample_words_batch") as draw:
+        with mock.patch.object(measures, "_sample_blocks") as draw:
             with pytest.raises(ValueError, match=f"^typical_depth must be "
                                f"positive, got {depth}$"):
                 typical_separated_family(mu, 4, 0.05, 0.35, seed=1,
@@ -884,33 +884,73 @@ class TestTypicalFamily:
         assert exc.value.achieved < exc.value.target
         assert exc.value.words.shape == (exc.value.achieved, 10)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["full2", "full3", "golden"]), st.integers(2, 9),
-           st.sampled_from([0.05, 0.15, 0.3]), st.floats(0.1, 0.6),
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["full2", "full3", "golden"]), st.integers(1, 4),
+           st.integers(2, 14), st.booleans(), st.floats(0.1, 0.6),
+           st.sampled_from([1, 3, 7, 1024]), st.booleans(),
            st.integers(0, 2**16))
-    def test_equals_word_list_oracle(self, which, n, delta, eta, seed):
-        # full shifts and the golden mean (primitivity index 2), with
-        # Hamming thresholds of one and more
+    def test_equals_word_list_oracle(self, which, need, n, exact, eta, block,
+                                     indexed, seed):
+        # full shifts and the golden mean (primitivity index 2), Hamming
+        # thresholds ceil(delta n) of 1 to 4 (delta = need / n, or a fixed
+        # delta), sampling blocks of a few rows, so block edges fall inside
+        # batches and the target is met mid-block, and the kept words
+        # indexed in the boolean map or, with no map, in the set of bytes
         if which == "golden":
             mu = parry_measure(GOLDEN)
         else:
             space = SftSpace.full_shift(2 if which == "full2" else 3)
             mu = MarkovMeasure.bernoulli(space, [1 / space.m] * space.m)
-        args = (mu, n, delta, eta, seed)
+        delta = need / n if exact else [0.05, 0.15, 0.3][need % 3]
+        args = (mu, n, min(delta, 1.0), eta, seed)
         kw = {"max_attempts": 4096}
-        try:
-            got = typical_separated_family(*args, **kw)
-        except ShortFamily as exc:
-            with pytest.raises(ShortFamily) as want:
-                word_typical_separated_family(*args, **kw)
-            assert list(map(Word, exc.words.tolist())) == want.value.words
-            return
-        except ValueError as exc:  # the margin check, which the oracle skips
-            assert "infeasible margin" in str(exc)
-            assume(False)
+        with mock.patch.object(measures, "_SAMPLE_BLOCK", block), \
+                mock.patch.object(measures, "_MAP_KEYS",
+                                  measures._MAP_KEYS if indexed else 0):
+            try:
+                got = typical_separated_family(*args, **kw)
+            except ShortFamily as exc:
+                with pytest.raises(ShortFamily) as want:
+                    word_typical_separated_family(*args, **kw)
+                assert exc.target == want.value.target
+                assert exc.achieved == want.value.achieved == len(exc.words)
+                assert exc.words.dtype == mu.space.symbol_dtype
+                assert not exc.words.flags.writeable
+                assert list(map(Word, exc.words.tolist())) == want.value.words
+                return
+            except ValueError as exc:  # the margin check, which the oracle skips
+                assert "infeasible margin" in str(exc)
+                assume(False)
         assert got.dtype == mu.space.symbol_dtype
         assert list(map(Word, got.tolist())) == \
             word_typical_separated_family(*args, **kw)
+
+    @pytest.mark.parametrize("m, n, need, eta", [
+        (2, 12, 3, 0.25), (2, 14, 4, 0.23), (3, 12, 3, 0.55),
+        (2, 64, 1, 0.6), (2, 64, 2, 0.6)])
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_indexed_balls_of_radius_two_and_three(self, m, n, need, eta,
+                                                   indexed):
+        # the ball (79, 470, 289, 1 and 65 words) is no larger than the
+        # target, so the kept words are indexed, not scanned; 2**64 keys
+        # are Python ints in a set
+        space = SftSpace.full_shift(m)
+        mu = MarkovMeasure.bernoulli(space, [1 / m] * m)
+        target = math.ceil(math.exp(n * (ks_entropy(mu) - eta)) - 1e-9)
+        assert not measures._Packing(space, n, need - 1, target).scan
+        args, kw = (mu, n, need / n, eta, 5), {"max_attempts": 4096}
+        with mock.patch.object(measures, "_SAMPLE_BLOCK", 7), \
+                mock.patch.object(measures, "_MAP_KEYS",
+                                  measures._MAP_KEYS if indexed else 0):
+            try:
+                got = list(map(Word, typical_separated_family(*args, **kw)))
+            except ShortFamily as exc:
+                got = list(map(Word, exc.words.tolist()))
+        try:
+            want = word_typical_separated_family(*args, **kw)
+        except ShortFamily as exc:
+            want = exc.words
+        assert len(got) > 1 and got == want
 
     def test_batch_filter_matches_weak_star(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])

@@ -142,6 +142,10 @@ def test_declared_types_take_their_kin():
      "pressure_identities: no param 'count'; it takes none"),
     ("thm1_3_cocycle_family", {"N": 4, "tail": 64},
      "no param 'tail'; the closest is 'tail_len'"),
+    # the hint compares lower-cased keys: 'n' is closest to 'N', not to
+    # 'tail_len'
+    ("thm1_3_cocycle_family", {"n": 4},
+     "thm1_3_cocycle_family: no param 'n'; the closest is 'N'"),
 ])
 def test_mistyped_and_unknown_params_are_named(name, params, message):
     with pytest.raises(BadParams) as exc:

@@ -5,7 +5,9 @@
 Run it from the repository root.  For each seed it runs ``configs/all.json``,
 the config of each benchmark workload (``perfbench/workloads.py``) and
 ``thm1_5_chaos`` at horizon 5,000,000 (``chaos_5m``, whose members cross many
-chunks and four stage ends) with ``sftlab run`` in a fresh interpreter,
+chunks and four stage ends) and ``thm1_1_capacity`` with ``family_sizes``
+[16, 18, 20] (``capacity_20``, whose sampling batches span many blocks of
+rows) with ``sftlab run`` in a fresh interpreter,
 writing into a temporary directory that is removed afterwards.  The output
 is one JSON object, sorted by key, that maps ``config/seed/file`` to the
 sha256 of ``summary.json`` and of every CSV (``meta.json`` holds timings and
@@ -34,6 +36,8 @@ def _configs(seed: int) -> dict[str, dict]:
     out.update((name, config(name, seed)) for name in WORKLOADS)
     out["chaos_5m"] = {"seed": seed, "experiments": [
         {"name": "thm1_5_chaos", "params": {"horizon": 5_000_000}}]}
+    out["capacity_20"] = {"seed": seed, "experiments": [
+        {"name": "thm1_1_capacity", "params": {"family_sizes": [16, 18, 20]}}]}
     return out
 
 
