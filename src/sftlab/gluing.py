@@ -34,7 +34,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -630,11 +630,13 @@ class FamilyTrackingReport:
     """Observed weak* distances of a family's points to the stretched
     target against the tracking bounds: ``rows`` is a read-only
     (members, checkpoints) float array, one row per member in family
-    order; ``observed_max`` is its column maxima."""
+    order; ``observed_max`` is its column maxima.  ``==`` and hashing
+    leave ``rows`` out (an array has no single truth value); compare it
+    with ``rows.tolist()``."""
     checkpoints: tuple[int, ...]
     bounds: tuple[float, ...]
     observed_max: tuple[float, ...]       # per checkpoint, max over members
-    rows: np.ndarray                      # per member, per checkpoint
+    rows: np.ndarray = field(compare=False)  # per member, per checkpoint
 
     @property
     def all_ok(self) -> bool:

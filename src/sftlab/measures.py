@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -536,33 +536,26 @@ def sample_word(mu: MarkovMeasure, n: int, seed: int) -> np.ndarray:
 _SAMPLE_BLOCK = 1 << 10  # rows typical_separated_family draws at once
 
 
-def _sample_blocks(mu: MarkovMeasure, n: int, count: int, seed: int,
-                   block: int) -> Iterator[np.ndarray]:
-    """The rows of :func:`sample_words_batch`, at most block rows at a time
-    (at least one block, empty when count is 0), each written straight
-    into ``space.symbol_dtype``.  Every block draws its uniforms from the
-    batch's one generator, which fills row-major, so the blocks join into
-    the stream one draw of the whole batch gives."""
+def sample_words_batch(mu: MarkovMeasure, n: int, count: int,
+                       seed: Union[int, np.random.Generator]) -> np.ndarray:
+    """(count, n) array of independent draws of ``space.symbol_dtype``; row
+    i matches no single-word call but the batch is deterministic in seed.
+
+    seed may also be a generator, which the draw advances.  A generator
+    fills row-major, so draws of a and then b rows from one generator give
+    the rows of one draw of a + b."""
     if n < 1:
         raise ValueError("n must be positive")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    rng = rng_from(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
+    u = rng.random((count, n))
     cuts = _walk(mu)[0]  # a step goes where sample_word's does
-    for lo in range(0, max(count, 1), block):
-        u = rng.random((min(block, count - lo), n))
-        out = np.empty(u.shape, dtype=mu.space.symbol_dtype)
-        out[:, 0] = cuts[-1].searchsorted(u[:, 0], "right")
-        for t in range(1, n):
-            out[:, t] = (cuts[out[:, t - 1]] <= u[:, t][:, None]).sum(axis=1)
-        yield out
-
-
-def sample_words_batch(mu: MarkovMeasure, n: int, count: int, seed: int) -> np.ndarray:
-    """(count, n) array of independent draws of ``space.symbol_dtype``; row
-    i matches no single-word call but the batch is deterministic in seed.
-    The one-block case of :func:`_sample_blocks`."""
-    return next(_sample_blocks(mu, n, count, seed, max(count, 1)))
+    out = np.empty((count, n), dtype=mu.space.symbol_dtype)
+    out[:, 0] = cuts[-1].searchsorted(u[:, 0], "right")
+    for t in range(1, n):
+        out[:, t] = (cuts[out[:, t - 1]] <= u[:, t][:, None]).sum(axis=1)
+    return out
 
 
 # --------------------------- typical separated families ---------------------------
@@ -577,8 +570,7 @@ def _batch_weak_star(space: SftSpace, batch: np.ndarray, mu: MarkovMeasure,
     return weak_star_counts(counts, windows, mu, depth)
 
 
-_MAP_KEYS = 1 << 25  # most words the kept-word map covers (32 MiB)
-_PROBES = 1 << 18  # ball keys _Packing._balls yields at once
+_PROBES = 1 << 18  # most ball keys _Packing computes at once
 
 
 class _Packing:
@@ -586,11 +578,10 @@ class _Packing:
     and the index that tells whether a candidate lies within radius of one.
 
     A candidate conflicts with a kept row when that row is in the
-    candidate's Hamming ball, so each check is one lookup per ball word,
-    the word itself first.  Words are indexed by their base-m keys (int64,
-    Python ints past 63 bits) in a boolean map when the m**n keys fit
-    ``_MAP_KEYS`` bytes, and in a set otherwise.  When the ball is larger
-    than the target family the rows are scanned instead."""
+    candidate's Hamming ball, so each check is one set lookup per ball
+    word, the word itself first.  Words are keyed by their base-m numbers
+    (int64, Python ints past 63 bits).  When the ball is larger than the
+    target family the rows are scanned instead."""
 
     def __init__(self, space: SftSpace, n: int, radius: int, target: int):
         m = space.m
@@ -609,18 +600,21 @@ class _Packing:
             for where in itertools.combinations(range(n), i)
             for by in itertools.product(range(1, m), repeat=i)
         ], dtype=np.intp).reshape(ball, radius)
-        self.weights = np.array([m ** j for j in range(n - 1, -1, -1)],
-                                dtype=np.int64 if m ** n <= 2**63 else object)
-        self.map = np.zeros(m ** n, dtype=bool) if m ** n <= _MAP_KEYS \
-            else None
+        self.key_dtype = np.int64 if m ** n <= 2**63 else object
+        a = np.arange(m)[:, None]
+        self.moves = (a + a.T) % m - a  # moves[a, s]: a moved by s
+        self.weights = m ** np.arange(n - 1, -1, -1, dtype=self.key_dtype)
         self.seen: set[int] = set()
 
     def keep(self, cands: np.ndarray) -> None:
         """Keep each candidate row in order, up to the target, that lies
         outside the radius of every row kept before it."""
         if not self.scan:
-            if len(cands):
-                self._keep_indexed(cands)
+            step = max(1, _PROBES // len(self.cols))
+            for lo in range(0, len(cands), step):
+                if self.filled == len(self.rows):
+                    return
+                self._keep_indexed(cands[lo:lo + step])
             return
         for row in cands:
             if self.filled == len(self.rows):
@@ -630,73 +624,33 @@ class _Packing:
                 self.rows[self.filled] = row
                 self.filled += 1
 
-    def _balls(self, cands: np.ndarray, keys: np.ndarray, skip: int = 0
-               ) -> Iterator[np.ndarray]:
-        """The ball keys of each candidate, the key itself first, but for
-        the first skip, as (rows, words) arrays of at most about
-        ``_PROBES`` keys."""
-        if self.radius:  # column j m + s: the key change when j moves by s
-            a = np.arange(self.m)[:, None]
-            moves = (a + a.T) % self.m - a  # moves[a, s]: a moved by s
-            delta = (moves[cands] * self.weights[:, None]).reshape(
-                len(cands), cands.shape[1] * self.m)
-        step = max(1, _PROBES // max(len(cands), 1))
-        for lo in range(skip, len(self.cols), step):
-            cols = self.cols[lo:lo + step]
-            probe = np.repeat(keys[:, None], len(cols), axis=1)
-            for k in range(self.radius):
-                probe += delta.take(cols[:, k], axis=1)
-            yield probe
-
-    def _indexed(self, probe: np.ndarray) -> np.ndarray:
-        """Whether each key of an array is in the index."""
-        if self.map is not None:
-            return self.map[probe]
-        return np.fromiter(map(self.seen.__contains__, probe.flat), bool,
-                           probe.size).reshape(probe.shape)
-
     def _keep_indexed(self, cands: np.ndarray) -> None:
-        """:meth:`keep` without the scan, a block at a time.  A candidate is
-        refused when a ball key is in the index, and so is a repeat of an
-        earlier candidate's key.  The first candidates of their keys are
-        then entered in the index for a second lookup of their balls past
-        the word itself; the few with a hit there, a candidate within
-        radius, are settled in order, and the keys not kept leave the
-        index."""
-        keys = cands @ self.weights
-        free = np.ones(len(cands), dtype=bool)
-        for probe in self._balls(cands, keys):
-            free &= ~self._indexed(probe).any(axis=1)
-        first: dict[int, int] = {}
-        for i, key in zip(np.flatnonzero(free).tolist(),
-                          keys[free].tolist()):
-            first.setdefault(key, i)
-        lead = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-        kept = np.zeros(len(cands), dtype=bool)
-        kept[lead] = True
-        self._enter(keys[lead], True)
-        near = np.zeros(len(lead), dtype=bool)
-        for probe in self._balls(cands[lead], keys[lead], skip=1):
-            near |= self._indexed(probe).any(axis=1)
-        for i in lead[near].tolist():
-            ball = np.hstack(list(self._balls(cands[i:i + 1], keys[i:i + 1])))
-            kept[i] = not any(kept[j] for j in map(first.get, ball[0].tolist())
-                              if j is not None and j < i)
-        take = np.flatnonzero(kept)[:len(self.rows) - self.filled]
-        out = np.ones(len(cands), dtype=bool)  # refused or past the target
-        out[take] = False
-        self._enter(keys[lead[out[lead]]], False)
-        self.rows[self.filled:self.filled + len(take)] = cands[take]
-        self.filled += len(take)
+        """:meth:`keep` without the scan: a candidate is kept when no word
+        of its ball is a kept key, and its key is then entered."""
+        taken: list[int] = []
+        room = len(self.rows) - self.filled
+        for i, ball in enumerate(self._balls(cands).tolist()):
+            if self.seen.isdisjoint(ball):
+                self.seen.add(ball[0])
+                taken.append(i)
+                if len(taken) == room:
+                    break
+        self.rows[self.filled:self.filled + len(taken)] = cands[taken]
+        self.filled += len(taken)
 
-    def _enter(self, keys: np.ndarray, present: bool) -> None:
-        """Enter keys in the index, or take them out."""
-        if self.map is not None:
-            self.map[keys] = present
-        elif present:
-            self.seen.update(keys.tolist())
-        else:
-            self.seen.difference_update(keys.tolist())
+    def _balls(self, cands: np.ndarray) -> np.ndarray:
+        """The (rows, ball) keys of the candidates' Hamming balls, each
+        row's own key first."""
+        keys = np.zeros(len(cands), dtype=self.key_dtype)
+        for col in cands.T:
+            keys = keys * self.m + col
+        probe = keys[:, None]
+        if self.radius:  # column j m + s: the key change when j moves by s
+            delta = (self.moves[cands] * self.weights[:, None]).reshape(
+                len(cands), cands.shape[1] * self.m)
+            for k in range(self.radius):
+                probe = probe + delta[:, self.cols[:, k]]
+        return probe
 
 
 def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float,
@@ -708,12 +662,14 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     (size, n) array of ``space.symbol_dtype`` in the order they were kept.
 
     Batch b draws max(1024, target // 2) rows (fewer at the attempt cap)
-    from seed + 7919 b, a block of ``_SAMPLE_BLOCK`` rows at a time.  Each
-    block's rows within typical_tol (eta by default) of mu in the weak*
-    metric at typical_depth are offered in order, and a row is kept unless
-    it lies at Hamming distance below max(ceil(delta n), 1) from a row kept
-    before it: one Hamming-ball lookup in :class:`_Packing`.  Drawing stops
-    once the target is met, so memory holds the family and one block.
+    from one generator seeded seed + 7919 b, through
+    :func:`sample_words_batch` a block of ``_SAMPLE_BLOCK`` rows at a time.
+    Each block's rows within typical_tol (eta by default) of mu in the
+    weak* metric at typical_depth are offered in order, and a row is kept
+    unless it lies at Hamming distance below max(ceil(delta n), 1) from a
+    row kept before it: one set lookup per word of its Hamming ball in
+    :class:`_Packing`.  Drawing stops once the target is met, so memory
+    holds the family, its keys and one block.
 
     Raises ShortFamily (carrying the achieved rows) if the greedy search
     stalls, which signals the packing feasibility margin was violated.
@@ -749,11 +705,12 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     batch_no = 0
     while kept.filled < target and attempts < cap:
         batch_size = min(max(1024, target // 2), cap - attempts)
-        blocks = _sample_blocks(mu, n, batch_size, seed + 7919 * batch_no,
-                                _SAMPLE_BLOCK)
+        rng = rng_from(seed + 7919 * batch_no)
         batch_no += 1
         attempts += batch_size
-        for block in blocks:
+        for lo in range(0, batch_size, _SAMPLE_BLOCK):
+            block = sample_words_batch(
+                mu, n, min(_SAMPLE_BLOCK, batch_size - lo), rng)
             dists = _batch_weak_star(space, block, mu, typical_depth)
             kept.keep(block[~(dists > tol)])
             if kept.filled >= target:

@@ -654,6 +654,18 @@ class TestSampling:
             sample_words_batch(mu, 3, -1, 0)
         assert sample_words_batch(mu, 3, 0, 0).shape == (0, 3)
 
+    @pytest.mark.parametrize("cuts", [[0], [3], [1, 2, 6], [0, 0, 7]])
+    def test_draws_from_one_generator_join(self, cuts):
+        # typical_separated_family draws each batch a block at a time from
+        # the batch's one generator: the blocks are the batch's rows
+        mu = parry_measure(GOLDEN)
+        whole = sample_words_batch(mu, 9, 7, seed=11)
+        rng = measures.rng_from(11)
+        parts = [sample_words_batch(mu, 9, hi - lo, rng)
+                 for lo, hi in zip([0, *cuts], [*cuts, 7])]
+        assert all(part.dtype == GOLDEN.symbol_dtype for part in parts)
+        assert np.array_equal(np.vstack(parts), whole)
+
     def test_deterministic_in_seed(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
         assert np.array_equal(sample_word(mu, 64, 5), sample_word(mu, 64, 5))
@@ -824,7 +836,7 @@ class TestTypicalFamily:
         # n = 1 at the default depth 2 kept every drawn row unchecked: its
         # distance was nan, and nan > tol is false
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
-        with mock.patch.object(measures, "_sample_blocks") as draw:
+        with mock.patch.object(measures, "sample_words_batch") as draw:
             with pytest.raises(ValueError, match=f"n = {n} is shorter than "
                                f"typical_depth = {depth}"):
                 typical_separated_family(mu, n, 0.05, 0.35, seed=2,
@@ -836,7 +848,7 @@ class TestTypicalFamily:
         # depth 0 drew a batch, then failed with "word length must be
         # positive, got 0", which named neither the parameter nor the call
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
-        with mock.patch.object(measures, "_sample_blocks") as draw:
+        with mock.patch.object(measures, "sample_words_batch") as draw:
             with pytest.raises(ValueError, match=f"^typical_depth must be "
                                f"positive, got {depth}$"):
                 typical_separated_family(mu, 4, 0.05, 0.35, seed=1,
@@ -890,12 +902,12 @@ class TestTypicalFamily:
            st.sampled_from([1, 3, 7, 1024]), st.booleans(),
            st.integers(0, 2**16))
     def test_equals_word_list_oracle(self, which, need, n, exact, eta, block,
-                                     indexed, seed):
+                                     one_row, seed):
         # full shifts and the golden mean (primitivity index 2), Hamming
         # thresholds ceil(delta n) of 1 to 4 (delta = need / n, or a fixed
         # delta), sampling blocks of a few rows, so block edges fall inside
-        # batches and the target is met mid-block, and the kept words
-        # indexed in the boolean map or, with no map, in the set of bytes
+        # batches and the target is met mid-block, and the balls of one
+        # candidate at a time or of as many as _PROBES allows
         if which == "golden":
             mu = parry_measure(GOLDEN)
         else:
@@ -905,8 +917,8 @@ class TestTypicalFamily:
         args = (mu, n, min(delta, 1.0), eta, seed)
         kw = {"max_attempts": 4096}
         with mock.patch.object(measures, "_SAMPLE_BLOCK", block), \
-                mock.patch.object(measures, "_MAP_KEYS",
-                                  measures._MAP_KEYS if indexed else 0):
+                mock.patch.object(measures, "_PROBES",
+                                  1 if one_row else measures._PROBES):
             try:
                 got = typical_separated_family(*args, **kw)
             except ShortFamily as exc:
@@ -928,20 +940,21 @@ class TestTypicalFamily:
     @pytest.mark.parametrize("m, n, need, eta", [
         (2, 12, 3, 0.25), (2, 14, 4, 0.23), (3, 12, 3, 0.55),
         (2, 64, 1, 0.6), (2, 64, 2, 0.6)])
-    @pytest.mark.parametrize("indexed", [True, False])
+    @pytest.mark.parametrize("one_row", [True, False])
     def test_indexed_balls_of_radius_two_and_three(self, m, n, need, eta,
-                                                   indexed):
+                                                   one_row):
         # the ball (79, 470, 289, 1 and 65 words) is no larger than the
         # target, so the kept words are indexed, not scanned; 2**64 keys
-        # are Python ints in a set
+        # are Python ints; the balls of one candidate at a time, or of a
+        # whole block of 7
         space = SftSpace.full_shift(m)
         mu = MarkovMeasure.bernoulli(space, [1 / m] * m)
         target = math.ceil(math.exp(n * (ks_entropy(mu) - eta)) - 1e-9)
         assert not measures._Packing(space, n, need - 1, target).scan
         args, kw = (mu, n, need / n, eta, 5), {"max_attempts": 4096}
         with mock.patch.object(measures, "_SAMPLE_BLOCK", 7), \
-                mock.patch.object(measures, "_MAP_KEYS",
-                                  measures._MAP_KEYS if indexed else 0):
+                mock.patch.object(measures, "_PROBES",
+                                  1 if one_row else measures._PROBES):
             try:
                 got = list(map(Word, typical_separated_family(*args, **kw)))
             except ShortFamily as exc:
