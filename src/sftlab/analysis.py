@@ -11,8 +11,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Degenerate, NotRecurrent, WordsTooShort, ZeroCylinder
-from .measures import EmpiricalMeasure, MarkovMeasure
-from .shift import SftSpace, Word, _symbols, window_columns
+from .measures import EmpiricalMeasure, MarkovMeasure, window_counts
+from .shift import SftSpace, Word, _symbols, word_columns
 
 
 def empirical(space: SftSpace, x: Union[Word, np.ndarray], n: int,
@@ -25,9 +25,8 @@ def empirical(space: SftSpace, x: Union[Word, np.ndarray], n: int,
         raise ValueError("n must be positive")
     if len(x) < n + depth - 1:
         raise WordsTooShort(f"need length >= {n + depth - 1}, got {len(x)}")
-    cols = window_columns(space, _symbols(x)[:n + depth - 1], depth)
-    return EmpiricalMeasure(space, depth, np.bincount(
-        cols, minlength=len(space.word_table(depth))))
+    counts = window_counts(space, _symbols(x)[None], depth, [n])[n]
+    return EmpiricalMeasure(space, depth, counts[0])
 
 
 def birkhoff_avg(x: Union[Word, np.ndarray], f, n: int) -> float:
@@ -39,13 +38,15 @@ def birkhoff_avg(x: Union[Word, np.ndarray], f, n: int) -> float:
     r = f.r
     if len(x) < n + r - 1:
         raise WordsTooShort(f"need length >= {n + r - 1}, got {len(x)}")
-    cols = window_columns(f.space, _symbols(x)[:n + r - 1], r)
-    return sum(f.values[cols].tolist()) / n
+    windows = sliding_window_view(_symbols(x)[:n + r - 1], r)
+    return sum(f.values[word_columns(f.space, windows)].tolist()) / n
 
 
-def brin_katok_estimate(mu: MarkovMeasure, x: Word, n: int, k: int) -> float:
-    """-(1/n) log mu(B_n(x, 2**-k)): on a shift the Bowen ball is the
-    (n+k-1)-cylinder of x, whose mass is available analytically."""
+def brin_katok_estimate(mu: MarkovMeasure, x: Union[Word, np.ndarray], n: int,
+                        k: int) -> float:
+    """-(1/n) log mu(B_n(x, 2**-k)), x a word or 1-d symbol array: on a
+    shift the Bowen ball is the (n+k-1)-cylinder of x, whose mass is
+    available analytically."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     L = n + k - 1
@@ -54,7 +55,7 @@ def brin_katok_estimate(mu: MarkovMeasure, x: Word, n: int, k: int) -> float:
     if L == 0:
         return 0.0
     # log-space cylinder mass: the plain product underflows for long windows
-    s = x.symbols
+    s = _symbols(x)[:L].tolist()
     p0 = mu.stationary[s[0]]
     if p0 <= 0.0:
         raise ZeroCylinder(f"symbol {s[0]} has zero stationary mass")

@@ -44,17 +44,17 @@ import numpy as np
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
                      OrbitsNotDisjoint, WordsTooShort)
-from .measures import (MarkovMeasure, MeasurePath, _same_space, ks_entropy,
-                       refine_path, sample_word, typical_separated_family,
-                       weak_star_counts, weak_star_dist, window_counts)
+from .measures import (MarkovMeasure, MeasurePath, _batch_weak_star,
+                       _same_space, ks_entropy, refine_path, sample_word,
+                       typical_separated_family, weak_star_counts,
+                       weak_star_dist, window_counts)
 from .shift import (GluedRows, Periodic, SftSpace, SymbolStream, Word,
                     _prefix_rows, block_graph, check_rows, distinct_rows,
-                    glue, glue_rows, glue_spans, window_columns)
+                    glue, glue_rows, glue_spans)
 
 _BLOCK_ATTEMPTS = 500  # draws per block before the stage is infeasible
 LEAF_ENUMERATION_CAP = 200_000  # BranchTree.leaves walks no larger tree
 LEAF_BLOCK = 4096  # leaves BranchTree.leaves glues at once
-_WINDOW_CHUNK = 1 << 14  # block windows _draw_block ranks at once
 
 # --------------------------- covering tours ---------------------------
 
@@ -425,19 +425,12 @@ def _draw_block(st: Stage, depth: int, stage_idx: int, rep: int,
                 seed: int) -> np.ndarray:
     """Sample a block from the stage measure, redrawing until its own
     empirical measure is within zeta of the source at the checking depth
-    (windows counted in the measure's space, ``_WINDOW_CHUNK`` at a time);
-    the block is the read-only symbol array :func:`sample_word` returns."""
-    space = st.alpha.space
-    words = len(space.word_table(depth))
+    (scored as a one-row batch by ``measures._batch_weak_star``); the block
+    is the read-only symbol array :func:`sample_word` returns."""
     best_d = math.inf
-    chunks = range(0, max(st.n - depth + 1, 1), _WINDOW_CHUNK)
     for attempt in range(_BLOCK_ATTEMPTS):
         x = sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
-        counts = sum(np.bincount(window_columns(
-            space, x[lo:lo + _WINDOW_CHUNK + depth - 1], depth),
-            minlength=words) for lo in chunks)
-        d = weak_star_counts(counts[None], st.n - depth + 1, st.alpha,
-                             depth)[0]
+        d = _batch_weak_star(st.alpha.space, x[None], st.alpha, depth)[0]
         if d <= st.zeta:
             return x
         best_d = min(best_d, d)
@@ -657,11 +650,11 @@ def family_tracking_report(s: GluingSchedule,
 
     A member's first n windows are its prefix windows starting before n and
     the first n - p windows of the shared tail (p the prefix length).  So
-    the prefix windows of a block of ``_TRACK_BLOCK`` members are counted
-    into one integer matrix (members by admissible depth-words), and the
-    tail windows every member shares into one count vector per checkpoint;
-    the numbers equal the direct per-member computation exactly at every
-    checkpoint.
+    :func:`window_counts` counts the prefix windows of a block of
+    ``_TRACK_BLOCK`` members into one integer matrix (members by admissible
+    depth-words) per checkpoint, and the tail windows every member shares
+    into one count row per checkpoint, the tail as its one row; the numbers
+    equal the direct per-member computation exactly at every checkpoint.
     """
     rows = _family_rows(s.space, family)
     if not len(rows):
@@ -670,13 +663,12 @@ def family_tracking_report(s: GluingSchedule,
     L = s.check_depth
     tail, pre = _family_start(s, rows, seed)
     p = pre.shape[1]
-    # the tail windows the last checkpoint reads, and at least one window
-    t = tail.materialize(max(cps[-1] - p, 1) + L - 1)
-    tail_cols = window_columns(s.space, t, L)
-    words = len(s.space.word_table(L))
-    shared = [(min(n, p), np.bincount(tail_cols[:max(n - p, 0)],
-                                      minlength=words),
-               n, s.stretched_alpha(n)) for n in cps]
+    # the tail windows the last checkpoint reads
+    t = tail.materialize(max(cps[-1] - p, 0) + L - 1)
+    tail_counts = window_counts(s.space, t[None], L,
+                                {max(n - p, 0) for n in cps})
+    shared = [(min(n, p), tail_counts[max(n - p, 0)], n,
+               s.stretched_alpha(n)) for n in cps]
     observed = np.empty((len(rows), len(cps)))
     for lo in range(0, len(rows), _TRACK_BLOCK):
         block = pre[lo:lo + _TRACK_BLOCK]

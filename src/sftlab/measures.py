@@ -16,6 +16,7 @@ import math
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DepthExceedsEmpirical, ShortFamily, SpaceMismatch,
                      StationaryNotUnique)
@@ -335,23 +336,31 @@ def _run_sums(counts: np.ndarray, lo: np.ndarray,
     return sums
 
 
+_COUNT_WINDOWS = 1 << 14  # most windows window_counts ranks at once
+
+
 def window_counts(space: SftSpace, rows: np.ndarray, depth: int,
                   stops: Iterable[int]) -> dict[int, np.ndarray]:
     """Integer count matrices of the depth-windows of each row of a 2-d
     symbol array, by :func:`word_columns` column: for each stop k, the
-    matrix counting the windows that start before k.  Windows are added one
-    offset at a time, so the temporaries hold one value per row."""
-    counts = np.zeros((rows.shape[0], len(space.word_table(depth))),
-                      dtype=np.int64)
-    every_row = np.arange(rows.shape[0])
-    stops = set(stops)
-    last = max(stops)
-    out: dict[int, np.ndarray] = {}
-    for i in range(last + 1):
-        if i in stops:
-            out[i] = counts.copy()
-        if i < last:
-            counts[every_row, word_columns(space, rows[:, i:i + depth])] += 1
+    matrix counting the windows that start before k.  The one window
+    counter: it ranks at most ``_COUNT_WINDOWS`` windows (at least one
+    offset) at a time, offset-major, with :func:`word_columns` over a
+    sliding view, and adds them with one ``np.bincount`` over row * K +
+    rank.  ValueError unless every stop lies in [0, windows]."""
+    (R, n), K = rows.shape, len(space.word_table(depth))
+    stops = sorted(set(stops))
+    if not stops or not 0 <= stops[0] <= stops[-1] <= n - depth + 1:
+        raise ValueError(f"stops must lie in [0, {n - depth + 1}], got {stops}")
+    counts, offsets = np.zeros((R, K), dtype=np.int64), np.arange(R) * K
+    step, out = max(_COUNT_WINDOWS // max(R, 1), 1), {}
+    for lo, stop in zip([0] + stops, stops):
+        for a in range(lo, stop, step):
+            ranks = word_columns(space, sliding_window_view(
+                rows[:, a:min(a + step, stop) + depth - 1].T, depth, axis=0))
+            ranks += offsets
+            counts += np.bincount(ranks.ravel(), minlength=R * K).reshape(R, K)
+        out[stop] = counts.copy()
     return out
 
 

@@ -309,17 +309,19 @@ def _rank_sums(ranks: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
     return cols
 
 
-def _column_ranks(space: SftSpace, symbols: np.ndarray,
-                  columns: Sequence[np.ndarray],
-                  window_at: Callable[[tuple], np.ndarray]) -> np.ndarray:
-    """The count rank of each window whose i-th symbols are columns[i],
-    views of the array symbols; ValueError names ``window_at`` of the first
-    window (in C order) that is not an admissible word."""
-    L, m = len(columns), space.m
+def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
+    """Row in ``space.word_table(L)`` of each length-L window along the last
+    axis of a symbol array or view (a ``sliding_window_view`` ranks every
+    window of a row), (..., L) to (...): the count rank, one gather of the
+    rank table per position.  ValueError names the first window (in C
+    order) that is not an admissible L-word."""
+    words = np.asarray(words)
+    L, m = words.shape[-1], space.m
     K = len(space.word_table(L))
     ranks = space._word_cache[L][1]
+    columns = [words[..., i] for i in range(L)]
     try:
-        if symbols.dtype.kind == "i" and symbols.size and symbols.min() < 0:
+        if words.dtype.kind == "i" and words.size and words.min() < 0:
             raise IndexError("negative symbol")  # a gather would wrap it
         cols = _rank_sums(ranks, columns)
         if not cols.size or cols.max() < K:
@@ -330,32 +332,9 @@ def _column_ranks(space: SftSpace, symbols: np.ndarray,
         bad = cols >= K
         for c in columns:
             bad |= (c < 0) | (c >= m)
-    window = window_at(np.unravel_index(bad.argmax(), bad.shape))
+    window = words[np.unravel_index(bad.argmax(), bad.shape)]
     raise ValueError(f"window {tuple(window.tolist())} is not an "
                      f"admissible {L}-word")
-
-
-def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
-    """Row in ``space.word_table(L)`` of each length-L window along the last
-    axis of a symbol array, (..., L) to (...): the count rank, one gather of
-    the rank table per position.  ValueError names the first window (in C
-    order) that is not an admissible L-word."""
-    words = np.asarray(words)
-    return _column_ranks(space, words,
-                         [words[..., i] for i in range(words.shape[-1])],
-                         lambda at: words[at])
-
-
-def window_columns(space: SftSpace, x: np.ndarray, length: int) -> np.ndarray:
-    """:func:`word_columns` of every length-window of a 1-d symbol array, in
-    order, gathered from ``length`` shifted views of x; ValueError when x is
-    shorter than one window or a window is not admissible."""
-    x = np.asarray(x)
-    count = len(x) - length + 1
-    if length < 1 or count < 1:
-        raise ValueError(f"no {length}-window in {len(x)} symbols")
-    return _column_ranks(space, x, [x[i:i + count] for i in range(length)],
-                         lambda at: x[at[0]:at[0] + length])
 
 
 def by_word_row(space: SftSpace, length: int, mapping: dict,
@@ -467,17 +446,17 @@ def topological_entropy(space: SftSpace) -> float:
 # --------------------------- metric and separation ---------------------------
 
 
-def dist(x: Word, y: Word) -> float:
-    """d = 2**(-t), t the first disagreement; 0 for equal words.
+def dist(x: Union[Word, np.ndarray], y: Union[Word, np.ndarray]) -> float:
+    """d = 2**(-t), t the first disagreement; 0 for equal words (each a
+    word or a 1-d symbol array).
 
     Words agreeing on the shorter length but of different lengths are at
     distance 2**(-min length): the missing symbols count as unknown.
     """
     n = min(len(x), len(y))
-    xs, ys = x.symbols, y.symbols
-    for t in range(n):
-        if xs[t] != ys[t]:
-            return 2.0 ** (-t)
+    differ = np.flatnonzero(_symbols(x)[:n] != _symbols(y)[:n])
+    if differ.size:
+        return 2.0 ** (-int(differ[0]))
     if len(x) == len(y):
         return 0.0
     return 2.0 ** (-n)
@@ -525,11 +504,14 @@ def separated_count(points: Union[np.ndarray, Iterable[Word]], n: int,
     return distinct_rows(_prefix_rows(points, max(n + k - 1, 1)))
 
 
-def hamming(x: Word, y: Word, n: int) -> int:
+def hamming(x: Union[Word, np.ndarray], y: Union[Word, np.ndarray],
+            n: int) -> int:
+    """The mismatches of two words or 1-d symbol arrays on their first n
+    coordinates (0 for n <= 0)."""
     if len(x) < n or len(y) < n:
         raise WordsTooShort(f"need length >= {n}")
-    xs, ys = x.symbols, y.symbols
-    return sum(1 for j in range(n) if xs[j] != ys[j])
+    n = max(n, 0)
+    return int(np.count_nonzero(_symbols(x)[:n] != _symbols(y)[:n]))
 
 
 def hamming_matrix(words: Union[np.ndarray, Sequence[Word]],
@@ -545,7 +527,8 @@ def hamming_matrix(words: Union[np.ndarray, Sequence[Word]],
     return np.subtract(n, agree, out=agree)
 
 
-def delta_separated(x: Word, y: Word, n: int, delta: float) -> bool:
+def delta_separated(x: Union[Word, np.ndarray], y: Union[Word, np.ndarray],
+                    n: int, delta: float) -> bool:
     """Normalized Hamming distance >= delta on the first n coordinates.
 
     This is (delta, n, eps)-separation at eps = 1/2: under the metric,

@@ -5,7 +5,9 @@ and equilibrium states conjugated and built one potential at a time.  Also
 the per-step sampler, the per-cylinder weak* sums and the Word-scored block
 draw that the array-first draws replaced, the one-draw sampler that walked
 periodic orbits step by step, which the chunked draw replaced, and the
-closure-loop ergodicity check that the frontier sweeps replaced."""
+closure-loop ergodicity check that the frontier sweeps replaced.  And the
+two window counters that ``window_counts`` over a sliding view replaced:
+its own per-offset scatter loop and the block draw's chunked bincount."""
 import math
 from types import SimpleNamespace
 
@@ -17,6 +19,8 @@ from sftlab.ergopt import _edge_values, _transfer_solves, block_graph
 from sftlab.errors import StationaryNotUnique
 from sftlab.measures import cylinder_weights, rng_from
 from sftlab.shift import Word, word_columns
+
+from word_oracles import window_columns
 
 
 def per_matrix_stationary(Q):
@@ -186,3 +190,30 @@ def word_draw_block(st, depth, stage_idx, rep, seed):
         if d <= st.zeta:
             return w, attempt + 1
     raise AssertionError("no draw accepted")
+
+
+def offset_window_counts(space, rows, depth, stops):
+    """measures.window_counts as it scatter-added the windows of one column
+    offset at a time, every row at once."""
+    counts = np.zeros((rows.shape[0], len(space.word_table(depth))),
+                      dtype=np.int64)
+    every_row = np.arange(rows.shape[0])
+    stops = set(stops)
+    last = max(stops)
+    out = {}
+    for i in range(last + 1):
+        if i in stops:
+            out[i] = counts.copy()
+        if i < last:
+            counts[every_row, word_columns(space, rows[:, i:i + depth])] += 1
+    return out
+
+
+def chunked_block_counts(space, x, depth, chunk=1 << 14):
+    """The count row gluing._draw_block scored: the windows of a 1-d symbol
+    array ranked by ``window_columns`` chunk at a time, one bincount per
+    chunk, summed."""
+    words = len(space.word_table(depth))
+    return sum(np.bincount(window_columns(space, x[lo:lo + chunk + depth - 1],
+                                          depth), minlength=words)
+               for lo in range(0, max(len(x) - depth + 1, 1), chunk))

@@ -99,6 +99,17 @@ class TestBrinKatok:
         mu = MarkovMeasure.periodic_orbit(FULL2, Word("0"))
         with pytest.raises(ZeroCylinder):
             brin_katok_estimate(mu, Word("1111"), 3, 1)
+        with pytest.raises(ZeroCylinder, match="transition 0->1"):
+            brin_katok_estimate(mu, np.array([0, 1], dtype=np.uint8), 1, 2)
+
+    def test_symbol_array_equals_its_word(self):
+        mu = MarkovMeasure(FULL2, [[0.9, 0.1], [0.4, 0.6]])
+        x = sample_word(mu, 60, 4)  # a read-only uint8 array
+        for n, k in [(1, 0), (20, 3), (58, 3)]:
+            assert brin_katok_estimate(mu, x, n, k) == \
+                brin_katok_estimate(mu, Word(x), n, k)
+        with pytest.raises(WordsTooShort):
+            brin_katok_estimate(mu, x, 60, 2)
 
 
 class TestRecurrence:

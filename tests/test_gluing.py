@@ -485,6 +485,12 @@ class TestSharedTailFamily:
             direct = tracking_report(sched, seed=15, checkpoints=cps,
                                      family_word=w)
             assert list(row) == [r.observed for r in direct]
+        # every checkpoint inside the prefix: no tail window is read
+        report = family_tracking_report(sched, fam, seed=15,
+                                        checkpoints=[1, 5, p])
+        for w, row in zip(map(Word, fam), report.rows):
+            oracle = per_point_tracking_report(sched, 15, [1, 5, p], w)
+            assert list(row) == [r.observed for r in oracle]
 
     def test_tail_drawn_once_per_family(self, monkeypatch):
         sched = build_gk_schedule(

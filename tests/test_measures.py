@@ -20,16 +20,17 @@ from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
                              markov_measures, refine_path,
                              sample_word, sample_words_batch,
                              typical_separated_family, weak_star_counts,
-                             weak_star_dist)
+                             weak_star_dist, window_counts)
 from sftlab.shift import SftSpace, Word, delta_separated, word_columns
 
 from dict_empirical import DictEmpiricalMeasure, dict_empirical, freq
 import measure_oracles
-from measure_oracles import (closure_is_ergodic, loop_weak_star_counts,
-                             loop_weak_star_dist, one_draw_sample_word,
+from measure_oracles import (chunked_block_counts, closure_is_ergodic,
+                             loop_weak_star_counts, loop_weak_star_dist,
+                             offset_window_counts, one_draw_sample_word,
                              per_matrix_measure, per_measure_entropy,
                              per_step_sample_word)
-from word_oracles import word_typical_separated_family
+from word_oracles import window_columns, word_typical_separated_family
 
 FULL2 = SftSpace.full_shift(2)
 GOLDEN = SftSpace.golden_mean()
@@ -555,6 +556,94 @@ def all_cylinders(space, depth):
     not."""
     return [c for n in range(1, depth + 1)
             for c in itertools.product(range(space.m), repeat=n)]
+
+
+COUNT_SPACES = [FULL2, GOLDEN, SftSpace([[0, 1, 0], [0, 0, 1], [1, 1, 1]])]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def as_lists(counts):
+    """A {stop: count matrix} dict, or an error text, in plain lists (with
+    each matrix's dtype), so that two outcomes compare with ==."""
+    if isinstance(counts, str):
+        return counts
+    return {k: (v.dtype, v.tolist()) for k, v in counts.items()}
+
+
+class TestOneWindowCounter:
+    """measures.window_counts, the one window counter, against the
+    per-offset scatter loop it replaced, and, for one row, against the
+    shifted-view ranker with one bincount and the block draw's chunked
+    count."""
+
+    def draw_case(self, data, admissible):
+        space = data.draw(st.sampled_from(COUNT_SPACES))
+        depth = data.draw(st.integers(1, 4))
+        length = data.draw(st.integers(depth, 40))
+        count = data.draw(st.sampled_from([1, data.draw(st.integers(2, 6))]))
+        if admissible:
+            rows = sample_words_batch(random_markov(data.draw, space), length,
+                                      count, seed=data.draw(st.integers(0, 99)))
+            rows = rows.astype(data.draw(st.sampled_from([np.uint8, np.int64])))
+        else:  # -1 and m lie outside the alphabet
+            rows = np.array(data.draw(st.lists(
+                st.lists(st.integers(-1, space.m), min_size=length,
+                         max_size=length), min_size=count, max_size=count)))
+        windows = length - depth + 1
+        stops = data.draw(st.lists(st.integers(0, windows), max_size=4))
+        stops += data.draw(st.lists(st.sampled_from([0, windows]),
+                                    min_size=1, max_size=3))
+        return space, rows, depth, stops, windows
+
+    def check(self, data, admissible):
+        space, rows, depth, stops, windows = self.draw_case(data, admissible)
+        chunk = data.draw(st.sampled_from([1, 3, 7, measures._COUNT_WINDOWS]))
+        with mock.patch.object(measures, "_COUNT_WINDOWS", chunk):
+            got = as_lists(outcome(window_counts, space, rows, depth, stops))
+        assert got == as_lists(
+            outcome(offset_window_counts, space, rows, depth, stops))
+        if len(rows) == 1 and windows in stops:
+            ranked = outcome(window_columns, space, rows[0], depth)
+            block = outcome(chunked_block_counts, space, rows[0], depth, chunk)
+            if isinstance(got, str):
+                assert got == ranked == block
+            else:
+                words = len(space.word_table(depth))
+                assert got[windows][1] == [np.bincount(
+                    ranked, minlength=words).tolist()] == [block.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_old_counters(self, data):
+        self.check(data, admissible=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bad_windows_raise_the_old_text(self, data):
+        self.check(data, admissible=False)
+
+    def test_names_forbidden_window_and_foreign_symbol(self):
+        # offset first, then row, as the per-offset loop met them: row 1's
+        # (1, 1) at offset 0 comes before row 0's (0, 2) at offset 2
+        rows = np.array([[0, 1, 0, 2, 0, 0], [1, 1, 0, 0, 1, 0]])
+        with pytest.raises(ValueError, match=r"window \(1, 1\) is not an "
+                                             r"admissible 2-word$"):
+            window_counts(GOLDEN, rows, 2, [5])
+        with pytest.raises(ValueError, match=r"window \(0, 2\) is not an "
+                                             r"admissible 2-word$"):
+            window_counts(GOLDEN, np.array([[0, 1, 0, 2]]), 2, [3])
+
+    @pytest.mark.parametrize("stops", [[], [-1], [6], [0, 6]])
+    def test_stops_outside_the_windows_raise(self, stops):
+        with pytest.raises(ValueError, match=r"stops must lie in \[0, 5\]"):
+            window_counts(FULL2, np.zeros((2, 6), dtype=np.uint8), 2, stops)
 
 
 class TestCountRowEmpirical:

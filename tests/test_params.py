@@ -174,3 +174,12 @@ def test_meta_records_the_effective_params(tmp_path):
         "karp_oracle": {"count": 4},
         "pressure_identities": {},
         "thm1_2_packing_tree": {"depth": 1, "stage_len": 12}}
+
+
+def test_family_target_is_the_one_the_family_aims_for():
+    # at eta = 2 the entropy bound e^{n (h - eta)} rounds to 0, and the
+    # family still aims for (and keeps) one row
+    result = run_experiment("prop3_1_family", 7, {"eta": 2.0})
+    assert result.details["size"] == result.details["target"] == 1
+    assert result.passed
+    assert result.tables["family_sizes.csv"][1].endswith(",1,1")

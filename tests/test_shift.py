@@ -19,7 +19,8 @@ from sftlab.shift import (GluedRows, Periodic, SftSpace, SymbolStream, Word,
                           separated_count)
 
 from word_oracles import (PerSymbolStream, count_words_loop, iglue,
-                          primitive_spaces, set_separated_count)
+                          primitive_spaces, set_separated_count, tuple_dist,
+                          tuple_hamming)
 
 
 FULL2 = SftSpace.full_shift(2)
@@ -180,6 +181,42 @@ class TestDist:
         for _ in range(300):
             x, y, z = (Word(rng.integers(0, 2, 12).tolist()) for _ in range(3))
             assert dist(x, z) <= max(dist(x, y), dist(y, z)) + 1e-15
+
+
+class TestSymbolArrays:
+    """dist, hamming and delta_separated take a word or a 1-d symbol array
+    (a family row, a sample_word draw) and give a word's result for its
+    array, equal to the tuple walks they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2), max_size=12),
+           st.lists(st.integers(0, 2), max_size=12), st.integers(0, 12),
+           st.integers(-1, 13), st.floats(0.0, 1.0))
+    def test_arrays_equal_their_words(self, xs, tail, keep, n, delta):
+        ys = xs[:keep] + tail  # a shared prefix, then anything
+        wx, wy = Word(xs), Word(ys)
+        pairs = [(wx, wy), (np.array(xs, dtype=np.uint8), np.array(ys)),
+                 (wx, np.array(ys, dtype=np.uint8))]
+        want = tuple_dist(wx, wy)
+        assert all(dist(x, y) == want for x, y in pairs)
+        if len(xs) < n or len(ys) < n:
+            for x, y in pairs:
+                with pytest.raises(WordsTooShort):
+                    hamming(x, y, n)
+            return
+        want = tuple_hamming(wx, wy, n)
+        for x, y in pairs:
+            assert hamming(x, y, n) == want and type(hamming(x, y, n)) is int
+            assert delta_separated(x, y, n, delta) == (want >= delta * n)
+
+    def test_family_rows(self):
+        mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
+        fam = typical_separated_family(mu, 12, 0.25, 0.5, 7)
+        x, y = fam[0], fam[1]
+        assert isinstance(x, np.ndarray) and x.dtype == np.uint8
+        assert dist(x, y) == dist(Word(x), Word(y))
+        assert hamming(x, y, 12) == hamming(Word(x), Word(y), 12)
+        assert delta_separated(x, y, 12, 0.25)
 
 
 class TestSeparation:

@@ -8,7 +8,11 @@ per-symbol stream, the ``iglue`` walk that glued streams and words before
 ``shift.GluedRows`` (and its use per two-orbit member), the set-of-tuples
 separated count, the list-of-``Word`` typical family and the exponents
 ranked over all windows at once.  The set-of-tuples check that a tour
-covers every word.  And the random spaces the properties draw from."""
+covers every word.  The window ranker that gathered every window of a 1-d
+array from shifted views through a ``window_at`` callback, before
+``word_columns`` over a sliding view replaced it.  The tuple walks of
+``dist`` and ``hamming``, which took only words.  And the random spaces
+the properties draw from."""
 import itertools
 import math
 import threading
@@ -22,7 +26,8 @@ from sftlab.cocycle import periodic_exponent
 from sftlab.errors import OrbitsNotDisjoint, ShortFamily, WordsTooShort
 from sftlab.measures import (_batch_weak_star, ks_entropy,
                              sample_words_batch)
-from sftlab.shift import SftSpace, Word, connector, dist, word_columns
+from sftlab.shift import (SftSpace, Word, _rank_sums, connector, dist,
+                          word_columns)
 
 
 @st.composite
@@ -269,3 +274,57 @@ def unchunked_exponents_along(c, rows, n, cadence=32):
             P = P / norms[:, None, None]
     norms = np.linalg.norm(P, 2, axis=(1, 2)).tolist()
     return [(a + math.log(v)) / n for a, v in zip(acc, norms)]
+
+
+def column_ranks(space, symbols, columns, window_at):
+    """The count rank of each window whose i-th symbols are columns[i],
+    views of the array symbols, as ``shift._column_ranks`` gathered them;
+    ValueError names ``window_at`` of the first window (in C order) that is
+    not an admissible word."""
+    L, m = len(columns), space.m
+    K = len(space.word_table(L))
+    ranks = space._word_cache[L][1]
+    try:
+        if symbols.dtype.kind == "i" and symbols.size and symbols.min() < 0:
+            raise IndexError("negative symbol")  # a gather would wrap it
+        cols = _rank_sums(ranks, columns)
+        if not cols.size or cols.max() < K:
+            return cols
+        bad = cols >= K
+    except IndexError:  # a symbol outside the alphabet
+        cols = _rank_sums(ranks, [np.clip(c, 0, m - 1) for c in columns])
+        bad = cols >= K
+        for c in columns:
+            bad |= (c < 0) | (c >= m)
+    window = window_at(np.unravel_index(bad.argmax(), bad.shape))
+    raise ValueError(f"window {tuple(window.tolist())} is not an "
+                     f"admissible {L}-word")
+
+
+def window_columns(space, x, length):
+    """``shift.window_columns``: the word-table rows of every length-window
+    of a 1-d symbol array, in order, gathered from ``length`` shifted views
+    of x; ValueError when x is shorter than one window or a window is not
+    admissible."""
+    x = np.asarray(x)
+    count = len(x) - length + 1
+    if length < 1 or count < 1:
+        raise ValueError(f"no {length}-window in {len(x)} symbols")
+    return column_ranks(space, x, [x[i:i + count] for i in range(length)],
+                        lambda at: x[at[0]:at[0] + length])
+
+
+def tuple_dist(x, y):
+    """shift.dist as it walked the two Words' symbol tuples."""
+    n = min(len(x), len(y))
+    for t in range(n):
+        if x.symbols[t] != y.symbols[t]:
+            return 2.0 ** (-t)
+    return 0.0 if len(x) == len(y) else 2.0 ** (-n)
+
+
+def tuple_hamming(x, y, n):
+    """shift.hamming as it counted mismatches of two Words' tuples."""
+    if len(x) < n or len(y) < n:
+        raise WordsTooShort(f"need length >= {n}")
+    return sum(1 for j in range(n) if x.symbols[j] != y.symbols[j])
