@@ -223,15 +223,7 @@ class Dc1Report:
         return self.verdict == "DC1-consistent"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "t0": self.t0,
-            "checkpoints": list(self.checkpoints),
-            "phi_t0": list(self.phi_t0),
-            "grid": list(self.grid),
-            "phi_grid": {str(t): list(v) for t, v in self.phi_grid.items()},
-            "verdict": self.verdict,
-            "distal_consistent": self.distal_consistent,
-        })
+        return json.dumps(vars(self))
 
 
 def dc1_report(x: Orbit, y: Orbit, t0: float, t_grid: Sequence[float],
@@ -287,15 +279,7 @@ class LiYorkeReport:
         return self.verdict == "LiYorke-consistent"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "checkpoints": list(self.checkpoints),
-            "running_min": list(self.running_min),
-            "running_max": list(self.running_max),
-            "segment_min": list(self.segment_min),
-            "segment_max": list(self.segment_max),
-            "verdict": self.verdict,
-            "distal_consistent": self.distal_consistent,
-        })
+        return json.dumps(vars(self))
 
 
 def li_yorke_report(x: Orbit, y: Orbit, checkpoints: Sequence[int],

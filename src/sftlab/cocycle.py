@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SingularProduct
-from .measures import MarkovMeasure, sample_word
+from .measures import MarkovMeasure, family_target, sample_word
 from .shift import (SftSpace, Word, _symbols, by_word_row, check_rows,
                     glue_rows, glue_spans, topological_entropy, word_columns)
 
@@ -62,21 +62,14 @@ class MatrixCocycle:
                            for a, d in diags.items()})
 
     def to_json(self) -> str:
-        return json.dumps({
-            "d": self.d,
-            "depth": self.depth,
-            "generators": {Word(k).to_text(): M.tolist()
-                           for k, M in self.generators.items()},
-        })
+        return json.dumps({"depth": self.depth, "generators": {
+            Word(k).to_text(): M.tolist() for k, M in self.generators.items()}})
 
     @classmethod
     def from_json(cls, space: SftSpace, text: str) -> "MatrixCocycle":
         data = json.loads(text)
-        gens = {Word.from_text(k).symbols: v for k, v in data["generators"].items()}
-        c = cls(space, gens, depth=data.get("depth", 1))
-        if c.d != data["d"]:
-            raise ValueError("inconsistent dimension in JSON")
-        return c
+        return cls(space, {Word.from_text(k).symbols: M for k, M
+                           in data["generators"].items()}, data["depth"])
 
 
 # --------------------------- exponents ---------------------------
@@ -231,17 +224,9 @@ class LyapunovFamilyReport:
         return all(d <= self.prefix_bound + 1e-12 for d in self.deviations)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "prefix_len": self.prefix_len,
-            "horizon": self.horizon,
-            "reference_exponent": self.reference_exponent,
-            "tail_exponent": self.tail_exponent,
-            "prefix_bound": self.prefix_bound,
-            "family_size": self.family_size,
-            "target_size": self.target_size,
-            "exponents": list(self.exponents),
-            "deviations": list(self.deviations),
-        })
+        """Every field but the member rows."""
+        return json.dumps({k: v for k, v in vars(self).items()
+                           if k != "members"})
 
 
 def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
@@ -263,7 +248,7 @@ def emit_lyapunov_family(c: MatrixCocycle, space: SftSpace, mu: MarkovMeasure,
     dtype = space.symbol_dtype
     family = (space.word_table(N).astype(dtype) if N
               else np.empty((1, 0), dtype=dtype))
-    target = max(1, math.ceil(math.exp(N * (topological_entropy(space) - eta)) - 1e-9))
+    target = family_target(N, topological_entropy(space), eta)
     anchor = anchor or Word(())
     prefix_len = glue_spans((len(anchor), N, tail_len), gap)[-1][0]
     horizon = prefix_len + tail_len

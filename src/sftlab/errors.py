@@ -75,7 +75,8 @@ class SingularProduct(SftLabError):
 
 
 class MalformedSchedule(SftLabError):
-    """A serialized schedule's blocks do not pair measures with tours."""
+    """A schedule has no stages or an empty last stage, or a schedule
+    record lacks a field or holds one that cannot be read."""
 
 
 class MalformedTree(SftLabError):

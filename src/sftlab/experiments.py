@@ -244,7 +244,7 @@ def prop3_1_family(seed: int, *, n: int = 18, eta: float = 0.3,
     space = SftSpace.full_shift(2)
     mu = MarkovMeasure.bernoulli(space, [0.5, 0.5])
     fam = measures.typical_separated_family(mu, n, delta, eta, seed=seed)
-    target = max(1, math.ceil(math.exp(n * (ks_entropy(mu) - eta)) - 1e-9))
+    target = measures.family_target(n, ks_entropy(mu), eta)
     cap = min(len(fam), 400)
     too_close = hamming_matrix(fam[:cap], n) < delta * n
     pairwise_ok = not np.triu(too_close, 1).any()

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -215,85 +216,43 @@ class GluingSchedule:
     # -- serialization --
 
     def to_json(self) -> str:
-        blocks = []
-        if self.anchor is not None:
-            blocks.append({"kind": "anchor", "word": self.anchor.to_text()})
-        if self.family_len:
-            blocks.append({"kind": "family", "length": self.family_len,
-                           "entropy": self.family_entropy, "eta": self.family_eta})
-        for st in self.stages:
-            blocks.append({"kind": "measure", "n": st.n, "reps": st.reps,
-                           "measure": json.loads(st.alpha.to_json())})
-            blocks.append({"kind": "tour", "depth": st.depth,
-                           "word": None if st.tour is None else st.tour.to_text()})
+        """One record: the space, gap, checking depth, anchor and family
+        slot, then one record per stage holding every Stage field."""
+        def text(word):
+            return None if word is None else word.to_text()
+
         return json.dumps({
-            "space": json.loads(self.space.to_json()),
-            "gap": self.gap,
-            "check_depth": self.check_depth,
-            "blocks": blocks,
-            "params": {
-                "zeta": [st.zeta for st in self.stages],
-                "eps": [st.eps for st in self.stages],
-                "n": [st.n for st in self.stages],
-                "reps": [st.reps for st in self.stages],
-                "tour_len": [st.tour_len() for st in self.stages],
-            },
-        })
+            "space": json.loads(self.space.to_json()), "gap": self.gap,
+            "check_depth": self.check_depth, "anchor": text(self.anchor),
+            "family": [self.family_len, self.family_entropy, self.family_eta],
+            "stages": [{**vars(st), "alpha": json.loads(st.alpha.to_json()),
+                        "tour": text(st.tour)} for st in self.stages]})
 
     @classmethod
     def from_json(cls, text: str) -> "GluingSchedule":
-        """Load a schedule written by :meth:`to_json`; the result must pass
-        :func:`validate_schedule`, else InfeasibleParams names the first
-        failing check."""
-        data = json.loads(text)
-        space = SftSpace(data["space"]["transition"])
-        anchor = None
-        family: dict = {}
-        pairs: list[tuple[dict, dict]] = []  # (measure block, tour block)
-        pending: Optional[tuple[int, dict]] = None
-        for i, blk in enumerate(data["blocks"]):
-            kind = blk["kind"]
-            if kind == "anchor":
-                anchor = space.parse(blk["word"])
-            elif kind == "family":
-                family = blk
-            elif kind == "measure":
-                if pending is not None:
-                    break  # the pending measure has no tour: named below
-                pending = (i, blk)
-            elif kind == "tour":
-                if pending is None:
-                    raise MalformedSchedule(
-                        f"tour block {i} (depth {blk['depth']}) has no "
-                        f"measure block before it")
-                pairs.append((pending[1], blk))
-                pending = None
-            else:
-                raise MalformedSchedule(f"block {i} has unknown kind {kind!r}")
-        if pending is not None:
-            raise MalformedSchedule(
-                f"measure block {pending[0]} has no tour block after it")
-        zetas = data.get("params", {}).get("zeta", [])
-        epss = data.get("params", {}).get("eps", [])
-        if min(len(zetas), len(epss)) < len(pairs):
-            raise MalformedSchedule(
-                f"params give {len(zetas)} zeta and {len(epss)} eps values "
-                f"for {len(pairs)} stages")
-        stages = [Stage(alpha=MarkovMeasure(space, m["measure"]["stochastic"],
-                                            m["measure"]["stationary"]),
-                        n=m["n"], reps=m["reps"],
-                        tour=None if t["word"] is None else space.parse(t["word"]),
-                        zeta=zeta, eps=eps, depth=t["depth"])
-                  for (m, t), zeta, eps in zip(pairs, zetas, epss)]
-        sched = cls(space=space, stages=stages, anchor=anchor,
-                    family_len=family.get("length", 0),
-                    family_entropy=family.get("entropy"),
-                    family_eta=family.get("eta"),
-                    check_depth=data["check_depth"], gap=data["gap"])
-        failures = validate_schedule(sched).failures()
-        if failures:
-            raise _infeasible(failures[0])
-        return sched
+        """Load a record written by :meth:`to_json`: MalformedSchedule names
+        a field that is missing or cannot be read, InfeasibleParams the
+        first check of :func:`validate_schedule` that fails."""
+        record = json.loads(text)
+
+        def read(field: str, convert: Callable):
+            try:
+                return convert(record[field])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedSchedule(f"schedule field {field!r}: {exc!r}")
+
+        def word(t):
+            return None if t is None else space.parse(t)
+
+        space = read("space", lambda r: SftSpace.from_json(json.dumps(r)))
+        stages = read("stages", lambda records: [Stage(**{
+            **r, "alpha": MarkovMeasure.from_json(space, json.dumps(r["alpha"])),
+            "tour": word(r["tour"])}) for r in records])
+        family = read("family", lambda f: dict(zip(
+            ("family_len", "family_entropy", "family_eta"), f, strict=True)))
+        return _feasible(cls(space, stages, read("anchor", word), **family,
+                             check_depth=read("check_depth", operator.index),
+                             gap=read("gap", operator.index)))
 
 
 # --------------------------- validation ---------------------------
@@ -382,9 +341,13 @@ def check_budgets(budgets: Sequence[StageBudget], start: int,
     return entries
 
 
-def _infeasible(e: CheckEntry) -> InfeasibleParams:
-    where = "" if e.stage is None else f" at stage {e.stage}"
-    return InfeasibleParams(f"{e.name}{where}: lhs={e.lhs} rhs={e.rhs}")
+def _feasible(s: GluingSchedule) -> GluingSchedule:
+    """The schedule, if it passes :func:`validate_schedule`; else
+    InfeasibleParams names the first failing check with both sides."""
+    for e in validate_schedule(s).failures():
+        where = "" if e.stage is None else f" at stage {e.stage}"
+        raise InfeasibleParams(f"{e.name}{where}: lhs={e.lhs} rhs={e.rhs}")
+    return s
 
 
 def validate_schedule(s: GluingSchedule) -> ValidationReport:
@@ -779,14 +742,10 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
         past = dominated = end_at(N)
         reps_prev = N
 
-    sched = GluingSchedule(
+    return _feasible(GluingSchedule(
         space=space, stages=built, anchor=anchor, family_len=family_len,
         family_entropy=family_entropy, family_eta=family_eta,
-        check_depth=check_depth, gap=gap)
-    failures = validate_schedule(sched).failures()
-    if failures:
-        raise _infeasible(failures[0])
-    return sched
+        check_depth=check_depth, gap=gap))
 
 
 # --------------------------- branching trees ---------------------------
@@ -957,7 +916,7 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
     ws = list(weights) if weights is not None else [Fraction(1, p)] * p
     if sum(ws) != 1:
         raise ValueError("component weights must sum to 1")
-    h_star = K.sup_entropy() - eta
+    h_star = K.max_checkpoint_entropy() - eta
     zetas = [eta * (0.75 ** s) for s in range(1, depth + 1)]
 
     lens = [int(w * stage_len) for w in ws]
@@ -973,7 +932,7 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
     stages: list[TreeStage] = []
     for s_idx in range(depth):
         comps_built = []
-        option_parts: list[tuple[Word, ...]] = []
+        option_parts: list[np.ndarray] = []  # each component's word rows
         for c_idx, (mu, a, l) in enumerate(zip(comps, ws, lens)):
             t_i = max(2, math.ceil(product_target ** float(a)))
             h_i = ks_entropy(mu)
@@ -985,14 +944,19 @@ def build_branch_tree(space: SftSpace, K: MeasurePath, eta: float, depth: int,
             fam = typical_separated_family(
                 mu, l, delta, eta_i, seed=_mix(seed, s_idx, c_idx),
                 typical_tol=max(eta_i, 0.2))
-            words = tuple(map(Word, fam[:t_i].tolist()))  # the rows glued
-            comps_built.append(TreeComponent(a, mu, words))
-            option_parts.append(words)
-        options = [glue(space, combo, gap)
-                   for combo in itertools.product(*option_parts)]
+            comps_built.append(
+                TreeComponent(a, mu, tuple(map(Word, fam[:t_i].tolist()))))
+            option_parts.append(fam[:t_i])
+        # the options in itertools.product order of the component words,
+        # glued as one member array
+        counts = [len(rows) for rows in option_parts]
+        index = np.arange(math.prod(counts))
+        picks = [rows[d] for rows, d in
+                 zip(option_parts, np.unravel_index(index, counts))]
+        options = glue_rows(space, picks, len(index), gap)
         stages.append(TreeStage(n=stage_len, zeta=zetas[s_idx],
                                 components=tuple(comps_built),
-                                options=tuple(options)))
+                                options=tuple(map(Word, options.tolist()))))
     tree = BranchTree(space=space, gap=gap, eta=eta, h_star=h_star,
                       stages=tuple(stages))
     report = tree.mass_bound_report()

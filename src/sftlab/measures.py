@@ -662,6 +662,13 @@ class _Packing:
         return probe
 
 
+def family_target(n: int, h: float, eta: float) -> int:
+    """The size max(1, ceil(e^{n (h - eta)})) a separated family of n-words
+    at entropy h and slack eta is built to, the ceiling forgiving
+    rounding."""
+    return max(1, math.ceil(math.exp(n * (h - eta)) - 1e-9))
+
+
 def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float,
                              seed: int, typical_tol: Optional[float] = None,
                              typical_depth: int = 2,
@@ -696,8 +703,7 @@ def typical_separated_family(mu: MarkovMeasure, n: int, delta: float, eta: float
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     space = mu.space
-    h = ks_entropy(mu)
-    target = max(1, math.ceil(math.exp(n * (h - eta)) - 1e-9))
+    target = family_target(n, ks_entropy(mu), eta)
     if target > 1 and space.m >= 2:
         # Gilbert-Varshamov style room: delta too large relative to eta leaves
         # no space for the greedy packing.
@@ -772,24 +778,20 @@ class MeasurePath:
         i = min(int(math.floor(x)), len(self.checkpoints) - 2)
         return interpolate(self.checkpoints[i], self.checkpoints[i + 1], x - i)
 
-    def sup_entropy(self) -> float:
+    def max_checkpoint_entropy(self) -> float:
+        """The largest entropy of a checkpoint.  This is not the sup over
+        the path: an interpolated measure can have more entropy than both
+        of its ends."""
         return max(ks_entropy(cp) for cp in self.checkpoints)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "checkpoints": [json.loads(cp.to_json()) for cp in self.checkpoints],
-            "interpolation": "convex",
-        })
+        return json.dumps({"checkpoints": [json.loads(cp.to_json())
+                                           for cp in self.checkpoints]})
 
     @classmethod
     def from_json(cls, space: SftSpace, text: str) -> "MeasurePath":
-        data = json.loads(text)
-        if data.get("interpolation", "convex") != "convex":
-            raise ValueError("only convex interpolation is supported")
-        return cls([
-            MarkovMeasure(space, cp["stochastic"], cp["stationary"])
-            for cp in data["checkpoints"]
-        ])
+        return cls([MarkovMeasure.from_json(space, json.dumps(cp))
+                    for cp in json.loads(text)["checkpoints"]])
 
 
 def refine_path(path: MeasurePath, stage: int) -> list[MarkovMeasure]:

@@ -226,15 +226,11 @@ class SftSpace:
     # -- serialization --
 
     def to_json(self) -> str:
-        return json.dumps({"m": self.m, "transition": self.transition.tolist()})
+        return json.dumps({"transition": self.transition.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "SftSpace":
-        data = json.loads(text)
-        space = cls(data["transition"])
-        if space.m != data["m"]:
-            raise ValueError("inconsistent alphabet size in JSON")
-        return space
+        return cls(json.loads(text)["transition"])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SftSpace) and np.array_equal(
@@ -404,6 +400,13 @@ class BlockGraph:
         return len(self.space.word_table(self.ell))
 
     def block_space(self) -> SftSpace:
+        """The graph as a one-step space on its nodes, built once per graph,
+        so its word tables and caches are shared; at ell = 1 the space
+        itself."""
+        return self._block_space
+
+    @cached_property
+    def _block_space(self) -> SftSpace:
         if self.ell == 1:
             return self.space
         A = np.zeros((self.n_nodes(), self.n_nodes()), dtype=np.int64)

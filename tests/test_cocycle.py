@@ -14,7 +14,7 @@ from sftlab.cocycle import (MatrixCocycle, _cyclic_words, emit_lyapunov_family,
                             exponent_along, exponent_bracket,
                             exponents_along, periodic_exponent)
 from sftlab.errors import NotPrimitive
-from sftlab.measures import MarkovMeasure, sample_word
+from sftlab.measures import MarkovMeasure, family_target, sample_word
 from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
 
 from word_oracles import (cyclic_words_filter, dfs_exponent_bracket,
@@ -202,7 +202,8 @@ class TestLyapunovFamily:
         report = emit_lyapunov_family(c, FULL2, mu, anchor, N=8, seed=3,
                                       eta=0.1, tail_len=256)
         assert report.family_size == 2 ** 8
-        assert report.family_size >= report.target_size
+        assert report.family_size >= report.target_size == \
+            family_target(8, math.log(2), 0.1)
         assert report.members.shape == (2 ** 8, report.horizon)
         assert not report.members.flags.writeable
         for w in report.members:

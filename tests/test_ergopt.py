@@ -600,6 +600,14 @@ class TestEquilibrium:
             assert equilibrium_residuals(space, fs) == per_row_residuals(
                 space, fs)
 
+    def test_block_space_built_once_per_graph(self):
+        graph = block_graph(FULL2, 2)
+        assert graph.block_space() is graph.block_space()
+        assert block_graph(FULL2, 1).block_space() is FULL2
+        f, g = (random_potential(FULL2, 3, seed=s) for s in (1, 2))
+        assert equilibrium_state(FULL2, f).space is \
+            equilibrium_state(FULL2, g).space is graph.block_space()
+
     def test_depth3_batch_shares_one_block_space(self):
         fs = [random_potential(FULL2, 3, seed=90 + i, integer=False,
                                low=-2, high=2) for i in range(5)]

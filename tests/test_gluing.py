@@ -125,22 +125,13 @@ class TestScheduleBasics:
         w2 = emit_point(again, seed=9, family_word=Word("010101")).materialize(200)
         assert Word(w1) == Word(w2)
 
-    def test_json_orphan_tour_named(self):
-        sched = build_gk_schedule(FULL2, B05, stages=2)
-        data = json.loads(sched.to_json())
-        assert [b["kind"] for b in data["blocks"]] == [
-            "measure", "tour", "measure", "tour"]
-        del data["blocks"][2]
-        with pytest.raises(MalformedSchedule, match="tour block 2 "):
-            GluingSchedule.from_json(json.dumps(data))
-
     def test_json_lowered_reps_rejected_on_load(self):
         sched = build_gk_schedule(FULL2, B05, stages=2)
         lowered = GluingSchedule(space=FULL2, stages=[
             sched.stages[0], dataclasses.replace(sched.stages[1], reps=1)])
         first = validate_schedule(lowered).failures()[0]
         data = json.loads(sched.to_json())
-        data["blocks"][2]["reps"] = 1
+        data["stages"][1]["reps"] = 1
         message = (f"{first.name} at stage {first.stage}: "
                    f"lhs={first.lhs} rhs={first.rhs}")
         with pytest.raises(InfeasibleParams, match=re.escape(message)):
@@ -775,37 +766,47 @@ class TestScheduleInputs:
     def load(self, data):
         return GluingSchedule.from_json(json.dumps(data))
 
-    def test_short_params_named(self):
+    def test_record_is_a_list_of_stage_records(self):
+        data = self.data(anchor=FULL2.parse("01"))
+        assert list(data) == ["space", "gap", "check_depth", "anchor",
+                              "family", "stages"]
+        assert data["anchor"] == "01" and data["family"] == [0, None, None]
+        assert [list(st) for st in data["stages"]] == 2 * [
+            ["alpha", "n", "reps", "tour", "zeta", "eps", "depth"]]
+
+    @pytest.mark.parametrize("field", ["space", "gap", "check_depth",
+                                       "anchor", "family", "stages"])
+    def test_missing_field_named(self, field):
         data = self.data()
-        data["params"]["eps"].pop()
-        with pytest.raises(MalformedSchedule,
-                           match="2 zeta and 1 eps values for 2 stages"):
+        del data[field]
+        with pytest.raises(MalformedSchedule, match=(
+                f"^schedule field '{field}': KeyError\\('{field}'\\)$")):
             self.load(data)
 
-    def test_missing_params_named(self):
+    @pytest.mark.parametrize("key", ["alpha", "n", "tour", "zeta", "depth"])
+    def test_missing_stage_field_named(self, key):
         data = self.data()
-        del data["params"]
+        del data["stages"][1][key]
         with pytest.raises(MalformedSchedule,
-                           match="0 zeta and 0 eps values for 2 stages"):
+                           match=f"^schedule field 'stages': .*'{key}'"):
             self.load(data)
 
-    def test_unknown_kind_named(self):
+    @pytest.mark.parametrize("stages", [5, None, "stages", {"n": 4}])
+    def test_non_list_stages_named(self, stages):
         data = self.data()
-        data["blocks"].insert(1, {"kind": "excursion"})
+        data["stages"] = stages
         with pytest.raises(MalformedSchedule,
-                           match="block 1 has unknown kind 'excursion'"):
+                           match="^schedule field 'stages': TypeError"):
             self.load(data)
 
-    def test_measure_without_tour_named(self):
+    @pytest.mark.parametrize("field, value", [
+        ("gap", "1"), ("check_depth", 2.0), ("family", [0, None]),
+        ("anchor", 7), ("space", [[1, 1], [1, 1]])])
+    def test_mistyped_field_named(self, field, value):
         data = self.data()
-        del data["blocks"][3]
+        data[field] = value
         with pytest.raises(MalformedSchedule,
-                           match="measure block 2 has no tour block after"):
-            self.load(data)
-        data = self.data()
-        del data["blocks"][1]
-        with pytest.raises(MalformedSchedule,
-                           match="measure block 0 has no tour block after"):
+                           match=f"^schedule field '{field}': "):
             self.load(data)
 
     @pytest.mark.parametrize("kw", [dict(zetas=[0.5, 0.0]),
@@ -851,6 +852,23 @@ class TestBranchTree:
         tree = self.make_tree(2)
         counts = tree.option_counts()
         assert tree.leaf_count() == counts[0] * counts[1]
+
+    @pytest.mark.parametrize("space, K, kw", [
+        (FULL2, MeasurePath([MarkovMeasure.bernoulli(FULL2, [0.7, 0.3]),
+                             MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])]),
+         dict(depth=3, seed=1234, stage_len=12)),
+        (GOLDEN, MeasurePath([MarkovMeasure(GOLDEN, [[0.6, 0.4], [1, 0]]),
+                              MarkovMeasure(GOLDEN, [[0.4, 0.6], [1, 0]])]),
+         dict(depth=2, seed=5, stage_len=18,
+              weights=[Fraction(1, 3), Fraction(2, 3)]))])
+    def test_options_equal_glue_of_each_product(self, space, K, kw):
+        # one glue_rows call per stage against one glue per combination,
+        # with bridges (gap 2) and unequal component counts (3 and 8)
+        tree = build_branch_tree(space, K, eta=0.1, **kw)
+        for st in tree.stages:
+            words = [c.words for c in st.components]
+            assert st.options == tuple(glue(space, combo, tree.gap)
+                                       for combo in itertools.product(*words))
 
     def test_leaves_admissible(self):
         tree = self.make_tree(2)

@@ -944,6 +944,12 @@ class TestTypicalFamily:
                                          typical_depth=depth)
         draw.assert_not_called()
 
+    def test_family_target_rule(self):
+        assert measures.family_target(3, math.log(2), 0.0) == 8
+        assert measures.family_target(18, math.log(2), 0.3) == 1184
+        assert measures.family_target(18, math.log(2), 2.0) == 1
+        assert measures.family_target(12, 0.0, 0.1) == 1
+
     def test_point_mass_gives_singleton(self):
         mu = MarkovMeasure.periodic_orbit(FULL2, Word("0"))
         fam = typical_separated_family(mu, 12, 0.05, 0.1, seed=1)
@@ -1098,6 +1104,16 @@ class TestMeasurePath:
 
             gaps = [max_gap(s) for s in (2, 4, 8)]
             assert gaps[2] <= gaps[1] + 1e-12 <= gaps[0] + 2e-12
+
+    def test_max_checkpoint_entropy_is_not_the_path_sup(self):
+        a = MarkovMeasure.bernoulli(FULL2, [0.7, 0.3])
+        b = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
+        path = MeasurePath([a, b])
+        assert path.max_checkpoint_entropy() == max(ks_entropy(a),
+                                                    ks_entropy(b))
+        # the midpoint is Bernoulli(1/2, 1/2), of entropy log 2
+        assert path.max_checkpoint_entropy() < 0.62 < 0.69 < \
+            ks_entropy(path.at(0.5))
 
     def test_json_round_trip(self):
         a = MarkovMeasure.bernoulli(FULL2, [0.9, 0.1])

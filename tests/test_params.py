@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sftlab import experiments
+from sftlab import experiments, measures
 from sftlab.cli import _normalize, main
 from sftlab.errors import BadParams, InfeasibleParams
 from sftlab.experiments import catalog, resolve_params, run_experiment
@@ -181,5 +181,7 @@ def test_family_target_is_the_one_the_family_aims_for():
     # family still aims for (and keeps) one row
     result = run_experiment("prop3_1_family", 7, {"eta": 2.0})
     assert result.details["size"] == result.details["target"] == 1
+    assert run_experiment("prop3_1_family", 7, {"n": 10}).details[
+        "target"] == measures.family_target(10, math.log(2), 0.3)
     assert result.passed
     assert result.tables["family_sizes.csv"][1].endswith(",1,1")
