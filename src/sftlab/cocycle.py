@@ -14,7 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import SingularProduct
 from .measures import MarkovMeasure, family_target, sample_word
 from .shift import (SftSpace, Word, _symbols, by_word_row, check_rows,
-                    glue_rows, glue_spans, topological_entropy, word_columns)
+                    glue_rows, glue_spans, topological_entropy, word_columns,
+                    words_of_one_length)
 
 
 class MatrixCocycle:
@@ -62,14 +63,14 @@ class MatrixCocycle:
                            for a, d in diags.items()})
 
     def to_json(self) -> str:
-        return json.dumps({"depth": self.depth, "generators": {
+        return json.dumps({"generators": {
             Word(k).to_text(): M.tolist() for k, M in self.generators.items()}})
 
     @classmethod
     def from_json(cls, space: SftSpace, text: str) -> "MatrixCocycle":
-        data = json.loads(text)
-        return cls(space, {Word.from_text(k).symbols: M for k, M
-                           in data["generators"].items()}, data["depth"])
+        depth, generators = words_of_one_length(
+            json.loads(text)["generators"], "generators")
+        return cls(space, generators, depth)
 
 
 # --------------------------- exponents ---------------------------

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import OutsideLf, PerronNotPositive, SpaceMismatch
 from .measures import MarkovMeasure, ks_entropies, markov_measures, rng_from
 from .shift import (BlockGraph, InEdges, SftSpace, Word, _perron, block_graph,
-                    by_word_row, word_columns)
+                    by_word_row, word_columns, words_of_one_length)
 
 # --------------------------- potentials ---------------------------
 
@@ -86,14 +86,13 @@ class Potential:
         return Potential._of(self.space, self.r, self.values + c)
 
     def to_json(self) -> str:
-        return json.dumps({"r": self.r, "table": {
+        return json.dumps({"table": {
             Word(k).to_text(): v for k, v in self.table.items()}})
 
     @classmethod
     def from_json(cls, space: SftSpace, text: str) -> "Potential":
-        data = json.loads(text)
-        return cls(space, data["r"], {Word.from_text(k).symbols: v
-                                      for k, v in data["table"].items()})
+        return cls(space, *words_of_one_length(json.loads(text)["table"],
+                                               "table"))
 
 
 def random_potential(space: SftSpace, r: int, seed: int,

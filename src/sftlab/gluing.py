@@ -42,6 +42,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import measures
 from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
                      OrbitsNotDisjoint, WordsTooShort)
@@ -384,35 +385,64 @@ def _mix(*parts: int) -> int:
     return out
 
 
-def _draw_block(st: Stage, depth: int, stage_idx: int, rep: int,
+def _draw_block(st: Stage, attempt: int, stage_idx: int, rep: int,
                 seed: int) -> np.ndarray:
-    """Sample a block from the stage measure, redrawing until its own
-    empirical measure is within zeta of the source at the checking depth
-    (scored as a one-row batch by ``measures._batch_weak_star``); the block
-    is the read-only symbol array :func:`sample_word` returns."""
-    best_d = math.inf
-    for attempt in range(_BLOCK_ATTEMPTS):
-        x = sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
-        d = _batch_weak_star(st.alpha.space, x[None], st.alpha, depth)[0]
-        if d <= st.zeta:
-            return x
-        best_d = min(best_d, d)
-    raise InfeasibleParams(
-        f"stage {stage_idx}: no draw within zeta={st.zeta} after "
-        f"{_BLOCK_ATTEMPTS} attempts (best {best_d:.4f}); increase the "
-        f"block length or zeta")
+    """Attempt ``attempt`` at rep ``rep``'s block of stage ``stage_idx``:
+    the read-only symbol array :func:`sample_word` draws from the stage
+    measure, a function of (seed, stage_idx, rep, attempt) alone.  One call
+    per attempt; :func:`_stage_blocks` scores the attempts."""
+    return sample_word(st.alpha, st.n, seed=_mix(seed, stage_idx, rep, attempt))
+
+
+def _stage_blocks(st: Stage, depth: int, stage_idx: int,
+                  seed: int) -> Iterator[np.ndarray]:
+    """The accepted blocks of a stage's reps in order: rep r's block is its
+    first attempt whose own empirical measure lies within zeta of the
+    stage measure at the checking depth (a nan score fails).
+
+    Reps are drawn in batches of 1, 2, 4, ... reps, each of at most
+    ``measures._COUNT_WINDOWS`` symbols and at least one block, so a lazy
+    consumer draws at most about twice the blocks it pulls.  A batch's
+    attempts are scored together, one ``measures._batch_weak_star`` call
+    per attempt round, and only the failed reps are redrawn.
+    InfeasibleParams, with the best distance of the first failed rep, when
+    a rep has no accepted attempt within ``_BLOCK_ATTEMPTS``."""
+    space, size, lo = st.alpha.space, 1, 0
+    while lo < st.reps:
+        hi = min(lo + size, lo + max(measures._COUNT_WINDOWS // st.n, 1),
+                 st.reps)
+        out, todo = {}, range(lo, hi)
+        best = dict.fromkeys(todo, math.inf)
+        for attempt in range(_BLOCK_ATTEMPTS):
+            drawn = [_draw_block(st, attempt, stage_idx, r, seed)
+                     for r in todo]
+            ds = _batch_weak_star(space, np.stack(drawn), st.alpha, depth)
+            for r, x, d in zip(todo, drawn, ds.tolist()):
+                if d <= st.zeta:
+                    out[r] = x
+                else:
+                    best[r] = min(best[r], d)
+            todo = [r for r in todo if r not in out]
+            if not todo:
+                break
+        else:
+            raise InfeasibleParams(
+                f"stage {stage_idx}: no draw within zeta={st.zeta} after "
+                f"{_BLOCK_ATTEMPTS} attempts (best {best[todo[0]]:.4f}); "
+                f"increase the block length or zeta")
+        yield from (out[r] for r in range(lo, hi))
+        lo, size = hi, 2 * size
 
 
 def _stage_words(s: GluingSchedule,
                  seed: int) -> Iterator[Union[np.ndarray, Word]]:
     """The stage part's blocks (symbol arrays) and tours in order (no
     prologue), infinite and deterministic in seed; blocks are drawn as they
-    are pulled."""
+    are pulled, a batch of reps at a time (:func:`_stage_blocks`)."""
     k = 1
     while True:
         st = s._stage_at(k)
-        for rep in range(st.reps):
-            yield _draw_block(st, s.check_depth, k, rep, seed)
+        yield from _stage_blocks(st, s.check_depth, k, seed)
         if st.tour is not None:
             yield st.tour
         k += 1
@@ -651,6 +681,15 @@ def family_tracking_report(s: GluingSchedule,
 # --------------------------- schedule builder ---------------------------
 
 
+def _stage_end(past: int, n: int, reps: int, tail: Sequence[int],
+               gap: int) -> int:
+    """``glue_spans((past, *[n] * reps, *tail), gap)[-1][1]`` without the
+    list of reps block lengths: every block after the first adds n + gap - 1
+    symbols (n >= 1)."""
+    end = glue_spans((past, *[n] * min(reps, 1), *tail), gap)[-1][1]
+    return end + max(reps - 1, 0) * (n + gap - 1)
+
+
 def _smallest_reps(end_at: Callable[[int], int], reps: int,
                    need: float) -> int:
     """The repetition count a planner takes for a stage: ``reps`` when the
@@ -730,8 +769,7 @@ def build_gk_schedule(space: SftSpace, K: Union[MeasurePath, MarkovMeasure],
     reps_prev = 0
     for k in range(stages):
         def end_at(reps: int) -> int:
-            return glue_spans((past, *[ns[k]] * reps, len(tours[k])),
-                              gap)[-1][1]
+            return _stage_end(past, ns[k], reps, (len(tours[k]),), gap)
 
         need = dominated / zs[k]
         if k + 1 < stages:
@@ -1118,8 +1156,8 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     past = anchor_len
     for k, st in enumerate(shapes, start=1):
         def end_at(reps: int) -> int:
-            return glue_spans((past, *[st.n] * reps, *[ntilde] * k,
-                               st.tour_len()), gap)[-1][1]
+            return _stage_end(past, st.n, reps,
+                              (*[ntilde] * k, st.tour_len()), gap)
 
         N = max(sized[-1].reps + 1 if sized else 1,
                 math.ceil(max(past, 1) / (st.zeta * st.n)))
@@ -1139,7 +1177,7 @@ def emit_chaotic_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
     plan: list[_Piece] = [] if anchor is None else [anchor]
     run_last, excursions, tour_at = [], [], []
     for k, st in enumerate(stages, start=1):
-        plan += [_draw_block(st, L, k, rep, seed) for rep in range(st.reps)]
+        plan += _stage_blocks(st, L, k, seed)
         run_last.append(len(plan) - 1)
         excursions.append(range(len(plan), len(plan) + k))
         plan += [(q, ntilde) for q in range(k)]
@@ -1219,8 +1257,9 @@ def emit_dc1_family(space: SftSpace, mu0: MarkovMeasure, lambda1: Word,
         raise InfeasibleParams(f"horizon {horizon} too short for one run")
 
     # odd stages share one mu0-sampled run, even stages select an orbit
-    plan = [_draw_block(Stage(alpha=mu0, n=n, reps=1, tour=None, zeta=0.25,
-                              eps=0.25, depth=1), check_depth, i + 1, 0, seed)
+    plan = [next(_stage_blocks(Stage(alpha=mu0, n=n, reps=1, tour=None,
+                                     zeta=0.25, eps=0.25, depth=1),
+                               check_depth, i + 1, seed))
             if i % 2 == 0 else (i // 2, n)
             for i, n in enumerate(lengths)]
     kinds = ["shared" if i % 2 == 0 else "selected" for i in range(len(plan))]

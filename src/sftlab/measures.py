@@ -472,11 +472,12 @@ def ks_entropy(mu: MarkovMeasure) -> float:
 _CHAIN_CHUNK = 1 << 16  # steps per successor table in sample_word
 
 
-def _walk(mu: MarkovMeasure
-          ) -> tuple[np.ndarray, list[int], Optional[list[int]]]:
+def _walk(mu: MarkovMeasure) -> tuple[np.ndarray, list[int],
+                                      Optional[list[int]], Optional[int]]:
     """The cut rows :func:`sample_word` searches, the states its chain can
-    visit and, when each of those has one successor, the successor of
-    every state; built at the first draw and cached on the measure.
+    visit, when each of those has one successor the successor of every
+    state, and the one first state or None; built at the first draw and
+    cached on the measure (with ``_cycle_words`` when periodic).
 
     Row a < m is state a's cumulative transition row and row m the
     cumulative stationary vector (the start), each without its last entry,
@@ -493,7 +494,11 @@ def _walk(mu: MarkovMeasure
         visited = np.flatnonzero(_sweep(step[:m], step[m])).tolist()
         then = step[:m].argmax(axis=1).tolist()
         one = (step[visited].sum(axis=1) == 1).all()
-        mu._walk = cuts, visited, then if one else None
+        starts = np.flatnonzero(step[m]).tolist()
+        mu._walk = (cuts, visited, then if one else None,
+                    starts[0] if len(starts) == 1 else None)
+        if one:  # first state: sample_word's last word
+            mu._cycle_words = {}
     return mu._walk
 
 
@@ -506,26 +511,33 @@ def sample_word(mu: MarkovMeasure, n: int, seed: int) -> np.ndarray:
     of the row's first m - 1 cumulative entries at or below u[t].  The
     uniforms are drawn a chunk of steps at a time, the stream one draw of
     n gives.  When every state the walk can visit has one successor (a
-    periodic orbit) no step after the first depends on u, and the word is
-    read off the cycle it enters.  Otherwise one vectorised searchsorted
-    per visitable state tabulates its successors for the chunk; when all
-    those states have the same successors the chunk is read off the table
-    (a Bernoulli measure), else the chain walks the table."""
+    periodic orbit) the word is a function of (n, first state), read off
+    the cycle it enters and kept on the measure: one shared array per first
+    state (no uniform is drawn when that is fixed).  Otherwise one
+    vectorised searchsorted per visitable state tabulates its successors
+    for the chunk; when all those states have the same successors the chunk
+    is read off the table (a Bernoulli measure), else the chain walks the
+    table."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = rng_from(seed)
-    cuts, visited, then = _walk(mu)
+    cuts, visited, then, state = _walk(mu)
+    if then is None or state is None:
+        rng = rng_from(seed)
+        state = int(cuts[-1].searchsorted(rng.random(), "right"))
+    if then is not None and len(mu._cycle_words.get(state, ())) == n:
+        return mu._cycle_words[state]
     x = np.empty(n, dtype=mu.space.symbol_dtype)
-    path = [int(cuts[-1].searchsorted(rng.random(), "right"))]
     if then is not None:
+        path = [state]
         while then[path[-1]] not in path:
             path.append(then[path[-1]])
         j = path.index(then[path[-1]])  # the walk enters the cycle path[j:]
         cycle, rest = np.array(path[j:], dtype=x.dtype), len(x[j:])
         x[:j] = path[:j][:n]
         x[j:] = np.tile(cycle, -(-rest // len(cycle)))[:rest]
+        mu._cycle_words[state] = x
     else:
-        x[0] = state = path[0]
+        x[0] = state
         for lo in range(1, n, _CHAIN_CHUNK):
             chunk = rng.random(min(_CHAIN_CHUNK, n - lo))
             span = slice(lo, lo + len(chunk))

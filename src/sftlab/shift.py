@@ -333,6 +333,21 @@ def word_columns(space: SftSpace, words: np.ndarray) -> np.ndarray:
                      f"admissible {L}-word")
 
 
+def words_of_one_length(record: dict, name: str) -> tuple[int, dict]:
+    """A JSON record keyed by word texts as its words' length and the
+    {symbols: value} mapping; ValueError naming one key of each length when
+    the lengths differ, or for a record with no key."""
+    words = [(k, Word.from_text(k).symbols) for k in record]
+    first: dict[int, str] = {}
+    for k, w in words:
+        first.setdefault(len(w), k)
+    if len(first) != 1:
+        named = ", ".join(f"{k!r} (length {n})" for n, k in first.items())
+        raise ValueError(f"{name} keys must be words of one length, got "
+                         f"{named or 'no key'}")
+    return len(words[0][1]), {w: record[k] for k, w in words}
+
+
 def by_word_row(space: SftSpace, length: int, mapping: dict,
                 name: str) -> list:
     """The values of a {length-word symbols: value} mapping in

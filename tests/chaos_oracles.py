@@ -2,9 +2,10 @@
 stage record with its own budget, the planner that re-planned every stage
 from scratch for each stage count it tried (``simulate``), and the
 emitter's loop with its own memoised bridges and skip-empty rule.  The
-blocks come from ``gluing._draw_block``, as they always did.  Also the
-whole-array gap core that the chunked window stats replaced: one gap array
-per pair (``orbit_gaps``) and the reports read off it."""
+blocks come from ``gluing._stage_blocks``, the stage draw the emitter
+takes, which ``tests/test_gluing.py`` checks against the per-step oracle.
+Also the whole-array gap core that the chunked window stats replaced: one
+gap array per pair (``orbit_gaps``) and the reports read off it."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -227,8 +228,7 @@ def simulated_chaotic_family(space, mu0, lambda1, lambda2, xis, horizon,
     for k, st in enumerate(stages, start=1):
         run = Stage(alpha=mu0, n=st.n, reps=st.reps, tour=st.tour,
                     zeta=st.zeta, eps=st.eps, depth=min(k, max_tour_depth))
-        plan += [gluing._draw_block(run, check_depth, k, rep, seed)
-                 for rep in range(st.reps)]
+        plan += gluing._stage_blocks(run, check_depth, k, seed)
         run_last.append(len(plan) - 1)
         excursions.append(range(len(plan), len(plan) + k))
         plan += [(q, st.ntilde) for q in range(k)]

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -11,10 +12,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sftlab import ergopt, experiments, gluing
+from sftlab import ergopt, experiments, gluing, measures
 from sftlab.analysis import empirical
 from sftlab.chaos import (close_gap, dc1_report, gap_windows,
                           li_yorke_report, orbit_distances, phi_n)
@@ -35,12 +36,13 @@ from sftlab.gluing import (LEAF_ENUMERATION_CAP, BranchTree, ChaoticFamily,
                            member_prefix_len, tracking_bound,
                            tracking_report, validate_schedule)
 from sftlab.measures import (MarkovMeasure, MeasurePath, ks_entropy,
-                             typical_separated_family, weak_star_dist)
+                             sample_word, typical_separated_family,
+                             weak_star_dist)
 from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
 
 from chaos_oracles import bridged_two_orbit, simulated_chaotic_family
 from dict_empirical import DictEmpiricalMeasure
-from measure_oracles import word_draw_block
+from measure_oracles import per_step_sample_word, word_draw_block
 from word_oracles import (contains_all_words, iglue, iglue_two_orbit,
                           orbit_gap_loop)
 
@@ -702,10 +704,7 @@ class TestLayout:
                 per_point_tracking_report(sched, seed, cps, word)
 
     def test_spans_hold_the_emitted_words(self, monkeypatch):
-        blocks = {}
-        draw = gluing._draw_block
-        monkeypatch.setattr(gluing, "_draw_block",
-                            lambda *a: blocks.setdefault(a[2:4], draw(*a)))
+        blocks = recorded_blocks(monkeypatch)
         tour = dense_tour(GOLDEN, 2)
         sched = GluingSchedule(space=GOLDEN, anchor=Word("010"), family_len=3,
                                stages=[
@@ -1179,10 +1178,7 @@ class TestChaoticFamily:
 
     @pytest.mark.parametrize("anchor", [None, Word("010"), Word(())])
     def test_golden_mean_positions_match_members(self, anchor, monkeypatch):
-        blocks = {}
-        draw = gluing._draw_block
-        monkeypatch.setattr(gluing, "_draw_block",
-                            lambda *a: blocks.setdefault(a[2:4], draw(*a)))
+        blocks = recorded_blocks(monkeypatch)
         orbits = (Word("0"), Word("01"))
         xis = [(1, 2, 1), (2, 1, 1)]
         fam = emit_chaotic_family(GOLDEN, parry(GOLDEN), *orbits, xis, 6000,
@@ -1276,23 +1272,83 @@ def two_orbit_cases(draw, orbit_pairs=TWO_ORBITS):
     return space, orbits, xis, plan, draw(st.integers(0, total + 3))
 
 
-def recorded_draws(monkeypatch, run):
-    """The arguments of every _draw_block call that run() makes."""
-    calls = []
-    draw = gluing._draw_block
-    monkeypatch.setattr(gluing, "_draw_block",
-                        lambda *a: calls.append(a) or draw(*a))
-    run()
-    monkeypatch.setattr(gluing, "_draw_block", draw)
+def recorded_stages(run):
+    """The arguments of every stage generator call that run() makes, each
+    with the blocks its caller pulled."""
+    calls, stage = [], gluing._stage_blocks
+
+    def recording(*args):
+        calls.append((args, pulled := []))
+        for x in stage(*args):
+            pulled.append(x)
+            yield x
+
+    with mock.patch.object(gluing, "_stage_blocks", recording):
+        run()
     return calls
 
 
-class TestArrayDraws:
-    """Blocks are drawn, scored and kept as symbol arrays; each equals the
-    Word the per-step sampler and the per-cylinder loop drew, after the
-    same number of attempts."""
+def recorded_blocks(monkeypatch):
+    """{(stage, rep): accepted block} of every block the run pulls."""
+    blocks, stage = {}, gluing._stage_blocks
 
-    def stage_calls(self, monkeypatch):
+    def recording(st_, depth, k, seed):
+        for rep, x in enumerate(stage(st_, depth, k, seed)):
+            blocks[k, rep] = x
+            yield x
+
+    monkeypatch.setattr(gluing, "_stage_blocks", recording)
+    return blocks
+
+
+def assert_oracle_blocks(args, count, pulled=None):
+    """The first count blocks of the stage generator called with args are
+    those of ``word_draw_block`` for their reps, each after as many
+    attempts (``_draw_block`` calls), and those a run pulled, if given.
+    Returns the number of redrawn reps."""
+    st_, depth, k, seed = args
+    tries = Counter()
+    draw = gluing._draw_block
+
+    def counted(*a):
+        tries[a[3]] += 1
+        return draw(*a)
+
+    with mock.patch.object(gluing, "_draw_block", counted):
+        blocks = list(itertools.islice(gluing._stage_blocks(*args), count))
+    assert len(blocks) == count
+    redrawn = 0
+    for rep, x in enumerate(blocks):
+        want, attempts = word_draw_block(st_, depth, k, rep, seed)
+        assert Word(x) == want and tries[rep] == attempts, (k, rep)
+        assert x.dtype == st_.alpha.space.symbol_dtype
+        assert not x.flags.writeable
+        redrawn += attempts > 1
+    if pulled is not None:
+        assert all(np.array_equal(x, y) for x, y in zip(blocks, pulled))
+    return redrawn
+
+
+def batch_cap(cap):
+    """measures._COUNT_WINDOWS patched to cap symbols (None: as it is)."""
+    if cap is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(measures, "_COUNT_WINDOWS", cap)
+
+
+DRAW_MEASURES = {
+    "full2": (MarkovMeasure(FULL2, [[0.6, 0.4], [0.3, 0.7]]), ("0", "1")),
+    "golden": (parry(GOLDEN), ("0", "01")),
+    "point0": (POINT0, ("0", "1")),
+}
+
+
+class TestArrayDraws:
+    """Blocks are drawn, scored and kept as symbol arrays, a batch of reps
+    at a time; each equals the Word the per-step sampler and the
+    per-cylinder loop drew, after the same number of attempts."""
+
+    def stage_calls(self):
         path = MeasurePath([MarkovMeasure.bernoulli(FULL2, [0.7, 0.3]),
                             MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])])
         tracking = build_gk_schedule(FULL2, path, stages=3)
@@ -1300,44 +1356,150 @@ class TestArrayDraws:
             FULL2, B09, anchor=Word("0"), stages=3, family_len=8,
             family_entropy=math.log(2), family_eta=0.12)
         return {
-            "chaos": recorded_draws(monkeypatch, lambda: emit_chaotic_family(
+            "chaos": recorded_stages(lambda: emit_chaotic_family(
                 FULL2, POINT0, Word("0"), Word("1"), [(1, 2, 1), (2, 1, 2)],
                 20_000, seed=7)),
-            "tracking": recorded_draws(
-                monkeypatch, lambda: tracking_report(tracking, seed=7)),
-            "capacity": recorded_draws(
-                monkeypatch, lambda: emit_point(capacity, seed=7).materialize(
+            "tracking": recorded_stages(
+                lambda: tracking_report(tracking, seed=7)),
+            "capacity": recorded_stages(
+                lambda: emit_point(capacity, seed=7).materialize(
                     capacity.stage_ends()[-1])),
         }
 
-    def test_equal_to_the_word_path(self, monkeypatch):
-        sampled = []
-        sample = gluing.sample_word
-        monkeypatch.setattr(gluing, "sample_word", lambda *a, **k:
-                            sampled.append(a) or sample(*a, **k))
+    def test_equal_to_the_word_path(self):
         redrawn = 0
-        for name, calls in self.stage_calls(monkeypatch).items():
+        for name, calls in self.stage_calls().items():
             assert calls, name
-            for st_, depth, k, rep, seed in calls:
+            for args, pulled in calls:
                 # at a quarter of the radius some blocks need redraws
+                st_ = args[0]
                 quarter = dataclasses.replace(st_, zeta=st_.zeta / 4)
-                for stage in (st_, quarter):
-                    sampled.clear()
-                    x = gluing._draw_block(stage, depth, k, rep, seed)
-                    want, attempts = word_draw_block(stage, depth, k, rep,
-                                                     seed)
-                    assert Word(x) == want and len(sampled) == attempts, name
-                    assert x.dtype == np.uint8 and not x.flags.writeable
-                    redrawn += attempts > 1
+                assert_oracle_blocks(args, len(pulled), pulled)
+                redrawn += assert_oracle_blocks((quarter, *args[1:]),
+                                                len(pulled))
         assert redrawn
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(list(DRAW_MEASURES)), st.integers(8, 48),
+           st.integers(0, 12), st.integers(1, 3),
+           st.sampled_from([0.5, 0.2, 0.1]), st.booleans(),
+           st.sampled_from([1, 3, 7, 100, None]), st.integers(0, 2 ** 16))
+    def test_stage_equals_the_word_path(self, name, n, reps, depth, zeta,
+                                        quarter, cap, seed):
+        st_ = Stage(alpha=DRAW_MEASURES[name][0], n=n, reps=reps, tour=None,
+                    zeta=zeta / 4 if quarter else zeta, eps=0.5, depth=1)
+        with batch_cap(cap):
+            assert_oracle_blocks((st_, depth, 1 + seed % 5, seed), reps)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(list(DRAW_MEASURES)),
+           st.sampled_from([2_000, 20_000]), st.sampled_from([1_000, 70_000]),
+           st.sampled_from([1, 3, 7, None]), st.integers(0, 2 ** 16))
+    def test_family_blocks_equal_the_word_path(self, name, chaos_horizon,
+                                               dc1_horizon, cap, seed):
+        # a long shared run under a tiny cap is counted a window at a time
+        assume(cap is None or dc1_horizon < 10_000)
+        mu0, orbits = DRAW_MEASURES[name]
+        space, xis = mu0.space, [(1, 2, 1), (2, 1, 2)]
+        with batch_cap(cap):
+            calls = recorded_stages(lambda: emit_chaotic_family(
+                space, mu0, Word(orbits[0]), Word(orbits[1]), xis,
+                chaos_horizon, seed=seed))
+            calls += recorded_stages(lambda: emit_dc1_family(
+                space, mu0, Word(orbits[0]), Word(orbits[1]), xis,
+                dc1_horizon, seed=seed))
+            assert calls
+            for args, pulled in calls:
+                assert len(pulled) == args[0].reps
+                quarter = dataclasses.replace(args[0], zeta=args[0].zeta / 4)
+                assert_oracle_blocks(args, len(pulled), pulled)
+                assert_oracle_blocks((quarter, *args[1:]), len(pulled))
+
     def test_golden_mean_blocks_equal_the_word_path(self):
-        st_ = Stage(alpha=parry(GOLDEN), n=40, reps=1, tour=None, zeta=0.02,
+        st_ = Stage(alpha=parry(GOLDEN), n=40, reps=4, tour=None, zeta=0.02,
                     eps=0.5, depth=1)
         for depth in (1, 2, 3):
-            for rep in range(4):
-                x = gluing._draw_block(st_, depth, 1, rep, 11)
-                assert Word(x) == word_draw_block(st_, depth, 1, rep, 11)[0]
+            assert_oracle_blocks((st_, depth, 1, 11), 4)
+
+    def test_batches_double_within_the_cap(self):
+        st_ = Stage(alpha=B05, n=10, reps=20, tour=None, zeta=1.0, eps=0.5,
+                    depth=1)
+        for cap, sizes in ((None, [1, 2, 4, 8, 5]), (35, [1, 2, 3, 3, 3, 3, 3,
+                                                          2]), (3, [1] * 20)):
+            batches = []
+            score = gluing._batch_weak_star
+            with batch_cap(cap), mock.patch.object(
+                    gluing, "_batch_weak_star", lambda space, batch, *a:
+                    batches.append(len(batch)) or score(space, batch, *a)):
+                blocks = gluing._stage_blocks(st_, 1, 1, 3)
+                assert len(list(itertools.islice(blocks, 3))) == 3
+                # a lazy pull stops at the batch that holds its last rep
+                assert batches == sizes[:1 + (sizes[0] < 3) +
+                                        (sum(sizes[:2]) < 3)]
+                list(blocks)
+            assert batches == sizes
+
+    def test_a_nan_score_is_redrawn(self):
+        # zeta 1 accepts every real score; rep 0's first score is nan
+        st_ = Stage(alpha=B05, n=12, reps=3, tour=None, zeta=1.0, eps=0.5,
+                    depth=1)
+        score = gluing._batch_weak_star
+        calls = []
+
+        def nan_first(*a):
+            d = score(*a)
+            if not calls:
+                d[0] = math.nan
+            calls.append(len(d))
+            return d
+
+        drawn = []
+        draw = gluing._draw_block
+        with mock.patch.object(gluing, "_batch_weak_star", nan_first), \
+                mock.patch.object(gluing, "_draw_block", lambda *a:
+                                  drawn.append(a[1:4]) or draw(*a)):
+            blocks = list(gluing._stage_blocks(st_, 2, 4, 9))
+        assert drawn == [(0, 4, 0), (1, 4, 0), (0, 4, 1), (0, 4, 2)]
+        assert calls == [1, 1, 2]  # the redraw is scored alone
+        want = [sample_word(B05, 12, gluing._mix(9, 4, rep, attempt))
+                for rep, attempt in ((0, 1), (1, 0), (2, 0))]
+        assert [x.tolist() for x in blocks] == [x.tolist() for x in want]
+
+    def test_every_score_nan_is_infeasible(self, monkeypatch):
+        st_ = Stage(alpha=B05, n=12, reps=2, tour=None, zeta=1.0, eps=0.5,
+                    depth=1)
+        monkeypatch.setattr(gluing, "_BLOCK_ATTEMPTS", 4)
+        monkeypatch.setattr(gluing, "_batch_weak_star",
+                            lambda space, batch, *a: np.full(len(batch),
+                                                             math.nan))
+        with pytest.raises(InfeasibleParams, match=re.escape(
+                "stage 2: no draw within zeta=1.0 after 4 attempts "
+                "(best inf)")):
+            list(gluing._stage_blocks(st_, 1, 2, 0))
+
+    def test_exhausted_attempts_name_the_first_failed_rep(self, monkeypatch):
+        # the best distance is rep 0's over every attempt, the first one
+        # included; a seed where attempt 0 scores best shows it
+        monkeypatch.setattr(gluing, "_BLOCK_ATTEMPTS", 3)
+        st_ = Stage(alpha=B05, n=10, reps=3, tour=None, zeta=1e-9, eps=0.5,
+                    depth=2)
+
+        def score(seed, rep, attempt):
+            x = per_step_sample_word(B05, 10, gluing._mix(seed, 2, rep,
+                                                          attempt))
+            return weak_star_dist(empirical(FULL2, x, 9, 2), B05, 2)
+
+        def best(seed, rep):
+            return f"{min(score(seed, rep, a) for a in range(3)):.4f}"
+
+        seed = next(s for s in itertools.count()
+                    if score(s, 0, 0) < min(score(s, 0, a) for a in (1, 2))
+                    and best(s, 0) != best(s, 1))
+        with pytest.raises(InfeasibleParams, match=re.escape(
+                f"stage 2: no draw within zeta=1e-09 after 3 attempts "
+                f"(best {best(seed, 0)}); increase the block length or "
+                f"zeta")):
+            list(gluing._stage_blocks(st_, 2, 2, seed))
 
     def test_chaotic_family_builds_each_tour_once(self, monkeypatch):
         depths = []
@@ -1678,6 +1840,41 @@ class TestFamilyWindows:
         assert "members" not in vars(fam)
         assert fam.members is fam.members
         assert list(fam.members) == list(fam.xis)
+
+
+class TestStagePlanning:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 64), st.sampled_from([0, 1, 37]),
+           st.integers(1, 40), st.lists(st.integers(0, 9), max_size=4),
+           st.integers(1, 3))
+    def test_closed_form_stage_end(self, reps, past, n, tail, gap):
+        assert gluing._stage_end(past, n, reps, tail, gap) == \
+            glue_spans((past, *[n] * reps, *tail), gap)[-1][1]
+
+    def test_horizon_10_9_plans_in_bounded_memory(self, monkeypatch):
+        # the fifth and sixth stages take millions of reps; their ends used
+        # to be glued from a list of every block length (222 MiB at 2.5e8)
+        planned = []
+
+        def unplanned(st_, depth, k, seed):
+            planned.append(st_.reps)
+            raise StopPlanning
+
+        monkeypatch.setattr(gluing, "_stage_blocks", unplanned)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StopPlanning):
+                emit_chaotic_family(FULL2, POINT0, Word("0"), Word("1"),
+                                    [(1, 2, 1, 2, 1, 2)], 10 ** 9, seed=123)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert planned and planned[0] >= 1
+        assert peak < 4 * 2 ** 20, peak
+
+
+class StopPlanning(Exception):
+    """Raised by a stubbed stage draw once the plan is sized."""
 
 
 class TestChunkedPairScoringMemory:

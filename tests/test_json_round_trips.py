@@ -5,8 +5,10 @@ comma-separated text form, and the fields of the reports' JSON."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +112,7 @@ class TestJsonRoundTrips:
         f = random_potential(space, r, seed, integer=seed % 2 == 0)
         back = Potential.from_json(space, f.to_json())
         assert back.r == f.r and back.table == f.table
+        assert list(json.loads(f.to_json())) == ["table"]  # r: key length
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -132,10 +135,31 @@ class TestJsonRoundTrips:
         c = random_cocycle(data.draw, space)
         back = MatrixCocycle.from_json(space, c.to_json())
         assert (back.d, back.depth) == (c.d, c.depth)
+        assert list(json.loads(c.to_json())) == ["generators"]
         assert back.generators.keys() == c.generators.keys()
         for k, M in c.generators.items():
             assert np.array_equal(back.generators[k], M)
         assert back.to_json() == c.to_json()
+
+    def test_keys_of_two_lengths_are_named(self):
+        # with "r" and "depth" beside the keys, an edited record failed
+        # with "must cover exactly the admissible words", naming neither
+        f = Potential.constant(FULL2, 1.0, 2)
+        record = json.loads(f.to_json())
+        record["table"]["101"] = record["table"].pop("10")
+        with pytest.raises(ValueError, match=re.escape(
+                "table keys must be words of one length, got '00' "
+                "(length 2), '101' (length 3)")):
+            Potential.from_json(FULL2, json.dumps(record))
+        c = MatrixCocycle.constant(FULL2, [[2.0]])
+        record = json.loads(c.to_json())
+        record["generators"]["01"] = record["generators"].pop("1")
+        with pytest.raises(ValueError, match=re.escape(
+                "generators keys must be words of one length, got '0' "
+                "(length 1), '01' (length 2)")):
+            MatrixCocycle.from_json(FULL2, json.dumps(record))
+        with pytest.raises(ValueError, match="got no key"):
+            MatrixCocycle.from_json(FULL2, '{"generators": {}}')
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

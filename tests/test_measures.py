@@ -848,6 +848,27 @@ class TestSampleWordOracle:
         assert np.array_equal(x[3:], x[:-3]) and set(x[:3]) == {0, 2, 3}
         assert measures._walk(parry_measure(GOLDEN))[2] is None
 
+    def test_periodic_draws_of_one_length_share_one_array(self):
+        # a periodic word is a function of its length and first state: the
+        # chaos blocks of delta_0 are one array, not one per block
+        mu = MarkovMeasure.periodic_orbit(FULL2, Word("0"))
+        x = sample_word(mu, 4224, 1)
+        assert sample_word(mu, 4224, 2) is x and not x.flags.writeable
+        assert Word(x) == per_step_sample_word(mu, 4224, 2)
+        # its start is fixed too, so no generator is seeded
+        with mock.patch.object(measures, "rng_from",
+                               side_effect=AssertionError("seeded")):
+            assert sample_word(mu, 4224, 3) is x
+        short = sample_word(mu, 7, 3)
+        assert Word(short) == per_step_sample_word(mu, 7, 3)
+        assert sample_word(mu, 4224, 1) is not x  # the last length is kept
+        # one word per first state of a 3-cycle, each the per-step draw
+        cyc = MarkovMeasure.periodic_orbit(SftSpace.full_shift(4), Word("203"))
+        draws = [sample_word(cyc, 50, seed) for seed in range(30)]
+        for seed, x in enumerate(draws):
+            assert Word(x) == per_step_sample_word(cyc, 50, seed)
+        assert len({id(x) for x in draws}) == len(cyc._cycle_words) == 3
+
     def test_equal_across_table_chunks(self):
         mu = parry_measure(GOLDEN)
         n = 2 * (1 << 16) + 3

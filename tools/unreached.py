@@ -9,9 +9,11 @@ config of each benchmark workload (``perfbench/workloads.py``) through
 is removed afterwards.  It then lists each function and method defined in
 ``src/sftlab`` whose code never started, as ``module.qualname`` with its
 line count (``def`` or first decorator through the last line of its body),
-followed by the total.  A function listed here is reached only by the
-tests or by callers outside the package, so no built-in run exercises it.
-A generator counts as called once it is first resumed.
+followed by the total.  A function nested in one listed is not listed
+again: its lines are the outer one's, so each source line counts once.  A
+function listed here is reached only by the tests or by callers outside the
+package, so no built-in run exercises it.  A generator counts as called
+once it is first resumed.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from workloads import WORKLOADS, config  # noqa: E402
 
 
 def _functions(path: Path) -> dict[int, tuple[str, int]]:
-    """{first line: (qualname, line count)} of every function in a module;
+    """{first line: (qualname, last line)} of every function in a module;
     the first line is the code object's, the first decorator's if any."""
     out: dict[int, tuple[str, int]] = {}
 
@@ -42,7 +44,7 @@ def _functions(path: Path) -> dict[int, tuple[str, int]]:
                 first = min([child.lineno] +
                             [d.lineno for d in child.decorator_list])
                 name = prefix + child.name
-                out[first] = (name, child.end_lineno - first + 1)
+                out[first] = (name, child.end_lineno)
                 walk(child, name + ".<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, prefix + child.name + ".")
@@ -87,10 +89,12 @@ def main(argv=None) -> int:
         sys.settrace(None)
     total = count = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        for first, (name, lines) in sorted(_functions(path).items()):
-            if (str(path), first) not in called:
+        listed_to = 0  # the last line of the function listed last
+        for first, (name, last) in sorted(_functions(path).items()):
+            if (str(path), first) not in called and first > listed_to:
+                lines = last - first + 1
                 print(f"{path.stem}.{name}  {lines} lines")
-                total, count = total + lines, count + 1
+                total, count, listed_to = total + lines, count + 1, last
     print(f"{count} functions, {total} lines, unreached at seed {args.seed}")
     return 0
 
