@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,7 +76,7 @@ class MatrixCocycle:
 # --------------------------- exponents ---------------------------
 
 
-_RANK_WINDOWS = 1 << 14  # window ranks exponents_along holds at once
+_RANK_WINDOWS = 1 << 14  # windows exponents_along compares or ranks at once
 
 
 def _math_logs(values: np.ndarray) -> np.ndarray:
@@ -90,15 +90,41 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
     """(1/n) log ||product of the first n generators along each row|| of a
     symbol matrix, one word per row.
 
-    The rows advance together as one (rows, d, d) stack of running
-    products.  Each is renormalized every ``cadence`` steps with the log
-    carried separately, so the value is overflow-safe and
-    cadence-independent to rounding error.  The windows are ranked a block
-    of steps at a time, at most about ``_RANK_WINDOWS`` ranks at once, so
-    the memory held beyond the input and the product stack does not grow
-    with n.
+    The rows advance together as one (d, rows, d) array of running
+    products, row r's product in ``[:, r, :]``.  A step where every row
+    has the same window is one matrix product with that array seen as
+    d x (rows d); the other steps multiply each row by its own generator.
+    Every ``cadence`` steps each row is scaled by the power of two of its
+    largest entry, its exponent carried in an int64 counter.  A scaling by
+    a power of two is exact, so each value equals the one-word walk of its
+    row with ``==`` at every cadence; SingularProduct, naming the row and
+    the step, when a product overflows, underflows to zero or turns nan
+    between two scalings.  The windows are compared and ranked a block of
+    steps at a time, at most about ``_RANK_WINDOWS`` symbols or ranks at
+    once, so the memory held beyond the input and the products does not
+    grow with n.
     """
     return _exponents_at(c, rows, (n,), cadence)[0]
+
+
+_LOG2 = math.log(2)
+
+
+def _scale(W: np.ndarray, E: np.ndarray, step: int, cadence: int) -> None:
+    """Scale each row's product in W by the power of two that puts its
+    largest entry in [1/2, 1), in place and exactly, adding the exponent
+    to the row's counter in E.  SingularProduct, naming the first such
+    row, when a row's largest entry is not finite and positive."""
+    top = np.abs(W).max(axis=(0, 2))
+    bad = np.flatnonzero(~(np.isfinite(top) & (top > 0)))
+    if len(bad):
+        raise SingularProduct(
+            f"row {bad[0]}: the product of the first {step} generators "
+            f"has largest entry {top[bad[0]]} (scaled every {cadence} "
+            f"steps); it overflowed, underflowed or is not a number")
+    k = np.frexp(top)[1]
+    np.ldexp(W, -k[None, :, None], out=W)
+    E += k
 
 
 def _exponents_at(c: MatrixCocycle, rows: np.ndarray, ns: Sequence[int],
@@ -117,24 +143,63 @@ def _exponents_at(c: MatrixCocycle, rows: np.ndarray, ns: Sequence[int],
         raise ValueError(f"need word length >= {n + c.depth - 1}")
     if not len(rows):
         return [[] for _ in ns]
-    P = np.tile(np.eye(c.d), (len(rows), 1, 1))
-    acc = np.zeros(len(rows))
-    at = {}
-    steps = max(1, _RANK_WINDOWS // len(rows))
-    for lo in range(0, n, steps):
-        # step-major: codes[i, r] is the row of window lo + i of row r
-        codes = word_columns(c.space, sliding_window_view(
-            rows[:, lo:min(lo + steps, n) + c.depth - 1].T, c.depth, axis=0))
-        for i, code in enumerate(codes, start=lo):
-            P = c._stack[code] @ P
-            if (i + 1) % cadence == 0:
-                norms = np.linalg.norm(P, 2, axis=(1, 2))
-                acc += _math_logs(norms)
-                P = P / norms[:, None, None]
-            if i + 1 in ns:
-                at[i + 1] = ((acc + _math_logs(np.linalg.norm(
-                    P, 2, axis=(1, 2)))) / (i + 1)).tolist()
+    d, R = c.d, len(rows)
+    # row r's running product is W.reshape(d, R, d)[:, r, :]
+    W = np.repeat(np.eye(d)[:, None], R, axis=1).reshape(d, R * d)
+    E = np.zeros(R, dtype=np.int64)
+    gens, at = list(c._stack), {}
+    for i, (a, codes) in enumerate(_step_codes(c, rows, n)):
+        if codes is None:
+            W = gens[a] @ W
+        else:
+            W = (c._stack[codes] @ W.reshape(d, R, d).transpose(1, 0, 2)
+                 ).transpose(1, 0, 2).reshape(d, R * d)
+        if (i + 1) % cadence == 0 or i + 1 in ns:
+            _scale(W.reshape(d, R, d), E, i + 1, cadence)
+        if i + 1 in ns:
+            # W is a function of the products alone now, so the norm is
+            # too, whatever the cadence
+            f, k = np.frexp(np.linalg.norm(W.reshape(d, R, d), 2,
+                                           axis=(0, 2)))
+            at[i + 1] = ((_math_logs(f) + (E + k) * _LOG2)
+                         / (i + 1)).tolist()
     return [at[m] for m in ns]
+
+
+def _step_codes(c: MatrixCocycle, rows: np.ndarray, n: int
+                ) -> Iterator[tuple[Optional[int], Optional[np.ndarray]]]:
+    """Per step of the first n of the rows' walk, (a, None) when every row
+    has the same window, a its rank, else (None, the rank of each row's
+    window).  Ranks are taken a block of steps at a time, at most about
+    ``_RANK_WINDOWS`` at once, and only row 0's at a shared step."""
+    steps = max(1, _RANK_WINDOWS // len(rows))
+    # the mask of shared steps covers about _RANK_WINDOWS steps, so rows
+    # are compared along their length, not a column of many rows a step
+    span = steps * max(1, _RANK_WINDOWS // steps)
+    for top in range(0, n, span):
+        end = min(top + span, n)
+        shared = _shared_steps(rows[:, top:end + c.depth - 1], c.depth)
+        for lo in range(top, end, steps):
+            hi = min(lo + steps, end)
+            # step-major: win[i, r] is window lo + i of row r
+            win = sliding_window_view(rows[:, lo:hi + c.depth - 1].T,
+                                      c.depth, axis=0)
+            here = shared[lo - top:hi - top]
+            codes = iter(word_columns(c.space, win[~here]))
+            for a, same in zip(word_columns(c.space, win[:, 0]).tolist(),
+                               here.tolist()):
+                yield (a, None) if same else (None, next(codes))
+
+
+def _shared_steps(block: np.ndarray, depth: int) -> np.ndarray:
+    """Whether every row of a block of columns has row 0's window, at each
+    window start; the rows are compared about ``_RANK_WINDOWS`` symbols at
+    a time."""
+    same = np.ones(block.shape[1], dtype=bool)
+    step = max(1, _RANK_WINDOWS // len(same))
+    for lo in range(0, len(block), step):
+        same &= (block[lo:lo + step] == block[0]).all(axis=0)
+    return sliding_window_view(same, depth).all(axis=1)
 
 
 def exponent_along(c: MatrixCocycle, x: Union[Word, np.ndarray], n: int,

@@ -404,24 +404,32 @@ def _stage_blocks(st: Stage, depth: int, stage_idx: int,
     ``measures._COUNT_WINDOWS`` symbols and at least one block, so a lazy
     consumer draws at most about twice the blocks it pulls.  A batch's
     attempts are scored together, one ``measures._batch_weak_star`` call
-    per attempt round, and only the failed reps are redrawn.
+    per attempt round, and only the failed reps are redrawn.  Along a
+    periodic orbit ``sample_word`` shares one array per entry state, and
+    its score is kept (:func:`_held_scores`).
     InfeasibleParams, with the best distance of the first failed rep, when
     a rep has no accepted attempt within ``_BLOCK_ATTEMPTS``."""
     space, size, lo = st.alpha.space, 1, 0
+    shared = measures._walk(st.alpha)[2] is not None  # a periodic orbit
+    held: dict[int, tuple[np.ndarray, float]] = {}  # id -> (array, score)
     while lo < st.reps:
         hi = min(lo + size, lo + max(measures._COUNT_WINDOWS // st.n, 1),
                  st.reps)
         out, todo = {}, range(lo, hi)
         best = dict.fromkeys(todo, math.inf)
+        last, held = held, {}
         for attempt in range(_BLOCK_ATTEMPTS):
             drawn = [_draw_block(st, attempt, stage_idx, r, seed)
                      for r in todo]
-            ds = _batch_weak_star(space, np.stack(drawn), st.alpha, depth)
-            for r, x, d in zip(todo, drawn, ds.tolist()):
+            ds = (_held_scores(st, depth, drawn, held, last) if shared else
+                  _batch_weak_star(space, np.stack(drawn), st.alpha,
+                                   depth).tolist())
+            for r, x, d in zip(todo, drawn, ds):
                 if d <= st.zeta:
                     out[r] = x
                 else:
                     best[r] = min(best[r], d)
+                    held.pop(id(x), None)  # only accepted draws are held
             todo = [r for r in todo if r not in out]
             if not todo:
                 break
@@ -432,6 +440,25 @@ def _stage_blocks(st: Stage, depth: int, stage_idx: int,
                 f"increase the block length or zeta")
         yield from (out[r] for r in range(lo, hi))
         lo, size = hi, 2 * size
+
+
+def _held_scores(st: Stage, depth: int, drawn: list[np.ndarray],
+                 held: dict, last: dict) -> list[float]:
+    """The score of each array an attempt drew, scoring each distinct array
+    once.  A score is keyed on the array's identity and held with the
+    array, in ``held`` for the batch that drew it; ``last``, the accepted
+    arrays of the batch before, is read too, so an array every batch
+    accepts is scored once per stage, and none is held past the batch
+    after the one that accepted it."""
+    for x in drawn:
+        if id(x) in last:
+            held.setdefault(id(x), last[id(x)])
+    fresh = {id(x): x for x in drawn if id(x) not in held}
+    if fresh:
+        ds = _batch_weak_star(st.alpha.space, np.stack(list(fresh.values())),
+                              st.alpha, depth)
+        held.update(zip(fresh, zip(fresh.values(), ds.tolist())))
+    return [held[id(x)][1] for x in drawn]
 
 
 def _stage_words(s: GluingSchedule,

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sftlab import cocycle, shift
+from sftlab import cocycle, experiments, shift
 from sftlab.cocycle import (MatrixCocycle, _cyclic_words, emit_lyapunov_family,
                             exponent_along, exponent_bracket,
                             exponents_along, periodic_exponent)
-from sftlab.errors import NotPrimitive
+from sftlab.errors import NotPrimitive, SingularProduct
 from sftlab.measures import MarkovMeasure, family_target, sample_word
 from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
 
@@ -50,9 +50,10 @@ class TestExponentAlong:
         })
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
         w = sample_word(mu, 2000, 1)
+        # every scaling is by a power of two, so the bits are the same
         a = exponent_along(c, w, 2000, cadence=8)
         b = exponent_along(c, w, 2000, cadence=64)
-        assert a == pytest.approx(b, abs=1e-10)
+        assert a == b
 
     def test_diagonal_birkhoff_oracle(self):
         # commuting diagonals: the exponent equals the largest absolute
@@ -265,7 +266,9 @@ class TestLyapunovFamily:
 
 
 def per_step_exponent_along(c, x, n, cadence=32):
-    """Oracle for exponent_along: one 2-d product per position of one word."""
+    """Oracle of the SVD-rescaled arithmetic: one 2-d product per position
+    of one word, divided by its norm every ``cadence`` steps, the logs
+    added one by one."""
     if n < 1:
         raise ValueError("n must be positive")
     if len(x) < n + c.depth - 1:
@@ -282,6 +285,47 @@ def per_step_exponent_along(c, x, n, cadence=32):
     return (acc + math.log(np.linalg.norm(P, 2))) / n
 
 
+def power_of_two_exponent_along(c, x, n, cadence=32):
+    """Oracle for exponent_along: one 2-d product per position of one word,
+    scaled every ``cadence`` steps and at n by the power of two of its
+    largest entry, the powers summed in a Python int."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    s = tuple(shift._symbols(x).tolist())
+    if len(s) < n + c.depth - 1:
+        raise ValueError(f"need word length >= {n + c.depth - 1}")
+    P = np.eye(c.d)
+    e = 0
+    for i in range(n):
+        P = c.gen(s[i:i + c.depth]) @ P
+        if (i + 1) % cadence == 0 or i + 1 == n:
+            top = float(np.abs(P).max())
+            if not (math.isfinite(top) and top > 0):
+                raise SingularProduct(f"step {i + 1}")
+            k = math.frexp(top)[1]
+            P = np.ldexp(P, -k)
+            e += k
+    f, k = math.frexp(float(np.linalg.norm(P, 2)))
+    return (math.log(f) + (e + k) * math.log(2)) / n
+
+
+def old_walk_tolerance(c, n, cadence):
+    """How far the SVD-rescaled walk may sit from the power-of-two one.
+    It adds one log per rescaling to a running sum within
+    n * max_log_norm, each off by a few ulps of that sum (the rounded
+    norm, its log and the sum), and divides by n; the power-of-two walk
+    sums integers and takes one log."""
+    return (4 * (n // cadence + 2)
+            * math.ulp(n * max(1.0, c.max_log_norm())) / n)
+
+
+def assert_near_old_walk(c, got, old, n, cadence=32):
+    tol = old_walk_tolerance(c, n, cadence)
+    assert len(got) == len(old)
+    for g, o in zip(got, old):
+        assert abs(g - o) <= tol, (g, o, tol)
+
+
 def per_member_lyapunov_family(c, space, mu, anchor, N, seed, tail_len):
     """Oracle for emit_lyapunov_family's members and exponents: each member
     glued and checked on its own, each exponent its own loop."""
@@ -293,9 +337,10 @@ def per_member_lyapunov_family(c, space, mu, anchor, N, seed, tail_len):
     members = tuple(space.word(glue(space, [*head, w, ref[:tail_len]], gap))
                     for w in space.words(N))
     n_eval = len(ref) - (c.depth - 1)
-    return (members, per_step_exponent_along(c, ref, n_eval),
-            per_step_exponent_along(c, ref, tail_len),
-            tuple(per_step_exponent_along(c, w, n_eval) for w in members))
+    return (members, power_of_two_exponent_along(c, ref, n_eval),
+            power_of_two_exponent_along(c, ref, tail_len),
+            tuple(power_of_two_exponent_along(c, w, n_eval)
+                  for w in members))
 
 
 COCYCLE_SPACES = [FULL2, GOLDEN, SftSpace.full_shift(3)]
@@ -335,9 +380,13 @@ class TestBatchedExponentOracles:
                                  data.draw(st.integers(1, 4)), length)
         n = data.draw(st.integers(1, length - c.depth + 1))
         rows = np.array([w.symbols for w in words], dtype=np.uint8)
-        expected = [per_step_exponent_along(c, w, n, cadence) for w in words]
-        assert exponents_along(c, rows, n, cadence) == expected
+        expected = [power_of_two_exponent_along(c, w, n, cadence)
+                    for w in words]
+        got = exponents_along(c, rows, n, cadence)
+        assert got == expected
         assert [exponent_along(c, w, n, cadence) for w in words] == expected
+        assert_near_old_walk(c, got, [per_step_exponent_along(
+            c, w, n, cadence) for w in words], n, cadence)
 
     @settings(max_examples=25, deadline=None)
     @given(cocycles(st.sampled_from([FULL2, GOLDEN])), st.integers(0, 2**16),
@@ -370,8 +419,8 @@ class TestBatchedExponentOracles:
     @given(cocycles(), st.integers(1, 40), st.integers(1, 200), st.data())
     def test_chunked_equals_unchunked(self, c, cadence, windows, data):
         # window ranks a block of steps at a time, block edges anywhere
-        # against the cadence, and the logs in a float64 vector: the same
-        # products and the same math.log sums
+        # against the cadence: the same products and the same logs as one
+        # block (at most 6 * 150 windows) and as each row's own loop
         length = data.draw(st.integers(c.depth, 150))
         rows = np.array([w.symbols for w in admissible_words(
             data.draw, c.space, data.draw(st.integers(1, 6)), length)],
@@ -379,7 +428,10 @@ class TestBatchedExponentOracles:
         n = data.draw(st.integers(1, length - c.depth + 1))
         with mock.patch.object(cocycle, "_RANK_WINDOWS", windows):
             got = exponents_along(c, rows, n, cadence)
-        assert got == unchunked_exponents_along(c, rows, n, cadence)
+        assert got == exponents_along(c, rows, n, cadence) == [
+            power_of_two_exponent_along(c, r, n, cadence) for r in rows]
+        assert_near_old_walk(c, got, unchunked_exponents_along(
+            c, rows, n, cadence), n, cadence)
 
     @settings(max_examples=100, deadline=None)
     @given(cocycles(), st.integers(1, 40), st.data())
@@ -393,6 +445,92 @@ class TestBatchedExponentOracles:
                                 min_size=1, max_size=4))
         assert cocycle._exponents_at(c, rows, ns, cadence) == [
             exponents_along(c, rows, n, cadence) for n in ns]
+
+    @settings(max_examples=100, deadline=None)
+    @given(cocycles(), st.integers(1, 200), st.integers(1, 200), st.data())
+    def test_every_cadence_gives_the_same_bits(self, c, a, b, data):
+        length = data.draw(st.integers(c.depth, 150))
+        rows = np.array([w.symbols for w in admissible_words(
+            data.draw, c.space, data.draw(st.integers(1, 4)), length)],
+            dtype=np.uint8)
+        n = data.draw(st.integers(1, length - c.depth + 1))
+        assert exponents_along(c, rows, n, a) == exponents_along(c, rows, n, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cocycles(), st.integers(1, 40), st.data())
+    def test_stacked_row_equals_the_row_walked_alone(self, c, cadence, data):
+        length = data.draw(st.integers(c.depth, 120))
+        rows = np.array([w.symbols for w in admissible_words(
+            data.draw, c.space, data.draw(st.integers(2, 6)), length)],
+            dtype=np.uint8)
+        n = data.draw(st.integers(1, length - c.depth + 1))
+        assert exponents_along(c, rows, n, cadence) == [
+            exponents_along(c, row[None], n, cadence)[0] for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(cocycles(), st.integers(1, 40), st.data())
+    def test_shared_steps_equal_gathered_steps(self, c, cadence, data):
+        # rows copied from a few words share many steps; the second walk
+        # multiplies every row by its own generator at every step
+        length = data.draw(st.integers(c.depth, 120))
+        words = admissible_words(data.draw, c.space,
+                                 data.draw(st.integers(1, 3)), length)
+        picks = data.draw(st.lists(st.integers(0, len(words) - 1),
+                                   min_size=1, max_size=6))
+        rows = np.array([words[i].symbols for i in picks], dtype=np.uint8)
+        n = data.draw(st.integers(1, length - c.depth + 1))
+        got = exponents_along(c, rows, n, cadence)
+        with mock.patch.object(cocycle, "_shared_steps", lambda block, depth:
+                               np.zeros(block.shape[1] - depth + 1, bool)):
+            assert exponents_along(c, rows, n, cadence) == got
+
+    @pytest.mark.parametrize("top", [[1e10, 0.0], [1e10, 1.0]])
+    def test_overflow_names_row_step_and_cadence(self, top):
+        # raised numpy's LinAlgError "SVD did not converge"
+        c = MatrixCocycle(FULL2, {(0,): [[1e10, 0.0], [0.0, 1e-10]],
+                                  (1,): [top, [0.0, 1e-10]]})
+        rows = np.array([[0, 1] * 100, [1] * 200], dtype=np.uint8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                SingularProduct, match=(
+                    r"^row 0: the product of the first 64 generators has "
+                    r"largest entry (inf|nan) \(scaled every 64 steps\)")):
+            exponents_along(c, rows, 200, cadence=64)
+
+    def test_underflow_names_row_step_and_cadence(self):
+        # hit a math.log domain error
+        c = MatrixCocycle.diagonal(FULL2, {0: [1e-10, 1e-10], 1: [1.0, 1.0]})
+        rows = np.array([[1] * 200, [0] * 200], dtype=np.uint8)
+        with pytest.raises(SingularProduct, match=re.escape(
+                "row 1: the product of the first 64 generators has largest "
+                "entry 0.0 (scaled every 64 steps)")):
+            exponents_along(c, rows, 200, cadence=64)
+        # the last scaling comes at n
+        with pytest.raises(SingularProduct, match=re.escape(
+                "row 1: the product of the first 200 generators")):
+            exponents_along(c, rows, 200, cadence=1000)
+
+    def test_thm1_3_at_n_12_matches_the_svd_walk(self):
+        # 4,096 members of 2,565 steps: many blocks of window ranks, shared
+        # steps after the prefix, and a scaling every 32 steps
+        reports = []
+        emit = cocycle.emit_lyapunov_family
+
+        def recording(c, *args, **kwargs):
+            reports.append((c, emit(c, *args, **kwargs)))
+            return reports[-1][1]
+
+        with mock.patch.object(cocycle, "emit_lyapunov_family", recording):
+            result = experiments.REGISTRY["thm1_3_cocycle_family"][0](
+                7, N=12, tail_len=2048)
+        assert result.passed
+        (c, report), = reports
+        assert report.family_size == 2 ** 12
+        n = report.horizon - (c.depth - 1)
+        picks = np.random.default_rng(0).choice(report.family_size, 64,
+                                                replace=False)
+        assert_near_old_walk(
+            c, [report.exponents[i] for i in picks],
+            unchunked_exponents_along(c, report.members[picks], n), n)
 
     def test_cadence_must_be_positive(self):
         c = MatrixCocycle.constant(FULL2, np.eye(2))
@@ -436,7 +574,8 @@ class TestBatchedExponentOracles:
             for w in cycle.words(5)}, depth=5)
         assert c._stack.shape == (64, 2, 2)
         x = Word([i % 64 for i in range(132)])
-        assert exponent_along(c, x, 128) == per_step_exponent_along(c, x, 128)
+        assert exponent_along(c, x, 128) == \
+            power_of_two_exponent_along(c, x, 128)
         assert exponent_along(c, x, 128) == pytest.approx(math.log(4) / 128)
         # 64 words of each length: one necklace, at period 64, and one
         # doubled step in every 4 along any 8-word

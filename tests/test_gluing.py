@@ -1388,8 +1388,17 @@ class TestArrayDraws:
                                         quarter, cap, seed):
         st_ = Stage(alpha=DRAW_MEASURES[name][0], n=n, reps=reps, tour=None,
                     zeta=zeta / 4 if quarter else zeta, eps=0.5, depth=1)
+        k = 1 + seed % 5
+        try:
+            for rep in range(reps):
+                word_draw_block(st_, depth, k, rep, seed)
+        except AssertionError:  # a rep no attempt brings within zeta
+            with batch_cap(cap), pytest.raises(InfeasibleParams, match=(
+                    f"^stage {k}: no draw within zeta=")):
+                list(gluing._stage_blocks(st_, depth, k, seed))
+            return
         with batch_cap(cap):
-            assert_oracle_blocks((st_, depth, 1 + seed % 5, seed), reps)
+            assert_oracle_blocks((st_, depth, k, seed), reps)
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from(list(DRAW_MEASURES)),
@@ -1438,6 +1447,35 @@ class TestArrayDraws:
                                         (sum(sizes[:2]) < 3)]
                 list(blocks)
             assert batches == sizes
+
+    def test_a_stage_of_equal_blocks_is_scored_once(self):
+        # every delta_0 block is the one array sample_word shares: 16,342
+        # one-row calls for stage 5 of thm1_5_chaos at horizon 2.5e8
+        st_ = Stage(alpha=POINT0, n=10, reps=200, tour=None, zeta=0.5,
+                    eps=0.5, depth=1)
+        rows = []
+        score = gluing._batch_weak_star
+        with batch_cap(25), mock.patch.object(
+                gluing, "_batch_weak_star", lambda space, batch, *a:
+                rows.append(len(batch)) or score(space, batch, *a)):
+            blocks = list(gluing._stage_blocks(st_, 2, 5, 3))
+        assert rows == [1]
+        assert len(blocks) == 200 and all(x is blocks[0] for x in blocks)
+        assert blocks[0].tolist() == [0] * 10
+
+    def test_a_two_cycle_scores_each_array_once(self):
+        # two entry states, two shared arrays; from the second batch on
+        # every batch draws both, so neither is scored again
+        st_ = Stage(alpha=MarkovMeasure.periodic_orbit(FULL2, Word("01")),
+                    n=10, reps=200, tour=None, zeta=0.5, eps=0.5, depth=1)
+        rows = []
+        score = gluing._batch_weak_star
+        with mock.patch.object(
+                gluing, "_batch_weak_star", lambda space, batch, *a:
+                rows.append(len(batch)) or score(space, batch, *a)):
+            blocks = list(gluing._stage_blocks(st_, 1, 5, 3))
+        assert sum(rows) == 2
+        assert {x.tolist()[0] for x in blocks} == {0, 1}
 
     def test_a_nan_score_is_redrawn(self):
         # zeta 1 accepts every real score; rep 0's first score is nan

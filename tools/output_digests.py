@@ -5,9 +5,11 @@
 Run it from the repository root.  For each seed it runs ``configs/all.json``,
 the config of each benchmark workload (``perfbench/workloads.py``) and
 ``thm1_5_chaos`` at horizon 5,000,000 (``chaos_5m``, whose members cross many
-chunks and four stage ends) and ``thm1_1_capacity`` with ``family_sizes``
+chunks and four stage ends), ``thm1_1_capacity`` with ``family_sizes``
 [16, 18, 20] (``capacity_20``, whose sampling batches span many blocks of
-rows) with ``sftlab run`` in a fresh interpreter,
+rows) and ``thm1_3_cocycle_family`` at N = 12 with ``tail_len`` 2048
+(``cocycle_12``, whose 4,096 members walk many blocks of window ranks) with
+``sftlab run`` in a fresh interpreter,
 writing into a temporary directory that is removed afterwards.  The output
 is one JSON object, sorted by key, that maps ``config/seed/file`` to the
 sha256 of ``summary.json`` and of every CSV (``meta.json`` holds timings and
@@ -38,6 +40,9 @@ def _configs(seed: int) -> dict[str, dict]:
         {"name": "thm1_5_chaos", "params": {"horizon": 5_000_000}}]}
     out["capacity_20"] = {"seed": seed, "experiments": [
         {"name": "thm1_1_capacity", "params": {"family_sizes": [16, 18, 20]}}]}
+    out["cocycle_12"] = {"seed": seed, "experiments": [
+        {"name": "thm1_3_cocycle_family",
+         "params": {"N": 12, "tail_len": 2048}}]}
     return out
 
 
