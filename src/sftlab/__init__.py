@@ -5,10 +5,10 @@ equilibrium states, matrix cocycles and distributional chaos."""
 from .errors import (BadCheckpoints, Degenerate, DepthExceedsEmpirical,
                      FamilyNotSeparated, GapTooSmall, InfeasibleParams,
                      LeafOutOfRange, MalformedSchedule, MalformedTree,
-                     NotPrimitive, NotRecurrent, OrbitsNotDisjoint, OutsideLf,
-                     PerronNotPositive, SftLabError, ShortFamily,
-                     SingularProduct, SpaceMismatch, WordsTooShort,
-                     ZeroCylinder)
+                     NonFinitePotential, NotPrimitive, NotRecurrent,
+                     OrbitsNotDisjoint, OutsideLf, PerronNotPositive,
+                     SftLabError, ShortFamily, SingularProduct, SpaceMismatch,
+                     WordsTooShort, ZeroCylinder)
 
 _HOME = {name: layer for layer, names in (  # name -> its layer; layer -> self
     ("shift", "SftSpace SymbolStream Word bridge connector delta_separated "

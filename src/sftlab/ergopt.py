@@ -27,11 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import OutsideLf, PerronNotPositive, SpaceMismatch
+from .errors import (NonFinitePotential, OutsideLf, PerronNotPositive,
+                     SpaceMismatch)
 from .measures import MarkovMeasure, ks_entropies, markov_measures, rng_from
 from .shift import (BlockGraph, InEdges, SftSpace, Word, _perron, block_graph,
                     by_word_row, word_columns, words_of_one_length)
@@ -95,20 +96,35 @@ class Potential:
                                                "table"))
 
 
+def random_potentials(space: SftSpace, r: int,
+                      seed: Union[int, np.random.Generator], count: int,
+                      low: int = -9, high: int = 9,
+                      integer: bool = True) -> list[Potential]:
+    """``count`` potentials, the rows of one (count, words) draw in table
+    order: integers in [low, high] or uniforms in [low, high).  The rows are
+    views of one read-only array.  seed may also be a generator, which the
+    draw advances; it fills row-major, so the first rows of a draw do not
+    depend on ``count``."""
+    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
+    size = (count, len(space.word_table(r)))
+    values = (rng.integers(low, high + 1, size=size).astype(float) if integer
+              else rng.uniform(low, high, size=size))
+    values.setflags(write=False)
+    return [Potential._of(space, r, row) for row in values]
+
+
 def random_potential(space: SftSpace, r: int, seed: int,
                      low: int = -9, high: int = 9,
                      integer: bool = True) -> Potential:
-    """One draw per admissible r-word, in table order."""
-    rng, k = rng_from(seed), len(space.word_table(r))
-    return Potential._of(space, r, rng.integers(low, high + 1, size=k)
-                         .astype(float) if integer
-                         else rng.uniform(low, high, size=k))
+    """One draw per admissible r-word, in table order: the one-row case of
+    :func:`random_potentials`."""
+    return random_potentials(space, r, seed, 1, low, high, integer)[0]
 
 
 def coboundary_shift(f: Potential, g: Potential) -> Potential:
     """f + g(shifted window) - g(window): same ergodic averages as f;
     SpaceMismatch (potential 1) when g lives on another space."""
-    _check_space(f.space, [f, g])
+    _check_potentials(f.space, [f, g])
     if g.r != max(f.r - 1, 1):
         raise ValueError("coboundary depth must be one less than the potential's")
     r = max(f.r, g.r + 1)
@@ -121,7 +137,7 @@ def coboundary_shift(f: Potential, g: Potential) -> Potential:
 def mean_potential(mu: MarkovMeasure, f: Potential) -> float:
     """Integral of a depth-r potential against a Markov measure on its space;
     SpaceMismatch when the measure lives on another space."""
-    _check_space(mu.space, [f])
+    _check_potentials(mu.space, [f])
     return sum(mu.cylinder_prob(w) * v for w, v in f.table.items())
 
 
@@ -142,14 +158,23 @@ def _edge_values(graph: BlockGraph, r: int, values: np.ndarray) -> np.ndarray:
     return values if r > graph.ell else values[..., graph.src]
 
 
-def _check_space(space: SftSpace, fs: Sequence[Potential]) -> None:
-    """SpaceMismatch names the first potential defined on another space."""
+def _check_potentials(space: SftSpace, fs: Sequence[Potential]) -> None:
+    """SpaceMismatch names the first potential defined on another space,
+    and NonFinitePotential the first one holding nan or an infinity."""
     for i, f in enumerate(fs):
         if f.space is not space and f.space != space:
             raise SpaceMismatch(
                 f"potential {i} is defined on the space with transition "
                 f"{f.space.transition.tolist()}, not on "
                 f"{space.transition.tolist()}")
+    if fs and not np.isfinite(np.concatenate([f.values for f in fs])).all():
+        i, f = next((i, f) for i, f in enumerate(fs)
+                    if not np.isfinite(f.values).all())
+        j = np.flatnonzero(~np.isfinite(f.values))[0]
+        word = Word(space.word_table(f.r)[j].tolist())
+        raise NonFinitePotential(
+            f"potential {i} has the value {f.values[j]} on the word "
+            f"{word.to_text()}")
 
 
 def _batches(space: SftSpace, fs: Sequence[Potential], row_elements):
@@ -157,8 +182,9 @@ def _batches(space: SftSpace, fs: Sequence[Potential], row_elements):
     appearance, and cut into batches of at most _BATCH_ELEMENTS elements,
     ``row_elements(graph)`` per potential: yields (graph, rows, values), rows
     the batch's indices in fs and values its (len(rows), edges) edge values.
-    A potential defined on another space raises SpaceMismatch."""
-    _check_space(space, fs)
+    A potential defined on another space raises SpaceMismatch, one holding
+    nan or an infinity NonFinitePotential."""
+    _check_potentials(space, fs)
     groups: dict[int, list[int]] = {}
     for i, f in enumerate(fs):
         groups.setdefault(f.r, []).append(i)
@@ -181,17 +207,21 @@ def _cycle_word(graph: BlockGraph, cycle_nodes: Sequence[int]) -> Word:
 def _integer_weights(values: np.ndarray, steps: int) -> tuple:
     """(w, den, absent, floor) for a batch of value rows: the values as
     integers w = values * den, den their common (power-of-two) denominator
-    over the whole batch, exact in sums of up to ``steps`` entries: float64
-    while steps * max|w| < 2**53, else Python ints.  ``absent`` marks a
-    missing entry (-inf, or the int -(2 * steps * max|w| + 1)); a sum of up
-    to ``steps`` entries is above ``floor`` (-inf, or
-    -(steps * max|w| + 1)) exactly when it has none."""
+    over the whole batch, exact in sums of up to ``steps`` entries: in the
+    narrowest type that holds steps * max|w| exactly, float32 below 2**24,
+    float64 below 2**53, else Python ints.  ``absent`` marks a missing entry
+    (-inf, or the int -(2 * steps * max|w| + 1)); a sum of up to ``steps``
+    entries is above ``floor`` (-inf, or -(steps * max|w| + 1)) exactly
+    when it has none."""
     sizes = set(np.abs(values).ravel().tolist())
     den = max((v.as_integer_ratio()[1] for v in sizes), default=1)
     a, d = max(sizes, default=0.0).as_integer_ratio()
     bound = a * (den // d)
     if bound * steps < 2 ** 53:
-        return np.ldexp(values, den.bit_length() - 1), den, -np.inf, -np.inf
+        w = np.ldexp(values, den.bit_length() - 1)
+        if bound * steps < 2 ** 24:
+            w = w.astype(np.float32)
+        return w, den, -np.inf, -np.inf
     floor = -(steps * bound + 1)
     ints = [a * (den // d) for a, d in map(float.as_integer_ratio,
                                            values.ravel().tolist())]
@@ -418,7 +448,7 @@ def classify_smr(space: SftSpace, f: Potential) -> SmrClassification:
     """Structure of the maximizing-measure support: a unique optimal simple
     cycle (with its gap to the best cycle avoiding it) or the list of tied
     optimal cycles."""
-    _check_space(space, [f])
+    _check_potentials(space, [f])
     graph = block_graph(space, max(f.r - 1, 1))
     values = _edge_values(graph, f.r, f.values)
     (lam, tight), = _optimum(graph, values[None])
@@ -538,7 +568,7 @@ def equilibrium_mean(space: SftSpace, f: Potential,
     (valid for any depth); SpaceMismatch when f lives on another space or
     mu on another block space (edges compared with the graph's, so the
     block space is not built)."""
-    _check_space(space, [f])
+    _check_potentials(space, [f])
     graph = block_graph(space, max(f.r - 1, 1))
     if mu is None:
         mu = equilibrium_state(space, f)

@@ -62,6 +62,10 @@ class SpaceMismatch(SftLabError, ValueError):
     not defined on."""
 
 
+class NonFinitePotential(SftLabError, ValueError):
+    """A potential handed to a solver holds nan or an infinite value."""
+
+
 class PerronNotPositive(SftLabError, ArithmeticError):
     """An eigensolver returned a Perron vector with a non-positive entry."""
 

@@ -461,12 +461,18 @@ def _count(count: int) -> None:
         raise ValueError(f"count must be positive, got {count}")
 
 
-def _trials_by_space(draws: list[tuple[int, int]]):
-    """For each alphabet size m among the (m, r) draws, in increasing order:
-    the full m-shift and the indices of the trials that drew m."""
-    for m in sorted({m for m, _ in draws}):
-        yield (SftSpace.full_shift(m),
-               [t for t, (mt, _) in enumerate(draws) if mt == m])
+def _trial_groups(seed: int, salt: int, draws: list[list[int]]):
+    """For each (m, r) among the trials' draws, in increasing order: the
+    full m-shift, r, the indices of the trials that drew it and the
+    generator ``rng_from(seed, salt, m, r)`` of their potentials.  Trial t
+    takes the row of its rank in its group, so neither its (m, r) nor its
+    potential depends on the number of trials."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for t, (m, r) in enumerate(draws):
+        groups.setdefault((m, r), []).append(t)
+    spaces = {m: SftSpace.full_shift(m) for m, _ in groups}
+    for (m, r), trials in sorted(groups.items()):
+        yield spaces[m], r, trials, measures.rng_from(seed, salt, m, r)
 
 
 @experiment("thm1_6_equilibrium",
@@ -474,14 +480,12 @@ def _trials_by_space(draws: list[tuple[int, int]]):
 def thm1_6_equilibrium(seed: int, *, count: int = 50) -> ExperimentResult:
     from . import ergopt
     _count(count)
-    rng = np.random.default_rng(seed)
-    draws = [(int(rng.integers(2, 5)), int(rng.integers(1, 3)))
-             for _ in range(count)]
+    draws = np.random.default_rng(seed).integers(
+        (2, 1), (5, 3), size=(count, 2)).tolist()
     residuals = [0.0] * count
-    for space, trials in _trials_by_space(draws):
-        fs = [ergopt.random_potential(space, draws[t][1],
-                                      seed=seed * 1000 + t, integer=False,
-                                      low=-2, high=2) for t in trials]
+    for space, r, trials, rng in _trial_groups(seed, 1000, draws):
+        fs = ergopt.random_potentials(space, r, rng, len(trials),
+                                      integer=False, low=-2, high=2)
         for t, res in zip(trials, ergopt.equilibrium_residuals(space, fs)):
             residuals[t] = res
     rows = [[t, m, r, res] for t, ((m, r), res) in
@@ -507,26 +511,18 @@ def thm1_6_equilibrium(seed: int, *, count: int = 50) -> ExperimentResult:
             "maximum mean cycle against the periodic-orbit oracle, exact")
 def karp_oracle(seed: int, *, count: int = 100) -> ExperimentResult:
     from . import ergopt
-    rng = np.random.default_rng(seed)
     _count(count)
-    draws = []
-    for _ in range(count):
-        m = int(rng.integers(2, 7))
-        r = int(rng.integers(1, 4))
-        draws.append((m, 2 if m ** max(r - 1, 1) > 40 else r))
+    # m <= 6 and r <= 3: block graphs of at most 6**2 = 36 nodes
+    draws = np.random.default_rng(seed).integers(
+        (2, 1), (7, 4), size=(count, 2)).tolist()
     karp, oracle = [0.0] * count, [0.0] * count
-    for space, trials in _trials_by_space(draws):
-        fs = [ergopt.random_potential(space, draws[t][1], seed=seed * 7919 + t)
-              for t in trials]
-        for t, res in zip(trials, ergopt.betas(space, fs)):
-            karp[t] = res.value
-        # the oracle's period is the node count, which depends on the depth
-        for r in sorted({f.r for f in fs}):
-            at = [i for i, f in enumerate(fs) if f.r == r]
-            nodes = block_graph(space, max(r - 1, 1)).n_nodes()
-            for i, val in zip(at, ergopt.brute_force_betas(
-                    space, [fs[i] for i in at], nodes)):
-                oracle[trials[i]] = val
+    for space, r, trials, rng in _trial_groups(seed, 7919, draws):
+        fs = ergopt.random_potentials(space, r, rng, len(trials))
+        # the oracle's period is the node count
+        nodes = block_graph(space, max(r - 1, 1)).n_nodes()
+        for t, res, val in zip(trials, ergopt.betas(space, fs),
+                               ergopt.brute_force_betas(space, fs, nodes)):
+            karp[t], oracle[t] = res.value, val
     rows = [[t, m, r, karp[t], oracle[t], int(karp[t] == oracle[t])]
             for t, (m, r) in enumerate(draws)]
     all_equal = all(row[-1] for row in rows)

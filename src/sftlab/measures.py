@@ -25,13 +25,13 @@ from .shift import SftSpace, Word, word_columns
 # --------------------------- helpers ---------------------------
 
 
-def _seed_seq(*entropy: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(e) % 2**63 for e in entropy])
-
-
 def rng_from(*entropy: int) -> np.random.Generator:
-    """Deterministic generator derived from a tuple of integers."""
-    return np.random.default_rng(_seed_seq(*entropy))
+    """Deterministic generator derived from a tuple of integers, each taken
+    mod 2**63.  One value seeds the SeedSequence as it is: numpy reads it as
+    the same words as the one-element list, a little faster."""
+    words = [int(e) % 2**63 for e in entropy]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        words[0] if len(words) == 1 else words)))
 
 
 def _flag(bad: np.ndarray, message: str, error=ValueError) -> None:

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sftlab import ergopt
-from sftlab.errors import (OutsideLf, PerronNotPositive, SftLabError,
-                           SpaceMismatch)
+from sftlab.errors import (NonFinitePotential, OutsideLf, PerronNotPositive,
+                           SftLabError, SpaceMismatch)
 from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
                            _equilibria, _find_cycle, _integer_weights,
                            _maxplus_best_mean, _maxplus_step, _optimum,
@@ -21,9 +22,9 @@ from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
                            ergodic_average_range, level_entropy,
                            level_entropy_detail, level_entropy_details,
                            mean_potential, pressure, pressures,
-                           random_potential)
+                           random_potential, random_potentials)
 from sftlab.experiments import _csv, run_experiment
-from sftlab.measures import MarkovMeasure, ks_entropy
+from sftlab.measures import MarkovMeasure, ks_entropy, rng_from
 from sftlab.shift import SftSpace, Word, topological_entropy
 
 from measure_oracles import (loop_equilibrium_mean, per_measure_entropy,
@@ -144,6 +145,22 @@ def best_mean(n, src, dst, values, max_period):
     """The one-row _maxplus_best_mean of an edge list."""
     return _maxplus_best_mean(InEdges.of(n, src, dst), np.array([values]),
                               max_period)[0]
+
+
+def per_trial_potentials(seed, salt, count, low, high, draw_values):
+    """(trial, space, r, f) for each trial of karp_oracle (low, high =
+    (2, 1), (7, 4)) or thm1_6_equilibrium: m and r drawn one at a time from
+    default_rng(seed), and f's table from draw_values(rng, words), rng the
+    generator rng_from(seed, salt, m, r) of the trial's (m, r), advanced
+    trial by trial."""
+    draws, gens = np.random.default_rng(seed), {}
+    for trial in range(count):
+        m, r = (int(draws.integers(a, b)) for a, b in zip(low, high))
+        space = SftSpace.full_shift(m)
+        rng = gens.setdefault((m, r), rng_from(seed, salt, m, r))
+        words = map(tuple, space.word_table(r).tolist())
+        values = draw_values(rng, len(space.word_table(r))).tolist()
+        yield trial, space, r, Potential(space, r, dict(zip(words, values)))
 
 
 def forbid_pressure(monkeypatch):
@@ -328,8 +345,9 @@ def equilibrium_batches(draw):
 def maxplus_states(draw):
     """A weighted digraph, a batch shape with 0, 1 or 2 leading axes and,
     for each batch entry, edge values and a state vector over the nodes
-    (some entries absent), as integer weights on the float64 path or, with
-    a step count past 2**53, on the Python-int path."""
+    (some entries absent), as integer weights on the float32 path or, with
+    a step count of 2**30 or past 2**53, on the float64 or Python-int
+    path."""
     n, edges = draw(weighted_digraphs())
     shape = draw(st.sampled_from([(), (2,), (3, 2)]))
     size = int(np.prod(shape))
@@ -337,7 +355,7 @@ def maxplus_states(draw):
     values = np.array([float(draw(weights)) for _ in range(size * len(edges))]
                       + [float(draw(weights)) for _ in range(size * n)]
                       ).reshape(shape + (len(edges) + n,))
-    steps = draw(st.sampled_from([n + 1, 2 ** 60]))
+    steps = draw(st.sampled_from([n + 1, 2 ** 30, 2 ** 60]))
     w, _, absent, _ = _integer_weights(values, steps)
     gone = np.array(draw(st.lists(st.booleans(), min_size=size * n,
                                   max_size=size * n))).reshape(shape + (n,))
@@ -394,6 +412,27 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential(GOLDEN, 2, {(0, 0): 1.0, (0, 1): 2.0})
         Potential(GOLDEN, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0})
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(MAXPLUS_CASES), st.integers(-2 ** 40, 2 ** 40),
+           st.booleans(), st.integers(1, 5))
+    def test_random_potential_is_the_first_row(self, case, seed, integer,
+                                               count):
+        # a (1, k) draw is the (k,) draw random_potential made before, and
+        # the first rows of a draw do not depend on the count
+        space, r = case
+        f = random_potential(space, r, seed, integer=integer)
+        rows = random_potentials(space, r, seed, count, integer=integer)
+        k = len(space.word_table(r))
+        rng = rng_from(seed)
+        want = (rng.integers(-9, 10, size=k).astype(float) if integer
+                else rng.uniform(-9, 9, size=k))
+        assert f.values.tolist() == rows[0].values.tolist() == want.tolist()
+        assert [g.values.tolist() for g in rows] == [
+            g.values.tolist() for g in random_potentials(
+                space, r, rng_from(seed), count + 2, integer=integer)[:count]]
+        assert not rows[-1].values.flags.writeable
+        assert rows[-1].values.base is rows[0].values.base
 
     def test_json_round_trip(self):
         f = random_potential(GOLDEN, 2, seed=1)
@@ -563,14 +602,13 @@ class TestEquilibrium:
                 equilibrium_residual(space, f) for f in fs]
 
     def test_experiment_equals_per_trial_loop(self):
-        # the residuals.csv that thm1_6_equilibrium wrote trial by trial
-        rng, rows = np.random.default_rng(7), []
-        for trial in range(200):
-            m, r = int(rng.integers(2, 5)), int(rng.integers(1, 3))
-            space = SftSpace.full_shift(m)
-            f = random_potential(space, r, seed=7 * 1000 + trial,
-                                 integer=False, low=-2, high=2)
-            rows.append([trial, m, r, equilibrium_residual(space, f)])
+        # residuals.csv solved trial by trial, each trial's values drawn
+        # from its (m, r) group's generator
+        rows = []
+        for trial, space, r, f in per_trial_potentials(
+                7, 1000, 200, (2, 1), (5, 3),
+                lambda rng, k: rng.uniform(-2, 2, size=k)):
+            rows.append([trial, space.m, r, equilibrium_residual(space, f)])
         got = run_experiment("thm1_6_equilibrium", 7, {"count": 200})
         assert got.tables["residuals.csv"] == _csv(
             ["trial", "m", "r", "residual"], rows)
@@ -589,14 +627,12 @@ class TestEquilibrium:
                 space, f, want)
 
     def test_experiment_draws_equal_per_row_oracle(self):
-        rng = np.random.default_rng(21)
-        draws = [(int(rng.integers(2, 5)), int(rng.integers(1, 3)))
-                 for _ in range(300)]
+        trials = list(per_trial_potentials(
+            21, 1000, 300, (2, 1), (5, 3),
+            lambda rng, k: rng.uniform(-2, 2, size=k)))
         for m in (2, 3, 4):
             space = SftSpace.full_shift(m)
-            fs = [random_potential(space, r, seed=21 * 1000 + t,
-                                   integer=False, low=-2, high=2)
-                  for t, (mt, r) in enumerate(draws) if mt == m]
+            fs = [f for _, s, _, f in trials if s.m == m]
             assert equilibrium_residuals(space, fs) == per_row_residuals(
                 space, fs)
 
@@ -685,21 +721,33 @@ class TestBatches:
         assert equilibrium_residuals(FULL2, []) == []
 
     def test_karp_oracle_equals_per_trial_loop(self):
-        # the oracle.csv that karp_oracle wrote trial by trial
-        rng, rows = np.random.default_rng(7), []
-        for trial in range(200):
-            m, r = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-            if m ** max(r - 1, 1) > 40:
-                r = 2
-            space = SftSpace.full_shift(m)
-            f = random_potential(space, r, seed=7 * 7919 + trial)
+        # oracle.csv solved trial by trial, each trial's values drawn from
+        # its (m, r) group's generator
+        rows = []
+        for trial, space, r, f in per_trial_potentials(
+                7, 7919, 200, (2, 1), (7, 4),
+                lambda rng, k: rng.integers(-9, 10, size=k)):
             nodes = block_graph(space, max(r - 1, 1)).n_nodes()
+            assert nodes <= 36
             karp = beta(space, f).value
             oracle = brute_force_beta(space, f, nodes)
-            rows.append([trial, m, r, karp, oracle, int(karp == oracle)])
+            rows.append([trial, space.m, r, karp, oracle, int(karp == oracle)])
         got = run_experiment("karp_oracle", 7, {"count": 200})
         assert got.tables["oracle.csv"] == _csv(
             ["trial", "m", "r", "karp", "oracle", "equal"], rows)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 31 - 1])
+    def test_trials_do_not_depend_on_count(self, seed):
+        # the first 200 rows of a count-800 run are the count-200 run, and
+        # no karp_oracle draw has more than 6**2 = 36 nodes
+        for name, table in (("karp_oracle", "oracle.csv"),
+                            ("thm1_6_equilibrium", "residuals.csv")):
+            short, long = (run_experiment(name, seed, {"count": count})
+                           .tables[table] for count in (200, 800))
+            assert short == long[:201] and len(long) == 801
+            if name == "karp_oracle":
+                assert max(int(m) ** max(int(r) - 1, 1) for _, m, r, *_ in
+                           (row.split(",") for row in long[1:])) <= 36
 
     def test_batches_are_cut_at_the_element_budget(self, monkeypatch):
         # 3 nodes of in-degree 3: Karp's D table holds (3 + 1) * 3 = 12
@@ -812,6 +860,34 @@ class TestSpaceMismatch:
                              mu.stationary)
         assert equilibrium_mean(FULL2, f, twin) == \
             equilibrium_mean(FULL2, f, mu) == equilibrium_mean(FULL2, f)
+
+
+class TestNonFinite:
+    # a nan or an infinity used to fail inside the solvers: as_integer_ratio
+    # raised a bare ValueError or OverflowError in the max-plus core, the
+    # eigensolver a LinAlgError, and -inf PerronNotPositive
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_every_solver_names_the_potential_and_word(self, bad):
+        f = Potential(FULL2, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 0): bad,
+                                 (1, 1): -bad})
+        good = random_potential(FULL2, 2, seed=1)
+        assert issubclass(NonFinitePotential, SftLabError)
+        assert issubclass(NonFinitePotential, ValueError)
+        for index, call in (
+                (0, lambda: beta(FULL2, f)),
+                (1, lambda: betas(FULL2, [good, f])),
+                (0, lambda: brute_force_beta(FULL2, f, 3)),
+                (1, lambda: brute_force_betas(FULL2, [good, f], 3)),
+                (0, lambda: classify_smr(FULL2, f)),
+                (0, lambda: pressure(FULL2, f)),
+                (1, lambda: pressures(FULL2, [good, f])),
+                (0, lambda: equilibrium_state(FULL2, f)),
+                (0, lambda: equilibrium_residual(FULL2, f)),
+                (1, lambda: equilibrium_residuals(FULL2, [good, f])),
+                (0, lambda: level_entropy_details(FULL2, f, [0.0]))):
+            with pytest.raises(NonFinitePotential, match=re.escape(
+                    f"potential {index} has the value {bad} on the word 10")):
+                call()
 
 
 class TestLevelEntropy:
@@ -978,7 +1054,7 @@ class TestMaxPlusCore:
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tolist() == expected.tolist()
 
-    def test_gather_step_covers_both_paths_and_bare_nodes(self):
+    def test_gather_step_covers_every_path_and_bare_nodes(self):
         # GOLDEN's and NO_FIXED's in-degrees are uneven or have no loop;
         # dropping node 0's in-edges leaves it bare
         for space in (GOLDEN, NO_FIXED):
@@ -986,10 +1062,11 @@ class TestMaxPlusCore:
             keep = g.dst != 0
             table = InEdges.of(g.n_nodes(), g.src[keep], g.dst[keep])
             assert table.bare.tolist() == [0]
-            for steps in (3, 2 ** 60):
+            for steps, dtype in ((3, np.float32), (2 ** 30, np.float64),
+                                 (2 ** 60, object)):
                 values = np.arange(1.0, 1 + 2 * keep.sum()).reshape(2, -1)
                 w, _, absent, _ = _integer_weights(values, steps)
-                assert (w.dtype == object) == (steps == 2 ** 60)
+                assert w.dtype == dtype
                 cur = np.zeros((2, g.n_nodes()), dtype=w.dtype)
                 cur[1, 1] = absent
                 assert _maxplus_step(cur, table, table.weights(w, absent),
@@ -1006,6 +1083,82 @@ class TestMaxPlusCore:
             assert (best_mean(2, src, dst, values, 2)
                     == Fraction(w) + Fraction(d) / 2)
             assert best_mean(2, src[1:], dst[1:], values[1:], 1) is None
+
+    def test_exact_across_the_float32_limit(self):
+        # weights near 2**23: float32 holds the sums of up to `steps` of
+        # them only while steps * max|w| < 2**24, and would round the sum
+        # 2**24 + 1 of two steps; every path equals the Python-int path
+        assert np.float32(2 ** 24 + 1) == 2 ** 24
+        table = InEdges.of(2, np.array([0, 0, 1]), np.array([0, 1, 0]))
+        for top, steps, dtype in ((2 ** 23 - 1, 2, np.float32),
+                                  (2 ** 23, 1, np.float32),
+                                  (2 ** 23, 2, np.float64),
+                                  (2 ** 23 + 1, 2, np.float64),
+                                  (2 ** 23 - 1, 3, np.float64)):
+            values = np.array([[top - 1.0, -top, top], [top, top, 1.0]])
+            got, want = (_integer_weights(values, s) for s in (steps, 2 ** 60))
+            assert got[0].dtype == dtype and want[0].dtype == object
+            runs = []
+            for w, _, absent, _ in (got, want):
+                W, cur = table.weights(w, absent), np.zeros((2, 2), w.dtype)
+                for _ in range(steps):
+                    cur = _maxplus_step(cur, table, W, absent)
+                runs.append(cur.tolist())
+            assert runs[0] == runs[1]
+        # Karp takes 2 * n**2 = 8 steps on the 2-node graph: a loop of x and
+        # a 2-cycle of sum 2x + 1 put max|w| * 8 on both sides of 2**24
+        for x in (2 ** 21 - 3, 2 ** 21 - 2, 2 ** 21 - 1, 2 ** 21):
+            f = Potential(FULL2, 2, {(0, 0): x, (0, 1): x, (1, 0): x + 1,
+                                     (1, 1): -x})
+            w, *_ = _integer_weights(f.values[None], 8)
+            assert w.dtype == (np.float32 if x < 2 ** 21 - 1 else np.float64)
+            out = beta(FULL2, f)
+            assert out.value_exact == Fraction(2 * x + 1, 2)
+            assert out.cycle == Word("01")
+            smr = classify_smr(FULL2, f)
+            assert smr.periodic == Word("01") and smr.gap == 0.5
+            assert brute_force_beta(FULL2, f, 2) == x + 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(MAXPLUS_CASES), st.data())
+    def test_every_path_gives_the_same_results(self, case, data):
+        # small integers and eighths take the float32 path; the same
+        # integers forced onto float64 and onto Python ints must give ==
+        # optima, cycles, ties, gaps and oracle values
+        space, r = case
+        value = st.one_of(st.integers(-9, 9),
+                          st.integers(-72, 72).map(lambda k: k / 8))
+        fs = [Potential(space, r, {w.symbols: float(data.draw(value))
+                                   for w in space.words(r)})
+              for _ in range(data.draw(st.integers(1, 4)))]
+        n = block_graph(space, max(r - 1, 1)).n_nodes()
+        period = data.draw(st.integers(n, n + 2))
+
+        def solve(weights):
+            seen = []
+
+            def record(values, steps):
+                out = weights(values, steps)
+                seen.append(out[0].dtype)
+                return out
+
+            with mock.patch.object(ergopt, "_integer_weights", record):
+                return ([(b.value_exact, b.cycle) for b in betas(space, fs)],
+                        brute_force_betas(space, fs, period),
+                        [classify_smr(space, f) for f in fs]), set(seen)
+
+        real = _integer_weights
+        expected, seen = solve(real)
+        assert seen == {np.dtype(np.float32)}
+        for dtype, weights in (
+                (np.float64, lambda v, s: (real(v, s)[0].astype(np.float64),
+                                           *real(v, s)[1:])),
+                (object, lambda v, s: real(v, s * 2 ** 60))):
+            got, seen = solve(weights)
+            assert got == expected
+            # an all-zero batch has max|w| = 0 and stays on float32
+            assert np.dtype(dtype) in seen or not any(f.values.any()
+                                                      for f in fs)
 
 
     @settings(deadline=None)

@@ -19,7 +19,7 @@ DIGESTS = {
     "summary.json":
         "092fe6f546a1fd03be3bc6cd3fd3b67dbb8c55aa94838f3e28cc778b83f5ed13",
     "karp_oracle/oracle.csv":
-        "1e2db918b16dd24a82e6456f43135d8ce8d0de1bb29dc3a99becd14b7d61026e",
+        "3d91f13d2373e8b270fd3f618ac9424e4e7a852b201166d123459aeaa54aa322",
     "thm1_1_capacity/counts.csv":
         "b62393438f9c8f98c11eca3cffc2f51e25f90554406ba50208f3c2070744b627",
     "prop3_1_family/family_sizes.csv":

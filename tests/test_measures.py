@@ -838,6 +838,22 @@ class TestSampleWordOracle:
         assert measures.rng_from(9).random() == \
             measures.rng_from(9).random(1)[0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from([0, -1, -2 ** 63, 2 ** 32, 2 ** 63 - 1,
+                                      2 ** 63, 2 ** 63 + 5, 2 ** 64 + 3]),
+                     st.integers(-2 ** 70, 2 ** 70)),
+           st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=3))
+    def test_rng_from_is_the_list_seeded_stream(self, first, more):
+        # one entropy value seeds the SeedSequence as it is; the generator
+        # draws what the one-element list seeded before
+        entropy = [first, *more]
+        old = np.random.default_rng(np.random.SeedSequence(
+            [e % 2 ** 63 for e in entropy]))
+        new = measures.rng_from(*entropy)
+        assert new.random(6).tolist() == old.random(6).tolist()
+        assert new.integers(-9, 10, size=6).tolist() == \
+            old.integers(-9, 10, size=6).tolist()
+
     def test_a_periodic_orbit_is_read_off_its_cycle(self):
         # no per-step walk: a million symbols of a 3-cycle at once
         mu = MarkovMeasure.periodic_orbit(SftSpace.full_shift(4), Word("203"))

@@ -16,9 +16,10 @@ REEXPORTS = {
         "BadCheckpoints", "Degenerate", "DepthExceedsEmpirical",
         "FamilyNotSeparated", "GapTooSmall", "InfeasibleParams",
         "LeafOutOfRange", "MalformedSchedule", "MalformedTree",
-        "NotPrimitive", "NotRecurrent", "OrbitsNotDisjoint", "OutsideLf",
-        "PerronNotPositive", "SftLabError", "ShortFamily", "SingularProduct",
-        "SpaceMismatch", "WordsTooShort", "ZeroCylinder"],
+        "NonFinitePotential", "NotPrimitive", "NotRecurrent",
+        "OrbitsNotDisjoint", "OutsideLf", "PerronNotPositive", "SftLabError",
+        "ShortFamily", "SingularProduct", "SpaceMismatch", "WordsTooShort",
+        "ZeroCylinder"],
     "shift": ["SftSpace", "SymbolStream", "Word", "bridge", "connector",
               "delta_separated", "dist", "glue", "separated_count",
               "topological_entropy"],
