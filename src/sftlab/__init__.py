@@ -2,21 +2,21 @@
 finite type: saturated sets, separated families, optimal orbits,
 equilibrium states, matrix cocycles and distributional chaos."""
 
-from .errors import (BadCheckpoints, Degenerate, DepthExceedsEmpirical,
-                     FamilyNotSeparated, GapTooSmall, InfeasibleParams,
-                     LeafOutOfRange, MalformedSchedule, MalformedTree,
-                     NonFinitePotential, NotPrimitive, NotRecurrent,
-                     OrbitsNotDisjoint, OutsideLf, PerronNotPositive,
-                     SftLabError, ShortFamily, SingularProduct, SpaceMismatch,
-                     WordsTooShort, ZeroCylinder)
+from .errors import (BadCheckpoints, Degenerate, FamilyNotSeparated,
+                     GapTooSmall, InfeasibleParams, LeafOutOfRange,
+                     MalformedSchedule, MalformedTree, NonFinitePotential,
+                     NotPrimitive, NotRecurrent, OrbitsNotDisjoint, OutsideLf,
+                     PerronNotPositive, SftLabError, ShortFamily,
+                     SingularProduct, SpaceMismatch, WordsTooShort,
+                     ZeroCylinder)
 
 _HOME = {name: layer for layer, names in (  # name -> its layer; layer -> self
     ("shift", "SftSpace SymbolStream Word bridge connector delta_separated "
               "dist glue separated_count topological_entropy"),
-    ("measures", "EmpiricalMeasure MarkovMeasure MeasurePath ks_entropies "
-                 "ks_entropy markov_measures refine_path sample_word "
+    ("measures", "MarkovMeasure MeasurePath ks_entropies ks_entropy "
+                 "markov_measures refine_path sample_word "
                  "typical_separated_family weak_star_dist"),
-    ("analysis", "birkhoff_avg brin_katok_estimate empirical growth_rate "
+    ("analysis", "birkhoff_avg brin_katok_estimate growth_rate "
                  "recurrence_ratios"),
     ("ergopt", "Potential beta betas brute_force_beta brute_force_betas "
                "classify_smr equilibrium_state level_entropy mean_potential "

@@ -1,6 +1,6 @@
-"""Orbit-side diagnostics: empirical measures, Birkhoff averages, local
-entropy estimates from exact cylinder masses, recurrence-time statistics and
-growth-rate estimation."""
+"""Orbit-side diagnostics: Birkhoff averages, local entropy estimates from
+exact cylinder masses, recurrence-time statistics and growth-rate
+estimation."""
 from __future__ import annotations
 
 import math
@@ -11,22 +11,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Degenerate, NotRecurrent, WordsTooShort, ZeroCylinder
-from .measures import EmpiricalMeasure, MarkovMeasure, window_counts
-from .shift import SftSpace, Word, _symbols, word_columns
-
-
-def empirical(space: SftSpace, x: Union[Word, np.ndarray], n: int,
-              depth: int) -> EmpiricalMeasure:
-    """Sliding-window cylinder frequencies of a word or symbol array: the
-    first n windows of length ``depth`` (the orbit-average measure projected
-    to depth-cylinders), counted per word-table row; ValueError names a
-    forbidden window."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if len(x) < n + depth - 1:
-        raise WordsTooShort(f"need length >= {n + depth - 1}, got {len(x)}")
-    counts = window_counts(space, _symbols(x)[None], depth, [n])[n]
-    return EmpiricalMeasure(space, depth, counts[0])
+from .measures import MarkovMeasure
+from .shift import Word, _symbols, word_columns
 
 
 def birkhoff_avg(x: Union[Word, np.ndarray], f, n: int) -> float:

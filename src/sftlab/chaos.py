@@ -178,16 +178,6 @@ def _pair(x: Orbit, y: Orbit, cuts: Sequence[int],
                        cuts, ks, len(xs) == len(ys), max(L, 1))[0]
 
 
-def orbit_distances(x: Orbit, y: Orbit, n: int) -> np.ndarray:
-    """d(shift^i x, shift^i y) for 0 <= i < n on the available symbols: the
-    gaps as the one-symbol windows of :func:`gap_windows`."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    gaps = _pair(x, y, range(1, n + 1), ()).low if n else np.empty(0)
-    with np.errstate(under="ignore"):
-        return np.power(2.0, -gaps.astype(float))
-
-
 def _phi_at(w: GapWindows, thr: float, cps: Sequence[int]) -> list[float]:
     """The fraction of thr-close iterates among the first n, at each n of
     the checkpoints."""

@@ -77,6 +77,7 @@ class MatrixCocycle:
 
 
 _RANK_WINDOWS = 1 << 14  # windows exponents_along compares or ranks at once
+_CADENCE = 32  # steps between two rescalings of the running products
 
 
 def _math_logs(values: np.ndarray) -> np.ndarray:
@@ -85,8 +86,8 @@ def _math_logs(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), float, len(values))
 
 
-def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
-                    cadence: int = 32) -> list[float]:
+def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int
+                    ) -> list[float]:
     """(1/n) log ||product of the first n generators along each row|| of a
     symbol matrix, one word per row.
 
@@ -94,7 +95,7 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
     products, row r's product in ``[:, r, :]``.  A step where every row
     has the same window is one matrix product with that array seen as
     d x (rows d); the other steps multiply each row by its own generator.
-    Every ``cadence`` steps each row is scaled by the power of two of its
+    Every ``_CADENCE`` steps each row is scaled by the power of two of its
     largest entry, its exponent carried in an int64 counter.  A scaling by
     a power of two is exact, so each value equals the one-word walk of its
     row with ``==`` at every cadence; SingularProduct, naming the row and
@@ -104,13 +105,13 @@ def exponents_along(c: MatrixCocycle, rows: np.ndarray, n: int,
     once, so the memory held beyond the input and the products does not
     grow with n.
     """
-    return _exponents_at(c, rows, (n,), cadence)[0]
+    return _exponents_at(c, rows, (n,))[0]
 
 
 _LOG2 = math.log(2)
 
 
-def _scale(W: np.ndarray, E: np.ndarray, step: int, cadence: int) -> None:
+def _scale(W: np.ndarray, E: np.ndarray, step: int) -> None:
     """Scale each row's product in W by the power of two that puts its
     largest entry in [1/2, 1), in place and exactly, adding the exponent
     to the row's counter in E.  SingularProduct, naming the first such
@@ -120,22 +121,20 @@ def _scale(W: np.ndarray, E: np.ndarray, step: int, cadence: int) -> None:
     if len(bad):
         raise SingularProduct(
             f"row {bad[0]}: the product of the first {step} generators "
-            f"has largest entry {top[bad[0]]} (scaled every {cadence} "
+            f"has largest entry {top[bad[0]]} (scaled every {_CADENCE} "
             f"steps); it overflowed, underflowed or is not a number")
     k = np.frexp(top)[1]
     np.ldexp(W, -k[None, :, None], out=W)
     E += k
 
 
-def _exponents_at(c: MatrixCocycle, rows: np.ndarray, ns: Sequence[int],
-                  cadence: int = 32) -> list[list[float]]:
+def _exponents_at(c: MatrixCocycle, rows: np.ndarray, ns: Sequence[int]
+                  ) -> list[list[float]]:
     """:func:`exponents_along` at each n of ns, from one walk of max(ns)
     steps; each value equals the walk of its own n."""
     n = max(ns)
     if min(ns) < 1:
         raise ValueError("n must be positive")
-    if cadence < 1:
-        raise ValueError(f"cadence must be positive, got {cadence}")
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-d symbol matrix")
@@ -154,8 +153,8 @@ def _exponents_at(c: MatrixCocycle, rows: np.ndarray, ns: Sequence[int],
         else:
             W = (c._stack[codes] @ W.reshape(d, R, d).transpose(1, 0, 2)
                  ).transpose(1, 0, 2).reshape(d, R * d)
-        if (i + 1) % cadence == 0 or i + 1 in ns:
-            _scale(W.reshape(d, R, d), E, i + 1, cadence)
+        if (i + 1) % _CADENCE == 0 or i + 1 in ns:
+            _scale(W.reshape(d, R, d), E, i + 1)
         if i + 1 in ns:
             # W is a function of the products alone now, so the norm is
             # too, whatever the cadence
@@ -202,11 +201,11 @@ def _shared_steps(block: np.ndarray, depth: int) -> np.ndarray:
     return sliding_window_view(same, depth).all(axis=1)
 
 
-def exponent_along(c: MatrixCocycle, x: Union[Word, np.ndarray], n: int,
-                   cadence: int = 32) -> float:
+def exponent_along(c: MatrixCocycle, x: Union[Word, np.ndarray], n: int
+                   ) -> float:
     """(1/n) log ||product of the first n generators along a word or 1-d
     symbol array x||: the one-row case of :func:`exponents_along`."""
-    return exponents_along(c, _symbols(x)[None, :], n, cadence)[0]
+    return exponents_along(c, _symbols(x)[None, :], n)[0]
 
 
 def periodic_exponent(c: MatrixCocycle, cycle: Word) -> float:

@@ -561,29 +561,6 @@ def _edge_flow_means(graph: BlockGraph, values: np.ndarray,
     return np.cumsum(flows, axis=1)[:, -1]
 
 
-def equilibrium_mean(space: SftSpace, f: Potential,
-                     mu: Optional[MarkovMeasure] = None) -> float:
-    """Integral of f against its equilibrium state, or against a given
-    measure on f's block space, via edge flows of the block-graph measure
-    (valid for any depth); SpaceMismatch when f lives on another space or
-    mu on another block space (edges compared with the graph's, so the
-    block space is not built)."""
-    _check_potentials(space, [f])
-    graph = block_graph(space, max(f.r - 1, 1))
-    if mu is None:
-        mu = equilibrium_state(space, f)
-    else:
-        n, A = graph.n_nodes(), mu.space.transition
-        if (len(A), int(A.sum())) != (n, len(graph.src)) \
-                or not A[graph.src, graph.dst].all():
-            raise SpaceMismatch(
-                f"mu must live on the {n}-node block space of the depth-{f.r}"
-                f" potential ({len(graph.src)} edges), not on {mu.space!r} "
-                f"({int(A.sum())} edges)")
-    return float(_edge_flow_means(
-        graph, _edge_values(graph, f.r, f.values)[None], [mu])[0])
-
-
 def equilibrium_residuals(space: SftSpace, fs: Sequence[Potential]
                           ) -> list[float]:
     """|h(mu_f) + int f dmu_f - P(f)|, the variational-principle defect, for

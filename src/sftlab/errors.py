@@ -17,10 +17,6 @@ class WordsTooShort(SftLabError):
     """An operation needs more symbols than the given words provide."""
 
 
-class DepthExceedsEmpirical(SftLabError):
-    """An empirical measure was asked for cylinders deeper than it records."""
-
-
 class ShortFamily(SftLabError):
     """Greedy family construction stalled below its cardinality target."""
 

@@ -43,9 +43,9 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import measures
-from .errors import (BadCheckpoints, FamilyNotSeparated, InfeasibleParams,
-                     LeafOutOfRange, MalformedSchedule, MalformedTree,
-                     OrbitsNotDisjoint, WordsTooShort)
+from .errors import (BadCheckpoints, FamilyNotSeparated, GapTooSmall,
+                     InfeasibleParams, LeafOutOfRange, MalformedSchedule,
+                     MalformedTree, OrbitsNotDisjoint, WordsTooShort)
 from .measures import (MarkovMeasure, MeasurePath, _batch_weak_star,
                        _same_space, ks_entropy, refine_path, sample_word,
                        typical_separated_family, weak_star_counts,
@@ -154,10 +154,11 @@ class GluingSchedule:
         if self.gap is None:
             self.gap = index
         if self.gap < index:
-            raise ValueError("gap below the primitivity index")
-        for st in self.stages:
+            raise GapTooSmall(f"gap {self.gap} < primitivity index {index}")
+        for k, st in enumerate(self.stages, start=1):
             if st.n < self.check_depth:
-                raise ValueError("block length below the checking depth")
+                raise MalformedSchedule(f"stage {k}: block length {st.n} < "
+                                        f"check_depth {self.check_depth}")
         if self.stages and not (self.stages[-1].reps
                                 or self.stages[-1].tour_len()):
             # past the built stages the last one repeats, and would add nothing
@@ -232,8 +233,8 @@ class GluingSchedule:
     @classmethod
     def from_json(cls, text: str) -> "GluingSchedule":
         """Load a record written by :meth:`to_json`: MalformedSchedule names
-        a field that is missing or cannot be read, InfeasibleParams the
-        first check of :func:`validate_schedule` that fails."""
+        a missing or unreadable field or a block below check_depth, GapTooSmall
+        a gap below the primitivity index, InfeasibleParams a failed check."""
         record = json.loads(text)
 
         def read(field: str, convert: Callable):

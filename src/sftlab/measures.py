@@ -18,8 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (DepthExceedsEmpirical, ShortFamily, SpaceMismatch,
-                     StationaryNotUnique)
+from .errors import ShortFamily, SpaceMismatch, StationaryNotUnique
 from .shift import SftSpace, Word, word_columns
 
 # --------------------------- helpers ---------------------------
@@ -202,9 +201,6 @@ class MarkovMeasure:
         first = np.arange(len(support)) == 0
         return bool(_sweep(adj, first).all() and _sweep(adj.T, first).all())
 
-    def max_depth(self) -> Optional[int]:
-        return None  # analytic: any depth available
-
     def to_json(self) -> str:
         return json.dumps({
             "stochastic": self.stochastic.tolist(),
@@ -236,60 +232,6 @@ def markov_measures(space: SftSpace, stochastic, stationary=None
     pi.setflags(write=False)
     return [MarkovMeasure._of(space, *row) for row in zip(
         Q, pi, np.cumsum(Q, axis=2), np.cumsum(pi, axis=1))]
-
-
-# --------------------------- empirical measures ---------------------------
-
-
-class EmpiricalMeasure:
-    """Cylinder-frequency record of an orbit segment at a fixed depth L: one
-    integer count per row of ``space.word_table(L)``."""
-
-    def __init__(self, space: SftSpace, depth: int, counts: Sequence[int]):
-        if depth < 1:
-            raise ValueError("depth must be positive")
-        counts = np.array(counts, dtype=np.int64)
-        if counts.shape != (len(space.word_table(depth)),):
-            raise ValueError(f"counts must hold one entry per admissible "
-                             f"{depth}-word, got shape {counts.shape}")
-        self.total = int(counts.sum())
-        if (counts < 0).any() or self.total <= 0:
-            raise ValueError("counts must be nonnegative with positive total")
-        counts.setflags(write=False)
-        self.space, self.depth, self.counts = space, depth, counts
-
-    def max_depth(self) -> Optional[int]:
-        return self.depth
-
-    def cylinder_prob(self, symbols: Sequence[int]) -> float:
-        """The count of the rows the cylinder prefixes, one run of the
-        table, over the total; 0.0 for an inadmissible cylinder."""
-        s = tuple(symbols)
-        if len(s) > self.depth:
-            raise DepthExceedsEmpirical(
-                f"empirical depth {self.depth} < requested {len(s)}")
-        if not s:
-            return 1.0
-        run = (self.space.word_table(self.depth)[:, :len(s)] == s).all(axis=1)
-        return int(self.counts[run].sum()) / self.total
-
-    def cylinder_probs(self, depth: int) -> np.ndarray:
-        """:meth:`cylinder_prob` of each cylinder of
-        :func:`cylinder_weights` at a depth up to the measure's: each
-        cylinder's run of the count row, summed from one prefix sum, over
-        the total."""
-        if depth > self.depth:
-            raise DepthExceedsEmpirical(
-                f"empirical depth {self.depth} < requested {depth}")
-        size = len(_cylinders(self.space, depth)[0])
-        _, _, lo, hi = _cylinders(self.space, self.depth)
-        return _run_sums(self.counts, lo[:size], hi[:size]) / self.total
-
-    def __repr__(self) -> str:
-        return f"EmpiricalMeasure(depth={self.depth}, total={self.total})"
-
-
-MeasureLike = Union[MarkovMeasure, EmpiricalMeasure]
 
 
 # --------------------------- the weak* metric ---------------------------
@@ -367,18 +309,20 @@ def window_counts(space: SftSpace, rows: np.ndarray, depth: int,
 _WEAK_STAR_ROWS = 1 << 10  # count rows weak_star_counts scores at once
 
 
-def weak_star_counts(counts: np.ndarray, total, target: MeasureLike,
+def weak_star_counts(counts: np.ndarray, total, target: MarkovMeasure,
                      depth: int) -> np.ndarray:
-    """weak_star_dist to target of the empirical measure of each count row,
-    bit for bit: row i counts depth-windows per :func:`word_columns` column
-    out of total (a scalar or one total per row).
+    """The weak* distance to target of the empirical measure of each count
+    row: row i counts depth-windows per :func:`word_columns` column out of
+    total (a scalar or one total per row), and its distance is the sum over
+    the cylinders of :func:`cylinder_weights`, left to right, of
+    weight * |count / total - target(cyl)|, bit for bit the per-cylinder
+    loop over a {window: count} record of the same windows.
 
     A cylinder's count is the sum of the contiguous word-table rows it
-    prefixes, read off one prefix sum of the rows; every term
-    weight * |count / total - target(cyl)| is formed at once, and the terms
-    are summed left to right in :func:`cylinder_weights` order, the float
-    operations of weak_star_dist.  At most ``_WEAK_STAR_ROWS`` rows are
-    scored at a time, so the temporaries stay small beside the counts.
+    prefixes, read off one prefix sum of the rows; every term is formed at
+    once, and the terms are summed as weak_star_dist sums its.  At most
+    ``_WEAK_STAR_ROWS`` rows are scored at a time, so the temporaries stay
+    small beside the counts.
     ValueError unless counts has exactly one column per row of
     ``word_table(depth)`` and total is a positive finite scalar or one
     such value per row; the error names the first total that is not.
@@ -427,7 +371,7 @@ def _same_space(a, b, who: str = "the measures") -> None:
             f"{sa.transition.tolist()} and {sb.transition.tolist()}")
 
 
-def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
+def weak_star_dist(a: MarkovMeasure, b: MarkovMeasure, depth: int) -> float:
     """Truncated weighted-L1 distance over cylinder indicators.
 
     Symmetric pseudometric bounded by 1; separates measures differing on some
@@ -438,10 +382,6 @@ def weak_star_dist(a: MeasureLike, b: MeasureLike, depth: int) -> float:
     if depth < 1:
         raise ValueError("depth must be positive")
     _same_space(a, b)
-    for side in (a, b):
-        d = side.max_depth()
-        if d is not None and d < depth:
-            raise DepthExceedsEmpirical(f"empirical depth {d} < metric depth {depth}")
     weights = _cylinders(a.space, depth)[1]
     terms = weights * np.abs(a.cylinder_probs(depth) - b.cylinder_probs(depth))
     return float(np.add.accumulate(terms)[-1])
@@ -584,8 +524,8 @@ def sample_words_batch(mu: MarkovMeasure, n: int, count: int,
 
 def _batch_weak_star(space: SftSpace, batch: np.ndarray, mu: MarkovMeasure,
                      depth: int) -> np.ndarray:
-    """Vectorized weak* distance of each row's empirical measure to mu,
-    matching weak_star_dist on the row's depth-window empirical exactly."""
+    """Vectorized weak* distance of each row's empirical measure to mu: the
+    :func:`weak_star_counts` of the row's depth-windows."""
     windows = batch.shape[1] - depth + 1
     counts = window_counts(space, batch, depth, [windows])[windows]
     return weak_star_counts(counts, windows, mu, depth)

@@ -5,7 +5,8 @@ emitter's loop with its own memoised bridges and skip-empty rule.  The
 blocks come from ``gluing._stage_blocks``, the stage draw the emitter
 takes, which ``tests/test_gluing.py`` checks against the per-step oracle.
 Also the whole-array gap core that the chunked window stats replaced: one
-gap array per pair (``orbit_gaps``) and the reports read off it."""
+gap array per pair (``orbit_gaps``) and the reports read off it, and the
+float distances before it (``float_orbit_distances``)."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,29 @@ def orbit_gaps(x, y, n):
     if len(xs) == len(ys):
         t[nxt == L] = ZERO_GAP
     return t
+
+
+def float_orbit_distances(x, y, n):
+    """d(shift^i x, shift^i y) for 0 <= i < n of two words or symbol
+    arrays, as floats from each position's next disagreement: 0.0 past the
+    last one of words of equal length."""
+    L = min(len(x), len(y))
+    if n > L:
+        raise WordsTooShort(f"need both words of length >= {n}")
+    xs = _symbols(x)[:L].astype(np.int64)
+    ys = _symbols(y)[:L].astype(np.int64)
+    idx_of = np.where(xs != ys, np.arange(L), L)
+    nxt = np.minimum.accumulate(idx_of[::-1])[::-1]
+    idx = np.arange(n)
+    with np.errstate(under="ignore"):
+        d = np.power(2.0, -(nxt[:n] - idx).astype(float))
+    none_seen = nxt[:n] == L
+    if len(x) == len(y):
+        d[none_seen] = 0.0
+    else:
+        with np.errstate(under="ignore"):
+            d[none_seen] = np.power(2.0, -(L - idx[none_seen]).astype(float))
+    return d
 
 
 def _prefix(gaps, n):

@@ -1,10 +1,12 @@
-"""The dict empirical measure that the count-row ``EmpiricalMeasure`` and
-``analysis.empirical`` replaced, kept as their oracle: a {window: count}
-dict, whose windows need not be admissible (each counts in the total and
-in the cylinders it falls in), and its marginals summed as floats."""
+"""The dict empirical measure, the tests' oracle for the weak* distance of
+an orbit segment's windows: a {window: count} dict, whose windows need not
+be admissible (each counts in the total and in the cylinders it falls in),
+and its marginals summed as floats.  It shares nothing with
+``measures.window_counts`` or ``weak_star_counts``; score it with
+``measure_oracles.loop_weak_star_dist``."""
 import numpy as np
 
-from sftlab.errors import DepthExceedsEmpirical, WordsTooShort
+from sftlab.errors import WordsTooShort
 from sftlab.measures import cylinder_weights
 
 
@@ -22,9 +24,6 @@ class DictEmpiricalMeasure:
             raise ValueError("counts must be nonnegative with positive total")
         self._marginals = {}
 
-    def max_depth(self):
-        return self.depth
-
     def _marginal(self, length):
         if length not in self._marginals:
             acc = {}
@@ -36,9 +35,11 @@ class DictEmpiricalMeasure:
         return self._marginals[length]
 
     def cylinder_prob(self, symbols):
+        """The mass of a cylinder; ValueError for one deeper than the
+        record."""
         s = tuple(symbols)
         if len(s) > self.depth:
-            raise DepthExceedsEmpirical(
+            raise ValueError(
                 f"empirical depth {self.depth} < requested {len(s)}")
         if not s:
             return 1.0
@@ -50,24 +51,25 @@ class DictEmpiricalMeasure:
                          for c, _ in cylinder_weights(self.space, depth)])
 
 
-def freq(emp):
-    """{window: count} of the nonzero rows of a count-row
-    ``EmpiricalMeasure``, in table order: its dict form, as the oracle
-    keeps it."""
-    rows = np.flatnonzero(emp.counts)
-    words = map(tuple, emp.space.word_table(emp.depth)[rows].tolist())
-    return dict(zip(words, emp.counts[rows].tolist()))
+def freq(space, depth, row):
+    """{window: count} of the nonzero entries of a count row over
+    ``space.word_table(depth)``, in table order: its dict form, as the
+    oracle keeps it."""
+    cols = np.flatnonzero(row)
+    words = map(tuple, space.word_table(depth)[cols].tolist())
+    return dict(zip(words, np.asarray(row)[cols].tolist()))
 
 
 def dict_empirical(space, x, n, depth):
-    """analysis.empirical as the window loop built it."""
+    """The first n depth-windows of a word or symbol array, counted one by
+    one into a dict; inadmissible windows count too."""
     if n < 1:
         raise ValueError("n must be positive")
     if len(x) < n + depth - 1:
         raise WordsTooShort(f"need length >= {n + depth - 1}, got {len(x)}")
-    freq = {}
-    s = x.symbols
+    counts = {}
+    s = tuple(map(int, x))
     for i in range(n):
         w = s[i:i + depth]
-        freq[w] = freq.get(w, 0) + 1
-    return DictEmpiricalMeasure(space, depth, freq)
+        counts[w] = counts.get(w, 0) + 1
+    return DictEmpiricalMeasure(space, depth, counts)

@@ -18,6 +18,8 @@ from sftlab.gluing import GluingSchedule, Stage
 from sftlab.measures import MarkovMeasure, MeasurePath, ks_entropy
 from sftlab.shift import SftSpace, Word, dist, separated_count
 
+from chaos_oracles import float_orbit_distances
+
 FULL2 = SftSpace.full_shift(2)
 
 
@@ -149,7 +151,7 @@ class TestAcceptance:
                 xi, x = members[i]
                 et, y = members[j]
                 u = next(q for q in range(len(xi)) if xi[q] != et[q])
-                d = chaos.orbit_distances(x, y, min(len(x), len(y)))
+                d = float_orbit_distances(x, y, min(len(x), len(y)))
                 for k_idx in range(u + 1, len(fam.stage_ends) + 1):
                     end = fam.stage_ends[k_idx - 1]
                     if end > len(d):

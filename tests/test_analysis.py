@@ -3,36 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from sftlab.analysis import (birkhoff_avg, brin_katok_estimate, empirical,
-                             growth_rate, recurrence_ratios)
+from sftlab.analysis import (birkhoff_avg, brin_katok_estimate, growth_rate,
+                             recurrence_ratios)
 from sftlab.errors import Degenerate, NotRecurrent, WordsTooShort, ZeroCylinder
 from sftlab.ergopt import Potential, random_potential
 from sftlab.measures import MarkovMeasure, sample_word
 from sftlab.shift import SftSpace, Word
 
-from dict_empirical import freq
+from dict_empirical import dict_empirical
 
 FULL2 = SftSpace.full_shift(2)
 
 
 class TestEmpirical:
+    """The dict oracle that the tracking and weak* tests score orbit
+    segments with, on hand-counted words."""
+
     def test_constant_word(self):
-        emp = empirical(FULL2, Word("0000"), 3, 1)
-        assert freq(emp) == {(0,): 3}
+        emp = dict_empirical(FULL2, Word("0000"), 3, 1)
+        assert emp.freq == {(0,): 3}
         assert emp.total == 3
 
     def test_alternating_pairs(self):
         w = Word("01" * 50 + "0")  # length 101
-        emp = empirical(FULL2, w, 100, 2)
-        assert freq(emp) == {(0, 1): 50, (1, 0): 50}
+        emp = dict_empirical(FULL2, w, 100, 2)
+        assert emp.freq == {(0, 1): 50, (1, 0): 50}
 
     def test_needs_window_slack(self):
         with pytest.raises(WordsTooShort):
-            empirical(FULL2, Word("0101"), 4, 2)
+            dict_empirical(FULL2, Word("0101"), 4, 2)
 
     def test_marginals_consistent(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.3, 0.7])
-        emp = empirical(FULL2, sample_word(mu, 200, 0), 150, 3)
+        emp = dict_empirical(FULL2, sample_word(mu, 200, 0), 150, 3)
         # depth-1 marginal of the depth-3 record matches direct counting
         w = sample_word(mu, 200, 0)
         direct = sum(1 for i in range(150) if w[i] == 1) / 150
@@ -61,7 +64,7 @@ class TestBirkhoff:
             f = random_potential(FULL2, 2, seed=trial, integer=False)
             w = Word(rng.integers(0, 2, 40).tolist())
             n = 30
-            emp = empirical(FULL2, w, n, 2)
+            emp = dict_empirical(FULL2, w, n, 2)
             integral = sum(emp.cylinder_prob(k) * v for k, v in f.table.items())
             assert birkhoff_avg(w, f, n) == pytest.approx(integral, abs=1e-12)
 

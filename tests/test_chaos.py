@@ -8,31 +8,32 @@ from hypothesis import strategies as st
 
 from sftlab.chaos import (ZERO_GAP, Dc1Report, LiYorkeReport, close_gap,
                           dc1_from_windows, dc1_report, gap_windows,
-                          li_yorke_from_windows, li_yorke_report,
-                          orbit_distances, phi_n)
+                          li_yorke_from_windows, li_yorke_report, phi_n)
 from sftlab import gluing
 from sftlab.errors import InfeasibleParams, WordsTooShort
 from sftlab.experiments import run_experiment
 from sftlab.shift import SftSpace, Word, dist
 
-from chaos_oracles import (dc1_from_gaps, li_yorke_from_gaps, orbit_gaps,
-                           phi_from_gaps)
+from chaos_oracles import (dc1_from_gaps, float_orbit_distances,
+                           li_yorke_from_gaps, orbit_gaps, phi_from_gaps)
 
 FULL2 = SftSpace.full_shift(2)
 
 
 class TestOrbitDistances:
+    """The float distance oracle that the separation checks read."""
+
     def test_matches_pairwise_dist(self):
         rng = np.random.default_rng(1)
         x = Word(rng.integers(0, 2, 40).tolist())
         y = Word(rng.integers(0, 2, 40).tolist())
-        d = orbit_distances(x, y, 30)
+        d = float_orbit_distances(x, y, 30)
         for i in range(30):
             assert d[i] == dist(x[i:], y[i:])
 
     def test_identical_words_zero(self):
         w = Word("0110100110")
-        assert (orbit_distances(w, w, 10) == 0.0).all()
+        assert (float_orbit_distances(w, w, 10) == 0.0).all()
 
 
 class TestPhi:
@@ -130,26 +131,6 @@ class TestLiYorkeReport:
 # ---------------- float oracles: the distance pipeline before the gap core
 
 
-def float_orbit_distances(x, y, n):
-    L = min(len(x), len(y))
-    if n > L:
-        raise WordsTooShort(f"need both words of length >= {n}")
-    xs = np.array(x.symbols[:L], dtype=np.int64)
-    ys = np.array(y.symbols[:L], dtype=np.int64)
-    idx_of = np.where(xs != ys, np.arange(L), L)
-    nxt = np.minimum.accumulate(idx_of[::-1])[::-1]
-    idx = np.arange(n)
-    with np.errstate(under="ignore"):
-        d = np.power(2.0, -(nxt[:n] - idx).astype(float))
-    none_seen = nxt[:n] == L
-    if len(x) == len(y):
-        d[none_seen] = 0.0
-    else:
-        with np.errstate(under="ignore"):
-            d[none_seen] = np.power(2.0, -(L - idx[none_seen]).astype(float))
-    return d
-
-
 def float_phi_n(x, y, t, n):
     return float((float_orbit_distances(x, y, n) < t).mean())
 
@@ -225,8 +206,6 @@ class TestGapCoreOracles:
         x, y = pair
         L = min(len(x), len(y))
         n = data.draw(st.integers(1, L))
-        assert np.array_equal(orbit_distances(x, y, n),
-                              float_orbit_distances(x, y, n))
         gaps = orbit_gaps(x, y, L)
         assert [math.ldexp(1.0, -int(t)) for t in gaps[:n]] == \
             float_orbit_distances(x, y, n).tolist()

@@ -51,8 +51,10 @@ class TestExponentAlong:
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
         w = sample_word(mu, 2000, 1)
         # every scaling is by a power of two, so the bits are the same
-        a = exponent_along(c, w, 2000, cadence=8)
-        b = exponent_along(c, w, 2000, cadence=64)
+        with mock.patch.object(cocycle, "_CADENCE", 8):
+            a = exponent_along(c, w, 2000)
+        with mock.patch.object(cocycle, "_CADENCE", 64):
+            b = exponent_along(c, w, 2000)
         assert a == b
 
     def test_diagonal_birkhoff_oracle(self):
@@ -382,9 +384,10 @@ class TestBatchedExponentOracles:
         rows = np.array([w.symbols for w in words], dtype=np.uint8)
         expected = [power_of_two_exponent_along(c, w, n, cadence)
                     for w in words]
-        got = exponents_along(c, rows, n, cadence)
+        with mock.patch.object(cocycle, "_CADENCE", cadence):
+            got = exponents_along(c, rows, n)
+            assert [exponent_along(c, w, n) for w in words] == expected
         assert got == expected
-        assert [exponent_along(c, w, n, cadence) for w in words] == expected
         assert_near_old_walk(c, got, [per_step_exponent_along(
             c, w, n, cadence) for w in words], n, cadence)
 
@@ -426,10 +429,11 @@ class TestBatchedExponentOracles:
             data.draw, c.space, data.draw(st.integers(1, 6)), length)],
             dtype=np.uint8)
         n = data.draw(st.integers(1, length - c.depth + 1))
-        with mock.patch.object(cocycle, "_RANK_WINDOWS", windows):
-            got = exponents_along(c, rows, n, cadence)
-        assert got == exponents_along(c, rows, n, cadence) == [
-            power_of_two_exponent_along(c, r, n, cadence) for r in rows]
+        with mock.patch.object(cocycle, "_CADENCE", cadence):
+            with mock.patch.object(cocycle, "_RANK_WINDOWS", windows):
+                got = exponents_along(c, rows, n)
+            assert got == exponents_along(c, rows, n) == [
+                power_of_two_exponent_along(c, r, n, cadence) for r in rows]
         assert_near_old_walk(c, got, unchunked_exponents_along(
             c, rows, n, cadence), n, cadence)
 
@@ -443,8 +447,9 @@ class TestBatchedExponentOracles:
             dtype=np.uint8).reshape(-1, length)
         ns = data.draw(st.lists(st.integers(1, length - c.depth + 1),
                                 min_size=1, max_size=4))
-        assert cocycle._exponents_at(c, rows, ns, cadence) == [
-            exponents_along(c, rows, n, cadence) for n in ns]
+        with mock.patch.object(cocycle, "_CADENCE", cadence):
+            assert cocycle._exponents_at(c, rows, ns) == [
+                exponents_along(c, rows, n) for n in ns]
 
     @settings(max_examples=100, deadline=None)
     @given(cocycles(), st.integers(1, 200), st.integers(1, 200), st.data())
@@ -454,7 +459,10 @@ class TestBatchedExponentOracles:
             data.draw, c.space, data.draw(st.integers(1, 4)), length)],
             dtype=np.uint8)
         n = data.draw(st.integers(1, length - c.depth + 1))
-        assert exponents_along(c, rows, n, a) == exponents_along(c, rows, n, b)
+        with mock.patch.object(cocycle, "_CADENCE", a):
+            got = exponents_along(c, rows, n)
+        with mock.patch.object(cocycle, "_CADENCE", b):
+            assert exponents_along(c, rows, n) == got
 
     @settings(max_examples=100, deadline=None)
     @given(cocycles(), st.integers(1, 40), st.data())
@@ -464,8 +472,9 @@ class TestBatchedExponentOracles:
             data.draw, c.space, data.draw(st.integers(2, 6)), length)],
             dtype=np.uint8)
         n = data.draw(st.integers(1, length - c.depth + 1))
-        assert exponents_along(c, rows, n, cadence) == [
-            exponents_along(c, row[None], n, cadence)[0] for row in rows]
+        with mock.patch.object(cocycle, "_CADENCE", cadence):
+            assert exponents_along(c, rows, n) == [
+                exponents_along(c, row[None], n)[0] for row in rows]
 
     @settings(max_examples=100, deadline=None)
     @given(cocycles(), st.integers(1, 40), st.data())
@@ -479,10 +488,12 @@ class TestBatchedExponentOracles:
                                    min_size=1, max_size=6))
         rows = np.array([words[i].symbols for i in picks], dtype=np.uint8)
         n = data.draw(st.integers(1, length - c.depth + 1))
-        got = exponents_along(c, rows, n, cadence)
-        with mock.patch.object(cocycle, "_shared_steps", lambda block, depth:
-                               np.zeros(block.shape[1] - depth + 1, bool)):
-            assert exponents_along(c, rows, n, cadence) == got
+        with mock.patch.object(cocycle, "_CADENCE", cadence):
+            got = exponents_along(c, rows, n)
+            with mock.patch.object(cocycle, "_shared_steps",
+                                   lambda block, depth: np.zeros(
+                                       block.shape[1] - depth + 1, bool)):
+                assert exponents_along(c, rows, n) == got
 
     @pytest.mark.parametrize("top", [[1e10, 0.0], [1e10, 1.0]])
     def test_overflow_names_row_step_and_cadence(self, top):
@@ -493,8 +504,9 @@ class TestBatchedExponentOracles:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 SingularProduct, match=(
                     r"^row 0: the product of the first 64 generators has "
-                    r"largest entry (inf|nan) \(scaled every 64 steps\)")):
-            exponents_along(c, rows, 200, cadence=64)
+                    r"largest entry (inf|nan) \(scaled every 64 steps\)")), \
+                mock.patch.object(cocycle, "_CADENCE", 64):
+            exponents_along(c, rows, 200)
 
     def test_underflow_names_row_step_and_cadence(self):
         # hit a math.log domain error
@@ -502,12 +514,14 @@ class TestBatchedExponentOracles:
         rows = np.array([[1] * 200, [0] * 200], dtype=np.uint8)
         with pytest.raises(SingularProduct, match=re.escape(
                 "row 1: the product of the first 64 generators has largest "
-                "entry 0.0 (scaled every 64 steps)")):
-            exponents_along(c, rows, 200, cadence=64)
+                "entry 0.0 (scaled every 64 steps)")), \
+                mock.patch.object(cocycle, "_CADENCE", 64):
+            exponents_along(c, rows, 200)
         # the last scaling comes at n
         with pytest.raises(SingularProduct, match=re.escape(
-                "row 1: the product of the first 200 generators")):
-            exponents_along(c, rows, 200, cadence=1000)
+                "row 1: the product of the first 200 generators")), \
+                mock.patch.object(cocycle, "_CADENCE", 1000):
+            exponents_along(c, rows, 200)
 
     def test_thm1_3_at_n_12_matches_the_svd_walk(self):
         # 4,096 members of 2,565 steps: many blocks of window ranks, shared
@@ -531,11 +545,6 @@ class TestBatchedExponentOracles:
         assert_near_old_walk(
             c, [report.exponents[i] for i in picks],
             unchunked_exponents_along(c, report.members[picks], n), n)
-
-    def test_cadence_must_be_positive(self):
-        c = MatrixCocycle.constant(FULL2, np.eye(2))
-        with pytest.raises(ValueError, match="cadence must be positive"):
-            exponents_along(c, np.zeros((1, 4), dtype=np.uint8), 4, 0)
 
     def test_family_peak_memory_bounded(self):
         # the whole (n, rows) int64 window-rank matrix peaked at 36.9 MiB

@@ -17,8 +17,8 @@ from sftlab.ergopt import (InEdges, Potential, _cycle_word, _edge_values,
                            _perron, _simple_cycles, beta, betas,
                            block_graph, brute_force_beta,
                            brute_force_betas, classify_smr, coboundary_shift,
-                           equilibrium_mean, equilibrium_residual,
-                           equilibrium_residuals, equilibrium_state,
+                           equilibrium_residual, equilibrium_residuals,
+                           equilibrium_state,
                            ergodic_average_range, level_entropy,
                            level_entropy_detail, level_entropy_details,
                            mean_potential, pressure, pressures,
@@ -589,7 +589,7 @@ class TestEquilibrium:
             for f, res in zip(fs, got):
                 mu = equilibrium_state(space, f)
                 assert res == abs(ks_entropy(mu)
-                                  + equilibrium_mean(space, f, mu)
+                                  + loop_equilibrium_mean(space, f, mu)
                                   - pressure(space, f))
 
     def test_batch_equals_one_row_bit_for_bit(self):
@@ -623,8 +623,6 @@ class TestEquilibrium:
             assert np.array_equal(mu.stochastic, want.stochastic)
             assert np.array_equal(mu.stationary, want.stationary)
             assert ks_entropy(mu) == per_measure_entropy(want)
-            assert equilibrium_mean(space, f, mu) == loop_equilibrium_mean(
-                space, f, want)
 
     def test_experiment_draws_equal_per_row_oracle(self):
         trials = list(per_trial_potentials(
@@ -678,7 +676,7 @@ class TestEquilibrium:
         f = random_potential(FULL2, 2, seed=6, integer=False)
         mu = equilibrium_state(FULL2, f)
         assert mean_potential(mu, f) == pytest.approx(
-            equilibrium_mean(FULL2, f, mu), abs=1e-12)
+            loop_equilibrium_mean(FULL2, f, mu), abs=1e-12)
 
 
 class TestBatches:
@@ -803,9 +801,6 @@ class TestSpaceMismatch:
                      lambda: equilibrium_state(space, self.F),
                      lambda: equilibrium_residual(space, self.F),
                      lambda: equilibrium_residuals(space, [self.F]),
-                     lambda: equilibrium_mean(
-                         space, self.F,
-                         MarkovMeasure.periodic_orbit(space, Word("01"))),
                      lambda: classify_smr(space, self.F)):
             with pytest.raises(SpaceMismatch, match=message):
                 call()
@@ -836,30 +831,6 @@ class TestSpaceMismatch:
         twin = SftSpace(GOLDEN.transition)
         assert beta(twin, self.F) == beta(GOLDEN, self.F)
         assert beta(GOLDEN, self.F).value == 6.0
-
-    # a measure off f's block space used to raise a raw IndexError (the
-    # 2-state measure for a depth-3 f) or return a number silently
-    @pytest.mark.parametrize("r, mu, nodes, edges", [
-        (3, MarkovMeasure.bernoulli(FULL2, [0.5, 0.5]), 4, 8),
-        (3, MarkovMeasure.periodic_orbit(SftSpace.full_shift(4),
-                                         Word("0123")), 4, 8),
-        (2, MarkovMeasure.periodic_orbit(GOLDEN, Word("01")), 2, 4),
-    ], ids=["two-states", "full-4-shift", "golden-mean"])
-    def test_equilibrium_mean_names_the_block_space(self, r, mu, nodes,
-                                                    edges):
-        with pytest.raises(SpaceMismatch, match=re.escape(
-                f"mu must live on the {nodes}-node block space of the "
-                f"depth-{r} potential ({edges} edges), not on {mu.space!r}")):
-            equilibrium_mean(FULL2, random_potential(FULL2, r, seed=6), mu)
-
-    @pytest.mark.parametrize("r", [2, 3])
-    def test_equilibrium_mean_accepts_an_equal_block_space(self, r):
-        f = random_potential(FULL2, r, seed=6)
-        mu = equilibrium_state(FULL2, f)
-        twin = MarkovMeasure(SftSpace(mu.space.transition), mu.stochastic,
-                             mu.stationary)
-        assert equilibrium_mean(FULL2, f, twin) == \
-            equilibrium_mean(FULL2, f, mu) == equilibrium_mean(FULL2, f)
 
 
 class TestNonFinite:

@@ -16,10 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sftlab import ergopt, experiments, gluing, measures
-from sftlab.analysis import empirical
 from sftlab.chaos import (close_gap, dc1_report, gap_windows,
-                          li_yorke_report, orbit_distances, phi_n)
-from sftlab.errors import (BadCheckpoints, FamilyNotSeparated,
+                          li_yorke_report, phi_n)
+from sftlab.errors import (BadCheckpoints, FamilyNotSeparated, GapTooSmall,
                            InfeasibleParams, LeafOutOfRange,
                            MalformedSchedule, MalformedTree, NotPrimitive,
                            OrbitsNotDisjoint, SpaceMismatch, WordsTooShort)
@@ -40,9 +39,11 @@ from sftlab.measures import (MarkovMeasure, MeasurePath, ks_entropy,
                              weak_star_dist)
 from sftlab.shift import SftSpace, Word, glue, glue_spans, separated_count
 
-from chaos_oracles import bridged_two_orbit, simulated_chaotic_family
-from dict_empirical import DictEmpiricalMeasure
-from measure_oracles import per_step_sample_word, word_draw_block
+from chaos_oracles import (bridged_two_orbit, float_orbit_distances,
+                            simulated_chaotic_family)
+from dict_empirical import DictEmpiricalMeasure, dict_empirical
+from measure_oracles import (loop_weak_star_dist, per_step_sample_word,
+                             word_draw_block)
 from word_oracles import (contains_all_words, iglue, iglue_two_orbit,
                           orbit_gap_loop)
 
@@ -333,8 +334,9 @@ class TestSeparatedFamily:
             stream = emit_point(sched, seed=15, family_word=w)
             for j, n in enumerate(report.checkpoints):
                 word = stream.materialize(n + L - 1)
-                direct = weak_star_dist(
-                    empirical(FULL2, word, n, L), sched.stretched_alpha(n), L)
+                direct = loop_weak_star_dist(
+                    dict_empirical(FULL2, word, n, L),
+                    sched.stretched_alpha(n), L)
                 assert report.rows[i][j] == pytest.approx(direct, abs=1e-12)
         assert report.all_ok
 
@@ -380,7 +382,7 @@ def counter_family_tracking_report(s, family, seed, checkpoints=None):
             pre_counts = Counter(tuple(head[i:i + L])
                                  for i in range(min(n, p)))
             emp = DictEmpiricalMeasure(space, L, dict(pre_counts + tc))
-            row.append(weak_star_dist(emp, target, L))
+            row.append(loop_weak_star_dist(emp, target, L))
         rows.append(tuple(row))
     return FamilyTrackingReport(
         checkpoints=tuple(cps),
@@ -635,8 +637,8 @@ def per_point_tracking_report(s, seed, checkpoints=None, family_word=None):
     rows = []
     for n in cps:
         w = stream.materialize(n + L - 1)
-        obs = weak_star_dist(empirical(s.space, w, n, L),
-                             walked_stretched_alpha(s, n), L)
+        obs = loop_weak_star_dist(dict_empirical(s.space, w, n, L),
+                                  walked_stretched_alpha(s, n), L)
         rows.append(TrackingRow(n=n, observed=obs,
                                 bound=walked_tracking_bound(s, n)))
     return rows
@@ -806,6 +808,22 @@ class TestScheduleInputs:
         data[field] = value
         with pytest.raises(MalformedSchedule,
                            match=f"^schedule field '{field}': "):
+            self.load(data)
+
+    def test_gap_below_the_primitivity_index_named(self):
+        # raised a bare ValueError that named neither
+        data = self.data()
+        data["gap"] = 0
+        with pytest.raises(GapTooSmall,
+                           match=r"^gap 0 < primitivity index 1$"):
+            self.load(data)
+
+    def test_block_below_the_check_depth_named(self):
+        # raised a bare ValueError that named no stage
+        data = self.data()
+        data["stages"][1]["n"] = 1
+        with pytest.raises(MalformedSchedule,
+                           match=r"^stage 2: block length 1 < check_depth 2$"):
             self.load(data)
 
     @pytest.mark.parametrize("kw", [dict(zetas=[0.5, 0.0]),
@@ -1148,7 +1166,7 @@ class TestChaoticFamily:
                 xi, x = members[i]
                 eta, y = members[j]
                 u = next(q for q in range(len(xi)) if xi[q] != eta[q])
-                d = orbit_distances(x, y, min(len(x), len(y)))
+                d = float_orbit_distances(x, y, min(len(x), len(y)))
                 for k_idx, end in enumerate(fam.stage_ends, start=1):
                     if k_idx - 1 < u or end > len(d):
                         continue
@@ -1525,7 +1543,8 @@ class TestArrayDraws:
         def score(seed, rep, attempt):
             x = per_step_sample_word(B05, 10, gluing._mix(seed, 2, rep,
                                                           attempt))
-            return weak_star_dist(empirical(FULL2, x, 9, 2), B05, 2)
+            return loop_weak_star_dist(dict_empirical(FULL2, x, 9, 2), B05,
+                                       2)
 
         def best(seed, rep):
             return f"{min(score(seed, rep, a) for a in range(3)):.4f}"

@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 from collections import Counter
@@ -11,10 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sftlab import measures
-from sftlab.analysis import empirical
-from sftlab.errors import (DepthExceedsEmpirical, ShortFamily, SftLabError,
-                           SpaceMismatch, StationaryNotUnique)
-from sftlab.measures import (EmpiricalMeasure, MarkovMeasure, MeasurePath,
+from sftlab.errors import (ShortFamily, SftLabError, SpaceMismatch,
+                           StationaryNotUnique)
+from sftlab.measures import (MarkovMeasure, MeasurePath,
                              _batch_weak_star, cylinder_weights,
                              interpolate, ks_entropies, ks_entropy,
                              markov_measures, refine_path,
@@ -302,10 +300,11 @@ class TestWeakStar:
                 weak_star_dist(a, b, 3) + weak_star_dist(b, c, 3) + 1e-12)
 
     def test_depth_guard_on_empirical(self):
+        # the dict oracle records depth-2 windows, so it has no 3-cylinders
         mu = MarkovMeasure.bernoulli(FULL2, [0.5, 0.5])
-        emp = empirical(FULL2, sample_word(mu, 50, 1), 40, 2)
-        with pytest.raises(DepthExceedsEmpirical):
-            weak_star_dist(emp, mu, 3)
+        emp = dict_empirical(FULL2, sample_word(mu, 50, 1), 40, 2)
+        with pytest.raises(ValueError, match="empirical depth 2 < requested 3"):
+            loop_weak_star_dist(emp, mu, 3)
 
     @pytest.mark.parametrize("call", [
         lambda a, b: weak_star_dist(a, b, 1),
@@ -338,7 +337,8 @@ class TestWeakStar:
         dists = []
         for n in (10 ** 3, 10 ** 4, 10 ** 5):
             w = sample_word(mu, n + 2, 42)
-            dists.append(weak_star_dist(empirical(FULL2, w, n, 3), mu, 3))
+            dists.append(loop_weak_star_dist(dict_empirical(FULL2, w, n, 3),
+                                             mu, 3))
         assert dists[2] < dists[0]
         assert dists[2] < 0.005
 
@@ -355,13 +355,9 @@ def random_markov(draw, space):
     return MarkovMeasure(space, W / W.sum(axis=1, keepdims=True))
 
 
-def random_windows(draw, space, depth, admissible=True):
-    """Depth-windows over the alphabet; with admissible=False some are
-    inadmissible, which an EmpiricalMeasure counts in its total and in the
-    cylinders of their admissible prefixes."""
+def random_windows(draw, space, depth):
+    """Admissible depth-windows, one per row."""
     def window():
-        if not admissible:
-            return [draw(st.integers(0, space.m - 1)) for _ in range(depth)]
         syms = [draw(st.integers(0, space.m - 1))]
         while len(syms) < depth:
             syms.append(draw(st.sampled_from(space.successors(syms[-1]))))
@@ -374,19 +370,6 @@ def random_windows(draw, space, depth, admissible=True):
 def count_row(space, windows):
     return np.bincount(word_columns(space, windows),
                        minlength=len(space.word_table(windows.shape[1])))
-
-
-def random_measure(draw, space, depth):
-    """A Markov measure, a count-row empirical measure of admissible
-    windows, or the dict oracle of windows that may be inadmissible."""
-    if draw(st.booleans()):
-        return random_markov(draw, space)
-    if draw(st.booleans()):
-        return EmpiricalMeasure(space, depth, count_row(
-            space, random_windows(draw, space, depth)))
-    windows = random_windows(draw, space, depth, draw(st.booleans()))
-    return DictEmpiricalMeasure(space, depth,
-                                Counter(map(tuple, windows.tolist())))
 
 
 # point masses and periodic orbits on both spaces, next to random chains
@@ -432,8 +415,7 @@ class TestVectorWeakStar:
     def test_dist_equals_the_cylinder_loop(self, data):
         space = data.draw(st.sampled_from([FULL2, GOLDEN]))
         depth = data.draw(st.integers(1, 3))
-        a = (any_markov(data.draw, space) if data.draw(st.booleans())
-             else random_measure(data.draw, space, depth))
+        a = any_markov(data.draw, space)
         b = any_markov(data.draw, space)
         for x, y in ((a, b), (b, a)):
             assert weak_star_dist(x, y, depth) == \
@@ -446,15 +428,10 @@ class TestVectorWeakStar:
         depth = data.draw(st.integers(1, 3))
         cyls = [c for c, _ in cylinder_weights(space, depth)]
         mu = any_markov(data.draw, space)
-        emp = EmpiricalMeasure(space, depth, count_row(
-            space, random_windows(data.draw, space, depth)))
-        for measure in (mu, emp):
-            probs = measure.cylinder_probs(depth)
-            assert probs.tolist() == [measure.cylinder_prob(c) for c in cyls]
-        assert mu.cylinder_probs(depth) is mu.cylinder_probs(depth)
-        assert not mu.cylinder_probs(depth).flags.writeable
-        with pytest.raises(DepthExceedsEmpirical):
-            emp.cylinder_probs(depth + 1)
+        probs = mu.cylinder_probs(depth)
+        assert probs.tolist() == [mu.cylinder_prob(c) for c in cyls]
+        assert mu.cylinder_probs(depth) is probs
+        assert not probs.flags.writeable
 
     def test_count_rows_must_fill_the_table(self):
         mu = MarkovMeasure.bernoulli(FULL2, [0.4, 0.6])
@@ -504,20 +481,24 @@ class TestWeakStarCore:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_count_rows_equal_weak_star_dist(self, data):
+        # bit for bit the per-cylinder loop over the dict oracle, which
+        # shares no code with window_counts or the prefix-sum runs
         space = data.draw(st.sampled_from(WEAK_SPACES))
-        depth = data.draw(st.integers(1, 3))
-        target = random_measure(data.draw, space, depth)
+        depth = data.draw(st.integers(1, 4))
+        target = any_markov(data.draw, space)
         samples = [random_windows(data.draw, space, depth)
                    for _ in range(data.draw(st.integers(1, 4)))]
-        ncols = len(space.word_table(depth))
-        counts = np.array([np.bincount(word_columns(space, w), minlength=ncols)
-                           for w in samples])
-        totals = np.array([len(w) for w in samples])
-        got = weak_star_counts(counts, totals, target, depth)
-        for d, w in zip(got.tolist(), samples):
-            emp = DictEmpiricalMeasure(space, depth,
-                                       Counter(map(tuple, w.tolist())))
-            assert d == weak_star_dist(emp, target, depth)
+        if data.draw(st.booleans()):  # one scalar total for every row
+            k = min(map(len, samples))
+            samples = [w[:k] for w in samples]
+            total = k
+        else:
+            total = np.array([len(w) for w in samples])
+        counts = np.array([count_row(space, w) for w in samples])
+        got = weak_star_counts(counts, total, target, depth)
+        assert got.tolist() == [loop_weak_star_dist(DictEmpiricalMeasure(
+            space, depth, Counter(map(tuple, w.tolist()))), target, depth)
+            for w in samples]
 
     def test_inadmissible_window_rejected(self):
         cols = word_columns(GOLDEN, np.array([[0, 0], [0, 1], [1, 0]]))
@@ -535,27 +516,20 @@ class TestWeakStarCore:
         batch = sample_words_batch(mu, n, 8, seed=data.draw(st.integers(0, 99)))
         got = _batch_weak_star(space, batch, mu, depth)
         for d, row in zip(got.tolist(), batch):
-            emp = empirical(space, Word(row.tolist()), n - depth + 1, depth)
-            assert d == weak_star_dist(emp, mu, depth)
+            emp = dict_empirical(space, row, n - depth + 1, depth)
+            assert d == loop_weak_star_dist(emp, mu, depth)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_symmetric_and_bounded(self, data):
         space = data.draw(st.sampled_from(WEAK_SPACES))
         depth = data.draw(st.integers(1, 3))
-        a = random_measure(data.draw, space, depth)
-        b = random_measure(data.draw, space, depth)
+        a = any_markov(data.draw, space)
+        b = any_markov(data.draw, space)
         d = weak_star_dist(a, b, depth)
         assert d == weak_star_dist(b, a, depth)
         assert 0.0 <= d <= 1.0
         assert weak_star_dist(a, a, depth) == 0.0
-
-
-def all_cylinders(space, depth):
-    """Every cylinder of length 1..depth over the alphabet, admissible or
-    not."""
-    return [c for n in range(1, depth + 1)
-            for c in itertools.product(range(space.m), repeat=n)]
 
 
 COUNT_SPACES = [FULL2, GOLDEN, SftSpace([[0, 1, 0], [0, 0, 1], [1, 1, 1]])]
@@ -647,67 +621,52 @@ class TestOneWindowCounter:
 
 
 class TestCountRowEmpirical:
+    """Count rows, the empirical measures every run scores, against the
+    dict oracle of the same windows."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_equals_the_dict_oracle_bit_for_bit(self, data):
         space = data.draw(st.sampled_from(WEAK_SPACES))
         depth = data.draw(st.integers(1, 3))
         windows = random_windows(data.draw, space, depth)
-        emp = EmpiricalMeasure(space, depth, count_row(space, windows))
+        row = count_row(space, windows)
         oracle = DictEmpiricalMeasure(space, depth,
                                       Counter(map(tuple, windows.tolist())))
-        assert freq(emp) == oracle.freq and emp.total == oracle.total
-        assert list(freq(emp)) == sorted(oracle.freq)
-        for cyl in all_cylinders(space, depth):
-            assert emp.cylinder_prob(cyl) == oracle.cylinder_prob(cyl)
-        target = random_measure(data.draw, space, depth)
+        assert freq(space, depth, row) == oracle.freq
+        assert list(freq(space, depth, row)) == sorted(oracle.freq)
+        target = any_markov(data.draw, space)
         for d in range(1, depth + 1):
-            assert weak_star_dist(emp, target, d) == \
-                weak_star_dist(oracle, target, d)
-            assert weak_star_dist(target, emp, d) == \
-                weak_star_dist(target, oracle, d)
+            # the windows' first d symbols count the oracle's d-marginal
+            marginal = count_row(space, windows[:, :d])
+            assert weak_star_counts(marginal[None], oracle.total, target,
+                                    d).tolist() == \
+                [loop_weak_star_dist(oracle, target, d)] == \
+                [loop_weak_star_dist(target, oracle, d)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_empirical_equals_the_window_loop(self, data):
         space = data.draw(st.sampled_from(WEAK_SPACES))
         depth = data.draw(st.integers(1, 3))
-        x = Word(random_windows(data.draw, space,
-                                data.draw(st.integers(depth, 40)))[0].tolist())
+        x = random_windows(data.draw, space,
+                           data.draw(st.integers(depth, 40)))[0]
         n = data.draw(st.integers(1, len(x) - depth + 1))
-        emp, oracle = empirical(space, x, n, depth), \
-            dict_empirical(space, x, n, depth)
-        assert freq(emp) == oracle.freq and emp.total == oracle.total
+        row = window_counts(space, x[None], depth, [n])[n][0]
+        oracle = dict_empirical(space, x, n, depth)
+        assert freq(space, depth, row) == oracle.freq
         mu = random_markov(data.draw, space)
-        assert weak_star_dist(emp, mu, depth) == \
-            weak_star_dist(oracle, mu, depth)
+        assert weak_star_counts(row[None], n, mu, depth).tolist() == \
+            [loop_weak_star_dist(oracle, mu, depth)]
 
     def test_inadmissible_window_named(self):
-        # the dict path counted it silently
+        # the dict oracle counts it silently
         assert dict_empirical(GOLDEN, Word("0110"), 3, 2).freq[(1, 1)] == 1
         with pytest.raises(ValueError, match=r"window \(1, 1\) is not an "
                            r"admissible 2-word"):
-            empirical(GOLDEN, Word("0110"), 3, 2)
+            window_counts(GOLDEN, np.array([[0, 1, 1, 0]]), 2, [3])
         with pytest.raises(ValueError, match=r"window \(2,\) is not"):
-            empirical(GOLDEN, Word("0120"), 4, 1)
-
-    def test_counts_are_read_only(self):
-        emp = empirical(GOLDEN, Word("01001"), 4, 2)
-        assert emp.counts.tolist() == [1, 2, 1]
-        assert freq(emp) == {(0, 0): 1, (0, 1): 2, (1, 0): 1}
-        assert emp.cylinder_prob((1, 1)) == 0.0
-        assert emp.cylinder_prob((0,)) == 0.75
-        with pytest.raises(ValueError):
-            emp.counts[0] = 5
-
-    def test_bad_count_rows_raise(self):
-        with pytest.raises(ValueError,
-                           match="one entry per admissible 2-word"):
-            EmpiricalMeasure(GOLDEN, 2, [1, 2, 3, 4])
-        with pytest.raises(ValueError, match="nonnegative with positive"):
-            EmpiricalMeasure(GOLDEN, 2, [1, -1, 0])
-        with pytest.raises(ValueError, match="nonnegative with positive"):
-            EmpiricalMeasure(GOLDEN, 2, [0, 0, 0])
+            window_counts(GOLDEN, np.array([[0, 1, 2, 0]]), 1, [4])
 
 
 class TestSampling:
@@ -1102,8 +1061,9 @@ class TestTypicalFamily:
         batch = sample_words_batch(mu, 15, 20, seed=8)
         dists = _batch_weak_star(FULL2, batch, mu, 2)
         for row, d in zip(batch, dists):
-            emp = empirical(FULL2, Word(row.tolist()), 14, 2)
-            assert d == pytest.approx(weak_star_dist(emp, mu, 2), abs=1e-12)
+            emp = dict_empirical(FULL2, row, 14, 2)
+            assert d == pytest.approx(loop_weak_star_dist(emp, mu, 2),
+                                      abs=1e-12)
 
 
 class TestMeasurePath:

@@ -13,22 +13,21 @@ LAYERS = ["analysis", "chaos", "cocycle", "ergopt", "gluing", "measures",
 # name -> the module that defines it, for every re-exported name
 REEXPORTS = {
     "errors": [
-        "BadCheckpoints", "Degenerate", "DepthExceedsEmpirical",
-        "FamilyNotSeparated", "GapTooSmall", "InfeasibleParams",
-        "LeafOutOfRange", "MalformedSchedule", "MalformedTree",
-        "NonFinitePotential", "NotPrimitive", "NotRecurrent",
+        "BadCheckpoints", "Degenerate", "FamilyNotSeparated", "GapTooSmall",
+        "InfeasibleParams", "LeafOutOfRange", "MalformedSchedule",
+        "MalformedTree", "NonFinitePotential", "NotPrimitive", "NotRecurrent",
         "OrbitsNotDisjoint", "OutsideLf", "PerronNotPositive", "SftLabError",
         "ShortFamily", "SingularProduct", "SpaceMismatch", "WordsTooShort",
         "ZeroCylinder"],
     "shift": ["SftSpace", "SymbolStream", "Word", "bridge", "connector",
               "delta_separated", "dist", "glue", "separated_count",
               "topological_entropy"],
-    "measures": ["EmpiricalMeasure", "MarkovMeasure", "MeasurePath",
+    "measures": ["MarkovMeasure", "MeasurePath",
                  "ks_entropies", "ks_entropy", "markov_measures",
                  "refine_path", "sample_word", "typical_separated_family",
                  "weak_star_dist"],
-    "analysis": ["birkhoff_avg", "brin_katok_estimate", "empirical",
-                 "growth_rate", "recurrence_ratios"],
+    "analysis": ["birkhoff_avg", "brin_katok_estimate", "growth_rate",
+                 "recurrence_ratios"],
     "ergopt": ["Potential", "beta", "betas", "brute_force_beta",
                "brute_force_betas", "classify_smr", "equilibrium_state",
                "level_entropy", "mean_potential", "pressure"],
